@@ -5,14 +5,13 @@
     certlab verify-all --out DIR [--seed N] [--threads N]
 
 Exit codes: 0 all checks passed, 2 configuration error, 3 check failure,
-4 I/O error.  The environment variable CERTLAB_THREADS overrides
---threads when set.
+4 I/O error.  --threads sets the worker threads of the experiments that
+parallelize; outputs are byte-identical at any thread count.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -26,16 +25,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_CHECKS = 3
 EXIT_IO = 4
-
-
-def _thread_count(cli_value: int | None) -> int:
-    env = os.environ.get("CERTLAB_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"CERTLAB_THREADS must be an integer, got {env!r}") from exc
-    return max(1, cli_value or 1)
 
 
 def _execute(config: ExperimentConfig, threads: int) -> RunManifest:
@@ -89,12 +78,11 @@ def cmd_run(args) -> int:
             seed_override=args.seed,
             out_override=args.out,
         )
-        threads = _thread_count(args.threads)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        manifest = _execute(config, threads)
+        manifest = _execute(config, max(1, args.threads or 1))
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -126,11 +114,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
-    try:
-        threads = _thread_count(args.threads)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    threads = max(1, args.threads or 1)
     out_root = Path(args.out)
     all_ok = True
     try:

@@ -2,10 +2,13 @@
 
 Every experiment is a pure function of (seed, params): it returns its data
 tables and a list of named pass/fail checks, and the CLI turns check
-failures into a nonzero exit code.  Heavy sampling loops are vectorized
-with numpy; where a bulk computation shadows a scalar module operation, a
-random subsample is re-evaluated through the scalar op and compared, so
-the fast path cannot silently drift from the contract it is testing.
+failures into a nonzero exit code.  A check over many rows is one
+``ExperimentResult.gate``, recording how many rows exceed the limit and the
+worst row.  Heavy sampling loops run as numpy row kernels; where a kernel
+shadows a scalar module operation, ``ExperimentResult.audit_rows``
+re-evaluates a random subsample through the public scalar op and gates the
+deviation, so the fast path cannot silently drift from the contract it is
+testing.
 """
 
 from __future__ import annotations
@@ -24,6 +27,11 @@ from .errors import InvalidInputError
 from .manifest import Check
 from .seeding import derive_seed, rng_for
 
+# Rows per spot audit, and the deviation allowed between a bulk value and its
+# scalar recomputation.
+SPOT_SUBSAMPLE = 200
+SPOT_TOL = 1e-10
+
 
 @dataclass
 class ExperimentResult:
@@ -35,9 +43,36 @@ class ExperimentResult:
     def check(self, name: str, passed: bool, detail: str = "") -> None:
         self.checks.append(Check(name=name, passed=bool(passed), detail=detail))
 
+    def gate(self, name: str, excess, where, detail: str = "") -> None:
+        """One check over many rows: row i passes when ``excess[i] <= 0``.
+
+        ``excess[i]`` is row i's observed value minus its limit, slack
+        included, and ``where(i)`` describes row i.  A NaN row counts as
+        over the limit; a gate over zero rows passes.
+        """
+        excess = np.asarray(excess, dtype=np.float64)
+        over = int(np.sum(~(excess <= 0.0)))
+        text = f"{over}/{excess.size} rows over the limit"
+        if excess.size:
+            worst = int(np.argmax(excess))  # the first NaN, if any
+            text += f", worst {where(worst)} (excess {excess[worst]:.3e})"
+        self.check(name, over == 0, f"{text}; {detail}" if detail else text)
+
+    def audit_rows(self, name: str, rows, bulk, scalar) -> None:
+        """Spot audit: at every row i of ``rows``, gate the fast path's value
+        (or vector of values) ``bulk(i)`` against ``scalar(i)``, the same row
+        recomputed through the public scalar ops."""
+        deviation = [np.max(np.abs(np.subtract(scalar(i), bulk(i)))) for i in rows]
+        self.gate(name, np.asarray(deviation, dtype=np.float64) - SPOT_TOL, lambda k: f"row {rows[k]}")
+
     @property
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
+
+
+def spot_rows(rng: np.random.Generator, n_rows: int) -> np.ndarray:
+    """SPOT_SUBSAMPLE distinct random row indices in increasing order (all rows if fewer)."""
+    return np.sort(rng.choice(n_rows, size=min(SPOT_SUBSAMPLE, n_rows), replace=False))
 
 
 def deterministic_map(fn, items, threads: int):
@@ -58,7 +93,6 @@ TRADEOFF_SCHEMA = {
     "scan_options": ParamSpec("int_list", (2, 4)),
     "scan_grid": ParamSpec("float_list", (0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)),
     "oracle_resolution": ParamSpec("int", 60),
-    "spot_subsample": ParamSpec("int", 200),
 }
 
 
@@ -99,63 +133,46 @@ def _simplex_slice_min_reverse_kl(top: float, n_options: int, resolution: int) -
     return best
 
 
+def _scalar_certainty(logits: np.ndarray) -> tuple:
+    """One ``certainty_panel`` row recomputed through the scalar ops, in field order."""
+    b = logits.size
+    p = cat.softmax(logits)
+    s = cat.symbolic_index(p)
+    uniform = np.full(b, 1.0 / b)
+    return (s, cat.logit_margin(logits), cat.stability_lower_bound(s),
+            cat.kl_divergence(p, uniform), cat.tradeoff_lower_bound(s, b),
+            cat.kl_divergence(uniform, p), cat.min_exploration_divergence(s, b))
+
+
 def run_tradeoff_scan(seed: int, params: dict, threads: int = 1) -> ExperimentResult:
     result = ExperimentResult(name="tradeoff-scan")
     options_set = params["options_set"]
     per_b = max(1, params["samples"] // len(options_set))
 
-    margin_viol = 0
-    reverse_viol = 0
-    forward_viol = 0
+    excess = []  # per B, each floor's excess over its bound, row by row
     equality_b2_worst = 0.0
-    total = 0
     for b in options_set:
-        rng = rng_for(seed, "tradeoff-sample", b)
-        logits = rng.standard_normal((per_b, b))
+        logits = rng_for(seed, "tradeoff-sample", b).standard_normal((per_b, b))
         panel = cat_bulk.certainty_panel(logits)
-        total += per_b
-        margin_viol += int(np.sum(panel.margin < panel.stability_bound - 1e-9))
-        reverse_viol += int(np.sum(panel.reverse_kl < panel.tradeoff_bound - 1e-9))
-        forward_viol += int(np.sum(panel.forward_kl < panel.forward_bound - 1e-9))
+        result.audit_rows(
+            f"scalar-vs-vectorized consistency at B={b}", spot_rows(rng_for(seed, "tradeoff-spot", b), per_b),
+            lambda i: [field[i] for field in panel], lambda i: _scalar_certainty(logits[i]),
+        )
+        excess.append((
+            panel.stability_bound - 1e-9 - panel.margin,
+            panel.tradeoff_bound - 1e-9 - panel.reverse_kl,
+            panel.forward_bound - 1e-9 - panel.forward_kl,
+        ))
         if b == 2:
-            equality_b2_worst = max(
-                equality_b2_worst, float(np.max(np.abs(panel.margin - panel.stability_bound)))
-            )
-        # scalar-op spot checks against the vectorized panel
-        spot = rng_for(seed, "tradeoff-spot", b)
-        for idx in spot.choice(per_b, size=min(params["spot_subsample"], per_b), replace=False):
-            row = logits[idx]
-            p = cat.softmax(row)
-            s = cat.symbolic_index(p)
-            checks = (
-                abs(cat.logit_margin(row) - panel.margin[idx]),
-                abs(cat.stability_lower_bound(s) - panel.stability_bound[idx]),
-                abs(cat.kl_divergence(p, np.full(b, 1.0 / b)) - panel.reverse_kl[idx]),
-                abs(cat.kl_divergence(np.full(b, 1.0 / b), p) - panel.forward_kl[idx]),
-                abs(cat.tradeoff_lower_bound(s, b) - panel.tradeoff_bound[idx]),
-                abs(cat.min_exploration_divergence(s, b) - panel.forward_bound[idx]),
-            )
-            if max(checks) > 1e-10:
-                result.check(
-                    "scalar-vs-vectorized consistency",
-                    False,
-                    f"B={b} row {idx}: max abs deviation {max(checks):.3e}",
-                )
-    result.check(
-        "stability floor: margin >= log(s/(1-s)) on random softmax sample",
-        margin_viol == 0,
-        f"{margin_viol}/{total} violations",
-    )
-    result.check(
-        "certainty cost floor: D(p||uniform) >= tradeoff bound on the same sample",
-        reverse_viol == 0,
-        f"{reverse_viol}/{total} violations",
-    )
-    result.check(
-        "exploration floor: D(uniform||p) >= even-remainder bound on the same sample",
-        forward_viol == 0,
-        f"{forward_viol}/{total} violations",
-    )
+            equality_b2_worst = max(equality_b2_worst, float(np.max(np.abs(panel.margin - panel.stability_bound))))
+    margin, reverse, forward = map(np.concatenate, zip(*excess))
+
+    def where(i):
+        return f"B={options_set[i // per_b]} row {i % per_b}"
+
+    result.gate("stability floor: margin >= log(s/(1-s)) on random softmax sample", margin, where)
+    result.gate("certainty cost floor: D(p||uniform) >= tradeoff bound on the same sample", reverse, where)
+    result.gate("exploration floor: D(uniform||p) >= even-remainder bound on the same sample", forward, where)
     result.check(
         "two-option equality: margin == stability floor exactly",
         equality_b2_worst <= 1e-12,
@@ -172,14 +189,13 @@ def run_tradeoff_scan(seed: int, params: dict, threads: int = 1) -> ExperimentRe
     for name, ok in spots:
         result.check(name, ok)
 
-    zero_worst = max(
+    at_uniform = [
         max(abs(cat.tradeoff_lower_bound(1.0 / b, b)), abs(cat.min_exploration_divergence(1.0 / b, b)))
         for b in range(2, 33)
-    )
-    result.check(
+    ]
+    result.gate(
         "both floors vanish at the uniform point s = 1/B",
-        zero_worst <= 1e-12,
-        f"worst |floor(1/B)| = {zero_worst:.3e}",
+        np.array(at_uniform) - 1e-12, lambda i: f"B={i + 2}: |floor(1/B)| = {at_uniform[i]:.3e}",
     )
     grid = np.linspace(0.5, 0.999, 200)
     vals = [cat.tradeoff_lower_bound(s, 4) for s in grid]
@@ -191,18 +207,15 @@ def run_tradeoff_scan(seed: int, params: dict, threads: int = 1) -> ExperimentRe
     )
 
     # equality case of the certainty cost floor at even remainders
-    eq_worst = 0.0
-    for b in (2, 3, 4, 8):
-        for s in np.linspace(1.0 / b + 0.02, 0.97, 12):
-            p = cat.peaked_distribution(float(s), b)
-            eq_worst = max(
-                eq_worst,
-                abs(cat.kl_divergence(p, np.full(b, 1.0 / b)) - cat.tradeoff_lower_bound(float(s), b)),
-            )
-    result.check(
+    peaks = [(b, float(s)) for b in (2, 3, 4, 8) for s in np.linspace(1.0 / b + 0.02, 0.97, 12)]
+    gaps = [
+        abs(cat.kl_divergence(cat.peaked_distribution(s, b), np.full(b, 1.0 / b))
+            - cat.tradeoff_lower_bound(s, b))
+        for b, s in peaks
+    ]
+    result.gate(
         "certainty cost floor attained by even-remainder distributions",
-        eq_worst <= 1e-9,
-        f"worst gap {eq_worst:.3e}",
+        np.array(gaps) - 1e-9, lambda i: f"B={peaks[i][0]} s={peaks[i][1]:.4f}: gap {gaps[i]:.3e}",
     )
 
     rows = []
@@ -216,16 +229,11 @@ def run_tradeoff_scan(seed: int, params: dict, threads: int = 1) -> ExperimentRe
             rows.append((float(s), int(b), bound, empirical))
             if abs(s - 0.7) < 1e-12 and b == 4:
                 oracle_spot = empirical
-            if bound > empirical + 1e-12:
-                result.check(
-                    "scan row: bound <= grid-search minimum",
-                    False,
-                    f"s={s} B={b}: bound {bound!r} > oracle {empirical!r}",
-                )
     result.tables["tradeoff_scan.csv"] = (["i_s", "B", "bound", "empirical_min_kl"], rows)
-    result.check(
+    result.gate(
         "scan: bound <= grid-search minimum at every row",
-        all(r[2] <= r[3] + 1e-12 for r in rows),
+        [bound - (empirical + 1e-12) for _, _, bound, empirical in rows],
+        lambda i: f"s={rows[i][0]} B={rows[i][1]}: bound {rows[i][2]!r}, oracle {rows[i][3]!r}",
     )
     result.check(
         "grid-search oracle reproduces the s=0.7, B=4 minimum ~ 0.4458",
@@ -254,6 +262,7 @@ def run_divergence_asymptote(seed: int, params: dict, threads: int = 1) -> Exper
     c = params["minority_mass"]
     uniform = np.full(b, 1.0 / b)
     rows = []
+    samples = []
     exact_values = []
     entropy_scalings = []
     for idx, kappa in enumerate(params["kappas"]):
@@ -261,28 +270,23 @@ def run_divergence_asymptote(seed: int, params: dict, threads: int = 1) -> Exper
         mean = cat.dirichlet_mean(spec)
         exact = cat.kl_divergence(uniform, mean)
         asym = cat.cot_divergence_asymptote(spec)
-        rng = rng_for(seed, "asymptote-draws", idx)
-        sampled = np.array(
-            [cat.kl_divergence(uniform, cat.dirichlet_sample(spec, rng)) for _ in range(params["sample_draws"])]
-        )
+        draws = cat.dirichlet_sample(spec, rng_for(seed, "asymptote-draws", idx), params["sample_draws"])
+        sampled = cat_bulk.kl_rows(uniform, draws)
+        samples.append((draws, sampled))
         rows.append(
             (kappa, exact, asym, abs(exact - asym), float(sampled.mean()), float(sampled.std(ddof=1)))
         )
         exact_values.append(exact)
         entropy_scalings.append(cat.entropy(mean) * kappa / math.log(kappa))
-        if abs(exact - asym) > 10.0 / kappa:
-            result.check(
-                "asymptote error within 10/kappa",
-                False,
-                f"kappa={kappa}: |exact - asymptote| = {abs(exact - asym):.3e} > {10.0 / kappa:.3e}",
-            )
     result.tables["divergence_asymptote.csv"] = (
         ["kappa", "exact_kl", "asymptote", "abs_diff", "sampled_mean", "sampled_std"],
         rows,
     )
-    result.check(
+    result.gate(
         "asymptote error within 10/kappa at every kappa",
-        all(r[3] <= 10.0 / r[0] for r in rows),
+        [r[3] - 10.0 / r[0] for r in rows],
+        lambda i: f"kappa={rows[i][0]}: |exact - asymptote| = {rows[i][3]:.3e}, "
+        f"limit {10.0 / rows[i][0]:.3e}",
     )
     log_k = [math.log(k) for k in params["kappas"]]
     slope = float(np.polyfit(log_k, exact_values, 1)[0])
@@ -317,16 +321,24 @@ def run_divergence_asymptote(seed: int, params: dict, threads: int = 1) -> Exper
         f"max scaling {max(entropy_scalings):.4f}",
     )
     spec6 = cat.DirichletConcentration(kappa=1e6, n_options=b, minority_mass=c)
-    rng = rng_for(seed, "concentration")
-    hits = sum(
-        cat.symbolic_index(cat.dirichlet_sample(spec6, rng)) > 0.999
-        for _ in range(params["concentration_draws"])
-    )
-    freq = hits / params["concentration_draws"]
+    draws6 = cat.dirichlet_sample(spec6, rng_for(seed, "concentration"), params["concentration_draws"])
+    tops = draws6.max(axis=1)
+    freq = int(np.sum(tops > 0.999)) / params["concentration_draws"]
     result.check(
         "concentration: top prob > 0.999 in at least 99% of draws at kappa = 1e6",
         freq >= 0.99,
         f"frequency {freq:.4f}",
+    )
+    all_draws, all_sampled = (np.concatenate(parts) for parts in zip(*samples))
+    result.audit_rows(
+        "spot audit: sampled divergences match kl_divergence",
+        spot_rows(rng_for(seed, "asymptote-spot"), len(all_sampled)),
+        lambda i: all_sampled[i], lambda i: cat.kl_divergence(uniform, all_draws[i]),
+    )
+    result.audit_rows(
+        "spot audit: concentration top probabilities match symbolic_index",
+        spot_rows(rng_for(seed, "concentration-spot"), len(tops)),
+        lambda i: tops[i], lambda i: cat.symbolic_index(draws6[i]),
     )
     return result
 
@@ -467,28 +479,18 @@ def run_error_accumulation(seed: int, params: dict, threads: int = 1) -> Experim
         return closed, mean, stderr
 
     outcomes = deterministic_map(run_cell, cells, threads)
-    rows = []
-    worst_sigma = 0.0
-    all_within = True
-    for (lf, d, m), (closed, mean, stderr) in zip(cells, outcomes):
-        rows.append((lf, m, d, params["sigma_h"], closed, mean, stderr))
-        pull = abs(mean - closed) / stderr if stderr > 0 else 0.0
-        worst_sigma = max(worst_sigma, pull)
-        if abs(mean - closed) > 3.0 * stderr:
-            all_within = False
-            result.check(
-                "cell agreement",
-                False,
-                f"L={lf} d={d} M={m}: |{mean:.6f} - {closed:.6f}| > 3*{stderr:.2e}",
-            )
+    rows = [(lf, m, d, params["sigma_h"], *outcome) for (lf, d, m), outcome in zip(cells, outcomes)]
     result.tables["error_accumulation.csv"] = (
         ["L_F", "M", "d", "sigma_h", "closed_form", "mc_mean", "mc_stderr"],
         rows,
     )
-    result.check(
+    pulls = [abs(mean - closed) / stderr if stderr > 0 else 0.0 for closed, mean, stderr in outcomes]
+    result.gate(
         "Monte Carlo within 3 standard errors of the closed form at every cell",
-        all_within,
-        f"worst pull {worst_sigma:.2f} sigma over {len(cells)} cells",
+        [abs(mean - closed) - 3.0 * stderr for closed, mean, stderr in outcomes],
+        lambda i: f"L={rows[i][0]} d={rows[i][2]} M={rows[i][1]}: "
+        f"|{rows[i][5]:.6f} - {rows[i][4]:.6f}| vs 3*{rows[i][6]:.2e}",
+        f"worst pull {max(pulls, default=0.0):.2f} sigma over {len(cells)} cells",
     )
 
     reference = dynamics.LatentConfig(dim=8, steps=6, lipschitz=1.0, sigma_h=0.1)
@@ -591,22 +593,11 @@ def run_accuracy_sweep(seed: int, params: dict, threads: int = 1) -> ExperimentR
         (r["sigma"], r["analytic"], r["empirical"], r["std_error"]) for r in sweep["rows"]
     ]
     result.tables["accuracy_sweep.csv"] = (["sigma", "analytic", "empirical", "std_error"], rows)
-    trials = params["trials"]
-    worst = 0.0
-    within = True
-    for sigma, analytic, empirical, _ in rows:
-        band = 3.0 * math.sqrt(analytic * (1.0 - analytic) / trials)
-        worst = max(worst, abs(empirical - analytic) - band)
-        if abs(empirical - analytic) > band:
-            within = False
-            result.check(
-                "grid point agreement", False,
-                f"sigma={sigma}: |{empirical:.5f} - {analytic:.5f}| > {band:.5f}",
-            )
-    result.check(
+    bands = [3.0 * math.sqrt(analytic * (1.0 - analytic) / params["trials"]) for _, analytic, _, _ in rows]
+    result.gate(
         "empirical retention within binomial 3-sigma of the analytic curve everywhere",
-        within,
-        f"worst excess {worst:.2e}",
+        [abs(empirical - analytic) - band for (_, analytic, empirical, _), band in zip(rows, bands)],
+        lambda i: f"sigma={rows[i][0]}: |{rows[i][2]:.5f} - {rows[i][1]:.5f}| vs {bands[i]:.5f}",
     )
     analytic_vals = [r[1] for r in rows]
     result.check(
@@ -627,13 +618,11 @@ def run_accuracy_sweep(seed: int, params: dict, threads: int = 1) -> ExperimentR
         abs(phi_1 - oracle_1) <= 1e-5 and abs(phi_1 - 0.8413447460685429) <= 1e-10,
         f"erf-based {phi_1!r}, quadrature {oracle_1!r}",
     )
-    worst_cdf = max(
-        abs(dynamics.normal_cdf(z) - _simpson_normal_cdf(z)) for z in (-2.0, -0.5, 0.0, 0.5, 1.0, 2.0, 4.0)
-    )
-    result.check(
+    zs = (-2.0, -0.5, 0.0, 0.5, 1.0, 2.0, 4.0)
+    cdf_diffs = [abs(dynamics.normal_cdf(z) - _simpson_normal_cdf(z)) for z in zs]
+    result.gate(
         "normal CDF matches quadrature to 1e-9 on a z grid",
-        worst_cdf <= 1e-9,
-        f"worst |diff| {worst_cdf:.2e}",
+        np.array(cdf_diffs) - 1e-9, lambda i: f"z={zs[i]}: |diff| {cdf_diffs[i]:.2e}",
     )
     gain = sweep["noise_gain"]
     ratio = _crossing_sigma(2.0 * params["margin"], gain, 0.75) / _crossing_sigma(
@@ -736,31 +725,23 @@ def run_cib_frontier(seed: int, params: dict, threads: int = 1) -> ExperimentRes
         return outcomes
 
     corpus_rows = []
-    oracle_ok = True
     monotone_ok = True
-    converged_all = True
     for outcomes in deterministic_map(corpus_case, list(range(params["corpus_size"])), threads):
         for index, contexts, beta, objective, brute, converged, trace in outcomes:
             corpus_rows.append((index, contexts, beta, objective, brute, converged))
-            if objective > brute + 1e-8:
-                oracle_ok = False
-                result.check(
-                    "corpus case solver <= brute force", False,
-                    f"problem {index} beta={beta}: solver {objective!r} > brute {brute!r}",
-                )
-            if any(b > a + 1e-9 for a, b in zip(trace, trace[1:])):
-                monotone_ok = False
-            converged_all &= converged
+            monotone_ok &= not any(b > a + 1e-9 for a, b in zip(trace, trace[1:]))
     result.tables["cib_corpus.csv"] = (
         ["problem", "contexts", "beta", "solver_objective", "brute_objective", "converged"],
         corpus_rows,
     )
-    result.check(
-        "solver never beaten by any deterministic encoder (within 1e-8)", oracle_ok,
-        f"{len(corpus_rows)} solves",
+    result.gate(
+        "solver never beaten by any deterministic encoder (within 1e-8)",
+        [objective - (brute + 1e-8) for _, _, _, objective, brute, _ in corpus_rows],
+        lambda i: f"problem {corpus_rows[i][0]} beta={corpus_rows[i][2]}: "
+        f"solver {float(corpus_rows[i][3])!r}, brute {float(corpus_rows[i][4])!r}",
     )
     result.check("objective non-increasing across solver sweeps (1e-9 slack)", monotone_ok)
-    result.check("all corpus solves converged within the sweep cap", converged_all)
+    result.check("all corpus solves converged within the sweep cap", all(r[5] for r in corpus_rows))
 
     # golden pin: brute-force minimum on the fixed grouped-future problem
     grouped = cib.grouped_future_problem()
@@ -1035,38 +1016,47 @@ DAG_SCHEMA = {
 }
 
 
-def capped_peak_bound_audit(
-    seed: int, deltas, options_max: int, samples: int
-) -> tuple[int, int, float]:
+def capped_peak_bound_audit(seed: int, deltas, options_max: int, samples: int) -> ExperimentResult:
     """Audit the worst-case chain on random capped-peak distributions.
 
     For every (delta, B) pair draws ``samples`` even-remainder distributions
     whose peak is a simplex draw's maximum capped at ``1 - delta``, measures
-    D(uniform || p) through the public divergence op, and counts violations
-    of measured <= exact worst case <= simplified bound.  Returns (measured
-    violations, chain violations, worst measured value).
+    D(uniform || p) with ``kl_rows``, and checks measured <= exact worst case
+    <= simplified bound; a spot audit re-measures random rows through the
+    public scalar ops.  Returns a result holding those two checks.
     """
-    measured_viol = 0
-    chain_viol = 0
+    audit = ExperimentResult(name="capped-audit")
+    pairs = [(delta, b) for delta in deltas for b in range(2, options_max + 1)]
+    # the spot rows are picked up front so only they, not every row, are kept
+    picks = spot_rows(rng_for(seed, "capped-spot"), len(pairs) * samples)
+    spot = {}  # picked row -> (peak, B, measured divergence)
+    measured_viol = chain_viol = 0
     worst = 0.0
-    for delta in deltas:
-        for b in range(2, options_max + 1):
-            bound = cat.worst_case_latent_kl(delta, b)
-            if bound.exact > bound.simplified_bound + 1e-12:
-                chain_viol += 1
-            rng = rng_for(seed, "capped", str(delta), b)
-            raw = rng.dirichlet(np.ones(b), size=samples)
-            peaks = np.minimum(raw.max(axis=1), 1.0 - delta)
-            peaks = np.maximum(peaks, 1.0 / b)
-            # include the cap itself so the extreme is always exercised
-            peaks[0] = 1.0 - delta
-            uniform = np.full(b, 1.0 / b)
-            for s in peaks:
-                measured = cat.kl_divergence(uniform, cat.peaked_distribution(float(s), b))
-                worst = max(worst, measured - bound.exact)
-                if measured > bound.exact + 1e-9:
-                    measured_viol += 1
-    return measured_viol, chain_viol, worst
+    for k, (delta, b) in enumerate(pairs):
+        bound = cat.worst_case_latent_kl(delta, b)
+        chain_viol += bound.exact > bound.simplified_bound + 1e-12
+        p = rng_for(seed, "capped", str(delta), b).dirichlet(np.ones(b), size=samples)
+        s = np.maximum(np.minimum(p.max(axis=1), 1.0 - delta), 1.0 / b)
+        s[0] = 1.0 - delta  # include the cap itself so the extreme is always exercised
+        p[:] = ((1.0 - s) / (b - 1))[:, None]  # overwrite the draws with peaked_distribution rows
+        p[:, 0] = s
+        p /= p.sum(axis=1, keepdims=True)
+        kl = cat_bulk.kl_rows(np.full(b, 1.0 / b), p)
+        measured_viol += int(np.sum(kl > bound.exact + 1e-9))
+        worst = max(worst, float(np.max(kl - bound.exact)))
+        for i in picks[picks // samples == k]:
+            spot[i] = (s[i % samples], b, kl[i % samples])
+    audit.check(
+        "capped-peak sample: measured divergence <= exact worst case <= simplified bound",
+        measured_viol == 0 and chain_viol == 0,
+        f"{measured_viol} measured violations, {chain_viol} chain violations, "
+        f"worst excess {worst:.2e}",
+    )
+    audit.audit_rows(
+        "spot audit: capped-peak divergences match kl_divergence", picks, lambda i: spot[i][2],
+        lambda i: cat.kl_divergence(np.full(spot[i][1], 1.0 / spot[i][1]), cat.peaked_distribution(*spot[i][:2])),
+    )
+    return audit
 
 
 def run_dag_exploration(seed: int, params: dict, threads: int = 1) -> ExperimentResult:
@@ -1186,18 +1176,12 @@ def run_dag_exploration(seed: int, params: dict, threads: int = 1) -> Experiment
     uniform_div = dag.exploration_divergence(binary, dag.make_policy(binary, "uniform", seed=seed))
     result.check("uniform policy has zero exploration divergence", uniform_div == 0.0)
 
-    measured_viol, chain_viol, worst = capped_peak_bound_audit(
+    result.checks += capped_peak_bound_audit(
         derive_seed(seed, "capped-audit"),
         params["capped_deltas"],
         params["capped_options_max"],
         params["capped_samples"],
-    )
-    result.check(
-        "capped-peak sample: measured divergence <= exact worst case <= simplified bound",
-        measured_viol == 0 and chain_viol == 0,
-        f"{measured_viol} measured violations, {chain_viol} chain violations, "
-        f"worst excess {worst:.2e}",
-    )
+    ).checks
 
     # serialization interface: the trap graph is emitted in the line format
     # and read back before use, so the round trip is always exercised

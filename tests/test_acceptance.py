@@ -6,8 +6,11 @@ fixed so the suite is reproducible; statistical gates (3-sigma bands) are
 evaluated on pinned streams.
 """
 
+import hashlib
+import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -23,6 +26,8 @@ from certlab.seeding import derive_seed, rng_for
 
 SEED = 0
 SAMPLE_OPTIONS = range(2, 33)
+# sha256 of every seed-0 output of verify-all, pinned by the benchmark
+GOLDEN_DIGESTS = Path(__file__).resolve().parents[1] / "bench" / "digests.json"
 
 
 def _verdict(number: int, title: str, passed: bool, detail: str = "") -> None:
@@ -114,15 +119,14 @@ def test_criterion_03_divergence_asymptote():
 
 def test_criterion_04_capped_divergence_ceiling():
     start = time.monotonic()
-    measured_viol, chain_viol, worst = capped_peak_bound_audit(
+    audit = capped_peak_bound_audit(
         derive_seed(SEED, "acceptance-capped"), (0.1, 0.3, 0.5), 16, 10_000
     )
     elapsed = time.monotonic() - start
-    ok = measured_viol == 0 and chain_viol == 0 and elapsed < 30.0
+    ok = len(audit.checks) == 2 and audit.all_passed and elapsed < 30.0
     _verdict(
         4, "capped-certainty divergence ceiling", ok,
-        f"{measured_viol} measured / {chain_viol} chain violations, "
-        f"worst excess {worst:.1e}, {elapsed:.1f}s",
+        "; ".join(f"{c.name}: {c.detail}" for c in audit.checks) + f", {elapsed:.1f}s",
     )
 
 
@@ -245,9 +249,20 @@ def test_criterion_11_harness_determinism(tmp_path):
     identical = csv1 == csv2 and all(
         (out1 / rel).read_bytes() == (out2 / rel).read_bytes() for rel in csv1
     )
+    digests = {
+        p.relative_to(out1).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in out1.rglob("*")
+        if p.suffix in (".csv", ".txt")
+    }
+    golden = json.loads(GOLDEN_DIGESTS.read_text())
+    mismatched = sorted(k for k in digests.keys() | golden.keys() if digests.get(k) != golden.get(k))
     elapsed = time.monotonic() - start
-    ok = code1 == 0 and code2 == 0 and identical and len(csv1) >= 8 and elapsed < 600.0
+    ok = (
+        code1 == 0 and code2 == 0 and identical and len(csv1) >= 8 and not mismatched
+        and elapsed < 600.0
+    )
     _verdict(
         11, "harness determinism (verify-all twice)", ok,
-        f"exit codes {code1}/{code2}, {len(csv1)} CSVs byte-compared, {elapsed:.1f}s",
+        f"exit codes {code1}/{code2}, {len(csv1)} CSVs byte-compared, "
+        f"{len(digests)} outputs against pinned digests, mismatched {mismatched}, {elapsed:.1f}s",
     )

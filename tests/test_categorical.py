@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from certlab import cat_bulk
 from certlab import categorical as cat
 from certlab.errors import InfiniteDivergenceError, InvalidInputError
 
@@ -236,6 +237,50 @@ class TestDirichletFamily:
         rng = np.random.default_rng(3)
         for _ in range(50):
             cat.as_distribution(cat.dirichlet_sample(spec, rng))
+
+
+class TestRowKernels:
+    """The row kernels against the scalar ops they shadow, which stay the reference."""
+
+    @pytest.mark.parametrize("b", [2, 5, 16])  # 16 crosses numpy's 8-way pairwise-sum block
+    def test_kl_rows_equal_scalar_kl(self, b):
+        rng = np.random.default_rng(b)
+        rows = rng.dirichlet(np.ones(b), size=200)
+        for q in (np.full(b, 1.0 / b), rng.dirichlet(np.ones(b))):
+            bulk = cat_bulk.kl_rows(q, rows)
+            assert [float(v) for v in bulk] == [cat.kl_divergence(q, row) for row in rows]
+
+    def test_kl_rows_skip_cells_where_q_is_zero(self):
+        q = np.full(17, 1.0 / 16)
+        q[1] = 0.0  # 16 cells with mass remain
+        rows = np.random.default_rng(1).dirichlet(np.ones(17), size=50)
+        rows[::2, 1] = 0.0
+        rows /= rows.sum(axis=1, keepdims=True)
+        bulk = cat_bulk.kl_rows(q, rows)
+        assert [float(v) for v in bulk] == [cat.kl_divergence(q, row) for row in rows]
+
+    def test_kl_rows_errors(self):
+        q = np.array([0.5, 0.5])
+        with pytest.raises(InfiniteDivergenceError):
+            cat_bulk.kl_rows(q, np.array([[0.5, 0.5], [1.0, 0.0]]))
+        with pytest.raises(InvalidInputError):
+            cat_bulk.kl_rows(q, np.array([[0.5, 0.6]]))
+        with pytest.raises(InvalidInputError):
+            cat_bulk.kl_rows(q, np.array([[0.5, 0.25, 0.25]]))
+
+    def test_dirichlet_rows_equal_successive_draws(self):
+        spec = cat.DirichletConcentration(kappa=1e4, n_options=5, minority_mass=1.0)
+        bulk = cat.dirichlet_sample(spec, np.random.default_rng(7), 300)
+        rng = np.random.default_rng(7)
+        assert np.array_equal(bulk, [cat.dirichlet_sample(spec, rng) for _ in range(300)])
+
+    def test_dirichlet_underflow_guard(self):
+        # shape-1e-300 gamma variates underflow to zero
+        spec = cat.DirichletConcentration(kappa=2e-300, n_options=2, minority_mass=1e-300)
+        with pytest.raises(InvalidInputError):
+            cat.dirichlet_sample(spec, np.random.default_rng(0))
+        with pytest.raises(InvalidInputError):
+            cat.dirichlet_sample(spec, np.random.default_rng(0), 4)
 
 
 class TestDivergenceAsymptote:

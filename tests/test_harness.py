@@ -15,7 +15,7 @@ from certlab.config import (
     parse_config_text,
 )
 from certlab.errors import ConfigError
-from certlab.experiments import EXPERIMENTS, default_params
+from certlab.experiments import EXPERIMENTS, ExperimentResult, default_params
 from certlab.manifest import load_manifest, read_csv, write_csv
 from certlab.seeding import derive_seed, rng_for
 
@@ -144,6 +144,30 @@ class TestCsv:
         assert (tmp_path / "n.csv").read_text().splitlines()[1] == "0.25,7,true"
 
 
+class TestRowChecks:
+    def test_gate_counts_rows_over_the_limit_and_names_the_worst(self):
+        result = ExperimentResult(name="t")
+        result.gate("g", [-1.0, 0.5, 0.0, 2.0], lambda i: f"row {i}", "extra")
+        (check,) = result.checks
+        assert not check.passed
+        assert check.detail == "2/4 rows over the limit, worst row 3 (excess 2.000e+00); extra"
+
+    def test_gate_passes_on_zero_rows_and_fails_on_nan(self):
+        result = ExperimentResult(name="t")
+        result.gate("empty", [], lambda i: 1 / 0)
+        result.gate("nan", [-1.0, float("nan")], lambda i: f"row {i}")
+        assert [c.passed for c in result.checks] == [True, False]
+        assert result.checks[0].detail == "0/0 rows over the limit"
+
+    def test_audit_rows_gates_the_scalar_deviation(self):
+        result = ExperimentResult(name="t")
+        bulk = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        result.audit_rows("exact", [0, 2], lambda i: bulk[i], lambda i: tuple(bulk[i]))
+        result.audit_rows("drift", [0, 1], lambda i: bulk[i], lambda i: bulk[i] + (1e-6 if i == 1 else 0.0))
+        assert [c.passed for c in result.checks] == [True, False]
+        assert "worst row 1" in result.checks[1].detail
+
+
 def _write_cfg(tmp_path: Path, text: str) -> str:
     path = tmp_path / "exp.cfg"
     path.write_text(text)
@@ -164,7 +188,7 @@ class TestCli:
         assert "accuracy_sweep.csv" in listed
         assert manifest.all_passed
 
-    def test_thread_count_does_not_change_output(self, tmp_path, monkeypatch):
+    def test_thread_count_does_not_change_output(self, tmp_path):
         cfg = _write_cfg(
             tmp_path,
             "[run]\nexperiment = error-accumulation\nseed = 3\n"
@@ -172,9 +196,7 @@ class TestCli:
         )
         out1, out2 = tmp_path / "t1", tmp_path / "t2"
         assert cli.main(["run", "--config", cfg, "--out", str(out1), "--threads", "1"]) == 0
-        monkeypatch.setenv("CERTLAB_THREADS", "4")
-        assert cli.main(["run", "--config", cfg, "--out", str(out2), "--threads", "1"]) == 0
-        monkeypatch.delenv("CERTLAB_THREADS")
+        assert cli.main(["run", "--config", cfg, "--out", str(out2), "--threads", "4"]) == 0
         assert (out1 / "error_accumulation.csv").read_bytes() == (
             out2 / "error_accumulation.csv"
         ).read_bytes()
