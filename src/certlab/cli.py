@@ -4,9 +4,9 @@
     certlab report --manifest out/manifest.json --format md|svg
     certlab verify-all --out DIR [--seed N] [--threads N]
 
-Exit codes: 0 all checks passed, 2 configuration error, 3 check failure,
-4 I/O error.  --threads sets the worker threads of the experiments that
-parallelize; outputs are byte-identical at any thread count.
+Exit codes: 0 all checks passed, 2 configuration or other certlab error,
+3 check failure, 4 I/O error.  --threads sets the worker threads of the
+experiments that parallelize; outputs are byte-identical at any thread count.
 """
 
 from __future__ import annotations
@@ -60,14 +60,18 @@ def _summarize(manifest: RunManifest, stream) -> None:
     print(f"{manifest.experiment}: {verdict}", file=stream)
 
 
+def _failure(exc: Exception) -> int:
+    """Report an error that stops a run: exit 4 for I/O, 2 for any CertlabError."""
+    if isinstance(exc, OSError):
+        print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+    return EXIT_CONFIG
+
+
 def cmd_run(args) -> int:
     try:
-        text = Path(args.config).read_text()
-    except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        raw = parse_config_text(text)
+        raw = parse_config_text(Path(args.config).read_text())
         if raw.experiment is None:
             raise ConfigError("run.experiment is required")
         schema = EXPERIMENTS[raw.experiment].schema if raw.experiment in EXPERIMENTS else {}
@@ -78,17 +82,9 @@ def cmd_run(args) -> int:
             seed_override=args.seed,
             out_override=args.out,
         )
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
         manifest = _execute(config, max(1, args.threads or 1))
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except CertlabError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except (OSError, CertlabError) as exc:
+        return _failure(exc)
     _summarize(manifest, sys.stdout)
     print(f"manifest: {Path(config.output_dir) / 'manifest.json'}")
     return EXIT_OK if manifest.all_passed else EXIT_CHECKS
@@ -128,9 +124,8 @@ def cmd_verify_all(args) -> int:
             manifest = _execute(config, threads)
             _summarize(manifest, sys.stdout)
             all_ok &= manifest.all_passed
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    except (OSError, CertlabError) as exc:
+        return _failure(exc)
     print("verify-all: " + ("ALL CHECKS PASSED" if all_ok else "CHECK FAILURES"))
     return EXIT_OK if all_ok else EXIT_CHECKS
 

@@ -33,10 +33,11 @@ MAX_SEED = 2**64 - 1
 
 @dataclass(frozen=True)
 class ParamSpec:
-    """Declared type and default for one experiment parameter."""
+    """Declared type, default and smallest accepted value of one experiment parameter."""
 
     kind: str  # int | float | bool | str | int_list | float_list | str_list
     default: object
+    minimum: int | float | None = None  # checked on the value, or on each list item
 
 
 @dataclass(frozen=True)
@@ -165,7 +166,11 @@ def build_config(
         )
     params = {key: spec.default for key, spec in schema.items()}
     for key, text in raw.raw_params.items():
-        params[key] = parse_param(schema[key], key, text)
+        spec = schema[key]
+        value = params[key] = parse_param(spec, key, text)
+        items = value if isinstance(value, tuple) else (value,)
+        if spec.minimum is not None and not all(item >= spec.minimum for item in items):
+            raise ConfigError(f"params.{key}: must be >= {spec.minimum}, got {render_value(value)}")
     output_dir = out_override if out_override is not None else (raw.output_dir or "out")
     return ExperimentConfig(
         experiment=raw.experiment, seed=int(seed), params=params, output_dir=output_dir

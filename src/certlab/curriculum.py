@@ -18,7 +18,8 @@ Two data regimes are contrasted:
 
 Fitting is full-batch projected gradient ascent with the exact gradient
 ``mean(features of data) - E_policy[features]``, so convergence is
-certifiable from the final gradient norm.
+certifiable from the final gradient norm.  Fits run in lockstep: ``fit_rows``
+fits every dataset of a count matrix at once, one dataset per row.
 """
 
 from __future__ import annotations
@@ -85,10 +86,10 @@ class LogLinearPolicy:
 
 
 def state_distribution(world: ToyWorld, theta) -> np.ndarray:
-    """Softmax over the three state scores <theta, features>."""
-    scores = world.features @ np.asarray(theta, dtype=np.float64)
-    z = np.exp(scores - scores.max())
-    return z / z.sum()
+    """Softmax over the three state scores <theta, features>, per row of theta."""
+    scores = np.asarray(theta, dtype=np.float64) @ world.features.T
+    z = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    return z / z.sum(axis=-1, keepdims=True)
 
 
 def success_rate(world: ToyWorld, policy: LogLinearPolicy | np.ndarray) -> float:
@@ -156,8 +157,8 @@ def log_likelihood(world: ToyWorld, theta, counts: np.ndarray) -> float:
 
 
 def log_likelihood_grad(world: ToyWorld, theta, counts: np.ndarray) -> np.ndarray:
-    """Exact mean-gradient: empirical feature mean minus the model's."""
-    n = counts.sum()
+    """Exact mean-gradient: empirical feature mean minus the model's, per row."""
+    n = counts.sum(axis=-1, keepdims=True)
     empirical = counts @ world.features / n
     expected = state_distribution(world, theta) @ world.features
     return empirical - expected
@@ -169,6 +170,41 @@ class FitResult(NamedTuple):
     iterations: int
 
 
+def fit_rows(
+    world: ToyWorld,
+    counts,
+    iterations: int,
+    step: float,
+    param_bound: float = DEFAULT_PARAM_BOUND,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Projected gradient ascent on the mean log-likelihood from theta = 0 for
+    each row of a ``(k, 3)`` count matrix, all rows in lockstep.
+
+    After every step each row is projected back onto the ball
+    ``|theta| <= param_bound``; with interior optima (all states observed)
+    the final gradient norm certifies convergence, and with boundary optima
+    (biased data) the projection is what caps the drift.  Rows never mix.
+    Returns the ``(k, 3)`` weights and the ``k`` final gradient norms.
+    """
+    counts = np.asarray(counts, dtype=np.float64)
+    if counts.ndim != 2 or counts.shape[0] < 1 or counts.shape[1] != world.dim:
+        raise InvalidInputError(f"need a (k >= 1, {world.dim}) count matrix, got shape {counts.shape}")
+    if iterations < 1:
+        raise InvalidInputError(f"need iterations >= 1, got {iterations}")
+    if step <= 0:
+        raise InvalidInputError(f"step must be positive, got {step!r}")
+    theta = np.zeros(counts.shape)
+    for _ in range(iterations):
+        theta = theta + step * log_likelihood_grad(world, theta, counts)
+        norm = np.linalg.norm(theta, axis=-1)
+        over = norm > param_bound
+        theta[over] *= (param_bound / norm[over])[:, None]
+    grad_norm = np.linalg.norm(log_likelihood_grad(world, theta, counts), axis=-1)
+    if not np.all(np.isfinite(theta)):
+        raise InvalidInputError("optimizer produced non-finite parameters")
+    return theta, grad_norm
+
+
 def mle_fit(
     world: ToyWorld,
     data: LatentDataset,
@@ -176,37 +212,18 @@ def mle_fit(
     step: float = 0.1,
     param_bound: float = DEFAULT_PARAM_BOUND,
 ) -> FitResult:
-    """Projected gradient ascent on the mean log-likelihood from theta = 0.
-
-    After every step the iterate is projected back onto the ball
-    ``|theta| <= param_bound``; with interior optima (all states observed)
-    the reported final gradient norm certifies convergence, and with
-    boundary optima (biased data) the projection is what caps the drift.
-    """
-    if iterations < 1:
-        raise InvalidInputError(f"need iterations >= 1, got {iterations}")
-    if step <= 0:
-        raise InvalidInputError(f"step must be positive, got {step!r}")
-    counts = data.counts()
-    theta = np.zeros(world.dim)
-    for _ in range(iterations):
-        theta = theta + step * log_likelihood_grad(world, theta, counts)
-        norm = float(np.linalg.norm(theta))
-        if norm > param_bound:
-            theta *= param_bound / norm
-    grad_norm = float(np.linalg.norm(log_likelihood_grad(world, theta, counts)))
-    if not np.all(np.isfinite(theta)):
-        raise InvalidInputError("optimizer produced non-finite parameters")
+    """Fit one dataset: the one-row call of ``fit_rows``."""
+    theta, grad_norm = fit_rows(world, data.counts()[None, :], iterations, step, param_bound)
     return FitResult(
-        policy=LogLinearPolicy(theta=theta, param_bound=param_bound),
-        final_grad_norm=grad_norm,
+        policy=LogLinearPolicy(theta=theta[0], param_bound=param_bound),
+        final_grad_norm=float(grad_norm[0]),
         iterations=iterations,
     )
 
 
-def total_variation(p, q) -> float:
-    """Half the L1 distance between two distributions on the states."""
-    return 0.5 * float(np.abs(np.asarray(p) - np.asarray(q)).sum())
+def total_variation(p, q):
+    """Half the L1 distance between two distributions on the states, per row."""
+    return 0.5 * np.abs(np.asarray(p) - np.asarray(q)).sum(axis=-1)
 
 
 class SweepRow(NamedTuple):
@@ -248,13 +265,12 @@ def convergence_sweep(
     log_n: list[float] = []
     log_gap: list[float] = []
     for n in grid:
-        gaps = []
-        for trial in range(trials_per_n):
-            data = generate_dataset(
-                world, provenance, expert_theta, n, seed=rng_child(seed, n, trial)
-            )
-            fit = mle_fit(world, data, iterations=iterations, step=step)
-            gaps.append(abs(success_rate(world, fit.policy) - expert_success))
+        counts = [
+            generate_dataset(world, provenance, expert_theta, n, seed=rng_child(seed, n, trial)).counts()
+            for trial in range(trials_per_n)
+        ]
+        theta, _ = fit_rows(world, counts, iterations, step)
+        gaps = np.abs(state_distribution(world, theta)[:, EXPERT] - expert_success).tolist()
         mean_gap = math.fsum(gaps) / len(gaps)
         var = math.fsum((g - mean_gap) ** 2 for g in gaps) / (len(gaps) - 1)
         log_n.append(math.log(n))

@@ -197,6 +197,14 @@ def format_dag(dag: DecisionDag) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _node_ids(lineno: int, text: str) -> tuple[int, ...]:
+    """The comma-separated node ids after a line's colon."""
+    try:
+        return tuple(int(part) for part in text.split(",") if part.strip())
+    except ValueError as exc:
+        raise InvalidInputError(f"line {lineno}: bad node id in {text.strip()!r}") from exc
+
+
 def parse_dag(text: str) -> DecisionDag:
     start: int | None = None
     targets: frozenset[int] | None = None
@@ -207,19 +215,27 @@ def parse_dag(text: str) -> DecisionDag:
             continue
         key, _, rest = line.partition(":")
         key = key.strip()
-        rest = rest.strip()
+        ids = _node_ids(lineno, rest)
         if key == "start":
-            start = int(rest)
+            if start is not None:
+                raise InvalidInputError(f"line {lineno}: duplicate start: line")
+            if len(ids) != 1:
+                raise InvalidInputError(f"line {lineno}: start: needs one node id, got {rest.strip()!r}")
+            start = ids[0]
         elif key == "targets":
-            targets = frozenset(int(t) for t in rest.split(",") if t.strip())
+            if targets is not None:
+                raise InvalidInputError(f"line {lineno}: duplicate targets: line")
+            targets = frozenset(ids)
         else:
             try:
                 node = int(key)
             except ValueError as exc:
                 raise InvalidInputError(f"line {lineno}: bad node id {key!r}") from exc
+            if node < 0:
+                raise InvalidInputError(f"line {lineno}: bad node id {key!r}")
             if node in succ:
                 raise InvalidInputError(f"line {lineno}: duplicate node {node}")
-            succ[node] = tuple(int(u) for u in rest.split(",") if u.strip())
+            succ[node] = ids
     if start is None or targets is None:
         raise InvalidInputError("missing start: or targets: header line")
     n = max(succ) + 1 if succ else 0

@@ -251,8 +251,8 @@ ASYMPTOTE_SCHEMA = {
     "kappas": ParamSpec("float_list", (1e2, 1e3, 1e4, 1e5, 1e6)),
     "options": ParamSpec("int", 5),
     "minority_mass": ParamSpec("float", 1.0),
-    "sample_draws": ParamSpec("int", 2000),
-    "concentration_draws": ParamSpec("int", 10_000),
+    "sample_draws": ParamSpec("int", 2000, minimum=2),
+    "concentration_draws": ParamSpec("int", 10_000, minimum=1),
 }
 
 
@@ -810,7 +810,7 @@ CURRICULUM_SCHEMA = {
     "iterations": ParamSpec("int", 5000),
     "step": ParamSpec("float", 0.1),
     "grad_checks": ParamSpec("int", 100),
-    "tv_trials": ParamSpec("int", 10),
+    "tv_trials": ParamSpec("int", 10, minimum=1),
 }
 
 
@@ -835,30 +835,34 @@ def run_curriculum(seed: int, params: dict, threads: int = 1) -> ExperimentResul
         f"success {shortcut_heavy:.3e}",
     )
 
-    rows = []
-    biased_caps = []
-    log_gaps = []
-    for n in params["n_grid"]:
-        data = curriculum.generate_dataset(world, "biased", None, n, seed=derive_seed(seed, "biased", n))
-        fit = curriculum.mle_fit(world, data, iterations=params["iterations"], step=params["step"])
-        success = curriculum.success_rate(world, fit.policy)
-        gap = abs(success - expert_strong)
-        biased_caps.append((n, success, gap, fit.policy.theta))
-        log_gaps.append(math.log(max(gap, 1e-300)))
-        rows.append((n, "biased", gap, 0.0, 0.0))
-    biased_ok = all(s <= 0.01 and g > 0.98 for _, s, g, _ in biased_caps)
-    result.check(
+    # one lockstep fit for the biased datasets per n, the strong-expert
+    # dataset and the balanced dataset; its rows are curriculum_policies.csv
+    grid = params["n_grid"]
+    datasets = [curriculum.generate_dataset(world, "biased", None, n, derive_seed(seed, "biased", n)) for n in grid]
+    datasets += [
+        curriculum.generate_dataset(world, "curriculum", strong, grid[-1], seed=derive_seed(seed, "strong")),
+        curriculum.LatentDataset(samples=np.tile(np.array([0, 1, 2]), 3333), provenance="curriculum"),
+    ]
+    thetas, grad_norms = curriculum.fit_rows(
+        world, [d.counts() for d in datasets], params["iterations"], params["step"]
+    )
+    successes = curriculum.state_distribution(world, thetas)[:, curriculum.EXPERT]
+    gaps = np.abs(successes - expert_strong)
+    biased = slice(0, len(grid))
+    # a row passes at excess <= 0, so nextafter keeps "gap > 0.98" strict
+    result.gate(
         "biased data: success <= 0.01 and expert gap > 0.98 at every sample size",
-        biased_ok,
-        "; ".join(f"n={n}: success {s:.2e}" for n, s, _, _ in biased_caps),
+        np.maximum(successes[biased] - 0.01, np.nextafter(0.98, 1.0) - gaps[biased]),
+        lambda i: f"n={grid[i]} (success {successes[i]:.2e}, gap {gaps[i]:.4f})",
     )
-    drift_ok = all(theta[1] + theta[2] >= 5.0 for _, _, _, theta in biased_caps)
-    result.check(
+    drift = thetas[biased, 1] + thetas[biased, 2]
+    result.gate(
         "biased fits push the shortcut score far above the expert's",
-        drift_ok,
-        "; ".join(f"n={n}: s2+s3 = {t[1] + t[2]:.2f}" for n, _, _, t in biased_caps),
+        5.0 - drift,
+        lambda i: f"n={grid[i]} (s2+s3 = {drift[i]:.2f})",
     )
-    biased_slope = float(np.polyfit([math.log(n) for n in params["n_grid"]], log_gaps, 1)[0])
+    log_gaps = [math.log(max(gap, 1e-300)) for gap in gaps[biased].tolist()]
+    biased_slope = float(np.polyfit([math.log(n) for n in grid], log_gaps, 1)[0])
     result.check(
         "biased gap shows no decay with dataset size",
         abs(biased_slope) <= 0.01,
@@ -866,9 +870,10 @@ def run_curriculum(seed: int, params: dict, threads: int = 1) -> ExperimentResul
     )
 
     sweep = curriculum.convergence_sweep(
-        world, rate_theta, params["n_grid"], params["trials_per_n"],
+        world, rate_theta, grid, params["trials_per_n"],
         seed=derive_seed(seed, "sweep"), iterations=params["iterations"], step=params["step"],
     )
+    rows = [(n, "biased", gap, 0.0, 0.0) for n, gap in zip(grid, gaps[biased].tolist())]
     rows.extend(sweep.rows)
     result.tables["curriculum_sweep.csv"] = (
         ["n", "provenance", "mean_gap", "stddev", "slope_so_far"], rows
@@ -886,18 +891,14 @@ def run_curriculum(seed: int, params: dict, threads: int = 1) -> ExperimentResul
     )
     means = [r.mean_gap for r in sweep.rows]
     inversions = sum(b > a for a, b in zip(means, means[1:]))
-    decades = math.log10(params["n_grid"][-1] / params["n_grid"][0])
+    decades = math.log10(grid[-1] / grid[0])
     result.check(
         "curriculum gap non-increasing (allowing one inversion per decade)",
         inversions <= max(1, int(decades)),
         f"{inversions} inversions over {decades:.1f} decades",
     )
 
-    strong_data = curriculum.generate_dataset(
-        world, "curriculum", strong, params["n_grid"][-1], seed=derive_seed(seed, "strong")
-    )
-    strong_fit = curriculum.mle_fit(world, strong_data, iterations=params["iterations"], step=params["step"])
-    strong_gap = abs(curriculum.success_rate(world, strong_fit.policy) - expert_strong)
+    strong_gap = float(gaps[-2])
     result.check(
         "near-deterministic expert recovered within 0.005 at the largest n",
         strong_gap <= 0.005,
@@ -905,27 +906,20 @@ def run_curriculum(seed: int, params: dict, threads: int = 1) -> ExperimentResul
     )
 
     expert_dist = curriculum.state_distribution(world, rate_theta)
-    tv_ok = True
-    tv_details = []
-    for n in params["n_grid"]:
-        tvs = []
-        for trial in range(params["tv_trials"]):
-            data = curriculum.generate_dataset(
-                world, "curriculum", rate_theta, n, seed=derive_seed(seed, "tv", n, trial)
-            )
-            fit = curriculum.mle_fit(world, data, iterations=params["iterations"], step=params["step"])
-            tvs.append(
-                curriculum.total_variation(
-                    curriculum.state_distribution(world, fit.policy.theta), expert_dist
-                )
-            )
-        bound = 3.0 * math.sqrt(math.log(n) / n)
-        tv_details.append(f"n={n}: mean TV {np.mean(tvs):.4f} <= {bound:.4f}")
-        tv_ok &= float(np.mean(tvs)) <= bound
-    result.check(
+    mean_tvs = []
+    for n in grid:
+        counts = [
+            curriculum.generate_dataset(world, "curriculum", rate_theta, n, derive_seed(seed, "tv", n, t)).counts()
+            for t in range(params["tv_trials"])
+        ]
+        theta, _ = curriculum.fit_rows(world, counts, params["iterations"], params["step"])
+        tvs = curriculum.total_variation(curriculum.state_distribution(world, theta), expert_dist)
+        mean_tvs.append(float(np.mean(tvs)))
+    tv_bounds = [3.0 * math.sqrt(math.log(n) / n) for n in grid]
+    result.gate(
         "fitted-vs-expert total variation within 3*sqrt(log n / n)",
-        tv_ok,
-        "; ".join(tv_details),
+        np.subtract(mean_tvs, tv_bounds),
+        lambda i: f"n={grid[i]} (mean TV {mean_tvs[i]:.4f}, bound {tv_bounds[i]:.4f})",
     )
 
     rng = rng_for(seed, "grad-check")
@@ -967,29 +961,16 @@ def run_curriculum(seed: int, params: dict, threads: int = 1) -> ExperimentResul
         f"worst |change| {shift_worst:.2e}",
     )
 
-    n_sym = 3333
-    symmetric = curriculum.LatentDataset(
-        samples=np.tile(np.array([0, 1, 2]), n_sym), provenance="curriculum"
-    )
-    sym_fit = curriculum.mle_fit(world, symmetric, iterations=params["iterations"], step=params["step"])
-    scores = world.features @ sym_fit.policy.theta
+    scores = world.features @ thetas[-1]
     spread = float(scores.max() - scores.min())
+    sym_grad = float(grad_norms[-1])
     result.check(
         "perfectly balanced data fits to equal scores (1e-4) with tiny gradient",
-        spread <= 1e-4
-        and abs(curriculum.success_rate(world, sym_fit.policy) - 1.0 / 3.0) <= 1e-4
-        and sym_fit.final_grad_norm < 1e-8,
-        f"score spread {spread:.2e}, grad norm {sym_fit.final_grad_norm:.2e}",
+        spread <= 1e-4 and abs(float(successes[-1]) - 1.0 / 3.0) <= 1e-4 and sym_grad < 1e-8,
+        f"score spread {spread:.2e}, grad norm {sym_grad:.2e}",
     )
 
-    # fitted-policy dump: biased fits per n, then the strong-expert and
-    # balanced-data fits, one weight vector per row
-    policy_rows = [tuple(theta) for _, _, _, theta in biased_caps]
-    policy_rows.append(tuple(strong_fit.policy.theta))
-    policy_rows.append(tuple(sym_fit.policy.theta))
-    result.tables["curriculum_policies.csv"] = (
-        ["theta_0", "theta_1", "theta_2"], policy_rows
-    )
+    result.tables["curriculum_policies.csv"] = (["theta_0", "theta_1", "theta_2"], [tuple(t) for t in thetas])
     return result
 
 
@@ -1000,14 +981,14 @@ def run_curriculum(seed: int, params: dict, threads: int = 1) -> ExperimentResul
 DAG_SCHEMA = {
     "depth": ParamSpec("int", 6),
     "branching": ParamSpec("int", 3),
-    "policy_draws": ParamSpec("int", 200),
+    "policy_draws": ParamSpec("int", 200, minimum=2),
     "kappa": ParamSpec("float", 1e6),
     "minority_mass": ParamSpec("float", 1.0),
     "delta": ParamSpec("float", 0.3),
     "mc_trials": ParamSpec("int", 100_000),
     "kappa_grid": ParamSpec("float_list", (1e2, 1e3, 1e4, 1e5, 1e6)),
-    "divergence_draws": ParamSpec("int", 30),
-    "capped_samples": ParamSpec("int", 10_000),
+    "divergence_draws": ParamSpec("int", 30, minimum=1),
+    "capped_samples": ParamSpec("int", 10_000, minimum=1),
     "capped_deltas": ParamSpec("float_list", (0.1, 0.3, 0.5)),
     "capped_options_max": ParamSpec("int", 16),
     "graph_file": ParamSpec("str", ""),  # optional custom graph (adjacency text)

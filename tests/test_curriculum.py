@@ -124,10 +124,65 @@ class TestMleFit:
         assert np.linalg.norm(fit.policy.theta) <= 3.0 + 1e-9
 
 
+def _reference_fit(counts, iterations, step, param_bound):
+    """The scalar projected-gradient loop, one dataset at a time, with its own
+    1-d softmax and gradient: the reference ``fit_rows`` must reproduce."""
+
+    def grad(theta):
+        scores = WORLD.features @ theta
+        z = np.exp(scores - scores.max())
+        return counts @ WORLD.features / counts.sum() - (z / z.sum()) @ WORLD.features
+
+    theta = np.zeros(3)
+    for _ in range(iterations):
+        theta = theta + step * grad(theta)
+        norm = float(np.linalg.norm(theta))
+        if norm > param_bound:
+            theta *= param_bound / norm
+    return theta, float(np.linalg.norm(grad(theta)))
+
+
+def _counts(provenance, theta, sizes, seed):
+    return [cur.generate_dataset(WORLD, provenance, theta, n, seed=seed + i).counts() for i, n in enumerate(sizes)]
+
+
+class TestFitRows:
+    # the row norm is a sum of squares where the 1-d norm is a BLAS dot, so
+    # final gradient norms may differ in the last bits; weights may not
+    GRAD_NORM_RTOL = 4 * np.finfo(np.float64).eps
+
+    @pytest.mark.parametrize(
+        "counts, iterations, step, param_bound",
+        [
+            (_counts("biased", None, (100, 1000, 10_000), 0), 5000, 0.1, cur.DEFAULT_PARAM_BOUND),
+            (_counts("curriculum", np.array([2.0, 0.0, 0.0]), (100, 100, 1000, 10_000), 5), 5000, 0.1, 50.0),
+            ([np.full(3, 600.0), np.array([1.0, 1.0, 1.0])], 5000, 0.1, 50.0),
+            (_counts("biased", None, (10,), 0) + _counts("curriculum", np.zeros(3), (30,), 9), 200, 5.0, 3.0),
+        ],
+        ids=["biased", "curriculum", "balanced", "projection-active"],
+    )
+    def test_rows_equal_the_scalar_loop(self, counts, iterations, step, param_bound):
+        theta, grad_norm = cur.fit_rows(WORLD, counts, iterations, step, param_bound)
+        for row, c in enumerate(counts):
+            ref_theta, ref_norm = _reference_fit(c, iterations, step, param_bound)
+            np.testing.assert_array_equal(theta[row], ref_theta)
+            np.testing.assert_allclose(grad_norm[row], ref_norm, rtol=self.GRAD_NORM_RTOL, atol=0.0)
+        if param_bound == 3.0:
+            assert abs(np.linalg.norm(theta[0]) - 3.0) <= 1e-12  # the projection was active
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 4), (0, 3), (1, 3, 1)])
+    def test_count_matrix_must_be_k_by_3(self, shape):
+        with pytest.raises(InvalidInputError):
+            cur.fit_rows(WORLD, np.ones(shape), 1, 0.1)
+
+
 class TestSweep:
     def test_total_variation(self):
         assert cur.total_variation([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]) == 1.0
         assert cur.total_variation([0.5, 0.5, 0.0], [0.5, 0.5, 0.0]) == 0.0
+        np.testing.assert_array_equal(
+            cur.total_variation([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0]], [0.5, 0.5, 0.0]), [0.5, 0.0]
+        )
 
     def test_curriculum_sweep_shrinks(self):
         result = cur.convergence_sweep(

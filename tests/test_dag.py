@@ -52,6 +52,23 @@ class TestSerialization:
         with pytest.raises(InvalidInputError, match="bad node id"):
             dag.parse_dag("start: 0\ntargets: 1\nzero: 1\n1:\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("start: x\ntargets: 1\n0: 1\n1:\n", "line 1: bad node id"),
+            ("start:\ntargets: 1\n0: 1\n1:\n", "line 1: start: needs one node id"),
+            ("start: 0, 1\ntargets: 1\n0: 1\n1:\n", "line 1: start: needs one node id"),
+            ("start: 0\ntargets: 1, one\n0: 1\n1:\n", "line 2: bad node id"),
+            ("start: 0\ntargets: 1\n0: 1, b\n1:\n", "line 3: bad node id"),
+            ("start: 0\ntargets: 1\n0: 1\n1:\n-1: 0\n", "line 5: bad node id"),
+            ("start: 0\ntargets: 1\nstart: 1\n0: 1\n1:\n", "line 3: duplicate start"),
+            ("start: 0\ntargets: 1\n0: 1\ntargets: 0\n1:\n", "line 4: duplicate targets"),
+        ],
+    )
+    def test_malformed_lines_rejected_with_line_number(self, text, message):
+        with pytest.raises(InvalidInputError, match=message):
+            dag.parse_dag(text)
+
 
 class TestUniformPrior:
     def test_values(self):

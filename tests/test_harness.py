@@ -1,5 +1,7 @@
 """Config parsing, CSV determinism, CLI exit codes, reports."""
 
+import importlib
+import importlib.util
 import json
 from pathlib import Path
 
@@ -9,13 +11,14 @@ import pytest
 from certlab import cli
 from certlab.config import (
     ExperimentConfig,
+    ParamSpec,
     build_config,
     canonical_text,
     config_hash,
     parse_config_text,
 )
-from certlab.errors import ConfigError
-from certlab.experiments import EXPERIMENTS, ExperimentResult, default_params
+from certlab.errors import ConfigError, SamplingExhaustedError
+from certlab.experiments import EXPERIMENTS, ExperimentDef, ExperimentResult, default_params
 from certlab.manifest import load_manifest, read_csv, write_csv
 from certlab.seeding import derive_seed, rng_for
 
@@ -104,6 +107,12 @@ class TestConfigParsing:
                 EXPERIMENTS["accuracy-sweep"].schema,
                 experiment_names=set(EXPERIMENTS),
             )
+
+    def test_minimum_checked_on_every_list_item(self):
+        schema = {"sizes": ParamSpec("int_list", (2,), minimum=2)}
+        raw = parse_config_text("[run]\nexperiment = x\nseed = 0\n[params]\nsizes = 3, 1\n")
+        with pytest.raises(ConfigError, match=r"params\.sizes: must be >= 2"):
+            build_config(raw, schema, experiment_names={"x"})
 
 
 class TestSeeding:
@@ -209,6 +218,50 @@ class TestCli:
         cfg = _write_cfg(tmp_path, SMALL_ACCURACY_CFG + "trails = 10\n")
         assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "params.trails" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "experiment, key, value",
+        [
+            ("dag-exploration", "capped_samples", 0),
+            ("divergence-asymptote", "concentration_draws", 0),
+            ("dag-exploration", "divergence_draws", 0),
+            ("dag-exploration", "policy_draws", 1),
+            ("curriculum", "tv_trials", 0),
+            ("divergence-asymptote", "sample_draws", 1),
+        ],
+    )
+    def test_count_below_minimum_exits_two_before_any_output(self, tmp_path, capsys, experiment, key, value):
+        cfg = _write_cfg(tmp_path, f"[run]\nexperiment = {experiment}\nseed = 0\n[params]\n{key} = {value}\n")
+        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert f"params.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_malformed_graph_file_exits_two(self, tmp_path, capsys):
+        graph_path = tmp_path / "graph.txt"
+        graph_path.write_text("start: x\ntargets: 1\n0: 1\n1:\n")
+        cfg = _write_cfg(
+            tmp_path,
+            f"[run]\nexperiment = dag-exploration\nseed = 0\n[params]\ngraph_file = {graph_path}\n"
+            "policy_draws = 4\nmc_trials = 100\ndivergence_draws = 2\ncapped_samples = 10\n",
+        )
+        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "InvalidInputError: line 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "verify-all"])
+    @pytest.mark.parametrize(
+        "error, code", [(SamplingExhaustedError("budget spent"), 2), (OSError("disk full"), 4)]
+    )
+    def test_runtime_errors_map_to_one_exit_code(self, tmp_path, capsys, monkeypatch, command, error, code):
+        def failing(seed, params, threads=1):
+            raise error
+
+        name = "accuracy-sweep"  # first in verify-all's order
+        monkeypatch.setitem(EXPERIMENTS, name, ExperimentDef(failing, EXPERIMENTS[name].schema))
+        out = str(tmp_path / "o")
+        argv = ["run", "--config", _write_cfg(tmp_path, SMALL_ACCURACY_CFG)] if command == "run" else [command]
+        assert cli.main(argv + ["--out", out]) == code
+        err = capsys.readouterr().err
+        assert ("SamplingExhaustedError: budget spent" if code == 2 else "i/o error: disk full") in err
 
     def test_missing_config_is_io_error(self, tmp_path):
         assert cli.main(["run", "--config", str(tmp_path / "nope.cfg")]) == 4
@@ -317,3 +370,17 @@ class TestDefaults:
             raw, EXPERIMENTS["curriculum"].schema, experiment_names=set(EXPERIMENTS)
         )
         assert canonical_text(rebuilt) == canonical_text(config)
+
+
+class TestBenchmarkContract:
+    def test_every_traced_function_resolves(self):
+        path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("certlab_bench_tracer", path)
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        missing = [
+            f"{module}.{name}"
+            for module, name in tracer.TRACED
+            if not callable(getattr(importlib.import_module(f"certlab.{module}"), name, None))
+        ]
+        assert not missing
