@@ -10,10 +10,13 @@ predictive information about the future.  ``solve_cib`` minimizes J by
 alternating self-consistent updates (marginal, decoder, encoder rows), the
 classic coordinate descent on the bottleneck free energy; each block update
 minimizes the free energy exactly, so the objective is non-increasing
-across sweeps.  ``brute_force_cib`` enumerates every deterministic encoder
-as an independent check, and ``information_frontier`` sweeps ``beta`` to
-trace the achievable (I_past, I_future) envelope, which must come out
-monotone and concave if the solver is doing its job.
+across sweeps.  All restart candidates sweep in lockstep as one (R, S, H)
+stack of encoder tables, and ``_cmi_rows`` scores every table of a stack
+at once; each row's result equals the one-table computation bit for bit.
+``brute_force_cib`` enumerates every deterministic encoder as an
+independent check, and ``information_frontier`` sweeps ``beta`` to trace
+the achievable (I_past, I_future) envelope, which must come out monotone
+and concave if the solver is doing its job.
 
 ``beta_schedule`` exposes the stage-dependent trade-off weight
 ``scale * k / (M - k)``: early stages pay nothing for compression, late
@@ -123,9 +126,60 @@ class InfoPlanePoint:
             )
 
 
-def _masked_xlogy(w: np.ndarray, ratio_num: np.ndarray, ratio_den: np.ndarray) -> float:
+def _masked_row_sums(w: np.ndarray, num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """Per row r, ``np.sum(w[r][m] * np.log(num[r][m] / den[r][m]))`` over ``m = w[r] > 0``.
+
+    The three arrays share one shape with a leading row axis.  Each row is
+    summed on its own compact kept cells, exactly as that one-row ``np.sum``
+    would: rows are grouped by their kept-cell count k and each (rows, k)
+    block is summed along its contiguous last axis.  Zero-padding a row to
+    the full cell count would change numpy's pairwise summation order, and
+    with it the last bits of the sum.
+    """
+    n_rows = w.shape[0]
     mask = w > 0.0
-    return float(np.sum(w[mask] * np.log(ratio_num[mask] / ratio_den[mask])))
+    terms = w[mask] * np.log(num[mask] / den[mask])
+    counts = mask.reshape(n_rows, -1).sum(axis=1)
+    owner = np.repeat(np.arange(n_rows), counts)  # row of each kept term
+    sums = np.zeros(n_rows)
+    for k in set(counts.tolist()) - {0}:
+        same = counts == k
+        sums[same] = terms[same[owner]].reshape(-1, k).sum(axis=1)
+    return sums
+
+
+def _cmi_rows(joint: np.ndarray, tables: np.ndarray, target: str) -> np.ndarray:
+    """I(h; S_target | X) in nats for each encoder table of an (R, S, H) stack."""
+    p_x = joint.sum(axis=(1, 2))
+    total = np.zeros(tables.shape[0])
+    for x in range(joint.shape[0]):
+        if p_x[x] <= 0.0:
+            continue
+        p_sf = joint[x] / p_x[x]  # (S, F) conditional on this context
+        p_s = p_sf.sum(axis=1)
+        marginal = p_s @ tables  # p(h | x), (R, H)
+        if target == "past":
+            # p(s, h | x) = p(s|x) q(h|s); the ratio collapses to q(h|s)/p(h|x)
+            w = p_s[:, None] * tables
+            den = np.repeat(marginal[:, None, :], len(p_s), axis=1)
+            total += p_x[x] * _masked_row_sums(w, tables, den)
+        else:
+            p_hf = tables.swapaxes(-1, -2) @ p_sf  # (R, H, F) joint with the future
+            den = marginal[:, :, None] * p_sf.sum(axis=0)
+            total += p_x[x] * _masked_row_sums(p_hf, p_hf, den)
+    return np.maximum(total, 0.0)
+
+
+def _objective_rows(joint: np.ndarray, tables: np.ndarray, beta: float) -> np.ndarray:
+    """Dual objective of each encoder table of an (R, S, H) stack."""
+    return _cmi_rows(joint, tables, "past") - beta * _cmi_rows(joint, tables, "future")
+
+
+def _check_encoder(problem: CibProblem, encoder: Encoder) -> None:
+    if encoder.table.shape[0] != problem.n_past:
+        raise InvalidInputError(
+            f"encoder rows {encoder.table.shape[0]} != past alphabet {problem.n_past}"
+        )
 
 
 def conditional_mutual_information(problem: CibProblem, encoder: Encoder, target: str) -> float:
@@ -136,39 +190,14 @@ def conditional_mutual_information(problem: CibProblem, encoder: Encoder, target
     """
     if target not in ("past", "future"):
         raise InvalidInputError(f"target must be 'past' or 'future', got {target!r}")
-    if encoder.table.shape[0] != problem.n_past:
-        raise InvalidInputError(
-            f"encoder rows {encoder.table.shape[0]} != past alphabet {problem.n_past}"
-        )
-    j = problem.joint
-    p_x = j.sum(axis=(1, 2))
-    total = 0.0
-    for x in range(problem.n_context):
-        if p_x[x] <= 0.0:
-            continue
-        p_sf = j[x] / p_x[x]  # (S, F) conditional on this context
-        p_s = p_sf.sum(axis=1)
-        marginal = p_s @ encoder.table  # p(h | x)
-        if target == "past":
-            # p(s, h | x) = p(s|x) q(h|s); the ratio collapses to q(h|s)/p(h|x)
-            w = p_s[:, None] * encoder.table
-            num = np.broadcast_to(encoder.table, w.shape)
-            den = np.broadcast_to(marginal[None, :], w.shape)
-            total += p_x[x] * _masked_xlogy(w, num, den)
-        else:
-            p_hf = encoder.table.T @ p_sf  # (H, F) joint with the future
-            p_f = p_sf.sum(axis=0)
-            w = p_hf
-            den = marginal[:, None] * p_f[None, :]
-            total += p_x[x] * _masked_xlogy(w, w, den)
-    return max(total, 0.0)
+    _check_encoder(problem, encoder)
+    return float(_cmi_rows(problem.joint, encoder.table[None], target)[0])
 
 
 def dual_objective(problem: CibProblem, encoder: Encoder, beta: float) -> float:
     """I(h; S_past | X) - beta * I(h; S_future | X)."""
-    return conditional_mutual_information(problem, encoder, "past") - beta * (
-        conditional_mutual_information(problem, encoder, "future")
-    )
+    _check_encoder(problem, encoder)
+    return float(_objective_rows(problem.joint, encoder.table[None], beta)[0])
 
 
 def beta_schedule(k: int, total_steps: int, scale: float = 1.0) -> float:
@@ -219,33 +248,35 @@ def _encoder_sweep(
         sum_x p(x|s) log p(h|x)  +  beta * sum_{x,f} p(x,f|s) log p(f|h,x),
 
     which is the exact minimizer of the free energy in that row given the
-    current marginals and decoder.
+    current marginals and decoder.  ``table`` is one (S, H) encoder or an
+    (R, S, H) stack of them, each swept independently.
     """
-    n_context, n_past, n_future = joint.shape
     p_x = joint.sum(axis=(1, 2))
     exponent = np.zeros_like(table)
     p_s = joint.sum(axis=(0, 2))  # marginal over contexts
-    for x in range(n_context):
+    for x in range(joint.shape[0]):
         if p_x[x] <= 0.0:
             continue
         p_sf = joint[x] / p_x[x]
         p_s_x = p_sf.sum(axis=1)
         marginal = p_s_x @ table  # p(h | x)
-        p_hf = table.T @ p_sf  # (H, F)
+        p_hf = table.swapaxes(-1, -2) @ p_sf  # (..., H, F)
         with np.errstate(divide="ignore", invalid="ignore"):
             log_marginal = np.where(marginal > 0.0, np.log(np.maximum(marginal, 1e-300)), LOG_FLOOR)
-            decoder = np.where(marginal[:, None] > 0.0, p_hf / np.maximum(marginal[:, None], 1e-300), 0.0)
+            decoder = np.where(
+                marginal[..., None] > 0.0, p_hf / np.maximum(marginal[..., None], 1e-300), 0.0
+            )
             log_decoder = np.where(decoder > 0.0, np.log(np.maximum(decoder, 1e-300)), LOG_FLOOR)
         # weights per (s, x): p(x | s); per (s, x, f): p(x, f | s)
         w_x_given_s = np.where(p_s > 0.0, p_x[x] * p_s_x / np.maximum(p_s, 1e-300), 0.0)
         w_xf_given_s = np.where(
             p_s[:, None] > 0.0, p_x[x] * p_sf / np.maximum(p_s[:, None], 1e-300), 0.0
         )
-        exponent += w_x_given_s[:, None] * log_marginal[None, :]
-        exponent += beta * (w_xf_given_s @ log_decoder.T)
-    exponent -= exponent.max(axis=1, keepdims=True)
+        exponent += w_x_given_s[:, None] * log_marginal[..., None, :]
+        exponent += beta * (w_xf_given_s @ log_decoder.swapaxes(-1, -2))
+    exponent -= exponent.max(axis=-1, keepdims=True)
     new_table = np.exp(exponent)
-    return new_table / new_table.sum(axis=1, keepdims=True)
+    return new_table / new_table.sum(axis=-1, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -270,10 +301,11 @@ def solve_cib(
 
     Candidate 0 is the constant encoder (objective exactly 0, a fixed
     point); candidates 1..restarts start from rows drawn from a symmetric
-    Dirichlet.  Each candidate iterates sweeps until the objective change
-    drops below ``tol`` or ``max_iter`` sweeps elapse (non-convergence is
-    reported via the ``converged`` flag, not an error).  The winner is the
-    lowest objective, ties broken toward the lower candidate index.
+    Dirichlet.  All candidates sweep in lockstep as one (R, S, H) stack; a
+    candidate leaves the live set once its objective change drops below
+    ``tol``, and the rest stop after ``max_iter`` sweeps (non-convergence
+    is reported via the ``converged`` flag, not an error).  The winner is
+    the lowest objective, ties broken toward the lower candidate index.
     """
     if beta < 0:
         raise InvalidInputError(f"beta must be >= 0, got {beta!r}")
@@ -286,43 +318,43 @@ def solve_cib(
     if max_iter < 1:
         raise InvalidInputError(f"need max_iter >= 1, got {max_iter}")
 
-    best = None
-    for candidate in range(restarts + 1):
-        if candidate == 0:
-            table = constant_encoder(problem.n_past, n_latent).table
-        else:
-            rng = rng_for(seed, "cib-restart", candidate)
-            table = rng.dirichlet(np.ones(n_latent), size=problem.n_past)
-        objective = dual_objective(problem, Encoder(table=table), beta)
-        trace = [objective]
-        converged = False
-        iterations = 0
-        for iterations in range(1, max_iter + 1):
-            table = _encoder_sweep(problem.joint, table, beta)
-            new_objective = dual_objective(problem, Encoder(table=table), beta)
-            trace.append(new_objective)
-            if abs(new_objective - objective) < tol:
-                objective = new_objective
-                converged = True
-                break
-            objective = new_objective
-        if best is None or objective < best[0]:
-            best = (objective, candidate, Encoder(table=table), converged, iterations, trace)
+    tables = np.empty((restarts + 1, problem.n_past, n_latent))
+    tables[0] = constant_encoder(problem.n_past, n_latent).table
+    for candidate in range(1, restarts + 1):
+        rng = rng_for(seed, "cib-restart", candidate)
+        tables[candidate] = rng.dirichlet(np.ones(n_latent), size=problem.n_past)
+    objective = _objective_rows(problem.joint, tables, beta)
+    history = [objective.copy()]  # per sweep, every candidate's objective (frozen once it stops)
+    iterations = np.zeros(restarts + 1, dtype=np.int64)
+    converged = np.zeros(restarts + 1, dtype=bool)
+    live = np.arange(restarts + 1)
+    for sweep in range(1, max_iter + 1):
+        tables[live] = _encoder_sweep(problem.joint, tables[live], beta)
+        new_objective = _objective_rows(problem.joint, tables[live], beta)
+        done = np.abs(new_objective - objective[live]) < tol
+        objective[live] = new_objective
+        iterations[live] = sweep
+        converged[live[done]] = True
+        history.append(objective.copy())
+        live = live[~done]
+        if not live.size:
+            break
 
-    objective, candidate, encoder, converged, iterations, trace = best
+    winner = int(np.argmin(objective))
+    encoder = Encoder(table=tables[winner])
     point = InfoPlanePoint(
         i_past=conditional_mutual_information(problem, encoder, "past"),
         i_future=conditional_mutual_information(problem, encoder, "future"),
         beta=beta,
-        objective=objective,
-        converged=converged,
+        objective=float(objective[winner]),
+        converged=bool(converged[winner]),
     )
     return CibSolution(
         encoder=encoder,
         point=point,
-        restart_index=candidate,
-        iterations=iterations,
-        objective_trace=tuple(trace),
+        restart_index=winner,
+        iterations=int(iterations[winner]),
+        objective_trace=tuple(float(h[winner]) for h in history[: iterations[winner] + 1]),
     )
 
 

@@ -642,13 +642,13 @@ def run_accuracy_sweep(seed: int, params: dict, threads: int = 1) -> ExperimentR
 
 CIB_SCHEMA = {
     "problem_seed": ParamSpec("int", 7),
-    "corpus_size": ParamSpec("int", 20),
-    "corpus_betas": ParamSpec("float_list", (0.5, 1.0, 2.0, 5.0)),
-    "n_latent": ParamSpec("int", 2),
+    "corpus_size": ParamSpec("int", 20, minimum=1),
+    "corpus_betas": ParamSpec("float_list", (0.5, 1.0, 2.0, 5.0), minimum=0.0),
+    "n_latent": ParamSpec("int", 2, minimum=1),
     "frontier_betas": ParamSpec(
-        "float_list", (0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 32.0, 1000.0)
+        "float_list", (0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 32.0, 1000.0), minimum=0.0
     ),
-    "restarts": ParamSpec("int", 16),
+    "restarts": ParamSpec("int", 16, minimum=1),
     "tol": ParamSpec("float", 1e-10),
     "max_conditional": ParamSpec("float", 0.9),
     "schedule_scale": ParamSpec("float", 1.0),
@@ -710,25 +710,20 @@ def run_cib_frontier(seed: int, params: dict, threads: int = 1) -> ExperimentRes
     result.check("every point obeys the predictive-information ceiling", ceiling_ok)
 
     # solver vs deterministic brute force on a seeded corpus
-    def corpus_case(index: int):
+    corpus_rows = []
+    monotone_ok = True
+    for index in range(params["corpus_size"]):
         contexts = 1 if index % 2 == 0 else 2
         problem = cib.random_problem(3, 3, contexts, derive_seed(seed, "corpus", index))
-        outcomes = []
         for beta in params["corpus_betas"]:
             solution = cib.solve_cib(
                 problem, beta, params["n_latent"], restarts=params["restarts"],
                 tol=params["tol"], seed=derive_seed(seed, "corpus-solve", index, str(beta)),
             )
             brute, _ = cib.brute_force_cib(problem, beta, params["n_latent"])
-            outcomes.append((index, contexts, beta, solution.point.objective, brute,
-                             solution.point.converged, solution.objective_trace))
-        return outcomes
-
-    corpus_rows = []
-    monotone_ok = True
-    for outcomes in deterministic_map(corpus_case, list(range(params["corpus_size"])), threads):
-        for index, contexts, beta, objective, brute, converged, trace in outcomes:
-            corpus_rows.append((index, contexts, beta, objective, brute, converged))
+            corpus_rows.append((index, contexts, beta, solution.point.objective, brute,
+                                solution.point.converged))
+            trace = solution.objective_trace
             monotone_ok &= not any(b > a + 1e-9 for a, b in zip(trace, trace[1:]))
     result.tables["cib_corpus.csv"] = (
         ["problem", "contexts", "beta", "solver_objective", "brute_objective", "converged"],

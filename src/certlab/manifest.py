@@ -4,8 +4,8 @@ CSV cells are rendered with ``repr`` for floats (shortest string that
 round-trips to the same double) and plain ``str`` for integers, so a rerun
 with the same config and seed produces byte-identical files regardless of
 thread count.  The manifest records the canonical config hash, the seed,
-every emitted file with its sha256, and the pass/fail checks; timestamps
-live only in the manifest, never in data files.
+every emitted file by absolute path with its sha256, and the pass/fail
+checks; timestamps live only in the manifest, never in data files.
 """
 
 from __future__ import annotations
@@ -93,7 +93,8 @@ class RunManifest:
         return datetime.now(timezone.utc).isoformat(timespec="microseconds")
 
     def add_file(self, path: Path, digest: str) -> None:
-        self.files.append({"path": str(path), "sha256": digest})
+        # absolute, so that a report run from any working directory finds the file
+        self.files.append({"path": str(Path(path).resolve()), "sha256": digest})
 
     def add_checks(self, checks) -> None:
         self.checks.extend(asdict(c) for c in checks)

@@ -202,3 +202,161 @@ class TestSerialization:
     def test_empty_rows_rejected(self):
         with pytest.raises(InvalidInputError):
             cib.problem_from_rows([])
+
+
+# ---------------------------------------------------------------------------
+# Reference: the per-candidate solver loop with its one-table sweep and its
+# per-context scalar CMI.  The lockstep solver must reproduce it exactly.
+# ---------------------------------------------------------------------------
+
+
+def _reference_masked_xlogy(w, ratio_num, ratio_den):
+    mask = w > 0.0
+    return float(np.sum(w[mask] * np.log(ratio_num[mask] / ratio_den[mask])))
+
+
+def _reference_cmi(joint, table, target):
+    p_x = joint.sum(axis=(1, 2))
+    total = 0.0
+    for x in range(joint.shape[0]):
+        if p_x[x] <= 0.0:
+            continue
+        p_sf = joint[x] / p_x[x]
+        p_s = p_sf.sum(axis=1)
+        marginal = p_s @ table
+        if target == "past":
+            w = p_s[:, None] * table
+            num = np.broadcast_to(table, w.shape)
+            den = np.broadcast_to(marginal[None, :], w.shape)
+            total += p_x[x] * _reference_masked_xlogy(w, num, den)
+        else:
+            p_hf = table.T @ p_sf
+            p_f = p_sf.sum(axis=0)
+            den = marginal[:, None] * p_f[None, :]
+            total += p_x[x] * _reference_masked_xlogy(p_hf, p_hf, den)
+    return max(total, 0.0)
+
+
+def _reference_objective(joint, table, beta):
+    return _reference_cmi(joint, table, "past") - beta * _reference_cmi(joint, table, "future")
+
+
+def _reference_sweep(joint, table, beta):
+    p_x = joint.sum(axis=(1, 2))
+    exponent = np.zeros_like(table)
+    p_s = joint.sum(axis=(0, 2))
+    for x in range(joint.shape[0]):
+        if p_x[x] <= 0.0:
+            continue
+        p_sf = joint[x] / p_x[x]
+        p_s_x = p_sf.sum(axis=1)
+        marginal = p_s_x @ table
+        p_hf = table.T @ p_sf
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_marginal = np.where(marginal > 0.0, np.log(np.maximum(marginal, 1e-300)), cib.LOG_FLOOR)
+            decoder = np.where(marginal[:, None] > 0.0, p_hf / np.maximum(marginal[:, None], 1e-300), 0.0)
+            log_decoder = np.where(decoder > 0.0, np.log(np.maximum(decoder, 1e-300)), cib.LOG_FLOOR)
+        w_x_given_s = np.where(p_s > 0.0, p_x[x] * p_s_x / np.maximum(p_s, 1e-300), 0.0)
+        w_xf_given_s = np.where(
+            p_s[:, None] > 0.0, p_x[x] * p_sf / np.maximum(p_s[:, None], 1e-300), 0.0
+        )
+        exponent += w_x_given_s[:, None] * log_marginal[None, :]
+        exponent += beta * (w_xf_given_s @ log_decoder.T)
+    exponent -= exponent.max(axis=1, keepdims=True)
+    new_table = np.exp(exponent)
+    return new_table / new_table.sum(axis=1, keepdims=True)
+
+
+def _reference_solve(problem, beta, n_latent, restarts, tol, seed, max_iter):
+    """(table, i_past, i_future, objective, converged, restart_index, iterations, trace)."""
+    joint = problem.joint
+    best = None
+    for candidate in range(restarts + 1):
+        if candidate == 0:
+            table = cib.constant_encoder(problem.n_past, n_latent).table
+        else:
+            rng = cib.rng_for(seed, "cib-restart", candidate)
+            table = rng.dirichlet(np.ones(n_latent), size=problem.n_past)
+        objective = _reference_objective(joint, table, beta)
+        trace = [objective]
+        converged = False
+        iterations = 0
+        for iterations in range(1, max_iter + 1):
+            table = _reference_sweep(joint, table, beta)
+            new_objective = _reference_objective(joint, table, beta)
+            trace.append(new_objective)
+            if abs(new_objective - objective) < tol:
+                objective = new_objective
+                converged = True
+                break
+            objective = new_objective
+        if best is None or objective < best[0]:
+            best = (objective, candidate, table, converged, iterations, trace)
+    objective, candidate, table, converged, iterations, trace = best
+    return (table, _reference_cmi(joint, table, "past"), _reference_cmi(joint, table, "future"),
+            objective, converged, candidate, iterations, tuple(trace))
+
+
+def _reference_corpus():
+    """(problem, beta, n_latent, restarts, max_iter) cases, including non-converged
+    solves (max_iter 3), every n_latent from 1 to 4 and a joint with zero cells."""
+    rng = np.random.default_rng(2024)
+    cases = []
+    for i in range(16):
+        n_past, n_future, n_context = (int(v) for v in rng.integers((2, 2, 1), (5, 4, 4)))
+        problem = cib.random_problem(n_past, n_future, n_context, seed=100 + i)
+        cases.append((problem, (0.0, 1.0, 1000.0)[i % 3], 1 + i % 4, int(rng.integers(1, 7)),
+                      3 if i % 4 == 3 else 10_000))
+    sparse = np.array([[[0.3, 0.0, 0.1], [0.0, 0.0, 0.2], [0.1, 0.3, 0.0]]])
+    cases.append((cib.CibProblem(joint=sparse), 2.0, 3, 8, 10_000))
+    cases.append((cib.CibProblem(joint=sparse), 2.0, 2, 4, 3))
+    return cases
+
+
+class TestLockstepSolver:
+    @pytest.mark.parametrize("case", range(len(_reference_corpus())))
+    def test_solver_equals_per_candidate_reference(self, case):
+        problem, beta, n_latent, restarts, max_iter = _reference_corpus()[case]
+        solution = cib.solve_cib(problem, beta, n_latent, restarts=restarts, seed=case, max_iter=max_iter)
+        table, i_past, i_future, objective, converged, restart, iterations, trace = _reference_solve(
+            problem, beta, n_latent, restarts, 1e-10, case, max_iter
+        )
+        np.testing.assert_array_equal(solution.encoder.table, table)
+        assert solution.point == cib.InfoPlanePoint(i_past, i_future, beta, objective, converged)
+        assert (solution.restart_index, solution.iterations) == (restart, iterations)
+        assert solution.objective_trace == trace
+
+    def test_corpus_covers_non_convergence_and_every_latent_size(self):
+        outcomes = [
+            (n_latent, cib.solve_cib(problem, beta, n_latent, restarts=restarts, max_iter=max_iter).point.converged)
+            for problem, beta, n_latent, restarts, max_iter in _reference_corpus()
+        ]
+        assert {n for n, _ in outcomes} == {1, 2, 3, 4}
+        assert {c for _, c in outcomes} == {True, False}
+
+    def test_stacked_sweep_equals_per_table_sweeps(self):
+        rng = np.random.default_rng(5)
+        problem = cib.random_problem(3, 3, 2, seed=4)
+        tables = rng.dirichlet(np.ones(3), size=(6, 3))
+        tables[2, 0] = (1.0, 0.0, 0.0)  # a row with zero cells
+        for beta in (0.0, 2.0, 1000.0):
+            stacked = cib._encoder_sweep(problem.joint, tables, beta)
+            for r in range(len(tables)):
+                single = cib._encoder_sweep(problem.joint, tables[r], beta)
+                np.testing.assert_array_equal(stacked[r], single)
+                np.testing.assert_array_equal(single, _reference_sweep(problem.joint, tables[r], beta))
+
+    def test_cmi_rows_sum_each_row_on_its_kept_cells(self):
+        # 3x3 encoders with 2 zeroed cells keep 7 of 9: zero-padding such a
+        # row to 9 cells would sum in numpy's pairwise order and differ in
+        # the last bits from the compact np.sum of the 7 kept cells
+        rng = np.random.default_rng(11)
+        problem = cib.random_problem(3, 3, 1, seed=3)
+        tables = rng.dirichlet(np.ones(3), size=(40, 3))
+        for table in tables[::2]:
+            table[rng.choice(3, size=2, replace=False), rng.choice(3, size=2, replace=False)] = 0.0
+        tables /= tables.sum(axis=2, keepdims=True)
+        for target in ("past", "future"):
+            rows = cib._cmi_rows(problem.joint, tables, target)
+            expected = [_reference_cmi(problem.joint, table, target) for table in tables]
+            assert rows.tolist() == expected

@@ -228,6 +228,11 @@ class TestCli:
             ("dag-exploration", "policy_draws", 1),
             ("curriculum", "tv_trials", 0),
             ("divergence-asymptote", "sample_draws", 1),
+            ("cib-frontier", "corpus_size", 0),
+            ("cib-frontier", "n_latent", 0),
+            ("cib-frontier", "restarts", 0),
+            ("cib-frontier", "corpus_betas", "0.5, -1.0"),
+            ("cib-frontier", "frontier_betas", -0.25),
         ],
     )
     def test_count_below_minimum_exits_two_before_any_output(self, tmp_path, capsys, experiment, key, value):
@@ -287,6 +292,19 @@ class TestCli:
         assert cli.main(["report", "--manifest", str(out / "manifest.json"), "--format", "svg"]) == 0
         svg = (out / "accuracy_sweep.svg").read_text()
         assert svg.count("<polyline") == 2  # analytic + empirical series
+
+    def test_report_from_another_directory(self, tmp_path, capsys, monkeypatch):
+        cfg = _write_cfg(tmp_path, SMALL_ACCURACY_CFG)
+        run_dir, report_dir = tmp_path / "a", tmp_path / "b"
+        run_dir.mkdir()
+        report_dir.mkdir()
+        monkeypatch.chdir(run_dir)
+        assert cli.main(["run", "--config", cfg, "--out", "runs/a"]) == 0
+        manifest = str(run_dir / "runs" / "a" / "manifest.json")
+        monkeypatch.chdir(report_dir)
+        assert cli.main(["report", "--manifest", manifest, "--format", "md"]) == 0
+        assert cli.main(["report", "--manifest", manifest, "--format", "svg"]) == 0
+        assert (run_dir / "runs" / "a" / "accuracy_sweep.svg").exists()
 
     def test_report_missing_csv_is_io_error(self, tmp_path):
         cfg = _write_cfg(tmp_path, SMALL_ACCURACY_CFG)
