@@ -29,7 +29,7 @@ def certainty_panel(logits: np.ndarray) -> CertaintyPanel:
     """All certainty statistics for a (rows, options) matrix of finite logits."""
     l = np.asarray(logits, dtype=np.float64)
     if l.ndim != 2 or l.shape[1] < 2:
-        raise ValueError(f"need a (rows, options>=2) matrix, got {l.shape}")
+        raise InvalidInputError(f"need a (rows, options>=2) matrix, got {l.shape}")
     n_options = l.shape[1]
     z = np.exp(l - l.max(axis=1, keepdims=True))
     p = z / z.sum(axis=1, keepdims=True)

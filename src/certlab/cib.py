@@ -165,8 +165,15 @@ def _cmi_rows(joint: np.ndarray, tables: np.ndarray, target: str) -> np.ndarray:
             total += p_x[x] * _masked_row_sums(w, tables, den)
         else:
             p_hf = tables.swapaxes(-1, -2) @ p_sf  # (R, H, F) joint with the future
-            den = marginal[:, :, None] * p_sf.sum(axis=0)
-            total += p_x[x] * _masked_row_sums(p_hf, p_hf, den)
+            p_f = p_sf.sum(axis=0)
+            num, den = p_hf, marginal[:, :, None] * p_f
+            tiny = (den == 0.0) & (p_hf > 0.0)
+            if tiny.any():
+                # p(h|x) * p(f|x) underflowed where p(h, f|x) did not: divide
+                # in two steps on those cells only, so the ratio stays finite
+                num = np.divide(p_hf, marginal[:, :, None], out=p_hf.copy(), where=tiny)
+                den = np.where(tiny, p_f, den)
+            total += p_x[x] * _masked_row_sums(p_hf, num, den)
     return np.maximum(total, 0.0)
 
 

@@ -4,9 +4,11 @@
     certlab report --manifest out/manifest.json --format md|svg
     certlab verify-all --out DIR [--seed N] [--threads N]
 
+verify-all runs every experiment at its defaults and writes each one's
+report.md and chart next to its manifest, as report does.
 Exit codes: 0 all checks passed, 2 configuration or other certlab error,
-3 check failure, 4 I/O error.  --threads sets the worker threads of the
-experiments that parallelize; outputs are byte-identical at any thread count.
+3 check failure, 4 I/O or report error.  --threads sets the worker threads of
+the experiments that parallelize; outputs are byte-identical at any thread count.
 """
 
 from __future__ import annotations
@@ -61,12 +63,12 @@ def _summarize(manifest: RunManifest, stream) -> None:
 
 
 def _failure(exc: Exception) -> int:
-    """Report an error that stops a run: exit 4 for I/O, 2 for any CertlabError."""
+    """Report an error that stops a command: 4 for I/O or a ReportError, 2 for other CertlabErrors."""
     if isinstance(exc, OSError):
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-    return EXIT_CONFIG
+    return EXIT_IO if isinstance(exc, ReportError) else EXIT_CONFIG
 
 
 def cmd_run(args) -> int:
@@ -100,12 +102,8 @@ def cmd_report(args) -> int:
         else:
             for path in emit_svg_charts(manifest, base):
                 print(f"chart: {path}")
-    except ReportError as exc:
-        print(f"report error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    except (OSError, CertlabError) as exc:
+        return _failure(exc)
     return EXIT_OK
 
 
@@ -122,6 +120,8 @@ def cmd_verify_all(args) -> int:
                 output_dir=str(out_root / name),
             )
             manifest = _execute(config, threads)
+            emit_markdown(manifest, out_root / name / "report.md")
+            emit_svg_charts(manifest, out_root / name)
             _summarize(manifest, sys.stdout)
             all_ok &= manifest.all_passed
     except (OSError, CertlabError) as exc:
@@ -146,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     report_p.add_argument("--format", choices=("md", "svg"), required=True)
     report_p.set_defaults(func=cmd_report)
 
-    verify_p = sub.add_parser("verify-all", help="run every experiment with defaults")
+    verify_p = sub.add_parser("verify-all", help="run and report every experiment with defaults")
     verify_p.add_argument("--out", required=True)
     verify_p.add_argument("--seed", type=int, default=0)
     verify_p.add_argument("--threads", type=int, default=None)

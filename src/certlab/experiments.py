@@ -89,10 +89,10 @@ def deterministic_map(fn, items, threads: int):
 
 TRADEOFF_SCHEMA = {
     "samples": ParamSpec("int", 100_000),
-    "options_set": ParamSpec("int_list", (2, 3, 4, 8, 16, 32)),
+    "options_set": ParamSpec("int_list", (2, 3, 4, 8, 16, 32), minimum=2),
     "scan_options": ParamSpec("int_list", (2, 4)),
     "scan_grid": ParamSpec("float_list", (0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)),
-    "oracle_resolution": ParamSpec("int", 60),
+    "oracle_resolution": ParamSpec("int", 60, minimum=1),
 }
 
 
@@ -258,6 +258,8 @@ ASYMPTOTE_SCHEMA = {
 
 def run_divergence_asymptote(seed: int, params: dict, threads: int = 1) -> ExperimentResult:
     result = ExperimentResult(name="divergence-asymptote")
+    if len(set(params["kappas"])) < 2:
+        raise InvalidInputError("params.kappas: the slope checks need at least two distinct values")
     b = params["options"]
     c = params["minority_mass"]
     uniform = np.full(b, 1.0 / b)
@@ -354,7 +356,7 @@ NOISE_DISCRETE_SCHEMA = {
     "noise_over_margin": ParamSpec("float", 0.2),
     "min_margin": ParamSpec("float", 1.0),
     "contrast_noise_over_margin": ParamSpec("float", 5.0),
-    "acceptance_draws": ParamSpec("int", 2000),
+    "acceptance_draws": ParamSpec("int", 2000, minimum=1),
 }
 
 
@@ -985,7 +987,7 @@ DAG_SCHEMA = {
     "divergence_draws": ParamSpec("int", 30, minimum=1),
     "capped_samples": ParamSpec("int", 10_000, minimum=1),
     "capped_deltas": ParamSpec("float_list", (0.1, 0.3, 0.5)),
-    "capped_options_max": ParamSpec("int", 16),
+    "capped_options_max": ParamSpec("int", 16, minimum=2),
     "graph_file": ParamSpec("str", ""),  # optional custom graph (adjacency text)
     "graph_trials": ParamSpec("int", 20_000),
     "graph_max_steps": ParamSpec("int", 64),
@@ -1047,8 +1049,7 @@ def run_dag_exploration(seed: int, params: dict, threads: int = 1) -> Experiment
         f"{uniform_exact!r} vs {closed!r}",
     )
 
-    def draw_success(args):
-        kind, index = args
+    def draw_success(kind, index):
         if kind == "concentrated":
             policy = dag.make_policy(
                 trap, "concentrated", kappa=params["kappa"], minority_mass=params["minority_mass"],
@@ -1061,8 +1062,8 @@ def run_dag_exploration(seed: int, params: dict, threads: int = 1) -> Experiment
         return dag.enumerate_paths(trap, policy)
 
     draws = params["policy_draws"]
-    conc = np.array(deterministic_map(draw_success, [("concentrated", i) for i in range(draws)], threads))
-    nd = np.array(deterministic_map(draw_success, [("non_degenerate", i) for i in range(draws)], threads))
+    conc = np.array([draw_success("concentrated", i) for i in range(draws)])
+    nd = np.array([draw_success("non_degenerate", i) for i in range(draws)])
     conc_mean, nd_mean = float(conc.mean()), float(nd.mean())
     result.tables["dag_exploration.csv"] = (
         ["policy", "draws", "mean_success", "median_success", "stderr", "exact_uniform"],

@@ -72,7 +72,10 @@ def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
     if not lines:
         raise ReportError(f"empty CSV file: {path}")
     header = lines[0].split(",")
-    return header, [line.split(",") for line in lines[1:] if line]
+    rows = [line.split(",") for line in lines[1:] if line]
+    if any(len(row) != len(header) for row in rows):
+        raise ReportError(f"CSV row width differs from its header: {path}")
+    return header, rows
 
 
 @dataclass
@@ -111,5 +114,7 @@ class RunManifest:
 def load_manifest(path: Path) -> RunManifest:
     if not path.exists():
         raise ReportError(f"missing manifest: {path}")
-    payload = json.loads(path.read_text())
-    return RunManifest(**payload)
+    try:
+        return RunManifest(**json.loads(path.read_text()))
+    except (ValueError, TypeError) as exc:
+        raise ReportError(f"malformed manifest {path}: {exc}") from exc

@@ -1,13 +1,14 @@
 """Reports from run manifests: markdown check tables and SVG line charts.
 
 SVG output is generated directly (header, axes, tick marks, polylines) so
-the artifact has zero rendering dependencies.  Chart builders read the CSVs
-referenced by the manifest back from disk; a missing file is a ReportError
-naming it.
+the artifact has zero rendering dependencies.  Each experiment's chart is
+one ``CHARTS`` entry, drawn from the CSV its manifest references by header
+column names; a missing file or column is a ReportError naming it.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ReportError
@@ -124,129 +125,91 @@ def _svg_line_chart(
     return out_path
 
 
-def _find_csv(manifest: RunManifest, suffix: str) -> Path | None:
-    for entry in manifest.files:
-        if entry["path"].endswith(suffix):
-            return Path(entry["path"])
-    return None
+@dataclass(frozen=True)
+class Chart:
+    """One line chart drawn from one CSV, its columns named by header.
+
+    Each (label, y column) pair in ``series`` is one line; with ``group`` set
+    it is drawn once per distinct value of that column, the label formatted
+    with the value.  ``middle`` keeps only the rows at the middle distinct
+    value of that column, and the title is formatted with that value.
+    Every line is drawn in ascending x.
+    """
+
+    csv: str
+    x: str
+    series: tuple[tuple[str, str], ...]
+    title: str
+    x_label: str
+    y_label: str
+    group: str | None = None
+    middle: str | None = None
+    log_x: bool = False
+
+
+# noise-discrete has no sweep-shaped table, so it has no chart
+CHARTS = {
+    "accuracy-sweep": Chart(
+        "accuracy_sweep.csv", "sigma", (("analytic", "analytic"), ("empirical", "empirical")),
+        "Ranking retention vs noise scale", "sigma", "retention", log_x=True,
+    ),
+    "error-accumulation": Chart(
+        "error_accumulation.csv", "M", (("L={:g}", "mc_mean"),),
+        "Final squared error vs steps (dim {:g})", "steps", "mean squared error",
+        group="L_F", middle="d",
+    ),
+    "curriculum": Chart(
+        "curriculum_sweep.csv", "n", (("{}", "mean_gap"),),
+        "Expert gap vs sample size", "n", "mean gap", group="provenance", log_x=True,
+    ),
+    "cib-frontier": Chart(
+        "cib_frontier.csv", "i_past", (("frontier", "i_future"),),
+        "Information plane frontier", "retained past information", "predictive information",
+    ),
+    "divergence-asymptote": Chart(
+        "divergence_asymptote.csv", "kappa", (("exact", "exact_kl"), ("asymptote", "asymptote")),
+        "Explorer divergence vs concentration", "kappa", "divergence (nats)", log_x=True,
+    ),
+    "tradeoff-scan": Chart(
+        "tradeoff_scan.csv", "i_s", (("bound B={:g}", "bound"), ("oracle B={:g}", "empirical_min_kl")),
+        "Certainty cost floor vs top probability", "top probability", "divergence (nats)", group="B",
+    ),
+    "dag-exploration": Chart(
+        "dag_divergence.csv", "kappa", (("mean divergence", "mean_divergence"),),
+        "Exploration divergence vs concentration", "kappa", "divergence (nats)", log_x=True,
+    ),
+}
 
 
 def emit_svg_charts(manifest: RunManifest, out_dir: Path) -> list[Path]:
-    """Line charts for the sweep-style CSVs of the known experiments."""
+    """The line chart of ``manifest``'s experiment, per its ``CHARTS`` entry."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-
-    def load(suffix: str):
-        path = _find_csv(manifest, suffix)
-        if path is None:
-            return None
-        header, rows = read_csv(path)
-        return header, [[_maybe_float(cell) for cell in row] for row in rows]
-
-    if manifest.experiment == "accuracy-sweep":
-        table = load("accuracy_sweep.csv")
-        if table is None:
-            raise ReportError("accuracy-sweep manifest lists no accuracy_sweep.csv")
-        _, rows = table
-        xs = [r[0] for r in rows]
-        written.append(
-            _svg_line_chart(
-                [("analytic", xs, [r[1] for r in rows]), ("empirical", xs, [r[2] for r in rows])],
-                "Ranking retention vs noise scale",
-                "sigma", "retention", out_dir / "accuracy_sweep.svg", log_x=True,
-            )
-        )
-    elif manifest.experiment == "error-accumulation":
-        table = load("error_accumulation.csv")
-        if table is None:
-            raise ReportError("error-accumulation manifest lists no error_accumulation.csv")
-        _, rows = table
-        dims = sorted({r[2] for r in rows})
-        pick = dims[len(dims) // 2]
-        series = []
-        for lf in sorted({r[0] for r in rows}):
-            pts = sorted((r[1], r[5]) for r in rows if r[0] == lf and r[2] == pick)
-            series.append((f"L={lf:g}", [p[0] for p in pts], [p[1] for p in pts]))
-        written.append(
-            _svg_line_chart(
-                series, f"Final squared error vs steps (dim {pick:g})",
-                "steps", "mean squared error", out_dir / "error_accumulation.svg",
-            )
-        )
-    elif manifest.experiment == "curriculum":
-        table = load("curriculum_sweep.csv")
-        if table is None:
-            raise ReportError("curriculum manifest lists no curriculum_sweep.csv")
-        _, rows = table
-        series = []
-        for provenance in ("biased", "curriculum"):
-            pts = sorted((r[0], r[2]) for r in rows if r[1] == provenance)
-            if pts:
-                series.append((provenance, [p[0] for p in pts], [p[1] for p in pts]))
-        written.append(
-            _svg_line_chart(
-                series, "Expert gap vs sample size", "n", "mean gap",
-                out_dir / "curriculum_sweep.svg", log_x=True,
-            )
-        )
-    elif manifest.experiment == "cib-frontier":
-        table = load("cib_frontier.csv")
-        if table is None:
-            raise ReportError("cib-frontier manifest lists no cib_frontier.csv")
-        _, rows = table
-        pts = sorted((r[1], r[2]) for r in rows)
-        written.append(
-            _svg_line_chart(
-                [("frontier", [p[0] for p in pts], [p[1] for p in pts])],
-                "Information plane frontier", "retained past information",
-                "predictive information", out_dir / "cib_frontier.svg",
-            )
-        )
-    elif manifest.experiment == "divergence-asymptote":
-        table = load("divergence_asymptote.csv")
-        if table is None:
-            raise ReportError("divergence-asymptote manifest lists no divergence_asymptote.csv")
-        _, rows = table
-        xs = [r[0] for r in rows]
-        written.append(
-            _svg_line_chart(
-                [("exact", xs, [r[1] for r in rows]), ("asymptote", xs, [r[2] for r in rows])],
-                "Explorer divergence vs concentration", "kappa", "divergence (nats)",
-                out_dir / "divergence_asymptote.svg", log_x=True,
-            )
-        )
-    elif manifest.experiment == "tradeoff-scan":
-        table = load("tradeoff_scan.csv")
-        if table is None:
-            raise ReportError("tradeoff-scan manifest lists no tradeoff_scan.csv")
-        _, rows = table
-        series = []
-        for b in sorted({r[1] for r in rows}):
-            pts = sorted((r[0], r[2]) for r in rows if r[1] == b)
-            series.append((f"bound B={b:g}", [p[0] for p in pts], [p[1] for p in pts]))
-            pts_emp = sorted((r[0], r[3]) for r in rows if r[1] == b)
-            series.append((f"oracle B={b:g}", [p[0] for p in pts_emp], [p[1] for p in pts_emp]))
-        written.append(
-            _svg_line_chart(
-                series, "Certainty cost floor vs top probability",
-                "top probability", "divergence (nats)", out_dir / "tradeoff_scan.svg",
-            )
-        )
-    elif manifest.experiment == "dag-exploration":
-        table = load("dag_divergence.csv")
-        if table is None:
-            raise ReportError("dag-exploration manifest lists no dag_divergence.csv")
-        _, rows = table
-        xs = [r[0] for r in rows]
-        written.append(
-            _svg_line_chart(
-                [("mean divergence", xs, [r[1] for r in rows])],
-                "Exploration divergence vs concentration", "kappa", "divergence (nats)",
-                out_dir / "dag_divergence.svg", log_x=True,
-            )
-        )
-    # noise-discrete has no sweep-shaped table; nothing to chart
-    return written
+    chart = CHARTS.get(manifest.experiment)
+    if chart is None:
+        return []
+    path = next((Path(e["path"]) for e in manifest.files if e["path"].endswith(chart.csv)), None)
+    if path is None:
+        raise ReportError(f"{manifest.experiment} manifest lists no {chart.csv}")
+    header, cells = read_csv(path)
+    missing = {chart.x, chart.group, chart.middle, *(y for _, y in chart.series)} - {None, *header}
+    if missing:
+        raise ReportError(f"{path} has no column {', '.join(sorted(missing))}")
+    rows = [{name: _maybe_float(cell) for name, cell in zip(header, row)} for row in cells]
+    pick = None
+    if chart.middle is not None:
+        values = sorted({r[chart.middle] for r in rows})
+        pick = values[len(values) // 2]
+        rows = [r for r in rows if r[chart.middle] == pick]
+    groups = sorted({r[chart.group] for r in rows}) if chart.group is not None else [None]
+    series = []
+    for value in groups:
+        members = [r for r in rows if chart.group is None or r[chart.group] == value]
+        for label, y in chart.series:
+            xs, ys = zip(*sorted((r[chart.x], r[y]) for r in members))
+            series.append((label.format(value), list(xs), list(ys)))
+    out_path = out_dir / chart.csv.replace(".csv", ".svg")
+    title = chart.title.format(pick)
+    return [_svg_line_chart(series, title, chart.x_label, chart.y_label, out_path, chart.log_x)]
 
 
 def _maybe_float(cell: str):

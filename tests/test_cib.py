@@ -66,6 +66,19 @@ class TestConditionalMutualInformation:
             i_future = cib.conditional_mutual_information(problem, encoder, "future")
             assert i_future <= i_past + 1e-9
 
+    def test_subnormal_encoder_cell_stays_finite(self):
+        # p(h=1) * p(f=2) underflows to 0 while p(h=1, f=2) is a subnormal > 0
+        problem = cib.CibProblem(joint=np.array([[[0.49, 0.0, 0.01], [0.25, 0.25, 0.0]]]))
+        tiny = cib.Encoder(table=np.array([[1 - 4e-322, 4e-322], [1.0, 0.0]]))
+        zeroed = cib.Encoder(table=np.array([[1.0, 0.0], [1.0, 0.0]]))
+        for value, reference in [
+            (cib.conditional_mutual_information(problem, tiny, "future"),
+             cib.conditional_mutual_information(problem, zeroed, "future")),
+            (cib.dual_objective(problem, tiny, 2.0), cib.dual_objective(problem, zeroed, 2.0)),
+        ]:
+            assert math.isfinite(value)
+            assert abs(value - reference) <= 1e-300
+
     def test_bad_target_rejected(self):
         with pytest.raises(InvalidInputError):
             cib.conditional_mutual_information(

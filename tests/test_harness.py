@@ -1,5 +1,6 @@
 """Config parsing, CSV determinism, CLI exit codes, reports."""
 
+import hashlib
 import importlib
 import importlib.util
 import json
@@ -17,9 +18,10 @@ from certlab.config import (
     config_hash,
     parse_config_text,
 )
-from certlab.errors import ConfigError, SamplingExhaustedError
+from certlab.errors import CertlabError, ConfigError, ReportError, SamplingExhaustedError
 from certlab.experiments import EXPERIMENTS, ExperimentDef, ExperimentResult, default_params
-from certlab.manifest import load_manifest, read_csv, write_csv
+from certlab.manifest import RunManifest, load_manifest, read_csv, write_csv
+from certlab.report import emit_svg_charts
 from certlab.seeding import derive_seed, rng_for
 
 SMALL_ACCURACY_CFG = """
@@ -233,6 +235,11 @@ class TestCli:
             ("cib-frontier", "restarts", 0),
             ("cib-frontier", "corpus_betas", "0.5, -1.0"),
             ("cib-frontier", "frontier_betas", -0.25),
+            ("tradeoff-scan", "options_set", 1),
+            ("tradeoff-scan", "oracle_resolution", 0),
+            ("divergence-asymptote", "kappas", 100.0),
+            ("noise-discrete", "acceptance_draws", 0),
+            ("dag-exploration", "capped_options_max", 1),
         ],
     )
     def test_count_below_minimum_exits_two_before_any_output(self, tmp_path, capsys, experiment, key, value):
@@ -254,7 +261,8 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ["run", "verify-all"])
     @pytest.mark.parametrize(
-        "error, code", [(SamplingExhaustedError("budget spent"), 2), (OSError("disk full"), 4)]
+        "error, code",
+        [(SamplingExhaustedError("budget spent"), 2), (OSError("disk full"), 4), (ReportError("bad table"), 4)],
     )
     def test_runtime_errors_map_to_one_exit_code(self, tmp_path, capsys, monkeypatch, command, error, code):
         def failing(seed, params, threads=1):
@@ -266,7 +274,7 @@ class TestCli:
         argv = ["run", "--config", _write_cfg(tmp_path, SMALL_ACCURACY_CFG)] if command == "run" else [command]
         assert cli.main(argv + ["--out", out]) == code
         err = capsys.readouterr().err
-        assert ("SamplingExhaustedError: budget spent" if code == 2 else "i/o error: disk full") in err
+        assert (f"{type(error).__name__}: {error}" if isinstance(error, CertlabError) else f"i/o error: {error}") in err
 
     def test_missing_config_is_io_error(self, tmp_path):
         assert cli.main(["run", "--config", str(tmp_path / "nope.cfg")]) == 4
@@ -313,6 +321,18 @@ class TestCli:
         (out / "accuracy_sweep.csv").unlink()
         assert cli.main(["report", "--manifest", str(out / "manifest.json"), "--format", "md"]) == 4
 
+    @pytest.mark.parametrize(
+        "filename, text",
+        [("accuracy_sweep.csv", "sigma,analytic,empirical,std_error\n0.1,0.5\n"), ("manifest.json", "{not json")],
+    )
+    def test_malformed_report_input_is_report_error(self, tmp_path, capsys, filename, text):
+        cfg = _write_cfg(tmp_path, SMALL_ACCURACY_CFG)
+        out = tmp_path / "o"
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+        (out / filename).write_text(text)
+        assert cli.main(["report", "--manifest", str(out / "manifest.json"), "--format", "svg"]) == 4
+        assert "ReportError: " in capsys.readouterr().err
+
     def test_seed_override_changes_hash(self, tmp_path):
         cfg = _write_cfg(tmp_path, SMALL_ACCURACY_CFG)
         out1, out2 = tmp_path / "s1", tmp_path / "s2"
@@ -322,6 +342,86 @@ class TestCli:
         h2 = json.loads((out2 / "manifest.json").read_text())
         assert h1["config_hash"] != h2["config_hash"]
         assert h2["seed"] == 8
+
+
+# experiment -> (CSV name, header, rows): small tables in each experiment's
+# column layout, some rows out of x order
+CHART_FIXTURES = {
+    "accuracy-sweep": (
+        "accuracy_sweep.csv", ["sigma", "analytic", "empirical", "std_error"],
+        [(0.1, 0.99, 0.98, 0.01), (0.5, 0.9, 0.88, 0.01), (2.0, 0.6, 0.62, 0.02)],
+    ),
+    "error-accumulation": (
+        "error_accumulation.csv", ["L_F", "M", "d", "sigma_h", "closed_form", "mc_mean", "mc_stderr"],
+        [
+            (lf, m, d, 0.1, lf * m * d / 100, lf * m * d / 100 + 0.001, 0.001)
+            for lf in (1.5, 0.5, 1.0) for m in (4, 1, 2) for d in (16, 1, 4)
+        ],
+    ),
+    "curriculum": (
+        "curriculum_sweep.csv", ["n", "provenance", "mean_gap", "stddev", "slope_so_far"],
+        [
+            (10, "biased", 0.98, 0.0, 0.0), (1000, "biased", 0.97, 0.0, 0.0),
+            (100, "biased", 0.98, 0.0, 0.0), (100, "curriculum", 0.1, 0.01, -0.5),
+            (10, "curriculum", 0.3, 0.02, 0.0), (1000, "curriculum", 0.03, 0.01, -0.5),
+        ],
+    ),
+    "cib-frontier": (
+        "cib_frontier.csv", ["beta", "i_past", "i_future", "objective", "converged"],
+        [(2.0, 0.8, 0.5, -0.2, True), (0.5, 0.1, 0.05, 0.075, True), (1.0, 0.4, 0.3, -0.2, False)],
+    ),
+    "divergence-asymptote": (
+        "divergence_asymptote.csv",
+        ["kappa", "exact_kl", "asymptote", "abs_diff", "sampled_mean", "sampled_std"],
+        [
+            (10.0, 1.5, 1.7, 0.2, 1.4, 0.1), (100.0, 3.4, 3.5, 0.1, 3.3, 0.1),
+            (1000.0, 5.2, 5.2, 0.01, 5.1, 0.1),
+        ],
+    ),
+    "tradeoff-scan": (
+        "tradeoff_scan.csv", ["i_s", "B", "bound", "empirical_min_kl"],
+        [(s, b, s * b / 10, s * b / 10 + 0.01) for b in (3, 2) for s in (0.9, 0.6, 0.75)],
+    ),
+    "dag-exploration": (
+        "dag_divergence.csv", ["kappa", "mean_divergence"], [(10.0, 0.4), (100.0, 1.1), (1000.0, 1.9)]
+    ),
+    "noise-discrete": (
+        "noise_discrete.csv", ["spec", "steps", "options", "noise_scale", "mode", "trials", "divergences"],
+        [("a", 4, 3, 0.5, "bounded", 100, 0)],
+    ),
+}
+# sha256 of each fixture's chart as drawn by the per-experiment chart code
+# that the CHARTS table replaced; noise-discrete has no chart
+CHART_SHA256 = {
+    "accuracy-sweep": "c47a4c4e64759177a59dea9de233ca089423fcb49bbdcd3cf50e5daa59a7fed6",
+    "error-accumulation": "6ddfc2e7a8e73f41192ff5db7c59022005cbdd06837f848c3f561ba41e4d6cc8",
+    "curriculum": "6137d10ca712a8a0a0df51861f9d3f16c7f179bdbcd65a4e895936aacbc541da",
+    "cib-frontier": "44760e702d90889907f7199df8acf16f6e1c080facb191c6278a1489cb768694",
+    "divergence-asymptote": "78361cf9300c19168b6155bd816651514aec53d7744758ecae2d7c4dd3ee4211",
+    "tradeoff-scan": "f266e4b83e91f8b384ccf9e2ec470f5ca7569499df9ef24ac1d4c087b3e2853c",
+    "dag-exploration": "7c81dd8f0c89ce6f51c419f2181def8a0905672414f03236a2f023f05b9fa16c",
+}
+
+
+class TestCharts:
+    @pytest.mark.parametrize("experiment", sorted(CHART_FIXTURES))
+    def test_chart_bytes_match_the_reference(self, tmp_path, experiment):
+        filename, header, rows = CHART_FIXTURES[experiment]
+        manifest = RunManifest(experiment=experiment, config_hash="0" * 64, seed=0)
+        manifest.add_file(tmp_path / filename, write_csv(tmp_path / filename, header, rows))
+        digests = [hashlib.sha256(p.read_bytes()).hexdigest() for p in emit_svg_charts(manifest, tmp_path)]
+        assert digests == ([CHART_SHA256[experiment]] if experiment in CHART_SHA256 else [])
+
+    def test_verify_all_writes_every_report(self, tmp_path, capsys, monkeypatch):
+        for name, (filename, header, rows) in CHART_FIXTURES.items():
+            result = ExperimentResult(name=name, tables={filename: (header, rows)})
+            stub = lambda seed, params, threads=1, result=result: result  # noqa: E731
+            monkeypatch.setitem(EXPERIMENTS, name, ExperimentDef(stub, EXPERIMENTS[name].schema))
+        assert cli.main(["verify-all", "--out", str(tmp_path)]) == 0
+        assert all((tmp_path / name / "report.md").exists() for name in EXPERIMENTS)
+        charts = {p.parent.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.rglob("*.svg")}
+        assert charts == CHART_SHA256
+        assert capsys.readouterr().out.splitlines()[-1] == "verify-all: ALL CHECKS PASSED"
 
 
 class TestErrorAccumulationChartData:
