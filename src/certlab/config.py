@@ -22,6 +22,7 @@ config hash is well-defined.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -115,7 +116,10 @@ def _parse_scalar(kind: str, key: str, text: str) -> object:
         if kind == "int":
             return int(text)
         if kind == "float":
-            return float(text)
+            value = float(text)
+            if not math.isfinite(value):
+                raise ConfigError(f"params.{key}: must be finite, got {text!r}")
+            return value
         if kind == "str":
             return text
         if kind == "bool":

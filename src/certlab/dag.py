@@ -27,9 +27,11 @@ from .errors import (
     InvalidInputError,
     NoSuccessorsError,
 )
-from .seeding import rng_for
+from .seeding import UniformStreams, derive_seeds, rng_for
 
 ENUMERATION_NODE_CAP = 10**6
+# Trials walked in lockstep by run_search; bounds its transient arrays.
+SEARCH_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -461,35 +463,47 @@ def run_search(
     """Monte Carlo traversal: sample successors until a target, dead end, or step cap.
 
     Each trial owns the stream derived from (seed, "trial", index), so the
-    statistics are invariant to execution order.
+    statistics are invariant to execution order.  Trials walk in lockstep,
+    ``SEARCH_BLOCK`` at a time: every live trial draws one uniform per step
+    from its own stream, and the trials at one node invert that node's CDF
+    together, exactly as a single trial's ``searchsorted`` would.
     """
     if trials < 1:
         raise InvalidInputError(f"need trials >= 1, got {trials}")
     if max_steps < 1:
         raise InvalidInputError(f"need max_steps >= 1, got {max_steps}")
+    is_target = np.zeros(dag.n_nodes, dtype=bool)
+    is_target[sorted(dag.targets)] = True
+    moves = np.array([bool(succ) for succ in dag.successors]) & ~is_target
     # Inverse-CDF sampling against precomputed per-node cumulative tables.
     cumulative = {
         v: np.cumsum(policy.distribution(v)) for v in dag.decision_nodes()
     }
+    successors = {v: np.array(dag.successors[v]) for v in cumulative}
     successes = 0
     total_steps = 0
-    for trial in range(trials):
-        rng = rng_for(seed, "trial", trial)
-        node = dag.start
-        steps = 0
-        while steps < max_steps:
-            if node in dag.targets:
-                break
-            succ = dag.successors[node]
-            if not succ:
-                break
-            cdf = cumulative[node]
-            pick = min(int(np.searchsorted(cdf, rng.random(), side="right")), len(succ) - 1)
-            node = succ[pick]
-            steps += 1
-        if node in dag.targets:
-            successes += 1
-        total_steps += steps
+    for first in range(0, trials, SEARCH_BLOCK):
+        indices = np.arange(first, min(first + SEARCH_BLOCK, trials))
+        streams = UniformStreams(derive_seeds(seed, "trial", indices=indices))
+        node = np.full(indices.size, dag.start)
+        for _ in range(max_steps):
+            moving = moves[node]
+            if not moving.all():  # trials at a target or a dead end stop here
+                successes += int(is_target[node[~moving]].sum())
+                node = node[moving]
+                streams.keep(moving)
+                if not node.size:
+                    break
+            u = streams.random()
+            total_steps += node.size
+            order = np.argsort(node)
+            ranked = node[order]
+            starts = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
+            for v, rows in zip(ranked[starts].tolist(), np.split(order, starts[1:])):
+                succ = successors[v]
+                pick = np.minimum(np.searchsorted(cumulative[v], u[rows], side="right"), succ.size - 1)
+                node[rows] = succ[pick]
+        successes += int(is_target[node].sum())
     return TraversalStats(
         trials=trials,
         successes=successes,

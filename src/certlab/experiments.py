@@ -976,21 +976,21 @@ def run_curriculum(seed: int, params: dict, threads: int = 1) -> ExperimentResul
 # ---------------------------------------------------------------------------
 
 DAG_SCHEMA = {
-    "depth": ParamSpec("int", 6),
-    "branching": ParamSpec("int", 3),
+    "depth": ParamSpec("int", 6, minimum=1),
+    "branching": ParamSpec("int", 3, minimum=2),
     "policy_draws": ParamSpec("int", 200, minimum=2),
     "kappa": ParamSpec("float", 1e6),
     "minority_mass": ParamSpec("float", 1.0),
     "delta": ParamSpec("float", 0.3),
-    "mc_trials": ParamSpec("int", 100_000),
+    "mc_trials": ParamSpec("int", 100_000, minimum=1),
     "kappa_grid": ParamSpec("float_list", (1e2, 1e3, 1e4, 1e5, 1e6)),
     "divergence_draws": ParamSpec("int", 30, minimum=1),
     "capped_samples": ParamSpec("int", 10_000, minimum=1),
     "capped_deltas": ParamSpec("float_list", (0.1, 0.3, 0.5)),
     "capped_options_max": ParamSpec("int", 16, minimum=2),
     "graph_file": ParamSpec("str", ""),  # optional custom graph (adjacency text)
-    "graph_trials": ParamSpec("int", 20_000),
-    "graph_max_steps": ParamSpec("int", 64),
+    "graph_trials": ParamSpec("int", 20_000, minimum=1),
+    "graph_max_steps": ParamSpec("int", 64, minimum=1),
 }
 
 

@@ -1,5 +1,7 @@
 """Decision-DAG construction, policies, search, and the exact oracle."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from certlab.errors import (
     InvalidInputError,
     NoSuccessorsError,
 )
+from certlab.seeding import rng_for
 
 
 class TestConstruction:
@@ -200,6 +203,73 @@ class TestSearchAndOracle:
         stats = dag.run_search(trap, dag.make_policy(trap, "uniform", seed=0), 1000, 4, seed=0)
         assert stats.successes <= stats.trials
         assert stats.success_rate == stats.successes / stats.trials
+
+
+def _scalar_search(graph, policy, trials, max_steps, seed):
+    """Reference: the per-trial loop, one ``rng_for`` generator per trial."""
+    cumulative = {v: np.cumsum(policy.distribution(v)) for v in graph.decision_nodes()}
+    successes = 0
+    total_steps = 0
+    for trial in range(trials):
+        rng = rng_for(seed, "trial", trial)
+        node = graph.start
+        steps = 0
+        while steps < max_steps:
+            if node in graph.targets:
+                break
+            succ = graph.successors[node]
+            if not succ:
+                break
+            cdf = cumulative[node]
+            pick = min(int(np.searchsorted(cdf, rng.random(), side="right")), len(succ) - 1)
+            node = succ[pick]
+            steps += 1
+        if node in graph.targets:
+            successes += 1
+        total_steps += steps
+    return dag.TraversalStats(trials, successes, total_steps / trials, successes / trials)
+
+
+def _custom_graph():
+    text = (Path(__file__).resolve().parents[1] / "configs" / "custom_graph.txt").read_text()
+    return dag.parse_dag(text)
+
+
+# name -> (graph, policy kind, trials, max_steps); the "-capped" cases cut
+# walks off at the step cap, and node 1 of "target-with-out-edges" is a
+# target that still has a successor.
+_SEARCH_CASES = {
+    "trap": (dag.trap_dag(6, 3), "non_degenerate", 20_000, 7),
+    "chain": (dag.chain_dag(5), "uniform", 2000, 10),
+    "chain-capped": (dag.chain_dag(12), "uniform", 3000, 7),
+    "diamond": (dag.diamond_dag(), "non_degenerate", 2000, 5),
+    "layered": (dag.layered_dag(n_layers=6, width=5, max_out_degree=3, seed=4), "non_degenerate", 20_000, 8),
+    "layered-capped": (dag.layered_dag(n_layers=6, width=5, max_out_degree=3, seed=4), "uniform", 5000, 3),
+    "custom-file": (_custom_graph(), "non_degenerate", 20_000, 64),
+    "target-with-out-edges": (
+        dag.DecisionDag(successors=((1, 2), (3,), (3,), ()), start=0, targets=frozenset({1, 3})),
+        "non_degenerate", 3000, 4,
+    ),
+    "partial-block": (dag.trap_dag(3, 4), "uniform", dag.SEARCH_BLOCK + 17, 4),
+}
+
+
+class TestLockstepSearch:
+    @pytest.mark.parametrize("case", sorted(_SEARCH_CASES))
+    def test_stats_equal_the_scalar_loop(self, case):
+        graph, kind, trials, max_steps = _SEARCH_CASES[case]
+        policy = dag.make_policy(graph, kind, delta=0.3, seed=11)
+        expected = _scalar_search(graph, policy, trials, max_steps, seed=5)
+        assert dag.run_search(graph, policy, trials, max_steps, seed=5) == expected
+
+    def test_cdf_ending_below_one_clamps_to_the_last_successor(self):
+        graph = dag.trap_dag(3, 3)
+        short = np.array([0.2, 0.2, 0.3])  # a draw in [0.7, 1) falls past the CDF
+        policy = dag.ReasoningPolicy(
+            tables=tuple(short if graph.successors[v] else None for v in range(graph.n_nodes)), kind="custom"
+        )
+        expected = _scalar_search(graph, policy, 5000, 4, seed=3)
+        assert dag.run_search(graph, policy, 5000, 4, seed=3) == expected
 
 
 class TestDominantPlacement:

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from certlab import cli
 from certlab.config import (
@@ -22,7 +24,7 @@ from certlab.errors import CertlabError, ConfigError, ReportError, SamplingExhau
 from certlab.experiments import EXPERIMENTS, ExperimentDef, ExperimentResult, default_params
 from certlab.manifest import RunManifest, load_manifest, read_csv, write_csv
 from certlab.report import emit_svg_charts
-from certlab.seeding import derive_seed, rng_for
+from certlab.seeding import UniformStreams, derive_seed, derive_seeds, rng_for
 
 SMALL_ACCURACY_CFG = """
 [run]
@@ -129,6 +131,57 @@ class TestSeeding:
         x = rng_for(7, "stream", 3).standard_normal(4)
         y = rng_for(7, "stream", 3).standard_normal(4)
         np.testing.assert_array_equal(x, y)
+
+
+# Roots and seeds at the word boundaries of SeedSequence's uint32 entropy.
+EDGE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1)
+DRAWS = 6
+
+
+def _lockstep(streams):
+    return np.stack([streams.random() for _ in range(DRAWS)], axis=1)
+
+
+class TestUniformStreams:
+    """The array kernel against numpy's own generators: equal bit for bit, draw after draw.
+
+    These also trip if a numpy release changes SeedSequence or PCG64, whose
+    streams numpy does not promise to keep (NEP 19).
+    """
+
+    def test_pcg64_at_edge_seeds(self):
+        expected = np.stack([np.random.Generator(np.random.PCG64(s)).random(DRAWS) for s in EDGE_SEEDS])
+        np.testing.assert_array_equal(_lockstep(UniformStreams(np.array(EDGE_SEEDS, dtype=np.uint64))), expected)
+
+    @pytest.mark.parametrize("root", EDGE_SEEDS)
+    @pytest.mark.parametrize("labels", [("trial",), (), ("capped", "0.3", 4), (2**64 - 1, "x")])
+    def test_rng_for_at_edge_roots(self, root, labels):
+        indices = np.array([0, 1, 2**32 - 1, 2**32, 2**62 + 5, 2**63], dtype=np.uint64)
+        seeds = derive_seeds(root, *labels, indices=indices)
+        assert seeds.tolist() == [derive_seed(root, *labels, int(i)) for i in indices]
+        expected = np.stack([rng_for(root, *labels, int(i)).random(DRAWS) for i in indices])
+        np.testing.assert_array_equal(_lockstep(UniformStreams(seeds)), expected)
+
+    @given(
+        root=st.integers(0, 2**64 - 1),
+        label=st.one_of(st.text(max_size=8), st.integers(0, 2**64 - 1)),
+        indices=st.lists(st.integers(0, 2**63), min_size=1, max_size=20),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_rng_for_at_any_root(self, root, label, indices):
+        streams = UniformStreams(derive_seeds(root, label, indices=np.array(indices, dtype=np.uint64)))
+        expected = np.stack([rng_for(root, label, i).random(DRAWS) for i in indices])
+        np.testing.assert_array_equal(_lockstep(streams), expected)
+
+    def test_keep_drops_streams_and_keeps_the_rest_in_step(self):
+        indices = np.arange(10)
+        streams = UniformStreams(derive_seeds(3, "trial", indices=indices))
+        first = streams.random()
+        mask = indices % 3 != 0
+        streams.keep(mask)
+        expected = np.stack([rng_for(3, "trial", int(i)).random(2) for i in indices[mask]])
+        np.testing.assert_array_equal(first[mask], expected[:, 0])
+        np.testing.assert_array_equal(streams.random(), expected[:, 1])
 
 
 class TestCsv:
@@ -240,12 +293,33 @@ class TestCli:
             ("divergence-asymptote", "kappas", 100.0),
             ("noise-discrete", "acceptance_draws", 0),
             ("dag-exploration", "capped_options_max", 1),
+            ("dag-exploration", "mc_trials", 0),
+            ("dag-exploration", "graph_trials", 0),
+            ("dag-exploration", "graph_max_steps", 0),
+            ("dag-exploration", "depth", 0),
+            ("dag-exploration", "branching", 1),
         ],
     )
     def test_count_below_minimum_exits_two_before_any_output(self, tmp_path, capsys, experiment, key, value):
         cfg = _write_cfg(tmp_path, f"[run]\nexperiment = {experiment}\nseed = 0\n[params]\n{key} = {value}\n")
         assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert f"params.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "experiment, key, value",
+        [
+            ("dag-exploration", "kappa", "inf"),
+            ("dag-exploration", "delta", "nan"),
+            ("dag-exploration", "kappa_grid", "100.0, -inf"),
+            ("error-accumulation", "sigma_h", "NaN"),
+            ("error-accumulation", "lipschitz_values", "0.8, 1e999"),
+        ],
+    )
+    def test_non_finite_float_exits_two_before_any_output(self, tmp_path, capsys, experiment, key, value):
+        cfg = _write_cfg(tmp_path, f"[run]\nexperiment = {experiment}\nseed = 0\n[params]\n{key} = {value}\n")
+        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert f"params.{key}: must be finite" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_malformed_graph_file_exits_two(self, tmp_path, capsys):
