@@ -13,6 +13,11 @@ minimizes the free energy exactly, so the objective is non-increasing
 across sweeps.  All restart candidates sweep in lockstep as one (R, S, H)
 stack of encoder tables, and ``_cmi_rows`` scores every table of a stack
 at once; each row's result equals the one-table computation bit for bit.
+The joint's per-context constants (``_contexts``) are computed once per
+solve, and each sweep computes the live tables' p(h|x) and p(h,f|x)
+(``_moments``) once: the same arrays score the tables and feed their next
+update.  The updates are those of Tishby, Pereira & Bialek, "The
+information bottleneck method" (1999).
 ``brute_force_cib`` enumerates every deterministic encoder as an
 independent check, and ``information_frontier`` sweeps ``beta`` to trace
 the achievable (I_past, I_future) envelope, which must come out monotone
@@ -28,6 +33,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -129,15 +135,18 @@ class InfoPlanePoint:
 def _masked_row_sums(w: np.ndarray, num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """Per row r, ``np.sum(w[r][m] * np.log(num[r][m] / den[r][m]))`` over ``m = w[r] > 0``.
 
-    The three arrays share one shape with a leading row axis.  Each row is
-    summed on its own compact kept cells, exactly as that one-row ``np.sum``
-    would: rows are grouped by their kept-cell count k and each (rows, k)
-    block is summed along its contiguous last axis.  Zero-padding a row to
-    the full cell count would change numpy's pairwise summation order, and
-    with it the last bits of the sum.
+    ``w`` has a leading row axis, and ``num`` and ``den`` broadcast to its
+    shape.  Each row is summed on its own compact kept cells, exactly as
+    that one-row ``np.sum`` would: rows are grouped by their kept-cell count
+    k and each (rows, k) block is summed along its contiguous last axis.
+    Zero-padding a row to the full cell count would change numpy's pairwise
+    summation order, and with it the last bits of the sum.
     """
     n_rows = w.shape[0]
     mask = w > 0.0
+    if mask.all():  # every row keeps every cell: one block, no gather
+        return (w * np.log(num / den)).reshape(n_rows, -1).sum(axis=1)
+    num, den = np.broadcast_to(num, w.shape), np.broadcast_to(den, w.shape)
     terms = w[mask] * np.log(num[mask] / den[mask])
     counts = mask.reshape(n_rows, -1).sum(axis=1)
     owner = np.repeat(np.arange(n_rows), counts)  # row of each kept term
@@ -148,38 +157,71 @@ def _masked_row_sums(w: np.ndarray, num: np.ndarray, den: np.ndarray) -> np.ndar
     return sums
 
 
-def _cmi_rows(joint: np.ndarray, tables: np.ndarray, target: str) -> np.ndarray:
-    """I(h; S_target | X) in nats for each encoder table of an (R, S, H) stack."""
+class _Context(NamedTuple):
+    """Constants of one context x with mass, fixed for a whole solve."""
+
+    p_x: np.float64  # p(x)
+    p_sf: np.ndarray  # p(s, f | x), (S, F)
+    p_s: np.ndarray  # p(s | x), (S,)
+    p_f: np.ndarray  # p(f | x), (F,)
+    w_x: np.ndarray  # p(x | s), (S,): encoder-update weight of log p(h | x)
+    w_xf: np.ndarray  # p(x, f | s), (S, F): encoder-update weight of log p(f | h, x)
+
+
+def _contexts(joint: np.ndarray) -> list[_Context]:
+    """Per-context constants of a joint, skipping contexts without mass."""
     p_x = joint.sum(axis=(1, 2))
-    total = np.zeros(tables.shape[0])
+    p_s = joint.sum(axis=(0, 2))  # marginal over contexts
+    contexts = []
     for x in range(joint.shape[0]):
         if p_x[x] <= 0.0:
             continue
-        p_sf = joint[x] / p_x[x]  # (S, F) conditional on this context
-        p_s = p_sf.sum(axis=1)
-        marginal = p_s @ tables  # p(h | x), (R, H)
+        p_sf = joint[x] / p_x[x]
+        p_s_x = p_sf.sum(axis=1)
+        w_x = np.where(p_s > 0.0, p_x[x] * p_s_x / np.maximum(p_s, 1e-300), 0.0)
+        w_xf = np.where(p_s[:, None] > 0.0, p_x[x] * p_sf / np.maximum(p_s[:, None], 1e-300), 0.0)
+        contexts.append(_Context(p_x[x], p_sf, p_s_x, p_sf.sum(axis=0), w_x, w_xf))
+    return contexts
+
+
+def _moments(contexts: list[_Context], tables: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per context, p(h | x) and p(h, f | x) of each table of an (R, S, H) stack:
+    ``(R, H)`` and ``(R, H, F)`` arrays (``(H,)`` and ``(H, F)`` for one table)."""
+    return [(c.p_s @ tables, tables.swapaxes(-1, -2) @ c.p_sf) for c in contexts]
+
+
+def _cmi_rows(contexts: list[_Context], tables: np.ndarray, moments, target: str) -> np.ndarray:
+    """I(h; S_target | X) in nats for each encoder table of an (R, S, H) stack,
+    from the stack's ``_moments``."""
+    total = np.zeros(tables.shape[0])
+    for c, (marginal, p_hf) in zip(contexts, moments):
         if target == "past":
             # p(s, h | x) = p(s|x) q(h|s); the ratio collapses to q(h|s)/p(h|x)
-            w = p_s[:, None] * tables
-            den = np.repeat(marginal[:, None, :], len(p_s), axis=1)
-            total += p_x[x] * _masked_row_sums(w, tables, den)
+            total += c.p_x * _masked_row_sums(c.p_s[:, None] * tables, tables, marginal[:, None, :])
         else:
-            p_hf = tables.swapaxes(-1, -2) @ p_sf  # (R, H, F) joint with the future
-            p_f = p_sf.sum(axis=0)
-            num, den = p_hf, marginal[:, :, None] * p_f
-            tiny = (den == 0.0) & (p_hf > 0.0)
-            if tiny.any():
-                # p(h|x) * p(f|x) underflowed where p(h, f|x) did not: divide
-                # in two steps on those cells only, so the ratio stays finite
+            num, den = p_hf, marginal[:, :, None] * c.p_f
+            if not den.all():
+                # where p(h|x) * p(f|x) underflowed and p(h, f|x) did not,
+                # divide in two steps on those cells only, so the ratio stays finite
+                tiny = (den == 0.0) & (p_hf > 0.0)
                 num = np.divide(p_hf, marginal[:, :, None], out=p_hf.copy(), where=tiny)
-                den = np.where(tiny, p_f, den)
-            total += p_x[x] * _masked_row_sums(p_hf, num, den)
+                den = np.where(tiny, c.p_f, den)
+            total += c.p_x * _masked_row_sums(p_hf, num, den)
     return np.maximum(total, 0.0)
 
 
-def _objective_rows(joint: np.ndarray, tables: np.ndarray, beta: float) -> np.ndarray:
-    """Dual objective of each encoder table of an (R, S, H) stack."""
-    return _cmi_rows(joint, tables, "past") - beta * _cmi_rows(joint, tables, "future")
+def _objective_rows(contexts: list[_Context], tables: np.ndarray, moments, beta: float) -> np.ndarray:
+    """Dual objective of each encoder table of an (R, S, H) stack, from its ``_moments``."""
+    past = _cmi_rows(contexts, tables, moments, "past")
+    return past - beta * _cmi_rows(contexts, tables, moments, "future")
+
+
+def _one_table(problem: CibProblem, encoder: Encoder) -> tuple[list[_Context], np.ndarray, list]:
+    """The contexts, the one-table stack and its moments for the scalar entry points."""
+    _check_encoder(problem, encoder)
+    contexts = _contexts(problem.joint)
+    tables = encoder.table[None]
+    return contexts, tables, _moments(contexts, tables)
 
 
 def _check_encoder(problem: CibProblem, encoder: Encoder) -> None:
@@ -197,14 +239,12 @@ def conditional_mutual_information(problem: CibProblem, encoder: Encoder, target
     """
     if target not in ("past", "future"):
         raise InvalidInputError(f"target must be 'past' or 'future', got {target!r}")
-    _check_encoder(problem, encoder)
-    return float(_cmi_rows(problem.joint, encoder.table[None], target)[0])
+    return float(_cmi_rows(*_one_table(problem, encoder), target)[0])
 
 
 def dual_objective(problem: CibProblem, encoder: Encoder, beta: float) -> float:
     """I(h; S_past | X) - beta * I(h; S_future | X)."""
-    _check_encoder(problem, encoder)
-    return float(_objective_rows(problem.joint, encoder.table[None], beta)[0])
+    return float(_objective_rows(*_one_table(problem, encoder), beta)[0])
 
 
 def beta_schedule(k: int, total_steps: int, scale: float = 1.0) -> float:
@@ -223,15 +263,8 @@ def max_decoder_probability(problem: CibProblem, encoder: Encoder) -> float:
     considered.  A value strictly below 1 certifies that compression has
     left residual uncertainty about the future everywhere.
     """
-    j = problem.joint
-    p_x = j.sum(axis=(1, 2))
     best = 0.0
-    for x in range(problem.n_context):
-        if p_x[x] <= 0.0:
-            continue
-        p_sf = j[x] / p_x[x]
-        marginal = p_sf.sum(axis=1) @ encoder.table
-        p_hf = encoder.table.T @ p_sf
+    for marginal, p_hf in _moments(_contexts(problem.joint), encoder.table):
         for h in range(encoder.n_latent):
             if marginal[h] > SUPPORT_EPS:
                 best = max(best, float(p_hf[h].max() / marginal[h]))
@@ -245,9 +278,7 @@ def max_decoder_probability(problem: CibProblem, encoder: Encoder) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _encoder_sweep(
-    joint: np.ndarray, table: np.ndarray, beta: float
-) -> np.ndarray:
+def _encoder_sweep(contexts: list[_Context], tables: np.ndarray, moments, beta: float) -> np.ndarray:
     """One self-consistent sweep: marginals, decoder, then all encoder rows.
 
     The new row for symbol s is the normalized exponential of
@@ -255,32 +286,19 @@ def _encoder_sweep(
         sum_x p(x|s) log p(h|x)  +  beta * sum_{x,f} p(x,f|s) log p(f|h,x),
 
     which is the exact minimizer of the free energy in that row given the
-    current marginals and decoder.  ``table`` is one (S, H) encoder or an
-    (R, S, H) stack of them, each swept independently.
+    current marginals and decoder.  ``tables`` is one (S, H) encoder or an
+    (R, S, H) stack of them, each swept independently, and ``moments`` is
+    its ``_moments``.
     """
-    p_x = joint.sum(axis=(1, 2))
-    exponent = np.zeros_like(table)
-    p_s = joint.sum(axis=(0, 2))  # marginal over contexts
-    for x in range(joint.shape[0]):
-        if p_x[x] <= 0.0:
-            continue
-        p_sf = joint[x] / p_x[x]
-        p_s_x = p_sf.sum(axis=1)
-        marginal = p_s_x @ table  # p(h | x)
-        p_hf = table.swapaxes(-1, -2) @ p_sf  # (..., H, F)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_marginal = np.where(marginal > 0.0, np.log(np.maximum(marginal, 1e-300)), LOG_FLOOR)
-            decoder = np.where(
-                marginal[..., None] > 0.0, p_hf / np.maximum(marginal[..., None], 1e-300), 0.0
-            )
+    exponent = np.zeros_like(tables)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for c, (marginal, p_hf) in zip(contexts, moments):
+            support, clamped = marginal > 0.0, np.maximum(marginal, 1e-300)
+            log_marginal = np.where(support, np.log(clamped), LOG_FLOOR)
+            decoder = np.where(support[..., None], p_hf / clamped[..., None], 0.0)
             log_decoder = np.where(decoder > 0.0, np.log(np.maximum(decoder, 1e-300)), LOG_FLOOR)
-        # weights per (s, x): p(x | s); per (s, x, f): p(x, f | s)
-        w_x_given_s = np.where(p_s > 0.0, p_x[x] * p_s_x / np.maximum(p_s, 1e-300), 0.0)
-        w_xf_given_s = np.where(
-            p_s[:, None] > 0.0, p_x[x] * p_sf / np.maximum(p_s[:, None], 1e-300), 0.0
-        )
-        exponent += w_x_given_s[:, None] * log_marginal[..., None, :]
-        exponent += beta * (w_xf_given_s @ log_decoder.swapaxes(-1, -2))
+            exponent += c.w_x[:, None] * log_marginal[..., None, :]
+            exponent += beta * (c.w_xf @ log_decoder.swapaxes(-1, -2))
     exponent -= exponent.max(axis=-1, keepdims=True)
     new_table = np.exp(exponent)
     return new_table / new_table.sum(axis=-1, keepdims=True)
@@ -330,22 +348,32 @@ def solve_cib(
     for candidate in range(1, restarts + 1):
         rng = rng_for(seed, "cib-restart", candidate)
         tables[candidate] = rng.dirichlet(np.ones(n_latent), size=problem.n_past)
-    objective = _objective_rows(problem.joint, tables, beta)
+    # one moment pass per sweep: the live tables' moments score them and
+    # then feed their next update
+    contexts = _contexts(problem.joint)
+    moments = _moments(contexts, tables)
+    objective = _objective_rows(contexts, tables, moments, beta)
     history = [objective.copy()]  # per sweep, every candidate's objective (frozen once it stops)
     iterations = np.zeros(restarts + 1, dtype=np.int64)
     converged = np.zeros(restarts + 1, dtype=bool)
     live = np.arange(restarts + 1)
+    live_tables = tables
     for sweep in range(1, max_iter + 1):
-        tables[live] = _encoder_sweep(problem.joint, tables[live], beta)
-        new_objective = _objective_rows(problem.joint, tables[live], beta)
+        live_tables = _encoder_sweep(contexts, live_tables, moments, beta)
+        tables[live] = live_tables
+        moments = _moments(contexts, live_tables)
+        new_objective = _objective_rows(contexts, live_tables, moments, beta)
         done = np.abs(new_objective - objective[live]) < tol
         objective[live] = new_objective
         iterations[live] = sweep
-        converged[live[done]] = True
         history.append(objective.copy())
-        live = live[~done]
-        if not live.size:
-            break
+        if done.any():
+            converged[live[done]] = True
+            keep = ~done
+            live, live_tables = live[keep], live_tables[keep]
+            moments = [(marginal[keep], p_hf[keep]) for marginal, p_hf in moments]
+            if not live.size:
+                break
 
     winner = int(np.argmin(objective))
     encoder = Encoder(table=tables[winner])

@@ -193,9 +193,12 @@ def fit_rows(
         raise InvalidInputError(f"need iterations >= 1, got {iterations}")
     if step <= 0:
         raise InvalidInputError(f"step must be positive, got {step!r}")
+    # the loop's gradient is log_likelihood_grad with its constant empirical
+    # term computed once: the same operations, so the same bits
+    empirical = counts @ world.features / counts.sum(axis=-1, keepdims=True)
     theta = np.zeros(counts.shape)
     for _ in range(iterations):
-        theta = theta + step * log_likelihood_grad(world, theta, counts)
+        theta = theta + step * (empirical - state_distribution(world, theta) @ world.features)
         norm = np.linalg.norm(theta, axis=-1)
         over = norm > param_bound
         theta[over] *= (param_bound / norm[over])[:, None]
@@ -239,38 +242,54 @@ class SweepResult(NamedTuple):
     slope: float
 
 
-def convergence_sweep(
+def sweep_counts(
     world: ToyWorld,
     expert_theta,
     n_grid,
     trials_per_n: int,
     seed: int,
     provenance: str = "curriculum",
-    iterations: int = 5000,
-    step: float = 0.1,
-) -> SweepResult:
-    """Mean |fitted success - expert success| per sample size, with log-log slope.
+) -> np.ndarray:
+    """The sweep's ``(len(n_grid) * trials_per_n, 3)`` count matrix, n-major.
 
-    Trial (n, t) draws its dataset from the stream (seed, n, t); gaps are
-    aggregated with compensated summation in trial order so threading the
-    trials cannot change the reported means.
+    Trial (n, t) draws its dataset from the stream (seed, n, t).  The grid
+    and trial count are validated before any dataset is drawn.
     """
     grid = [int(n) for n in n_grid]
     if len(grid) < 2 or any(b <= a for a, b in zip(grid, grid[1:])):
         raise InvalidInputError("n grid must be increasing with >= 2 points")
     if trials_per_n < 2:
         raise InvalidInputError(f"need >= 2 trials per n, got {trials_per_n}")
+    return np.array(
+        [
+            generate_dataset(world, provenance, expert_theta, n, seed=rng_child(seed, n, trial)).counts()
+            for n in grid
+            for trial in range(trials_per_n)
+        ]
+    )
+
+
+def summarize_sweep(
+    world: ToyWorld,
+    expert_theta,
+    n_grid,
+    theta: np.ndarray,
+    provenance: str = "curriculum",
+) -> SweepResult:
+    """Mean |fitted success - expert success| per sample size, with log-log slope.
+
+    ``theta`` holds the fitted weights of ``sweep_counts``'s rows, n-major.
+    Each n's gaps are summed with ``math.fsum``, which rounds once: the mean
+    and variance come from correctly rounded sums, the same in any trial
+    order, rather than from sums whose last bits depend on that order.
+    """
+    grid = [int(n) for n in n_grid]
     expert_success = success_rate(world, np.asarray(expert_theta, dtype=np.float64))
+    all_gaps = np.abs(state_distribution(world, theta)[:, EXPERT] - expert_success)
     rows: list[SweepRow] = []
     log_n: list[float] = []
     log_gap: list[float] = []
-    for n in grid:
-        counts = [
-            generate_dataset(world, provenance, expert_theta, n, seed=rng_child(seed, n, trial)).counts()
-            for trial in range(trials_per_n)
-        ]
-        theta, _ = fit_rows(world, counts, iterations, step)
-        gaps = np.abs(state_distribution(world, theta)[:, EXPERT] - expert_success).tolist()
+    for n, gaps in zip(grid, all_gaps.reshape(len(grid), -1).tolist()):
         mean_gap = math.fsum(gaps) / len(gaps)
         var = math.fsum((g - mean_gap) ** 2 for g in gaps) / (len(gaps) - 1)
         log_n.append(math.log(n))
@@ -286,6 +305,22 @@ def convergence_sweep(
             )
         )
     return SweepResult(rows=rows, slope=_ls_slope(log_n, log_gap))
+
+
+def convergence_sweep(
+    world: ToyWorld,
+    expert_theta,
+    n_grid,
+    trials_per_n: int,
+    seed: int,
+    provenance: str = "curriculum",
+    iterations: int = 5000,
+    step: float = 0.1,
+) -> SweepResult:
+    """Fit every trial of ``sweep_counts`` in one lockstep call and summarize it."""
+    counts = sweep_counts(world, expert_theta, n_grid, trials_per_n, seed, provenance)
+    theta, _ = fit_rows(world, counts, iterations, step)
+    return summarize_sweep(world, expert_theta, n_grid, theta, provenance)
 
 
 def rng_child(seed: int, n: int, trial: int) -> int:

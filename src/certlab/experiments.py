@@ -803,10 +803,10 @@ CURRICULUM_SCHEMA = {
     "strong_theta": ParamSpec("float_list", (10.0, 0.0, 0.0)),
     "rate_theta": ParamSpec("float_list", (2.0, 0.0, 0.0)),
     "n_grid": ParamSpec("int_list", (100, 1000, 10_000, 100_000)),
-    "trials_per_n": ParamSpec("int", 50),
-    "iterations": ParamSpec("int", 5000),
+    "trials_per_n": ParamSpec("int", 50, minimum=2),
+    "iterations": ParamSpec("int", 5000, minimum=1),
     "step": ParamSpec("float", 0.1),
-    "grad_checks": ParamSpec("int", 100),
+    "grad_checks": ParamSpec("int", 100, minimum=1),
     "tv_trials": ParamSpec("int", 10, minimum=1),
 }
 
@@ -814,6 +814,11 @@ CURRICULUM_SCHEMA = {
 def run_curriculum(seed: int, params: dict, threads: int = 1) -> ExperimentResult:
     result = ExperimentResult(name="curriculum")
     world = curriculum.ToyWorld()
+    for key in ("strong_theta", "rate_theta"):
+        if len(params[key]) != world.dim:
+            raise InvalidInputError(f"params.{key}: need {world.dim} weights, got {len(params[key])}")
+    if params["step"] <= 0:
+        raise InvalidInputError(f"params.step: must be positive, got {params['step']!r}")
     strong = np.asarray(params["strong_theta"])
     rate_theta = np.asarray(params["rate_theta"])
     expert_strong = curriculum.success_rate(world, strong)
@@ -832,17 +837,33 @@ def run_curriculum(seed: int, params: dict, threads: int = 1) -> ExperimentResul
         f"success {shortcut_heavy:.3e}",
     )
 
-    # one lockstep fit for the biased datasets per n, the strong-expert
-    # dataset and the balanced dataset; its rows are curriculum_policies.csv
+    # one lockstep fit for every dataset of the experiment, stacked in three
+    # blocks: the policy rows (the biased dataset per n, the strong-expert
+    # dataset and the balanced dataset; they are curriculum_policies.csv),
+    # the convergence-sweep rows and the total-variation rows.  The sweep's
+    # counts are drawn first, because they validate the grid.
     grid = params["n_grid"]
+    sweep_data = curriculum.sweep_counts(
+        world, rate_theta, grid, params["trials_per_n"], seed=derive_seed(seed, "sweep")
+    )
     datasets = [curriculum.generate_dataset(world, "biased", None, n, derive_seed(seed, "biased", n)) for n in grid]
     datasets += [
         curriculum.generate_dataset(world, "curriculum", strong, grid[-1], seed=derive_seed(seed, "strong")),
         curriculum.LatentDataset(samples=np.tile(np.array([0, 1, 2]), 3333), provenance="curriculum"),
     ]
-    thetas, grad_norms = curriculum.fit_rows(
-        world, [d.counts() for d in datasets], params["iterations"], params["step"]
+    tv_counts = [
+        curriculum.generate_dataset(world, "curriculum", rate_theta, n, derive_seed(seed, "tv", n, t)).counts()
+        for n in grid
+        for t in range(params["tv_trials"])
+    ]
+    all_thetas, all_grad_norms = curriculum.fit_rows(
+        world,
+        np.vstack([[d.counts() for d in datasets], sweep_data, tv_counts]),
+        params["iterations"],
+        params["step"],
     )
+    policies, sweep_end = len(datasets), len(datasets) + len(sweep_data)
+    thetas, grad_norms = all_thetas[:policies], all_grad_norms[:policies]
     successes = curriculum.state_distribution(world, thetas)[:, curriculum.EXPERT]
     gaps = np.abs(successes - expert_strong)
     biased = slice(0, len(grid))
@@ -866,10 +887,7 @@ def run_curriculum(seed: int, params: dict, threads: int = 1) -> ExperimentResul
         f"log-log slope {biased_slope:.2e}",
     )
 
-    sweep = curriculum.convergence_sweep(
-        world, rate_theta, grid, params["trials_per_n"],
-        seed=derive_seed(seed, "sweep"), iterations=params["iterations"], step=params["step"],
-    )
+    sweep = curriculum.summarize_sweep(world, rate_theta, grid, all_thetas[policies:sweep_end])
     rows = [(n, "biased", gap, 0.0, 0.0) for n, gap in zip(grid, gaps[biased].tolist())]
     rows.extend(sweep.rows)
     result.tables["curriculum_sweep.csv"] = (
@@ -903,15 +921,8 @@ def run_curriculum(seed: int, params: dict, threads: int = 1) -> ExperimentResul
     )
 
     expert_dist = curriculum.state_distribution(world, rate_theta)
-    mean_tvs = []
-    for n in grid:
-        counts = [
-            curriculum.generate_dataset(world, "curriculum", rate_theta, n, derive_seed(seed, "tv", n, t)).counts()
-            for t in range(params["tv_trials"])
-        ]
-        theta, _ = curriculum.fit_rows(world, counts, params["iterations"], params["step"])
-        tvs = curriculum.total_variation(curriculum.state_distribution(world, theta), expert_dist)
-        mean_tvs.append(float(np.mean(tvs)))
+    tvs = curriculum.total_variation(curriculum.state_distribution(world, all_thetas[sweep_end:]), expert_dist)
+    mean_tvs = [float(np.mean(row)) for row in tvs.reshape(len(grid), -1)]
     tv_bounds = [3.0 * math.sqrt(math.log(n) / n) for n in grid]
     result.gate(
         "fitted-vs-expert total variation within 3*sqrt(log n / n)",

@@ -323,7 +323,21 @@ def _reference_corpus():
     sparse = np.array([[[0.3, 0.0, 0.1], [0.0, 0.0, 0.2], [0.1, 0.3, 0.0]]])
     cases.append((cib.CibProblem(joint=sparse), 2.0, 3, 8, 10_000))
     cases.append((cib.CibProblem(joint=sparse), 2.0, 2, 4, 3))
+    # a context without mass: every per-context loop skips it
+    empty_context = np.zeros((2, 3, 2))
+    empty_context[0] = [[0.2, 0.1], [0.05, 0.3], [0.25, 0.1]]
+    cases.append((cib.CibProblem(joint=empty_context), 1.5, 2, 5, 10_000))
+    # a past symbol without mass in any context: its encoder-update weights
+    # p(x|s) and p(x,f|s) take the p(s) = 0 branch
+    empty_symbol = np.zeros((2, 3, 3))
+    empty_symbol[:, [0, 2]] = rng.dirichlet(np.ones(12)).reshape(2, 2, 3)
+    cases.append((cib.CibProblem(joint=empty_symbol), 3.0, 3, 6, 10_000))
     return cases
+
+
+def _sweep(joint, tables, beta):
+    contexts = cib._contexts(joint)
+    return cib._encoder_sweep(contexts, tables, cib._moments(contexts, tables), beta)
 
 
 class TestLockstepSolver:
@@ -353,9 +367,9 @@ class TestLockstepSolver:
         tables = rng.dirichlet(np.ones(3), size=(6, 3))
         tables[2, 0] = (1.0, 0.0, 0.0)  # a row with zero cells
         for beta in (0.0, 2.0, 1000.0):
-            stacked = cib._encoder_sweep(problem.joint, tables, beta)
+            stacked = _sweep(problem.joint, tables, beta)
             for r in range(len(tables)):
-                single = cib._encoder_sweep(problem.joint, tables[r], beta)
+                single = _sweep(problem.joint, tables[r], beta)
                 np.testing.assert_array_equal(stacked[r], single)
                 np.testing.assert_array_equal(single, _reference_sweep(problem.joint, tables[r], beta))
 
@@ -370,6 +384,7 @@ class TestLockstepSolver:
             table[rng.choice(3, size=2, replace=False), rng.choice(3, size=2, replace=False)] = 0.0
         tables /= tables.sum(axis=2, keepdims=True)
         for target in ("past", "future"):
-            rows = cib._cmi_rows(problem.joint, tables, target)
+            contexts = cib._contexts(problem.joint)
+            rows = cib._cmi_rows(contexts, tables, cib._moments(contexts, tables), target)
             expected = [_reference_cmi(problem.joint, table, target) for table in tables]
             assert rows.tolist() == expected

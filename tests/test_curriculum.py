@@ -7,6 +7,7 @@ import pytest
 
 from certlab import curriculum as cur
 from certlab.errors import InvalidInputError
+from certlab.experiments import default_params, run_experiment_by_name
 
 
 WORLD = cur.ToyWorld()
@@ -170,6 +171,24 @@ class TestFitRows:
         if param_bound == 3.0:
             assert abs(np.linalg.norm(theta[0]) - 3.0) <= 1e-12  # the projection was active
 
+    def test_stacked_groups_equal_separate_calls(self):
+        # a curriculum run fits all of its datasets in one call: each group's
+        # rows must come out as that group's own call gives them, bit for bit
+        groups = [
+            _counts("biased", None, (100, 1000, 10_000), 0),
+            _counts("curriculum", np.array([10.0, 0.0, 0.0]), (100_000,), 3) + [np.full(3, 3333.0)],
+            _counts("curriculum", np.array([2.0, 0.0, 0.0]), (100, 100, 1000, 10_000), 5),
+            _counts("curriculum", np.zeros(3), (10, 30), 9),
+        ]
+        theta, grad_norm = cur.fit_rows(WORLD, np.vstack(groups), 5000, 0.1)
+        start = 0
+        for group in groups:
+            group_theta, group_norm = cur.fit_rows(WORLD, group, 5000, 0.1)
+            rows = slice(start, start + len(group))
+            np.testing.assert_array_equal(theta[rows], group_theta)
+            np.testing.assert_array_equal(grad_norm[rows], group_norm)
+            start += len(group)
+
     @pytest.mark.parametrize("shape", [(3,), (2, 4), (0, 3), (1, 3, 1)])
     def test_count_matrix_must_be_k_by_3(self, shape):
         with pytest.raises(InvalidInputError):
@@ -199,8 +218,27 @@ class TestSweep:
         gaps = [row.mean_gap for row in result.rows]
         assert abs(gaps[0] - gaps[1]) <= 1e-12  # biased fits ignore n entirely
 
+    def test_sweep_counts_are_n_major(self):
+        counts = cur.sweep_counts(WORLD, np.array([2.0, 0.0, 0.0]), (100, 1000), trials_per_n=4, seed=3)
+        np.testing.assert_array_equal(counts.sum(axis=1), [100] * 4 + [1000] * 4)
+
     def test_grid_validation(self):
         with pytest.raises(InvalidInputError):
             cur.convergence_sweep(WORLD, np.zeros(3), (100,), trials_per_n=5, seed=0)
         with pytest.raises(InvalidInputError):
             cur.convergence_sweep(WORLD, np.zeros(3), (100, 50), trials_per_n=5, seed=0)
+
+
+def test_run_curriculum_fits_every_dataset_in_one_call(monkeypatch):
+    shapes = []
+    fit_rows = cur.fit_rows
+
+    def counting(world, counts, *args, **kwargs):
+        shapes.append(np.shape(counts))
+        return fit_rows(world, counts, *args, **kwargs)
+
+    monkeypatch.setattr(cur, "fit_rows", counting)
+    result = run_experiment_by_name("curriculum", 0, default_params("curriculum"))
+    # 4 biased + strong + balanced, 4 x 50 sweep trials, 4 x 10 TV trials
+    assert shapes == [(246, 3)]
+    assert result.all_passed

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from certlab import cli
+from certlab import cli, curriculum
 from certlab.config import (
     ExperimentConfig,
     ParamSpec,
@@ -298,12 +298,36 @@ class TestCli:
             ("dag-exploration", "graph_max_steps", 0),
             ("dag-exploration", "depth", 0),
             ("dag-exploration", "branching", 1),
+            ("curriculum", "grad_checks", 0),
+            ("curriculum", "trials_per_n", 1),
+            ("curriculum", "iterations", 0),
         ],
     )
     def test_count_below_minimum_exits_two_before_any_output(self, tmp_path, capsys, experiment, key, value):
         cfg = _write_cfg(tmp_path, f"[run]\nexperiment = {experiment}\nseed = 0\n[params]\n{key} = {value}\n")
         assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert f"params.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("n_grid", "1000, 100", "n grid must be increasing"),
+            ("n_grid", "100", "n grid must be increasing"),
+            ("n_grid", "100, 100", "n grid must be increasing"),
+            ("strong_theta", "10.0, 0.0", "params.strong_theta: need 3 weights"),
+            ("rate_theta", "2.0, 0.0, 0.0, 0.0", "params.rate_theta: need 3 weights"),
+            ("step", "0.0", "params.step: must be positive"),
+        ],
+    )
+    def test_bad_curriculum_param_exits_two_before_the_fit(self, tmp_path, capsys, monkeypatch, key, value, message):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit_rows ran before the params were validated")
+
+        monkeypatch.setattr(curriculum, "fit_rows", no_fit)
+        cfg = _write_cfg(tmp_path, f"[run]\nexperiment = curriculum\nseed = 0\n[params]\n{key} = {value}\n")
+        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
