@@ -546,16 +546,3 @@ def problem_to_rows(problem: CibProblem) -> list[tuple[int, int, int, float]]:
                 rows.append((x, s, f, float(problem.joint[x, s, f])))
     return rows
 
-
-def problem_from_rows(rows) -> CibProblem:
-    """Rebuild a problem from (x, s_past, s_future, prob) rows."""
-    entries = [(int(x), int(s), int(f), float(p)) for x, s, f, p in rows]
-    if not entries:
-        raise InvalidInputError("no rows")
-    nx = max(e[0] for e in entries) + 1
-    ns = max(e[1] for e in entries) + 1
-    nf = max(e[2] for e in entries) + 1
-    joint = np.zeros((nx, ns, nf))
-    for x, s, f, p in entries:
-        joint[x, s, f] = p
-    return CibProblem(joint=joint)

@@ -36,7 +36,7 @@ MAX_SEED = 2**64 - 1
 class ParamSpec:
     """Declared type, default and smallest accepted value of one experiment parameter."""
 
-    kind: str  # int | float | bool | str | int_list | float_list | str_list
+    kind: str  # int | float | str | int_list | float_list
     default: object
     minimum: int | float | None = None  # checked on the value, or on each list item
 
@@ -122,13 +122,6 @@ def _parse_scalar(kind: str, key: str, text: str) -> object:
             return value
         if kind == "str":
             return text
-        if kind == "bool":
-            lowered = text.lower()
-            if lowered in ("true", "1", "yes"):
-                return True
-            if lowered in ("false", "0", "no"):
-                return False
-            raise ValueError(text)
     except ValueError as exc:
         raise ConfigError(f"params.{key}: cannot parse {text!r} as {kind}") from exc
     raise ConfigError(f"params.{key}: unsupported kind {kind!r}")
@@ -183,8 +176,6 @@ def build_config(
 
 def render_value(value: object) -> str:
     """Canonical text for one typed parameter value."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, int):

@@ -6,20 +6,24 @@ shortcut likelihood necessarily boosts scores orthogonal to the expert.
 A log-linear policy scores each state by the inner product of its weight
 vector with the state's feature vector.
 
-Two data regimes are contrasted:
+Maximum likelihood in this world sees data only through its state-count
+vector, the sufficient statistic, so every dataset is a ``(3,)`` count
+vector and a batch of datasets is a ``(k, 3)`` count matrix.  Two data
+regimes are contrasted:
 
-* *biased* data: every sample is the shortcut state.  Maximum-likelihood
-  fitting pushes the shortcut score upward without limit (capped here by a
-  norm ball), so the fitted policy's expert probability stays pinned near
-  zero at every sample size: the bias never averages out.
-* *curriculum* data: i.i.d. samples from an expert policy.  The fitted
-  policy's expert probability converges to the expert's at the usual
-  root-n parametric rate (up to log factors).
+* *biased* data: every sample is the shortcut state, the counts
+  ``[0, n, 0]``.  Maximum-likelihood fitting pushes the shortcut score
+  upward without limit (capped here by a norm ball), so the fitted policy's
+  expert probability stays pinned near zero at every sample size: the bias
+  never averages out.
+* *curriculum* data: n i.i.d. draws from an expert policy, counted by
+  ``draw_counts``.  The fitted policy's expert probability converges to the
+  expert's at the usual root-n parametric rate (up to log factors).
 
 Fitting is full-batch projected gradient ascent with the exact gradient
 ``mean(features of data) - E_policy[features]``, so convergence is
 certifiable from the final gradient norm.  Fits run in lockstep: ``fit_rows``
-fits every dataset of a count matrix at once, one dataset per row.
+fits every row of a count matrix at once.
 """
 
 from __future__ import annotations
@@ -33,11 +37,9 @@ import numpy as np
 from .errors import InvalidInputError
 from .seeding import derive_seed, rng_for
 
-EXPERT, SHORTCUT, BAD = 0, 1, 2
-STATE_NAMES = ("expert", "shortcut", "bad")
+EXPERT = 0  # the states, in order: expert, shortcut, bad
 
 DEFAULT_PARAM_BOUND = 50.0
-PROVENANCES = ("biased", "curriculum")
 
 
 @dataclass(frozen=True)
@@ -98,53 +100,13 @@ def success_rate(world: ToyWorld, policy: LogLinearPolicy | np.ndarray) -> float
     return float(state_distribution(world, theta)[EXPERT])
 
 
-@dataclass(frozen=True)
-class LatentDataset:
-    """Sampled states with their provenance tag."""
-
-    samples: np.ndarray  # int array of state indices
-    provenance: str
-
-    def __post_init__(self) -> None:
-        s = np.asarray(self.samples, dtype=np.int64)
-        if s.ndim != 1 or s.size < 1:
-            raise InvalidInputError("need at least one sample")
-        if np.any((s < 0) | (s > 2)):
-            raise InvalidInputError("samples must be state indices 0..2")
-        if self.provenance not in PROVENANCES:
-            raise InvalidInputError(f"provenance must be one of {PROVENANCES}")
-        if self.provenance == "biased" and np.any(s != SHORTCUT):
-            raise InvalidInputError("biased datasets contain only the shortcut state")
-        object.__setattr__(self, "samples", s)
-
-    @property
-    def n(self) -> int:
-        return self.samples.size
-
-    def counts(self) -> np.ndarray:
-        return np.bincount(self.samples, minlength=3).astype(np.float64)
-
-
-def generate_dataset(
-    world: ToyWorld,
-    provenance: str,
-    expert_theta,
-    n: int,
-    seed: int,
-) -> LatentDataset:
-    """Biased: n copies of the shortcut.  Curriculum: n i.i.d. expert draws."""
+def draw_counts(world: ToyWorld, expert_theta, n: int, seed: int) -> np.ndarray:
+    """State counts of n i.i.d. draws from the expert policy, from stream ``seed``."""
     if n < 1:
         raise InvalidInputError(f"need n >= 1, got {n}")
-    if provenance == "biased":
-        return LatentDataset(samples=np.full(n, SHORTCUT, dtype=np.int64), provenance="biased")
-    if provenance != "curriculum":
-        raise InvalidInputError(f"provenance must be one of {PROVENANCES}, got {provenance!r}")
-    if expert_theta is None:
-        raise InvalidInputError("curriculum datasets need an expert theta")
-    dist = state_distribution(world, expert_theta)
-    rng = rng_for(seed, "dataset", provenance)
-    samples = rng.choice(3, size=n, p=dist)
-    return LatentDataset(samples=samples.astype(np.int64), provenance="curriculum")
+    rng = rng_for(seed, "dataset", "curriculum")
+    samples = rng.choice(3, size=n, p=state_distribution(world, expert_theta))
+    return np.bincount(samples, minlength=3).astype(np.float64)
 
 
 def log_likelihood(world: ToyWorld, theta, counts: np.ndarray) -> float:
@@ -210,13 +172,13 @@ def fit_rows(
 
 def mle_fit(
     world: ToyWorld,
-    data: LatentDataset,
+    counts,
     iterations: int = 5000,
     step: float = 0.1,
     param_bound: float = DEFAULT_PARAM_BOUND,
 ) -> FitResult:
-    """Fit one dataset: the one-row call of ``fit_rows``."""
-    theta, grad_norm = fit_rows(world, data.counts()[None, :], iterations, step, param_bound)
+    """Fit one count vector: the one-row call of ``fit_rows``."""
+    theta, grad_norm = fit_rows(world, np.asarray(counts)[None, :], iterations, step, param_bound)
     return FitResult(
         policy=LogLinearPolicy(theta=theta[0], param_bound=param_bound),
         final_grad_norm=float(grad_norm[0]),
@@ -248,11 +210,10 @@ def sweep_counts(
     n_grid,
     trials_per_n: int,
     seed: int,
-    provenance: str = "curriculum",
 ) -> np.ndarray:
     """The sweep's ``(len(n_grid) * trials_per_n, 3)`` count matrix, n-major.
 
-    Trial (n, t) draws its dataset from the stream (seed, n, t).  The grid
+    Trial (n, t) draws its counts from the stream (seed, "sweep", n, t).  The grid
     and trial count are validated before any dataset is drawn.
     """
     grid = [int(n) for n in n_grid]
@@ -262,7 +223,7 @@ def sweep_counts(
         raise InvalidInputError(f"need >= 2 trials per n, got {trials_per_n}")
     return np.array(
         [
-            generate_dataset(world, provenance, expert_theta, n, seed=rng_child(seed, n, trial)).counts()
+            draw_counts(world, expert_theta, n, derive_seed(seed, "sweep", n, trial))
             for n in grid
             for trial in range(trials_per_n)
         ]
@@ -274,7 +235,6 @@ def summarize_sweep(
     expert_theta,
     n_grid,
     theta: np.ndarray,
-    provenance: str = "curriculum",
 ) -> SweepResult:
     """Mean |fitted success - expert success| per sample size, with log-log slope.
 
@@ -298,33 +258,13 @@ def summarize_sweep(
         rows.append(
             SweepRow(
                 n=n,
-                provenance=provenance,
+                provenance="curriculum",
                 mean_gap=mean_gap,
                 stddev=math.sqrt(var),
                 slope_so_far=slope,
             )
         )
     return SweepResult(rows=rows, slope=_ls_slope(log_n, log_gap))
-
-
-def convergence_sweep(
-    world: ToyWorld,
-    expert_theta,
-    n_grid,
-    trials_per_n: int,
-    seed: int,
-    provenance: str = "curriculum",
-    iterations: int = 5000,
-    step: float = 0.1,
-) -> SweepResult:
-    """Fit every trial of ``sweep_counts`` in one lockstep call and summarize it."""
-    counts = sweep_counts(world, expert_theta, n_grid, trials_per_n, seed, provenance)
-    theta, _ = fit_rows(world, counts, iterations, step)
-    return summarize_sweep(world, expert_theta, n_grid, theta, provenance)
-
-
-def rng_child(seed: int, n: int, trial: int) -> int:
-    return derive_seed(seed, "sweep", n, trial)
 
 
 def _ls_slope(xs: list[float], ys: list[float]) -> float:

@@ -255,7 +255,6 @@ class ReasoningPolicy:
     """Per-node successor distributions, aligned with each successor list."""
 
     tables: tuple[np.ndarray | None, ...]  # None for childless nodes
-    kind: str
 
     def distribution(self, node: int) -> np.ndarray:
         table = self.tables[node]
@@ -355,7 +354,7 @@ def make_policy(
                 )
             raw = rng.dirichlet(np.ones(k))
             tables.append(cap_distribution(raw, cap))
-    return ReasoningPolicy(tables=tuple(tables), kind=kind)
+    return ReasoningPolicy(tables=tuple(tables))
 
 
 def cap_distribution(probs: np.ndarray, cap: float) -> np.ndarray:
@@ -394,7 +393,7 @@ def custom_policy(dag: DecisionDag, tables: dict[int, np.ndarray]) -> ReasoningP
         if np.any(row < 0) or abs(float(row.sum()) - 1.0) > cat.SUM_TOL:
             raise InvalidInputError(f"node {v}: not a probability vector")
         rows.append(row)
-    return ReasoningPolicy(tables=tuple(rows), kind="custom")
+    return ReasoningPolicy(tables=tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -402,48 +401,26 @@ def custom_policy(dag: DecisionDag, tables: dict[int, np.ndarray]) -> ReasoningP
 # ---------------------------------------------------------------------------
 
 
-def exploration_divergence(
-    dag: DecisionDag, policy: ReasoningPolicy, *, visit_weighted: bool = False
-) -> float:
+def exploration_divergence(dag: DecisionDag, policy: ReasoningPolicy) -> float:
     """Mean divergence of the uniform prior from the policy across decision nodes.
 
     Per node this is D(uniform || policy); a policy that zeroes out a valid
-    successor raises InfiniteDivergenceError naming the node.  With
-    ``visit_weighted=True`` nodes are weighted by their visit probability
-    under the policy instead of uniformly.
+    successor raises InfiniteDivergenceError naming the node.
     """
     nodes = dag.decision_nodes()
     if not nodes:
         raise InvalidInputError("graph has no decision nodes")
-    divergences = {}
+    divergences = []
     for v in nodes:
         row = policy.distribution(v)
         if row.size == 1:  # forced moves carry no exploration signal
-            divergences[v] = 0.0
+            divergences.append(0.0)
             continue
         try:
-            divergences[v] = cat.kl_divergence(uniform_prior(dag, v), row)
+            divergences.append(cat.kl_divergence(uniform_prior(dag, v), row))
         except InfiniteDivergenceError as exc:
             raise InfiniteDivergenceError(f"node {v}: {exc}") from exc
-    if not visit_weighted:
-        return float(np.mean([divergences[v] for v in nodes]))
-    visit = _visit_probabilities(dag, policy)
-    total = sum(visit[v] for v in nodes)
-    if total <= 0:
-        raise InvalidInputError("no decision node is reachable under this policy")
-    return float(sum(visit[v] * divergences[v] for v in nodes) / total)
-
-
-def _visit_probabilities(dag: DecisionDag, policy: ReasoningPolicy) -> np.ndarray:
-    visit = np.zeros(dag.n_nodes)
-    visit[dag.start] = 1.0
-    for v in dag.topological_order:
-        if visit[v] == 0.0 or not dag.successors[v]:
-            continue
-        row = policy.distribution(v)
-        for i, u in enumerate(dag.successors[v]):
-            visit[u] += visit[v] * row[i]
-    return visit
+    return float(np.mean(divergences))
 
 
 class TraversalStats(NamedTuple):

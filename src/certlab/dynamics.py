@@ -398,4 +398,4 @@ def empirical_accuracy_sweep(
                 "std_error": std_error,
             }
         )
-    return {"rows": rows, "row_diff_norm_sq": noise_gain, "noise_gain": noise_gain}
+    return {"rows": rows, "noise_gain": noise_gain}

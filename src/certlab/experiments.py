@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -90,7 +91,7 @@ def deterministic_map(fn, items, threads: int):
 TRADEOFF_SCHEMA = {
     "samples": ParamSpec("int", 100_000),
     "options_set": ParamSpec("int_list", (2, 3, 4, 8, 16, 32), minimum=2),
-    "scan_options": ParamSpec("int_list", (2, 4)),
+    "scan_options": ParamSpec("int_list", (2, 4), minimum=2),
     "scan_grid": ParamSpec("float_list", (0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)),
     "oracle_resolution": ParamSpec("int", 60, minimum=1),
 }
@@ -364,27 +365,31 @@ def run_noise_discrete(seed: int, params: dict, threads: int = 1) -> ExperimentR
     result = ExperimentResult(name="noise-discrete")
     if len(params["steps_list"]) != len(params["options_list"]):
         raise InvalidInputError("steps_list and options_list must have equal length")
-    rows = []
-    zero_everywhere = True
     specs = list(zip(params["steps_list"], params["options_list"]))
 
-    def run_spec(item):
-        index, (steps, options) = item
-        spec = dynamics.DiscreteChainSpec(
-            steps=steps,
-            n_options=options,
-            noise_scale=params["noise_over_margin"] * params["min_margin"],
-            sub_decisional_only=True,
-            logit_seed=derive_seed(seed, "chain-spec", index),
+    def chain_spec(index, noise_over_margin, sub_decisional_only=True):
+        steps, options = specs[index]
+        return dynamics.DiscreteChainSpec(
+            steps=steps, n_options=options, noise_scale=noise_over_margin * params["min_margin"],
+            sub_decisional_only=sub_decisional_only, logit_seed=derive_seed(seed, "chain-spec", index),
             min_margin=params["min_margin"],
         )
+
+    # every chain spec is built, and so validated, before any simulation
+    chain_specs = [chain_spec(index, params["noise_over_margin"]) for index in range(len(specs))]
+    zero_spec = chain_spec(0, 0.0)
+    contrast = chain_spec(0, params["contrast_noise_over_margin"], sub_decisional_only=False)
+
+    def run_spec(item):
+        index, spec = item
         return dynamics.simulate_discrete_chain(spec, params["trials"], derive_seed(seed, "chain-run", index))
 
-    counts = deterministic_map(run_spec, list(enumerate(specs)), threads)
-    for index, ((steps, options), divergences) in enumerate(zip(specs, counts)):
+    counts = deterministic_map(run_spec, list(enumerate(chain_specs)), threads)
+    rows = []
+    zero_everywhere = True
+    for index, (spec, divergences) in enumerate(zip(chain_specs, counts)):
         rows.append(
-            (index, steps, options, params["noise_over_margin"] * params["min_margin"],
-             "sub_decisional", params["trials"], divergences)
+            (index, spec.steps, spec.n_options, spec.noise_scale, "sub_decisional", params["trials"], divergences)
         )
         zero_everywhere &= divergences == 0
     result.check(
@@ -393,20 +398,9 @@ def run_noise_discrete(seed: int, params: dict, threads: int = 1) -> ExperimentR
         f"divergences: {sum(counts)} (per spec {counts})",
     )
 
-    zero_spec = dynamics.DiscreteChainSpec(
-        steps=specs[0][0], n_options=specs[0][1], noise_scale=0.0,
-        sub_decisional_only=True, logit_seed=derive_seed(seed, "chain-spec", 0),
-        min_margin=params["min_margin"],
-    )
     zero_count = dynamics.simulate_discrete_chain(zero_spec, 1000, derive_seed(seed, "chain-zero"))
     result.check("zero noise: zero divergences", zero_count == 0, f"{zero_count} divergences")
 
-    contrast = dynamics.DiscreteChainSpec(
-        steps=specs[0][0], n_options=specs[0][1],
-        noise_scale=params["contrast_noise_over_margin"] * params["min_margin"],
-        sub_decisional_only=False, logit_seed=derive_seed(seed, "chain-spec", 0),
-        min_margin=params["min_margin"],
-    )
     contrast_trials = min(params["trials"], 20_000)
     contrast_count = dynamics.simulate_discrete_chain(
         contrast, contrast_trials, derive_seed(seed, "chain-contrast")
@@ -467,20 +461,24 @@ def run_error_accumulation(seed: int, params: dict, threads: int = 1) -> Experim
         for d in params["dims"]
         for m in params["steps_values"]
     ]
-
-    def run_cell(cell):
-        lf, d, m = cell
-        config = dynamics.LatentConfig(
+    # every cell's config is built, and so validated, before any simulation
+    configs = [
+        dynamics.LatentConfig(
             dim=d, steps=m, lipschitz=lf, sigma_h=params["sigma_h"],
             transition=params["transition"], rotation_seed=derive_seed(seed, "rot", d),
         )
+        for lf, d, m in cells
+    ]
+
+    def run_cell(item):
+        cell, config = item
         closed = dynamics.expected_error_closed_form(config)
         mean, stderr = dynamics.monte_carlo_error(
             config, params["trials"], derive_seed(seed, "mc-cell", *[str(x) for x in cell])
         )
         return closed, mean, stderr
 
-    outcomes = deterministic_map(run_cell, cells, threads)
+    outcomes = deterministic_map(run_cell, list(zip(cells, configs)), threads)
     rows = [(lf, m, d, params["sigma_h"], *outcome) for (lf, d, m), outcome in zip(cells, outcomes)]
     result.tables["error_accumulation.csv"] = (
         ["L_F", "M", "d", "sigma_h", "closed_form", "mc_mean", "mc_stderr"],
@@ -659,6 +657,10 @@ CIB_SCHEMA = {
 
 def run_cib_frontier(seed: int, params: dict, threads: int = 1) -> ExperimentResult:
     result = ExperimentResult(name="cib-frontier")
+    # the stage schedule's spot values, computed first so that a bad scale is
+    # rejected before any solve
+    scale = params["schedule_scale"]
+    schedule = [cib.beta_schedule(k, 10, scale) for k in (0, 5, 9)]
     noisy = cib.random_noisy_problem(
         3, 3, 1, params["problem_seed"], max_conditional=params["max_conditional"]
     )
@@ -776,11 +778,10 @@ def run_cib_frontier(seed: int, params: dict, threads: int = 1) -> ExperimentRes
     )
 
     # stage schedule spot values
-    scale = params["schedule_scale"]
     schedule_ok = (
-        cib.beta_schedule(0, 10, scale) == 0.0
-        and abs(cib.beta_schedule(5, 10, scale) - scale) <= 1e-15
-        and abs(cib.beta_schedule(9, 10, scale) - 9.0 * scale) <= 1e-12
+        schedule[0] == 0.0
+        and abs(schedule[1] - scale) <= 1e-15
+        and abs(schedule[2] - 9.0 * scale) <= 1e-12
     )
     try:
         cib.beta_schedule(10, 10, scale)
@@ -837,32 +838,30 @@ def run_curriculum(seed: int, params: dict, threads: int = 1) -> ExperimentResul
         f"success {shortcut_heavy:.3e}",
     )
 
-    # one lockstep fit for every dataset of the experiment, stacked in three
-    # blocks: the policy rows (the biased dataset per n, the strong-expert
-    # dataset and the balanced dataset; they are curriculum_policies.csv),
-    # the convergence-sweep rows and the total-variation rows.  The sweep's
-    # counts are drawn first, because they validate the grid.
+    # one lockstep fit for every count vector of the experiment, stacked in
+    # three blocks: the policy rows (the all-shortcut biased counts per n, the
+    # strong-expert counts and the balanced counts; they are
+    # curriculum_policies.csv), the convergence-sweep rows and the
+    # total-variation rows.  The sweep's counts are drawn first, because they
+    # validate the grid.
     grid = params["n_grid"]
     sweep_data = curriculum.sweep_counts(
         world, rate_theta, grid, params["trials_per_n"], seed=derive_seed(seed, "sweep")
     )
-    datasets = [curriculum.generate_dataset(world, "biased", None, n, derive_seed(seed, "biased", n)) for n in grid]
-    datasets += [
-        curriculum.generate_dataset(world, "curriculum", strong, grid[-1], seed=derive_seed(seed, "strong")),
-        curriculum.LatentDataset(samples=np.tile(np.array([0, 1, 2]), 3333), provenance="curriculum"),
+    policy_counts = [[0.0, float(n), 0.0] for n in grid]
+    policy_counts += [
+        curriculum.draw_counts(world, strong, grid[-1], derive_seed(seed, "strong")),
+        np.full(3, 3333.0),
     ]
     tv_counts = [
-        curriculum.generate_dataset(world, "curriculum", rate_theta, n, derive_seed(seed, "tv", n, t)).counts()
+        curriculum.draw_counts(world, rate_theta, n, derive_seed(seed, "tv", n, t))
         for n in grid
         for t in range(params["tv_trials"])
     ]
     all_thetas, all_grad_norms = curriculum.fit_rows(
-        world,
-        np.vstack([[d.counts() for d in datasets], sweep_data, tv_counts]),
-        params["iterations"],
-        params["step"],
+        world, np.vstack([policy_counts, sweep_data, tv_counts]), params["iterations"], params["step"]
     )
-    policies, sweep_end = len(datasets), len(datasets) + len(sweep_data)
+    policies, sweep_end = len(policy_counts), len(policy_counts) + len(sweep_data)
     thetas, grad_norms = all_thetas[:policies], all_grad_norms[:policies]
     successes = curriculum.state_distribution(world, thetas)[:, curriculum.EXPERT]
     gaps = np.abs(successes - expert_strong)
@@ -1050,6 +1049,13 @@ def capped_peak_bound_audit(seed: int, deltas, options_max: int, samples: int) -
 
 def run_dag_exploration(seed: int, params: dict, threads: int = 1) -> ExperimentResult:
     result = ExperimentResult(name="dag-exploration")
+    # the binary-graph ceiling and the capped audit need the two-option
+    # worst-case bound at each delta; computing it first, and parsing the
+    # custom graph, rejects a bad delta or graph before any policy draw
+    cap_bound = cat.worst_case_latent_kl(params["delta"], 2)
+    for delta in params["capped_deltas"]:
+        cat.worst_case_latent_kl(delta, 2)
+    custom = dag.parse_dag(Path(params["graph_file"]).read_text()) if params["graph_file"] else None
     trap = dag.trap_dag(params["depth"], params["branching"])
     uniform_policy = dag.make_policy(trap, "uniform", seed=derive_seed(seed, "uniform"))
     uniform_exact = dag.enumerate_paths(trap, uniform_policy)
@@ -1141,7 +1147,6 @@ def run_dag_exploration(seed: int, params: dict, threads: int = 1) -> Experiment
 
     binary = dag.layered_dag(n_layers=6, width=4, max_out_degree=2, seed=derive_seed(seed, "binary"))
     delta = params["delta"]
-    cap_bound = cat.worst_case_latent_kl(delta, 2)
     half_bound = -0.5 * math.log(delta) - cap_bound.scan_constant
     nd_divs = []
     cap_ok = True
@@ -1183,10 +1188,7 @@ def run_dag_exploration(seed: int, params: dict, threads: int = 1) -> Experiment
         and reparsed.targets == trap.targets,
     )
 
-    if params["graph_file"]:
-        from pathlib import Path
-
-        custom = dag.parse_dag(Path(params["graph_file"]).read_text())
+    if custom is not None:
         policy = dag.make_policy(custom, "uniform", seed=derive_seed(seed, "custom"))
         exact = dag.enumerate_paths(custom, policy)
         mc = dag.run_search(

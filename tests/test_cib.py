@@ -207,14 +207,11 @@ class TestFrontier:
 
 
 class TestSerialization:
-    def test_round_trip(self):
+    def test_rows_list_the_joint_cells_in_x_s_f_order(self):
         problem = cib.random_problem(3, 4, 2, seed=11)
-        rebuilt = cib.problem_from_rows(cib.problem_to_rows(problem))
-        np.testing.assert_allclose(rebuilt.joint, problem.joint, atol=1e-15)
-
-    def test_empty_rows_rejected(self):
-        with pytest.raises(InvalidInputError):
-            cib.problem_from_rows([])
+        rows = cib.problem_to_rows(problem)
+        assert [row[:3] for row in rows] == list(np.ndindex(problem.joint.shape))
+        np.testing.assert_array_equal([row[3] for row in rows], problem.joint.ravel())
 
 
 # ---------------------------------------------------------------------------

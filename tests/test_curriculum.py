@@ -8,6 +8,7 @@ import pytest
 from certlab import curriculum as cur
 from certlab.errors import InvalidInputError
 from certlab.experiments import default_params, run_experiment_by_name
+from certlab.seeding import derive_seed
 
 
 WORLD = cur.ToyWorld()
@@ -52,54 +53,55 @@ class TestSuccessRate:
             cur.LogLinearPolicy(theta=np.array([60.0, 0.0, 0.0]))
 
 
-class TestDatasets:
-    def test_biased_is_all_shortcut(self):
-        data = cur.generate_dataset(WORLD, "biased", None, 100, seed=0)
-        assert data.n == 100
-        assert np.all(data.samples == cur.SHORTCUT)
-
-    def test_biased_invariant_enforced(self):
-        with pytest.raises(InvalidInputError):
-            cur.LatentDataset(samples=np.array([0, 1, 1]), provenance="biased")
+class TestDrawCounts:
+    # counts the sample-array dataset generator gave for the same draws
+    @pytest.mark.parametrize(
+        "theta, n, seed, expected",
+        [
+            ((0.5, -0.2, 0.3), 50, 7, [32.0, 13.0, 5.0]),
+            ((1.0, 0.0, -0.5), 1000, 123, [621.0, 152.0, 227.0]),
+        ],
+    )
+    def test_pinned_counts(self, theta, n, seed, expected):
+        counts = cur.draw_counts(WORLD, np.array(theta), n, seed)
+        assert counts.dtype == np.float64 and counts.shape == (3,)
+        np.testing.assert_array_equal(counts, expected)
 
     def test_curriculum_tracks_expert_frequencies(self):
         theta = np.array([10.0, 0.0, 0.0])
         n = 10_000
-        data = cur.generate_dataset(WORLD, "curriculum", theta, n, seed=1)
+        counts = cur.draw_counts(WORLD, theta, n, 1)
         p = cur.success_rate(WORLD, theta)
-        freq = float(np.mean(data.samples == cur.EXPERT))
+        freq = counts[cur.EXPERT] / n
         assert abs(freq - p) <= 3.0 * math.sqrt(p * (1.0 - p) / n) + 1e-12
 
     def test_uniform_expert_frequencies(self):
         n = 30_000
-        data = cur.generate_dataset(WORLD, "curriculum", np.zeros(3), n, seed=2)
-        counts = data.counts()
+        counts = cur.draw_counts(WORLD, np.zeros(3), n, 2)
+        assert counts.sum() == n
         for k in range(3):
             assert abs(counts[k] / n - 1.0 / 3.0) <= 3.0 * math.sqrt((1 / 3) * (2 / 3) / n)
 
-    def test_curriculum_needs_expert(self):
+    def test_needs_a_sample(self):
         with pytest.raises(InvalidInputError):
-            cur.generate_dataset(WORLD, "curriculum", None, 10, seed=0)
+            cur.draw_counts(WORLD, np.zeros(3), 0, 0)
 
 
 class TestMleFit:
     def test_balanced_data_fits_flat_scores(self):
-        data = cur.LatentDataset(samples=np.tile([0, 1, 2], 600), provenance="curriculum")
-        fit = cur.mle_fit(WORLD, data)
+        fit = cur.mle_fit(WORLD, np.full(3, 600.0))
         scores = WORLD.features @ fit.policy.theta
         assert scores.max() - scores.min() <= 1e-4
         assert abs(cur.success_rate(WORLD, fit.policy) - 1.0 / 3.0) <= 1e-4
         assert fit.final_grad_norm < 1e-8
 
     def test_biased_data_caps_success(self):
-        data = cur.generate_dataset(WORLD, "biased", None, 1000, seed=0)
-        fit = cur.mle_fit(WORLD, data)
+        fit = cur.mle_fit(WORLD, np.array([0.0, 1000.0, 0.0]))
         assert cur.success_rate(WORLD, fit.policy) <= 0.01
 
     def test_strong_expert_recovered(self):
         theta = np.array([10.0, 0.0, 0.0])
-        data = cur.generate_dataset(WORLD, "curriculum", theta, 100_000, seed=3)
-        fit = cur.mle_fit(WORLD, data)
+        fit = cur.mle_fit(WORLD, cur.draw_counts(WORLD, theta, 100_000, 3))
         assert abs(cur.success_rate(WORLD, fit.policy) - cur.success_rate(WORLD, theta)) <= 0.005
 
     def test_gradient_matches_finite_differences(self):
@@ -120,8 +122,7 @@ class TestMleFit:
             assert np.linalg.norm(grad - numeric) <= 1e-6 * max(np.linalg.norm(grad), 1e-9)
 
     def test_projection_keeps_iterates_in_ball(self):
-        data = cur.generate_dataset(WORLD, "biased", None, 10, seed=0)
-        fit = cur.mle_fit(WORLD, data, iterations=200, step=5.0, param_bound=3.0)
+        fit = cur.mle_fit(WORLD, np.array([0.0, 10.0, 0.0]), iterations=200, step=5.0, param_bound=3.0)
         assert np.linalg.norm(fit.policy.theta) <= 3.0 + 1e-9
 
 
@@ -143,8 +144,12 @@ def _reference_fit(counts, iterations, step, param_bound):
     return theta, float(np.linalg.norm(grad(theta)))
 
 
-def _counts(provenance, theta, sizes, seed):
-    return [cur.generate_dataset(WORLD, provenance, theta, n, seed=seed + i).counts() for i, n in enumerate(sizes)]
+def _biased(sizes):
+    return [np.array([0.0, n, 0.0]) for n in sizes]
+
+
+def _counts(theta, sizes, seed):
+    return [cur.draw_counts(WORLD, theta, n, seed + i) for i, n in enumerate(sizes)]
 
 
 class TestFitRows:
@@ -155,10 +160,10 @@ class TestFitRows:
     @pytest.mark.parametrize(
         "counts, iterations, step, param_bound",
         [
-            (_counts("biased", None, (100, 1000, 10_000), 0), 5000, 0.1, cur.DEFAULT_PARAM_BOUND),
-            (_counts("curriculum", np.array([2.0, 0.0, 0.0]), (100, 100, 1000, 10_000), 5), 5000, 0.1, 50.0),
+            (_biased((100, 1000, 10_000)), 5000, 0.1, cur.DEFAULT_PARAM_BOUND),
+            (_counts(np.array([2.0, 0.0, 0.0]), (100, 100, 1000, 10_000), 5), 5000, 0.1, 50.0),
             ([np.full(3, 600.0), np.array([1.0, 1.0, 1.0])], 5000, 0.1, 50.0),
-            (_counts("biased", None, (10,), 0) + _counts("curriculum", np.zeros(3), (30,), 9), 200, 5.0, 3.0),
+            (_biased((10,)) + _counts(np.zeros(3), (30,), 9), 200, 5.0, 3.0),
         ],
         ids=["biased", "curriculum", "balanced", "projection-active"],
     )
@@ -175,10 +180,10 @@ class TestFitRows:
         # a curriculum run fits all of its datasets in one call: each group's
         # rows must come out as that group's own call gives them, bit for bit
         groups = [
-            _counts("biased", None, (100, 1000, 10_000), 0),
-            _counts("curriculum", np.array([10.0, 0.0, 0.0]), (100_000,), 3) + [np.full(3, 3333.0)],
-            _counts("curriculum", np.array([2.0, 0.0, 0.0]), (100, 100, 1000, 10_000), 5),
-            _counts("curriculum", np.zeros(3), (10, 30), 9),
+            _biased((100, 1000, 10_000)),
+            _counts(np.array([10.0, 0.0, 0.0]), (100_000,), 3) + [np.full(3, 3333.0)],
+            _counts(np.array([2.0, 0.0, 0.0]), (100, 100, 1000, 10_000), 5),
+            _counts(np.zeros(3), (10, 30), 9),
         ]
         theta, grad_norm = cur.fit_rows(WORLD, np.vstack(groups), 5000, 0.1)
         start = 0
@@ -204,29 +209,35 @@ class TestSweep:
         )
 
     def test_curriculum_sweep_shrinks(self):
-        result = cur.convergence_sweep(
-            WORLD, np.array([2.0, 0.0, 0.0]), (100, 10_000), trials_per_n=6, seed=0
-        )
+        theta, grid = np.array([2.0, 0.0, 0.0]), (100, 10_000)
+        counts = cur.sweep_counts(WORLD, theta, grid, trials_per_n=6, seed=0)
+        fitted, _ = cur.fit_rows(WORLD, counts, 5000, 0.1)
+        result = cur.summarize_sweep(WORLD, theta, grid, fitted)
+        assert [(row.n, row.provenance) for row in result.rows] == [(100, "curriculum"), (10_000, "curriculum")]
         assert result.rows[0].mean_gap > result.rows[-1].mean_gap
         assert result.slope < 0.0
 
-    def test_biased_sweep_is_flat(self):
-        result = cur.convergence_sweep(
-            WORLD, np.array([2.0, 0.0, 0.0]), (100, 1000), trials_per_n=3, seed=0,
-            provenance="biased",
-        )
-        gaps = [row.mean_gap for row in result.rows]
-        assert abs(gaps[0] - gaps[1]) <= 1e-12  # biased fits ignore n entirely
+    def test_biased_fits_ignore_n(self):
+        theta, _ = cur.fit_rows(WORLD, _biased((100, 1000)), 5000, 0.1)
+        np.testing.assert_array_equal(theta[0], theta[1])
 
     def test_sweep_counts_are_n_major(self):
         counts = cur.sweep_counts(WORLD, np.array([2.0, 0.0, 0.0]), (100, 1000), trials_per_n=4, seed=3)
         np.testing.assert_array_equal(counts.sum(axis=1), [100] * 4 + [1000] * 4)
 
+    def test_sweep_rows_are_draw_counts_on_their_streams(self):
+        theta, grid, trials, seed = np.array([2.0, 0.0, 0.0]), (100, 1000), 3, 11
+        counts = cur.sweep_counts(WORLD, theta, grid, trials_per_n=trials, seed=seed)
+        for i, n in enumerate(grid):
+            for t in range(trials):
+                expected = cur.draw_counts(WORLD, theta, n, derive_seed(seed, "sweep", n, t))
+                np.testing.assert_array_equal(counts[i * trials + t], expected)
+
     def test_grid_validation(self):
         with pytest.raises(InvalidInputError):
-            cur.convergence_sweep(WORLD, np.zeros(3), (100,), trials_per_n=5, seed=0)
+            cur.sweep_counts(WORLD, np.zeros(3), (100,), trials_per_n=5, seed=0)
         with pytest.raises(InvalidInputError):
-            cur.convergence_sweep(WORLD, np.zeros(3), (100, 50), trials_per_n=5, seed=0)
+            cur.sweep_counts(WORLD, np.zeros(3), (100, 50), trials_per_n=5, seed=0)
 
 
 def test_run_curriculum_fits_every_dataset_in_one_call(monkeypatch):

@@ -154,13 +154,6 @@ class TestExplorationDivergence:
             policy = dag.make_policy(graph, "non_degenerate", delta=0.3, seed=i)
             assert dag.exploration_divergence(graph, policy) <= ceiling + 1e-9
 
-    def test_visit_weighted_variant_runs(self):
-        graph = dag.trap_dag(4, 3)
-        policy = dag.make_policy(graph, "non_degenerate", delta=0.3, seed=2)
-        flat = dag.exploration_divergence(graph, policy)
-        weighted = dag.exploration_divergence(graph, policy, visit_weighted=True)
-        assert flat >= 0.0 and weighted >= 0.0
-
 
 class TestSearchAndOracle:
     def test_chain_always_succeeds(self):
@@ -265,9 +258,7 @@ class TestLockstepSearch:
     def test_cdf_ending_below_one_clamps_to_the_last_successor(self):
         graph = dag.trap_dag(3, 3)
         short = np.array([0.2, 0.2, 0.3])  # a draw in [0.7, 1) falls past the CDF
-        policy = dag.ReasoningPolicy(
-            tables=tuple(short if graph.successors[v] else None for v in range(graph.n_nodes)), kind="custom"
-        )
+        policy = dag.ReasoningPolicy(tables=tuple(short if graph.successors[v] else None for v in range(graph.n_nodes)))
         expected = _scalar_search(graph, policy, 5000, 4, seed=3)
         assert dag.run_search(graph, policy, 5000, 4, seed=3) == expected
 

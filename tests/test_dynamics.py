@@ -232,7 +232,7 @@ class TestAccuracyCurve:
         sweep = dynamics.empirical_accuracy_sweep(
             dim=16, margin=2.0, sigma_grid=(0.2, 0.5, 1.0, 2.0, 5.0), trials=30_000, seed=5
         )
-        assert sweep["row_diff_norm_sq"] == 16.0
+        assert sweep["noise_gain"] == 16.0
         for row in sweep["rows"]:
             band = 3.0 * math.sqrt(row["analytic"] * (1.0 - row["analytic"]) / 30_000)
             assert abs(row["empirical"] - row["analytic"]) <= band

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from certlab import cli, curriculum
+from certlab import cli, dag
 from certlab.config import (
     ExperimentConfig,
     ParamSpec,
@@ -289,6 +289,7 @@ class TestCli:
             ("cib-frontier", "corpus_betas", "0.5, -1.0"),
             ("cib-frontier", "frontier_betas", -0.25),
             ("tradeoff-scan", "options_set", 1),
+            ("tradeoff-scan", "scan_options", "2, 1"),
             ("tradeoff-scan", "oracle_resolution", 0),
             ("divergence-asymptote", "kappas", 100.0),
             ("noise-discrete", "acceptance_draws", 0),
@@ -310,22 +311,33 @@ class TestCli:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
-        "key, value, message",
+        "experiment, key, value, message, kernel",
         [
-            ("n_grid", "1000, 100", "n grid must be increasing"),
-            ("n_grid", "100", "n grid must be increasing"),
-            ("n_grid", "100, 100", "n grid must be increasing"),
-            ("strong_theta", "10.0, 0.0", "params.strong_theta: need 3 weights"),
-            ("rate_theta", "2.0, 0.0, 0.0, 0.0", "params.rate_theta: need 3 weights"),
-            ("step", "0.0", "params.step: must be positive"),
+            ("curriculum", "n_grid", "1000, 100", "n grid must be increasing", "curriculum.fit_rows"),
+            ("curriculum", "n_grid", "100", "n grid must be increasing", "curriculum.fit_rows"),
+            ("curriculum", "n_grid", "100, 100", "n grid must be increasing", "curriculum.fit_rows"),
+            ("curriculum", "strong_theta", "10.0, 0.0", "params.strong_theta: need 3 weights", "curriculum.fit_rows"),
+            ("curriculum", "rate_theta", "2.0, 0.0, 0.0, 0.0", "params.rate_theta: need 3 weights",
+             "curriculum.fit_rows"),
+            ("curriculum", "step", "0.0", "params.step: must be positive", "curriculum.fit_rows"),
+            ("error-accumulation", "lipschitz_values", "0.8, 1.0, -1.0", "lipschitz must be positive",
+             "dynamics.monte_carlo_error"),
+            ("noise-discrete", "contrast_noise_over_margin", "-1.0", "noise scale must be >= 0",
+             "dynamics.simulate_discrete_chain"),
+            ("cib-frontier", "schedule_scale", "0.0", "scale must be positive", "cib.solve_cib"),
+            ("dag-exploration", "capped_deltas", "0.1, 0.3, 1.5", "delta must lie in (0,1)", "dag.make_policy"),
+            ("dag-exploration", "delta", "0.0", "delta must lie in (0,1)", "dag.make_policy"),
         ],
     )
-    def test_bad_curriculum_param_exits_two_before_the_fit(self, tmp_path, capsys, monkeypatch, key, value, message):
-        def no_fit(*args, **kwargs):
-            raise AssertionError("fit_rows ran before the params were validated")
+    def test_bad_param_exits_two_before_the_kernel(
+        self, tmp_path, capsys, monkeypatch, experiment, key, value, message, kernel
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{kernel} ran before the params were validated")
 
-        monkeypatch.setattr(curriculum, "fit_rows", no_fit)
-        cfg = _write_cfg(tmp_path, f"[run]\nexperiment = curriculum\nseed = 0\n[params]\n{key} = {value}\n")
+        module, name = kernel.split(".")
+        monkeypatch.setattr(importlib.import_module(f"certlab.{module}"), name, refuse)
+        cfg = _write_cfg(tmp_path, f"[run]\nexperiment = {experiment}\nseed = 0\n[params]\n{key} = {value}\n")
         assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
@@ -346,13 +358,15 @@ class TestCli:
         assert f"params.{key}: must be finite" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    def test_malformed_graph_file_exits_two(self, tmp_path, capsys):
+    def test_malformed_graph_file_exits_two_before_any_draw(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dag.make_policy ran before the graph file was parsed")
+
+        monkeypatch.setattr(dag, "make_policy", refuse)
         graph_path = tmp_path / "graph.txt"
         graph_path.write_text("start: x\ntargets: 1\n0: 1\n1:\n")
         cfg = _write_cfg(
-            tmp_path,
-            f"[run]\nexperiment = dag-exploration\nseed = 0\n[params]\ngraph_file = {graph_path}\n"
-            "policy_draws = 4\nmc_trials = 100\ndivergence_draws = 2\ncapped_samples = 10\n",
+            tmp_path, f"[run]\nexperiment = dag-exploration\nseed = 0\n[params]\ngraph_file = {graph_path}\n"
         )
         assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "InvalidInputError: line 1" in capsys.readouterr().err
@@ -588,9 +602,31 @@ class TestDefaults:
         assert canonical_text(rebuilt) == canonical_text(config)
 
 
+REPO_ROOT = Path(__file__).resolve().parents[1]
+EXAMPLE_CONFIGS = sorted((REPO_ROOT / "configs").glob("*.cfg"))
+
+
+class TestExampleConfigs:
+    @pytest.mark.parametrize("path", EXAMPLE_CONFIGS, ids=lambda path: path.name)
+    def test_config_builds_against_its_experiment_schema(self, path):
+        raw = parse_config_text(path.read_text())
+        assert raw.experiment in EXPERIMENTS
+        build_config(raw, EXPERIMENTS[raw.experiment].schema, experiment_names=set(EXPERIMENTS))
+
+    def test_custom_graph_file_resolves_from_the_repo_root(self):
+        path = REPO_ROOT / "configs" / "dag_custom.cfg"
+        assert path in EXAMPLE_CONFIGS
+        config = build_config(
+            parse_config_text(path.read_text()), EXPERIMENTS["dag-exploration"].schema,
+            experiment_names=set(EXPERIMENTS),
+        )
+        graph = dag.parse_dag((REPO_ROOT / config.params["graph_file"]).read_text())
+        assert graph.n_nodes > 0 and graph.targets
+
+
 class TestBenchmarkContract:
     def test_every_traced_function_resolves(self):
-        path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+        path = REPO_ROOT / "bench" / "tracer.py"
         spec = importlib.util.spec_from_file_location("certlab_bench_tracer", path)
         tracer = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(tracer)
