@@ -52,6 +52,9 @@ PROB_FLOOR = 1e-300
 # Sum-to-one tolerance for validated distributions.
 SUM_TOL = 1e-12
 
+# Largest branching factor B' that ``worst_case_latent_kl`` scans.
+BRANCHING_SCAN = 10_000
+
 
 def as_distribution(probs) -> np.ndarray:
     """Validate and return a probability vector as a float64 array.
@@ -275,9 +278,7 @@ class WorstCaseLatentKl(NamedTuple):
     scan_constant: float
 
 
-def worst_case_latent_kl(
-    delta: float, n_options: int, scan_cap: int = 10_000
-) -> WorstCaseLatentKl:
+def worst_case_latent_kl(delta: float, n_options: int) -> WorstCaseLatentKl:
     """Ceilings on D(uniform || p) over even-remainder p with peak <= 1-delta.
 
     ``exact`` evaluates the forward-divergence floor at the cap itself:
@@ -289,7 +290,7 @@ def worst_case_latent_kl(
 
         f(B') = log B' - ((B'-1)/B') log(B'-1) + log(1-delta)/B',
 
-    computed by scanning B' up to ``scan_cap`` and including the analytic
+    computed by scanning B' up to ``BRANCHING_SCAN`` and including the analytic
     limit 0 at B' -> infinity.  Since f(B) >= c, exact <= simplified for
     every (delta, B).  The returned ``scan_constant`` is c.
     """
@@ -303,12 +304,10 @@ def worst_case_latent_kl(
         raise InvalidInputError(
             f"cap 1-delta = {1.0 - d!r} below 1/B = {1.0 / b!r}: no distribution attains it"
         )
-    if scan_cap < 2:
-        raise InvalidInputError(f"scan cap must be >= 2, got {scan_cap}")
 
     exact = min_exploration_divergence(1.0 - d, b)
 
-    grid = np.arange(2, scan_cap + 1, dtype=np.float64)
+    grid = np.arange(2, BRANCHING_SCAN + 1, dtype=np.float64)
     f_vals = (
         np.log(grid)
         - ((grid - 1.0) / grid) * np.log(grid - 1.0)

@@ -41,6 +41,8 @@ from .errors import EnumerationTooLargeError, InvalidInputError
 from .seeding import derive_seed, rng_for
 
 ENUMERATION_CAP = 10**7
+# Sweeps after which ``solve_cib`` stops the candidates that have not converged.
+MAX_SWEEPS = 10_000
 SUM_TOL = 1e-12
 # Stand-in for log(0) in encoder updates: large enough to zero cells after
 # the exponential, finite so that 0 * log(0) products stay exactly 0.
@@ -320,7 +322,6 @@ def solve_cib(
     restarts: int = 16,
     tol: float = 1e-10,
     seed: int = 0,
-    max_iter: int = 10_000,
 ) -> CibSolution:
     """Best-of-restarts alternating minimization of the dual objective.
 
@@ -328,7 +329,7 @@ def solve_cib(
     point); candidates 1..restarts start from rows drawn from a symmetric
     Dirichlet.  All candidates sweep in lockstep as one (R, S, H) stack; a
     candidate leaves the live set once its objective change drops below
-    ``tol``, and the rest stop after ``max_iter`` sweeps (non-convergence
+    ``tol``, and the rest stop after ``MAX_SWEEPS`` sweeps (non-convergence
     is reported via the ``converged`` flag, not an error).  The winner is
     the lowest objective, ties broken toward the lower candidate index.
     """
@@ -340,8 +341,6 @@ def solve_cib(
         raise InvalidInputError(f"need restarts >= 1, got {restarts}")
     if tol <= 0:
         raise InvalidInputError(f"tol must be positive, got {tol!r}")
-    if max_iter < 1:
-        raise InvalidInputError(f"need max_iter >= 1, got {max_iter}")
 
     tables = np.empty((restarts + 1, problem.n_past, n_latent))
     tables[0] = constant_encoder(problem.n_past, n_latent).table
@@ -358,7 +357,7 @@ def solve_cib(
     converged = np.zeros(restarts + 1, dtype=bool)
     live = np.arange(restarts + 1)
     live_tables = tables
-    for sweep in range(1, max_iter + 1):
+    for sweep in range(1, MAX_SWEEPS + 1):
         live_tables = _encoder_sweep(contexts, live_tables, moments, beta)
         tables[live] = live_tables
         moments = _moments(contexts, live_tables)

@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .config import ExperimentConfig, build_config, config_hash, parse_config_text
-from .errors import CertlabError, ConfigError, ReportError
+from .errors import CertlabError, ReportError
 from .experiments import EXPERIMENTS, default_params
 from .manifest import RunManifest, load_manifest, write_csv, write_text_file
 from .report import emit_markdown, emit_svg_charts
@@ -74,8 +74,6 @@ def _failure(exc: Exception) -> int:
 def cmd_run(args) -> int:
     try:
         raw = parse_config_text(Path(args.config).read_text())
-        if raw.experiment is None:
-            raise ConfigError("run.experiment is required")
         schema = EXPERIMENTS[raw.experiment].schema if raw.experiment in EXPERIMENTS else {}
         config = build_config(
             raw,

@@ -13,12 +13,15 @@ regimes are contrasted:
 
 * *biased* data: every sample is the shortcut state, the counts
   ``[0, n, 0]``.  Maximum-likelihood fitting pushes the shortcut score
-  upward without limit (capped here by a norm ball), so the fitted policy's
-  expert probability stays pinned near zero at every sample size: the bias
-  never averages out.
+  upward without limit (bounded here by the ball ``|theta| <= PARAM_BOUND``),
+  so the fitted policy's expert probability stays pinned near zero at every
+  sample size: the bias never averages out.
 * *curriculum* data: n i.i.d. draws from an expert policy, counted by
   ``draw_counts``.  The fitted policy's expert probability converges to the
   expert's at the usual root-n parametric rate (up to log factors).
+
+The world is fixed: its feature matrix is the module constant ``FEATURES``,
+and success is the policy's probability of the ``EXPERT`` state.
 
 Fitting is full-batch projected gradient ascent with the exact gradient
 ``mean(features of data) - E_policy[features]``, so convergence is
@@ -29,7 +32,7 @@ fits every row of a count matrix at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -39,35 +42,13 @@ from .seeding import derive_seed, rng_for
 
 EXPERT = 0  # the states, in order: expert, shortcut, bad
 
-DEFAULT_PARAM_BOUND = 50.0
+# feature rows in state order: the shortcut's features overlap the bad state's
+FEATURES = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 0.0]])
+FEATURES.setflags(write=False)
 
-
-@dataclass(frozen=True)
-class ToyWorld:
-    """Feature map and valuation for the three states.
-
-    Features (rows, in state order expert/shortcut/bad):
-    (1,0,0), (0,1,1), (0,1,0).  The valuation rewards only the expert
-    state.  These are fixed; the dataclass exists to carry them explicitly
-    through every computation rather than as module globals.
-    """
-
-    features: np.ndarray = field(
-        default_factory=lambda: np.array(
-            [[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 0.0]]
-        )
-    )
-    valuation: np.ndarray = field(default_factory=lambda: np.array([1.0, 0.0, 0.0]))
-
-    def __post_init__(self) -> None:
-        if self.features.shape != (3, 3) or self.valuation.shape != (3,):
-            raise InvalidInputError("world is 3 states with 3-d features")
-        if not np.array_equal(self.valuation != 0, np.array([True, False, False])):
-            raise InvalidInputError("valuation must reward exactly the expert state")
-
-    @property
-    def dim(self) -> int:
-        return self.features.shape[1]
+# radius of the weight ball that fits are projected onto: it bounds the drift
+# of a fit whose optimum lies at infinity, as with biased data
+PARAM_BOUND = 50.0
 
 
 @dataclass(frozen=True)
@@ -75,54 +56,54 @@ class LogLinearPolicy:
     """Weights theta with P(state) proportional to exp(<theta, features>)."""
 
     theta: np.ndarray
-    param_bound: float = DEFAULT_PARAM_BOUND
 
     def __post_init__(self) -> None:
         t = np.asarray(self.theta, dtype=np.float64)
         if t.shape != (3,) or not np.all(np.isfinite(t)):
             raise InvalidInputError("theta must be a finite 3-vector")
         norm = float(np.linalg.norm(t))
-        if norm > self.param_bound + 1e-9:
-            raise InvalidInputError(f"|theta| = {norm!r} exceeds bound {self.param_bound!r}")
+        if norm > PARAM_BOUND + 1e-9:
+            raise InvalidInputError(f"|theta| = {norm!r} exceeds bound {PARAM_BOUND!r}")
         object.__setattr__(self, "theta", t)
 
 
-def state_distribution(world: ToyWorld, theta) -> np.ndarray:
+def state_distribution(theta) -> np.ndarray:
     """Softmax over the three state scores <theta, features>, per row of theta."""
-    scores = np.asarray(theta, dtype=np.float64) @ world.features.T
-    z = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    scores = np.asarray(theta, dtype=np.float64) @ FEATURES.T
+    top = np.maximum(np.maximum(scores[..., 0], scores[..., 1]), scores[..., 2])
+    z = np.exp(scores - top[..., None])
     return z / z.sum(axis=-1, keepdims=True)
 
 
-def success_rate(world: ToyWorld, policy: LogLinearPolicy | np.ndarray) -> float:
+def success_rate(policy: LogLinearPolicy | np.ndarray) -> float:
     """Probability mass the policy places on the rewarded (expert) state."""
     theta = policy.theta if isinstance(policy, LogLinearPolicy) else policy
-    return float(state_distribution(world, theta)[EXPERT])
+    return float(state_distribution(theta)[EXPERT])
 
 
-def draw_counts(world: ToyWorld, expert_theta, n: int, seed: int) -> np.ndarray:
+def draw_counts(expert_theta, n: int, seed: int) -> np.ndarray:
     """State counts of n i.i.d. draws from the expert policy, from stream ``seed``."""
     if n < 1:
         raise InvalidInputError(f"need n >= 1, got {n}")
     rng = rng_for(seed, "dataset", "curriculum")
-    samples = rng.choice(3, size=n, p=state_distribution(world, expert_theta))
+    samples = rng.choice(3, size=n, p=state_distribution(expert_theta))
     return np.bincount(samples, minlength=3).astype(np.float64)
 
 
-def log_likelihood(world: ToyWorld, theta, counts: np.ndarray) -> float:
+def log_likelihood(theta, counts: np.ndarray) -> float:
     """Mean log-likelihood of the counted samples under theta."""
     t = np.asarray(theta, dtype=np.float64)
-    scores = world.features @ t
+    scores = FEATURES @ t
     log_z = float(scores.max() + np.log(np.sum(np.exp(scores - scores.max()))))
     n = counts.sum()
     return float(counts @ scores / n - log_z)
 
 
-def log_likelihood_grad(world: ToyWorld, theta, counts: np.ndarray) -> np.ndarray:
+def log_likelihood_grad(theta, counts: np.ndarray) -> np.ndarray:
     """Exact mean-gradient: empirical feature mean minus the model's, per row."""
     n = counts.sum(axis=-1, keepdims=True)
-    empirical = counts @ world.features / n
-    expected = state_distribution(world, theta) @ world.features
+    empirical = counts @ FEATURES / n
+    expected = state_distribution(theta) @ FEATURES
     return empirical - expected
 
 
@@ -132,55 +113,43 @@ class FitResult(NamedTuple):
     iterations: int
 
 
-def fit_rows(
-    world: ToyWorld,
-    counts,
-    iterations: int,
-    step: float,
-    param_bound: float = DEFAULT_PARAM_BOUND,
-) -> tuple[np.ndarray, np.ndarray]:
+def fit_rows(counts, iterations: int, step: float) -> tuple[np.ndarray, np.ndarray]:
     """Projected gradient ascent on the mean log-likelihood from theta = 0 for
     each row of a ``(k, 3)`` count matrix, all rows in lockstep.
 
     After every step each row is projected back onto the ball
-    ``|theta| <= param_bound``; with interior optima (all states observed)
+    ``|theta| <= PARAM_BOUND``; with interior optima (all states observed)
     the final gradient norm certifies convergence, and with boundary optima
     (biased data) the projection is what caps the drift.  Rows never mix.
     Returns the ``(k, 3)`` weights and the ``k`` final gradient norms.
     """
     counts = np.asarray(counts, dtype=np.float64)
-    if counts.ndim != 2 or counts.shape[0] < 1 or counts.shape[1] != world.dim:
-        raise InvalidInputError(f"need a (k >= 1, {world.dim}) count matrix, got shape {counts.shape}")
+    if counts.ndim != 2 or counts.shape[0] < 1 or counts.shape[1] != 3:
+        raise InvalidInputError(f"need a (k >= 1, 3) count matrix, got shape {counts.shape}")
     if iterations < 1:
         raise InvalidInputError(f"need iterations >= 1, got {iterations}")
     if step <= 0:
         raise InvalidInputError(f"step must be positive, got {step!r}")
     # the loop's gradient is log_likelihood_grad with its constant empirical
     # term computed once: the same operations, so the same bits
-    empirical = counts @ world.features / counts.sum(axis=-1, keepdims=True)
+    empirical = counts @ FEATURES / counts.sum(axis=-1, keepdims=True)
     theta = np.zeros(counts.shape)
     for _ in range(iterations):
-        theta = theta + step * (empirical - state_distribution(world, theta) @ world.features)
+        theta = theta + step * (empirical - state_distribution(theta) @ FEATURES)
         norm = np.linalg.norm(theta, axis=-1)
-        over = norm > param_bound
-        theta[over] *= (param_bound / norm[over])[:, None]
-    grad_norm = np.linalg.norm(log_likelihood_grad(world, theta, counts), axis=-1)
+        over = norm > PARAM_BOUND
+        theta[over] *= (PARAM_BOUND / norm[over])[:, None]
+    grad_norm = np.linalg.norm(log_likelihood_grad(theta, counts), axis=-1)
     if not np.all(np.isfinite(theta)):
         raise InvalidInputError("optimizer produced non-finite parameters")
     return theta, grad_norm
 
 
-def mle_fit(
-    world: ToyWorld,
-    counts,
-    iterations: int = 5000,
-    step: float = 0.1,
-    param_bound: float = DEFAULT_PARAM_BOUND,
-) -> FitResult:
+def mle_fit(counts, iterations: int = 5000, step: float = 0.1) -> FitResult:
     """Fit one count vector: the one-row call of ``fit_rows``."""
-    theta, grad_norm = fit_rows(world, np.asarray(counts)[None, :], iterations, step, param_bound)
+    theta, grad_norm = fit_rows(np.asarray(counts)[None, :], iterations, step)
     return FitResult(
-        policy=LogLinearPolicy(theta=theta[0], param_bound=param_bound),
+        policy=LogLinearPolicy(theta=theta[0]),
         final_grad_norm=float(grad_norm[0]),
         iterations=iterations,
     )
@@ -204,13 +173,7 @@ class SweepResult(NamedTuple):
     slope: float
 
 
-def sweep_counts(
-    world: ToyWorld,
-    expert_theta,
-    n_grid,
-    trials_per_n: int,
-    seed: int,
-) -> np.ndarray:
+def sweep_counts(expert_theta, n_grid, trials_per_n: int, seed: int) -> np.ndarray:
     """The sweep's ``(len(n_grid) * trials_per_n, 3)`` count matrix, n-major.
 
     Trial (n, t) draws its counts from the stream (seed, "sweep", n, t).  The grid
@@ -223,19 +186,14 @@ def sweep_counts(
         raise InvalidInputError(f"need >= 2 trials per n, got {trials_per_n}")
     return np.array(
         [
-            draw_counts(world, expert_theta, n, derive_seed(seed, "sweep", n, trial))
+            draw_counts(expert_theta, n, derive_seed(seed, "sweep", n, trial))
             for n in grid
             for trial in range(trials_per_n)
         ]
     )
 
 
-def summarize_sweep(
-    world: ToyWorld,
-    expert_theta,
-    n_grid,
-    theta: np.ndarray,
-) -> SweepResult:
+def summarize_sweep(expert_theta, n_grid, theta: np.ndarray) -> SweepResult:
     """Mean |fitted success - expert success| per sample size, with log-log slope.
 
     ``theta`` holds the fitted weights of ``sweep_counts``'s rows, n-major.
@@ -244,8 +202,8 @@ def summarize_sweep(
     order, rather than from sums whose last bits depend on that order.
     """
     grid = [int(n) for n in n_grid]
-    expert_success = success_rate(world, np.asarray(expert_theta, dtype=np.float64))
-    all_gaps = np.abs(state_distribution(world, theta)[:, EXPERT] - expert_success)
+    expert_success = success_rate(np.asarray(expert_theta, dtype=np.float64))
+    all_gaps = np.abs(state_distribution(theta)[:, EXPERT] - expert_success)
     rows: list[SweepRow] = []
     log_n: list[float] = []
     log_gap: list[float] = []

@@ -6,7 +6,10 @@ Two simulators and one analytic curve:
   deterministic function of the generated prefix.  Additive logit noise is
   constrained to be *sub-decisional* (argmax-preserving), and the argmax at
   each step discards it, so the perturbed chain can never leave the clean
-  trajectory; the divergence count is exactly zero.
+  trajectory; the divergence count is exactly zero.  The noise comes from
+  one sampler, ``sample_sub_decisional_noise``, which draws a stack of rows
+  and redraws the rejected ones in rounds; ``check_sub_decisional`` is the
+  one argmax test, for a row or a stack.
 * ``simulate_latent_chain`` / ``monte_carlo_error``: a continuous state
   chain ``h_k = f(h_{k-1}) + noise`` with no quantization step.  The final
   squared error follows the geometric series
@@ -218,69 +221,53 @@ def prefix_logits(spec: DiscreteChainSpec, prefix: tuple[int, ...]) -> np.ndarra
     return logits
 
 
-def check_sub_decisional(l_star, eps) -> bool:
-    """True iff adding ``eps`` leaves the argmax unchanged (lowest-index ties)."""
+def check_sub_decisional(l_star, eps):
+    """True where adding ``eps`` leaves the argmax unchanged (lowest-index ties).
+
+    ``eps`` is one noise row, giving a bool, or an ``(n, B)`` stack of rows,
+    giving one bool per row.
+    """
     l = np.asarray(l_star, dtype=np.float64)
     e = np.asarray(eps, dtype=np.float64)
-    if l.shape != e.shape:
+    if l.ndim != 1 or e.ndim > 2 or e.shape[-1:] != l.shape:
         raise InvalidInputError(f"shape mismatch: {l.shape} vs {e.shape}")
-    return int(np.argmax(l + e)) == int(np.argmax(l))
+    kept = np.argmax(l + e, axis=-1) == np.argmax(l)
+    return bool(kept) if e.ndim == 1 else kept
 
 
 def sample_sub_decisional_noise(
-    l_star, scale: float, rng: np.random.Generator, max_attempts: int = REJECTION_CAP
+    l_star, scale: float, rng: np.random.Generator, count: int
 ) -> tuple[np.ndarray, int]:
-    """Gaussian logit noise conditioned on preserving the argmax.
+    """``count`` rows of Gaussian logit noise, each conditioned on preserving the argmax.
 
-    Rejection-samples N(0, scale^2 I) until the sub-decisional condition
-    holds; returns (noise, rejection count).  Raises SamplingExhaustedError
-    past ``max_attempts`` attempts, which signals a noise scale far above
-    the decision margin.
+    Draws every row from N(0, scale^2 I), then redraws the rows that move the
+    argmax, round by round, until every row keeps it.  Returns the
+    ``(count, B)`` rows and the number of row redraws.  Raises
+    SamplingExhaustedError when rows are still rejected after
+    ``REJECTION_CAP`` rounds, which signals a noise scale far above the
+    decision margin.
     """
     l = np.asarray(l_star, dtype=np.float64)
     if scale < 0:
         raise InvalidInputError(f"scale must be >= 0, got {scale!r}")
-    top = int(np.argmax(l))
-    runner_up = float(np.partition(l, l.size - 2)[-2])
-    if l[top] <= runner_up and np.sum(l == l[top]) > 1:
+    if np.sum(l == l.max()) > 1:
         raise InvalidInputError("logits must have a unique argmax")
     if scale == 0.0:
-        return np.zeros_like(l), 0
-    rejections = 0
-    while rejections < max_attempts:
-        eps = rng.normal(0.0, scale, l.size)
-        if int(np.argmax(l + eps)) == top:
-            return eps, rejections
-        rejections += 1
-    raise SamplingExhaustedError(
-        f"no sub-decisional draw in {max_attempts} attempts at scale {scale!r}"
-    )
-
-
-def _group_noise(
-    l_star: np.ndarray,
-    count: int,
-    scale: float,
-    sub_decisional_only: bool,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Noise rows for ``count`` trials sharing the same clean logits."""
-    draws = rng.normal(0.0, scale, (count, l_star.size))
-    if not sub_decisional_only or scale == 0.0:
-        return draws
-    top = int(np.argmax(l_star))
-    attempts = 1
-    pending = np.flatnonzero(np.argmax(l_star + draws, axis=1) != top)
+        return np.zeros((count, l.size)), 0
+    draws = rng.normal(0.0, scale, (count, l.size))
+    pending = np.flatnonzero(~check_sub_decisional(l, draws))
+    redrawn = 0
+    rounds = 1
     while pending.size:
-        if attempts >= REJECTION_CAP:
+        if rounds >= REJECTION_CAP:
             raise SamplingExhaustedError(
-                f"{pending.size} trials still rejected after {attempts} rounds"
+                f"{pending.size} rows still rejected after {rounds} rounds at scale {scale!r}"
             )
-        redraw = rng.normal(0.0, scale, (pending.size, l_star.size))
-        draws[pending] = redraw
-        attempts += 1
-        pending = pending[np.argmax(l_star + draws[pending], axis=1) != top]
-    return draws
+        draws[pending] = rng.normal(0.0, scale, (pending.size, l.size))
+        redrawn += pending.size
+        rounds += 1
+        pending = pending[~check_sub_decisional(l, draws[pending])]
+    return draws, redrawn
 
 
 def simulate_discrete_chain(spec: DiscreteChainSpec, trials: int, seed: int) -> int:
@@ -289,7 +276,8 @@ def simulate_discrete_chain(spec: DiscreteChainSpec, trials: int, seed: int) -> 
     Each trial runs the perturbed chain, recomputing step-``k`` logits from
     its *own* generated prefix, with per-step noise (argmax-preserving when
     ``sub_decisional_only``).  Trials sharing a prefix are processed as one
-    vectorized group with a stream derived from (seed, step, group rank).
+    vectorized group with a stream derived from (seed, step, group rank),
+    groups ranked in lexicographic prefix order.
     """
     if trials < 1:
         raise InvalidInputError(f"need trials >= 1, got {trials}")
@@ -299,18 +287,21 @@ def simulate_discrete_chain(spec: DiscreteChainSpec, trials: int, seed: int) -> 
         clean_prefix += (int(np.argmax(prefix_logits(spec, clean_prefix))),)
     clean_final = clean_prefix[-1]
 
+    # extending each prefix in order by its tokens in increasing order keeps
+    # the dict's insertion order lexicographic
     groups: dict[tuple[int, ...], int] = {(): trials}
     for step in range(spec.steps):
         next_groups: dict[tuple[int, ...], int] = {}
-        for rank, prefix in enumerate(sorted(groups)):
-            count = groups[prefix]
+        for rank, (prefix, count) in enumerate(groups.items()):
             l_star = prefix_logits(spec, prefix)
             rng = rng_for(seed, "step", step, "group", rank)
-            noise = _group_noise(l_star, count, spec.noise_scale, spec.sub_decisional_only, rng)
-            tokens = np.argmax(l_star + noise, axis=1)
-            for token, token_count in zip(*np.unique(tokens, return_counts=True)):
-                key = prefix + (int(token),)
-                next_groups[key] = next_groups.get(key, 0) + int(token_count)
+            if spec.sub_decisional_only:
+                noise, _ = sample_sub_decisional_noise(l_star, spec.noise_scale, rng, count)
+            else:
+                noise = rng.normal(0.0, spec.noise_scale, (count, spec.n_options))
+            sizes = np.bincount(np.argmax(l_star + noise, axis=1), minlength=spec.n_options)
+            for token in np.flatnonzero(sizes).tolist():
+                next_groups[prefix + (token,)] = int(sizes[token])
         groups = next_groups
     return sum(count for prefix, count in groups.items() if prefix[-1] != clean_final)
 

@@ -24,7 +24,7 @@ from . import cat_bulk
 from . import categorical as cat
 from . import cib, curriculum, dag, dynamics
 from .config import ParamSpec
-from .errors import InvalidInputError
+from .errors import EnumerationTooLargeError, InvalidInputError
 from .manifest import Check
 from .seeding import derive_seed, rng_for
 
@@ -95,6 +95,8 @@ TRADEOFF_SCHEMA = {
     "scan_grid": ParamSpec("float_list", (0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)),
     "oracle_resolution": ParamSpec("int", 60, minimum=1),
 }
+# Most remainder compositions the grid-search oracle may enumerate for one B.
+ORACLE_CAP = 10**6
 
 
 def _simplex_slice_min_reverse_kl(top: float, n_options: int, resolution: int) -> float:
@@ -147,6 +149,19 @@ def _scalar_certainty(logits: np.ndarray) -> tuple:
 
 def run_tradeoff_scan(seed: int, params: dict, threads: int = 1) -> ExperimentResult:
     result = ExperimentResult(name="tradeoff-scan")
+    resolution = params["oracle_resolution"]
+    for b in params["scan_options"]:
+        compositions = math.comb(resolution + b - 2, b - 2)
+        if compositions > ORACLE_CAP:
+            raise EnumerationTooLargeError(
+                f"params.scan_options: the oracle at B={b} would enumerate {compositions} compositions "
+                f"of {resolution} units, over the cap {ORACLE_CAP}"
+            )
+    # every scan row's bound is evaluated, and so validated, before any panel
+    scan = [
+        (float(s), b, cat.tradeoff_lower_bound(float(s), b))
+        for b in params["scan_options"] for s in params["scan_grid"] if s >= 1.0 / b
+    ]
     options_set = params["options_set"]
     per_b = max(1, params["samples"] // len(options_set))
 
@@ -221,15 +236,11 @@ def run_tradeoff_scan(seed: int, params: dict, threads: int = 1) -> ExperimentRe
 
     rows = []
     oracle_spot = None
-    for b in params["scan_options"]:
-        for s in params["scan_grid"]:
-            if s < 1.0 / b:
-                continue
-            bound = cat.tradeoff_lower_bound(float(s), b)
-            empirical = _simplex_slice_min_reverse_kl(float(s), b, params["oracle_resolution"])
-            rows.append((float(s), int(b), bound, empirical))
-            if abs(s - 0.7) < 1e-12 and b == 4:
-                oracle_spot = empirical
+    for s, b, bound in scan:
+        empirical = _simplex_slice_min_reverse_kl(s, b, resolution)
+        rows.append((s, int(b), bound, empirical))
+        if abs(s - 0.7) < 1e-12 and b == 4:
+            oracle_spot = empirical
     result.tables["tradeoff_scan.csv"] = (["i_s", "B", "bound", "empirical_min_kl"], rows)
     result.gate(
         "scan: bound <= grid-search minimum at every row",
@@ -261,15 +272,19 @@ def run_divergence_asymptote(seed: int, params: dict, threads: int = 1) -> Exper
     result = ExperimentResult(name="divergence-asymptote")
     if len(set(params["kappas"])) < 2:
         raise InvalidInputError("params.kappas: the slope checks need at least two distinct values")
+    if min(params["kappas"]) <= 1.0:  # the checks divide by log kappa
+        raise InvalidInputError(f"params.kappas: each kappa must exceed 1, got {min(params['kappas'])!r}")
     b = params["options"]
     c = params["minority_mass"]
+    # every family is built, and so validated, before the first draw
+    specs = [cat.DirichletConcentration(kappa=kappa, n_options=b, minority_mass=c) for kappa in params["kappas"]]
+    spec6 = cat.DirichletConcentration(kappa=1e6, n_options=b, minority_mass=c)
     uniform = np.full(b, 1.0 / b)
     rows = []
     samples = []
     exact_values = []
     entropy_scalings = []
-    for idx, kappa in enumerate(params["kappas"]):
-        spec = cat.DirichletConcentration(kappa=kappa, n_options=b, minority_mass=c)
+    for idx, (kappa, spec) in enumerate(zip(params["kappas"], specs)):
         mean = cat.dirichlet_mean(spec)
         exact = cat.kl_divergence(uniform, mean)
         asym = cat.cot_divergence_asymptote(spec)
@@ -300,12 +315,7 @@ def run_divergence_asymptote(seed: int, params: dict, threads: int = 1) -> Exper
         f"slope {slope:.6f}, band [{lo:.4f}, {hi:.4f}]",
     )
     asym_slope = (
-        cat.cot_divergence_asymptote(
-            cat.DirichletConcentration(kappa=params["kappas"][-1], n_options=b, minority_mass=c)
-        )
-        - cat.cot_divergence_asymptote(
-            cat.DirichletConcentration(kappa=params["kappas"][0], n_options=b, minority_mass=c)
-        )
+        cat.cot_divergence_asymptote(specs[-1]) - cat.cot_divergence_asymptote(specs[0])
     ) / (log_k[-1] - log_k[0])
     result.check(
         "asymptote slope exactly (B-1)/B",
@@ -323,7 +333,6 @@ def run_divergence_asymptote(seed: int, params: dict, threads: int = 1) -> Exper
         max(entropy_scalings) <= 5.0,
         f"max scaling {max(entropy_scalings):.4f}",
     )
-    spec6 = cat.DirichletConcentration(kappa=1e6, n_options=b, minority_mass=c)
     draws6 = cat.dirichlet_sample(spec6, rng_for(seed, "concentration"), params["concentration_draws"])
     tops = draws6.max(axis=1)
     freq = int(np.sum(tops > 0.999)) / params["concentration_draws"]
@@ -421,16 +430,16 @@ def run_noise_discrete(seed: int, params: dict, threads: int = 1) -> ExperimentR
 
     # rejection sampler efficiency: scale at a tenth of the margin accepts >99%
     logits = dynamics.prefix_logits(zero_spec, ())
-    rng = rng_for(seed, "acceptance")
-    rejections = 0
-    for _ in range(params["acceptance_draws"]):
-        noise, rejected = dynamics.sample_sub_decisional_noise(
-            logits, params["min_margin"] / 10.0, rng
-        )
-        rejections += rejected
-        if not dynamics.check_sub_decisional(logits, noise):
-            result.check("rejection sampler postcondition", False, "emitted a decision-flipping draw")
-    acceptance = params["acceptance_draws"] / (params["acceptance_draws"] + rejections)
+    draws = params["acceptance_draws"]
+    noise, redrawn = dynamics.sample_sub_decisional_noise(
+        logits, params["min_margin"] / 10.0, rng_for(seed, "acceptance"), draws
+    )
+    flipped = ~dynamics.check_sub_decisional(logits, noise)
+    result.gate(
+        "rejection sampler postcondition: every draw keeps the argmax",
+        flipped.astype(np.float64), lambda i: f"draw {i}",
+    )
+    acceptance = draws / (draws + redrawn)
     result.check(
         "rejection sampler acceptance > 0.99 at scale = margin/10",
         acceptance > 0.99,
@@ -554,17 +563,21 @@ ACCURACY_SCHEMA = {
 }
 
 
-def _simpson_normal_cdf(z: float, lower: float = -10.0, intervals: int = 20_000) -> float:
-    """Composite-Simpson integral of the standard normal density up to z.
+# The quadrature oracle's lower limit and its (even) number of Simpson intervals.
+SIMPSON_LOWER = -10.0
+SIMPSON_INTERVALS = 20_000
+
+
+def _simpson_normal_cdf(z: float) -> float:
+    """Composite-Simpson integral of the standard normal density from SIMPSON_LOWER up to z.
 
     Independent quadrature oracle for the erf-based implementation.
     """
-    if z <= lower:
+    if z <= SIMPSON_LOWER:
         return 0.0
-    n = intervals if intervals % 2 == 0 else intervals + 1
-    xs = np.linspace(lower, z, n + 1)
+    xs = np.linspace(SIMPSON_LOWER, z, SIMPSON_INTERVALS + 1)
     ys = np.exp(-xs * xs / 2.0) / math.sqrt(2.0 * math.pi)
-    h = (z - lower) / n
+    h = (z - SIMPSON_LOWER) / SIMPSON_INTERVALS
     return float(h / 3.0 * (ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-2:2].sum()))
 
 
@@ -814,15 +827,15 @@ CURRICULUM_SCHEMA = {
 
 def run_curriculum(seed: int, params: dict, threads: int = 1) -> ExperimentResult:
     result = ExperimentResult(name="curriculum")
-    world = curriculum.ToyWorld()
+    dim = curriculum.FEATURES.shape[1]
     for key in ("strong_theta", "rate_theta"):
-        if len(params[key]) != world.dim:
-            raise InvalidInputError(f"params.{key}: need {world.dim} weights, got {len(params[key])}")
+        if len(params[key]) != dim:
+            raise InvalidInputError(f"params.{key}: need {dim} weights, got {len(params[key])}")
     if params["step"] <= 0:
         raise InvalidInputError(f"params.step: must be positive, got {params['step']!r}")
     strong = np.asarray(params["strong_theta"])
     rate_theta = np.asarray(params["rate_theta"])
-    expert_strong = curriculum.success_rate(world, strong)
+    expert_strong = curriculum.success_rate(strong)
 
     reference = math.exp(10.0) / (math.exp(10.0) + 2.0)
     result.check(
@@ -830,7 +843,7 @@ def run_curriculum(seed: int, params: dict, threads: int = 1) -> ExperimentResul
         abs(expert_strong - reference) <= 1e-9,
         f"{expert_strong!r} vs {reference!r}",
     )
-    shortcut_heavy = curriculum.success_rate(world, np.array([0.0, 10.0, 10.0]))
+    shortcut_heavy = curriculum.success_rate(np.array([0.0, 10.0, 10.0]))
     result.check(
         "shortcut-dominated weights drive success toward zero",
         abs(shortcut_heavy - 1.0 / (1.0 + math.exp(20.0) + math.exp(10.0))) <= 1e-18
@@ -846,24 +859,24 @@ def run_curriculum(seed: int, params: dict, threads: int = 1) -> ExperimentResul
     # validate the grid.
     grid = params["n_grid"]
     sweep_data = curriculum.sweep_counts(
-        world, rate_theta, grid, params["trials_per_n"], seed=derive_seed(seed, "sweep")
+        rate_theta, grid, params["trials_per_n"], seed=derive_seed(seed, "sweep")
     )
     policy_counts = [[0.0, float(n), 0.0] for n in grid]
     policy_counts += [
-        curriculum.draw_counts(world, strong, grid[-1], derive_seed(seed, "strong")),
+        curriculum.draw_counts(strong, grid[-1], derive_seed(seed, "strong")),
         np.full(3, 3333.0),
     ]
     tv_counts = [
-        curriculum.draw_counts(world, rate_theta, n, derive_seed(seed, "tv", n, t))
+        curriculum.draw_counts(rate_theta, n, derive_seed(seed, "tv", n, t))
         for n in grid
         for t in range(params["tv_trials"])
     ]
     all_thetas, all_grad_norms = curriculum.fit_rows(
-        world, np.vstack([policy_counts, sweep_data, tv_counts]), params["iterations"], params["step"]
+        np.vstack([policy_counts, sweep_data, tv_counts]), params["iterations"], params["step"]
     )
     policies, sweep_end = len(policy_counts), len(policy_counts) + len(sweep_data)
     thetas, grad_norms = all_thetas[:policies], all_grad_norms[:policies]
-    successes = curriculum.state_distribution(world, thetas)[:, curriculum.EXPERT]
+    successes = curriculum.state_distribution(thetas)[:, curriculum.EXPERT]
     gaps = np.abs(successes - expert_strong)
     biased = slice(0, len(grid))
     # a row passes at excess <= 0, so nextafter keeps "gap > 0.98" strict
@@ -886,7 +899,7 @@ def run_curriculum(seed: int, params: dict, threads: int = 1) -> ExperimentResul
         f"log-log slope {biased_slope:.2e}",
     )
 
-    sweep = curriculum.summarize_sweep(world, rate_theta, grid, all_thetas[policies:sweep_end])
+    sweep = curriculum.summarize_sweep(rate_theta, grid, all_thetas[policies:sweep_end])
     rows = [(n, "biased", gap, 0.0, 0.0) for n, gap in zip(grid, gaps[biased].tolist())]
     rows.extend(sweep.rows)
     result.tables["curriculum_sweep.csv"] = (
@@ -919,8 +932,8 @@ def run_curriculum(seed: int, params: dict, threads: int = 1) -> ExperimentResul
         f"gap {strong_gap:.2e}",
     )
 
-    expert_dist = curriculum.state_distribution(world, rate_theta)
-    tvs = curriculum.total_variation(curriculum.state_distribution(world, all_thetas[sweep_end:]), expert_dist)
+    expert_dist = curriculum.state_distribution(rate_theta)
+    tvs = curriculum.total_variation(curriculum.state_distribution(all_thetas[sweep_end:]), expert_dist)
     mean_tvs = [float(np.mean(row)) for row in tvs.reshape(len(grid), -1)]
     tv_bounds = [3.0 * math.sqrt(math.log(n) / n) for n in grid]
     result.gate(
@@ -934,7 +947,7 @@ def run_curriculum(seed: int, params: dict, threads: int = 1) -> ExperimentResul
     for _ in range(params["grad_checks"]):
         theta = rng.uniform(-5.0, 5.0, 3)
         counts = rng.integers(1, 50, 3).astype(np.float64)
-        grad = curriculum.log_likelihood_grad(world, theta, counts)
+        grad = curriculum.log_likelihood_grad(theta, counts)
         numeric = np.zeros(3)
         h = 1e-5
         for i in range(3):
@@ -942,8 +955,8 @@ def run_curriculum(seed: int, params: dict, threads: int = 1) -> ExperimentResul
             up[i] += h
             down[i] -= h
             numeric[i] = (
-                curriculum.log_likelihood(world, up, counts)
-                - curriculum.log_likelihood(world, down, counts)
+                curriculum.log_likelihood(up, counts)
+                - curriculum.log_likelihood(down, counts)
             ) / (2 * h)
         rel = float(np.linalg.norm(grad - numeric) / max(np.linalg.norm(grad), 1e-12))
         worst_rel = max(worst_rel, rel)
@@ -960,7 +973,7 @@ def run_curriculum(seed: int, params: dict, threads: int = 1) -> ExperimentResul
         shifted = theta + c * np.array([1.0, 1.0, 0.0])  # adds c to every state's score
         shift_worst = max(
             shift_worst,
-            abs(curriculum.success_rate(world, theta) - curriculum.success_rate(world, shifted)),
+            abs(curriculum.success_rate(theta) - curriculum.success_rate(shifted)),
         )
     result.check(
         "success rate invariant under a common score shift",
@@ -968,7 +981,7 @@ def run_curriculum(seed: int, params: dict, threads: int = 1) -> ExperimentResul
         f"worst |change| {shift_worst:.2e}",
     )
 
-    scores = world.features @ thetas[-1]
+    scores = curriculum.FEATURES @ thetas[-1]
     spread = float(scores.max() - scores.min())
     sym_grad = float(grad_norms[-1])
     result.check(

@@ -339,9 +339,10 @@ def _sweep(joint, tables, beta):
 
 class TestLockstepSolver:
     @pytest.mark.parametrize("case", range(len(_reference_corpus())))
-    def test_solver_equals_per_candidate_reference(self, case):
+    def test_solver_equals_per_candidate_reference(self, monkeypatch, case):
         problem, beta, n_latent, restarts, max_iter = _reference_corpus()[case]
-        solution = cib.solve_cib(problem, beta, n_latent, restarts=restarts, seed=case, max_iter=max_iter)
+        monkeypatch.setattr(cib, "MAX_SWEEPS", max_iter)
+        solution = cib.solve_cib(problem, beta, n_latent, restarts=restarts, seed=case)
         table, i_past, i_future, objective, converged, restart, iterations, trace = _reference_solve(
             problem, beta, n_latent, restarts, 1e-10, case, max_iter
         )
@@ -350,11 +351,11 @@ class TestLockstepSolver:
         assert (solution.restart_index, solution.iterations) == (restart, iterations)
         assert solution.objective_trace == trace
 
-    def test_corpus_covers_non_convergence_and_every_latent_size(self):
-        outcomes = [
-            (n_latent, cib.solve_cib(problem, beta, n_latent, restarts=restarts, max_iter=max_iter).point.converged)
-            for problem, beta, n_latent, restarts, max_iter in _reference_corpus()
-        ]
+    def test_corpus_covers_non_convergence_and_every_latent_size(self, monkeypatch):
+        outcomes = []
+        for problem, beta, n_latent, restarts, max_iter in _reference_corpus():
+            monkeypatch.setattr(cib, "MAX_SWEEPS", max_iter)
+            outcomes.append((n_latent, cib.solve_cib(problem, beta, n_latent, restarts=restarts).point.converged))
         assert {n for n, _ in outcomes} == {1, 2, 3, 4}
         assert {c for _, c in outcomes} == {True, False}
 

@@ -11,32 +11,26 @@ from certlab.experiments import default_params, run_experiment_by_name
 from certlab.seeding import derive_seed
 
 
-WORLD = cur.ToyWorld()
-
-
 class TestWorld:
     def test_feature_map_is_pinned(self):
         np.testing.assert_array_equal(
-            WORLD.features, [[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 0.0]]
+            cur.FEATURES, [[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 0.0]]
         )
-        np.testing.assert_array_equal(WORLD.valuation, [1.0, 0.0, 0.0])
-
-    def test_bad_valuation_rejected(self):
-        with pytest.raises(InvalidInputError):
-            cur.ToyWorld(valuation=np.array([1.0, 1.0, 0.0]))
+        assert cur.EXPERT == 0
+        assert not cur.FEATURES.flags.writeable
 
 
 class TestSuccessRate:
     def test_zero_weights_are_uniform(self):
-        assert abs(cur.success_rate(WORLD, np.zeros(3)) - 1.0 / 3.0) <= 1e-15
+        assert abs(cur.success_rate(np.zeros(3)) - 1.0 / 3.0) <= 1e-15
 
     def test_strong_expert(self):
         expected = math.exp(10.0) / (math.exp(10.0) + 2.0)
-        assert abs(cur.success_rate(WORLD, np.array([10.0, 0.0, 0.0])) - expected) <= 1e-12
+        assert abs(cur.success_rate(np.array([10.0, 0.0, 0.0])) - expected) <= 1e-12
         assert abs(expected - 0.999909) <= 1e-6
 
     def test_shortcut_weights_kill_success(self):
-        got = cur.success_rate(WORLD, np.array([0.0, 10.0, 10.0]))
+        got = cur.success_rate(np.array([0.0, 10.0, 10.0]))
         expected = 1.0 / (1.0 + math.exp(20.0) + math.exp(10.0))
         assert abs(got - expected) <= 1e-20
         assert abs(got - 2.06e-9) <= 1e-11
@@ -46,7 +40,7 @@ class TestSuccessRate:
         for _ in range(50):
             theta = rng.uniform(-4, 4, 3)
             shifted = theta + 1.7 * np.array([1.0, 1.0, 0.0])
-            assert abs(cur.success_rate(WORLD, theta) - cur.success_rate(WORLD, shifted)) <= 1e-12
+            assert abs(cur.success_rate(theta) - cur.success_rate(shifted)) <= 1e-12
 
     def test_policy_norm_bound_enforced(self):
         with pytest.raises(InvalidInputError):
@@ -63,46 +57,46 @@ class TestDrawCounts:
         ],
     )
     def test_pinned_counts(self, theta, n, seed, expected):
-        counts = cur.draw_counts(WORLD, np.array(theta), n, seed)
+        counts = cur.draw_counts(np.array(theta), n, seed)
         assert counts.dtype == np.float64 and counts.shape == (3,)
         np.testing.assert_array_equal(counts, expected)
 
     def test_curriculum_tracks_expert_frequencies(self):
         theta = np.array([10.0, 0.0, 0.0])
         n = 10_000
-        counts = cur.draw_counts(WORLD, theta, n, 1)
-        p = cur.success_rate(WORLD, theta)
+        counts = cur.draw_counts(theta, n, 1)
+        p = cur.success_rate(theta)
         freq = counts[cur.EXPERT] / n
         assert abs(freq - p) <= 3.0 * math.sqrt(p * (1.0 - p) / n) + 1e-12
 
     def test_uniform_expert_frequencies(self):
         n = 30_000
-        counts = cur.draw_counts(WORLD, np.zeros(3), n, 2)
+        counts = cur.draw_counts(np.zeros(3), n, 2)
         assert counts.sum() == n
         for k in range(3):
             assert abs(counts[k] / n - 1.0 / 3.0) <= 3.0 * math.sqrt((1 / 3) * (2 / 3) / n)
 
     def test_needs_a_sample(self):
         with pytest.raises(InvalidInputError):
-            cur.draw_counts(WORLD, np.zeros(3), 0, 0)
+            cur.draw_counts(np.zeros(3), 0, 0)
 
 
 class TestMleFit:
     def test_balanced_data_fits_flat_scores(self):
-        fit = cur.mle_fit(WORLD, np.full(3, 600.0))
-        scores = WORLD.features @ fit.policy.theta
+        fit = cur.mle_fit(np.full(3, 600.0))
+        scores = cur.FEATURES @ fit.policy.theta
         assert scores.max() - scores.min() <= 1e-4
-        assert abs(cur.success_rate(WORLD, fit.policy) - 1.0 / 3.0) <= 1e-4
+        assert abs(cur.success_rate(fit.policy) - 1.0 / 3.0) <= 1e-4
         assert fit.final_grad_norm < 1e-8
 
     def test_biased_data_caps_success(self):
-        fit = cur.mle_fit(WORLD, np.array([0.0, 1000.0, 0.0]))
-        assert cur.success_rate(WORLD, fit.policy) <= 0.01
+        fit = cur.mle_fit(np.array([0.0, 1000.0, 0.0]))
+        assert cur.success_rate(fit.policy) <= 0.01
 
     def test_strong_expert_recovered(self):
         theta = np.array([10.0, 0.0, 0.0])
-        fit = cur.mle_fit(WORLD, cur.draw_counts(WORLD, theta, 100_000, 3))
-        assert abs(cur.success_rate(WORLD, fit.policy) - cur.success_rate(WORLD, theta)) <= 0.005
+        fit = cur.mle_fit(cur.draw_counts(theta, 100_000, 3))
+        assert abs(cur.success_rate(fit.policy) - cur.success_rate(theta)) <= 0.005
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(4)
@@ -110,19 +104,20 @@ class TestMleFit:
         for _ in range(25):
             theta = rng.uniform(-5, 5, 3)
             counts = rng.integers(1, 40, 3).astype(float)
-            grad = cur.log_likelihood_grad(WORLD, theta, counts)
+            grad = cur.log_likelihood_grad(theta, counts)
             numeric = np.zeros(3)
             for i in range(3):
                 up, down = theta.copy(), theta.copy()
                 up[i] += h
                 down[i] -= h
                 numeric[i] = (
-                    cur.log_likelihood(WORLD, up, counts) - cur.log_likelihood(WORLD, down, counts)
+                    cur.log_likelihood(up, counts) - cur.log_likelihood(down, counts)
                 ) / (2 * h)
             assert np.linalg.norm(grad - numeric) <= 1e-6 * max(np.linalg.norm(grad), 1e-9)
 
-    def test_projection_keeps_iterates_in_ball(self):
-        fit = cur.mle_fit(WORLD, np.array([0.0, 10.0, 0.0]), iterations=200, step=5.0, param_bound=3.0)
+    def test_projection_keeps_iterates_in_ball(self, monkeypatch):
+        monkeypatch.setattr(cur, "PARAM_BOUND", 3.0)
+        fit = cur.mle_fit(np.array([0.0, 10.0, 0.0]), iterations=200, step=5.0)
         assert np.linalg.norm(fit.policy.theta) <= 3.0 + 1e-9
 
 
@@ -131,9 +126,9 @@ def _reference_fit(counts, iterations, step, param_bound):
     1-d softmax and gradient: the reference ``fit_rows`` must reproduce."""
 
     def grad(theta):
-        scores = WORLD.features @ theta
+        scores = cur.FEATURES @ theta
         z = np.exp(scores - scores.max())
-        return counts @ WORLD.features / counts.sum() - (z / z.sum()) @ WORLD.features
+        return counts @ cur.FEATURES / counts.sum() - (z / z.sum()) @ cur.FEATURES
 
     theta = np.zeros(3)
     for _ in range(iterations):
@@ -149,7 +144,7 @@ def _biased(sizes):
 
 
 def _counts(theta, sizes, seed):
-    return [cur.draw_counts(WORLD, theta, n, seed + i) for i, n in enumerate(sizes)]
+    return [cur.draw_counts(theta, n, seed + i) for i, n in enumerate(sizes)]
 
 
 class TestFitRows:
@@ -160,15 +155,16 @@ class TestFitRows:
     @pytest.mark.parametrize(
         "counts, iterations, step, param_bound",
         [
-            (_biased((100, 1000, 10_000)), 5000, 0.1, cur.DEFAULT_PARAM_BOUND),
+            (_biased((100, 1000, 10_000)), 5000, 0.1, cur.PARAM_BOUND),
             (_counts(np.array([2.0, 0.0, 0.0]), (100, 100, 1000, 10_000), 5), 5000, 0.1, 50.0),
             ([np.full(3, 600.0), np.array([1.0, 1.0, 1.0])], 5000, 0.1, 50.0),
             (_biased((10,)) + _counts(np.zeros(3), (30,), 9), 200, 5.0, 3.0),
         ],
         ids=["biased", "curriculum", "balanced", "projection-active"],
     )
-    def test_rows_equal_the_scalar_loop(self, counts, iterations, step, param_bound):
-        theta, grad_norm = cur.fit_rows(WORLD, counts, iterations, step, param_bound)
+    def test_rows_equal_the_scalar_loop(self, monkeypatch, counts, iterations, step, param_bound):
+        monkeypatch.setattr(cur, "PARAM_BOUND", param_bound)
+        theta, grad_norm = cur.fit_rows(counts, iterations, step)
         for row, c in enumerate(counts):
             ref_theta, ref_norm = _reference_fit(c, iterations, step, param_bound)
             np.testing.assert_array_equal(theta[row], ref_theta)
@@ -185,10 +181,10 @@ class TestFitRows:
             _counts(np.array([2.0, 0.0, 0.0]), (100, 100, 1000, 10_000), 5),
             _counts(np.zeros(3), (10, 30), 9),
         ]
-        theta, grad_norm = cur.fit_rows(WORLD, np.vstack(groups), 5000, 0.1)
+        theta, grad_norm = cur.fit_rows(np.vstack(groups), 5000, 0.1)
         start = 0
         for group in groups:
-            group_theta, group_norm = cur.fit_rows(WORLD, group, 5000, 0.1)
+            group_theta, group_norm = cur.fit_rows(group, 5000, 0.1)
             rows = slice(start, start + len(group))
             np.testing.assert_array_equal(theta[rows], group_theta)
             np.testing.assert_array_equal(grad_norm[rows], group_norm)
@@ -197,7 +193,7 @@ class TestFitRows:
     @pytest.mark.parametrize("shape", [(3,), (2, 4), (0, 3), (1, 3, 1)])
     def test_count_matrix_must_be_k_by_3(self, shape):
         with pytest.raises(InvalidInputError):
-            cur.fit_rows(WORLD, np.ones(shape), 1, 0.1)
+            cur.fit_rows(np.ones(shape), 1, 0.1)
 
 
 class TestSweep:
@@ -210,43 +206,43 @@ class TestSweep:
 
     def test_curriculum_sweep_shrinks(self):
         theta, grid = np.array([2.0, 0.0, 0.0]), (100, 10_000)
-        counts = cur.sweep_counts(WORLD, theta, grid, trials_per_n=6, seed=0)
-        fitted, _ = cur.fit_rows(WORLD, counts, 5000, 0.1)
-        result = cur.summarize_sweep(WORLD, theta, grid, fitted)
+        counts = cur.sweep_counts(theta, grid, trials_per_n=6, seed=0)
+        fitted, _ = cur.fit_rows(counts, 5000, 0.1)
+        result = cur.summarize_sweep(theta, grid, fitted)
         assert [(row.n, row.provenance) for row in result.rows] == [(100, "curriculum"), (10_000, "curriculum")]
         assert result.rows[0].mean_gap > result.rows[-1].mean_gap
         assert result.slope < 0.0
 
     def test_biased_fits_ignore_n(self):
-        theta, _ = cur.fit_rows(WORLD, _biased((100, 1000)), 5000, 0.1)
+        theta, _ = cur.fit_rows(_biased((100, 1000)), 5000, 0.1)
         np.testing.assert_array_equal(theta[0], theta[1])
 
     def test_sweep_counts_are_n_major(self):
-        counts = cur.sweep_counts(WORLD, np.array([2.0, 0.0, 0.0]), (100, 1000), trials_per_n=4, seed=3)
+        counts = cur.sweep_counts(np.array([2.0, 0.0, 0.0]), (100, 1000), trials_per_n=4, seed=3)
         np.testing.assert_array_equal(counts.sum(axis=1), [100] * 4 + [1000] * 4)
 
     def test_sweep_rows_are_draw_counts_on_their_streams(self):
         theta, grid, trials, seed = np.array([2.0, 0.0, 0.0]), (100, 1000), 3, 11
-        counts = cur.sweep_counts(WORLD, theta, grid, trials_per_n=trials, seed=seed)
+        counts = cur.sweep_counts(theta, grid, trials_per_n=trials, seed=seed)
         for i, n in enumerate(grid):
             for t in range(trials):
-                expected = cur.draw_counts(WORLD, theta, n, derive_seed(seed, "sweep", n, t))
+                expected = cur.draw_counts(theta, n, derive_seed(seed, "sweep", n, t))
                 np.testing.assert_array_equal(counts[i * trials + t], expected)
 
     def test_grid_validation(self):
         with pytest.raises(InvalidInputError):
-            cur.sweep_counts(WORLD, np.zeros(3), (100,), trials_per_n=5, seed=0)
+            cur.sweep_counts(np.zeros(3), (100,), trials_per_n=5, seed=0)
         with pytest.raises(InvalidInputError):
-            cur.sweep_counts(WORLD, np.zeros(3), (100, 50), trials_per_n=5, seed=0)
+            cur.sweep_counts(np.zeros(3), (100, 50), trials_per_n=5, seed=0)
 
 
 def test_run_curriculum_fits_every_dataset_in_one_call(monkeypatch):
     shapes = []
     fit_rows = cur.fit_rows
 
-    def counting(world, counts, *args, **kwargs):
+    def counting(counts, *args, **kwargs):
         shapes.append(np.shape(counts))
-        return fit_rows(world, counts, *args, **kwargs)
+        return fit_rows(counts, *args, **kwargs)
 
     monkeypatch.setattr(cur, "fit_rows", counting)
     result = run_experiment_by_name("curriculum", 0, default_params("curriculum"))

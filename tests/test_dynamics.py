@@ -7,6 +7,7 @@ import pytest
 
 from certlab import dynamics
 from certlab.errors import InvalidInputError, SamplingExhaustedError
+from certlab.experiments import default_params, run_experiment_by_name
 from certlab.seeding import rng_for
 
 
@@ -24,38 +25,84 @@ class TestSubDecisionalCheck:
     def test_shape_mismatch(self):
         with pytest.raises(InvalidInputError):
             dynamics.check_sub_decisional([1.0, 0.0], [0.0, 0.0, 0.0])
+        with pytest.raises(InvalidInputError):
+            dynamics.check_sub_decisional([1.0, 0.0], np.zeros((4, 3)))
+
+    def test_stack_equals_per_row_results(self):
+        logits = [2.0, 1.0, 0.0]
+        rows = np.array([
+            [0.0, 0.5, 0.0],  # kept
+            [0.0, 1.5, 0.0],  # crossed
+            [-0.6, 0.4, 0.0],  # tie at 1.4, index 0 wins
+            [-1.0, 0.0, 0.0],  # tie at 1.0, index 0 wins
+            [-1.5, -0.5, 0.0],  # tie at 0.5 between indices 0 and 1, index 0 wins
+            [-2.0, 0.0, 1.0],  # crossed to index 2
+        ])
+        expected = [dynamics.check_sub_decisional(logits, row) for row in rows]
+        assert expected == [True, False, True, True, True, False]
+        assert dynamics.check_sub_decisional(logits, rows).tolist() == expected
 
 
 class TestNoiseSampler:
     def test_zero_scale_is_zero_noise(self):
-        noise, rejections = dynamics.sample_sub_decisional_noise(
-            [3.0, 1.0, 0.0], 0.0, rng_for(0, "x")
-        )
-        assert not noise.any()
-        assert rejections == 0
+        noise, redrawn = dynamics.sample_sub_decisional_noise([3.0, 1.0, 0.0], 0.0, rng_for(0, "x"), 5)
+        assert noise.shape == (5, 3) and not noise.any()
+        assert redrawn == 0
 
-    def test_postcondition_always_holds(self):
-        rng = rng_for(1, "noise")
+    def test_every_row_keeps_the_argmax(self):
         logits = np.array([2.0, 1.0, 0.5, 0.0])
-        for _ in range(200):
-            noise, _ = dynamics.sample_sub_decisional_noise(logits, 0.5, rng)
-            assert dynamics.check_sub_decisional(logits, noise)
+        noise, redrawn = dynamics.sample_sub_decisional_noise(logits, 0.5, rng_for(1, "noise"), 2000)
+        assert noise.shape == (2000, 4)
+        assert redrawn > 0  # the redraw rounds ran
+        assert dynamics.check_sub_decisional(logits, noise).all()
 
     def test_small_scale_accepts_almost_always(self):
-        rng = rng_for(2, "noise")
         logits = np.array([2.0, 1.0, 0.0])  # margin 1
-        draws, rejections = 2000, 0
-        for _ in range(draws):
-            _, rej = dynamics.sample_sub_decisional_noise(logits, 0.1, rng)
-            rejections += rej
-        assert draws / (draws + rejections) > 0.99
+        draws = 2000
+        _, redrawn = dynamics.sample_sub_decisional_noise(logits, 0.1, rng_for(2, "noise"), draws)
+        assert draws / (draws + redrawn) > 0.99
 
-    def test_exhaustion_raises(self):
+    def test_input_checks(self):
+        with pytest.raises(InvalidInputError):
+            dynamics.sample_sub_decisional_noise([1.0, 0.0], -0.1, rng_for(0, "x"), 1)
+        with pytest.raises(InvalidInputError):
+            dynamics.sample_sub_decisional_noise([1.0, 1.0, 0.0], 0.1, rng_for(0, "x"), 1)
+
+    def test_exhaustion_raises(self, monkeypatch):
         # isotropic noise keeps acceptance near 1/B even at huge scales, so
-        # the guard is exercised with a zero attempt budget
-        rng = rng_for(3, "noise")
+        # the guard is exercised with a one-round budget: about half of 64
+        # rows are rejected in the first round
+        monkeypatch.setattr(dynamics, "REJECTION_CAP", 1)
         with pytest.raises(SamplingExhaustedError):
-            dynamics.sample_sub_decisional_noise([1e-9, 0.0], 1e6, rng, max_attempts=0)
+            dynamics.sample_sub_decisional_noise([1e-9, 0.0], 1e6, rng_for(3, "noise"), 64)
+
+
+POSTCONDITION = "rejection sampler postcondition: every draw keeps the argmax"
+SMALL_NOISE_DISCRETE = {**default_params("noise-discrete"), "trials": 200, "acceptance_draws": 50}
+
+
+class TestNoiseDiscretePostcondition:
+    def test_listed_once_and_passing(self):
+        result = run_experiment_by_name("noise-discrete", 0, SMALL_NOISE_DISCRETE)
+        listed = [check for check in result.checks if check.name == POSTCONDITION]
+        assert len(listed) == 1 and listed[0].passed
+        assert result.all_passed
+
+    def test_one_flipping_row_fails_it(self, monkeypatch):
+        sample = dynamics.sample_sub_decisional_noise
+
+        def one_flip(l_star, scale, rng, count):
+            noise, redrawn = sample(l_star, scale, rng, count)
+            if count == SMALL_NOISE_DISCRETE["acceptance_draws"]:  # the acceptance draws only
+                noise[7] = 0.0
+                noise[7, np.argmin(l_star)] = 2.0 * np.ptp(l_star) + 1.0
+            return noise, redrawn
+
+        monkeypatch.setattr(dynamics, "sample_sub_decisional_noise", one_flip)
+        result = run_experiment_by_name("noise-discrete", 0, SMALL_NOISE_DISCRETE)
+        failed = [check for check in result.checks if not check.passed]
+        assert [check.name for check in failed] == [POSTCONDITION]
+        assert failed[0].detail.startswith("1/50 rows over the limit, worst draw 7")
 
 
 class TestPrefixLogits:
@@ -100,6 +147,18 @@ class TestDiscreteChain:
         a = dynamics.simulate_discrete_chain(spec, 3000, seed=11)
         b = dynamics.simulate_discrete_chain(spec, 3000, seed=11)
         assert a == b
+
+    @pytest.mark.parametrize(
+        "steps, options, scale, logit_seed, trials, seed, expected",
+        [(5, 4, 3.0, 11, 5000, 7, 3713), (7, 3, 1.5, 12, 3000, 8, 1857)],
+    )
+    def test_unconstrained_counts_are_pinned(self, steps, options, scale, logit_seed, trials, seed, expected):
+        # group order, ranks and streams fix every count, so a walk that keeps
+        # them keeps these
+        spec = dynamics.DiscreteChainSpec(
+            steps=steps, n_options=options, noise_scale=scale, sub_decisional_only=False, logit_seed=logit_seed
+        )
+        assert dynamics.simulate_discrete_chain(spec, trials, seed) == expected
 
 
 class TestLatentChain:

@@ -4,6 +4,8 @@ import hashlib
 import importlib
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -327,6 +329,14 @@ class TestCli:
             ("cib-frontier", "schedule_scale", "0.0", "scale must be positive", "cib.solve_cib"),
             ("dag-exploration", "capped_deltas", "0.1, 0.3, 1.5", "delta must lie in (0,1)", "dag.make_policy"),
             ("dag-exploration", "delta", "0.0", "delta must lie in (0,1)", "dag.make_policy"),
+            # a value may end in further `key = value` lines
+            ("divergence-asymptote", "kappas", "1.0, 10.0\noptions = 2\nminority_mass = 0.5",
+             "params.kappas: each kappa must exceed 1", "categorical.dirichlet_sample"),
+            ("divergence-asymptote", "kappas", "100.0, 2.0", "kappa too small", "categorical.dirichlet_sample"),
+            ("tradeoff-scan", "scan_options", "2, 16", "params.scan_options: the oracle at B=16",
+             "cat_bulk.certainty_panel"),
+            ("tradeoff-scan", "scan_grid", "0.5, 1.5", "top probability must lie in [1/B, 1)",
+             "cat_bulk.certainty_panel"),
         ],
     )
     def test_bad_param_exits_two_before_the_kernel(
@@ -390,6 +400,11 @@ class TestCli:
 
     def test_missing_config_is_io_error(self, tmp_path):
         assert cli.main(["run", "--config", str(tmp_path / "nope.cfg")]) == 4
+
+    def test_missing_experiment_exits_two(self, tmp_path, capsys):
+        cfg = _write_cfg(tmp_path, "[run]\nseed = 0\n")
+        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "ConfigError: run.experiment is required" in capsys.readouterr().err
 
     def test_failed_check_exits_three(self, tmp_path):
         # an unconstrained-noise contrast at a vanishing scale never flips a
@@ -625,6 +640,22 @@ class TestExampleConfigs:
 
 
 class TestBenchmarkContract:
+    def test_child_sets_up_every_experiment_traced(self, tmp_path):
+        # bench/child.py builds every config and installs the tracer: this
+        # catches drift in build_config's keywords, the experiment schemas and
+        # the arguments the tracer reads by name
+        spec = {
+            "src": str(REPO_ROOT / "src"), "work": str(tmp_path), "experiments": sorted(EXPERIMENTS),
+            "seed": 0, "threads": 1, "trace": True, "setup_only": True,
+        }
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        child = subprocess.run(
+            [sys.executable, str(REPO_ROOT / "bench" / "child.py"), str(tmp_path / "spec.json")],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert child.returncode == 0, child.stderr
+        assert "setup_done" in json.loads((tmp_path / "RESULT.json").read_text())
+
     def test_every_traced_function_resolves(self):
         path = REPO_ROOT / "bench" / "tracer.py"
         spec = importlib.util.spec_from_file_location("certlab_bench_tracer", path)
