@@ -3,6 +3,9 @@
 Mirrors the scalar operations in ``categorical`` over matrices of logit or
 probability rows.  The experiment harness re-checks random rows against the
 scalar ops, so this fast path is continuously audited rather than trusted.
+``masked_log_sums`` sums masked ``w * log(num / den)`` rows, each bit for bit as
+its one-row ``np.sum``, for ``kl_rows``, the bottleneck CMI and the grid-search
+oracle; the oracles walk their candidates in blocks of ``STACK_CELLS`` cells.
 """
 
 from __future__ import annotations
@@ -13,6 +16,9 @@ import numpy as np
 
 from .categorical import PROB_FLOOR, SUM_TOL, as_distribution
 from .errors import InfiniteDivergenceError, InvalidInputError
+
+# Most cells a blocked enumeration stacks into one kernel call.
+STACK_CELLS = 2**16
 
 
 class CertaintyPanel(NamedTuple):
@@ -51,22 +57,40 @@ def certainty_panel(logits: np.ndarray) -> CertaintyPanel:
     )
 
 
+def masked_log_sums(w: np.ndarray, num, den) -> np.ndarray:
+    """Per row r, ``np.sum(w[r][m] * np.log(num[r][m] / den[r][m]))`` over ``m = w[r] > 0``.
+
+    ``w`` has a leading row axis, and ``num`` and ``den`` broadcast to its
+    shape.  Each row is summed on its own compact kept cells, exactly as
+    that one-row ``np.sum`` would: rows are grouped by their kept-cell count
+    k and each (rows, k) block is summed along its contiguous last axis.
+    Zero-padding a row to the full cell count would change numpy's pairwise
+    summation order, and with it the last bits of the sum.
+    """
+    n_rows = w.shape[0]
+    mask = w > 0.0
+    if mask.all():  # every row keeps every cell: one block, no gather
+        return (w * np.log(num / den)).reshape(n_rows, -1).sum(axis=1)
+    num, den = np.broadcast_to(num, w.shape), np.broadcast_to(den, w.shape)
+    terms = w[mask] * np.log(num[mask] / den[mask])
+    counts = mask.reshape(n_rows, -1).sum(axis=1)
+    owner = np.repeat(np.arange(n_rows), counts)  # row of each kept term
+    sums = np.zeros(n_rows)
+    for k in set(counts.tolist()) - {0}:
+        same = counts == k
+        sums[same] = terms[same[owner]].reshape(-1, k).sum(axis=1)
+    return sums
+
+
 def kl_rows(q, rows) -> np.ndarray:
-    """D(q || rows[i]) for every row, validated and computed cell by cell as
-    ``kl_divergence`` does, so entry i equals ``kl_divergence(q, rows[i])``."""
+    """D(q || rows[i]) for every row, validated as ``kl_divergence`` validates,
+    so entry i equals ``kl_divergence(q, rows[i])``."""
     qv = as_distribution(q)
     p = np.asarray(rows, dtype=np.float64)
     if p.ndim != 2 or p.shape[1] != qv.size:
         raise InvalidInputError(f"need a (rows, {qv.size}) matrix, got shape {p.shape}")
     if not (np.all(p >= 0.0) and np.all(np.abs(p.sum(axis=1) - 1.0) <= SUM_TOL)):
         raise InvalidInputError(f"rows must be non-negative and sum to 1 within {SUM_TOL}")
-    mask = qv > 0.0
-    # C order keeps each row sum pairwise like the 1-d sum in kl_divergence;
-    # boolean column indexing alone would return a Fortran-ordered copy
-    p = np.ascontiguousarray(p if mask.all() else p[:, mask])
-    if np.any(p <= PROB_FLOOR):
+    if np.any((p <= PROB_FLOOR) & (qv > 0.0)):
         raise InfiniteDivergenceError("q places mass on an option where a row is zero")
-    terms = qv[mask] / p  # one temporary, reused in place: the panels can be large
-    np.log(terms, out=terms)
-    terms *= qv[mask]
-    return terms.sum(axis=1)
+    return masked_log_sums(np.broadcast_to(qv, p.shape), qv, p)

@@ -18,10 +18,10 @@ solve, and each sweep computes the live tables' p(h|x) and p(h,f|x)
 (``_moments``) once: the same arrays score the tables and feed their next
 update.  The updates are those of Tishby, Pereira & Bialek, "The
 information bottleneck method" (1999).
-``brute_force_cib`` enumerates every deterministic encoder as an
-independent check, and ``information_frontier`` sweeps ``beta`` to trace
-the achievable (I_past, I_future) envelope, which must come out monotone
-and concave if the solver is doing its job.
+``brute_force_cib`` scores every deterministic encoder, in one-hot stacks,
+as an independent check, and ``information_frontier`` sweeps ``beta`` to
+trace the achievable (I_past, I_future) envelope, which must come out
+monotone and concave if the solver is doing its job.
 
 ``beta_schedule`` exposes the stage-dependent trade-off weight
 ``scale * k / (M - k)``: early stages pay nothing for compression, late
@@ -30,13 +30,13 @@ stages weight prediction heavily, diverging at the terminal stage.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from .cat_bulk import STACK_CELLS, masked_log_sums
 from .errors import EnumerationTooLargeError, InvalidInputError
 from .seeding import derive_seed, rng_for
 
@@ -134,31 +134,6 @@ class InfoPlanePoint:
             )
 
 
-def _masked_row_sums(w: np.ndarray, num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """Per row r, ``np.sum(w[r][m] * np.log(num[r][m] / den[r][m]))`` over ``m = w[r] > 0``.
-
-    ``w`` has a leading row axis, and ``num`` and ``den`` broadcast to its
-    shape.  Each row is summed on its own compact kept cells, exactly as
-    that one-row ``np.sum`` would: rows are grouped by their kept-cell count
-    k and each (rows, k) block is summed along its contiguous last axis.
-    Zero-padding a row to the full cell count would change numpy's pairwise
-    summation order, and with it the last bits of the sum.
-    """
-    n_rows = w.shape[0]
-    mask = w > 0.0
-    if mask.all():  # every row keeps every cell: one block, no gather
-        return (w * np.log(num / den)).reshape(n_rows, -1).sum(axis=1)
-    num, den = np.broadcast_to(num, w.shape), np.broadcast_to(den, w.shape)
-    terms = w[mask] * np.log(num[mask] / den[mask])
-    counts = mask.reshape(n_rows, -1).sum(axis=1)
-    owner = np.repeat(np.arange(n_rows), counts)  # row of each kept term
-    sums = np.zeros(n_rows)
-    for k in set(counts.tolist()) - {0}:
-        same = counts == k
-        sums[same] = terms[same[owner]].reshape(-1, k).sum(axis=1)
-    return sums
-
-
 class _Context(NamedTuple):
     """Constants of one context x with mass, fixed for a whole solve."""
 
@@ -199,7 +174,7 @@ def _cmi_rows(contexts: list[_Context], tables: np.ndarray, moments, target: str
     for c, (marginal, p_hf) in zip(contexts, moments):
         if target == "past":
             # p(s, h | x) = p(s|x) q(h|s); the ratio collapses to q(h|s)/p(h|x)
-            total += c.p_x * _masked_row_sums(c.p_s[:, None] * tables, tables, marginal[:, None, :])
+            total += c.p_x * masked_log_sums(c.p_s[:, None] * tables, tables, marginal[:, None, :])
         else:
             num, den = p_hf, marginal[:, :, None] * c.p_f
             if not den.all():
@@ -208,7 +183,7 @@ def _cmi_rows(contexts: list[_Context], tables: np.ndarray, moments, target: str
                 tiny = (den == 0.0) & (p_hf > 0.0)
                 num = np.divide(p_hf, marginal[:, :, None], out=p_hf.copy(), where=tiny)
                 den = np.where(tiny, c.p_f, den)
-            total += c.p_x * _masked_row_sums(p_hf, num, den)
+            total += c.p_x * masked_log_sums(p_hf, num, den)
     return np.maximum(total, 0.0)
 
 
@@ -397,23 +372,26 @@ def brute_force_cib(
 ) -> tuple[float, tuple[int, ...]]:
     """Minimum dual objective over every deterministic encoder map.
 
-    Enumerates all ``n_latent ** n_past`` assignments s_past -> h and
-    returns (best objective, best map), the first lexicographic map on
-    ties.  This is the module's independent oracle; it deliberately knows
-    nothing about the iterative solver.
+    Enumerates all ``n_latent ** n_past`` assignments s_past -> h as one-hot
+    stacks of at most ``STACK_CELLS`` cells and returns (best objective,
+    best map), the first lexicographic map on ties.  This independent oracle
+    shares the objective with the iterative solver, not its sweeps.
     """
     count = n_latent**problem.n_past
     if count > ENUMERATION_CAP:
         raise EnumerationTooLargeError(f"{count} deterministic encoders exceeds the cap")
-    best_obj = math.inf
-    best_map: tuple[int, ...] | None = None
-    for assignment in itertools.product(range(n_latent), repeat=problem.n_past):
-        table = np.zeros((problem.n_past, n_latent))
-        table[np.arange(problem.n_past), assignment] = 1.0
-        obj = dual_objective(problem, Encoder(table=table), beta)
-        if obj < best_obj:
-            best_obj = obj
-            best_map = assignment
+    contexts = _contexts(problem.joint)
+    shape = (n_latent,) * problem.n_past
+    block = max(1, STACK_CELLS // (problem.n_past * n_latent))
+    best_obj, best_map = math.inf, None
+    for first in range(0, count, block):
+        # maps first.. in itertools.product order, as one (R, S, H) one-hot stack
+        maps = np.stack(np.unravel_index(np.arange(first, min(first + block, count)), shape), axis=1)
+        tables = (maps[:, :, None] == np.arange(n_latent)).astype(np.float64)
+        objective = _objective_rows(contexts, tables, _moments(contexts, tables), beta)
+        winner = int(np.argmin(objective))  # first of the block's ties; a later block must beat it strictly
+        if objective[winner] < best_obj:
+            best_obj, best_map = float(objective[winner]), tuple(maps[winner].tolist())
     return best_obj, best_map
 
 

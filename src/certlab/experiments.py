@@ -13,6 +13,7 @@ testing.
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -99,6 +100,15 @@ TRADEOFF_SCHEMA = {
 ORACLE_CAP = 10**6
 
 
+def _compositions(units: int, slots: int, rows: int):
+    """Every split of ``units`` over ``slots`` non-negative counts, in lexicographic order,
+    as arrays of at most ``rows`` rows: stars and bars over ``units + slots - 1`` places."""
+    bars = itertools.combinations(range(units + slots - 1), slots - 1)
+    while block := list(itertools.islice(bars, rows)):
+        edges = np.pad(np.array(block, dtype=np.int64), ((0, 0), (1, 1)), constant_values=(-1, units + slots - 1))
+        yield np.diff(edges, axis=1) - 1
+
+
 def _simplex_slice_min_reverse_kl(top: float, n_options: int, resolution: int) -> float:
     """Grid-search min of D(p || uniform) over p with max entry == top.
 
@@ -107,32 +117,16 @@ def _simplex_slice_min_reverse_kl(top: float, n_options: int, resolution: int) -
     point.  Deliberately independent of the closed-form bound it checks.
     """
     b = n_options
-    best = math.inf
     rest_mass = 1.0 - top
-
-    def reverse_kl(p: np.ndarray) -> float:
-        mask = p > 0
-        return float(np.sum(p[mask] * np.log(p[mask] * b)))
-
-    if b == 2:
-        return reverse_kl(np.array([top, rest_mass]))
-    # compositions of `resolution` units over b-1 remainder slots
-    def compositions(slots: int, units: int):
-        if slots == 1:
-            yield (units,)
-            return
-        for head in range(units + 1):
-            for tail in compositions(slots - 1, units - head):
-                yield (head,) + tail
-
-    for combo in compositions(b - 1, resolution):
-        rest = np.array(combo, dtype=np.float64) * (rest_mass / resolution)
-        if rest.max() > top + 1e-12:
-            continue
-        best = min(best, reverse_kl(np.concatenate(([top], rest))))
-    even = np.full(b, rest_mass / (b - 1))
-    even = np.concatenate(([top], even[:-1]))
-    best = min(best, reverse_kl(even))
+    even = np.concatenate(([top], np.full(b - 1, rest_mass / (b - 1))))[None]
+    best = float(cat_bulk.masked_log_sums(even, even * b, 1.0)[0])  # the p * log(p * b) terms: x / 1.0 is exact
+    if b == 2:  # the even remainder is the only one
+        return best
+    for counts in _compositions(resolution, b - 1, max(1, cat_bulk.STACK_CELLS // b)):
+        p = np.concatenate((np.full((len(counts), 1), top), counts * (rest_mass / resolution)), axis=1)
+        p = p[p.max(axis=1) <= top + 1e-12]
+        if len(p):
+            best = min(best, float(cat_bulk.masked_log_sums(p, p * b, 1.0).min()))
     return best
 
 
@@ -150,11 +144,12 @@ def _scalar_certainty(logits: np.ndarray) -> tuple:
 def run_tradeoff_scan(seed: int, params: dict, threads: int = 1) -> ExperimentResult:
     result = ExperimentResult(name="tradeoff-scan")
     resolution = params["oracle_resolution"]
-    for b in params["scan_options"]:
+    for b in sorted({4, *params["scan_options"]}):  # B = 4 for the oracle's spot check
         compositions = math.comb(resolution + b - 2, b - 2)
         if compositions > ORACLE_CAP:
+            key = "scan_options" if b in params["scan_options"] else "oracle_resolution"
             raise EnumerationTooLargeError(
-                f"params.scan_options: the oracle at B={b} would enumerate {compositions} compositions "
+                f"params.{key}: the oracle at B={b} would enumerate {compositions} compositions "
                 f"of {resolution} units, over the cap {ORACLE_CAP}"
             )
     # every scan row's bound is evaluated, and so validated, before any panel
@@ -162,6 +157,8 @@ def run_tradeoff_scan(seed: int, params: dict, threads: int = 1) -> ExperimentRe
         (float(s), b, cat.tradeoff_lower_bound(float(s), b))
         for b in params["scan_options"] for s in params["scan_grid"] if s >= 1.0 / b
     ]
+    if not scan:
+        raise InvalidInputError("params.scan_grid: no value is at least 1/B for any B of params.scan_options")
     options_set = params["options_set"]
     per_b = max(1, params["samples"] // len(options_set))
 
@@ -234,22 +231,17 @@ def run_tradeoff_scan(seed: int, params: dict, threads: int = 1) -> ExperimentRe
         np.array(gaps) - 1e-9, lambda i: f"B={peaks[i][0]} s={peaks[i][1]:.4f}: gap {gaps[i]:.3e}",
     )
 
-    rows = []
-    oracle_spot = None
-    for s, b, bound in scan:
-        empirical = _simplex_slice_min_reverse_kl(s, b, resolution)
-        rows.append((s, int(b), bound, empirical))
-        if abs(s - 0.7) < 1e-12 and b == 4:
-            oracle_spot = empirical
+    rows = [(s, int(b), bound, _simplex_slice_min_reverse_kl(s, b, resolution)) for s, b, bound in scan]
     result.tables["tradeoff_scan.csv"] = (["i_s", "B", "bound", "empirical_min_kl"], rows)
     result.gate(
         "scan: bound <= grid-search minimum at every row",
         [bound - (empirical + 1e-12) for _, _, bound, empirical in rows],
         lambda i: f"s={rows[i][0]} B={rows[i][1]}: bound {rows[i][2]!r}, oracle {rows[i][3]!r}",
     )
+    oracle_spot = _simplex_slice_min_reverse_kl(0.7, 4, resolution)
     result.check(
         "grid-search oracle reproduces the s=0.7, B=4 minimum ~ 0.4458",
-        oracle_spot is not None and abs(oracle_spot - 0.4458463724645642) <= 1e-3,
+        abs(oracle_spot - 0.4458463724645642) <= 1e-3,
         f"oracle minimum {oracle_spot!r}",
     )
     return result
@@ -464,6 +456,8 @@ ERROR_ACCUMULATION_SCHEMA = {
 
 def run_error_accumulation(seed: int, params: dict, threads: int = 1) -> ExperimentResult:
     result = ExperimentResult(name="error-accumulation")
+    if params["sigma_h"] <= 0.0:  # the Lipschitz-ordering check needs noise; LatentConfig allows 0
+        raise InvalidInputError(f"params.sigma_h: must be positive, got {params['sigma_h']!r}")
     cells = [
         (lf, d, m)
         for lf in params["lipschitz_values"]

@@ -3,7 +3,8 @@
 SVG output is generated directly (header, axes, tick marks, polylines) so
 the artifact has zero rendering dependencies.  Each experiment's chart is
 one ``CHARTS`` entry, drawn from the CSV its manifest references by header
-column names; a missing file or column is a ReportError naming it.
+column names; a missing file or column, or a CSV without data rows, is a
+ReportError naming it.
 """
 
 from __future__ import annotations
@@ -194,6 +195,8 @@ def emit_svg_charts(manifest: RunManifest, out_dir: Path) -> list[Path]:
     missing = {chart.x, chart.group, chart.middle, *(y for _, y in chart.series)} - {None, *header}
     if missing:
         raise ReportError(f"{path} has no column {', '.join(sorted(missing))}")
+    if not cells:
+        raise ReportError(f"{path} has no data rows to chart")
     rows = [{name: _maybe_float(cell) for name, cell in zip(header, row)} for row in cells]
     pick = None
     if chart.middle is not None:

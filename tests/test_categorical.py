@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from certlab import cat_bulk
 from certlab import categorical as cat
 from certlab.errors import InfiniteDivergenceError, InvalidInputError
+from certlab.experiments import _compositions, _simplex_slice_min_reverse_kl
 
 UNIFORM_4 = np.full(4, 0.25)
 
@@ -281,6 +282,66 @@ class TestRowKernels:
             cat.dirichlet_sample(spec, np.random.default_rng(0))
         with pytest.raises(InvalidInputError):
             cat.dirichlet_sample(spec, np.random.default_rng(0), 4)
+
+
+def _reference_compositions(slots, units):
+    if slots == 1:
+        yield (units,)
+        return
+    for head in range(units + 1):
+        for tail in _reference_compositions(slots - 1, units - head):
+            yield (head,) + tail
+
+
+def _reference_grid_oracle(top, b, resolution):
+    """The recursive per-composition grid oracle that the blocked one replaced."""
+    best = math.inf
+    rest_mass = 1.0 - top
+
+    def reverse_kl(p):
+        mask = p > 0
+        return float(np.sum(p[mask] * np.log(p[mask] * b)))
+
+    if b == 2:
+        return reverse_kl(np.array([top, rest_mass]))
+    for combo in _reference_compositions(b - 1, resolution):
+        rest = np.array(combo, dtype=np.float64) * (rest_mass / resolution)
+        if rest.max() > top + 1e-12:
+            continue
+        best = min(best, reverse_kl(np.concatenate(([top], rest))))
+    even = np.full(b, rest_mass / (b - 1))
+    even = np.concatenate(([top], even[:-1]))
+    return min(best, reverse_kl(even))
+
+
+class TestGridOracle:
+    def test_compositions_walk_the_recursive_order_in_blocks(self):
+        # the oracle's minimum is the even-remainder point on every case below,
+        # so only this test sees a composition that is missing or out of order
+        for units, slots in ((1, 2), (5, 3), (7, 4), (3, 6), (4, 1)):
+            expected = list(_reference_compositions(slots, units))
+            for rows in (1, 4, 1000):
+                blocks = list(_compositions(units, slots, rows))
+                assert all(len(block) <= rows for block in blocks)
+                assert [tuple(c) for block in blocks for c in block.tolist()] == expected
+
+    def test_blocks_equal_the_recursive_reference(self):
+        cases = [
+            (s, b, resolution)
+            for b in range(2, 13) for resolution in range(1, 21) for s in (1.0 / b, 0.7)
+            if math.comb(resolution + b - 2, b - 2) <= 2000
+        ]
+        # 23,426 compositions of 5 cells: two blocks of STACK_CELLS cells
+        cases.append((0.7, 5, 50))
+        assert math.comb(50 + 3, 3) * 5 > cat_bulk.STACK_CELLS
+        for s, b, resolution in cases:
+            blocked = _simplex_slice_min_reverse_kl(s, b, resolution)
+            assert blocked == _reference_grid_oracle(s, b, resolution), (s, b, resolution)
+
+    def test_spot_equals_the_closed_form_at_any_resolution(self):
+        for resolution in (1, 2, 7, 60):
+            oracle = _simplex_slice_min_reverse_kl(0.7, 4, resolution)
+            assert abs(oracle - cat.tradeoff_lower_bound(0.7, 4)) <= 1e-12
 
 
 class TestDivergenceAsymptote:

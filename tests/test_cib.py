@@ -1,5 +1,6 @@
 """Conditional information-bottleneck solver against its brute-force oracle."""
 
+import itertools
 import math
 
 import numpy as np
@@ -386,3 +387,57 @@ class TestLockstepSolver:
             rows = cib._cmi_rows(contexts, tables, cib._moments(contexts, tables), target)
             expected = [_reference_cmi(problem.joint, table, target) for table in tables]
             assert rows.tolist() == expected
+
+
+# ---------------------------------------------------------------------------
+# Reference: the per-map brute force, one dual_objective call per map.  The
+# blocked brute force must reproduce it exactly.
+# ---------------------------------------------------------------------------
+
+
+def _reference_brute_force(problem, beta, n_latent):
+    best_obj, best_map = math.inf, None
+    for assignment in itertools.product(range(n_latent), repeat=problem.n_past):
+        table = np.zeros((problem.n_past, n_latent))
+        table[np.arange(problem.n_past), assignment] = 1.0
+        obj = cib.dual_objective(problem, cib.Encoder(table=table), beta)
+        if obj < best_obj:
+            best_obj, best_map = obj, assignment
+    return best_obj, best_map
+
+
+class TestBlockedBruteForce:
+    @pytest.mark.parametrize("stack_cells", [1, 20, cib.STACK_CELLS])
+    def test_blocks_equal_the_per_map_reference(self, monkeypatch, stack_cells):
+        # stack_cells 1 and 20 split every enumeration into one- to few-map blocks
+        monkeypatch.setattr(cib, "STACK_CELLS", stack_cells)
+        rng = np.random.default_rng(31)
+        for i in range(12):
+            n_past, n_future, n_context = (int(v) for v in rng.integers((2, 2, 1), (5, 4, 4)))
+            joint = rng.dirichlet(np.ones(n_past * n_future * n_context)).reshape(n_context, n_past, n_future)
+            if i % 3 == 0:  # zeroed cells
+                joint[rng.random(joint.shape) < 0.3] = 0.0
+                joint /= joint.sum()
+            problem = cib.CibProblem(joint=joint)
+            for beta in (0.0, 0.5, 2.0, 1000.0):
+                n_latent = 1 + i % 4
+                assert cib.brute_force_cib(problem, beta, n_latent) == _reference_brute_force(
+                    problem, beta, n_latent
+                ), (i, beta)
+
+    @pytest.mark.parametrize("stack_cells", [1, 20, cib.STACK_CELLS])
+    def test_ties_go_to_the_first_lexicographic_map(self, monkeypatch, stack_cells):
+        # dyadic cells: every constant map scores exactly 0 at beta = 0, and
+        # one-map blocks put each of the three constant maps in its own block
+        monkeypatch.setattr(cib, "STACK_CELLS", stack_cells)
+        joint = np.array([[[0.25, 0.125], [0.125, 0.25], [0.125, 0.125]]])
+        best, mapping = cib.brute_force_cib(cib.CibProblem(joint=joint), 0.0, 3)
+        assert (best, mapping) == (0.0, (0, 0, 0))
+
+    def test_brute_force_scores_stacks_not_single_maps(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("brute_force_cib scored one map at a time")
+
+        monkeypatch.setattr(cib, "dual_objective", refuse)
+        _, mapping = cib.brute_force_cib(cib.grouped_future_problem(), 2.0, 2)
+        assert mapping[0] == mapping[1] != mapping[2]

@@ -337,6 +337,11 @@ class TestCli:
              "cat_bulk.certainty_panel"),
             ("tradeoff-scan", "scan_grid", "0.5, 1.5", "top probability must lie in [1/B, 1)",
              "cat_bulk.certainty_panel"),
+            # below 1/B for every B: the scan would have no rows
+            ("tradeoff-scan", "scan_grid", "0.1", "params.scan_grid: no value is at least 1/B",
+             "cat_bulk.certainty_panel"),
+            ("error-accumulation", "sigma_h", "0.0", "params.sigma_h: must be positive",
+             "dynamics.monte_carlo_error"),
         ],
     )
     def test_bad_param_exits_two_before_the_kernel(
@@ -406,6 +411,19 @@ class TestCli:
         assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "ConfigError: run.experiment is required" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "params",
+        [
+            "scan_grid = 0.99999999999",  # no scan row at s = 0.7, B = 4: the oracle spot stands alone
+            "scan_options = 2, 1200\noracle_resolution = 1",  # 1,199 compositions of 1,200 cells each
+        ],
+    )
+    def test_tradeoff_scan_edge_inputs_exit_zero(self, tmp_path, params):
+        cfg = _write_cfg(
+            tmp_path, f"[run]\nexperiment = tradeoff-scan\nseed = 0\n[params]\nsamples = 1000\n{params}\n"
+        )
+        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
     def test_failed_check_exits_three(self, tmp_path):
         # an unconstrained-noise contrast at a vanishing scale never flips a
         # token, so its "perturbs the final token" check honestly fails
@@ -450,7 +468,11 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "filename, text",
-        [("accuracy_sweep.csv", "sigma,analytic,empirical,std_error\n0.1,0.5\n"), ("manifest.json", "{not json")],
+        [
+            ("accuracy_sweep.csv", "sigma,analytic,empirical,std_error\n0.1,0.5\n"),
+            ("accuracy_sweep.csv", "sigma,analytic,empirical,std_error\n"),  # no data rows to chart
+            ("manifest.json", "{not json"),
+        ],
     )
     def test_malformed_report_input_is_report_error(self, tmp_path, capsys, filename, text):
         cfg = _write_cfg(tmp_path, SMALL_ACCURACY_CFG)
