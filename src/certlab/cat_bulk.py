@@ -68,17 +68,21 @@ def masked_log_sums(w: np.ndarray, num, den) -> np.ndarray:
     summation order, and with it the last bits of the sum.
     """
     n_rows = w.shape[0]
+    if np.minimum.reduce(w, axis=None) > 0.0:  # every row keeps every cell: one block, no gather
+        # one full-shape temporary, reused in place; log(q) * w has the bits of w * log(q)
+        terms = np.divide(num, den, out=np.empty(w.shape))
+        np.log(terms, out=terms)
+        terms *= w
+        return np.add.reduce(terms.reshape(n_rows, -1), axis=1)
     mask = w > 0.0
-    if mask.all():  # every row keeps every cell: one block, no gather
-        return (w * np.log(num / den)).reshape(n_rows, -1).sum(axis=1)
     num, den = np.broadcast_to(num, w.shape), np.broadcast_to(den, w.shape)
     terms = w[mask] * np.log(num[mask] / den[mask])
-    counts = mask.reshape(n_rows, -1).sum(axis=1)
+    counts = np.add.reduce(mask.reshape(n_rows, -1), axis=1)
     owner = np.repeat(np.arange(n_rows), counts)  # row of each kept term
     sums = np.zeros(n_rows)
     for k in set(counts.tolist()) - {0}:
         same = counts == k
-        sums[same] = terms[same[owner]].reshape(-1, k).sum(axis=1)
+        sums[same] = np.add.reduce(terms[same[owner]].reshape(-1, k), axis=1)
     return sums
 
 

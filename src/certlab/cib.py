@@ -11,13 +11,18 @@ alternating self-consistent updates (marginal, decoder, encoder rows), the
 classic coordinate descent on the bottleneck free energy; each block update
 minimizes the free energy exactly, so the objective is non-increasing
 across sweeps.  All restart candidates sweep in lockstep as one (R, S, H)
-stack of encoder tables, and ``_cmi_rows`` scores every table of a stack
-at once; each row's result equals the one-table computation bit for bit.
+stack of encoder tables, and ``_cmi_rows`` scores past and future of every
+table of a stack in one pass over the contexts; each row's result equals
+the one-table computation bit for bit.
 The joint's per-context constants (``_contexts``) are computed once per
 solve, and each sweep computes the live tables' p(h|x) and p(h,f|x)
 (``_moments``) once: the same arrays score the tables and feed their next
-update.  The updates are those of Tishby, Pereira & Bialek, "The
-information bottleneck method" (1999).
+update.  The sweep needs no ``errstate``: it takes logs only of cells
+clamped to at least 1e-300, divides only by clamped marginals and falls
+back to ``np.where`` only when an array's minimum is not positive.  The
+hot paths call ufunc ``reduce`` directly, which on these tiny arrays costs
+less than the ndarray methods that wrap it.  The updates are those of
+Tishby, Pereira & Bialek, "The information bottleneck method" (1999).
 ``brute_force_cib`` scores every deterministic encoder, in one-hot stacks,
 as an independent check, and ``information_frontier`` sweeps ``beta`` to
 trace the achievable (I_past, I_future) envelope, which must come out
@@ -167,30 +172,29 @@ def _moments(contexts: list[_Context], tables: np.ndarray) -> list[tuple[np.ndar
     return [(c.p_s @ tables, tables.swapaxes(-1, -2) @ c.p_sf) for c in contexts]
 
 
-def _cmi_rows(contexts: list[_Context], tables: np.ndarray, moments, target: str) -> np.ndarray:
-    """I(h; S_target | X) in nats for each encoder table of an (R, S, H) stack,
-    from the stack's ``_moments``."""
-    total = np.zeros(tables.shape[0])
+def _cmi_rows(contexts: list[_Context], tables: np.ndarray, moments) -> tuple[np.ndarray, np.ndarray]:
+    """I(h; S_past | X) and I(h; S_future | X) in nats for each encoder table of an
+    (R, S, H) stack, from the stack's ``_moments``, in one pass over the contexts."""
+    past, future = np.zeros(tables.shape[0]), np.zeros(tables.shape[0])
     for c, (marginal, p_hf) in zip(contexts, moments):
-        if target == "past":
-            # p(s, h | x) = p(s|x) q(h|s); the ratio collapses to q(h|s)/p(h|x)
-            total += c.p_x * masked_log_sums(c.p_s[:, None] * tables, tables, marginal[:, None, :])
-        else:
-            num, den = p_hf, marginal[:, :, None] * c.p_f
-            if not den.all():
-                # where p(h|x) * p(f|x) underflowed and p(h, f|x) did not,
-                # divide in two steps on those cells only, so the ratio stays finite
-                tiny = (den == 0.0) & (p_hf > 0.0)
-                num = np.divide(p_hf, marginal[:, :, None], out=p_hf.copy(), where=tiny)
-                den = np.where(tiny, c.p_f, den)
-            total += c.p_x * masked_log_sums(p_hf, num, den)
-    return np.maximum(total, 0.0)
+        # p(s, h | x) = p(s|x) q(h|s); the ratio collapses to q(h|s)/p(h|x)
+        past += c.p_x * masked_log_sums(c.p_s[:, None] * tables, tables, marginal[:, None, :])
+        num, den = p_hf, marginal[:, :, None] * c.p_f
+        if not np.logical_and.reduce(den, axis=None):
+            # where p(h|x) * p(f|x) underflowed and p(h, f|x) did not,
+            # divide in two steps on those cells only, so the ratio stays finite
+            tiny = (den == 0.0) & (p_hf > 0.0)
+            num = np.divide(p_hf, marginal[:, :, None], out=p_hf.copy(), where=tiny)
+            den = np.where(tiny, c.p_f, den)
+        future += c.p_x * masked_log_sums(p_hf, num, den)
+    # the zero start and the clamp keep the constant encoder's 0.0 from reading -0.0
+    return np.maximum(past, 0.0), np.maximum(future, 0.0)
 
 
 def _objective_rows(contexts: list[_Context], tables: np.ndarray, moments, beta: float) -> np.ndarray:
     """Dual objective of each encoder table of an (R, S, H) stack, from its ``_moments``."""
-    past = _cmi_rows(contexts, tables, moments, "past")
-    return past - beta * _cmi_rows(contexts, tables, moments, "future")
+    past, future = _cmi_rows(contexts, tables, moments)
+    return past - beta * future
 
 
 def _one_table(problem: CibProblem, encoder: Encoder) -> tuple[list[_Context], np.ndarray, list]:
@@ -216,7 +220,8 @@ def conditional_mutual_information(problem: CibProblem, encoder: Encoder, target
     """
     if target not in ("past", "future"):
         raise InvalidInputError(f"target must be 'past' or 'future', got {target!r}")
-    return float(_cmi_rows(*_one_table(problem, encoder), target)[0])
+    past, future = _cmi_rows(*_one_table(problem, encoder))
+    return float((past if target == "past" else future)[0])
 
 
 def dual_objective(problem: CibProblem, encoder: Encoder, beta: float) -> float:
@@ -268,17 +273,24 @@ def _encoder_sweep(contexts: list[_Context], tables: np.ndarray, moments, beta: 
     its ``_moments``.
     """
     exponent = np.zeros_like(tables)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for c, (marginal, p_hf) in zip(contexts, moments):
-            support, clamped = marginal > 0.0, np.maximum(marginal, 1e-300)
-            log_marginal = np.where(support, np.log(clamped), LOG_FLOOR)
-            decoder = np.where(support[..., None], p_hf / clamped[..., None], 0.0)
+    for c, (marginal, p_hf) in zip(contexts, moments):
+        clamped = np.maximum(marginal, 1e-300)
+        log_marginal = np.log(clamped)
+        decoder = p_hf / clamped[..., None]
+        if not np.minimum.reduce(marginal, axis=None) > 0.0:
+            support = marginal > 0.0
+            log_marginal = np.where(support, log_marginal, LOG_FLOOR)
+            decoder = np.where(support[..., None], decoder, 0.0)
+        if np.minimum.reduce(decoder, axis=None) > 0.0:
+            log_decoder = np.log(np.maximum(decoder, 1e-300, out=decoder), out=decoder)
+        else:
             log_decoder = np.where(decoder > 0.0, np.log(np.maximum(decoder, 1e-300)), LOG_FLOOR)
-            exponent += c.w_x[:, None] * log_marginal[..., None, :]
-            exponent += beta * (c.w_xf @ log_decoder.swapaxes(-1, -2))
-    exponent -= exponent.max(axis=-1, keepdims=True)
-    new_table = np.exp(exponent)
-    return new_table / new_table.sum(axis=-1, keepdims=True)
+        exponent += c.w_x[:, None] * log_marginal[..., None, :]
+        exponent += beta * (c.w_xf @ log_decoder.swapaxes(-1, -2))
+    exponent -= np.maximum.reduce(exponent, axis=-1, keepdims=True)
+    new_table = np.exp(exponent, out=exponent)
+    new_table /= np.add.reduce(new_table, axis=-1, keepdims=True)
+    return new_table
 
 
 @dataclass(frozen=True)
@@ -334,20 +346,21 @@ def solve_cib(
     live_tables = tables
     for sweep in range(1, MAX_SWEEPS + 1):
         live_tables = _encoder_sweep(contexts, live_tables, moments, beta)
-        tables[live] = live_tables
         moments = _moments(contexts, live_tables)
         new_objective = _objective_rows(contexts, live_tables, moments, beta)
         done = np.abs(new_objective - objective[live]) < tol
         objective[live] = new_objective
-        iterations[live] = sweep
         history.append(objective.copy())
-        if done.any():
-            converged[live[done]] = True
+        if np.logical_or.reduce(done):
+            # a stopped candidate's table and sweep count are final
+            stopped = live[done]
+            tables[stopped], iterations[stopped], converged[stopped] = live_tables[done], sweep, True
             keep = ~done
             live, live_tables = live[keep], live_tables[keep]
             moments = [(marginal[keep], p_hf[keep]) for marginal, p_hf in moments]
             if not live.size:
                 break
+    tables[live], iterations[live] = live_tables, sweep  # the candidates stopped by the cap
 
     winner = int(np.argmin(objective))
     encoder = Encoder(table=tables[winner])

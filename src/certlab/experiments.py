@@ -96,8 +96,8 @@ TRADEOFF_SCHEMA = {
     "scan_grid": ParamSpec("float_list", (0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)),
     "oracle_resolution": ParamSpec("int", 60, minimum=1),
 }
-# Most remainder compositions the grid-search oracle may enumerate for one B.
-ORACLE_CAP = 10**6
+# Most cells (remainder compositions times B) the grid-search oracle may score for one B.
+ORACLE_CAP = 10**7
 
 
 def _compositions(units: int, slots: int, rows: int):
@@ -146,11 +146,11 @@ def run_tradeoff_scan(seed: int, params: dict, threads: int = 1) -> ExperimentRe
     resolution = params["oracle_resolution"]
     for b in sorted({4, *params["scan_options"]}):  # B = 4 for the oracle's spot check
         compositions = math.comb(resolution + b - 2, b - 2)
-        if compositions > ORACLE_CAP:
+        if compositions * b > ORACLE_CAP:
             key = "scan_options" if b in params["scan_options"] else "oracle_resolution"
             raise EnumerationTooLargeError(
-                f"params.{key}: the oracle at B={b} would enumerate {compositions} compositions "
-                f"of {resolution} units, over the cap {ORACLE_CAP}"
+                f"params.{key}: the oracle at B={b} would score {compositions} compositions "
+                f"of {resolution} units, {compositions * b} cells, over the cap {ORACLE_CAP}"
             )
     # every scan row's bound is evaluated, and so validated, before any panel
     scan = [
@@ -825,6 +825,10 @@ def run_curriculum(seed: int, params: dict, threads: int = 1) -> ExperimentResul
     for key in ("strong_theta", "rate_theta"):
         if len(params[key]) != dim:
             raise InvalidInputError(f"params.{key}: need {dim} weights, got {len(params[key])}")
+        with np.errstate(over="ignore", invalid="ignore"):  # scores that overflow make a NaN softmax
+            probabilities = curriculum.state_distribution(params[key])
+        if not np.all(np.isfinite(probabilities)):
+            raise InvalidInputError(f"params.{key}: the state probabilities are not finite")
     if params["step"] <= 0:
         raise InvalidInputError(f"params.step: must be positive, got {params['step']!r}")
     strong = np.asarray(params["strong_theta"])

@@ -260,6 +260,15 @@ class TestRowKernels:
         bulk = cat_bulk.kl_rows(q, rows)
         assert [float(v) for v in bulk] == [cat.kl_divergence(q, row) for row in rows]
 
+    @pytest.mark.parametrize("shape", [(1, 2), (40, 3, 3), (25, 17)])  # 17 cells cross the pairwise block
+    def test_all_cells_masked_log_sums_equal_each_rows_np_sum(self, shape):
+        rng = np.random.default_rng(shape[-1])
+        w, num, den = (rng.dirichlet(np.ones(shape[-1]), size=shape[:-1]) for _ in range(3))
+        for args in ((w, num, den), (w, num[0], den), (w, num, 1.0)):  # broadcast num and den
+            sums = cat_bulk.masked_log_sums(*args)
+            num_b, den_b = (np.broadcast_to(a, shape) for a in args[1:])
+            assert sums.tolist() == [float(np.sum(w[r] * np.log(num_b[r] / den_b[r]))) for r in range(shape[0])]
+
     def test_kl_rows_errors(self):
         q = np.array([0.5, 0.5])
         with pytest.raises(InfiniteDivergenceError):

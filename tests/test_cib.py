@@ -360,6 +360,17 @@ class TestLockstepSolver:
         assert {n for n, _ in outcomes} == {1, 2, 3, 4}
         assert {c for _, c in outcomes} == {True, False}
 
+    @pytest.mark.parametrize("case", range(len(_reference_corpus())))
+    def test_sweep_and_objective_raise_no_floating_point_error(self, monkeypatch, case):
+        # the sweep takes logs only of cells clamped to >= 1e-300 and divides
+        # only by clamped marginals, so it needs no errstate of its own; the
+        # constant encoder, the sparse joint, the massless context and the
+        # massless symbol reach the masked branches
+        problem, beta, n_latent, restarts, max_iter = _reference_corpus()[case]
+        monkeypatch.setattr(cib, "MAX_SWEEPS", max_iter)
+        with np.errstate(divide="raise", invalid="raise"):
+            cib.solve_cib(problem, beta, n_latent, restarts=restarts, seed=case)
+
     def test_stacked_sweep_equals_per_table_sweeps(self):
         rng = np.random.default_rng(5)
         problem = cib.random_problem(3, 3, 2, seed=4)
@@ -382,9 +393,9 @@ class TestLockstepSolver:
         for table in tables[::2]:
             table[rng.choice(3, size=2, replace=False), rng.choice(3, size=2, replace=False)] = 0.0
         tables /= tables.sum(axis=2, keepdims=True)
-        for target in ("past", "future"):
-            contexts = cib._contexts(problem.joint)
-            rows = cib._cmi_rows(contexts, tables, cib._moments(contexts, tables), target)
+        contexts = cib._contexts(problem.joint)
+        both = cib._cmi_rows(contexts, tables, cib._moments(contexts, tables))
+        for target, rows in zip(("past", "future"), both):
             expected = [_reference_cmi(problem.joint, table, target) for table in tables]
             assert rows.tolist() == expected
 

@@ -8,7 +8,7 @@ import pytest
 from certlab import curriculum as cur
 from certlab.errors import InvalidInputError
 from certlab.experiments import default_params, run_experiment_by_name
-from certlab.seeding import derive_seed
+from certlab.seeding import derive_seed, rng_for
 
 
 class TestWorld:
@@ -79,6 +79,20 @@ class TestDrawCounts:
     def test_needs_a_sample(self):
         with pytest.raises(InvalidInputError):
             cur.draw_counts(np.zeros(3), 0, 0)
+
+    @pytest.mark.parametrize("theta", [(50.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 10.0, 10.0), (1.0, 0.0, -0.5)])
+    @pytest.mark.parametrize("n", [1, 2, 7, 100, 100_000])
+    def test_counts_equal_bincount_of_choice_on_the_same_stream(self, theta, n):
+        # numpy does not pin choice's internals (NEP 19): this pins the counts to them
+        seed = derive_seed(0, "draw-counts", n)
+        samples = rng_for(seed, "dataset", "curriculum").choice(3, size=n, p=cur.state_distribution(theta))
+        expected = np.bincount(samples, minlength=3).astype(np.float64)
+        np.testing.assert_array_equal(cur.draw_counts(np.array(theta), n, seed), expected)
+
+    def test_non_finite_state_probabilities_are_rejected(self):
+        # the shortcut score overflows to inf, so the softmax is NaN
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InvalidInputError, match="not finite"):
+            cur.draw_counts(np.full(3, 1e308), 10, 0)
 
 
 class TestMleFit:

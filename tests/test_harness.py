@@ -322,6 +322,11 @@ class TestCli:
             ("curriculum", "rate_theta", "2.0, 0.0, 0.0, 0.0", "params.rate_theta: need 3 weights",
              "curriculum.fit_rows"),
             ("curriculum", "step", "0.0", "params.step: must be positive", "curriculum.fit_rows"),
+            # finite weights whose scores overflow: the softmax is NaN
+            ("curriculum", "strong_theta", "1e308, 1e308, 1e308",
+             "params.strong_theta: the state probabilities are not finite", "curriculum.draw_counts"),
+            ("curriculum", "rate_theta", "1e308, 1e308, 1e308",
+             "params.rate_theta: the state probabilities are not finite", "curriculum.draw_counts"),
             ("error-accumulation", "lipschitz_values", "0.8, 1.0, -1.0", "lipschitz must be positive",
              "dynamics.monte_carlo_error"),
             ("noise-discrete", "contrast_noise_over_margin", "-1.0", "noise scale must be >= 0",
@@ -335,6 +340,9 @@ class TestCli:
             ("divergence-asymptote", "kappas", "100.0, 2.0", "kappa too small", "categorical.dirichlet_sample"),
             ("tradeoff-scan", "scan_options", "2, 16", "params.scan_options: the oracle at B=16",
              "cat_bulk.certainty_panel"),
+            # 999,999 compositions of 1,000,000 cells each: about 10**12 cells
+            ("tradeoff-scan", "scan_options", "2, 1000000\noracle_resolution = 1",
+             "params.scan_options: the oracle at B=1000000", "cat_bulk.certainty_panel"),
             ("tradeoff-scan", "scan_grid", "0.5, 1.5", "top probability must lie in [1/B, 1)",
              "cat_bulk.certainty_panel"),
             # below 1/B for every B: the scan would have no rows
