@@ -147,14 +147,9 @@ def stability_lower_bound(top_prob: float) -> float:
     return math.log(s / (1.0 - s))
 
 
-def tradeoff_lower_bound(top_prob: float, n_options: int) -> float:
-    """Certainty cost: floor of D(p || uniform) over all p with this top prob.
-
-    Returns ``log B + s*log s + (1-s)*log((1-s)/(B-1))``, which is zero at
-    ``s = 1/B`` (the uniform distribution) and strictly increasing in ``s``.
-    Attained exactly when the non-max mass is spread evenly, since that
-    remainder shape maximizes the entropy available at a fixed peak.
-    """
+def _top_and_options(top_prob: float, n_options: int) -> tuple[float, int]:
+    """Validate a (top probability, option count) pair; returns them as
+    ``(max(s, 1/B), B)``, the peak clamped up from rounding just below 1/B."""
     s = float(top_prob)
     b = int(n_options)
     if b < 2:
@@ -163,7 +158,18 @@ def tradeoff_lower_bound(top_prob: float, n_options: int) -> float:
         raise InvalidInputError(
             f"top probability must lie in [1/B, 1) = [{1.0 / b}, 1), got {s!r}"
         )
-    s = max(s, 1.0 / b)
+    return max(s, 1.0 / b), b
+
+
+def tradeoff_lower_bound(top_prob: float, n_options: int) -> float:
+    """Certainty cost: floor of D(p || uniform) over all p with this top prob.
+
+    Returns ``log B + s*log s + (1-s)*log((1-s)/(B-1))``, which is zero at
+    ``s = 1/B`` (the uniform distribution) and strictly increasing in ``s``.
+    Attained exactly when the non-max mass is spread evenly, since that
+    remainder shape maximizes the entropy available at a fixed peak.
+    """
+    s, b = _top_and_options(top_prob, n_options)
     rest = 1.0 - s
     return math.log(b) + s * math.log(s) + rest * math.log(rest / (b - 1))
 
@@ -176,15 +182,7 @@ def min_exploration_divergence(top_prob: float, n_options: int) -> float:
     increasing in ``s``, and unbounded as ``s -> 1``: the uniform explorer
     diverges without limit from a fully committed distribution.
     """
-    s = float(top_prob)
-    b = int(n_options)
-    if b < 2:
-        raise InvalidInputError(f"need at least 2 options, got {b}")
-    if s >= 1.0 or s < 1.0 / b - 1e-15:
-        raise InvalidInputError(
-            f"top probability must lie in [1/B, 1) = [{1.0 / b}, 1), got {s!r}"
-        )
-    s = max(s, 1.0 / b)
+    s, b = _top_and_options(top_prob, n_options)
     return -math.log(b) - (math.log(s) + (b - 1) * math.log((1.0 - s) / (b - 1))) / b
 
 

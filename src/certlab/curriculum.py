@@ -32,7 +32,6 @@ fits every row of a count matrix at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -51,22 +50,6 @@ FEATURES.setflags(write=False)
 PARAM_BOUND = 50.0
 
 
-@dataclass(frozen=True)
-class LogLinearPolicy:
-    """Weights theta with P(state) proportional to exp(<theta, features>)."""
-
-    theta: np.ndarray
-
-    def __post_init__(self) -> None:
-        t = np.asarray(self.theta, dtype=np.float64)
-        if t.shape != (3,) or not np.all(np.isfinite(t)):
-            raise InvalidInputError("theta must be a finite 3-vector")
-        norm = float(np.linalg.norm(t))
-        if norm > PARAM_BOUND + 1e-9:
-            raise InvalidInputError(f"|theta| = {norm!r} exceeds bound {PARAM_BOUND!r}")
-        object.__setattr__(self, "theta", t)
-
-
 def state_distribution(theta) -> np.ndarray:
     """Softmax over the three state scores <theta, features>, per row of theta."""
     scores = np.asarray(theta, dtype=np.float64) @ FEATURES.T
@@ -76,9 +59,8 @@ def state_distribution(theta) -> np.ndarray:
     return z / ((z[..., 0] + z[..., 1]) + z[..., 2])[..., None]
 
 
-def success_rate(policy: LogLinearPolicy | np.ndarray) -> float:
-    """Probability mass the policy places on the rewarded (expert) state."""
-    theta = policy.theta if isinstance(policy, LogLinearPolicy) else policy
+def success_rate(theta) -> float:
+    """Probability mass the weights theta place on the rewarded (expert) state."""
     return float(state_distribution(theta)[EXPERT])
 
 
@@ -114,12 +96,6 @@ def log_likelihood_grad(theta, counts: np.ndarray) -> np.ndarray:
     return empirical - expected
 
 
-class FitResult(NamedTuple):
-    policy: LogLinearPolicy
-    final_grad_norm: float
-    iterations: int
-
-
 def fit_rows(counts, iterations: int, step: float) -> tuple[np.ndarray, np.ndarray]:
     """Projected gradient ascent on the mean log-likelihood from theta = 0 for
     each row of a ``(k, 3)`` count matrix, all rows in lockstep.
@@ -153,14 +129,10 @@ def fit_rows(counts, iterations: int, step: float) -> tuple[np.ndarray, np.ndarr
     return theta, grad_norm
 
 
-def mle_fit(counts, iterations: int = 5000, step: float = 0.1) -> FitResult:
-    """Fit one count vector: the one-row call of ``fit_rows``."""
+def mle_fit(counts, iterations: int = 5000, step: float = 0.1) -> tuple[np.ndarray, float]:
+    """Fit one count vector: the first row of ``fit_rows``, as the weights and the final gradient norm."""
     theta, grad_norm = fit_rows(np.asarray(counts)[None, :], iterations, step)
-    return FitResult(
-        policy=LogLinearPolicy(theta=theta[0]),
-        final_grad_norm=float(grad_norm[0]),
-        iterations=iterations,
-    )
+    return theta[0], float(grad_norm[0])
 
 
 def total_variation(p, q):

@@ -271,19 +271,6 @@ def uniform_prior(dag: DecisionDag, node: int) -> np.ndarray:
     return np.full(k, 1.0 / k)
 
 
-def _continuing_successors(dag: DecisionDag) -> list[set[int]]:
-    """Per node, the set of successors from which a target is reachable."""
-    can_reach = [False] * dag.n_nodes
-    for v in reversed(dag.topological_order):
-        if v in dag.targets:
-            can_reach[v] = True
-        else:
-            can_reach[v] = any(can_reach[u] for u in dag.successors[v])
-    return [
-        {i for i, u in enumerate(succ) if can_reach[u]} for succ in dag.successors
-    ]
-
-
 def make_policy(
     dag: DecisionDag,
     kind: str,
@@ -292,18 +279,14 @@ def make_policy(
     minority_mass: float | None = None,
     delta: float | None = None,
     seed: int = 0,
-    dominant_mode: str = "random",
 ) -> ReasoningPolicy:
     """Construct a policy in one of three certainty regimes.
 
     kind:
       * ``uniform``: equals the uniform prior at every node.
       * ``concentrated``: each node's distribution is one draw from the
-        concentrated Dirichlet family (``kappa``, ``minority_mass``); the
-        dominant successor is chosen per ``dominant_mode``: ``random``
-        (uniformly at random per node), ``aligned`` (a successor from
-        which a target is reachable) or ``adversarial`` (a successor from
-        which no target is reachable, when one exists).
+        concentrated Dirichlet family (``kappa``, ``minority_mass``), its
+        dominant parameter placed on a successor chosen uniformly at random.
       * ``non_degenerate``: a uniform simplex draw per node, with the
         maximum capped at ``1 - delta`` and the remainder renormalized
         proportionally, so the top probability never exceeds the cap.
@@ -313,7 +296,6 @@ def make_policy(
     if kind == "concentrated":
         if kappa is None or minority_mass is None:
             raise InvalidInputError("concentrated policy needs kappa and minority_mass")
-        continuing = _continuing_successors(dag) if dominant_mode != "random" else None
     elif kind == "non_degenerate":
         if delta is None:
             raise InvalidInputError("non_degenerate policy needs delta")
@@ -333,15 +315,7 @@ def make_policy(
                 kappa=kappa, n_options=k, minority_mass=minority_mass
             )
             draw = cat.dirichlet_sample(params, rng)
-            if dominant_mode == "random":
-                dominant = int(rng.integers(k))
-            else:
-                good = continuing[v]
-                pool = good if dominant_mode == "aligned" else set(range(k)) - good
-                if not pool:
-                    pool = set(range(k))
-                pool_list = sorted(pool)
-                dominant = pool_list[int(rng.integers(len(pool_list)))]
+            dominant = int(rng.integers(k))
             # draw[0] carries the dominant parameter; swap it into place
             out = draw.copy()
             out[0], out[dominant] = out[dominant], out[0]
@@ -367,33 +341,6 @@ def cap_distribution(probs: np.ndarray, cap: float) -> np.ndarray:
     out = p * ((1.0 - cap) / rest) if rest > 0 else np.full(p.size, (1.0 - cap) / (p.size - 1))
     out[top] = cap
     return out / out.sum()
-
-
-def custom_policy(dag: DecisionDag, tables: dict[int, np.ndarray]) -> ReasoningPolicy:
-    """Policy from explicit per-node distributions (validated against the DAG).
-
-    Single-successor nodes may be omitted; the forced move is filled in.
-    """
-    rows: list[np.ndarray | None] = []
-    for v in range(dag.n_nodes):
-        k = len(dag.successors[v])
-        if k == 0:
-            rows.append(None)
-            continue
-        if v not in tables:
-            if k == 1:
-                rows.append(np.ones(1))
-                continue
-            raise InvalidInputError(f"missing distribution for decision node {v}")
-        row = np.asarray(tables[v], dtype=np.float64)
-        if row.size != k:
-            raise InvalidInputError(
-                f"node {v}: distribution length {row.size} != successor count {k}"
-            )
-        if np.any(row < 0) or abs(float(row.sum()) - 1.0) > cat.SUM_TOL:
-            raise InvalidInputError(f"node {v}: not a probability vector")
-        rows.append(row)
-    return ReasoningPolicy(tables=tuple(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -835,11 +835,12 @@ def run_curriculum(seed: int, params: dict, threads: int = 1) -> ExperimentResul
     rate_theta = np.asarray(params["rate_theta"])
     expert_strong = curriculum.success_rate(strong)
 
+    expert_closed = curriculum.success_rate(np.array([10.0, 0.0, 0.0]))
     reference = math.exp(10.0) / (math.exp(10.0) + 2.0)
     result.check(
         "expert success reproduces exp(10)/(exp(10)+2) to 1e-9",
-        abs(expert_strong - reference) <= 1e-9,
-        f"{expert_strong!r} vs {reference!r}",
+        abs(expert_closed - reference) <= 1e-9,
+        f"{expert_closed!r} vs {reference!r}",
     )
     shortcut_heavy = curriculum.success_rate(np.array([0.0, 10.0, 10.0]))
     result.check(
@@ -1061,11 +1062,17 @@ def capped_peak_bound_audit(seed: int, deltas, options_max: int, samples: int) -
 def run_dag_exploration(seed: int, params: dict, threads: int = 1) -> ExperimentResult:
     result = ExperimentResult(name="dag-exploration")
     # the binary-graph ceiling and the capped audit need the two-option
-    # worst-case bound at each delta; computing it first, and parsing the
-    # custom graph, rejects a bad delta or graph before any policy draw
+    # worst-case bound at each delta, and every trap decision node draws from
+    # the Dirichlet family at out-degree `branching`; building these first, and
+    # parsing the custom graph, rejects a bad delta, kappa, minority mass or
+    # graph before any policy draw
     cap_bound = cat.worst_case_latent_kl(params["delta"], 2)
     for delta in params["capped_deltas"]:
         cat.worst_case_latent_kl(delta, 2)
+    for kappa in (params["kappa"], *params["kappa_grid"]):
+        cat.DirichletConcentration(
+            kappa=kappa, n_options=params["branching"], minority_mass=params["minority_mass"]
+        )
     custom = dag.parse_dag(Path(params["graph_file"]).read_text()) if params["graph_file"] else None
     trap = dag.trap_dag(params["depth"], params["branching"])
     uniform_policy = dag.make_policy(trap, "uniform", seed=derive_seed(seed, "uniform"))
@@ -1081,7 +1088,7 @@ def run_dag_exploration(seed: int, params: dict, threads: int = 1) -> Experiment
         if kind == "concentrated":
             policy = dag.make_policy(
                 trap, "concentrated", kappa=params["kappa"], minority_mass=params["minority_mass"],
-                seed=derive_seed(seed, "conc", index), dominant_mode="random",
+                seed=derive_seed(seed, "conc", index),
             )
         else:
             policy = dag.make_policy(
@@ -1144,7 +1151,7 @@ def run_dag_exploration(seed: int, params: dict, threads: int = 1) -> Experiment
         for i in range(params["divergence_draws"]):
             policy = dag.make_policy(
                 trap, "concentrated", kappa=kappa, minority_mass=params["minority_mass"],
-                seed=derive_seed(seed, "kdiv", str(kappa), i), dominant_mode="random",
+                seed=derive_seed(seed, "kdiv", str(kappa), i),
             )
             vals.append(dag.exploration_divergence(trap, policy))
         divergence_means.append(float(np.mean(vals)))
@@ -1245,10 +1252,3 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
 def default_params(name: str) -> dict:
     return {key: spec.default for key, spec in EXPERIMENTS[name].schema.items()}
 
-
-def run_experiment_by_name(name: str, seed: int, params: dict, threads: int = 1) -> ExperimentResult:
-    if name not in EXPERIMENTS:
-        raise InvalidInputError(f"unknown experiment {name!r}")
-    merged = default_params(name)
-    merged.update(params)
-    return EXPERIMENTS[name].runner(seed, merged, threads)

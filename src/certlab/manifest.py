@@ -35,12 +35,8 @@ def format_cell(value: object) -> str:
         value = value.item()
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        text = repr(value)  # shortest round-trip representation
-    elif isinstance(value, int):
-        text = str(value)
-    else:
-        text = str(value)
+    # floats take the shortest round-trip representation
+    text = repr(value) if isinstance(value, float) else str(value)
     if "," in text or "\n" in text:
         raise ReportError(f"CSV cell would need quoting: {text!r}")
     return text

@@ -18,9 +18,10 @@ from certlab import cat_bulk, cib
 from certlab import categorical as cat
 from certlab import cli, dynamics
 from certlab.experiments import (
+    EXPERIMENTS,
     _simplex_slice_min_reverse_kl,
     capped_peak_bound_audit,
-    run_experiment_by_name,
+    default_params,
 )
 from certlab.seeding import derive_seed, rng_for
 
@@ -45,7 +46,7 @@ def _sample_panels(total: int):
 
 
 def _experiment_checks(name: str, params: dict | None = None):
-    result = run_experiment_by_name(name, seed=SEED, params=params or {})
+    result = EXPERIMENTS[name].runner(SEED, {**default_params(name), **(params or {})})
     failed = [c for c in result.checks if not c.passed]
     return result, failed
 

@@ -7,7 +7,7 @@ import pytest
 
 from certlab import curriculum as cur
 from certlab.errors import InvalidInputError
-from certlab.experiments import default_params, run_experiment_by_name
+from certlab.experiments import EXPERIMENTS, default_params
 from certlab.seeding import derive_seed, rng_for
 
 
@@ -41,10 +41,6 @@ class TestSuccessRate:
             theta = rng.uniform(-4, 4, 3)
             shifted = theta + 1.7 * np.array([1.0, 1.0, 0.0])
             assert abs(cur.success_rate(theta) - cur.success_rate(shifted)) <= 1e-12
-
-    def test_policy_norm_bound_enforced(self):
-        with pytest.raises(InvalidInputError):
-            cur.LogLinearPolicy(theta=np.array([60.0, 0.0, 0.0]))
 
 
 class TestDrawCounts:
@@ -97,20 +93,27 @@ class TestDrawCounts:
 
 class TestMleFit:
     def test_balanced_data_fits_flat_scores(self):
-        fit = cur.mle_fit(np.full(3, 600.0))
-        scores = cur.FEATURES @ fit.policy.theta
+        theta, grad_norm = cur.mle_fit(np.full(3, 600.0))
+        scores = cur.FEATURES @ theta
         assert scores.max() - scores.min() <= 1e-4
-        assert abs(cur.success_rate(fit.policy) - 1.0 / 3.0) <= 1e-4
-        assert fit.final_grad_norm < 1e-8
+        assert abs(cur.success_rate(theta) - 1.0 / 3.0) <= 1e-4
+        assert grad_norm < 1e-8
 
     def test_biased_data_caps_success(self):
-        fit = cur.mle_fit(np.array([0.0, 1000.0, 0.0]))
-        assert cur.success_rate(fit.policy) <= 0.01
+        theta, _ = cur.mle_fit(np.array([0.0, 1000.0, 0.0]))
+        assert cur.success_rate(theta) <= 0.01
 
     def test_strong_expert_recovered(self):
-        theta = np.array([10.0, 0.0, 0.0])
-        fit = cur.mle_fit(cur.draw_counts(theta, 100_000, 3))
-        assert abs(cur.success_rate(fit.policy) - cur.success_rate(theta)) <= 0.005
+        expert = np.array([10.0, 0.0, 0.0])
+        theta, _ = cur.mle_fit(cur.draw_counts(expert, 100_000, 3))
+        assert abs(cur.success_rate(theta) - cur.success_rate(expert)) <= 0.005
+
+    def test_is_the_first_row_of_fit_rows(self):
+        counts = cur.draw_counts(np.array([2.0, 0.0, 0.0]), 500, 8)
+        theta, grad_norm = cur.mle_fit(counts, iterations=300, step=0.2)
+        rows_theta, rows_norm = cur.fit_rows(counts[None, :], 300, 0.2)
+        np.testing.assert_array_equal(theta, rows_theta[0])
+        assert grad_norm == rows_norm[0]
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(4)
@@ -131,8 +134,8 @@ class TestMleFit:
 
     def test_projection_keeps_iterates_in_ball(self, monkeypatch):
         monkeypatch.setattr(cur, "PARAM_BOUND", 3.0)
-        fit = cur.mle_fit(np.array([0.0, 10.0, 0.0]), iterations=200, step=5.0)
-        assert np.linalg.norm(fit.policy.theta) <= 3.0 + 1e-9
+        theta, _ = cur.mle_fit(np.array([0.0, 10.0, 0.0]), iterations=200, step=5.0)
+        assert np.linalg.norm(theta) <= 3.0 + 1e-9
 
 
 def _reference_fit(counts, iterations, step, param_bound):
@@ -185,6 +188,23 @@ class TestFitRows:
             np.testing.assert_allclose(grad_norm[row], ref_norm, rtol=self.GRAD_NORM_RTOL, atol=0.0)
         if param_bound == 3.0:
             assert abs(np.linalg.norm(theta[0]) - 3.0) <= 1e-12  # the projection was active
+
+    def test_projection_sums_the_squares_as_linalg_norm_does(self):
+        # one large step from theta = 0 throws every row outside the ball, so
+        # each row is scaled by PARAM_BOUND / norm: that norm must be
+        # np.linalg.norm's, ((t0*t0 + t1*t1) + t2*t2), to the last bit
+        counts = np.random.default_rng(0).integers(1, 1000, (400, 3)).astype(np.float64)
+        step = 1e6
+        theta, _ = cur.fit_rows(counts, 1, step)
+        start = np.zeros(counts.shape)
+        empirical = counts @ cur.FEATURES / counts.sum(axis=-1, keepdims=True)
+        raw = start + step * (empirical - cur.state_distribution(start) @ cur.FEATURES)
+        norm = np.linalg.norm(raw, axis=-1)
+        assert np.all(norm > cur.PARAM_BOUND)
+        np.testing.assert_array_equal(theta, raw * (cur.PARAM_BOUND / norm)[:, None])
+        # the rows can tell the orders apart: the other grouping moves some norms
+        squares = raw * raw
+        assert np.any(np.sqrt(squares[:, 0] + (squares[:, 1] + squares[:, 2])) != norm)
 
     def test_stacked_groups_equal_separate_calls(self):
         # a curriculum run fits all of its datasets in one call: each group's
@@ -259,7 +279,18 @@ def test_run_curriculum_fits_every_dataset_in_one_call(monkeypatch):
         return fit_rows(counts, *args, **kwargs)
 
     monkeypatch.setattr(cur, "fit_rows", counting)
-    result = run_experiment_by_name("curriculum", 0, default_params("curriculum"))
+    result = EXPERIMENTS["curriculum"].runner(0, default_params("curriculum"))
     # 4 biased + strong + balanced, 4 x 50 sweep trials, 4 x 10 TV trials
     assert shapes == [(246, 3)]
     assert result.all_passed
+
+
+def test_closed_form_check_does_not_depend_on_strong_theta():
+    # the closed form is pinned at theta = (10, 0, 0); another expert only moves the gaps
+    params = {
+        **default_params("curriculum"), "strong_theta": (9.0, 0.0, 0.0), "n_grid": (100, 1000),
+        "trials_per_n": 2, "iterations": 200, "grad_checks": 1, "tv_trials": 1,
+    }
+    result = EXPERIMENTS["curriculum"].runner(0, params)
+    [check] = [c for c in result.checks if c.name == "expert success reproduces exp(10)/(exp(10)+2) to 1e-9"]
+    assert check.passed, check.detail

@@ -7,7 +7,7 @@ import pytest
 
 from certlab import dynamics
 from certlab.errors import InvalidInputError, SamplingExhaustedError
-from certlab.experiments import default_params, run_experiment_by_name
+from certlab.experiments import EXPERIMENTS, default_params
 from certlab.seeding import rng_for
 
 
@@ -83,7 +83,7 @@ SMALL_NOISE_DISCRETE = {**default_params("noise-discrete"), "trials": 200, "acce
 
 class TestNoiseDiscretePostcondition:
     def test_listed_once_and_passing(self):
-        result = run_experiment_by_name("noise-discrete", 0, SMALL_NOISE_DISCRETE)
+        result = EXPERIMENTS["noise-discrete"].runner(0, SMALL_NOISE_DISCRETE)
         listed = [check for check in result.checks if check.name == POSTCONDITION]
         assert len(listed) == 1 and listed[0].passed
         assert result.all_passed
@@ -99,7 +99,7 @@ class TestNoiseDiscretePostcondition:
             return noise, redrawn
 
         monkeypatch.setattr(dynamics, "sample_sub_decisional_noise", one_flip)
-        result = run_experiment_by_name("noise-discrete", 0, SMALL_NOISE_DISCRETE)
+        result = EXPERIMENTS["noise-discrete"].runner(0, SMALL_NOISE_DISCRETE)
         failed = [check for check in result.checks if not check.passed]
         assert [check.name for check in failed] == [POSTCONDITION]
         assert failed[0].detail.startswith("1/50 rows over the limit, worst draw 7")

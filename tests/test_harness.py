@@ -334,6 +334,10 @@ class TestCli:
             ("cib-frontier", "schedule_scale", "0.0", "scale must be positive", "cib.solve_cib"),
             ("dag-exploration", "capped_deltas", "0.1, 0.3, 1.5", "delta must lie in (0,1)", "dag.make_policy"),
             ("dag-exploration", "delta", "0.0", "delta must lie in (0,1)", "dag.make_policy"),
+            # every trap node draws from the Dirichlet family at out-degree `branching`
+            ("dag-exploration", "kappa_grid", "100.0, 1.5", "kappa too small", "dag.make_policy"),
+            ("dag-exploration", "kappa", "1.5", "kappa too small", "dag.make_policy"),
+            ("dag-exploration", "minority_mass", "0.0", "minority mass must be positive", "dag.make_policy"),
             # a value may end in further `key = value` lines
             ("divergence-asymptote", "kappas", "1.0, 10.0\noptions = 2\nminority_mass = 0.5",
              "params.kappas: each kappa must exceed 1", "categorical.dirichlet_sample"),
