@@ -25,8 +25,9 @@ less than the ndarray methods that wrap it.  The updates are those of
 Tishby, Pereira & Bialek, "The information bottleneck method" (1999).
 ``brute_force_cib`` scores every deterministic encoder, in one-hot stacks,
 as an independent check, and ``information_frontier`` sweeps ``beta`` to
-trace the achievable (I_past, I_future) envelope, which must come out
-monotone and concave if the solver is doing its job.
+trace the achievable (I_past, I_future) envelope.  The envelope must come
+out monotone and concave if the solver is doing its job; the cib-frontier
+experiment gates that, not ``information_frontier``.
 
 ``beta_schedule`` exposes the stage-dependent trade-off weight
 ``scale * k / (M - k)``: early stages pay nothing for compression, late
@@ -364,9 +365,10 @@ def solve_cib(
 
     winner = int(np.argmin(objective))
     encoder = Encoder(table=tables[winner])
+    past, future = _cmi_rows(*_one_table(problem, encoder))
     point = InfoPlanePoint(
-        i_past=conditional_mutual_information(problem, encoder, "past"),
-        i_future=conditional_mutual_information(problem, encoder, "future"),
+        i_past=float(past[0]),
+        i_future=float(future[0]),
         beta=beta,
         objective=float(objective[winner]),
         converged=bool(converged[winner]),
@@ -413,12 +415,6 @@ def brute_force_cib(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FrontierResult:
-    points: tuple[InfoPlanePoint, ...]  # sorted by i_past
-    defects: tuple[str, ...]
-
-
 def information_frontier(
     problem: CibProblem,
     beta_grid,
@@ -426,43 +422,20 @@ def information_frontier(
     restarts: int = 16,
     seed: int = 0,
     tol: float = 1e-10,
-) -> FrontierResult:
-    """Solve per beta and audit the resulting (I_past, I_future) envelope.
-
-    Postconditions audited rather than assumed: after sorting by i_past,
-    i_future must be non-decreasing within 1e-6 and the envelope concave
-    within 1e-6.  Violations are returned as defect strings: they signal
-    solver failure and must not be accepted as output.
-    """
+) -> list[InfoPlanePoint]:
+    """Solve per beta; return the points sorted by (i_past, i_future)."""
     grid = [float(b) for b in beta_grid]
     if not grid or any(b < 0 for b in grid):
         raise InvalidInputError("beta grid must be non-empty and non-negative")
     if any(b2 <= b1 for b1, b2 in zip(grid, grid[1:])):
         raise InvalidInputError("beta grid must be strictly ascending")
-    points = []
-    for idx, beta in enumerate(grid):
-        solution = solve_cib(
-            problem, beta, n_latent, restarts=restarts, tol=tol,
-            seed=derive_seed(seed, "frontier", idx),
-        )
-        points.append(solution.point)
-    points.sort(key=lambda pt: (pt.i_past, pt.i_future))
-    defects = []
-    for a, b in zip(points, points[1:]):
-        if b.i_future < a.i_future - 1e-6:
-            defects.append(
-                f"i_future drops from {a.i_future:.9f} to {b.i_future:.9f} "
-                f"between beta={a.beta} and beta={b.beta}"
-            )
-    for a, b, c in zip(points, points[1:], points[2:]):
-        left = (b.i_future - a.i_future) * (c.i_past - b.i_past)
-        right = (c.i_future - b.i_future) * (b.i_past - a.i_past)
-        if right > left + 1e-6:
-            defects.append(
-                f"envelope convex kink at beta={b.beta}: "
-                f"slopes increase around i_past={b.i_past:.9f}"
-            )
-    return FrontierResult(points=tuple(points), defects=tuple(defects))
+    points = [
+        solve_cib(
+            problem, beta, n_latent, restarts=restarts, tol=tol, seed=derive_seed(seed, "frontier", idx)
+        ).point
+        for idx, beta in enumerate(grid)
+    ]
+    return sorted(points, key=lambda pt: (pt.i_past, pt.i_future))
 
 
 # ---------------------------------------------------------------------------

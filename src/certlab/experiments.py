@@ -2,9 +2,11 @@
 
 Every experiment is a pure function of (seed, params): it returns its data
 tables and a list of named pass/fail checks, and the CLI turns check
-failures into a nonzero exit code.  A check over many rows is one
+failures into a nonzero exit code.  Every check over many rows is one
 ``ExperimentResult.gate``, recording how many rows exceed the limit and the
-worst row.  Heavy sampling loops run as numpy row kernels; where a kernel
+worst row, so a NaN row fails it; ``strict_rise`` gives the rows of a
+"strictly increasing" check, and ``check`` records single comparisons and
+boolean facts.  Heavy sampling loops run as numpy row kernels; where a kernel
 shadows a scalar module operation, ``ExperimentResult.audit_rows``
 re-evaluates a random subsample through the public scalar op and gates the
 deviation, so the fast path cannot silently drift from the contract it is
@@ -75,6 +77,14 @@ class ExperimentResult:
 def spot_rows(rng: np.random.Generator, n_rows: int) -> np.ndarray:
     """SPOT_SUBSAMPLE distinct random row indices in increasing order (all rows if fewer)."""
     return np.sort(rng.choice(n_rows, size=min(SPOT_SUBSAMPLE, n_rows), replace=False))
+
+
+def strict_rise(values) -> np.ndarray:
+    """Per neighbour pair, the excess of ``values[i + 1] > values[i]``: for finite
+    floats ``b > a`` holds exactly when ``nextafter(a, inf) <= b``, so a gate over
+    these rows stays strict."""
+    values = np.asarray(values, dtype=np.float64)
+    return np.nextafter(values[:-1], np.inf) - values[1:]
 
 
 def deterministic_map(fn, items, threads: int):
@@ -163,7 +173,6 @@ def run_tradeoff_scan(seed: int, params: dict, threads: int = 1) -> ExperimentRe
     per_b = max(1, params["samples"] // len(options_set))
 
     excess = []  # per B, each floor's excess over its bound, row by row
-    equality_b2_worst = 0.0
     for b in options_set:
         logits = rng_for(seed, "tradeoff-sample", b).standard_normal((per_b, b))
         panel = cat_bulk.certainty_panel(logits)
@@ -175,10 +184,10 @@ def run_tradeoff_scan(seed: int, params: dict, threads: int = 1) -> ExperimentRe
             panel.stability_bound - 1e-9 - panel.margin,
             panel.tradeoff_bound - 1e-9 - panel.reverse_kl,
             panel.forward_bound - 1e-9 - panel.forward_kl,
+            np.abs(panel.margin - panel.stability_bound) - 1e-12,
         ))
-        if b == 2:
-            equality_b2_worst = max(equality_b2_worst, float(np.max(np.abs(panel.margin - panel.stability_bound))))
-    margin, reverse, forward = map(np.concatenate, zip(*excess))
+    margin, reverse, forward, equality = map(np.concatenate, zip(*excess))
+    two = np.flatnonzero(np.repeat(np.asarray(options_set) == 2, per_b))  # the B=2 rows
 
     def where(i):
         return f"B={options_set[i // per_b]} row {i % per_b}"
@@ -186,11 +195,7 @@ def run_tradeoff_scan(seed: int, params: dict, threads: int = 1) -> ExperimentRe
     result.gate("stability floor: margin >= log(s/(1-s)) on random softmax sample", margin, where)
     result.gate("certainty cost floor: D(p||uniform) >= tradeoff bound on the same sample", reverse, where)
     result.gate("exploration floor: D(uniform||p) >= even-remainder bound on the same sample", forward, where)
-    result.check(
-        "two-option equality: margin == stability floor exactly",
-        equality_b2_worst <= 1e-12,
-        f"worst |margin - floor| = {equality_b2_worst:.3e}",
-    )
+    result.gate("two-option equality: margin == stability floor exactly", equality[two], lambda i: where(two[i]))
 
     spots = [
         ("stability floor at 0.99 ~ 4.595", abs(cat.stability_lower_bound(0.99) - math.log(99.0)) <= 1e-12
@@ -211,12 +216,11 @@ def run_tradeoff_scan(seed: int, params: dict, threads: int = 1) -> ExperimentRe
         np.array(at_uniform) - 1e-12, lambda i: f"B={i + 2}: |floor(1/B)| = {at_uniform[i]:.3e}",
     )
     grid = np.linspace(0.5, 0.999, 200)
-    vals = [cat.tradeoff_lower_bound(s, 4) for s in grid]
-    fwd_vals = [cat.min_exploration_divergence(s, 4) for s in grid]
-    result.check(
+    floors = (("certainty cost", cat.tradeoff_lower_bound), ("exploration", cat.min_exploration_divergence))
+    result.gate(
         "floors increase monotonically on s in [0.5, 0.999]",
-        all(b2 > b1 for b1, b2 in zip(vals, vals[1:]))
-        and all(b2 > b1 for b1, b2 in zip(fwd_vals, fwd_vals[1:])),
+        np.concatenate([strict_rise([floor(s, 4) for s in grid]) for _, floor in floors]),
+        lambda i: f"{floors[i // (len(grid) - 1)][0]} floor at s={grid[i % (len(grid) - 1) + 1]:.4f}",
     )
 
     # equality case of the certainty cost floor at even remainders
@@ -262,10 +266,11 @@ ASYMPTOTE_SCHEMA = {
 
 def run_divergence_asymptote(seed: int, params: dict, threads: int = 1) -> ExperimentResult:
     result = ExperimentResult(name="divergence-asymptote")
-    if len(set(params["kappas"])) < 2:
-        raise InvalidInputError("params.kappas: the slope checks need at least two distinct values")
     if min(params["kappas"]) <= 1.0:  # the checks divide by log kappa
         raise InvalidInputError(f"params.kappas: each kappa must exceed 1, got {min(params['kappas'])!r}")
+    log_k = [math.log(k) for k in params["kappas"]]
+    if len(set(log_k)) < 2:  # the slopes divide by a difference of logs
+        raise InvalidInputError("params.kappas: the slope checks need at least two distinct values")
     b = params["options"]
     c = params["minority_mass"]
     # every family is built, and so validated, before the first draw
@@ -298,7 +303,6 @@ def run_divergence_asymptote(seed: int, params: dict, threads: int = 1) -> Exper
         lambda i: f"kappa={rows[i][0]}: |exact - asymptote| = {rows[i][3]:.3e}, "
         f"limit {10.0 / rows[i][0]:.3e}",
     )
-    log_k = [math.log(k) for k in params["kappas"]]
     slope = float(np.polyfit(log_k, exact_values, 1)[0])
     lo, hi = (b - 1) / b * 0.98, (b - 1) / b * 1.02
     result.check(
@@ -306,9 +310,10 @@ def run_divergence_asymptote(seed: int, params: dict, threads: int = 1) -> Exper
         lo <= slope <= hi,
         f"slope {slope:.6f}, band [{lo:.4f}, {hi:.4f}]",
     )
+    low, high = int(np.argmin(log_k)), int(np.argmax(log_k))  # two distinct values: a nonzero divisor
     asym_slope = (
-        cat.cot_divergence_asymptote(specs[-1]) - cat.cot_divergence_asymptote(specs[0])
-    ) / (log_k[-1] - log_k[0])
+        cat.cot_divergence_asymptote(specs[high]) - cat.cot_divergence_asymptote(specs[low])
+    ) / (log_k[high] - log_k[low])
     result.check(
         "asymptote slope exactly (B-1)/B",
         abs(asym_slope - (b - 1) / b) <= 1e-12,
@@ -320,10 +325,10 @@ def run_divergence_asymptote(seed: int, params: dict, threads: int = 1) -> Exper
         "two-option asymptote reduces to log(kappa)/2 - log 2",
         abs(cat.cot_divergence_asymptote(two_opt) - reduced) <= 1e-12,
     )
-    result.check(
+    result.gate(
         "mean entropy scaling kappa*H/log(kappa) stays bounded",
-        max(entropy_scalings) <= 5.0,
-        f"max scaling {max(entropy_scalings):.4f}",
+        np.subtract(entropy_scalings, 5.0),
+        lambda i: f"kappa={rows[i][0]} (scaling {entropy_scalings[i]:.4f})",
     )
     draws6 = cat.dirichlet_sample(spec6, rng_for(seed, "concentration"), params["concentration_draws"])
     tops = draws6.max(axis=1)
@@ -386,17 +391,13 @@ def run_noise_discrete(seed: int, params: dict, threads: int = 1) -> ExperimentR
         return dynamics.simulate_discrete_chain(spec, params["trials"], derive_seed(seed, "chain-run", index))
 
     counts = deterministic_map(run_spec, list(enumerate(chain_specs)), threads)
-    rows = []
-    zero_everywhere = True
-    for index, (spec, divergences) in enumerate(zip(chain_specs, counts)):
-        rows.append(
-            (index, spec.steps, spec.n_options, spec.noise_scale, "sub_decisional", params["trials"], divergences)
-        )
-        zero_everywhere &= divergences == 0
-    result.check(
+    rows = [
+        (index, spec.steps, spec.n_options, spec.noise_scale, "sub_decisional", params["trials"], divergences)
+        for index, (spec, divergences) in enumerate(zip(chain_specs, counts))
+    ]
+    result.gate(
         "sub-decisional noise: zero final-token divergences across all specs",
-        zero_everywhere,
-        f"divergences: {sum(counts)} (per spec {counts})",
+        np.asarray(counts, dtype=np.float64), lambda i: f"spec {i} ({counts[i]} divergences)",
     )
 
     zero_count = dynamics.simulate_discrete_chain(zero_spec, 1000, derive_seed(seed, "chain-zero"))
@@ -458,6 +459,8 @@ def run_error_accumulation(seed: int, params: dict, threads: int = 1) -> Experim
     result = ExperimentResult(name="error-accumulation")
     if params["sigma_h"] <= 0.0:  # the Lipschitz-ordering check needs noise; LatentConfig allows 0
         raise InvalidInputError(f"params.sigma_h: must be positive, got {params['sigma_h']!r}")
+    if len(set(params["lipschitz_values"])) < len(params["lipschitz_values"]):  # the ordering is strict
+        raise InvalidInputError("params.lipschitz_values: the values must be distinct")
     cells = [
         (lf, d, m)
         for lf in params["lipschitz_values"]
@@ -507,15 +510,17 @@ def run_error_accumulation(seed: int, params: dict, threads: int = 1) -> Experim
         "contractive chain error approaches the geometric limit",
         abs(dynamics.expected_error_closed_form(geometric) - limit) <= 1e-9,
     )
+    lipschitz = sorted(params["lipschitz_values"])
     final_cf = [
         dynamics.expected_error_closed_form(
             dynamics.LatentConfig(dim=8, steps=max(params["steps_values"]), lipschitz=lf, sigma_h=params["sigma_h"])
         )
-        for lf in sorted(params["lipschitz_values"])
+        for lf in lipschitz
     ]
-    result.check(
+    result.gate(
         "final error ordering follows the Lipschitz constant",
-        all(a < b for a, b in zip(final_cf, final_cf[1:])),
+        strict_rise(final_cf),
+        lambda i: f"L={lipschitz[i + 1]} after L={lipschitz[i]}",
         f"final closed forms {final_cf}",
     )
 
@@ -606,10 +611,10 @@ def run_accuracy_sweep(seed: int, params: dict, threads: int = 1) -> ExperimentR
         [abs(empirical - analytic) - band for (_, analytic, empirical, _), band in zip(rows, bands)],
         lambda i: f"sigma={rows[i][0]}: |{rows[i][2]:.5f} - {rows[i][1]:.5f}| vs {bands[i]:.5f}",
     )
-    analytic_vals = [r[1] for r in rows]
-    result.check(
+    analytic = np.array([r[1] for r in rows])
+    result.gate(
         "analytic curve is monotone non-increasing",
-        all(a >= b for a, b in zip(analytic_vals, analytic_vals[1:])),
+        analytic[1:] - analytic[:-1], lambda i: f"sigma={rows[i + 1][0]} after sigma={rows[i][0]}",
     )
     spec = dynamics.AccuracyCurveSpec(
         margin=params["margin"], noise_gain=sweep["noise_gain"], sigma_grid=(1e-6, 1e6)
@@ -662,6 +667,22 @@ CIB_SCHEMA = {
 }
 
 
+def frontier_envelope(points) -> tuple[list[float], list[str]]:
+    """The excess and description of each envelope row of frontier points sorted by
+    i_past: one drop row per neighbour pair (i_future may fall by at most 1e-6)
+    and one kink row per triple (the envelope is concave within 1e-6)."""
+    excess, where = [], []
+    for a, b in zip(points, points[1:]):
+        excess.append(a.i_future - 1e-6 - b.i_future)
+        where.append(f"i_future drop between beta={a.beta} and beta={b.beta}")
+    for a, b, c in zip(points, points[1:], points[2:]):
+        left = (b.i_future - a.i_future) * (c.i_past - b.i_past)
+        right = (c.i_future - b.i_future) * (b.i_past - a.i_past)
+        excess.append(right - (left + 1e-6))
+        where.append(f"convex kink at beta={b.beta} (i_past {b.i_past:.9f})")
+    return excess, where
+
+
 def run_cib_frontier(seed: int, params: dict, threads: int = 1) -> ExperimentResult:
     result = ExperimentResult(name="cib-frontier")
     # the stage schedule's spot values, computed first so that a bad scale is
@@ -676,53 +697,50 @@ def run_cib_frontier(seed: int, params: dict, threads: int = 1) -> ExperimentRes
     )
 
     # frontier with a lossless-capable latent alphabet
-    frontier = cib.information_frontier(
+    pts = cib.information_frontier(
         noisy, params["frontier_betas"], n_latent=noisy.n_past,
         restarts=params["restarts"], seed=derive_seed(seed, "frontier"), tol=params["tol"],
     )
     result.tables["cib_frontier.csv"] = (
         ["beta", "i_past", "i_future", "objective", "converged"],
-        [(p.beta, p.i_past, p.i_future, p.objective, p.converged) for p in frontier.points],
+        [(p.beta, p.i_past, p.i_future, p.objective, p.converged) for p in pts],
     )
-    result.check(
-        "frontier has no monotonicity or concavity defects",
-        not frontier.defects,
-        "; ".join(frontier.defects) or "clean",
+    envelope, envelope_rows = frontier_envelope(pts)
+    result.gate(
+        "frontier has no monotonicity or concavity defects", envelope, lambda i: envelope_rows[i]
     )
     predictive_ceiling = cib.conditional_mutual_information(
         noisy, cib.identity_encoder(noisy.n_past), "future"
     )
-    max_future = max(p.i_future for p in frontier.points)
+    max_future = max(p.i_future for p in pts)
     result.check(
         "frontier saturates at the full predictive information",
         abs(max_future - predictive_ceiling) <= 1e-4,
         f"max i_future {max_future:.8f} vs ceiling {predictive_ceiling:.8f}",
     )
-    beta0 = min(frontier.points, key=lambda p: p.beta)
+    beta0 = min(pts, key=lambda p: p.beta)
     result.check(
         "beta = 0 collapses to a constant encoder (i_past ~ 0)",
         beta0.i_past <= 1e-6,
         f"i_past {beta0.i_past:.2e}",
     )
-    dominated = []
-    pts = frontier.points
-    for a in pts:
-        for b in pts:
-            if a is b:
-                continue
-            if a.i_past <= b.i_past - 1e-9 and a.i_future >= b.i_future + 1e-9:
-                dominated.append((b.beta, a.beta))
-    result.check(
+    # a dominates b when a.i_past <= b.i_past - 1e-9 and a.i_future >= b.i_future + 1e-9;
+    # the pair's row passes when either inequality fails, each kept strict by nextafter
+    pairs = [(a, b) for a in pts for b in pts if a is not b]
+    result.gate(
         "no frontier point is Pareto-dominated by another",
-        not dominated,
-        f"dominated pairs {dominated}" if dominated else "clean",
+        [np.minimum(np.nextafter(b.i_past - 1e-9, np.inf) - a.i_past,
+                    np.nextafter(a.i_future, np.inf) - (b.i_future + 1e-9)) for a, b in pairs],
+        lambda i: f"beta={pairs[i][1].beta} by beta={pairs[i][0].beta}",
     )
-    ceiling_ok = all(p.i_future <= predictive_ceiling + 1e-9 for p in pts)
-    result.check("every point obeys the predictive-information ceiling", ceiling_ok)
+    result.gate(
+        "every point obeys the predictive-information ceiling",
+        [p.i_future - (predictive_ceiling + 1e-9) for p in pts], lambda i: f"beta={pts[i].beta}",
+    )
 
     # solver vs deterministic brute force on a seeded corpus
     corpus_rows = []
-    monotone_ok = True
+    rises = []  # per solve, the objective's largest rise over one sweep, less the slack
     for index in range(params["corpus_size"]):
         contexts = 1 if index % 2 == 0 else 2
         problem = cib.random_problem(3, 3, contexts, derive_seed(seed, "corpus", index))
@@ -734,20 +752,25 @@ def run_cib_frontier(seed: int, params: dict, threads: int = 1) -> ExperimentRes
             brute, _ = cib.brute_force_cib(problem, beta, params["n_latent"])
             corpus_rows.append((index, contexts, beta, solution.point.objective, brute,
                                 solution.point.converged))
-            trace = solution.objective_trace
-            monotone_ok &= not any(b > a + 1e-9 for a, b in zip(trace, trace[1:]))
+            trace = np.array(solution.objective_trace)
+            rises.append(np.max(trace[1:] - (trace[:-1] + 1e-9), initial=-np.inf))
     result.tables["cib_corpus.csv"] = (
         ["problem", "contexts", "beta", "solver_objective", "brute_objective", "converged"],
         corpus_rows,
     )
+
+    def corpus_row(i):
+        return f"problem {corpus_rows[i][0]} beta={corpus_rows[i][2]}"
+
     result.gate(
         "solver never beaten by any deterministic encoder (within 1e-8)",
         [objective - (brute + 1e-8) for _, _, _, objective, brute, _ in corpus_rows],
-        lambda i: f"problem {corpus_rows[i][0]} beta={corpus_rows[i][2]}: "
-        f"solver {float(corpus_rows[i][3])!r}, brute {float(corpus_rows[i][4])!r}",
+        lambda i: f"{corpus_row(i)}: solver {float(corpus_rows[i][3])!r}, brute {float(corpus_rows[i][4])!r}",
     )
-    result.check("objective non-increasing across solver sweeps (1e-9 slack)", monotone_ok)
-    result.check("all corpus solves converged within the sweep cap", all(r[5] for r in corpus_rows))
+    result.gate("objective non-increasing across solver sweeps (1e-9 slack)", rises, corpus_row)
+    result.gate(
+        "all corpus solves converged within the sweep cap", [float(not r[5]) for r in corpus_rows], corpus_row
+    )
 
     # golden pin: brute-force minimum on the fixed grouped-future problem
     grouped = cib.grouped_future_problem()
@@ -767,21 +790,18 @@ def run_cib_frontier(seed: int, params: dict, threads: int = 1) -> ExperimentRes
     )
 
     # decoder non-degeneracy at finite beta on the capped-conditional problem
-    decoder_ok = True
-    details = []
-    for beta in params["corpus_betas"]:
-        solution = cib.solve_cib(
+    betas = params["corpus_betas"]
+    tops = np.array([
+        cib.max_decoder_probability(noisy, cib.solve_cib(
             noisy, beta, 2, restarts=params["restarts"], tol=params["tol"],
             seed=derive_seed(seed, "decoder", str(beta)),
-        )
-        top = cib.max_decoder_probability(noisy, solution.encoder)
-        details.append(f"beta={beta}: {top:.6f}")
-        if top > 1.0 - 1e-4 or top > params["max_conditional"] + 1e-9:
-            decoder_ok = False
-    result.check(
+        ).encoder)
+        for beta in betas
+    ])
+    result.gate(
         "decoder stays non-degenerate at every finite beta",
-        decoder_ok,
-        "; ".join(details),
+        np.maximum(tops - (1.0 - 1e-4), tops - (params["max_conditional"] + 1e-9)),
+        lambda i: f"beta={betas[i]}: {tops[i]:.6f}",
     )
 
     # stage schedule spot values
@@ -795,11 +815,11 @@ def run_cib_frontier(seed: int, params: dict, threads: int = 1) -> ExperimentRes
         schedule_ok = False
     except InvalidInputError:
         pass
-    increasing = all(
-        cib.beta_schedule(k + 1, 12, scale) > cib.beta_schedule(k, 12, scale) for k in range(11)
-    )
     result.check("stage schedule: spot values and divergence at the terminal stage", schedule_ok)
-    result.check("stage schedule increases monotonically", increasing)
+    result.gate(
+        "stage schedule increases monotonically",
+        strict_rise([cib.beta_schedule(k, 12, scale) for k in range(12)]), lambda k: f"stage {k + 1} after stage {k}",
+    )
     return result
 
 
@@ -942,7 +962,7 @@ def run_curriculum(seed: int, params: dict, threads: int = 1) -> ExperimentResul
     )
 
     rng = rng_for(seed, "grad-check")
-    worst_rel = 0.0
+    rel = []
     for _ in range(params["grad_checks"]):
         theta = rng.uniform(-5.0, 5.0, 3)
         counts = rng.integers(1, 50, 3).astype(np.float64)
@@ -957,27 +977,21 @@ def run_curriculum(seed: int, params: dict, threads: int = 1) -> ExperimentResul
                 curriculum.log_likelihood(up, counts)
                 - curriculum.log_likelihood(down, counts)
             ) / (2 * h)
-        rel = float(np.linalg.norm(grad - numeric) / max(np.linalg.norm(grad), 1e-12))
-        worst_rel = max(worst_rel, rel)
-    result.check(
+        rel.append(float(np.linalg.norm(grad - numeric) / max(np.linalg.norm(grad), 1e-12)))
+    result.gate(
         "analytic likelihood gradient matches central differences to 1e-6 relative",
-        worst_rel <= 1e-6,
-        f"worst relative error {worst_rel:.2e}",
+        np.subtract(rel, 1e-6), lambda i: f"draw {i} (relative error {rel[i]:.2e})",
     )
 
-    shift_worst = 0.0
+    change = []
     for _ in range(20):
         theta = rng.uniform(-5.0, 5.0, 3)
         c = float(rng.uniform(-3.0, 3.0))
         shifted = theta + c * np.array([1.0, 1.0, 0.0])  # adds c to every state's score
-        shift_worst = max(
-            shift_worst,
-            abs(curriculum.success_rate(theta) - curriculum.success_rate(shifted)),
-        )
-    result.check(
+        change.append(abs(curriculum.success_rate(theta) - curriculum.success_rate(shifted)))
+    result.gate(
         "success rate invariant under a common score shift",
-        shift_worst <= 1e-12,
-        f"worst |change| {shift_worst:.2e}",
+        np.subtract(change, 1e-12), lambda i: f"draw {i} (|change| {change[i]:.2e})",
     )
 
     scores = curriculum.FEATURES @ thetas[-1]
@@ -1030,11 +1044,9 @@ def capped_peak_bound_audit(seed: int, deltas, options_max: int, samples: int) -
     # the spot rows are picked up front so only they, not every row, are kept
     picks = spot_rows(rng_for(seed, "capped-spot"), len(pairs) * samples)
     spot = {}  # picked row -> (peak, B, measured divergence)
-    measured_viol = chain_viol = 0
-    worst = 0.0
+    excess = []  # per pair, the largest measured excess, then the chain's excess
     for k, (delta, b) in enumerate(pairs):
         bound = cat.worst_case_latent_kl(delta, b)
-        chain_viol += bound.exact > bound.simplified_bound + 1e-12
         p = rng_for(seed, "capped", str(delta), b).dirichlet(np.ones(b), size=samples)
         s = np.maximum(np.minimum(p.max(axis=1), 1.0 - delta), 1.0 / b)
         s[0] = 1.0 - delta  # include the cap itself so the extreme is always exercised
@@ -1042,15 +1054,12 @@ def capped_peak_bound_audit(seed: int, deltas, options_max: int, samples: int) -
         p[:, 0] = s
         p /= p.sum(axis=1, keepdims=True)
         kl = cat_bulk.kl_rows(np.full(b, 1.0 / b), p)
-        measured_viol += int(np.sum(kl > bound.exact + 1e-9))
-        worst = max(worst, float(np.max(kl - bound.exact)))
+        excess += [np.max(kl - (bound.exact + 1e-9)), bound.exact - (bound.simplified_bound + 1e-12)]
         for i in picks[picks // samples == k]:
             spot[i] = (s[i % samples], b, kl[i % samples])
-    audit.check(
+    audit.gate(
         "capped-peak sample: measured divergence <= exact worst case <= simplified bound",
-        measured_viol == 0 and chain_viol == 0,
-        f"{measured_viol} measured violations, {chain_viol} chain violations, "
-        f"worst excess {worst:.2e}",
+        excess, lambda i: f"delta={pairs[i // 2][0]} B={pairs[i // 2][1]} {('measured', 'chain')[i % 2]}",
     )
     audit.audit_rows(
         "spot audit: capped-peak divergences match kl_divergence", picks, lambda i: spot[i][2],
@@ -1073,6 +1082,9 @@ def run_dag_exploration(seed: int, params: dict, threads: int = 1) -> Experiment
         cat.DirichletConcentration(
             kappa=kappa, n_options=params["branching"], minority_mass=params["minority_mass"]
         )
+    grid = params["kappa_grid"]
+    if len(grid) < 2 or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise InvalidInputError("params.kappa_grid: need at least two strictly increasing values")
     custom = dag.parse_dag(Path(params["graph_file"]).read_text()) if params["graph_file"] else None
     trap = dag.trap_dag(params["depth"], params["branching"])
     uniform_policy = dag.make_policy(trap, "uniform", seed=derive_seed(seed, "uniform"))
@@ -1157,9 +1169,10 @@ def run_dag_exploration(seed: int, params: dict, threads: int = 1) -> Experiment
         divergence_means.append(float(np.mean(vals)))
         kappa_rows.append((kappa, divergence_means[-1]))
     result.tables["dag_divergence.csv"] = (["kappa", "mean_divergence"], kappa_rows)
-    result.check(
+    result.gate(
         "exploration divergence grows with concentration",
-        all(b > a for a, b in zip(divergence_means, divergence_means[1:])),
+        strict_rise(divergence_means),
+        lambda i: f"kappa={kappa_rows[i + 1][0]} after kappa={kappa_rows[i][0]}",
         f"means {['%.3f' % m for m in divergence_means]}",
     )
 
@@ -1167,22 +1180,21 @@ def run_dag_exploration(seed: int, params: dict, threads: int = 1) -> Experiment
     delta = params["delta"]
     half_bound = -0.5 * math.log(delta) - cap_bound.scan_constant
     nd_divs = []
-    cap_ok = True
+    peaks = []  # (draw, node, top probability) at every decision node with two or more options
     for i in range(params["divergence_draws"]):
         policy = dag.make_policy(binary, "non_degenerate", delta=delta, seed=derive_seed(seed, "ndbin", i))
         nd_divs.append(dag.exploration_divergence(binary, policy))
-        for v in binary.decision_nodes():
-            row = policy.distribution(v)
-            if row.size >= 2 and cat.symbolic_index(row) > 1.0 - delta + 1e-12:
-                cap_ok = False
-    result.check(
+        dists = [(v, policy.distribution(v)) for v in binary.decision_nodes()]
+        peaks += [(i, v, cat.symbolic_index(row)) for v, row in dists if row.size >= 2]
+    result.gate(
         "capped policy respects the certainty cap at every node",
-        cap_ok,
+        [top - (1.0 - delta + 1e-12) for _, _, top in peaks],
+        lambda k: f"draw {peaks[k][0]} node {peaks[k][1]} (top {peaks[k][2]:.6f})",
     )
-    result.check(
+    result.gate(
         "capped-policy divergence on binary graphs stays under the delta ceiling",
-        max(nd_divs) <= half_bound + 1e-9,
-        f"max divergence {max(nd_divs):.4f} <= {half_bound:.4f}",
+        np.subtract(nd_divs, half_bound + 1e-9), lambda i: f"draw {i}",
+        f"max divergence {np.max(nd_divs):.4f}, ceiling {half_bound:.4f}",
     )
     uniform_div = dag.exploration_divergence(binary, dag.make_policy(binary, "uniform", seed=seed))
     result.check("uniform policy has zero exploration divergence", uniform_div == 0.0)

@@ -47,10 +47,7 @@ def write_csv(path: Path, header: list[str], rows) -> str:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(format_cell(cell) for cell in row))
-    data = ("\n".join(lines) + "\n").encode("utf-8")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(data)
-    return hashlib.sha256(data).hexdigest()
+    return write_text_file(path, "\n".join(lines) + "\n")
 
 
 def write_text_file(path: Path, text: str) -> str:

@@ -8,6 +8,7 @@ import pytest
 
 from certlab import cib
 from certlab.errors import EnumerationTooLargeError, InvalidInputError
+from certlab.experiments import frontier_envelope
 
 
 def two_by_two_problem():
@@ -192,12 +193,21 @@ class TestDecoderProbability:
 class TestFrontier:
     def test_small_frontier_is_clean(self):
         problem = cib.random_noisy_problem(3, 3, 1, seed=7)
-        frontier = cib.information_frontier(
+        points = cib.information_frontier(
             problem, (0.0, 0.5, 2.0, 50.0), n_latent=3, restarts=8, seed=0
         )
-        assert not frontier.defects
-        past = [p.i_past for p in frontier.points]
+        excess, _ = frontier_envelope(points)
+        assert len(excess) == 3 + 2 and max(excess) <= 0.0
+        past = [p.i_past for p in points]
         assert all(b >= a - 1e-9 for a, b in zip(past, past[1:]))
+
+    def test_envelope_rows_flag_a_drop_and_a_convex_kink(self):
+        def point(i_past, i_future):
+            return cib.InfoPlanePoint(i_past=i_past, i_future=i_future, beta=i_past, objective=0.0)
+
+        excess, where = frontier_envelope([point(0.0, 0.0), point(0.2, 0.1), point(0.4, 0.05), point(0.6, 0.5)])
+        over = [label for e, label in zip(excess, where) if e > 0.0]
+        assert over == ["i_future drop between beta=0.2 and beta=0.4", "convex kink at beta=0.4 (i_past 0.400000000)"]
 
     def test_grid_validation(self):
         problem = two_by_two_problem()

@@ -7,6 +7,7 @@ import pytest
 
 from certlab import categorical as cat
 from certlab import dag
+from certlab.experiments import EXPERIMENTS, default_params
 from certlab.errors import (
     InfiniteDivergenceError,
     InvalidInputError,
@@ -274,3 +275,28 @@ class TestDominantPlacement:
         policy = dag.ReasoningPolicy(tables=tuple(mean_row if succ else None for succ in trap.successors))
         bound = (1.0 - 2.0 * minority / kappa) ** 6
         assert abs(dag.enumerate_paths(trap, policy) - bound) <= 1e-15
+
+
+def test_nan_divergence_on_the_binary_graph_fails_the_delta_ceiling(monkeypatch):
+    # a NaN that is not the first row must still fail the gate
+    layered, divergence = dag.layered_dag, dag.exploration_divergence
+    binary, calls = [], []
+
+    def record_layered(*args, **kwargs):
+        binary.append(layered(*args, **kwargs))
+        return binary[-1]
+
+    def nan_on_second_binary_draw(graph, policy):
+        if binary and graph is binary[0]:
+            calls.append(len(calls))
+            if calls[-1] == 1:
+                return float("nan")
+        return divergence(graph, policy)
+
+    monkeypatch.setattr(dag, "layered_dag", record_layered)
+    monkeypatch.setattr(dag, "exploration_divergence", nan_on_second_binary_draw)
+    params = {**default_params("dag-exploration"), "mc_trials": 1000, "capped_samples": 100}
+    result = EXPERIMENTS["dag-exploration"].runner(0, params)
+    (check,) = [c for c in result.checks if c.name.startswith("capped-policy divergence on binary graphs")]
+    assert not check.passed
+    assert check.detail.startswith("1/30 rows over the limit, worst draw 1 ")

@@ -23,7 +23,7 @@ from certlab.config import (
     parse_config_text,
 )
 from certlab.errors import CertlabError, ConfigError, ReportError, SamplingExhaustedError
-from certlab.experiments import EXPERIMENTS, ExperimentDef, ExperimentResult, default_params
+from certlab.experiments import EXPERIMENTS, ExperimentDef, ExperimentResult, default_params, strict_rise
 from certlab.manifest import RunManifest, load_manifest, read_csv, write_csv
 from certlab.report import emit_svg_charts
 from certlab.seeding import UniformStreams, derive_seed, derive_seeds, rng_for
@@ -225,6 +225,23 @@ class TestRowChecks:
         assert [c.passed for c in result.checks] == [True, False]
         assert result.checks[0].detail == "0/0 rows over the limit"
 
+    @pytest.mark.parametrize(
+        "values, passed, rows",
+        [
+            ([0.1, 0.2, 0.3], True, 2),
+            ([0.1, 0.1, 0.3], False, 2),  # an equal neighbour is not a rise
+            ([0.1, float("nan"), 0.3], False, 2),
+            ([1.0, np.nextafter(1.0, 2.0)], True, 1),  # the smallest rise still counts
+            ([0.5], True, 0),
+        ],
+    )
+    def test_strict_rise_gates_every_neighbour_pair(self, values, passed, rows):
+        result = ExperimentResult(name="t")
+        excess = strict_rise(values)
+        result.gate("rise", excess, lambda i: f"pair {i}")
+        assert excess.size == rows
+        assert result.checks[0].passed is passed
+
     def test_audit_rows_gates_the_scalar_deviation(self):
         result = ExperimentResult(name="t")
         bulk = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
@@ -336,12 +353,24 @@ class TestCli:
             ("dag-exploration", "delta", "0.0", "delta must lie in (0,1)", "dag.make_policy"),
             # every trap node draws from the Dirichlet family at out-degree `branching`
             ("dag-exploration", "kappa_grid", "100.0, 1.5", "kappa too small", "dag.make_policy"),
+            # the divergence-growth gate compares neighbours of an increasing grid
+            ("dag-exploration", "kappa_grid", "1e6, 1e2", "params.kappa_grid: need at least two strictly increasing",
+             "dag.make_policy"),
+            ("dag-exploration", "kappa_grid", "100.0", "params.kappa_grid: need at least two strictly increasing",
+             "dag.make_policy"),
+            ("dag-exploration", "kappa_grid", "100.0, 100.0",
+             "params.kappa_grid: need at least two strictly increasing", "dag.make_policy"),
+            ("error-accumulation", "lipschitz_values", "0.8, 0.8",
+             "params.lipschitz_values: the values must be distinct", "dynamics.monte_carlo_error"),
             ("dag-exploration", "kappa", "1.5", "kappa too small", "dag.make_policy"),
             ("dag-exploration", "minority_mass", "0.0", "minority mass must be positive", "dag.make_policy"),
             # a value may end in further `key = value` lines
             ("divergence-asymptote", "kappas", "1.0, 10.0\noptions = 2\nminority_mass = 0.5",
              "params.kappas: each kappa must exceed 1", "categorical.dirichlet_sample"),
             ("divergence-asymptote", "kappas", "100.0, 2.0", "kappa too small", "categorical.dirichlet_sample"),
+            # two distinct kappas whose logs are equal: the slopes would divide by zero
+            ("divergence-asymptote", "kappas", "1e6, 1000000.0000000002", "params.kappas: the slope checks need",
+             "categorical.dirichlet_sample"),
             ("tradeoff-scan", "scan_options", "2, 16", "params.scan_options: the oracle at B=16",
              "cat_bulk.certainty_panel"),
             # 999,999 compositions of 1,000,000 cells each: about 10**12 cells
@@ -435,6 +464,15 @@ class TestCli:
             tmp_path, f"[run]\nexperiment = tradeoff-scan\nseed = 0\n[params]\nsamples = 1000\n{params}\n"
         )
         assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+    def test_asymptote_kappas_out_of_order_exit_without_a_traceback(self, tmp_path):
+        # the exact-slope check divides by the log range of the smallest and largest kappa
+        cfg = _write_cfg(
+            tmp_path,
+            "[run]\nexperiment = divergence-asymptote\nseed = 0\n"
+            "[params]\nkappas = 100.0, 1000.0, 100.0\nsample_draws = 20\nconcentration_draws = 100\n",
+        )
+        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) in (0, 3)
 
     def test_failed_check_exits_three(self, tmp_path):
         # an unconstrained-noise contrast at a vanishing scale never flips a
