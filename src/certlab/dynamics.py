@@ -10,8 +10,8 @@ Two simulators and one analytic curve:
   one sampler, ``sample_sub_decisional_noise``, which draws a stack of rows
   and redraws the rejected ones in rounds; ``check_sub_decisional`` is the
   one argmax test, for a row or a stack.
-* ``simulate_latent_chain`` / ``monte_carlo_error``: a continuous state
-  chain ``h_k = f(h_{k-1}) + noise`` with no quantization step.  The final
+* ``monte_carlo_error``: a continuous state chain ``h_k = A h_{k-1} + noise``
+  with no quantization step, ``A`` being ``transition_matrix``.  The final
   squared error follows the geometric series
   ``(1 - L^(2M)) / (1 - L^2) * d * sigma^2`` (``M * d * sigma^2`` at L = 1),
   and the provided transition maps have operator norm exactly ``L`` so the
@@ -87,39 +87,6 @@ def transition_matrix(config: LatentConfig) -> np.ndarray:
     q, r = np.linalg.qr(raw)
     q = q * np.sign(np.diag(r))  # fix column signs so the factorization is unique
     return config.lipschitz * q
-
-
-@dataclass(frozen=True)
-class TrajectoryPair:
-    """Clean and noisy trajectories sharing the initial state (index 0)."""
-
-    clean: np.ndarray  # (steps+1, dim)
-    noisy: np.ndarray  # (steps+1, dim)
-    final_error_sq: float
-
-    def __post_init__(self) -> None:
-        if self.clean.shape != self.noisy.shape:
-            raise InvalidInputError("clean and noisy trajectories must share a shape")
-        gap = float(np.sum((self.clean[-1] - self.noisy[-1]) ** 2))
-        if abs(gap - self.final_error_sq) > 1e-12 * max(1.0, gap):
-            raise InvalidInputError("final_error_sq inconsistent with trajectories")
-
-
-def simulate_latent_chain(config: LatentConfig, h0, seed: int) -> TrajectoryPair:
-    """Run the clean chain and a noise-injected twin from a shared start."""
-    start = np.asarray(h0, dtype=np.float64)
-    if start.shape != (config.dim,) or not np.all(np.isfinite(start)):
-        raise InvalidInputError(f"h0 must be a finite vector of length {config.dim}")
-    matrix = transition_matrix(config)
-    rng = rng_for(seed, "latent-chain")
-    clean = np.empty((config.steps + 1, config.dim))
-    noisy = np.empty_like(clean)
-    clean[0] = noisy[0] = start
-    for k in range(1, config.steps + 1):
-        clean[k] = matrix @ clean[k - 1]
-        noisy[k] = matrix @ noisy[k - 1] + config.sigma_h * rng.standard_normal(config.dim)
-    err = float(np.sum((clean[-1] - noisy[-1]) ** 2))
-    return TrajectoryPair(clean=clean, noisy=noisy, final_error_sq=err)
 
 
 def expected_error_closed_form(config: LatentConfig) -> float:
@@ -252,8 +219,6 @@ def sample_sub_decisional_noise(
         raise InvalidInputError(f"scale must be >= 0, got {scale!r}")
     if np.sum(l == l.max()) > 1:
         raise InvalidInputError("logits must have a unique argmax")
-    if scale == 0.0:
-        return np.zeros((count, l.size)), 0
     draws = rng.normal(0.0, scale, (count, l.size))
     pending = np.flatnonzero(~check_sub_decisional(l, draws))
     redrawn = 0
@@ -316,39 +281,24 @@ def normal_cdf(z: float) -> float:
     return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
 
 
-@dataclass(frozen=True)
-class AccuracyCurveSpec:
-    """Parameters of the ranking-retention curve.
+def accuracy_curve(margin: float, noise_gain: float, sigma_grid) -> list[tuple[float, float]]:
+    """(sigma, retention probability) pairs: Phi(margin / (sqrt(noise_gain) * sigma)).
 
     ``margin`` is the clean top-two logit gap; ``noise_gain`` the variance
     multiplier mapping injected state noise to the projected logit-gap
     noise; ``sigma_grid`` the strictly increasing positive noise scales to
-    evaluate.
+    evaluate.  Monotone non-increasing in sigma, tending to 1 as sigma -> 0
+    and to 0.5 (a top-two coin flip) as sigma -> infinity.
     """
-
-    margin: float
-    noise_gain: float
-    sigma_grid: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if not (self.margin > 0) or not (self.noise_gain > 0):
-            raise InvalidInputError("margin and noise_gain must be positive")
-        grid = tuple(float(s) for s in self.sigma_grid)
-        if not grid or any(s <= 0 for s in grid):
-            raise InvalidInputError("sigma grid must be non-empty and positive")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise InvalidInputError("sigma grid must be strictly increasing")
-        object.__setattr__(self, "sigma_grid", grid)
-
-
-def accuracy_curve(spec: AccuracyCurveSpec) -> list[tuple[float, float]]:
-    """(sigma, retention probability) pairs: Phi(margin / (sqrt(gain) * sigma)).
-
-    Monotone non-increasing in sigma, tending to 1 as sigma -> 0 and to
-    0.5 (a top-two coin flip) as sigma -> infinity.
-    """
-    root_gain = math.sqrt(spec.noise_gain)
-    return [(s, normal_cdf(spec.margin / (root_gain * s))) for s in spec.sigma_grid]
+    if not (margin > 0) or not (noise_gain > 0):
+        raise InvalidInputError("margin and noise_gain must be positive")
+    grid = [float(s) for s in sigma_grid]
+    if not grid or any(s <= 0 for s in grid):
+        raise InvalidInputError("sigma grid must be non-empty and positive")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise InvalidInputError("sigma grid must be strictly increasing")
+    root_gain = math.sqrt(noise_gain)
+    return [(s, normal_cdf(margin / (root_gain * s))) for s in grid]
 
 
 def empirical_accuracy_sweep(
@@ -357,14 +307,15 @@ def empirical_accuracy_sweep(
     sigma_grid,
     trials: int,
     seed: int,
-) -> dict:
+) -> tuple[list[tuple[float, float, float, float]], float]:
     """Sample the retention rate of a concrete two-row readout under state noise.
 
     Builds a readout whose row difference has entries +-1 (norm sqrt(dim))
     and a clean logit gap of ``margin``; for each sigma draws isotropic
     state noise, projects it onto the row difference, and counts draws
-    whose projected gap stays below the margin.  Returns the inferred
-    noise gain (``dim``, one projection step) alongside the rows.
+    whose projected gap stays below the margin.  Returns the
+    ``(sigma, analytic, empirical, std_error)`` rows and the inferred noise
+    gain (``dim``, one projection step).
     """
     if trials < 1000:
         raise InvalidInputError(f"need at least 1000 trials, got {trials}")
@@ -372,21 +323,12 @@ def empirical_accuracy_sweep(
         raise InvalidInputError("need dim >= 1 and margin > 0")
     row_diff = np.where(np.arange(dim) % 2 == 0, 1.0, -1.0)
     noise_gain = float(row_diff @ row_diff)  # == dim
-    spec = AccuracyCurveSpec(margin=margin, noise_gain=noise_gain, sigma_grid=tuple(sigma_grid))
-    analytic = accuracy_curve(spec)
     rows = []
-    for idx, (sigma, expected) in enumerate(analytic):
+    for idx, (sigma, expected) in enumerate(accuracy_curve(margin, noise_gain, sigma_grid)):
         rng = rng_for(seed, "accuracy", idx)
         state_noise = rng.normal(0.0, sigma, (trials, dim))
         projected = state_noise @ row_diff
         retained = float(np.mean(projected < margin))
         std_error = math.sqrt(max(retained * (1.0 - retained), 1e-12) / trials)
-        rows.append(
-            {
-                "sigma": sigma,
-                "analytic": expected,
-                "empirical": retained,
-                "std_error": std_error,
-            }
-        )
-    return {"rows": rows, "noise_gain": noise_gain}
+        rows.append((sigma, expected, retained, std_error))
+    return rows, noise_gain

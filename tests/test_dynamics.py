@@ -162,24 +162,6 @@ class TestDiscreteChain:
 
 
 class TestLatentChain:
-    def test_zero_noise_trajectories_coincide(self):
-        config = dynamics.LatentConfig(dim=4, steps=5, lipschitz=0.9, sigma_h=0.0)
-        pair = dynamics.simulate_latent_chain(config, np.ones(4), seed=0)
-        np.testing.assert_array_equal(pair.clean, pair.noisy)
-        assert pair.final_error_sq == 0.0
-
-    def test_shapes(self):
-        config = dynamics.LatentConfig(dim=3, steps=7, lipschitz=1.0, sigma_h=0.1)
-        pair = dynamics.simulate_latent_chain(config, np.zeros(3), seed=1)
-        assert pair.clean.shape == (8, 3)
-        assert pair.noisy.shape == (8, 3)
-
-    def test_inconsistent_pair_rejected(self):
-        clean = np.zeros((3, 2))
-        noisy = np.ones((3, 2))
-        with pytest.raises(InvalidInputError):
-            dynamics.TrajectoryPair(clean=clean, noisy=noisy, final_error_sq=0.0)
-
     def test_transition_operator_norm_is_exact(self):
         for kind in ("linear_scaling", "rotation_scaling"):
             config = dynamics.LatentConfig(
@@ -202,8 +184,24 @@ class TestLatentChain:
                 dim=6, steps=10, lipschitz=0.8, sigma_h=0.0, transition=kind
             )
             h0 = rng_for(1, kind).standard_normal(6)
-            pair = dynamics.simulate_latent_chain(config, h0, seed=2)
-            assert np.linalg.norm(pair.clean[-1]) <= 0.8**10 * np.linalg.norm(h0) + 1e-9
+            h = np.linalg.matrix_power(dynamics.transition_matrix(config), config.steps) @ h0
+            assert np.linalg.norm(h) <= 0.8**10 * np.linalg.norm(h0) + 1e-9
+
+
+CONTRACTION = "noiseless contractive chain shrinks by exactly L^M"
+SMALL_ERROR_ACCUMULATION = {
+    **default_params("error-accumulation"), "dims": (1, 8), "steps_values": (1, 6), "trials": 1000
+}
+
+
+class TestContractionCheck:
+    def test_fails_when_the_map_contracts_too_little(self, monkeypatch):
+        exact = dynamics.transition_matrix
+        monkeypatch.setattr(dynamics, "transition_matrix", lambda config: exact(config) * (0.81 / 0.8))
+        result = EXPERIMENTS["error-accumulation"].runner(0, SMALL_ERROR_ACCUMULATION)
+        (check,) = [c for c in result.checks if c.name == CONTRACTION]
+        assert not check.passed
+        assert check.detail == "|h_M| = 3.000246e-01, budget 2.584738e-01"
 
 
 class TestClosedForm:
@@ -265,33 +263,34 @@ class TestAccuracyCurve:
             assert abs(dynamics.normal_cdf(z) + dynamics.normal_cdf(-z) - 1.0) <= 1e-15
 
     def test_curve_monotone_with_limits(self):
-        spec = dynamics.AccuracyCurveSpec(
-            margin=2.0, noise_gain=4.0, sigma_grid=tuple(np.geomspace(1e-4, 1e5, 30))
-        )
-        curve = dynamics.accuracy_curve(spec)
+        curve = dynamics.accuracy_curve(2.0, 4.0, np.geomspace(1e-4, 1e5, 30))
         values = [a for _, a in curve]
         assert all(a >= b for a, b in zip(values, values[1:]))
         assert values[0] >= 1.0 - 1e-12
         assert abs(values[-1] - 0.5) <= 1e-3
 
     def test_unit_argument_hits_phi_one(self):
-        spec = dynamics.AccuracyCurveSpec(margin=2.0, noise_gain=4.0, sigma_grid=(1.0,))
-        (_, value), = dynamics.accuracy_curve(spec)
+        (_, value), = dynamics.accuracy_curve(2.0, 4.0, (1.0,))
         assert abs(value - 0.8413447460685429) <= 1e-12
 
     def test_grid_validation(self):
-        with pytest.raises(InvalidInputError):
-            dynamics.AccuracyCurveSpec(margin=1.0, noise_gain=1.0, sigma_grid=(0.2, 0.1))
-        with pytest.raises(InvalidInputError):
-            dynamics.AccuracyCurveSpec(margin=1.0, noise_gain=1.0, sigma_grid=(0.0, 0.1))
-        with pytest.raises(InvalidInputError):
-            dynamics.AccuracyCurveSpec(margin=-1.0, noise_gain=1.0, sigma_grid=(0.1,))
+        with pytest.raises(InvalidInputError, match="strictly increasing"):
+            dynamics.accuracy_curve(1.0, 1.0, (0.2, 0.1))
+        with pytest.raises(InvalidInputError, match="non-empty and positive"):
+            dynamics.accuracy_curve(1.0, 1.0, (0.0, 0.1))
+        with pytest.raises(InvalidInputError, match="non-empty and positive"):
+            dynamics.accuracy_curve(1.0, 1.0, ())
+        with pytest.raises(InvalidInputError, match="must be positive"):
+            dynamics.accuracy_curve(-1.0, 1.0, (0.1,))
+        with pytest.raises(InvalidInputError, match="must be positive"):
+            dynamics.accuracy_curve(1.0, 0.0, (0.1,))
 
     def test_empirical_sweep_matches_curve(self):
-        sweep = dynamics.empirical_accuracy_sweep(
+        rows, noise_gain = dynamics.empirical_accuracy_sweep(
             dim=16, margin=2.0, sigma_grid=(0.2, 0.5, 1.0, 2.0, 5.0), trials=30_000, seed=5
         )
-        assert sweep["noise_gain"] == 16.0
-        for row in sweep["rows"]:
-            band = 3.0 * math.sqrt(row["analytic"] * (1.0 - row["analytic"]) / 30_000)
-            assert abs(row["empirical"] - row["analytic"]) <= band
+        assert noise_gain == 16.0
+        assert [sigma for sigma, *_ in rows] == [0.2, 0.5, 1.0, 2.0, 5.0]
+        for _, analytic, empirical, _ in rows:
+            band = 3.0 * math.sqrt(analytic * (1.0 - analytic) / 30_000)
+            assert abs(empirical - analytic) <= band

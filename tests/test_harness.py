@@ -212,14 +212,14 @@ class TestCsv:
 
 class TestRowChecks:
     def test_gate_counts_rows_over_the_limit_and_names_the_worst(self):
-        result = ExperimentResult(name="t")
+        result = ExperimentResult()
         result.gate("g", [-1.0, 0.5, 0.0, 2.0], lambda i: f"row {i}", "extra")
         (check,) = result.checks
         assert not check.passed
         assert check.detail == "2/4 rows over the limit, worst row 3 (excess 2.000e+00); extra"
 
     def test_gate_passes_on_zero_rows_and_fails_on_nan(self):
-        result = ExperimentResult(name="t")
+        result = ExperimentResult()
         result.gate("empty", [], lambda i: 1 / 0)
         result.gate("nan", [-1.0, float("nan")], lambda i: f"row {i}")
         assert [c.passed for c in result.checks] == [True, False]
@@ -236,14 +236,14 @@ class TestRowChecks:
         ],
     )
     def test_strict_rise_gates_every_neighbour_pair(self, values, passed, rows):
-        result = ExperimentResult(name="t")
+        result = ExperimentResult()
         excess = strict_rise(values)
         result.gate("rise", excess, lambda i: f"pair {i}")
         assert excess.size == rows
         assert result.checks[0].passed is passed
 
     def test_audit_rows_gates_the_scalar_deviation(self):
-        result = ExperimentResult(name="t")
+        result = ExperimentResult()
         bulk = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
         result.audit_rows("exact", [0, 2], lambda i: bulk[i], lambda i: tuple(bulk[i]))
         result.audit_rows("drift", [0, 1], lambda i: bulk[i], lambda i: bulk[i] + (1e-6 if i == 1 else 0.0))
@@ -321,6 +321,7 @@ class TestCli:
             ("curriculum", "grad_checks", 0),
             ("curriculum", "trials_per_n", 1),
             ("curriculum", "iterations", 0),
+            ("accuracy-sweep", "dim", 0),
         ],
     )
     def test_count_below_minimum_exits_two_before_any_output(self, tmp_path, capsys, experiment, key, value):
@@ -383,6 +384,16 @@ class TestCli:
              "cat_bulk.certainty_panel"),
             ("error-accumulation", "sigma_h", "0.0", "params.sigma_h: must be positive",
              "dynamics.monte_carlo_error"),
+            # 216 ** 3 encoders of a 3-symbol corpus problem: just over the brute-force cap
+            ("cib-frontier", "n_latent", "216", "params.n_latent: the brute-force oracle would enumerate 10077696",
+             "cib.solve_cib"),
+            # at dim 16 the 0.75 crossing leaves the sigma grid above twice this margin, or below this one
+            ("accuracy-sweep", "margin", "2000.0",
+             "params.margin: the margin-doubling check needs the 0.75 crossing at margin 4000.0",
+             "dynamics.empirical_accuracy_sweep"),
+            ("accuracy-sweep", "margin", "1e-5",
+             "params.margin: the margin-doubling check needs the 0.75 crossing at margin 1e-05",
+             "dynamics.empirical_accuracy_sweep"),
         ],
     )
     def test_bad_param_exits_two_before_the_kernel(
@@ -613,7 +624,7 @@ class TestCharts:
 
     def test_verify_all_writes_every_report(self, tmp_path, capsys, monkeypatch):
         for name, (filename, header, rows) in CHART_FIXTURES.items():
-            result = ExperimentResult(name=name, tables={filename: (header, rows)})
+            result = ExperimentResult(tables={filename: (header, rows)})
             stub = lambda seed, params, threads=1, result=result: result  # noqa: E731
             monkeypatch.setitem(EXPERIMENTS, name, ExperimentDef(stub, EXPERIMENTS[name].schema))
         assert cli.main(["verify-all", "--out", str(tmp_path)]) == 0
