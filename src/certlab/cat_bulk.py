@@ -5,7 +5,11 @@ probability rows.  The experiment harness re-checks random rows against the
 scalar ops, so this fast path is continuously audited rather than trusted.
 ``masked_log_sums`` sums masked ``w * log(num / den)`` rows, each bit for bit as
 its one-row ``np.sum``, for ``kl_rows``, the bottleneck CMI and the grid-search
-oracle; the oracles walk their candidates in blocks of ``STACK_CELLS`` cells.
+oracle.  The oracles walk their candidates, and the tradeoff-scan and
+accuracy-sweep Monte Carlo panels their rows, in blocks of ``STACK_CELLS``
+cells: each panel statistic reduces one row, so a block's rows hold the bits
+they would have in one whole-panel call, and memory no longer grows with the
+sample count.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import numpy as np
 from .categorical import PROB_FLOOR, SUM_TOL, as_distribution
 from .errors import InfiniteDivergenceError, InvalidInputError
 
-# Most cells a blocked enumeration stacks into one kernel call.
+# Most cells a blocked enumeration or a streamed Monte Carlo panel stacks into one kernel call.
 STACK_CELLS = 2**16
 
 

@@ -6,7 +6,7 @@
 
 verify-all runs every experiment at its defaults and writes each one's
 report.md and chart next to its manifest, as report does.
-Exit codes: 0 all checks passed, 2 configuration or other certlab error,
+Exit codes: 0 all checks passed, 2 configuration, out-of-memory or other certlab error,
 3 check failure, 4 I/O or report error.  --threads sets the worker threads of
 the experiments that parallelize; outputs are byte-identical at any thread count.
 """
@@ -63,10 +63,14 @@ def _summarize(manifest: RunManifest, stream) -> None:
 
 
 def _failure(exc: Exception) -> int:
-    """Report an error that stops a command: 4 for I/O or a ReportError, 2 for other CertlabErrors."""
+    """Report an error that stops a command: 4 for I/O or a ReportError, 2 for other
+    CertlabErrors and for a MemoryError (parameters whose arrays cannot be allocated)."""
     if isinstance(exc, OSError):
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    if isinstance(exc, MemoryError):
+        print(f"out of memory: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
     return EXIT_IO if isinstance(exc, ReportError) else EXIT_CONFIG
 
@@ -83,7 +87,7 @@ def cmd_run(args) -> int:
             out_override=args.out,
         )
         manifest = _execute(config, max(1, args.threads or 1))
-    except (OSError, CertlabError) as exc:
+    except (OSError, CertlabError, MemoryError) as exc:
         return _failure(exc)
     _summarize(manifest, sys.stdout)
     print(f"manifest: {Path(config.output_dir) / 'manifest.json'}")
@@ -122,7 +126,7 @@ def cmd_verify_all(args) -> int:
             emit_svg_charts(manifest, out_root / name)
             _summarize(manifest, sys.stdout)
             all_ok &= manifest.all_passed
-    except (OSError, CertlabError) as exc:
+    except (OSError, CertlabError, MemoryError) as exc:
         return _failure(exc)
     print("verify-all: " + ("ALL CHECKS PASSED" if all_ok else "CHECK FAILURES"))
     return EXIT_OK if all_ok else EXIT_CHECKS

@@ -24,7 +24,8 @@ Reproducibility: all samplers consume streams derived from an explicit
 seed.  Trial populations are processed in deterministic batches (per-step
 prefix groups for the discrete chain, fixed-size blocks for the error
 Monte Carlo); batches are independent streams merged in index order, so
-results do not depend on execution schedule.
+results do not depend on execution schedule.  The accuracy sweep reads each
+sigma's one stream in consecutive blocks of ``cat_bulk.STACK_CELLS`` cells.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cat_bulk import STACK_CELLS
 from .errors import InvalidInputError, SamplingExhaustedError
 from .seeding import rng_for
 
@@ -316,6 +318,13 @@ def empirical_accuracy_sweep(
     whose projected gap stays below the margin.  Returns the
     ``(sigma, analytic, empirical, std_error)`` rows and the inferred noise
     gain (``dim``, one projection step).
+
+    Sigma ``idx`` draws its ``(trials, dim)`` noise from the stream
+    ``rng_for(seed, "accuracy", idx)`` in consecutive blocks of
+    ``max(1, STACK_CELLS // dim)`` rows, the last block ragged.  The normal
+    sampler keeps no state between calls, so the blocks are the rows of one
+    ``(trials, dim)`` draw in order, and the exact count of retained rows
+    gives the one-shot mean bit for bit in O(block) memory.
     """
     if trials < 1000:
         raise InvalidInputError(f"need at least 1000 trials, got {trials}")
@@ -324,11 +333,14 @@ def empirical_accuracy_sweep(
     row_diff = np.where(np.arange(dim) % 2 == 0, 1.0, -1.0)
     noise_gain = float(row_diff @ row_diff)  # == dim
     rows = []
+    block = max(1, STACK_CELLS // dim)
     for idx, (sigma, expected) in enumerate(accuracy_curve(margin, noise_gain, sigma_grid)):
         rng = rng_for(seed, "accuracy", idx)
-        state_noise = rng.normal(0.0, sigma, (trials, dim))
-        projected = state_noise @ row_diff
-        retained = float(np.mean(projected < margin))
+        below = 0
+        for start in range(0, trials, block):
+            projected = rng.normal(0.0, sigma, (min(block, trials - start), dim)) @ row_diff
+            below += int(np.count_nonzero(projected < margin))
+        retained = below / trials
         std_error = math.sqrt(max(retained * (1.0 - retained), 1e-12) / trials)
         rows.append((sigma, expected, retained, std_error))
     return rows, noise_gain

@@ -169,23 +169,33 @@ def run_tradeoff_scan(seed: int, params: dict, threads: int = 1) -> ExperimentRe
     if not scan:
         raise InvalidInputError("params.scan_grid: no value is at least 1/B for any B of params.scan_options")
     options_set = params["options_set"]
-    per_b = max(1, params["samples"] // len(options_set))
-
-    excess = []  # per B, each floor's excess over its bound, row by row
-    for b in options_set:
-        logits = rng_for(seed, "tradeoff-sample", b).standard_normal((per_b, b))
-        panel = cat_bulk.certainty_panel(logits)
-        result.audit_rows(
-            f"scalar-vs-vectorized consistency at B={b}", spot_rows(rng_for(seed, "tradeoff-spot", b), per_b),
-            lambda i: [field[i] for field in panel], lambda i: _scalar_certainty(logits[i]),
+    per_b = params["samples"] // len(options_set)
+    if per_b < 1:
+        raise InvalidInputError(
+            f"params.samples: need at least one row per B, {len(options_set)} in all, got {params['samples']}"
         )
-        excess.append((
-            panel.stability_bound - 1e-9 - panel.margin,
-            panel.tradeoff_bound - 1e-9 - panel.reverse_kl,
-            panel.forward_bound - 1e-9 - panel.forward_kl,
-            np.abs(panel.margin - panel.stability_bound) - 1e-12,
-        ))
-    margin, reverse, forward, equality = map(np.concatenate, zip(*excess))
+
+    # per row, each floor's excess over its bound, filled block by block
+    margin, reverse, forward, equality = np.empty((4, len(options_set) * per_b))
+    for k, b in enumerate(options_set):
+        rng = rng_for(seed, "tradeoff-sample", b)
+        # the spot rows are picked up front so only they, not every row, are kept
+        picks = spot_rows(rng_for(seed, "tradeoff-spot", b), per_b)
+        spot = {}  # picked row -> (panel values, scalar recomputation)
+        block = max(1, cat_bulk.STACK_CELLS // b)
+        for start in range(0, per_b, block):
+            logits = rng.standard_normal((min(block, per_b - start), b))
+            panel = cat_bulk.certainty_panel(logits)
+            rows = slice(k * per_b + start, k * per_b + start + len(logits))
+            margin[rows] = panel.stability_bound - 1e-9 - panel.margin
+            reverse[rows] = panel.tradeoff_bound - 1e-9 - panel.reverse_kl
+            forward[rows] = panel.forward_bound - 1e-9 - panel.forward_kl
+            equality[rows] = np.abs(panel.margin - panel.stability_bound) - 1e-12
+            for i in picks[(picks >= start) & (picks < start + len(logits))]:
+                spot[i] = ([field[i - start] for field in panel], _scalar_certainty(logits[i - start]))
+        result.audit_rows(
+            f"scalar-vs-vectorized consistency at B={b}", picks, lambda i: spot[i][0], lambda i: spot[i][1],
+        )
     two = np.flatnonzero(np.repeat(np.asarray(options_set) == 2, per_b))  # the B=2 rows
 
     def where(i):

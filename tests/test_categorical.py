@@ -10,7 +10,16 @@ from hypothesis import strategies as st
 from certlab import cat_bulk
 from certlab import categorical as cat
 from certlab.errors import InfiniteDivergenceError, InvalidInputError
-from certlab.experiments import _compositions, _simplex_slice_min_reverse_kl
+from certlab.experiments import (
+    ExperimentResult,
+    _compositions,
+    _scalar_certainty,
+    _simplex_slice_min_reverse_kl,
+    default_params,
+    run_tradeoff_scan,
+    spot_rows,
+)
+from certlab.seeding import rng_for
 
 UNIFORM_4 = np.full(4, 0.25)
 
@@ -351,6 +360,66 @@ class TestGridOracle:
         for resolution in (1, 2, 7, 60):
             oracle = _simplex_slice_min_reverse_kl(0.7, 4, resolution)
             assert abs(oracle - cat.tradeoff_lower_bound(0.7, 4)) <= 1e-12
+
+
+def _one_shot_tradeoff_checks(seed, options_set, per_b):
+    """The tradeoff-scan panel checks from one ``certainty_panel`` per B over its
+    whole draw, as the scan made them before it streamed in blocks."""
+    result = ExperimentResult()
+    excess = []
+    for b in options_set:
+        logits = rng_for(seed, "tradeoff-sample", b).standard_normal((per_b, b))
+        panel = cat_bulk.certainty_panel(logits)
+        result.audit_rows(
+            f"scalar-vs-vectorized consistency at B={b}", spot_rows(rng_for(seed, "tradeoff-spot", b), per_b),
+            lambda i: [field[i] for field in panel], lambda i: _scalar_certainty(logits[i]),
+        )
+        excess.append((
+            panel.stability_bound - 1e-9 - panel.margin,
+            panel.tradeoff_bound - 1e-9 - panel.reverse_kl,
+            panel.forward_bound - 1e-9 - panel.forward_kl,
+            np.abs(panel.margin - panel.stability_bound) - 1e-12,
+        ))
+    margin, reverse, forward, equality = map(np.concatenate, zip(*excess))
+    two = np.flatnonzero(np.repeat(np.asarray(options_set) == 2, per_b))
+
+    def where(i):
+        return f"B={options_set[i // per_b]} row {i % per_b}"
+
+    result.gate("stability floor: margin >= log(s/(1-s)) on random softmax sample", margin, where)
+    result.gate("certainty cost floor: D(p||uniform) >= tradeoff bound on the same sample", reverse, where)
+    result.gate("exploration floor: D(uniform||p) >= even-remainder bound on the same sample", forward, where)
+    result.gate("two-option equality: margin == stability floor exactly", equality[two], lambda i: where(two[i]))
+    return result.checks
+
+
+class TestBlockedTradeoffPanel:
+    def test_blocks_equal_one_panel_over_the_whole_draw(self, monkeypatch):
+        block = cat_bulk.STACK_CELLS // 32  # 2,048 rows of B = 32
+        per_b = 2 * block + 517  # two full blocks and a ragged one
+        options_set = (2, 32)  # B = 2 for the equality gate, in one block
+        panels = {}  # B -> [(logits, panel)] per certainty_panel call
+        one_panel = cat_bulk.certainty_panel
+
+        def recording(logits):
+            panel = one_panel(logits)
+            panels.setdefault(logits.shape[1], []).append((logits.copy(), panel))
+            return panel
+
+        monkeypatch.setattr(cat_bulk, "certainty_panel", recording)
+        params = {**default_params("tradeoff-scan"), "samples": len(options_set) * per_b, "options_set": options_set}
+        checks = run_tradeoff_scan(3, params).checks
+        monkeypatch.undo()
+
+        assert [len(logits) for logits, _ in panels[32]] == [block, block, 517]
+        for b in options_set:
+            whole = rng_for(3, "tradeoff-sample", b).standard_normal((per_b, b))
+            assert np.concatenate([logits for logits, _ in panels[b]]).tobytes() == whole.tobytes()
+            for name, field in zip(cat_bulk.CertaintyPanel._fields, one_panel(whole)):
+                blocked = np.concatenate([getattr(panel, name) for _, panel in panels[b]])
+                assert blocked.tobytes() == field.tobytes(), (b, name)
+        expected = _one_shot_tradeoff_checks(3, options_set, per_b)
+        assert checks[:len(expected)] == expected
 
 
 class TestDivergenceAsymptote:

@@ -1,6 +1,7 @@
 """Discrete argmax-reset chains, continuous error accumulation, retention curve."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -294,3 +295,43 @@ class TestAccuracyCurve:
         for _, analytic, empirical, _ in rows:
             band = 3.0 * math.sqrt(analytic * (1.0 - analytic) / 30_000)
             assert abs(empirical - analytic) <= band
+
+
+def _one_shot_retention(dim, margin, sigma_grid, trials, seed):
+    """Each sigma's retention from one ``(trials, dim)`` draw, as the sweep measured it before it streamed."""
+    row_diff = np.where(np.arange(dim) % 2 == 0, 1.0, -1.0)
+    return [
+        float(np.mean(rng_for(seed, "accuracy", idx).normal(0.0, sigma, (trials, dim)) @ row_diff < margin))
+        for idx, sigma in enumerate(sigma_grid)
+    ]
+
+
+class TestStreamedAccuracySweep:
+    @pytest.mark.parametrize(
+        "dim, trials, stack_cells",
+        [
+            (16, 10_001, None),  # blocks of 4,096 rows: two full blocks and a ragged one
+            (1, 70_001, None),  # blocks of 65,536 rows, then 4,465
+            (9, 1_000, 8),  # dim over STACK_CELLS: one row per block
+        ],
+    )
+    def test_blocks_equal_the_one_shot_draw(self, monkeypatch, dim, trials, stack_cells):
+        if stack_cells is not None:
+            monkeypatch.setattr(dynamics, "STACK_CELLS", stack_cells)
+            assert dim > dynamics.STACK_CELLS
+        sigma_grid = (0.3, 1.0, 4.0)
+        rows, _ = dynamics.empirical_accuracy_sweep(dim, 2.0, sigma_grid, trials, seed=11)
+        assert [empirical for _, _, empirical, _ in rows] == _one_shot_retention(dim, 2.0, sigma_grid, trials, 11)
+
+    def test_memory_does_not_grow_with_trials(self):
+        def traced_peak(trials):
+            tracemalloc.start()
+            try:
+                dynamics.empirical_accuracy_sweep(16, 2.0, (1.0,), trials, seed=2)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        traced_peak(100_000)  # warm-up
+        # a one-shot draw would hold 12.8 MB at 100,000 trials and 51.2 MB at 400,000
+        assert traced_peak(400_000) <= 1.25 * traced_peak(100_000)

@@ -22,7 +22,7 @@ from certlab.config import (
     config_hash,
     parse_config_text,
 )
-from certlab.errors import CertlabError, ConfigError, ReportError, SamplingExhaustedError
+from certlab.errors import ConfigError, ReportError, SamplingExhaustedError
 from certlab.experiments import EXPERIMENTS, ExperimentDef, ExperimentResult, default_params, strict_rise
 from certlab.manifest import RunManifest, load_manifest, read_csv, write_csv
 from certlab.report import emit_svg_charts
@@ -394,6 +394,11 @@ class TestCli:
             ("accuracy-sweep", "margin", "1e-5",
              "params.margin: the margin-doubling check needs the 0.75 crossing at margin 1e-05",
              "dynamics.empirical_accuracy_sweep"),
+            # fewer samples than options_set's 6 values: no row for some B, so no draw at all
+            ("tradeoff-scan", "samples", "-5", "params.samples: need at least one row per B, 6 in all, got -5",
+             "experiments.rng_for"),
+            ("tradeoff-scan", "samples", "5", "params.samples: need at least one row per B, 6 in all, got 5",
+             "experiments.rng_for"),
         ],
     )
     def test_bad_param_exits_two_before_the_kernel(
@@ -441,7 +446,12 @@ class TestCli:
     @pytest.mark.parametrize("command", ["run", "verify-all"])
     @pytest.mark.parametrize(
         "error, code",
-        [(SamplingExhaustedError("budget spent"), 2), (OSError("disk full"), 4), (ReportError("bad table"), 4)],
+        [
+            (SamplingExhaustedError("budget spent"), 2),
+            (OSError("disk full"), 4),
+            (ReportError("bad table"), 4),
+            (MemoryError("Unable to allocate 364. TiB"), 2),
+        ],
     )
     def test_runtime_errors_map_to_one_exit_code(self, tmp_path, capsys, monkeypatch, command, error, code):
         def failing(seed, params, threads=1):
@@ -453,7 +463,16 @@ class TestCli:
         argv = ["run", "--config", _write_cfg(tmp_path, SMALL_ACCURACY_CFG)] if command == "run" else [command]
         assert cli.main(argv + ["--out", out]) == code
         err = capsys.readouterr().err
-        assert (f"{type(error).__name__}: {error}" if isinstance(error, CertlabError) else f"i/o error: {error}") in err
+        prefix = {OSError: "i/o error", MemoryError: "out of memory"}.get(type(error), type(error).__name__)
+        assert f"{prefix}: {error}" in err
+
+    def test_unallocatable_trials_exit_two_without_a_traceback(self, tmp_path, capsys):
+        # (10**13, 5) float64 noise rows: 364 TiB, beyond the 128 TiB x86-64 user
+        # address space, so the allocation is refused at once and nothing is touched
+        cfg = _write_cfg(tmp_path, "[run]\nexperiment = noise-discrete\nseed = 0\n[params]\ntrials = 10000000000000\n")
+        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("out of memory: Unable to allocate") and err.count("\n") == 1
 
     def test_missing_config_is_io_error(self, tmp_path):
         assert cli.main(["run", "--config", str(tmp_path / "nope.cfg")]) == 4
