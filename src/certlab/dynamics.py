@@ -24,8 +24,7 @@ Reproducibility: all samplers consume streams derived from an explicit
 seed.  Trial populations are processed in deterministic batches (per-step
 prefix groups for the discrete chain, fixed-size blocks for the error
 Monte Carlo); batches are independent streams merged in index order, so
-results do not depend on execution schedule.  The accuracy sweep reads each
-sigma's one stream in consecutive blocks of ``cat_bulk.STACK_CELLS`` cells.
+results do not depend on execution schedule.
 """
 
 from __future__ import annotations
