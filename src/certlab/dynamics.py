@@ -6,10 +6,11 @@ Two simulators and one analytic curve:
   deterministic function of the generated prefix.  Additive logit noise is
   constrained to be *sub-decisional* (argmax-preserving), and the argmax at
   each step discards it, so the perturbed chain can never leave the clean
-  trajectory; the divergence count is exactly zero.  The noise comes from
-  one sampler, ``sample_sub_decisional_noise``, which draws a stack of rows
-  and redraws the rejected ones in rounds; ``check_sub_decisional`` is the
-  one argmax test, for a row or a stack.
+  trajectory; the divergence count is exactly zero.  Each prefix group
+  draws its first round of noise block by block and hands only the rejected
+  rows to the one sampler, ``sample_sub_decisional_noise``, which redraws
+  rejected rows in rounds; ``check_sub_decisional`` is the one argmax test,
+  for a row or a stack.
 * ``monte_carlo_error``: a continuous state chain ``h_k = A h_{k-1} + noise``
   with no quantization step, ``A`` being ``transition_matrix``.  The final
   squared error follows the geometric series
@@ -24,7 +25,11 @@ Reproducibility: all samplers consume streams derived from an explicit
 seed.  Trial populations are processed in deterministic batches (per-step
 prefix groups for the discrete chain, fixed-size blocks for the error
 Monte Carlo); batches are independent streams merged in index order, so
-results do not depend on execution schedule.
+results do not depend on execution schedule.  Within a batch the normals
+are drawn in consecutive blocks of at most ``STACK_CELLS`` cells.  The
+normal sampler keeps no state between calls, so the blocks are the rows of
+one whole-batch draw in order.  Memory no longer grows with the trial
+count, apart from the rejected rows a sub-decisional group redraws.
 """
 
 from __future__ import annotations
@@ -110,12 +115,19 @@ def monte_carlo_error(config: LatentConfig, trials: int, seed: int) -> tuple[flo
 
     Simulates the error recursion ``E_k = A E_{k-1} + noise`` directly
     (the clean trajectory cancels), in fixed blocks of ``MC_BLOCK`` trials
-    with independent derived streams merged in block order.
+    with independent derived streams merged in block order.  Every block
+    reuses one ``(min(MC_BLOCK, trials), dim)`` state buffer; each step's
+    ``(size, dim)`` draw is taken in consecutive chunks of
+    ``max(1, STACK_CELLS // dim)`` rows, which are the rows of one draw in
+    order, so memory stays fixed whatever ``trials`` is.
     """
     if trials < 100:
         raise InvalidInputError(f"need at least 100 trials, got {trials}")
     matrix = transition_matrix(config)
     plain_scaling = config.transition == "linear_scaling" or config.dim == 1
+    state = np.empty((min(MC_BLOCK, trials), config.dim))
+    final_sq = np.empty(len(state))
+    chunk = max(1, STACK_CELLS // config.dim)
     sums: list[float] = []
     sq_sums: list[float] = []
     done = 0
@@ -123,16 +135,23 @@ def monte_carlo_error(config: LatentConfig, trials: int, seed: int) -> tuple[flo
     while done < trials:
         size = min(MC_BLOCK, trials - done)
         rng = rng_for(seed, "mc-block", block_index)
-        err = np.zeros((size, config.dim))
+        err = state[:size]
+        err.fill(0.0)
         for _ in range(config.steps):
             if plain_scaling:
                 err *= config.lipschitz
             else:
-                err = err @ matrix.T
-            err += config.sigma_h * rng.standard_normal((size, config.dim))
-        final_sq = np.sum(err * err, axis=1)
-        sums.append(float(final_sq.sum()))
-        sq_sums.append(float(np.sum(final_sq * final_sq)))
+                # one product over the whole block, the shape it always had, so no row's bits move
+                err[...] = err @ matrix.T
+            for start in range(0, size, chunk):
+                rows = err[start:start + chunk]
+                rows += config.sigma_h * rng.standard_normal(rows.shape)
+        for start in range(0, size, chunk):
+            rows = err[start:start + chunk]
+            final_sq[start:start + len(rows)] = np.sum(rows * rows, axis=1)
+        block_sq = final_sq[:size]
+        sums.append(float(block_sq.sum()))
+        sq_sums.append(float(np.sum(block_sq * block_sq)))
         done += size
         block_index += 1
     total = math.fsum(sums)
@@ -203,6 +222,16 @@ def check_sub_decisional(l_star, eps):
     return bool(kept) if e.ndim == 1 else kept
 
 
+def _sub_decisional_logits(l_star, scale: float) -> np.ndarray:
+    """``l_star`` as floats, once the noise scale and the unique argmax are checked."""
+    l = np.asarray(l_star, dtype=np.float64)
+    if scale < 0:
+        raise InvalidInputError(f"scale must be >= 0, got {scale!r}")
+    if np.sum(l == l.max()) > 1:
+        raise InvalidInputError("logits must have a unique argmax")
+    return l
+
+
 def sample_sub_decisional_noise(
     l_star, scale: float, rng: np.random.Generator, count: int
 ) -> tuple[np.ndarray, int]:
@@ -215,11 +244,7 @@ def sample_sub_decisional_noise(
     ``REJECTION_CAP`` rounds, which signals a noise scale far above the
     decision margin.
     """
-    l = np.asarray(l_star, dtype=np.float64)
-    if scale < 0:
-        raise InvalidInputError(f"scale must be >= 0, got {scale!r}")
-    if np.sum(l == l.max()) > 1:
-        raise InvalidInputError("logits must have a unique argmax")
+    l = _sub_decisional_logits(l_star, scale)
     draws = rng.normal(0.0, scale, (count, l.size))
     pending = np.flatnonzero(~check_sub_decisional(l, draws))
     redrawn = 0
@@ -236,14 +261,44 @@ def sample_sub_decisional_noise(
     return draws, redrawn
 
 
+def _group_sizes(spec: DiscreteChainSpec, l_star: np.ndarray, rng: np.random.Generator, count: int) -> np.ndarray:
+    """Per-token counts of the argmaxes of ``count`` noisy copies of ``l_star``.
+
+    The ``(count, n_options)`` noise is drawn from ``rng`` in consecutive
+    blocks of ``max(1, STACK_CELLS // n_options)`` rows, the rows of one draw
+    in order.  A sub-decisional group counts its kept rows, each at the clean
+    argmax, and after its last block redraws only the rejected ones with
+    ``sample_sub_decisional_noise`` on the same stream.  The one-draw sampler
+    redraws the same rows in index order, so every row ends with the same
+    noise, and memory holds one block plus the rejected rows.
+    """
+    if spec.sub_decisional_only:
+        l_star = _sub_decisional_logits(l_star, spec.noise_scale)
+    block = max(1, STACK_CELLS // spec.n_options)
+    sizes = np.zeros(spec.n_options, dtype=np.int64)
+    rejected = 0
+    for start in range(0, count, block):
+        noise = rng.normal(0.0, spec.noise_scale, (min(block, count - start), spec.n_options))
+        if spec.sub_decisional_only:
+            kept = int(np.count_nonzero(check_sub_decisional(l_star, noise)))
+            sizes[np.argmax(l_star)] += kept
+            rejected += len(noise) - kept
+        else:
+            sizes += np.bincount(np.argmax(l_star + noise, axis=1), minlength=spec.n_options)
+    if rejected:
+        noise, _ = sample_sub_decisional_noise(l_star, spec.noise_scale, rng, rejected)
+        sizes += np.bincount(np.argmax(l_star + noise, axis=1), minlength=spec.n_options)
+    return sizes
+
+
 def simulate_discrete_chain(spec: DiscreteChainSpec, trials: int, seed: int) -> int:
     """Count trials whose final token differs from the clean chain's.
 
     Each trial runs the perturbed chain, recomputing step-``k`` logits from
     its *own* generated prefix, with per-step noise (argmax-preserving when
-    ``sub_decisional_only``).  Trials sharing a prefix are processed as one
-    vectorized group with a stream derived from (seed, step, group rank),
-    groups ranked in lexicographic prefix order.
+    ``sub_decisional_only``).  Trials sharing a prefix form one group, drawn
+    in blocks by ``_group_sizes`` from a stream derived from (seed, step,
+    group rank), groups ranked in lexicographic prefix order.
     """
     if trials < 1:
         raise InvalidInputError(f"need trials >= 1, got {trials}")
@@ -259,13 +314,8 @@ def simulate_discrete_chain(spec: DiscreteChainSpec, trials: int, seed: int) -> 
     for step in range(spec.steps):
         next_groups: dict[tuple[int, ...], int] = {}
         for rank, (prefix, count) in enumerate(groups.items()):
-            l_star = prefix_logits(spec, prefix)
             rng = rng_for(seed, "step", step, "group", rank)
-            if spec.sub_decisional_only:
-                noise, _ = sample_sub_decisional_noise(l_star, spec.noise_scale, rng, count)
-            else:
-                noise = rng.normal(0.0, spec.noise_scale, (count, spec.n_options))
-            sizes = np.bincount(np.argmax(l_star + noise, axis=1), minlength=spec.n_options)
+            sizes = _group_sizes(spec, prefix_logits(spec, prefix), rng, count)
             for token in np.flatnonzero(sizes).tolist():
                 next_groups[prefix + (token,)] = int(sizes[token])
         groups = next_groups

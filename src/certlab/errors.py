@@ -36,7 +36,7 @@ class SamplingExhaustedError(CertlabError):
 
 
 class EnumerationTooLargeError(CertlabError):
-    """A brute-force enumeration would exceed the configured size cap."""
+    """A brute-force enumeration or a Monte Carlo run would exceed its size cap."""
 
 
 class ConfigError(CertlabError):

@@ -162,6 +162,45 @@ class TestDiscreteChain:
         assert dynamics.simulate_discrete_chain(spec, trials, seed) == expected
 
 
+class TestStreamedDiscreteChain:
+    LOGITS = np.array([0.5, 0.0, -0.3])  # a margin of 0.5 at scale 0.5 rejects about a third of the rows
+
+    @pytest.mark.parametrize("sub_decisional_only", [True, False])
+    def test_group_sizes_equal_the_one_shot_draw(self, sub_decisional_only):
+        spec = dynamics.DiscreteChainSpec(
+            steps=1, n_options=3, noise_scale=0.5, sub_decisional_only=sub_decisional_only
+        )
+        count = 3 * (dynamics.STACK_CELLS // 3) + 17  # three full blocks and a ragged one
+        streamed, fresh = rng_for(4, "group"), rng_for(4, "group")
+        sizes = dynamics._group_sizes(spec, self.LOGITS, streamed, count)
+        if sub_decisional_only:
+            noise, redrawn = dynamics.sample_sub_decisional_noise(self.LOGITS, 0.5, fresh, count)
+            assert redrawn > count // 4  # the redraw rounds ran
+        else:
+            noise = fresh.normal(0.0, 0.5, (count, 3))
+        assert sizes.tolist() == np.bincount(np.argmax(self.LOGITS + noise, axis=1), minlength=3).tolist()
+        # both consumed the same normals from the stream
+        assert streamed.bit_generator.state == fresh.bit_generator.state
+
+    @pytest.mark.parametrize("sub_decisional_only", [True, False])
+    def test_memory_does_not_grow_with_trials(self, sub_decisional_only):
+        spec = dynamics.DiscreteChainSpec(
+            steps=2, n_options=4, noise_scale=0.2, sub_decisional_only=sub_decisional_only, logit_seed=3
+        )
+
+        def traced_peak(trials):
+            tracemalloc.start()
+            try:
+                dynamics.simulate_discrete_chain(spec, trials, seed=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        traced_peak(50_000)  # warm-up
+        # a one-shot draw would hold 1.6 MB of noise at 50,000 trials and 6.4 MB at 200,000
+        assert traced_peak(200_000) <= traced_peak(50_000) + 2**20
+
+
 class TestLatentChain:
     def test_transition_operator_norm_is_exact(self):
         for kind in ("linear_scaling", "rotation_scaling"):
@@ -254,6 +293,61 @@ class TestMonteCarloError:
         assert dynamics.monte_carlo_error(config, 5000, seed=9) == dynamics.monte_carlo_error(
             config, 5000, seed=9
         )
+
+
+def _reference_monte_carlo_error(config, trials, seed):
+    """The error Monte Carlo with one fresh ``(size, dim)`` state and one draw per step, as it ran before it streamed."""
+    matrix = dynamics.transition_matrix(config)
+    plain_scaling = config.transition == "linear_scaling" or config.dim == 1
+    sums, sq_sums = [], []
+    done = 0
+    block_index = 0
+    while done < trials:
+        size = min(dynamics.MC_BLOCK, trials - done)
+        rng = rng_for(seed, "mc-block", block_index)
+        err = np.zeros((size, config.dim))
+        for _ in range(config.steps):
+            if plain_scaling:
+                err *= config.lipschitz
+            else:
+                err = err @ matrix.T
+            err += config.sigma_h * rng.standard_normal((size, config.dim))
+        final_sq = np.sum(err * err, axis=1)
+        sums.append(float(final_sq.sum()))
+        sq_sums.append(float(np.sum(final_sq * final_sq)))
+        done += size
+        block_index += 1
+    mean = math.fsum(sums) / trials
+    variance = max(0.0, (math.fsum(sq_sums) - trials * mean * mean) / (trials - 1))
+    return mean, math.sqrt(variance / trials)
+
+
+class TestStreamedMonteCarloError:
+    @pytest.mark.parametrize("kind", ["linear_scaling", "rotation_scaling"])
+    @pytest.mark.parametrize("trials", [100, 8193, 20_000])  # one short block, a one-row block, a ragged block
+    @pytest.mark.parametrize("dim", [1, 3, 64, 200])  # 200 rows a chunk fall short of MC_BLOCK, one does not
+    def test_equals_the_reference_bit_for_bit(self, kind, trials, dim):
+        config = dynamics.LatentConfig(
+            dim=dim, steps=3, lipschitz=1.1, sigma_h=0.3, transition=kind, rotation_seed=dim
+        )
+        assert dynamics.monte_carlo_error(config, trials, seed=6) == _reference_monte_carlo_error(config, trials, 6)
+
+    def test_memory_does_not_grow_with_trials(self):
+        config = dynamics.LatentConfig(dim=64, steps=2, lipschitz=1.0, sigma_h=0.1)
+
+        def traced_peak(trials):
+            tracemalloc.start()
+            try:
+                dynamics.monte_carlo_error(config, trials, seed=2)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        traced_peak(dynamics.MC_BLOCK)  # warm-up
+        peak = traced_peak(4 * dynamics.MC_BLOCK)
+        assert peak <= traced_peak(dynamics.MC_BLOCK) + 2**20
+        # one reused 4 MiB state and a chunk's draw; a fresh state per block held two states at once
+        assert peak <= dynamics.MC_BLOCK * config.dim * 8 + 2**20
 
 
 class TestAccuracyCurve:

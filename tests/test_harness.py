@@ -6,6 +6,7 @@ import importlib.util
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ from certlab.config import (
     parse_config_text,
 )
 from certlab.errors import ConfigError, ReportError, SamplingExhaustedError
-from certlab.experiments import EXPERIMENTS, ExperimentDef, ExperimentResult, default_params, strict_rise
+from certlab.experiments import DRAW_CAP, EXPERIMENTS, ExperimentDef, ExperimentResult, default_params, strict_rise
 from certlab.manifest import RunManifest, load_manifest, read_csv, write_csv
 from certlab.report import emit_svg_charts
 from certlab.seeding import UniformStreams, derive_seed, derive_seeds, rng_for
@@ -466,13 +467,26 @@ class TestCli:
         prefix = {OSError: "i/o error", MemoryError: "out of memory"}.get(type(error), type(error).__name__)
         assert f"{prefix}: {error}" in err
 
-    def test_unallocatable_trials_exit_two_without_a_traceback(self, tmp_path, capsys):
-        # (10**13, 5) float64 noise rows: 364 TiB, beyond the 128 TiB x86-64 user
-        # address space, so the allocation is refused at once and nothing is touched
-        cfg = _write_cfg(tmp_path, "[run]\nexperiment = noise-discrete\nseed = 0\n[params]\ntrials = 10000000000000\n")
+    def test_unallocatable_samples_exit_two_without_a_traceback(self, tmp_path, capsys):
+        # four excess vectors of 10**13 // 6 * 6 float64 rows: 291 TiB, beyond the 128 TiB
+        # x86-64 user address space, so the allocation is refused at once and nothing is touched
+        cfg = _write_cfg(tmp_path, "[run]\nexperiment = tradeoff-scan\nseed = 0\n[params]\nsamples = 10000000000000\n")
         assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("out of memory: Unable to allocate") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("experiment", ["noise-discrete", "error-accumulation", "accuracy-sweep"])
+    def test_huge_trials_exit_two_at_the_draw_cap(self, tmp_path, capsys, experiment):
+        # the streamed kernels allocate a fixed amount at any trial count, so
+        # without the cap these runs would draw for days instead of failing
+        cfg = _write_cfg(tmp_path, f"[run]\nexperiment = {experiment}\nseed = 0\n[params]\ntrials = {10**12}\n")
+        started = time.perf_counter()
+        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert time.perf_counter() - started < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("EnumerationTooLargeError: params.trials: the run would draw ")
+        assert err.endswith(f"normals, over the cap {DRAW_CAP}\n") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
 
     def test_missing_config_is_io_error(self, tmp_path):
         assert cli.main(["run", "--config", str(tmp_path / "nope.cfg")]) == 4
