@@ -8,8 +8,10 @@ its one-row ``np.sum``, for ``kl_rows``, the bottleneck CMI and the grid-search
 oracle.  The oracles walk their candidates, and the tradeoff-scan and
 accuracy-sweep Monte Carlo panels their rows, in blocks of ``STACK_CELLS``
 cells: each panel statistic reduces one row, so a block's rows hold the bits
-they would have in one whole-panel call, and memory no longer grows with the
-sample count.
+they would have in one whole-panel call, and the panel temporaries no longer
+grow with the sample count.  tradeoff-scan still keeps four excess vectors of
+``samples`` floats (3.2 MB at the defaults) on purpose: its gates read every
+row, and an absurd ``samples`` fails at their allocation, before any draw.
 """
 
 from __future__ import annotations

@@ -141,15 +141,15 @@ def monte_carlo_error(config: LatentConfig, trials: int, seed: int) -> tuple[flo
             if plain_scaling:
                 err *= config.lipschitz
             else:
-                # one product over the whole block, the shape it always had, so no row's bits move
+                # one product over the whole block: BLAS may round a product of fewer rows differently
                 err[...] = err @ matrix.T
             for start in range(0, size, chunk):
                 rows = err[start:start + chunk]
                 rows += config.sigma_h * rng.standard_normal(rows.shape)
+        block_sq = final_sq[:size]
         for start in range(0, size, chunk):
             rows = err[start:start + chunk]
-            final_sq[start:start + len(rows)] = np.sum(rows * rows, axis=1)
-        block_sq = final_sq[:size]
+            block_sq[start:start + chunk] = np.sum(rows * rows, axis=1)
         sums.append(float(block_sq.sum()))
         sq_sums.append(float(np.sum(block_sq * block_sq)))
         done += size

@@ -113,10 +113,10 @@ ORACLE_CAP = 10**7
 DRAW_CAP = 10**10
 
 
-def _cap_draws(key: str, draws: int) -> None:
-    """Refuse, before any draw, a run that would draw more than ``DRAW_CAP`` normals."""
+def _cap_draws(draws: int) -> None:
+    """Refuse, before any draw, a run whose ``params.trials`` would draw more than ``DRAW_CAP`` normals."""
     if draws > DRAW_CAP:
-        raise EnumerationTooLargeError(f"params.{key}: the run would draw {draws} normals, over the cap {DRAW_CAP}")
+        raise EnumerationTooLargeError(f"params.trials: the run would draw {draws} normals, over the cap {DRAW_CAP}")
 
 
 def _compositions(units: int, slots: int, rows: int):
@@ -404,7 +404,7 @@ def run_noise_discrete(seed: int, params: dict, threads: int = 1) -> ExperimentR
     chain_specs = [chain_spec(index, params["noise_over_margin"]) for index in range(len(specs))]
     zero_spec = chain_spec(0, 0.0)
     contrast = chain_spec(0, params["contrast_noise_over_margin"], sub_decisional_only=False)
-    _cap_draws("trials", params["trials"] * sum(steps * options for steps, options in specs))  # first rounds
+    _cap_draws(params["trials"] * sum(steps * options for steps, options in specs))  # first rounds
 
     def run_spec(item):
         index, spec = item
@@ -495,7 +495,7 @@ def run_error_accumulation(seed: int, params: dict, threads: int = 1) -> Experim
         )
         for lf, d, m in cells
     ]
-    _cap_draws("trials", params["trials"] * sum(d * m for _, d, m in cells))
+    _cap_draws(params["trials"] * sum(d * m for _, d, m in cells))
 
     def run_cell(item):
         cell, config = item
@@ -619,7 +619,7 @@ def run_accuracy_sweep(seed: int, params: dict, threads: int = 1) -> ExperimentR
     gain = float(params["dim"])
     crossing = _crossing_sigma(params["margin"], gain, 0.75)
     ratio = _crossing_sigma(2.0 * params["margin"], gain, 0.75) / crossing
-    _cap_draws("trials", params["trials"] * params["dim"] * len(params["sigma_grid"]))
+    _cap_draws(params["trials"] * params["dim"] * len(params["sigma_grid"]))
     rows, noise_gain = dynamics.empirical_accuracy_sweep(
         dim=params["dim"],
         margin=params["margin"],

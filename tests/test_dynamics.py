@@ -296,7 +296,7 @@ class TestMonteCarloError:
 
 
 def _reference_monte_carlo_error(config, trials, seed):
-    """The error Monte Carlo with one fresh ``(size, dim)`` state and one draw per step, as it ran before it streamed."""
+    """The error Monte Carlo with a fresh ``(size, dim)`` state per block and one draw per step."""
     matrix = dynamics.transition_matrix(config)
     plain_scaling = config.transition == "linear_scaling" or config.dim == 1
     sums, sq_sums = [], []
