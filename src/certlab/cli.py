@@ -17,8 +17,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import ExperimentConfig, build_config, config_hash, parse_config_text
-from .errors import CertlabError, ReportError
+from .config import ExperimentConfig, build_config, check_seed, config_hash, parse_config_text
+from .errors import CertlabError, ConfigError, ReportError
 from .experiments import EXPERIMENTS, default_params
 from .manifest import RunManifest, load_manifest, write_csv, write_text_file
 from .report import emit_markdown, emit_svg_charts
@@ -75,8 +75,16 @@ def _failure(exc: Exception) -> int:
     return EXIT_IO if isinstance(exc, ReportError) else EXIT_CONFIG
 
 
+def _threads(args) -> int:
+    """The --threads count, 1 when unset; a count below 1 is a ConfigError."""
+    if args.threads is not None and args.threads < 1:
+        raise ConfigError(f"--threads: must be >= 1, got {args.threads}")
+    return args.threads or 1
+
+
 def cmd_run(args) -> int:
     try:
+        threads = _threads(args)
         raw = parse_config_text(Path(args.config).read_text())
         schema = EXPERIMENTS[raw.experiment].schema if raw.experiment in EXPERIMENTS else {}
         config = build_config(
@@ -86,7 +94,7 @@ def cmd_run(args) -> int:
             seed_override=args.seed,
             out_override=args.out,
         )
-        manifest = _execute(config, max(1, args.threads or 1))
+        manifest = _execute(config, threads)
     except (OSError, CertlabError, MemoryError) as exc:
         return _failure(exc)
     _summarize(manifest, sys.stdout)
@@ -110,14 +118,15 @@ def cmd_report(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
-    threads = max(1, args.threads or 1)
     out_root = Path(args.out)
     all_ok = True
     try:
+        threads = _threads(args)
+        seed = check_seed(args.seed, "--seed")
         for name in sorted(EXPERIMENTS):
             config = ExperimentConfig(
                 experiment=name,
-                seed=args.seed,
+                seed=seed,
                 params=default_params(name),
                 output_dir=str(out_root / name),
             )

@@ -106,8 +106,13 @@ def _parse_seed(text: str) -> int:
         seed = int(text)
     except ValueError as exc:
         raise ConfigError(f"run.seed: not an integer: {text!r}") from exc
+    return check_seed(seed, "run.seed")
+
+
+def check_seed(seed: int, source: str) -> int:
+    """``seed`` once it is checked to be an unsigned 64-bit integer; ``source`` names where it came from."""
     if not (0 <= seed <= MAX_SEED):
-        raise ConfigError(f"run.seed: must be an unsigned 64-bit integer, got {seed}")
+        raise ConfigError(f"{source}: must be an unsigned 64-bit integer, got {seed}")
     return seed
 
 
@@ -153,7 +158,7 @@ def build_config(
             f"run.experiment: unknown experiment {raw.experiment!r}; "
             f"expected one of {', '.join(sorted(experiment_names))}"
         )
-    seed = seed_override if seed_override is not None else raw.seed
+    seed = check_seed(seed_override, "--seed") if seed_override is not None else raw.seed
     if seed is None:
         raise ConfigError("run.seed is required (set it in the file or pass --seed)")
     unknown = set(raw.raw_params) - set(schema)

@@ -7,10 +7,9 @@ Two simulators and one analytic curve:
   constrained to be *sub-decisional* (argmax-preserving), and the argmax at
   each step discards it, so the perturbed chain can never leave the clean
   trajectory; the divergence count is exactly zero.  Each prefix group
-  draws its first round of noise block by block and hands only the rejected
-  rows to the one sampler, ``sample_sub_decisional_noise``, which redraws
-  rejected rows in rounds; ``check_sub_decisional`` is the one argmax test,
-  for a row or a stack.
+  is one call of ``noisy_argmax_counts``, the one kernel that counts the
+  argmaxes of noisy logit rows; in sub-decisional mode it redraws the rows
+  that moved the argmax, round by round, block by block.
 * ``monte_carlo_error``: a continuous state chain ``h_k = A h_{k-1} + noise``
   with no quantization step, ``A`` being ``transition_matrix``.  The final
   squared error follows the geometric series
@@ -28,8 +27,8 @@ Monte Carlo); batches are independent streams merged in index order, so
 results do not depend on execution schedule.  Within a batch the normals
 are drawn in consecutive blocks of at most ``STACK_CELLS`` cells.  The
 normal sampler keeps no state between calls, so the blocks are the rows of
-one whole-batch draw in order.  Memory no longer grows with the trial
-count, apart from the rejected rows a sub-decisional group redraws.
+one whole-batch draw in order, and memory does not grow with the trial
+count.
 """
 
 from __future__ import annotations
@@ -208,87 +207,46 @@ def prefix_logits(spec: DiscreteChainSpec, prefix: tuple[int, ...]) -> np.ndarra
     return logits
 
 
-def check_sub_decisional(l_star, eps):
-    """True where adding ``eps`` leaves the argmax unchanged (lowest-index ties).
-
-    ``eps`` is one noise row, giving a bool, or an ``(n, B)`` stack of rows,
-    giving one bool per row.
-    """
-    l = np.asarray(l_star, dtype=np.float64)
-    e = np.asarray(eps, dtype=np.float64)
-    if l.ndim != 1 or e.ndim > 2 or e.shape[-1:] != l.shape:
-        raise InvalidInputError(f"shape mismatch: {l.shape} vs {e.shape}")
-    kept = np.argmax(l + e, axis=-1) == np.argmax(l)
-    return bool(kept) if e.ndim == 1 else kept
-
-
-def _sub_decisional_logits(l_star, scale: float) -> np.ndarray:
-    """``l_star`` as floats, once the noise scale and the unique argmax are checked."""
-    l = np.asarray(l_star, dtype=np.float64)
-    if scale < 0:
-        raise InvalidInputError(f"scale must be >= 0, got {scale!r}")
-    if np.sum(l == l.max()) > 1:
-        raise InvalidInputError("logits must have a unique argmax")
-    return l
-
-
-def sample_sub_decisional_noise(
-    l_star, scale: float, rng: np.random.Generator, count: int
+def noisy_argmax_counts(
+    l_star, scale: float, rng: np.random.Generator, count: int, sub_decisional: bool = True
 ) -> tuple[np.ndarray, int]:
-    """``count`` rows of Gaussian logit noise, each conditioned on preserving the argmax.
+    """Per-token counts of the argmaxes of ``count`` noisy copies of ``l_star``, and the row redraws.
 
-    Draws every row from N(0, scale^2 I), then redraws the rows that move the
-    argmax, round by round, until every row keeps it.  Returns the
-    ``(count, B)`` rows and the number of row redraws.  Raises
-    SamplingExhaustedError when rows are still rejected after
+    Each copy adds N(0, scale^2 I) noise drawn from ``rng``.  A round's rows
+    are drawn in consecutive blocks of ``max(1, STACK_CELLS // B)`` rows, the
+    rows of one draw in order, so memory holds one block at any ``count``.
+    Argmax ties go to the lowest index.  A sub-decisional draw keeps a row
+    only if it leaves the argmax unchanged: it counts the rows at the clean
+    argmax and redraws as many rows as moved, round by round, until none
+    moves.  Which rows moved does not change the stream, so the counts are
+    those of redrawing the moved rows of one whole draw in index order.
+    Raises SamplingExhaustedError when rows still move after
     ``REJECTION_CAP`` rounds, which signals a noise scale far above the
     decision margin.
     """
-    l = _sub_decisional_logits(l_star, scale)
-    draws = rng.normal(0.0, scale, (count, l.size))
-    pending = np.flatnonzero(~check_sub_decisional(l, draws))
-    redrawn = 0
-    rounds = 1
-    while pending.size:
-        if rounds >= REJECTION_CAP:
-            raise SamplingExhaustedError(
-                f"{pending.size} rows still rejected after {rounds} rounds at scale {scale!r}"
-            )
-        draws[pending] = rng.normal(0.0, scale, (pending.size, l.size))
-        redrawn += pending.size
+    l = np.asarray(l_star, dtype=np.float64)
+    if scale < 0:
+        raise InvalidInputError(f"scale must be >= 0, got {scale!r}")
+    if sub_decisional and np.sum(l == l.max()) > 1:
+        raise InvalidInputError("logits must have a unique argmax")
+    clean = int(np.argmax(l))
+    block = max(1, STACK_CELLS // l.size)
+    sizes = np.zeros(l.size, dtype=np.int64)
+    pending, redrawn, rounds = count, 0, 0
+    while pending:
+        if rounds == REJECTION_CAP:
+            raise SamplingExhaustedError(f"{pending} rows still rejected after {rounds} rounds at scale {scale!r}")
+        tally = np.zeros(l.size, dtype=np.int64)
+        for start in range(0, pending, block):
+            noise = rng.normal(0.0, scale, (min(block, pending - start), l.size))
+            tally += np.bincount(np.argmax(l + noise, axis=1), minlength=l.size)
         rounds += 1
-        pending = pending[~check_sub_decisional(l, draws[pending])]
-    return draws, redrawn
-
-
-def _group_sizes(spec: DiscreteChainSpec, l_star: np.ndarray, rng: np.random.Generator, count: int) -> np.ndarray:
-    """Per-token counts of the argmaxes of ``count`` noisy copies of ``l_star``.
-
-    The ``(count, n_options)`` noise is drawn from ``rng`` in consecutive
-    blocks of ``max(1, STACK_CELLS // n_options)`` rows, the rows of one draw
-    in order.  A sub-decisional group counts its kept rows, each at the clean
-    argmax, and after its last block redraws only the rejected ones with
-    ``sample_sub_decisional_noise`` on the same stream.  The one-draw sampler
-    redraws the same rows in index order, so every row ends with the same
-    noise, and memory holds one block plus the rejected rows.
-    """
-    if spec.sub_decisional_only:
-        l_star = _sub_decisional_logits(l_star, spec.noise_scale)
-    block = max(1, STACK_CELLS // spec.n_options)
-    sizes = np.zeros(spec.n_options, dtype=np.int64)
-    rejected = 0
-    for start in range(0, count, block):
-        noise = rng.normal(0.0, spec.noise_scale, (min(block, count - start), spec.n_options))
-        if spec.sub_decisional_only:
-            kept = int(np.count_nonzero(check_sub_decisional(l_star, noise)))
-            sizes[np.argmax(l_star)] += kept
-            rejected += len(noise) - kept
-        else:
-            sizes += np.bincount(np.argmax(l_star + noise, axis=1), minlength=spec.n_options)
-    if rejected:
-        noise, _ = sample_sub_decisional_noise(l_star, spec.noise_scale, rng, rejected)
-        sizes += np.bincount(np.argmax(l_star + noise, axis=1), minlength=spec.n_options)
-    return sizes
+        if not sub_decisional:
+            return tally, 0
+        sizes[clean] += tally[clean]
+        pending -= int(tally[clean])
+        redrawn += pending
+    return sizes, redrawn
 
 
 def simulate_discrete_chain(spec: DiscreteChainSpec, trials: int, seed: int) -> int:
@@ -297,7 +255,7 @@ def simulate_discrete_chain(spec: DiscreteChainSpec, trials: int, seed: int) -> 
     Each trial runs the perturbed chain, recomputing step-``k`` logits from
     its *own* generated prefix, with per-step noise (argmax-preserving when
     ``sub_decisional_only``).  Trials sharing a prefix form one group, drawn
-    in blocks by ``_group_sizes`` from a stream derived from (seed, step,
+    by ``noisy_argmax_counts`` from a stream derived from (seed, step,
     group rank), groups ranked in lexicographic prefix order.
     """
     if trials < 1:
@@ -315,7 +273,9 @@ def simulate_discrete_chain(spec: DiscreteChainSpec, trials: int, seed: int) -> 
         next_groups: dict[tuple[int, ...], int] = {}
         for rank, (prefix, count) in enumerate(groups.items()):
             rng = rng_for(seed, "step", step, "group", rank)
-            sizes = _group_sizes(spec, prefix_logits(spec, prefix), rng, count)
+            sizes, _ = noisy_argmax_counts(
+                prefix_logits(spec, prefix), spec.noise_scale, rng, count, spec.sub_decisional_only
+            )
             for token in np.flatnonzero(sizes).tolist():
                 next_groups[prefix + (token,)] = int(sizes[token])
         groups = next_groups

@@ -113,10 +113,10 @@ ORACLE_CAP = 10**7
 DRAW_CAP = 10**10
 
 
-def _cap_draws(draws: int) -> None:
-    """Refuse, before any draw, a run whose ``params.trials`` would draw more than ``DRAW_CAP`` normals."""
+def _cap_draws(draws: int, key: str = "trials") -> None:
+    """Refuse, before any draw, a run whose ``params.<key>`` would draw more than ``DRAW_CAP`` normals."""
     if draws > DRAW_CAP:
-        raise EnumerationTooLargeError(f"params.trials: the run would draw {draws} normals, over the cap {DRAW_CAP}")
+        raise EnumerationTooLargeError(f"params.{key}: the run would draw {draws} normals, over the cap {DRAW_CAP}")
 
 
 def _compositions(units: int, slots: int, rows: int):
@@ -404,7 +404,9 @@ def run_noise_discrete(seed: int, params: dict, threads: int = 1) -> ExperimentR
     chain_specs = [chain_spec(index, params["noise_over_margin"]) for index in range(len(specs))]
     zero_spec = chain_spec(0, 0.0)
     contrast = chain_spec(0, params["contrast_noise_over_margin"], sub_decisional_only=False)
-    _cap_draws(params["trials"] * sum(steps * options for steps, options in specs))  # first rounds
+    # both caps count first rounds only, not redraws
+    _cap_draws(params["trials"] * sum(steps * options for steps, options in specs))
+    _cap_draws(params["acceptance_draws"] * specs[0][1], "acceptance_draws")
 
     def run_spec(item):
         index, spec = item
@@ -444,13 +446,13 @@ def run_noise_discrete(seed: int, params: dict, threads: int = 1) -> ExperimentR
     # rejection sampler efficiency: scale at a tenth of the margin accepts >99%
     logits = dynamics.prefix_logits(zero_spec, ())
     draws = params["acceptance_draws"]
-    noise, redrawn = dynamics.sample_sub_decisional_noise(
+    sizes, redrawn = dynamics.noisy_argmax_counts(
         logits, params["min_margin"] / 10.0, rng_for(seed, "acceptance"), draws
     )
-    flipped = ~dynamics.check_sub_decisional(logits, noise)
+    sizes[np.argmax(logits)] = 0  # what is left counts the final draws that moved the argmax
     result.gate(
         "rejection sampler postcondition: every draw keeps the argmax",
-        flipped.astype(np.float64), lambda i: f"draw {i}",
+        sizes.astype(np.float64), lambda i: f"token {i}",
     )
     acceptance = draws / (draws + redrawn)
     result.check(

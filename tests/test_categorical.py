@@ -40,6 +40,32 @@ def moderate_logits(min_size=2, max_size=8):
     return logits_strategy(min_size=min_size, max_size=max_size, span=7.0)
 
 
+SUBNORMALS = np.array([5e-324, 1e-310, 2.2e-308])
+
+
+@st.composite
+def masked_cells(draw):
+    """``(w, num, den)`` stacks for the masked path of ``masked_log_sums``.
+
+    Hypothesis draws each row's kept-cell count, ragged and at least one short
+    of full somewhere, and a seed; the seed places the kept cells, fills them,
+    makes some weights and ``num`` cells subnormal, and may zero ``num`` where
+    the weight is zero."""
+    cells = draw(st.integers(1, 40))
+    kept = draw(st.lists(st.integers(0, cells), min_size=1, max_size=12))
+    kept[draw(st.integers(0, len(kept) - 1))] = draw(st.integers(0, cells - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (len(kept), cells)
+    w, num, den = rng.uniform(1e-3, 1.0, (3, *shape))
+    for values in (w, num):
+        subnormal = rng.random(shape) < draw(st.sampled_from([0.0, 0.2, 0.6]))
+        values[subnormal] = rng.choice(SUBNORMALS, np.count_nonzero(subnormal))
+    w[np.argsort(rng.random(shape), axis=1) >= np.array(kept)[:, None]] = 0.0
+    if draw(st.booleans()):
+        num[w == 0.0] = 0.0
+    return w, num, den
+
+
 class TestSoftmax:
     def test_symmetric_logits_give_uniform(self):
         np.testing.assert_allclose(cat.softmax([0.0, 0.0, 0.0, 0.0]), UNIFORM_4, atol=1e-15)
@@ -60,7 +86,7 @@ class TestSoftmax:
             cat.softmax([np.nan, 0.0])
 
     @given(logits_strategy())
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def test_output_is_distribution(self, logits):
         p = cat.softmax(logits)
         assert np.all(p >= 0)
@@ -83,7 +109,7 @@ class TestEntropy:
         assert abs(oracle - 4.084e-3) <= 1e-5
 
     @given(logits_strategy())
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def test_entropy_bounds(self, logits):
         p = cat.softmax(logits)
         h = cat.entropy(p)
@@ -117,7 +143,7 @@ class TestKlDivergence:
             cat.kl_divergence([0.5, 0.5], [0.4, 0.3, 0.3])
 
     @given(logits_strategy(min_size=3, max_size=6), logits_strategy(min_size=3, max_size=6))
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     def test_gibbs_inequality(self, la, lb):
         size = min(len(la), len(lb))
         q = cat.softmax(la[:size])
@@ -158,7 +184,7 @@ class TestStabilityBound:
                 cat.stability_lower_bound(bad)
 
     @given(moderate_logits())
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     def test_margin_dominates_bound(self, logits):
         p = cat.softmax(logits)
         s = cat.symbolic_index(p)
@@ -203,7 +229,7 @@ class TestDivergenceFloors:
                 assert abs(fwd - cat.min_exploration_divergence(float(s), b)) <= 1e-9
 
     @given(moderate_logits())
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     def test_floors_hold_for_arbitrary_distributions(self, logits):
         p = cat.softmax(logits)
         b = p.size
@@ -277,6 +303,14 @@ class TestRowKernels:
             sums = cat_bulk.masked_log_sums(*args)
             num_b, den_b = (np.broadcast_to(a, shape) for a in args[1:])
             assert sums.tolist() == [float(np.sum(w[r] * np.log(num_b[r] / den_b[r]))) for r in range(shape[0])]
+
+    @given(masked_cells())
+    @settings(max_examples=300)
+    def test_masked_log_sums_equal_each_rows_np_sum(self, cells):
+        w, num, den = cells
+        kept = w > 0.0
+        expected = [float(np.sum(w[r][m] * np.log(num[r][m] / den[r][m]))) for r, m in enumerate(kept)]
+        assert cat_bulk.masked_log_sums(w, num, den).tolist() == expected
 
     def test_kl_rows_errors(self):
         q = np.array([0.5, 0.5])

@@ -12,70 +12,59 @@ from certlab.experiments import EXPERIMENTS, default_params
 from certlab.seeding import rng_for
 
 
-class TestSubDecisionalCheck:
-    def test_margin_not_crossed(self):
-        assert dynamics.check_sub_decisional([2.0, 1.0, 0.0], [0.0, 0.5, 0.0])
-
-    def test_margin_crossed(self):
-        assert not dynamics.check_sub_decisional([2.0, 1.0, 0.0], [0.0, 1.5, 0.0])
-
-    def test_tie_goes_to_lowest_index(self):
-        # perturbed logits tie at 1.4; index 0 wins on both sides
-        assert dynamics.check_sub_decisional([2.0, 1.0, 0.0], [-0.6, 0.4, 0.0])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(InvalidInputError):
-            dynamics.check_sub_decisional([1.0, 0.0], [0.0, 0.0, 0.0])
-        with pytest.raises(InvalidInputError):
-            dynamics.check_sub_decisional([1.0, 0.0], np.zeros((4, 3)))
-
-    def test_stack_equals_per_row_results(self):
-        logits = [2.0, 1.0, 0.0]
-        rows = np.array([
-            [0.0, 0.5, 0.0],  # kept
-            [0.0, 1.5, 0.0],  # crossed
-            [-0.6, 0.4, 0.0],  # tie at 1.4, index 0 wins
-            [-1.0, 0.0, 0.0],  # tie at 1.0, index 0 wins
-            [-1.5, -0.5, 0.0],  # tie at 0.5 between indices 0 and 1, index 0 wins
-            [-2.0, 0.0, 1.0],  # crossed to index 2
-        ])
-        expected = [dynamics.check_sub_decisional(logits, row) for row in rows]
-        assert expected == [True, False, True, True, True, False]
-        assert dynamics.check_sub_decisional(logits, rows).tolist() == expected
+def one_shot_rejection(l_star, scale, rng, count):
+    """Reference sampler: one ``(count, B)`` draw, then the rows that move the
+    argmax redrawn in index order, round by round.  Returns the final rows and
+    the number of row redraws."""
+    draws = rng.normal(0.0, scale, (count, len(l_star)))
+    pending = np.flatnonzero(np.argmax(l_star + draws, axis=1) != np.argmax(l_star))
+    redrawn = 0
+    while pending.size:
+        draws[pending] = rng.normal(0.0, scale, (pending.size, len(l_star)))
+        redrawn += pending.size
+        pending = pending[np.argmax(l_star + draws[pending], axis=1) != np.argmax(l_star)]
+    return draws, redrawn
 
 
-class TestNoiseSampler:
-    def test_zero_scale_is_zero_noise(self):
-        noise, redrawn = dynamics.sample_sub_decisional_noise([3.0, 1.0, 0.0], 0.0, rng_for(0, "x"), 5)
-        assert noise.shape == (5, 3) and not noise.any()
-        assert redrawn == 0
+class TestNoisyArgmaxCounts:
+    def test_zero_scale_keeps_every_row_at_the_argmax(self):
+        sizes, redrawn = dynamics.noisy_argmax_counts([3.0, 1.0, 0.0], 0.0, rng_for(0, "x"), 5)
+        assert sizes.tolist() == [5, 0, 0] and redrawn == 0
+
+    def test_ties_go_to_the_lowest_index(self):
+        # zero noise leaves 0 and 2 tied on top: an unconstrained draw counts index 0
+        sizes, _ = dynamics.noisy_argmax_counts([1.0, 0.0, 1.0], 0.0, rng_for(0, "x"), 4, sub_decisional=False)
+        assert sizes.tolist() == [4, 0, 0]
 
     def test_every_row_keeps_the_argmax(self):
-        logits = np.array([2.0, 1.0, 0.5, 0.0])
-        noise, redrawn = dynamics.sample_sub_decisional_noise(logits, 0.5, rng_for(1, "noise"), 2000)
-        assert noise.shape == (2000, 4)
+        logits = np.array([0.0, 2.0, 1.0, 0.5])
+        sizes, redrawn = dynamics.noisy_argmax_counts(logits, 0.5, rng_for(1, "noise"), 2000)
+        assert sizes.tolist() == [0, 2000, 0, 0]
         assert redrawn > 0  # the redraw rounds ran
-        assert dynamics.check_sub_decisional(logits, noise).all()
 
     def test_small_scale_accepts_almost_always(self):
         logits = np.array([2.0, 1.0, 0.0])  # margin 1
         draws = 2000
-        _, redrawn = dynamics.sample_sub_decisional_noise(logits, 0.1, rng_for(2, "noise"), draws)
+        _, redrawn = dynamics.noisy_argmax_counts(logits, 0.1, rng_for(2, "noise"), draws)
         assert draws / (draws + redrawn) > 0.99
 
-    def test_input_checks(self):
+    @pytest.mark.parametrize("sub_decisional", [True, False])
+    def test_input_checks(self, sub_decisional):
         with pytest.raises(InvalidInputError):
-            dynamics.sample_sub_decisional_noise([1.0, 0.0], -0.1, rng_for(0, "x"), 1)
-        with pytest.raises(InvalidInputError):
-            dynamics.sample_sub_decisional_noise([1.0, 1.0, 0.0], 0.1, rng_for(0, "x"), 1)
+            dynamics.noisy_argmax_counts([1.0, 0.0], -0.1, rng_for(0, "x"), 1, sub_decisional)
 
-    def test_exhaustion_raises(self, monkeypatch):
+    def test_sub_decisional_needs_a_unique_argmax(self):
+        with pytest.raises(InvalidInputError):
+            dynamics.noisy_argmax_counts([1.0, 1.0, 0.0], 0.1, rng_for(0, "x"), 1)
+
+    @pytest.mark.parametrize("cap, rounds", [(1, 1), (2, 2)])
+    def test_exhaustion_raises_after_the_cap_rounds(self, monkeypatch, cap, rounds):
         # isotropic noise keeps acceptance near 1/B even at huge scales, so
-        # the guard is exercised with a one-round budget: about half of 64
-        # rows are rejected in the first round
-        monkeypatch.setattr(dynamics, "REJECTION_CAP", 1)
-        with pytest.raises(SamplingExhaustedError):
-            dynamics.sample_sub_decisional_noise([1e-9, 0.0], 1e6, rng_for(3, "noise"), 64)
+        # the guard is exercised with a small budget: about half of 64 rows
+        # move in each round, and every round, the first included, counts once
+        monkeypatch.setattr(dynamics, "REJECTION_CAP", cap)
+        with pytest.raises(SamplingExhaustedError, match=f"still rejected after {rounds} rounds"):
+            dynamics.noisy_argmax_counts([1e-9, 0.0], 1e6, rng_for(3, "noise"), 64)
 
 
 POSTCONDITION = "rejection sampler postcondition: every draw keeps the argmax"
@@ -89,21 +78,24 @@ class TestNoiseDiscretePostcondition:
         assert len(listed) == 1 and listed[0].passed
         assert result.all_passed
 
-    def test_one_flipping_row_fails_it(self, monkeypatch):
-        sample = dynamics.sample_sub_decisional_noise
+    def test_one_moved_draw_fails_it(self, monkeypatch):
+        count_argmaxes = dynamics.noisy_argmax_counts
+        moved_to = {}
 
-        def one_flip(l_star, scale, rng, count):
-            noise, redrawn = sample(l_star, scale, rng, count)
+        def one_moved(l_star, scale, rng, count, sub_decisional=True):
+            sizes, redrawn = count_argmaxes(l_star, scale, rng, count, sub_decisional)
             if count == SMALL_NOISE_DISCRETE["acceptance_draws"]:  # the acceptance draws only
-                noise[7] = 0.0
-                noise[7, np.argmin(l_star)] = 2.0 * np.ptp(l_star) + 1.0
-            return noise, redrawn
+                moved_to["token"] = int(np.argmin(l_star))
+                sizes[np.argmax(l_star)] -= 1
+                sizes[moved_to["token"]] += 1
+            return sizes, redrawn
 
-        monkeypatch.setattr(dynamics, "sample_sub_decisional_noise", one_flip)
+        monkeypatch.setattr(dynamics, "noisy_argmax_counts", one_moved)
         result = EXPERIMENTS["noise-discrete"].runner(0, SMALL_NOISE_DISCRETE)
         failed = [check for check in result.checks if not check.passed]
         assert [check.name for check in failed] == [POSTCONDITION]
-        assert failed[0].detail.startswith("1/50 rows over the limit, worst draw 7")
+        options = SMALL_NOISE_DISCRETE["options_list"][0]
+        assert failed[0].detail == f"1/{options} rows over the limit, worst token {moved_to['token']} (excess 1.000e+00)"
 
 
 class TestPrefixLogits:
@@ -163,29 +155,37 @@ class TestDiscreteChain:
 
 
 class TestStreamedDiscreteChain:
-    LOGITS = np.array([0.5, 0.0, -0.3])  # a margin of 0.5 at scale 0.5 rejects about a third of the rows
+    LOGITS = np.array([0.5, 0.0, -0.3])
 
-    @pytest.mark.parametrize("sub_decisional_only", [True, False])
-    def test_group_sizes_equal_the_one_shot_draw(self, sub_decisional_only):
-        spec = dynamics.DiscreteChainSpec(
-            steps=1, n_options=3, noise_scale=0.5, sub_decisional_only=sub_decisional_only
-        )
+    # a margin of 0.5 rejects about 1% of the rows at scale 0.15 and about 63% at scale 5
+    @pytest.mark.parametrize("scale", [0.15, 5.0])
+    @pytest.mark.parametrize("sub_decisional", [True, False])
+    def test_counts_equal_the_one_shot_draw(self, scale, sub_decisional):
         count = 3 * (dynamics.STACK_CELLS // 3) + 17  # three full blocks and a ragged one
         streamed, fresh = rng_for(4, "group"), rng_for(4, "group")
-        sizes = dynamics._group_sizes(spec, self.LOGITS, streamed, count)
-        if sub_decisional_only:
-            noise, redrawn = dynamics.sample_sub_decisional_noise(self.LOGITS, 0.5, fresh, count)
-            assert redrawn > count // 4  # the redraw rounds ran
+        sizes, redrawn = dynamics.noisy_argmax_counts(self.LOGITS, scale, streamed, count, sub_decisional)
+        if sub_decisional:
+            noise, expected_redrawn = one_shot_rejection(self.LOGITS, scale, fresh, count)
+            assert expected_redrawn > count // 200  # the redraw rounds ran
         else:
-            noise = fresh.normal(0.0, 0.5, (count, 3))
+            noise, expected_redrawn = fresh.normal(0.0, scale, (count, 3)), 0
         assert sizes.tolist() == np.bincount(np.argmax(self.LOGITS + noise, axis=1), minlength=3).tolist()
+        assert redrawn == expected_redrawn
         # both consumed the same normals from the stream
         assert streamed.bit_generator.state == fresh.bit_generator.state
 
-    @pytest.mark.parametrize("sub_decisional_only", [True, False])
-    def test_memory_does_not_grow_with_trials(self, sub_decisional_only):
+    @pytest.mark.parametrize(
+        "sub_decisional_only, options, scale, trials",
+        [
+            (True, 4, 0.2, 50_000),
+            (False, 4, 0.2, 50_000),
+            # about four in five rows move at every round: the redraw rounds stream too
+            (True, 5, 50.0, 20_000),
+        ],
+    )
+    def test_memory_does_not_grow_with_trials(self, sub_decisional_only, options, scale, trials):
         spec = dynamics.DiscreteChainSpec(
-            steps=2, n_options=4, noise_scale=0.2, sub_decisional_only=sub_decisional_only, logit_seed=3
+            steps=2, n_options=options, noise_scale=scale, sub_decisional_only=sub_decisional_only, logit_seed=3
         )
 
         def traced_peak(trials):
@@ -196,9 +196,9 @@ class TestStreamedDiscreteChain:
             finally:
                 tracemalloc.stop()
 
-        traced_peak(50_000)  # warm-up
-        # a one-shot draw would hold 1.6 MB of noise at 50,000 trials and 6.4 MB at 200,000
-        assert traced_peak(200_000) <= traced_peak(50_000) + 2**20
+        traced_peak(trials)  # warm-up
+        # a one-shot draw of 4 options would hold 1.6 MB of noise at 50,000 trials and 6.4 MB at 200,000
+        assert traced_peak(4 * trials) <= traced_peak(trials) + 2**20
 
 
 class TestLatentChain:

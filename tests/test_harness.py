@@ -170,7 +170,7 @@ class TestUniformStreams:
         label=st.one_of(st.text(max_size=8), st.integers(0, 2**64 - 1)),
         indices=st.lists(st.integers(0, 2**63), min_size=1, max_size=20),
     )
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     def test_rng_for_at_any_root(self, root, label, indices):
         streams = UniformStreams(derive_seeds(root, label, indices=np.array(indices, dtype=np.uint64)))
         expected = np.stack([rng_for(root, label, i).random(DRAWS) for i in indices])
@@ -475,16 +475,24 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("out of memory: Unable to allocate") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("experiment", ["noise-discrete", "error-accumulation", "accuracy-sweep"])
-    def test_huge_trials_exit_two_at_the_draw_cap(self, tmp_path, capsys, experiment):
+    @pytest.mark.parametrize(
+        "experiment, key, value",
+        [
+            ("noise-discrete", "trials", 10**12),
+            ("noise-discrete", "acceptance_draws", 10**13),
+            ("error-accumulation", "trials", 10**12),
+            ("accuracy-sweep", "trials", 10**12),
+        ],
+    )
+    def test_huge_trials_exit_two_at_the_draw_cap(self, tmp_path, capsys, experiment, key, value):
         # the streamed kernels allocate a fixed amount at any trial count, so
         # without the cap these runs would draw for days instead of failing
-        cfg = _write_cfg(tmp_path, f"[run]\nexperiment = {experiment}\nseed = 0\n[params]\ntrials = {10**12}\n")
+        cfg = _write_cfg(tmp_path, f"[run]\nexperiment = {experiment}\nseed = 0\n[params]\n{key} = {value}\n")
         started = time.perf_counter()
         assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert time.perf_counter() - started < 1.0
         err = capsys.readouterr().err
-        assert err.startswith("EnumerationTooLargeError: params.trials: the run would draw ")
+        assert err.startswith(f"EnumerationTooLargeError: params.{key}: the run would draw ")
         assert err.endswith(f"normals, over the cap {DRAW_CAP}\n") and err.count("\n") == 1
         assert not (tmp_path / "o").exists()
 
@@ -585,6 +593,29 @@ class TestCli:
         h2 = json.loads((out2 / "manifest.json").read_text())
         assert h1["config_hash"] != h2["config_hash"]
         assert h2["seed"] == 8
+
+    @pytest.mark.parametrize("command", ["run", "verify-all"])
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--seed", "-5", "--seed: must be an unsigned 64-bit integer, got -5"),
+            ("--seed", str(2**65), f"--seed: must be an unsigned 64-bit integer, got {2**65}"),
+            ("--threads", "0", "--threads: must be >= 1, got 0"),
+            ("--threads", "-1", "--threads: must be >= 1, got -1"),
+        ],
+    )
+    def test_bad_seed_or_threads_exits_two_before_any_run(
+        self, tmp_path, capsys, monkeypatch, command, option, value, message
+    ):
+        def refuse(seed, params, threads=1):
+            raise AssertionError("an experiment ran before the options were checked")
+
+        for name, definition in list(EXPERIMENTS.items()):
+            monkeypatch.setitem(EXPERIMENTS, name, ExperimentDef(refuse, definition.schema))
+        argv = ["run", "--config", _write_cfg(tmp_path, SMALL_ACCURACY_CFG)] if command == "run" else [command]
+        assert cli.main(argv + ["--out", str(tmp_path / "o"), option, value]) == 2
+        assert capsys.readouterr().err == f"ConfigError: {message}\n"
+        assert not (tmp_path / "o").exists()
 
 
 # experiment -> (CSV name, header, rows): small tables in each experiment's
