@@ -5,11 +5,12 @@ probability rows.  The experiment harness re-checks random rows against the
 scalar ops, so this fast path is continuously audited rather than trusted.
 ``masked_log_sums`` sums masked ``w * log(num / den)`` rows, each bit for bit as
 its one-row ``np.sum``, for ``kl_rows``, the bottleneck CMI and the grid-search
-oracle.  The oracles walk their candidates, and the tradeoff-scan and
-accuracy-sweep Monte Carlo panels their rows, in blocks of ``STACK_CELLS``
-cells: each panel statistic reduces one row, so a block's rows hold the bits
-they would have in one whole-panel call, and the panel temporaries no longer
-grow with the sample count.  tradeoff-scan still keeps four excess vectors of
+oracle.  ``block_rows`` is the one block policy: every blocked oracle walks
+its candidates, and every streamed Monte Carlo loop its rows, in blocks of
+``block_rows(width)`` rows of ``width`` cells.  Each panel
+statistic reduces one row, so a block's rows hold the bits they would have in
+one whole-panel call, and the panel temporaries no longer grow with the
+sample count.  tradeoff-scan still keeps four excess vectors of
 ``samples`` floats (3.2 MB at the defaults) on purpose: its gates read every
 row, and an absurd ``samples`` fails at their allocation, before any draw.
 """
@@ -25,6 +26,11 @@ from .errors import InfiniteDivergenceError, InvalidInputError
 
 # Most cells a blocked enumeration or a streamed Monte Carlo panel stacks into one kernel call.
 STACK_CELLS = 2**16
+
+
+def block_rows(width: int) -> int:
+    """Rows of ``width`` cells in one block: as many as ``STACK_CELLS`` cells hold, and at least one."""
+    return max(1, STACK_CELLS // width)
 
 
 class CertaintyPanel(NamedTuple):

@@ -42,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cat_bulk import STACK_CELLS, masked_log_sums
+from .cat_bulk import block_rows, masked_log_sums
 from .errors import EnumerationTooLargeError, InvalidInputError
 from .seeding import derive_seed, rng_for
 
@@ -388,16 +388,17 @@ def brute_force_cib(
     """Minimum dual objective over every deterministic encoder map.
 
     Enumerates all ``n_latent ** n_past`` assignments s_past -> h as one-hot
-    stacks of at most ``STACK_CELLS`` cells and returns (best objective,
-    best map), the first lexicographic map on ties.  This independent oracle
-    shares the objective with the iterative solver, not its sweeps.
+    stacks of ``block_rows(n_past * n_latent)`` maps and returns (best
+    objective, best map), the first lexicographic map on ties.  This
+    independent oracle shares the objective with the iterative solver, not
+    its sweeps.
     """
     count = n_latent**problem.n_past
     if count > ENUMERATION_CAP:
         raise EnumerationTooLargeError(f"{count} deterministic encoders exceeds the cap")
     contexts = _contexts(problem.joint)
     shape = (n_latent,) * problem.n_past
-    block = max(1, STACK_CELLS // (problem.n_past * n_latent))
+    block = block_rows(problem.n_past * n_latent)
     best_obj, best_map = math.inf, None
     for first in range(0, count, block):
         # maps first.. in itertools.product order, as one (R, S, H) one-hot stack

@@ -10,12 +10,13 @@ Two simulators and one analytic curve:
   is one call of ``noisy_argmax_counts``, the one kernel that counts the
   argmaxes of noisy logit rows; in sub-decisional mode it redraws the rows
   that moved the argmax, round by round, block by block.
-* ``monte_carlo_error``: a continuous state chain ``h_k = A h_{k-1} + noise``
-  with no quantization step, ``A`` being ``transition_matrix``.  The final
-  squared error follows the geometric series
-  ``(1 - L^(2M)) / (1 - L^2) * d * sigma^2`` (``M * d * sigma^2`` at L = 1),
-  and the provided transition maps have operator norm exactly ``L`` so the
-  series is an equality, not just a ceiling.
+* ``monte_carlo_error``: a continuous state chain ``h_k = L h_{k-1} + noise``
+  with no quantization step.  The final squared error follows the geometric
+  series ``(1 - L^(2M)) / (1 - L^2) * d * sigma^2`` (``M * d * sigma^2`` at
+  L = 1).  The series depends on the map only through its norm ``L``: the
+  noise is isotropic, so ``R^j noise`` has the law of ``noise`` for any
+  rotation ``R``, and the scalar map ``L I`` samples the same law as any
+  ``L R``.
 * ``accuracy_curve``: the probability that projected state noise leaves a
   fixed logit ranking intact: ``Phi(margin / (sqrt(C) * sigma))``, the
   normal-CDF decay from a plateau at 1 to a top-two coin flip at 0.5.
@@ -25,7 +26,7 @@ seed.  Trial populations are processed in deterministic batches (per-step
 prefix groups for the discrete chain, fixed-size blocks for the error
 Monte Carlo); batches are independent streams merged in index order, so
 results do not depend on execution schedule.  Within a batch the normals
-are drawn in consecutive blocks of at most ``STACK_CELLS`` cells.  The
+are drawn in consecutive blocks of ``cat_bulk.block_rows`` rows.  The
 normal sampler keeps no state between calls, so the blocks are the rows of
 one whole-batch draw in order, and memory does not grow with the trial
 count.
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cat_bulk import STACK_CELLS
+from .cat_bulk import block_rows
 from .errors import InvalidInputError, SamplingExhaustedError
 from .seeding import rng_for
 
@@ -50,25 +51,20 @@ MC_BLOCK = 8192
 # Continuous latent chain
 # ---------------------------------------------------------------------------
 
-_TRANSITIONS = ("linear_scaling", "rotation_scaling")
-
 
 @dataclass(frozen=True)
 class LatentConfig:
     """Continuous-chain parameters.
 
-    ``lipschitz`` is the operator norm of the transition map; ``sigma_h``
-    the per-step noise standard deviation per coordinate.  ``transition``
-    picks the map: plain scaling ``h -> L h`` or scaling composed with a
-    fixed seeded rotation ``h -> L R h`` (both have norm exactly L).
+    The chain's map is ``L I``: the scaling ``h -> L h`` with
+    ``L = lipschitz``, whose operator norm is exactly L.  ``sigma_h`` is the
+    per-step noise standard deviation per coordinate.
     """
 
     dim: int
     steps: int
     lipschitz: float
     sigma_h: float
-    transition: str = "linear_scaling"
-    rotation_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.dim < 1 or self.steps < 1:
@@ -77,21 +73,6 @@ class LatentConfig:
             raise InvalidInputError(f"lipschitz must be positive, got {self.lipschitz!r}")
         if self.sigma_h < 0:
             raise InvalidInputError(f"sigma_h must be >= 0, got {self.sigma_h!r}")
-        if self.transition not in _TRANSITIONS:
-            raise InvalidInputError(
-                f"transition must be one of {_TRANSITIONS}, got {self.transition!r}"
-            )
-
-
-def transition_matrix(config: LatentConfig) -> np.ndarray:
-    """The linear map applied at every step, with operator norm == lipschitz."""
-    if config.transition == "linear_scaling" or config.dim == 1:
-        return config.lipschitz * np.eye(config.dim)
-    rng = rng_for(config.rotation_seed, "rotation", config.dim)
-    raw = rng.standard_normal((config.dim, config.dim))
-    q, r = np.linalg.qr(raw)
-    q = q * np.sign(np.diag(r))  # fix column signs so the factorization is unique
-    return config.lipschitz * q
 
 
 def expected_error_closed_form(config: LatentConfig) -> float:
@@ -112,21 +93,19 @@ def expected_error_closed_form(config: LatentConfig) -> float:
 def monte_carlo_error(config: LatentConfig, trials: int, seed: int) -> tuple[float, float]:
     """Sample mean and standard error of the final squared error.
 
-    Simulates the error recursion ``E_k = A E_{k-1} + noise`` directly
+    Simulates the error recursion ``E_k = L E_{k-1} + noise`` directly
     (the clean trajectory cancels), in fixed blocks of ``MC_BLOCK`` trials
     with independent derived streams merged in block order.  Every block
     reuses one ``(min(MC_BLOCK, trials), dim)`` state buffer; each step's
     ``(size, dim)`` draw is taken in consecutive chunks of
-    ``max(1, STACK_CELLS // dim)`` rows, which are the rows of one draw in
-    order, so memory stays fixed whatever ``trials`` is.
+    ``block_rows(dim)`` rows, which are the rows of one draw in order, so
+    memory stays fixed whatever ``trials`` is.
     """
     if trials < 100:
         raise InvalidInputError(f"need at least 100 trials, got {trials}")
-    matrix = transition_matrix(config)
-    plain_scaling = config.transition == "linear_scaling" or config.dim == 1
     state = np.empty((min(MC_BLOCK, trials), config.dim))
     final_sq = np.empty(len(state))
-    chunk = max(1, STACK_CELLS // config.dim)
+    chunk = block_rows(config.dim)
     sums: list[float] = []
     sq_sums: list[float] = []
     done = 0
@@ -137,11 +116,7 @@ def monte_carlo_error(config: LatentConfig, trials: int, seed: int) -> tuple[flo
         err = state[:size]
         err.fill(0.0)
         for _ in range(config.steps):
-            if plain_scaling:
-                err *= config.lipschitz
-            else:
-                # one product over the whole block: BLAS may round a product of fewer rows differently
-                err[...] = err @ matrix.T
+            err *= config.lipschitz
             for start in range(0, size, chunk):
                 rows = err[start:start + chunk]
                 rows += config.sigma_h * rng.standard_normal(rows.shape)
@@ -213,7 +188,7 @@ def noisy_argmax_counts(
     """Per-token counts of the argmaxes of ``count`` noisy copies of ``l_star``, and the row redraws.
 
     Each copy adds N(0, scale^2 I) noise drawn from ``rng``.  A round's rows
-    are drawn in consecutive blocks of ``max(1, STACK_CELLS // B)`` rows, the
+    are drawn in consecutive blocks of ``block_rows(B)`` rows, the
     rows of one draw in order, so memory holds one block at any ``count``.
     Argmax ties go to the lowest index.  A sub-decisional draw keeps a row
     only if it leaves the argmax unchanged: it counts the rows at the clean
@@ -230,7 +205,7 @@ def noisy_argmax_counts(
     if sub_decisional and np.sum(l == l.max()) > 1:
         raise InvalidInputError("logits must have a unique argmax")
     clean = int(np.argmax(l))
-    block = max(1, STACK_CELLS // l.size)
+    block = block_rows(l.size)
     sizes = np.zeros(l.size, dtype=np.int64)
     pending, redrawn, rounds = count, 0, 0
     while pending:
@@ -330,7 +305,7 @@ def empirical_accuracy_sweep(
 
     Sigma ``idx`` draws its ``(trials, dim)`` noise from the stream
     ``rng_for(seed, "accuracy", idx)`` in consecutive blocks of
-    ``max(1, STACK_CELLS // dim)`` rows, the last block ragged.  The normal
+    ``block_rows(dim)`` rows, the last block ragged.  The normal
     sampler keeps no state between calls, so the blocks are the rows of one
     ``(trials, dim)`` draw in order, and the exact count of retained rows
     gives the one-shot mean bit for bit in O(block) memory.
@@ -342,7 +317,7 @@ def empirical_accuracy_sweep(
     row_diff = np.where(np.arange(dim) % 2 == 0, 1.0, -1.0)
     noise_gain = float(row_diff @ row_diff)  # == dim
     rows = []
-    block = max(1, STACK_CELLS // dim)
+    block = block_rows(dim)
     for idx, (sigma, expected) in enumerate(accuracy_curve(margin, noise_gain, sigma_grid)):
         rng = rng_for(seed, "accuracy", idx)
         below = 0

@@ -5,8 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from certlab import cib
+from certlab import cat_bulk, cib
 from certlab.errors import EnumerationTooLargeError, InvalidInputError
 from certlab.experiments import frontier_envelope
 
@@ -427,30 +429,34 @@ def _reference_brute_force(problem, beta, n_latent):
     return best_obj, best_map
 
 
-class TestBlockedBruteForce:
-    @pytest.mark.parametrize("stack_cells", [1, 20, cib.STACK_CELLS])
-    def test_blocks_equal_the_per_map_reference(self, monkeypatch, stack_cells):
-        # stack_cells 1 and 20 split every enumeration into one- to few-map blocks
-        monkeypatch.setattr(cib, "STACK_CELLS", stack_cells)
-        rng = np.random.default_rng(31)
-        for i in range(12):
-            n_past, n_future, n_context = (int(v) for v in rng.integers((2, 2, 1), (5, 4, 4)))
-            joint = rng.dirichlet(np.ones(n_past * n_future * n_context)).reshape(n_context, n_past, n_future)
-            if i % 3 == 0:  # zeroed cells
-                joint[rng.random(joint.shape) < 0.3] = 0.0
-                joint /= joint.sum()
-            problem = cib.CibProblem(joint=joint)
-            for beta in (0.0, 0.5, 2.0, 1000.0):
-                n_latent = 1 + i % 4
-                assert cib.brute_force_cib(problem, beta, n_latent) == _reference_brute_force(
-                    problem, beta, n_latent
-                ), (i, beta)
+@st.composite
+def brute_force_cases(draw):
+    """A small problem, a beta, an ``n_latent`` and a block size.  The joint's
+    cells are a few small weights, zeros and a subnormal, normalized, so maps
+    tie exactly (relabelled latents always tie in exact arithmetic); 1 to 64
+    cells a block splits an enumeration into one-map blocks, several blocks
+    with a ragged last one, or a single block."""
+    shape = (draw(st.integers(1, 3)), draw(st.integers(2, 4)), draw(st.integers(2, 3)))
+    cells = st.sampled_from((0.0, 5e-324, 0.25, 1.0, 2.0, 3.0))
+    weights = draw(st.lists(cells, min_size=math.prod(shape), max_size=math.prod(shape)).filter(sum))
+    joint = np.reshape(weights, shape) / sum(weights)
+    return cib.CibProblem(joint=joint), draw(st.floats(0.0, 1e3)), draw(st.integers(1, 4)), draw(st.integers(1, 64))
 
-    @pytest.mark.parametrize("stack_cells", [1, 20, cib.STACK_CELLS])
+
+class TestBlockedBruteForce:
+    @settings(max_examples=100)
+    @given(brute_force_cases())
+    def test_blocks_equal_the_per_map_reference(self, case):
+        problem, beta, n_latent, stack_cells = case
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cat_bulk, "STACK_CELLS", stack_cells)
+            assert cib.brute_force_cib(problem, beta, n_latent) == _reference_brute_force(problem, beta, n_latent)
+
+    @pytest.mark.parametrize("stack_cells", [1, 20, cat_bulk.STACK_CELLS])
     def test_ties_go_to_the_first_lexicographic_map(self, monkeypatch, stack_cells):
         # dyadic cells: every constant map scores exactly 0 at beta = 0, and
         # one-map blocks put each of the three constant maps in its own block
-        monkeypatch.setattr(cib, "STACK_CELLS", stack_cells)
+        monkeypatch.setattr(cat_bulk, "STACK_CELLS", stack_cells)
         joint = np.array([[[0.25, 0.125], [0.125, 0.25], [0.125, 0.125]]])
         best, mapping = cib.brute_force_cib(cib.CibProblem(joint=joint), 0.0, 3)
         assert (best, mapping) == (0.0, (0, 0, 0))

@@ -1,12 +1,13 @@
 """Discrete argmax-reset chains, continuous error accumulation, retention curve."""
 
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from certlab import dynamics
+from certlab import cat_bulk, dynamics
 from certlab.errors import InvalidInputError, SamplingExhaustedError
 from certlab.experiments import EXPERIMENTS, default_params
 from certlab.seeding import rng_for
@@ -161,7 +162,7 @@ class TestStreamedDiscreteChain:
     @pytest.mark.parametrize("scale", [0.15, 5.0])
     @pytest.mark.parametrize("sub_decisional", [True, False])
     def test_counts_equal_the_one_shot_draw(self, scale, sub_decisional):
-        count = 3 * (dynamics.STACK_CELLS // 3) + 17  # three full blocks and a ragged one
+        count = 3 * cat_bulk.block_rows(3) + 17  # three full blocks and a ragged one
         streamed, fresh = rng_for(4, "group"), rng_for(4, "group")
         sizes, redrawn = dynamics.noisy_argmax_counts(self.LOGITS, scale, streamed, count, sub_decisional)
         if sub_decisional:
@@ -201,47 +202,32 @@ class TestStreamedDiscreteChain:
         assert traced_peak(4 * trials) <= traced_peak(trials) + 2**20
 
 
-class TestLatentChain:
-    def test_transition_operator_norm_is_exact(self):
-        for kind in ("linear_scaling", "rotation_scaling"):
-            config = dynamics.LatentConfig(
-                dim=6, steps=1, lipschitz=1.3, sigma_h=0.0, transition=kind
-            )
-            matrix = dynamics.transition_matrix(config)
-            top_singular = np.linalg.svd(matrix, compute_uv=False)[0]
-            assert abs(top_singular - 1.3) <= 1e-12
-
-    def test_rotation_is_orthogonal(self):
-        config = dynamics.LatentConfig(
-            dim=5, steps=1, lipschitz=1.0, sigma_h=0.0, transition="rotation_scaling"
-        )
-        q = dynamics.transition_matrix(config)
-        np.testing.assert_allclose(q @ q.T, np.eye(5), atol=1e-12)
-
-    def test_contraction_toward_fixed_point(self):
-        for kind in ("linear_scaling", "rotation_scaling"):
-            config = dynamics.LatentConfig(
-                dim=6, steps=10, lipschitz=0.8, sigma_h=0.0, transition=kind
-            )
-            h0 = rng_for(1, kind).standard_normal(6)
-            h = np.linalg.matrix_power(dynamics.transition_matrix(config), config.steps) @ h0
-            assert np.linalg.norm(h) <= 0.8**10 * np.linalg.norm(h0) + 1e-9
-
-
-CONTRACTION = "noiseless contractive chain shrinks by exactly L^M"
+MONTE_CARLO_GATE = "Monte Carlo within 3 standard errors of the closed form at every cell"
 SMALL_ERROR_ACCUMULATION = {
     **default_params("error-accumulation"), "dims": (1, 8), "steps_values": (1, 6), "trials": 1000
 }
 
 
-class TestContractionCheck:
-    def test_fails_when_the_map_contracts_too_little(self, monkeypatch):
-        exact = dynamics.transition_matrix
-        monkeypatch.setattr(dynamics, "transition_matrix", lambda config: exact(config) * (0.81 / 0.8))
+class TestMonteCarloGate:
+    def _gate(self):
         result = EXPERIMENTS["error-accumulation"].runner(0, SMALL_ERROR_ACCUMULATION)
-        (check,) = [c for c in result.checks if c.name == CONTRACTION]
+        (check,) = [c for c in result.checks if c.name == MONTE_CARLO_GATE]
+        return check
+
+    def test_fails_when_the_map_contracts_too_little(self, monkeypatch):
+        assert self._gate().passed
+        exact = dynamics.monte_carlo_error
+
+        def mutant(config, trials, seed):
+            return exact(dataclasses.replace(config, lipschitz=config.lipschitz * (0.81 / 0.8)), trials, seed)
+
+        monkeypatch.setattr(dynamics, "monte_carlo_error", mutant)
+        check = self._gate()
         assert not check.passed
-        assert check.detail == "|h_M| = 3.000246e-01, budget 2.584738e-01"
+        assert check.detail == (
+            "2/12 rows over the limit, worst L=1.2 d=8 M=6: |1.566602 - 1.439291| vs 3*2.46e-02 "
+            "(excess 5.340e-02); worst pull 5.17 sigma over 12 cells"
+        )
 
 
 class TestClosedForm:
@@ -274,11 +260,8 @@ class TestMonteCarloError:
         assert abs(mean - 0.08) <= 3.0 * se
 
     @pytest.mark.parametrize("lipschitz", [0.8, 1.0, 1.2])
-    @pytest.mark.parametrize("kind", ["linear_scaling", "rotation_scaling"])
-    def test_matches_closed_form(self, lipschitz, kind):
-        config = dynamics.LatentConfig(
-            dim=8, steps=6, lipschitz=lipschitz, sigma_h=0.1, transition=kind
-        )
+    def test_matches_closed_form(self, lipschitz):
+        config = dynamics.LatentConfig(dim=8, steps=6, lipschitz=lipschitz, sigma_h=0.1)
         closed = dynamics.expected_error_closed_form(config)
         mean, se = dynamics.monte_carlo_error(config, 30_000, seed=3)
         assert abs(mean - closed) <= 3.0 * se
@@ -297,8 +280,6 @@ class TestMonteCarloError:
 
 def _reference_monte_carlo_error(config, trials, seed):
     """The error Monte Carlo with a fresh ``(size, dim)`` state per block and one draw per step."""
-    matrix = dynamics.transition_matrix(config)
-    plain_scaling = config.transition == "linear_scaling" or config.dim == 1
     sums, sq_sums = [], []
     done = 0
     block_index = 0
@@ -307,10 +288,7 @@ def _reference_monte_carlo_error(config, trials, seed):
         rng = rng_for(seed, "mc-block", block_index)
         err = np.zeros((size, config.dim))
         for _ in range(config.steps):
-            if plain_scaling:
-                err *= config.lipschitz
-            else:
-                err = err @ matrix.T
+            err *= config.lipschitz
             err += config.sigma_h * rng.standard_normal((size, config.dim))
         final_sq = np.sum(err * err, axis=1)
         sums.append(float(final_sq.sum()))
@@ -323,13 +301,10 @@ def _reference_monte_carlo_error(config, trials, seed):
 
 
 class TestStreamedMonteCarloError:
-    @pytest.mark.parametrize("kind", ["linear_scaling", "rotation_scaling"])
     @pytest.mark.parametrize("trials", [100, 8193, 20_000])  # one short block, a one-row block, a ragged block
     @pytest.mark.parametrize("dim", [1, 3, 64, 200])  # 200 rows a chunk fall short of MC_BLOCK, one does not
-    def test_equals_the_reference_bit_for_bit(self, kind, trials, dim):
-        config = dynamics.LatentConfig(
-            dim=dim, steps=3, lipschitz=1.1, sigma_h=0.3, transition=kind, rotation_seed=dim
-        )
+    def test_equals_the_reference_bit_for_bit(self, trials, dim):
+        config = dynamics.LatentConfig(dim=dim, steps=3, lipschitz=1.1, sigma_h=0.3)
         assert dynamics.monte_carlo_error(config, trials, seed=6) == _reference_monte_carlo_error(config, trials, 6)
 
     def test_memory_does_not_grow_with_trials(self):
@@ -411,8 +386,8 @@ class TestStreamedAccuracySweep:
     )
     def test_blocks_equal_the_one_shot_draw(self, monkeypatch, dim, trials, stack_cells):
         if stack_cells is not None:
-            monkeypatch.setattr(dynamics, "STACK_CELLS", stack_cells)
-            assert dim > dynamics.STACK_CELLS
+            monkeypatch.setattr(cat_bulk, "STACK_CELLS", stack_cells)
+            assert dim > cat_bulk.STACK_CELLS
         sigma_grid = (0.3, 1.0, 4.0)
         rows, _ = dynamics.empirical_accuracy_sweep(dim, 2.0, sigma_grid, trials, seed=11)
         assert [empirical for _, _, empirical, _ in rows] == _one_shot_retention(dim, 2.0, sigma_grid, trials, 11)

@@ -93,18 +93,16 @@ class TestConfigParsing:
             build_config(raw, {}, experiment_names=set(EXPERIMENTS))
 
     def test_typed_values(self):
-        text = (
-            "[run]\nexperiment = error-accumulation\nseed = 1\n"
-            "[params]\nlipschitz_values = 0.5, 1.5\ntrials = 500\ntransition = rotation_scaling\n"
-        )
-        config = build_config(
-            parse_config_text(text),
-            EXPERIMENTS["error-accumulation"].schema,
-            experiment_names=set(EXPERIMENTS),
-        )
-        assert config.params["lipschitz_values"] == (0.5, 1.5)
-        assert config.params["trials"] == 500
-        assert config.params["transition"] == "rotation_scaling"
+        def params(experiment, lines):
+            text = f"[run]\nexperiment = {experiment}\nseed = 1\n[params]\n{lines}"
+            return build_config(
+                parse_config_text(text), EXPERIMENTS[experiment].schema, experiment_names=set(EXPERIMENTS)
+            ).params
+
+        numbers = params("error-accumulation", "lipschitz_values = 0.5, 1.5\ntrials = 500\n")
+        assert numbers["lipschitz_values"] == (0.5, 1.5)
+        assert numbers["trials"] == 500
+        assert params("dag-exploration", "graph_file = graphs/my dag.txt\n")["graph_file"] == "graphs/my dag.txt"
 
     def test_bad_value_names_key(self):
         text = SMALL_ACCURACY_CFG + "margin = wide\n"
@@ -384,6 +382,9 @@ class TestCli:
             ("tradeoff-scan", "scan_grid", "0.1", "params.scan_grid: no value is at least 1/B",
              "cat_bulk.certainty_panel"),
             ("error-accumulation", "sigma_h", "0.0", "params.sigma_h: must be positive",
+             "dynamics.monte_carlo_error"),
+            # the map is the scalar L I: the key that picked a rotation map is gone
+            ("error-accumulation", "transition", "rotation_scaling", "unknown parameter keys: params.transition",
              "dynamics.monte_carlo_error"),
             # 216 ** 3 encoders of a 3-symbol corpus problem: just over the brute-force cap
             ("cib-frontier", "n_latent", "216", "params.n_latent: the brute-force oracle would enumerate 10077696",
