@@ -427,6 +427,21 @@ def _one_shot_tradeoff_checks(seed, options_set, per_b):
     return result.checks
 
 
+class TestBlockRows:
+    @pytest.mark.parametrize(
+        "width, stack_cells, rows",
+        [
+            (1, 2**16, 2**16),  # one cell a row: the whole stack
+            (3, 2**16, 21_845),  # a ragged width rounds down
+            (2**16 + 1, 2**16, 1),  # a row wider than the stack still gets one
+            (5, 20, 4),  # a patched stack is read at call time
+        ],
+    )
+    def test_rows_fill_the_stack_and_never_fall_to_zero(self, monkeypatch, width, stack_cells, rows):
+        monkeypatch.setattr(cat_bulk, "STACK_CELLS", stack_cells)
+        assert cat_bulk.block_rows(width) == rows
+
+
 class TestBlockedTradeoffPanel:
     def test_blocks_equal_one_panel_over_the_whole_draw(self, monkeypatch):
         block = cat_bulk.STACK_CELLS // 32  # 2,048 rows of B = 32

@@ -444,9 +444,27 @@ def brute_force_cases(draw):
 
 
 class TestBlockedBruteForce:
+    @pytest.mark.parametrize("stack_cells", [1, 20, cat_bulk.STACK_CELLS])
+    def test_blocks_equal_the_per_map_reference(self, monkeypatch, stack_cells):
+        # stack_cells 1 and 20 split every enumeration into one- to few-map blocks
+        monkeypatch.setattr(cat_bulk, "STACK_CELLS", stack_cells)
+        rng = np.random.default_rng(31)
+        for i in range(12):
+            n_past, n_future, n_context = (int(v) for v in rng.integers((2, 2, 1), (5, 4, 4)))
+            joint = rng.dirichlet(np.ones(n_past * n_future * n_context)).reshape(n_context, n_past, n_future)
+            if i % 3 == 0:  # zeroed cells
+                joint[rng.random(joint.shape) < 0.3] = 0.0
+                joint /= joint.sum()
+            problem = cib.CibProblem(joint=joint)
+            for beta in (0.0, 0.5, 2.0, 1000.0):
+                n_latent = 1 + i % 4
+                assert cib.brute_force_cib(problem, beta, n_latent) == _reference_brute_force(
+                    problem, beta, n_latent
+                ), (i, beta)
+
     @settings(max_examples=100)
     @given(brute_force_cases())
-    def test_blocks_equal_the_per_map_reference(self, case):
+    def test_blocks_equal_the_per_map_reference_on_tied_problems(self, case):
         problem, beta, n_latent, stack_cells = case
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(cat_bulk, "STACK_CELLS", stack_cells)

@@ -278,6 +278,35 @@ class TestMonteCarloError:
         )
 
 
+class TestRotatedChain:
+    """The chain's map is ``L I`` because isotropic noise makes every map of
+    norm L that is ``L`` times an orthogonal ``R`` give the same error law:
+    ``R^j eps ~ eps``.  A test-local chain under ``L R`` must meet the same
+    closed form."""
+
+    @staticmethod
+    def _rotation(dim, seed):
+        q, r = np.linalg.qr(rng_for(seed, "rotation", dim).standard_normal((dim, dim)))
+        return q * np.sign(np.diag(r))
+
+    def test_rotation_is_orthogonal_with_unit_norm(self):
+        q = self._rotation(5, 1)
+        np.testing.assert_allclose(q @ q.T, np.eye(5), atol=1e-12)
+        assert abs(np.linalg.svd(1.3 * q, compute_uv=False)[0] - 1.3) <= 1e-12
+
+    @pytest.mark.parametrize("lipschitz", [0.8, 1.0, 1.2])
+    def test_rotated_chain_matches_the_scalar_closed_form(self, lipschitz):
+        config = dynamics.LatentConfig(dim=8, steps=6, lipschitz=lipschitz, sigma_h=0.1)
+        matrix = lipschitz * self._rotation(config.dim, 3)
+        rng = rng_for(3, "rotated-chain")
+        err = np.zeros((30_000, config.dim))
+        for _ in range(config.steps):
+            err = err @ matrix.T + config.sigma_h * rng.standard_normal(err.shape)
+        final_sq = np.sum(err * err, axis=1)
+        se = float(final_sq.std(ddof=1)) / math.sqrt(len(final_sq))
+        assert abs(float(final_sq.mean()) - dynamics.expected_error_closed_form(config)) <= 3.0 * se
+
+
 def _reference_monte_carlo_error(config, trials, seed):
     """The error Monte Carlo with a fresh ``(size, dim)`` state per block and one draw per step."""
     sums, sq_sums = [], []
@@ -304,6 +333,14 @@ class TestStreamedMonteCarloError:
     @pytest.mark.parametrize("trials", [100, 8193, 20_000])  # one short block, a one-row block, a ragged block
     @pytest.mark.parametrize("dim", [1, 3, 64, 200])  # 200 rows a chunk fall short of MC_BLOCK, one does not
     def test_equals_the_reference_bit_for_bit(self, trials, dim):
+        config = dynamics.LatentConfig(dim=dim, steps=3, lipschitz=1.1, sigma_h=0.3)
+        assert dynamics.monte_carlo_error(config, trials, seed=6) == _reference_monte_carlo_error(config, trials, 6)
+
+    @pytest.mark.parametrize("trials", [100, 8193, 20_000])
+    @pytest.mark.parametrize("dim", [1, 3, 64, 200])
+    def test_small_chunks_equal_the_reference_bit_for_bit(self, monkeypatch, trials, dim):
+        # 7 cells a block: chunks of 7, 2 or 1 rows, a ragged last chunk, and one row wider than the block
+        monkeypatch.setattr(cat_bulk, "STACK_CELLS", 7)
         config = dynamics.LatentConfig(dim=dim, steps=3, lipschitz=1.1, sigma_h=0.3)
         assert dynamics.monte_carlo_error(config, trials, seed=6) == _reference_monte_carlo_error(config, trials, 6)
 
