@@ -20,7 +20,7 @@ from pathlib import Path
 from .config import ExperimentConfig, build_config, check_seed, config_hash, parse_config_text
 from .errors import CertlabError, ConfigError, ReportError
 from .experiments import EXPERIMENTS, default_params
-from .manifest import RunManifest, load_manifest, write_csv, write_text_file
+from .manifest import RunManifest, load_manifest, read_text_file, write_csv, write_text_file
 from .report import emit_markdown, emit_svg_charts
 
 EXIT_OK = 0
@@ -85,7 +85,7 @@ def _threads(args) -> int:
 def cmd_run(args) -> int:
     try:
         threads = _threads(args)
-        raw = parse_config_text(Path(args.config).read_text())
+        raw = parse_config_text(read_text_file(args.config, ConfigError))
         schema = EXPERIMENTS[raw.experiment].schema if raw.experiment in EXPERIMENTS else {}
         config = build_config(
             raw,

@@ -241,6 +241,10 @@ def parse_dag(text: str) -> DecisionDag:
     if start is None or targets is None:
         raise InvalidInputError("missing start: or targets: header line")
     n = max(succ) + 1 if succ else 0
+    if n > ENUMERATION_NODE_CAP:
+        raise EnumerationTooLargeError(
+            f"node id {n - 1} makes {n} nodes, over the {ENUMERATION_NODE_CAP} cap"
+        )
     successors = tuple(succ.get(v, ()) for v in range(n))
     return DecisionDag(successors=successors, start=start, targets=targets)
 

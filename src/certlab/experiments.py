@@ -19,7 +19,6 @@ import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -28,7 +27,7 @@ from . import categorical as cat
 from . import cib, curriculum, dag, dynamics
 from .config import ParamSpec
 from .errors import EnumerationTooLargeError, InvalidInputError
-from .manifest import Check
+from .manifest import Check, read_text_file
 from .seeding import derive_seed, rng_for
 
 # Rows per spot audit, and the deviation allowed between a bulk value and its
@@ -1073,6 +1072,13 @@ def capped_peak_bound_audit(seed: int, deltas, options_max: int, samples: int) -
 
 def run_dag_exploration(seed: int, params: dict, threads: int = 1) -> ExperimentResult:
     result = ExperimentResult()
+    # the trap is enumerated exactly, so its size is capped before it is built
+    trap_nodes = params["depth"] * params["branching"] + 1
+    if trap_nodes > dag.ENUMERATION_NODE_CAP:
+        raise EnumerationTooLargeError(
+            f"params.depth: a depth-{params['depth']} trap at branching {params['branching']} "
+            f"has {trap_nodes} nodes, over the {dag.ENUMERATION_NODE_CAP} cap"
+        )
     # the binary-graph ceiling and the capped audit need the two-option
     # worst-case bound at each delta, and every trap decision node draws from
     # the Dirichlet family at out-degree `branching`; building these first, and
@@ -1088,7 +1094,7 @@ def run_dag_exploration(seed: int, params: dict, threads: int = 1) -> Experiment
     grid = params["kappa_grid"]
     if len(grid) < 2 or any(b <= a for a, b in zip(grid, grid[1:])):
         raise InvalidInputError("params.kappa_grid: need at least two strictly increasing values")
-    custom = dag.parse_dag(Path(params["graph_file"]).read_text()) if params["graph_file"] else None
+    custom = dag.parse_dag(read_text_file(params["graph_file"], InvalidInputError)) if params["graph_file"] else None
     trap = dag.trap_dag(params["depth"], params["branching"])
     uniform_policy = dag.make_policy(trap, "uniform", seed=derive_seed(seed, "uniform"))
     uniform_exact = dag.enumerate_paths(trap, uniform_policy)

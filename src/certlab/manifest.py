@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .errors import ReportError
+from .errors import CertlabError, ReportError
 
 ARTIFACT_VERSION = "0.1.0"
 
@@ -58,10 +58,18 @@ def write_text_file(path: Path, text: str) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def read_text_file(path: str | Path, error: type[CertlabError]) -> str:
+    """A UTF-8 text file's contents; bytes that are not UTF-8 raise ``error``, naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc})") from exc
+
+
 def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
     if not path.exists():
         raise ReportError(f"missing CSV file: {path}")
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = read_text_file(path, ReportError).splitlines()
     if not lines:
         raise ReportError(f"empty CSV file: {path}")
     header = lines[0].split(",")
@@ -108,6 +116,6 @@ def load_manifest(path: Path) -> RunManifest:
     if not path.exists():
         raise ReportError(f"missing manifest: {path}")
     try:
-        return RunManifest(**json.loads(path.read_text()))
+        return RunManifest(**json.loads(path.read_text(encoding="utf-8")))
     except (ValueError, TypeError) as exc:
         raise ReportError(f"malformed manifest {path}: {exc}") from exc

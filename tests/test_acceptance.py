@@ -4,31 +4,72 @@ Every test prints a single ``[acceptance] criterion N ... PASS/FAIL`` line
 and enforces the criterion's tolerances and runtime budget.  Seeds are
 fixed so the suite is reproducible; statistical gates (3-sigma bands) are
 evaluated on pinned streams.
+
+Criteria 6-10 run no experiment themselves.  The session fixture ``battery``
+runs ``verify-all --seed 0`` once at one thread, and each of these criteria
+reads its experiment's outcome from that run's output directory: the failed
+checks and the ``started_at``/``finished_at`` runtime from
+``<out>/<experiment>/manifest.json``, and the rows from the CSVs next to it
+(floats are written with ``repr``, so ``float`` reads them back exactly).
+Criterion 11 runs ``verify-all`` a second time, at two threads, and compares
+the two runs' outputs byte for byte and with the pinned digests.
 """
 
 import hashlib
 import json
 import math
 import time
+from datetime import datetime
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
+import pytest
 
 from certlab import cat_bulk, cib
 from certlab import categorical as cat
 from certlab import cli, dynamics
-from certlab.experiments import (
-    EXPERIMENTS,
-    _simplex_slice_min_reverse_kl,
-    capped_peak_bound_audit,
-    default_params,
-)
+from certlab.experiments import _simplex_slice_min_reverse_kl, capped_peak_bound_audit
+from certlab.manifest import load_manifest, read_csv
 from certlab.seeding import derive_seed, rng_for
 
 SEED = 0
 SAMPLE_OPTIONS = range(2, 33)
 # sha256 of every seed-0 output of verify-all, pinned by the benchmark
 GOLDEN_DIGESTS = Path(__file__).resolve().parents[1] / "bench" / "digests.json"
+
+
+class Battery(NamedTuple):
+    """One ``verify-all`` run: its exit code, output directory and wall time."""
+
+    code: int
+    out: Path
+    seconds: float
+
+
+def _verify_all(out: Path, threads: int) -> Battery:
+    start = time.monotonic()
+    code = cli.main(["verify-all", "--out", str(out), "--seed", str(SEED), "--threads", str(threads)])
+    return Battery(code, out, time.monotonic() - start)
+
+
+@pytest.fixture(scope="session")
+def battery(tmp_path_factory) -> Battery:
+    """The seed-0 battery at one thread, run once for criteria 6-11."""
+    return _verify_all(tmp_path_factory.mktemp("battery-1-thread"), 1)
+
+
+def _experiment_outcome(battery: Battery, name: str) -> tuple[list[str], float]:
+    """One experiment's failed check names and its runtime in seconds, from its manifest."""
+    manifest = load_manifest(battery.out / name / "manifest.json")
+    failed = [c["name"] for c in manifest.checks if not c["passed"]]
+    runtime = datetime.fromisoformat(manifest.finished_at) - datetime.fromisoformat(manifest.started_at)
+    return failed, runtime.total_seconds()
+
+
+def _outputs(out: Path) -> dict[str, bytes]:
+    """The bytes of every CSV and text output under ``out``, keyed by its relative path."""
+    return {p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*") if p.suffix in (".csv", ".txt")}
 
 
 def _verdict(number: int, title: str, passed: bool, detail: str = "") -> None:
@@ -43,12 +84,6 @@ def _sample_panels(total: int):
     for b in SAMPLE_OPTIONS:
         rng = rng_for(SEED, "acceptance-panel", b)
         yield b, cat_bulk.certainty_panel(rng.standard_normal((per_b, b)))
-
-
-def _experiment_checks(name: str, params: dict | None = None):
-    result = EXPERIMENTS[name].runner(SEED, {**default_params(name), **(params or {})})
-    failed = [c for c in result.checks if not c.passed]
-    return result, failed
 
 
 def test_criterion_01_symbolic_stability():
@@ -154,40 +189,38 @@ def test_criterion_05_discrete_chain_integrity():
     )
 
 
-def test_criterion_06_compounding_error():
-    start = time.monotonic()
-    result, failed = _experiment_checks("error-accumulation")
-    rows = result.tables["error_accumulation.csv"][1]
-    reference = [r for r in rows if (r[0], r[1], r[2]) == (1.0, 6, 8)]
-    elapsed = time.monotonic() - start
+def test_criterion_06_compounding_error(battery):
+    failed, runtime = _experiment_outcome(battery, "error-accumulation")
+    rows = read_csv(battery.out / "error-accumulation" / "error_accumulation.csv")[1]
+    reference = [r for r in rows if (float(r[0]), int(r[1]), int(r[2])) == (1.0, 6, 8)]
     ok = (
         not failed
         and len(rows) == 27
         and reference
-        and abs(reference[0][4] - 0.48) <= 1e-12
-        and elapsed < 120.0
+        and abs(float(reference[0][4]) - 0.48) <= 1e-12
+        and runtime < 120.0
     )
     _verdict(
         6, "compounding latent error", ok,
-        f"{len(rows)} cells, failed={[c.name for c in failed]}, {elapsed:.1f}s",
+        f"{len(rows)} cells, failed={failed}, {runtime:.1f}s",
     )
 
 
-def test_criterion_07_accuracy_curve():
+def test_criterion_07_accuracy_curve(battery):
     start = time.monotonic()
-    result, failed = _experiment_checks("accuracy-sweep")
+    failed, runtime = _experiment_outcome(battery, "accuracy-sweep")
     phi = dynamics.normal_cdf(1.0)
-    elapsed = time.monotonic() - start
+    elapsed = runtime + time.monotonic() - start
     ok = not failed and abs(phi - 0.84134) <= 1e-5 and elapsed < 60.0
     _verdict(
         7, "normalized accuracy curve", ok,
-        f"Phi(1) = {phi:.7f}, failed={[c.name for c in failed]}, {elapsed:.1f}s",
+        f"Phi(1) = {phi:.7f}, failed={failed}, {elapsed:.1f}s",
     )
 
 
-def test_criterion_08_bottleneck_machinery():
+def test_criterion_08_bottleneck_machinery(battery):
     start = time.monotonic()
-    result, failed = _experiment_checks("cib-frontier")
+    failed, runtime = _experiment_outcome(battery, "cib-frontier")
     golden, _ = cib.brute_force_cib(cib.grouped_future_problem(), 2.0, 2)
     golden_ok = abs(golden - (-0.20289806975715452)) <= 1e-12
     schedule_ok = (
@@ -195,75 +228,60 @@ def test_criterion_08_bottleneck_machinery():
         and abs(cib.beta_schedule(5, 10) - 1.0) <= 1e-15
         and abs(cib.beta_schedule(9, 10) - 9.0) <= 1e-12
     )
-    corpus_rows = result.tables["cib_corpus.csv"][1]
-    elapsed = time.monotonic() - start
+    corpus_rows = read_csv(battery.out / "cib-frontier" / "cib_corpus.csv")[1]
+    elapsed = runtime + time.monotonic() - start
     ok = (
         not failed
         and golden_ok
         and schedule_ok
-        and len({r[0] for r in corpus_rows}) >= 20
+        and len({int(r[0]) for r in corpus_rows}) >= 20
         and elapsed < 120.0
     )
     _verdict(
         8, "information-bottleneck machinery", ok,
-        f"golden {golden:.12f}, failed={[c.name for c in failed]}, {elapsed:.1f}s",
+        f"golden {golden:.12f}, failed={failed}, {elapsed:.1f}s",
     )
 
 
-def test_criterion_09_curriculum_necessity():
-    start = time.monotonic()
-    result, failed = _experiment_checks("curriculum")
-    elapsed = time.monotonic() - start
-    ok = not failed and elapsed < 180.0
+def test_criterion_09_curriculum_necessity(battery):
+    failed, runtime = _experiment_outcome(battery, "curriculum")
+    ok = not failed and runtime < 180.0
     _verdict(
         9, "curriculum necessity and convergence", ok,
-        f"failed={[c.name for c in failed]}, {elapsed:.1f}s",
+        f"failed={failed}, {runtime:.1f}s",
     )
 
 
-def test_criterion_10_exploration_analog():
-    start = time.monotonic()
-    result, failed = _experiment_checks("dag-exploration")
-    rows = {r[0]: r for r in result.tables["dag_exploration.csv"][1]}
-    elapsed = time.monotonic() - start
-    ordering = (
-        rows["concentrated"][2] < rows["non_degenerate"][2]
-        and rows["uniform"][2] >= rows["non_degenerate"][2]
-        and rows["uniform"][2] >= rows["concentrated"][2]
-        and rows["concentrated"][1] >= 200
-    )
-    ok = not failed and ordering and elapsed < 60.0
+def test_criterion_10_exploration_analog(battery):
+    failed, runtime = _experiment_outcome(battery, "dag-exploration")
+    rows = {r[0]: r for r in read_csv(battery.out / "dag-exploration" / "dag_exploration.csv")[1]}
+    conc, capped, uniform = (float(rows[p][2]) for p in ("concentrated", "non_degenerate", "uniform"))
+    ordering = conc < capped and uniform >= capped and uniform >= conc and int(rows["concentrated"][1]) >= 200
+    ok = not failed and ordering and runtime < 60.0
     _verdict(
         10, "trap-graph exploration analog", ok,
-        f"means conc {rows['concentrated'][2]:.2e} / capped {rows['non_degenerate'][2]:.2e} "
-        f"/ uniform {rows['uniform'][2]:.2e}, {elapsed:.1f}s",
+        f"means conc {conc:.2e} / capped {capped:.2e} / uniform {uniform:.2e}, {runtime:.1f}s",
     )
 
 
-def test_criterion_11_harness_determinism(tmp_path):
-    start = time.monotonic()
-    out1, out2 = tmp_path / "pass1", tmp_path / "pass2"
-    code1 = cli.main(["verify-all", "--out", str(out1), "--seed", str(SEED)])
-    code2 = cli.main(["verify-all", "--out", str(out2), "--seed", str(SEED)])
-    csv1 = sorted(p.relative_to(out1) for p in out1.rglob("*.csv"))
-    csv2 = sorted(p.relative_to(out2) for p in out2.rglob("*.csv"))
-    identical = csv1 == csv2 and all(
-        (out1 / rel).read_bytes() == (out2 / rel).read_bytes() for rel in csv1
-    )
-    digests = {
-        p.relative_to(out1).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
-        for p in out1.rglob("*")
-        if p.suffix in (".csv", ".txt")
-    }
+def test_criterion_11_harness_determinism(battery, tmp_path):
+    second = _verify_all(tmp_path / "threads-2", 2)
+    outputs1, outputs2 = _outputs(battery.out), _outputs(second.out)
     golden = json.loads(GOLDEN_DIGESTS.read_text())
-    mismatched = sorted(k for k in digests.keys() | golden.keys() if digests.get(k) != golden.get(k))
-    elapsed = time.monotonic() - start
+    mismatched = sorted(
+        f"{run}:{name}"
+        for run, outputs in (("1-thread", outputs1), ("2-thread", outputs2))
+        for name in outputs.keys() | golden.keys()
+        if name not in outputs or hashlib.sha256(outputs[name]).hexdigest() != golden.get(name)
+    )
+    n_csv = sum(name.endswith(".csv") for name in outputs1)
+    elapsed = battery.seconds + second.seconds
     ok = (
-        code1 == 0 and code2 == 0 and identical and len(csv1) >= 8 and not mismatched
+        battery.code == 0 and second.code == 0 and outputs1 == outputs2 and n_csv >= 8 and not mismatched
         and elapsed < 600.0
     )
     _verdict(
-        11, "harness determinism (verify-all twice)", ok,
-        f"exit codes {code1}/{code2}, {len(csv1)} CSVs byte-compared, "
-        f"{len(digests)} outputs against pinned digests, mismatched {mismatched}, {elapsed:.1f}s",
+        11, "harness determinism (verify-all at 1 and 2 threads)", ok,
+        f"exit codes {battery.code}/{second.code}, {len(outputs1)} outputs byte-compared, "
+        f"{len(golden)} pinned digests, mismatched {mismatched}, {elapsed:.1f}s",
     )

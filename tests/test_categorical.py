@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from certlab import cat_bulk
@@ -64,6 +64,25 @@ def masked_cells(draw):
     if draw(st.booleans()):
         num[w == 0.0] = 0.0
     return w, num, den
+
+
+@st.composite
+def kl_cases(draw):
+    """``(q, rows)`` from a ``masked_cells`` stack: q is its fullest weight row and
+    the rows are its ``num`` rows, each normalized, so both carry zeroed and
+    subnormal cells, and q may have a single cell."""
+    w, num, _ = draw(masked_cells())
+    q = w[np.argmax(np.count_nonzero(w, axis=1))]
+    assume(q.any() and num.sum(axis=1).all())
+    return q / q.sum(), num / num.sum(axis=1, keepdims=True)
+
+
+def _outcome(function, *args):
+    """The value of ``function(*args)``, or the class of the error it raises."""
+    try:
+        return function(*args)
+    except (InvalidInputError, InfiniteDivergenceError) as exc:
+        return type(exc)
 
 
 class TestSoftmax:
@@ -311,6 +330,19 @@ class TestRowKernels:
         kept = w > 0.0
         expected = [float(np.sum(w[r][m] * np.log(num[r][m] / den[r][m]))) for r, m in enumerate(kept)]
         assert cat_bulk.masked_log_sums(w, num, den).tolist() == expected
+
+    @given(kl_cases())
+    @settings(max_examples=300)
+    def test_kl_rows_equal_scalar_kl_bit_for_bit(self, case):
+        q, rows = case
+        scalar = [_outcome(cat.kl_divergence, q, row) for row in rows]
+        errors = {v for v in scalar if isinstance(v, type)}
+        bulk = _outcome(cat_bulk.kl_rows, q, rows)
+        if errors:
+            # kl_rows validates every row before it looks for an infinite divergence
+            assert bulk is (InvalidInputError if InvalidInputError in errors else InfiniteDivergenceError)
+        else:
+            assert [float(v).hex() for v in bulk] == [v.hex() for v in scalar]
 
     def test_kl_rows_errors(self):
         q = np.array([0.5, 0.5])

@@ -443,6 +443,29 @@ def brute_force_cases(draw):
     return cib.CibProblem(joint=joint), draw(st.floats(0.0, 1e3)), draw(st.integers(1, 4)), draw(st.integers(1, 64))
 
 
+@st.composite
+def cmi_stacks(draw):
+    """A ``brute_force_cases`` problem and a stack of 1 to 8 encoder tables whose
+    rows are drawn from the same weights, zeros and subnormal, then normalized."""
+    problem, _, n_latent, _ = draw(brute_force_cases())
+    cells = st.sampled_from((0.0, 5e-324, 0.25, 1.0, 2.0, 3.0))
+    row = st.lists(cells, min_size=n_latent, max_size=n_latent).filter(sum)
+    tables = np.array([[draw(row) for _ in range(problem.n_past)] for _ in range(draw(st.integers(1, 8)))])
+    return problem, tables / tables.sum(axis=2, keepdims=True)
+
+
+class TestStackedCmi:
+    @settings(max_examples=100)
+    @given(cmi_stacks())
+    def test_stacked_cmi_equals_each_tables_scalar_cmi_bit_for_bit(self, case):
+        problem, tables = case
+        contexts = cib._contexts(problem.joint)
+        stacked = cib._cmi_rows(contexts, tables, cib._moments(contexts, tables))
+        for target, values in zip(("past", "future"), stacked):
+            scalar = [cib.conditional_mutual_information(problem, cib.Encoder(table=t), target) for t in tables]
+            assert [float(v).hex() for v in values] == [v.hex() for v in scalar], target
+
+
 class TestBlockedBruteForce:
     @pytest.mark.parametrize("stack_cells", [1, 20, cat_bulk.STACK_CELLS])
     def test_blocks_equal_the_per_map_reference(self, monkeypatch, stack_cells):

@@ -9,6 +9,7 @@ from certlab import categorical as cat
 from certlab import dag
 from certlab.experiments import EXPERIMENTS, default_params
 from certlab.errors import (
+    EnumerationTooLargeError,
     InfiniteDivergenceError,
     InvalidInputError,
     NoSuccessorsError,
@@ -72,6 +73,17 @@ class TestSerialization:
     def test_malformed_lines_rejected_with_line_number(self, text, message):
         with pytest.raises(InvalidInputError, match=message):
             dag.parse_dag(text)
+
+    def test_node_cap_is_checked_before_the_graph_is_built(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the graph was built")
+
+        monkeypatch.setattr(dag, "DecisionDag", refuse)
+        cap = dag.ENUMERATION_NODE_CAP
+        with pytest.raises(EnumerationTooLargeError, match=f"node id {cap} makes {cap + 1} nodes, over the {cap} cap"):
+            dag.parse_dag(f"start: 0\ntargets: 0\n{cap}:\n")
+        with pytest.raises(AssertionError, match="the graph was built"):  # at the cap it is built
+            dag.parse_dag(f"start: 0\ntargets: 0\n{cap - 1}:\n")
 
 
 class TestUniformPrior:

@@ -401,6 +401,10 @@ class TestCli:
              "experiments.rng_for"),
             ("tradeoff-scan", "samples", "5", "params.samples: need at least one row per B, 6 in all, got 5",
              "experiments.rng_for"),
+            # depth * branching + 1 nodes: one over the enumeration cap
+            ("dag-exploration", "depth", "500000\nbranching = 2",
+             "params.depth: a depth-500000 trap at branching 2 has 1000001 nodes, over the 1000000 cap",
+             "dag.trap_dag"),
         ],
     )
     def test_bad_param_exits_two_before_the_kernel(
@@ -432,18 +436,39 @@ class TestCli:
         assert f"params.{key}: must be finite" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    def test_malformed_graph_file_exits_two_before_any_draw(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "graph, message",
+        [
+            (b"start: x\ntargets: 1\n0: 1\n1:\n", "InvalidInputError: line 1"),
+            # one node over the enumeration cap
+            (b"start: 0\ntargets: 0\n1000000:\n",
+             "EnumerationTooLargeError: node id 1000000 makes 1000001 nodes, over the 1000000 cap"),
+            (b"start: 0\ntargets: 1\n0: 1\n1:\n\xff\n", "InvalidInputError: {path}: not UTF-8 text ("),
+        ],
+        ids=["malformed", "over-the-node-cap", "not-utf8"],
+    )
+    def test_bad_graph_file_exits_two_before_any_graph_is_built(self, tmp_path, capsys, monkeypatch, graph, message):
         def refuse(*args, **kwargs):
-            raise AssertionError("dag.make_policy ran before the graph file was parsed")
+            raise AssertionError("a graph was built before the graph file was checked")
 
-        monkeypatch.setattr(dag, "make_policy", refuse)
+        monkeypatch.setattr(dag, "DecisionDag", refuse)
         graph_path = tmp_path / "graph.txt"
-        graph_path.write_text("start: x\ntargets: 1\n0: 1\n1:\n")
+        graph_path.write_bytes(graph)
         cfg = _write_cfg(
             tmp_path, f"[run]\nexperiment = dag-exploration\nseed = 0\n[params]\ngraph_file = {graph_path}\n"
         )
         assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        assert "InvalidInputError: line 1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(message.format(path=graph_path)) and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    def test_non_utf8_config_exits_two_naming_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(SMALL_ACCURACY_CFG.encode() + b"\xff\n")
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"ConfigError: {cfg}: not UTF-8 text (") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["run", "verify-all"])
     @pytest.mark.parametrize(
@@ -572,18 +597,22 @@ class TestCli:
     @pytest.mark.parametrize(
         "filename, text",
         [
-            ("accuracy_sweep.csv", "sigma,analytic,empirical,std_error\n0.1,0.5\n"),
-            ("accuracy_sweep.csv", "sigma,analytic,empirical,std_error\n"),  # no data rows to chart
-            ("manifest.json", "{not json"),
+            ("accuracy_sweep.csv", b"sigma,analytic,empirical,std_error\n0.1,0.5\n"),
+            ("accuracy_sweep.csv", b"sigma,analytic,empirical,std_error\n"),  # no data rows to chart
+            ("accuracy_sweep.csv", b"sigma,analytic,empirical,std_error\n\xff\n"),  # not UTF-8
+            ("manifest.json", b"{not json"),
         ],
     )
     def test_malformed_report_input_is_report_error(self, tmp_path, capsys, filename, text):
         cfg = _write_cfg(tmp_path, SMALL_ACCURACY_CFG)
         out = tmp_path / "o"
         assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
-        (out / filename).write_text(text)
+        (out / filename).write_bytes(text)
+        capsys.readouterr()
         assert cli.main(["report", "--manifest", str(out / "manifest.json"), "--format", "svg"]) == 4
-        assert "ReportError: " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("ReportError: ") and err.count("\n") == 1
+        assert str((out / filename).resolve()) in err  # the error names the file
 
     def test_seed_override_changes_hash(self, tmp_path):
         cfg = _write_cfg(tmp_path, SMALL_ACCURACY_CFG)
