@@ -9,8 +9,8 @@ Carlo searcher, and an exact dynamic-programming oracle for the success
 probability, so every sampled statistic can be checked against a closed
 answer.
 
-Graphs and policies are immutable after construction; trials derive their
-own seeds, so results are identical under any execution order.
+Graphs and policies are immutable after construction, and each block of
+search trials owns a seeded stream, so reruns give identical results.
 """
 
 from __future__ import annotations
@@ -27,10 +27,10 @@ from .errors import (
     InvalidInputError,
     NoSuccessorsError,
 )
-from .seeding import UniformStreams, derive_seeds, rng_for
+from .seeding import rng_for
 
 ENUMERATION_NODE_CAP = 10**6
-# Trials walked in lockstep by run_search; bounds its transient arrays.
+# Trials per run_search block and stream; changing it changes every search result.
 SEARCH_BLOCK = 8192
 
 
@@ -390,11 +390,10 @@ def run_search(
 ) -> TraversalStats:
     """Monte Carlo traversal: sample successors until a target, dead end, or step cap.
 
-    Each trial owns the stream derived from (seed, "trial", index), so the
-    statistics are invariant to execution order.  Trials walk in lockstep,
-    ``SEARCH_BLOCK`` at a time: every live trial draws one uniform per step
-    from its own stream, and the trials at one node invert that node's CDF
-    together, exactly as a single trial's ``searchsorted`` would.
+    Trials walk in lockstep, ``SEARCH_BLOCK`` at a time; at each step block
+    ``b`` draws one uniform per live trial, in trial order, from
+    ``rng_for(seed, "trial-block", b)``.  The trials at one node invert that
+    node's CDF together, exactly as a single trial's ``searchsorted`` would.
     """
     if trials < 1:
         raise InvalidInputError(f"need trials >= 1, got {trials}")
@@ -410,19 +409,17 @@ def run_search(
     successors = {v: np.array(dag.successors[v]) for v in cumulative}
     successes = 0
     total_steps = 0
-    for first in range(0, trials, SEARCH_BLOCK):
-        indices = np.arange(first, min(first + SEARCH_BLOCK, trials))
-        streams = UniformStreams(derive_seeds(seed, "trial", indices=indices))
-        node = np.full(indices.size, dag.start)
+    for block, first in enumerate(range(0, trials, SEARCH_BLOCK)):
+        rng = rng_for(seed, "trial-block", block)
+        node = np.full(min(SEARCH_BLOCK, trials - first), dag.start)
         for _ in range(max_steps):
             moving = moves[node]
             if not moving.all():  # trials at a target or a dead end stop here
                 successes += int(is_target[node[~moving]].sum())
                 node = node[moving]
-                streams.keep(moving)
                 if not node.size:
                     break
-            u = streams.random()
+            u = rng.random(node.size)
             total_steps += node.size
             order = np.argsort(node)
             ranked = node[order]

@@ -112,10 +112,28 @@ class RunManifest:
         path.write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
 
 
+# What a report reads of each manifest entry: (field, type, value when absent; None if required).
+_ENTRY_FIELDS = {
+    "files": (("path", str, None), ("sha256", str, None)),
+    "checks": (("name", str, None), ("passed", bool, None), ("detail", str, "")),
+}
+
+
 def load_manifest(path: Path) -> RunManifest:
     if not path.exists():
         raise ReportError(f"missing manifest: {path}")
     try:
-        return RunManifest(**json.loads(path.read_text(encoding="utf-8")))
+        manifest = RunManifest(**json.loads(path.read_text(encoding="utf-8")))
     except (ValueError, TypeError) as exc:
         raise ReportError(f"malformed manifest {path}: {exc}") from exc
+    if not isinstance(manifest.experiment, str):
+        raise ReportError(f"malformed manifest {path}: experiment is not a string")
+    for key, fields in _ENTRY_FIELDS.items():
+        entries = getattr(manifest, key)
+        if not isinstance(entries, list) or not all(
+            isinstance(entry, dict) and all(isinstance(entry.get(name, absent), kind) for name, kind, absent in fields)
+            for entry in entries
+        ):
+            spec = ", ".join(f"{kind.__name__} {name}" for name, kind, _ in fields)
+            raise ReportError(f"malformed manifest {path}: {key} is not a list of objects with {spec}")
+    return manifest

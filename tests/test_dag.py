@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from certlab import categorical as cat
 from certlab import dag
@@ -212,27 +214,31 @@ class TestSearchAndOracle:
 
 
 def _scalar_search(graph, policy, trials, max_steps, seed):
-    """Reference: the per-trial loop, one ``rng_for`` generator per trial."""
+    """Reference: each block's trials walked one step at a time by a scalar loop.
+
+    Block ``b`` opens ``rng_for(seed, "trial-block", b)``; at each step the
+    trials at a target or a dead end stop, the live ones draw one uniform
+    each from one ``random`` call, and live trial ``j`` moves with ``u[j]``.
+    """
     cumulative = {v: np.cumsum(policy.distribution(v)) for v in graph.decision_nodes()}
     successes = 0
     total_steps = 0
-    for trial in range(trials):
-        rng = rng_for(seed, "trial", trial)
-        node = graph.start
-        steps = 0
-        while steps < max_steps:
-            if node in graph.targets:
+    for block, first in enumerate(range(0, trials, dag.SEARCH_BLOCK)):
+        rng = rng_for(seed, "trial-block", block)
+        live = [graph.start] * min(dag.SEARCH_BLOCK, trials - first)
+        for _ in range(max_steps):
+            done = [v for v in live if v in graph.targets or not graph.successors[v]]
+            successes += sum(v in graph.targets for v in done)
+            live = [v for v in live if v not in graph.targets and graph.successors[v]]
+            if not live:
                 break
-            succ = graph.successors[node]
-            if not succ:
-                break
-            cdf = cumulative[node]
-            pick = min(int(np.searchsorted(cdf, rng.random(), side="right")), len(succ) - 1)
-            node = succ[pick]
-            steps += 1
-        if node in graph.targets:
-            successes += 1
-        total_steps += steps
+            u = rng.random(len(live))
+            total_steps += len(live)
+            for j, v in enumerate(live):
+                succ = graph.successors[v]
+                pick = min(int(np.searchsorted(cumulative[v], u[j], side="right")), len(succ) - 1)
+                live[j] = succ[pick]
+        successes += sum(v in graph.targets for v in live)
     return dag.TraversalStats(trials, successes, total_steps / trials, successes / trials)
 
 
@@ -274,6 +280,25 @@ class TestLockstepSearch:
         policy = dag.ReasoningPolicy(tables=tuple(short if graph.successors[v] else None for v in range(graph.n_nodes)))
         expected = _scalar_search(graph, policy, 5000, 4, seed=3)
         assert dag.run_search(graph, policy, 5000, 4, seed=3) == expected
+
+    @given(
+        graph=st.one_of(
+            st.builds(dag.layered_dag, st.integers(1, 5), st.integers(1, 4), st.integers(1, 3), st.integers(0, 2**16)),
+            st.builds(dag.trap_dag, st.integers(1, 4), st.integers(2, 3)),  # dead ends stop trials mid-block
+        ),
+        kind=st.sampled_from(["uniform", "concentrated", "non_degenerate"]),
+        trials=st.integers(1, 40),
+        max_steps=st.integers(1, 6),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    @settings(max_examples=100)
+    def test_small_blocks_equal_the_scalar_loop(self, graph, kind, trials, max_steps, seed):
+        # blocks of 7 trials: several blocks and a ragged last one, cheaply
+        policy = dag.make_policy(graph, kind, kappa=50.0, minority_mass=1.0, delta=0.3, seed=seed)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dag, "SEARCH_BLOCK", 7)
+            expected = _scalar_search(graph, policy, trials, max_steps, seed)
+            assert dag.run_search(graph, policy, trials, max_steps, seed) == expected
 
 
 class TestDominantPlacement:
