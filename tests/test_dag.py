@@ -281,6 +281,24 @@ class TestLockstepSearch:
         expected = _scalar_search(graph, policy, 5000, 4, seed=3)
         assert dag.run_search(graph, policy, 5000, 4, seed=3) == expected
 
+    @pytest.mark.parametrize("block", [1, 2, 3, 5, 64])
+    def test_block_sizes_equal_the_scalar_loop(self, block, monkeypatch):
+        # block 1 gives every trial its own stream; 64 holds all 50 trials
+        graph = dag.trap_dag(4, 3)
+        policy = dag.make_policy(graph, "non_degenerate", delta=0.3, seed=2)
+        monkeypatch.setattr(dag, "SEARCH_BLOCK", block)
+        expected = _scalar_search(graph, policy, 50, 5, seed=9)
+        assert dag.run_search(graph, policy, 50, 5, seed=9) == expected
+
+    # Roots at the word boundaries of a 64-bit seed.
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1])
+    def test_edge_seeds_equal_the_scalar_loop(self, seed, monkeypatch):
+        graph = dag.trap_dag(4, 3)
+        policy = dag.make_policy(graph, "uniform", seed=0)
+        monkeypatch.setattr(dag, "SEARCH_BLOCK", 7)
+        expected = _scalar_search(graph, policy, 30, 6, seed)
+        assert dag.run_search(graph, policy, 30, 6, seed) == expected
+
     @given(
         graph=st.one_of(
             st.builds(dag.layered_dag, st.integers(1, 5), st.integers(1, 4), st.integers(1, 3), st.integers(0, 2**16)),

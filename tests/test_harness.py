@@ -131,28 +131,32 @@ class TestSeeding:
         y = rng_for(7, "stream", 3).standard_normal(4)
         np.testing.assert_array_equal(x, y)
 
-    def test_stream_canary(self):
-        # The first draws of every Generator method certlab calls, pinned bit
-        # for bit: numpy does not promise to keep its streams (NEP 19), and a
-        # change should fail here by name before it moves the pinned digests.
-        def first(method, *args, **kwargs):
-            out = getattr(rng_for(0, "canary"), method)(*args, **kwargs)
-            return [x.hex() for x in out.tolist()] if out.dtype.kind == "f" else out.tolist()
-
+    def test_canary_address(self):
         assert derive_seed(0, "canary") == 2619220909240995087
-        assert first("random", 3) == ["0x1.05a085ed863f0p-5", "0x1.99b550e4ce172p-2", "0x1.84955cd76fa18p-3"]
-        assert first("standard_normal", 3) == ["0x1.154705775bc85p-3", "0x1.42c5387b5df1cp-2", "-0x1.e752a041ca8a8p-2"]
-        assert first("normal", 1.0, 2.0, 3) == ["0x1.4551c15dd6f21p+0", "0x1.a1629c3daef8ep+0", "0x1.8ad5fbe357580p-5"]
-        assert first("uniform", -1.0, 1.0, 3) == ["-0x1.df4bef424f382p-1", "-0x1.992abc6cc7a38p-3", "-0x1.3db55194482f4p-1"]
-        assert first("standard_gamma", [0.5, 2.0, 7.0]) == [
-            "0x1.0b60b5be02b4fp-10", "0x1.1feb356dde3a8p+0", "0x1.d17ac000f7f0dp+2"
-        ]
-        assert first("dirichlet", [0.5, 1.0, 4.0]) == [
-            "0x1.25794a2a10745p-13", "0x1.d31effa589a77p-5", "0x1.e2bbb87104c49p-1"
-        ]
-        assert first("integers", 0, 1000, 3) == [422, 31, 201]
-        assert rng_for(0, "canary").integers(7) == 2
-        assert first("choice", 50, size=4, replace=False) == [9, 1, 19, 20]
+
+    # The first draws of every Generator method certlab calls, pinned bit for
+    # bit: numpy does not promise to keep its streams (NEP 19), and a change
+    # should fail here, under the method's name, before it moves the pinned
+    # digests.  ``standard_gamma`` is called by ``categorical.dirichlet_sample``.
+    @pytest.mark.parametrize(
+        ("method", "args", "kwargs", "expected"),
+        [
+            ("random", (3,), {}, ["0x1.05a085ed863f0p-5", "0x1.99b550e4ce172p-2", "0x1.84955cd76fa18p-3"]),
+            ("standard_normal", (3,), {}, ["0x1.154705775bc85p-3", "0x1.42c5387b5df1cp-2", "-0x1.e752a041ca8a8p-2"]),
+            ("normal", (1.0, 2.0, 3), {}, ["0x1.4551c15dd6f21p+0", "0x1.a1629c3daef8ep+0", "0x1.8ad5fbe357580p-5"]),
+            ("uniform", (-1.0, 1.0, 3), {}, ["-0x1.df4bef424f382p-1", "-0x1.992abc6cc7a38p-3", "-0x1.3db55194482f4p-1"]),
+            ("standard_gamma", ([0.5, 2.0, 7.0],), {}, ["0x1.0b60b5be02b4fp-10", "0x1.1feb356dde3a8p+0", "0x1.d17ac000f7f0dp+2"]),
+            ("dirichlet", ([0.5, 1.0, 4.0],), {}, ["0x1.25794a2a10745p-13", "0x1.d31effa589a77p-5", "0x1.e2bbb87104c49p-1"]),
+            ("integers", (0, 1000, 3), {}, [422, 31, 201]),
+            ("integers", (7,), {}, 2),
+            ("choice", (50,), {"size": 4, "replace": False}, [9, 1, 19, 20]),
+        ],
+        ids=["random", "standard_normal", "normal", "uniform", "standard_gamma", "dirichlet", "integers", "integers-scalar", "choice"],
+    )
+    def test_stream_canary(self, method, args, kwargs, expected):
+        out = np.asarray(getattr(rng_for(0, "canary"), method)(*args, **kwargs))
+        first = [x.hex() for x in out.tolist()] if out.dtype.kind == "f" else out.tolist()
+        assert first == expected
 
 
 class TestCsv:
