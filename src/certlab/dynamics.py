@@ -3,13 +3,14 @@
 Two simulators and one analytic curve:
 
 * ``simulate_discrete_chain``: a token chain whose step-``k`` logits are a
-  deterministic function of the generated prefix.  Additive logit noise is
-  constrained to be *sub-decisional* (argmax-preserving), and the argmax at
-  each step discards it, so the perturbed chain can never leave the clean
-  trajectory; the divergence count is exactly zero.  Each prefix group
-  is one call of ``noisy_argmax_counts``, the one kernel that counts the
-  argmaxes of noisy logit rows; in sub-decisional mode it redraws the rows
-  that moved the argmax, round by round, block by block.
+  deterministic function of the generated prefix.  Sub-decisional logit
+  noise is drawn uniformly from ``[-scale/2, scale/2]`` per logit, so it moves
+  every pairwise logit gap by at most ``scale``, and the spec requires
+  ``scale < min_margin``, the floor of every step's top-two gap.  No draw can
+  then move an argmax, so the perturbed chain never leaves the clean
+  trajectory and the divergence count is zero by theorem, not by
+  rejection.  Each prefix group is one call of ``noisy_argmax_counts``, the
+  one kernel that counts the argmaxes of noisy logit rows.
 * ``monte_carlo_error``: a continuous state chain ``h_k = L h_{k-1} + noise``
   with no quantization step.  The final squared error follows the geometric
   series ``(1 - L^(2M)) / (1 - L^2) * d * sigma^2`` (``M * d * sigma^2`` at
@@ -25,11 +26,11 @@ Reproducibility: all samplers consume streams derived from an explicit
 seed.  Trial populations are processed in deterministic batches (per-step
 prefix groups for the discrete chain, fixed-size blocks for the error
 Monte Carlo); batches are independent streams merged in index order, so
-results do not depend on execution schedule.  Within a batch the normals
-are drawn in consecutive blocks of ``cat_bulk.block_rows`` rows.  The
-normal sampler keeps no state between calls, so the blocks are the rows of
-one whole-batch draw in order, and memory does not grow with the trial
-count.
+results do not depend on execution schedule.  Within a batch the noise
+is drawn in consecutive blocks of ``cat_bulk.block_rows`` rows.  The
+normal and uniform samplers keep no state between calls, so the blocks are
+the rows of one whole-batch draw in order, and memory does not grow with
+the trial count.
 """
 
 from __future__ import annotations
@@ -41,10 +42,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cat_bulk import block_rows
-from .errors import InvalidInputError, SamplingExhaustedError
+from .errors import InvalidInputError
 from .seeding import rng_for
 
-REJECTION_CAP = 10**6
 MC_BLOCK = 8192
 
 # ---------------------------------------------------------------------------
@@ -148,6 +148,10 @@ class DiscreteChainSpec:
     generated prefix, realized as a seeded lookup keyed by the prefix
     bytes, with the top logit lifted where needed so every decision has
     margin >= ``min_margin`` (hence a unique argmax).
+
+    For a sub-decisional spec ``noise_scale`` bounds how far the noise moves
+    any logit gap, and it must lie below ``min_margin``, so no step's argmax
+    can move; for an unconstrained spec it is the Gaussian noise's sigma.
     """
 
     steps: int
@@ -166,6 +170,10 @@ class DiscreteChainSpec:
             raise InvalidInputError(f"noise scale must be >= 0, got {self.noise_scale!r}")
         if not (self.min_margin > 0):
             raise InvalidInputError(f"min_margin must be positive, got {self.min_margin!r}")
+        if self.sub_decisional_only and not (self.noise_scale < self.min_margin):
+            raise InvalidInputError(
+                f"sub-decisional noise scale must be below min_margin {self.min_margin!r}, got {self.noise_scale!r}"
+            )
 
 
 def prefix_logits(spec: DiscreteChainSpec, prefix: tuple[int, ...]) -> np.ndarray:
@@ -179,57 +187,48 @@ def prefix_logits(spec: DiscreteChainSpec, prefix: tuple[int, ...]) -> np.ndarra
     second = float(np.partition(logits, spec.n_options - 2)[-2])
     if logits[top] - second < spec.min_margin:
         logits[top] = second + spec.min_margin
+        while logits[top] - second < spec.min_margin:  # the sum rounded down
+            logits[top] = np.nextafter(logits[top], np.inf)
     return logits
 
 
 def noisy_argmax_counts(
     l_star, scale: float, rng: np.random.Generator, count: int, sub_decisional: bool = True
-) -> tuple[np.ndarray, int]:
-    """Per-token counts of the argmaxes of ``count`` noisy copies of ``l_star``, and the row redraws.
+) -> np.ndarray:
+    """Per-token counts of the argmaxes of ``count`` noisy copies of ``l_star``.
 
-    Each copy adds N(0, scale^2 I) noise drawn from ``rng``.  A round's rows
-    are drawn in consecutive blocks of ``block_rows(B)`` rows, the
-    rows of one draw in order, so memory holds one block at any ``count``.
-    Argmax ties go to the lowest index.  A sub-decisional draw keeps a row
-    only if it leaves the argmax unchanged: it counts the rows at the clean
-    argmax and redraws as many rows as moved, round by round, until none
-    moves.  Which rows moved does not change the stream, so the counts are
-    those of redrawing the moved rows of one whole draw in index order.
-    Raises SamplingExhaustedError when rows still move after
-    ``REJECTION_CAP`` rounds, which signals a noise scale far above the
-    decision margin.
+    A sub-decisional copy adds noise drawn from ``rng.uniform(-scale / 2,
+    scale / 2)`` per logit, which moves every pairwise logit gap by at most
+    ``scale``; the kernel refuses a ``scale`` that is not below the top-two
+    gap of ``l_star``, so every copy keeps the clean argmax.  An
+    unconstrained copy adds N(0, scale^2 I) noise.  The rows are drawn in
+    consecutive blocks of ``block_rows(B)`` rows, the rows of one draw in
+    order, so memory holds one block at any ``count``.  Argmax ties go to
+    the lowest index.
     """
     l = np.asarray(l_star, dtype=np.float64)
     if scale < 0:
         raise InvalidInputError(f"scale must be >= 0, got {scale!r}")
-    if sub_decisional and np.sum(l == l.max()) > 1:
-        raise InvalidInputError("logits must have a unique argmax")
-    clean = int(np.argmax(l))
+    if sub_decisional:
+        gap = float(l.max() - np.partition(l, l.size - 2)[-2])
+        if not (scale < gap):
+            raise InvalidInputError(f"sub-decisional scale {scale!r} must be below the top-two gap {gap!r}")
     block = block_rows(l.size)
     sizes = np.zeros(l.size, dtype=np.int64)
-    pending, redrawn, rounds = count, 0, 0
-    while pending:
-        if rounds == REJECTION_CAP:
-            raise SamplingExhaustedError(f"{pending} rows still rejected after {rounds} rounds at scale {scale!r}")
-        tally = np.zeros(l.size, dtype=np.int64)
-        for start in range(0, pending, block):
-            noise = rng.normal(0.0, scale, (min(block, pending - start), l.size))
-            tally += np.bincount(np.argmax(l + noise, axis=1), minlength=l.size)
-        rounds += 1
-        if not sub_decisional:
-            return tally, 0
-        sizes[clean] += tally[clean]
-        pending -= int(tally[clean])
-        redrawn += pending
-    return sizes, redrawn
+    for start in range(0, count, block):
+        shape = (min(block, count - start), l.size)
+        noise = rng.uniform(-scale / 2, scale / 2, shape) if sub_decisional else rng.normal(0.0, scale, shape)
+        sizes += np.bincount(np.argmax(l + noise, axis=1), minlength=l.size)
+    return sizes
 
 
 def simulate_discrete_chain(spec: DiscreteChainSpec, trials: int, seed: int) -> int:
     """Count trials whose final token differs from the clean chain's.
 
     Each trial runs the perturbed chain, recomputing step-``k`` logits from
-    its *own* generated prefix, with per-step noise (argmax-preserving when
-    ``sub_decisional_only``).  Trials sharing a prefix form one group, drawn
+    its *own* generated prefix, with per-step noise (bounded below every
+    step's margin when ``sub_decisional_only``, so no trial can diverge;
+    Gaussian otherwise).  Trials sharing a prefix form one group, drawn
     by ``noisy_argmax_counts`` from a stream derived from (seed, step,
     group rank), groups ranked in lexicographic prefix order.
     """
@@ -248,7 +247,7 @@ def simulate_discrete_chain(spec: DiscreteChainSpec, trials: int, seed: int) -> 
         next_groups: dict[tuple[int, ...], int] = {}
         for rank, (prefix, count) in enumerate(groups.items()):
             rng = rng_for(seed, "step", step, "group", rank)
-            sizes, _ = noisy_argmax_counts(
+            sizes = noisy_argmax_counts(
                 prefix_logits(spec, prefix), spec.noise_scale, rng, count, spec.sub_decisional_only
             )
             for token in np.flatnonzero(sizes).tolist():

@@ -2,8 +2,8 @@
 
 Public functions never raise bare ValueError for contract violations;
 each failure mode gets its own class so callers (and the CLI exit-code
-mapping) can distinguish bad inputs from structurally infinite results,
-exhausted samplers, or oversized enumerations.
+mapping) can distinguish bad inputs from structurally infinite results
+or oversized enumerations.
 """
 
 
@@ -25,14 +25,6 @@ class InfiniteDivergenceError(CertlabError):
 
 class NoSuccessorsError(CertlabError):
     """A terminal graph node was queried for a successor distribution."""
-
-
-class SamplingExhaustedError(CertlabError):
-    """Rejection sampling exceeded its attempt budget.
-
-    Signals that the requested noise scale is far above the decision
-    margin, so the acceptance region has vanishing probability.
-    """
 
 
 class EnumerationTooLargeError(CertlabError):

@@ -106,16 +106,27 @@ TRADEOFF_SCHEMA = {
 }
 # Most cells (remainder compositions times B) the grid-search oracle may score for one B.
 ORACLE_CAP = 10**7
-# Most normal variates a Monte Carlo runner may plan to draw.  Its kernels stream
+# Most noise variates a Monte Carlo runner may plan to draw.  Its kernels stream
 # fixed-size blocks, so no allocation fails on a huge trial count; this cap stops
 # the run before its first draw instead.
 DRAW_CAP = 10**10
+# Chance that a standard normal lies more than 3 from 0: the nominal false-alarm
+# rate of one 3-sigma row.
+THREE_SIGMA_RATE = math.erfc(3.0 / math.sqrt(2.0))
 
 
 def _cap_draws(draws: int, key: str = "trials") -> None:
-    """Refuse, before any draw, a run whose ``params.<key>`` would draw more than ``DRAW_CAP`` normals."""
+    """Refuse, before any draw, a run whose ``params.<key>`` would draw more than ``DRAW_CAP`` variates."""
     if draws > DRAW_CAP:
-        raise EnumerationTooLargeError(f"params.{key}: the run would draw {draws} normals, over the cap {DRAW_CAP}")
+        raise EnumerationTooLargeError(f"params.{key}: the run would draw {draws} variates, over the cap {DRAW_CAP}")
+
+
+def false_alarm_note(rows: int) -> str:
+    """The nominal false-alarm rate of a 3-sigma check over ``rows`` independent rows."""
+    text = f"nominal false-alarm rate {THREE_SIGMA_RATE:.2%} per row"
+    if rows > 1:
+        text += f", {1.0 - (1.0 - THREE_SIGMA_RATE) ** rows:.1%} over {rows} rows"
+    return text
 
 
 def _compositions(units: int, slots: int, rows: int):
@@ -381,7 +392,6 @@ NOISE_DISCRETE_SCHEMA = {
     "noise_over_margin": ParamSpec("float", 0.2),
     "min_margin": ParamSpec("float", 1.0),
     "contrast_noise_over_margin": ParamSpec("float", 5.0),
-    "acceptance_draws": ParamSpec("int", 2000, minimum=1),
 }
 
 
@@ -403,9 +413,8 @@ def run_noise_discrete(seed: int, params: dict, threads: int = 1) -> ExperimentR
     chain_specs = [chain_spec(index, params["noise_over_margin"]) for index in range(len(specs))]
     zero_spec = chain_spec(0, 0.0)
     contrast = chain_spec(0, params["contrast_noise_over_margin"], sub_decisional_only=False)
-    # both caps count first rounds only, not redraws
+    # one draw per option per step and trial; the cap counts the sub-decisional runs
     _cap_draws(params["trials"] * sum(steps * options for steps, options in specs))
-    _cap_draws(params["acceptance_draws"] * specs[0][1], "acceptance_draws")
 
     def run_spec(item):
         index, spec = item
@@ -442,22 +451,23 @@ def run_noise_discrete(seed: int, params: dict, threads: int = 1) -> ExperimentR
         rows,
     )
 
-    # rejection sampler efficiency: scale at a tenth of the margin accepts >99%
-    logits = dynamics.prefix_logits(zero_spec, ())
-    draws = params["acceptance_draws"]
-    sizes, redrawn = dynamics.noisy_argmax_counts(
-        logits, params["min_margin"] / 10.0, rng_for(seed, "acceptance"), draws
-    )
-    sizes[np.argmax(logits)] = 0  # what is left counts the final draws that moved the argmax
-    result.gate(
-        "rejection sampler postcondition: every draw keeps the argmax",
-        sizes.astype(np.float64), lambda i: f"token {i}",
-    )
-    acceptance = draws / (draws + redrawn)
+    # the bound is tight: on the first step's clean logits, a fixed perturbation
+    # (top down, runner-up up) that moves the top-two gap by just over that gap
+    # flips the argmax, and one that moves it by just under does not
+    logits = dynamics.prefix_logits(chain_specs[0], ())
+    runner_up, top = np.argsort(logits)[-2:]
+    gap = float(logits[top] - logits[runner_up])
+
+    def moved_argmax(change):
+        shift = np.zeros_like(logits)
+        shift[top], shift[runner_up] = -change / 2, change / 2
+        return int(np.argmax(logits + shift))
+
+    over, under = moved_argmax(gap * (1 + 1e-9)), moved_argmax(gap * (1 - 1e-9))
     result.check(
-        "rejection sampler acceptance > 0.99 at scale = margin/10",
-        acceptance > 0.99,
-        f"acceptance {acceptance:.5f}",
+        "sub-decisional bound is tight: a gap change just over the margin flips the argmax",
+        over == runner_up and under == top,
+        f"top-two gap {gap:.6f} (tokens {top}, {runner_up}): argmax {over} just over, {under} just under",
     )
     return result
 
@@ -513,7 +523,23 @@ def run_error_accumulation(seed: int, params: dict, threads: int = 1) -> Experim
         [abs(mean - closed) - 3.0 * stderr for closed, mean, stderr in outcomes],
         lambda i: f"L={rows[i][0]} d={rows[i][2]} M={rows[i][1]}: "
         f"|{rows[i][5]:.6f} - {rows[i][4]:.6f}| vs 3*{rows[i][6]:.2e}",
-        f"worst pull {max(pulls, default=0.0):.2f} sigma over {len(cells)} cells",
+        f"worst pull {max(pulls, default=0.0):.2f} sigma over {len(cells)} cells; {false_alarm_note(len(cells))}",
+    )
+    # the law: |E_M|^2 = s^2 chi^2_d with s^2 = closed / d, so its variance is
+    # 2 d s^4, and the sample variance (trials * stderr^2) has standard error
+    # s^4 sqrt((mu_4 - mu_2^2) / trials) = s^4 sqrt((8 d^2 + 48 d) / trials)
+    trials = params["trials"]
+    laws = []  # (sample variance, its expectation, its standard error) per cell
+    for (_, d, _), (closed, _, stderr) in zip(cells, outcomes):
+        s4 = (closed / d) ** 2
+        laws.append((trials * stderr * stderr, 2 * d * s4, s4 * math.sqrt((8 * d * d + 48 * d) / trials)))
+    law_pulls = [abs(var - expected) / se if se > 0 else 0.0 for var, expected, se in laws]
+    result.gate(
+        "Monte Carlo error variance within 3 standard errors of the chi-squared law at every cell",
+        [abs(var - expected) - 3.0 * se for var, expected, se in laws],
+        lambda i: f"L={rows[i][0]} d={rows[i][2]} M={rows[i][1]}: "
+        f"|{laws[i][0]:.6e} - {laws[i][1]:.6e}| vs 3*{laws[i][2]:.2e}",
+        f"worst pull {max(law_pulls, default=0.0):.2f} sigma over {len(cells)} cells; {false_alarm_note(len(cells))}",
     )
 
     reference = dynamics.LatentConfig(dim=8, steps=6, lipschitz=1.0, sigma_h=0.1)
@@ -611,6 +637,7 @@ def run_accuracy_sweep(seed: int, params: dict, threads: int = 1) -> ExperimentR
         "empirical retention within binomial 3-sigma of the analytic curve everywhere",
         [abs(empirical - analytic) - band for (_, analytic, empirical, _), band in zip(rows, bands)],
         lambda i: f"sigma={rows[i][0]}: |{rows[i][2]:.5f} - {rows[i][1]:.5f}| vs {bands[i]:.5f}",
+        false_alarm_note(len(rows)),
     )
     analytic = np.array([r[1] for r in rows])
     result.gate(
@@ -1154,7 +1181,8 @@ def run_dag_exploration(seed: int, params: dict, threads: int = 1) -> Experiment
     result.check(
         "Monte Carlo search matches the exact oracle within 3 standard errors",
         abs(stats.success_rate - uniform_exact) <= 3.0 * stderr,
-        f"empirical {stats.success_rate:.5e}, exact {uniform_exact:.5e}, 3se {3 * stderr:.2e}",
+        f"empirical {stats.success_rate:.5e}, exact {uniform_exact:.5e}, 3se {3 * stderr:.2e}; "
+        f"{false_alarm_note(1)}",
     )
     for name, graph in (("chain", dag.chain_dag(5)), ("diamond", dag.diamond_dag())):
         policy = dag.make_policy(graph, "uniform", seed=seed)
@@ -1242,7 +1270,7 @@ def run_dag_exploration(seed: int, params: dict, threads: int = 1) -> Experiment
         result.check(
             "custom graph: sampled success matches the exact oracle",
             abs(mc.success_rate - exact) <= max(3.0 * se, 1e-12),
-            f"empirical {mc.success_rate:.5f} vs exact {exact:.5f}",
+            f"empirical {mc.success_rate:.5f} vs exact {exact:.5f}; {false_alarm_note(1)}",
         )
     return result
 

@@ -285,3 +285,100 @@ def test_criterion_11_harness_determinism(battery, tmp_path):
         f"exit codes {battery.code}/{second.code}, {len(outputs1)} outputs byte-compared, "
         f"{len(golden)} pinned digests, mismatched {mismatched}, {elapsed:.1f}s",
     )
+
+
+# Every (experiment, check name) pair of the seed-0 battery, sorted: a check
+# that disappears or is renamed fails by name.
+BATTERY_CHECKS = [
+    ('accuracy-sweep', 'Phi(1) ~ 0.84134 against the quadrature oracle'),
+    ('accuracy-sweep', 'analytic curve is monotone non-increasing'),
+    ('accuracy-sweep', 'doubling the margin doubles the three-quarter retention crossing'),
+    ('accuracy-sweep', 'empirical retention within binomial 3-sigma of the analytic curve everywhere'),
+    ('accuracy-sweep', 'normal CDF matches quadrature to 1e-9 on a z grid'),
+    ('accuracy-sweep', 'retention falls to the coin-flip 0.5 as sigma -> inf'),
+    ('accuracy-sweep', 'retention plateau at 1 as sigma -> 0'),
+    ('cib-frontier', 'all corpus solves converged within the sweep cap'),
+    ('cib-frontier', 'beta = 0 collapses to a constant encoder (i_past ~ 0)'),
+    ('cib-frontier', 'decoder stays non-degenerate at every finite beta'),
+    ('cib-frontier', 'every point obeys the predictive-information ceiling'),
+    ('cib-frontier', 'frontier has no monotonicity or concavity defects'),
+    ('cib-frontier', 'frontier saturates at the full predictive information'),
+    ('cib-frontier', 'no frontier point is Pareto-dominated by another'),
+    ('cib-frontier', 'objective non-increasing across solver sweeps (1e-9 slack)'),
+    ('cib-frontier', 'reference problem: solver matches or beats the deterministic minimum'),
+    ('cib-frontier', 'solver never beaten by any deterministic encoder (within 1e-8)'),
+    ('cib-frontier', 'stage schedule increases monotonically'),
+    ('cib-frontier', 'stage schedule: spot values and divergence at the terminal stage'),
+    ('curriculum', 'analytic likelihood gradient matches central differences to 1e-6 relative'),
+    ('curriculum', 'biased data: success <= 0.01 and expert gap > 0.98 at every sample size'),
+    ('curriculum', "biased fits push the shortcut score far above the expert's"),
+    ('curriculum', 'biased gap shows no decay with dataset size'),
+    ('curriculum', 'curriculum gap at the largest sample size <= 0.01'),
+    ('curriculum', 'curriculum gap non-increasing (allowing one inversion per decade)'),
+    ('curriculum', 'curriculum log-log convergence slope within [-0.65, -0.35]'),
+    ('curriculum', 'expert success reproduces exp(10)/(exp(10)+2) to 1e-9'),
+    ('curriculum', 'fitted-vs-expert total variation within 3*sqrt(log n / n)'),
+    ('curriculum', 'near-deterministic expert recovered within 0.005 at the largest n'),
+    ('curriculum', 'perfectly balanced data fits to equal scores (1e-4) with tiny gradient'),
+    ('curriculum', 'shortcut-dominated weights drive success toward zero'),
+    ('curriculum', 'success rate invariant under a common score shift'),
+    ('dag-exploration', 'Monte Carlo search matches the exact oracle within 3 standard errors'),
+    ('dag-exploration', 'capped policy respects the certainty cap at every node'),
+    ('dag-exploration', 'capped-peak sample: measured divergence <= exact worst case <= simplified bound'),
+    ('dag-exploration', 'capped-policy divergence on binary graphs stays under the delta ceiling'),
+    ('dag-exploration', 'exploration divergence grows with concentration'),
+    ('dag-exploration', 'graph serialization round-trips the trap'),
+    ('dag-exploration', 'single-outcome graph (chain): exact and sampled success are 1'),
+    ('dag-exploration', 'single-outcome graph (diamond): exact and sampled success are 1'),
+    ('dag-exploration', 'spot audit: capped-peak divergences match kl_divergence'),
+    ('dag-exploration', 'trap medians separate the three regimes strictly'),
+    ('dag-exploration', 'trap ordering: concentrated mean success < capped-certainty mean success'),
+    ('dag-exploration', 'trap ordering: uniform success >= both policy means'),
+    ('dag-exploration', 'uniform policy has zero exploration divergence'),
+    ('dag-exploration', "uniform walker's exact trap success equals the closed form"),
+    ('divergence-asymptote', 'asymptote error within 10/kappa at every kappa'),
+    ('divergence-asymptote', 'asymptote slope exactly (B-1)/B'),
+    ('divergence-asymptote', 'concentration: top prob > 0.999 in at least 99% of draws at kappa = 1e6'),
+    ('divergence-asymptote', 'divergence slope vs log kappa within 2% of (B-1)/B'),
+    ('divergence-asymptote', 'mean entropy scaling kappa*H/log(kappa) stays bounded'),
+    ('divergence-asymptote', 'spot audit: concentration top probabilities match symbolic_index'),
+    ('divergence-asymptote', 'spot audit: sampled divergences match kl_divergence'),
+    ('divergence-asymptote', 'two-option asymptote reduces to log(kappa)/2 - log 2'),
+    ('error-accumulation', 'Monte Carlo error variance within 3 standard errors of the chi-squared law at every cell'),
+    ('error-accumulation', 'Monte Carlo within 3 standard errors of the closed form at every cell'),
+    ('error-accumulation', 'contractive chain error approaches the geometric limit'),
+    ('error-accumulation', 'final error ordering follows the Lipschitz constant'),
+    ('error-accumulation', 'unit-Lipschitz closed form equals steps * dim * sigma^2 (0.48 reference)'),
+    ('noise-discrete', 'sub-decisional bound is tight: a gap change just over the margin flips the argmax'),
+    ('noise-discrete', 'sub-decisional noise: zero final-token divergences across all specs'),
+    ('noise-discrete', 'unconstrained large noise does perturb the final token'),
+    ('noise-discrete', 'zero noise: zero divergences'),
+    ('tradeoff-scan', 'both floors vanish at the uniform point s = 1/B'),
+    ('tradeoff-scan', 'certainty cost floor attained by even-remainder distributions'),
+    ('tradeoff-scan', 'certainty cost floor: D(p||uniform) >= tradeoff bound on the same sample'),
+    ('tradeoff-scan', 'exploration floor: D(uniform||p) >= even-remainder bound on the same sample'),
+    ('tradeoff-scan', 'floors increase monotonically on s in [0.5, 0.999]'),
+    ('tradeoff-scan', 'grid-search oracle reproduces the s=0.7, B=4 minimum ~ 0.4458'),
+    ('tradeoff-scan', 'scalar-vs-vectorized consistency at B=16'),
+    ('tradeoff-scan', 'scalar-vs-vectorized consistency at B=2'),
+    ('tradeoff-scan', 'scalar-vs-vectorized consistency at B=3'),
+    ('tradeoff-scan', 'scalar-vs-vectorized consistency at B=32'),
+    ('tradeoff-scan', 'scalar-vs-vectorized consistency at B=4'),
+    ('tradeoff-scan', 'scalar-vs-vectorized consistency at B=8'),
+    ('tradeoff-scan', 'scan: bound <= grid-search minimum at every row'),
+    ('tradeoff-scan', 'stability floor at 0.5 == 0'),
+    ('tradeoff-scan', 'stability floor at 0.6 ~ 0.405'),
+    ('tradeoff-scan', 'stability floor at 0.99 ~ 4.595'),
+    ('tradeoff-scan', 'stability floor: margin >= log(s/(1-s)) on random softmax sample'),
+    ('tradeoff-scan', 'two-option equality: margin == stability floor exactly'),
+]
+
+
+def test_battery_lists_every_check_by_name(battery):
+    names = sorted(
+        (manifest.parent.name, check["name"])
+        for manifest in battery.out.glob("*/manifest.json")
+        for check in load_manifest(manifest).checks
+    )
+    assert len(list(battery.out.glob("*/manifest.json"))) == 8
+    assert names == BATTERY_CHECKS

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from certlab import curriculum as cur
 from certlab.errors import InvalidInputError
@@ -223,6 +225,29 @@ class TestFitRows:
             np.testing.assert_array_equal(theta[rows], group_theta)
             np.testing.assert_array_equal(grad_norm[rows], group_norm)
             start += len(group)
+
+    @given(
+        counts=st.lists(
+            # zero cells and counts up to 10**12; a row needs one observation
+            st.lists(st.sampled_from((0, 1, 2, 7, 100, 12_345, 10**6, 10**9, 10**12)), min_size=3, max_size=3)
+            .filter(any),
+            min_size=1,
+            max_size=8,
+        ),
+        iterations=st.integers(1, 50),
+        step=st.floats(0.0, 2.0, exclude_min=True),
+        # 50 iterations rarely leave the default ball: small bounds make some rows project
+        param_bound=st.sampled_from((0.5, 3.0, cur.PARAM_BOUND)),
+    )
+    @settings(max_examples=100)
+    def test_rows_equal_one_row_calls_bit_for_bit(self, counts, iterations, step, param_bound):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cur, "PARAM_BOUND", param_bound)
+            theta, grad_norm = cur.fit_rows(np.array(counts, dtype=np.float64), iterations, step)
+            for row, c in enumerate(counts):
+                row_theta, row_norm = cur.fit_rows(np.array([c], dtype=np.float64), iterations, step)
+                assert [float(x).hex() for x in theta[row]] == [float(x).hex() for x in row_theta[0]]
+                assert float(grad_norm[row]).hex() == float(row_norm[0]).hex()
 
     @pytest.mark.parametrize("shape", [(3,), (2, 4), (0, 3), (1, 3, 1)])
     def test_count_matrix_must_be_k_by_3(self, shape):

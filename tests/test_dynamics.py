@@ -8,95 +8,87 @@ import numpy as np
 import pytest
 
 from certlab import cat_bulk, dynamics
-from certlab.errors import InvalidInputError, SamplingExhaustedError
+from certlab.errors import InvalidInputError
 from certlab.experiments import EXPERIMENTS, default_params
 from certlab.seeding import rng_for
 
 
-def one_shot_rejection(l_star, scale, rng, count):
-    """Reference sampler: one ``(count, B)`` draw, then the rows that move the
-    argmax redrawn in index order, round by round.  Returns the final rows and
-    the number of row redraws."""
-    draws = rng.normal(0.0, scale, (count, len(l_star)))
-    pending = np.flatnonzero(np.argmax(l_star + draws, axis=1) != np.argmax(l_star))
-    redrawn = 0
-    while pending.size:
-        draws[pending] = rng.normal(0.0, scale, (pending.size, len(l_star)))
-        redrawn += pending.size
-        pending = pending[np.argmax(l_star + draws[pending], axis=1) != np.argmax(l_star)]
-    return draws, redrawn
+def one_shot_noise(l_star, scale, rng, count, sub_decisional):
+    """Reference draw: the kernel's noise as one ``(count, B)`` draw, uniform on
+    ``[-scale/2, scale/2)`` for sub-decisional rows and N(0, scale^2) otherwise."""
+    shape = (count, len(l_star))
+    return rng.uniform(-scale / 2, scale / 2, shape) if sub_decisional else rng.normal(0.0, scale, shape)
+
+
+class MutantStream:
+    """``rng`` with its method ``method`` replaced by ``draw(rng, *args)``, every other method its own."""
+
+    def __init__(self, rng, method, draw):
+        self.rng, self.method, self.draw = rng, method, draw
+
+    def __getattr__(self, name):
+        if name == self.method:
+            return lambda *args: self.draw(self.rng, *args)
+        return getattr(self.rng, name)
+
+
+def mutate_streams(monkeypatch, method, draw):
+    """Make every stream that ``dynamics`` opens a MutantStream: a noise-law mutant."""
+    streams = dynamics.rng_for
+    monkeypatch.setattr(dynamics, "rng_for", lambda *labels: MutantStream(streams(*labels), method, draw))
 
 
 class TestNoisyArgmaxCounts:
     def test_zero_scale_keeps_every_row_at_the_argmax(self):
-        sizes, redrawn = dynamics.noisy_argmax_counts([3.0, 1.0, 0.0], 0.0, rng_for(0, "x"), 5)
-        assert sizes.tolist() == [5, 0, 0] and redrawn == 0
+        sizes = dynamics.noisy_argmax_counts([3.0, 1.0, 0.0], 0.0, rng_for(0, "x"), 5)
+        assert sizes.tolist() == [5, 0, 0]
 
     def test_ties_go_to_the_lowest_index(self):
         # zero noise leaves 0 and 2 tied on top: an unconstrained draw counts index 0
-        sizes, _ = dynamics.noisy_argmax_counts([1.0, 0.0, 1.0], 0.0, rng_for(0, "x"), 4, sub_decisional=False)
+        sizes = dynamics.noisy_argmax_counts([1.0, 0.0, 1.0], 0.0, rng_for(0, "x"), 4, sub_decisional=False)
         assert sizes.tolist() == [4, 0, 0]
 
-    def test_every_row_keeps_the_argmax(self):
-        logits = np.array([0.0, 2.0, 1.0, 0.5])
-        sizes, redrawn = dynamics.noisy_argmax_counts(logits, 0.5, rng_for(1, "noise"), 2000)
+    def test_every_row_keeps_the_argmax_just_below_the_gap(self):
+        logits = np.array([0.0, 2.0, 1.0, 0.5])  # top-two gap 1
+        sizes = dynamics.noisy_argmax_counts(logits, 1.0 - 1e-9, rng_for(1, "noise"), 2000)
         assert sizes.tolist() == [0, 2000, 0, 0]
-        assert redrawn > 0  # the redraw rounds ran
-
-    def test_small_scale_accepts_almost_always(self):
-        logits = np.array([2.0, 1.0, 0.0])  # margin 1
-        draws = 2000
-        _, redrawn = dynamics.noisy_argmax_counts(logits, 0.1, rng_for(2, "noise"), draws)
-        assert draws / (draws + redrawn) > 0.99
 
     @pytest.mark.parametrize("sub_decisional", [True, False])
     def test_input_checks(self, sub_decisional):
         with pytest.raises(InvalidInputError):
             dynamics.noisy_argmax_counts([1.0, 0.0], -0.1, rng_for(0, "x"), 1, sub_decisional)
 
-    def test_sub_decisional_needs_a_unique_argmax(self):
-        with pytest.raises(InvalidInputError):
-            dynamics.noisy_argmax_counts([1.0, 1.0, 0.0], 0.1, rng_for(0, "x"), 1)
-
-    @pytest.mark.parametrize("cap, rounds", [(1, 1), (2, 2)])
-    def test_exhaustion_raises_after_the_cap_rounds(self, monkeypatch, cap, rounds):
-        # isotropic noise keeps acceptance near 1/B even at huge scales, so
-        # the guard is exercised with a small budget: about half of 64 rows
-        # move in each round, and every round, the first included, counts once
-        monkeypatch.setattr(dynamics, "REJECTION_CAP", cap)
-        with pytest.raises(SamplingExhaustedError, match=f"still rejected after {rounds} rounds"):
-            dynamics.noisy_argmax_counts([1e-9, 0.0], 1e6, rng_for(3, "noise"), 64)
+    @pytest.mark.parametrize(
+        "logits, scale",
+        [([1.0, 1.0, 0.0], 0.1), ([1.0, 1.0, 0.0], 0.0), ([2.0, 1.0, 0.0], 1.0), ([2.0, 1.0, 0.0], 5.0)],
+        ids=["tie", "tie-at-zero-scale", "scale-at-the-gap", "scale-over-the-gap"],
+    )
+    def test_sub_decisional_scale_must_be_below_the_top_two_gap(self, logits, scale):
+        with pytest.raises(InvalidInputError, match="must be below the top-two gap"):
+            dynamics.noisy_argmax_counts(logits, scale, rng_for(0, "x"), 1)
 
 
-POSTCONDITION = "rejection sampler postcondition: every draw keeps the argmax"
-SMALL_NOISE_DISCRETE = {**default_params("noise-discrete"), "trials": 200, "acceptance_draws": 50}
+ZERO_DIVERGENCE = "sub-decisional noise: zero final-token divergences across all specs"
+TIGHTNESS = "sub-decisional bound is tight: a gap change just over the margin flips the argmax"
+SMALL_NOISE_DISCRETE = {**default_params("noise-discrete"), "trials": 200}
 
 
-class TestNoiseDiscretePostcondition:
+class TestNoiseDiscreteGate:
     def test_listed_once_and_passing(self):
         result = EXPERIMENTS["noise-discrete"].runner(0, SMALL_NOISE_DISCRETE)
-        listed = [check for check in result.checks if check.name == POSTCONDITION]
-        assert len(listed) == 1 and listed[0].passed
+        for name in (ZERO_DIVERGENCE, TIGHTNESS):
+            listed = [check for check in result.checks if check.name == name]
+            assert len(listed) == 1 and listed[0].passed
         assert result.all_passed
 
-    def test_one_moved_draw_fails_it(self, monkeypatch):
-        count_argmaxes = dynamics.noisy_argmax_counts
-        moved_to = {}
-
-        def one_moved(l_star, scale, rng, count, sub_decisional=True):
-            sizes, redrawn = count_argmaxes(l_star, scale, rng, count, sub_decisional)
-            if count == SMALL_NOISE_DISCRETE["acceptance_draws"]:  # the acceptance draws only
-                moved_to["token"] = int(np.argmin(l_star))
-                sizes[np.argmax(l_star)] -= 1
-                sizes[moved_to["token"]] += 1
-            return sizes, redrawn
-
-        monkeypatch.setattr(dynamics, "noisy_argmax_counts", one_moved)
+    def test_tenfold_bounded_noise_fails_it(self, monkeypatch):
+        # noise ten times the bound moves gaps by up to twice the margin, so
+        # some trials leave the clean chain: the gate is a theorem that can fail
+        mutate_streams(monkeypatch, "uniform", lambda rng, low, high, size: 10.0 * rng.uniform(low, high, size))
         result = EXPERIMENTS["noise-discrete"].runner(0, SMALL_NOISE_DISCRETE)
         failed = [check for check in result.checks if not check.passed]
-        assert [check.name for check in failed] == [POSTCONDITION]
-        options = SMALL_NOISE_DISCRETE["options_list"][0]
-        assert failed[0].detail == f"1/{options} rows over the limit, worst token {moved_to['token']} (excess 1.000e+00)"
+        assert [check.name for check in failed] == [ZERO_DIVERGENCE]
+        assert failed[0].detail == "5/5 rows over the limit, worst spec 4 (138 divergences) (excess 1.380e+02)"
 
 
 class TestPrefixLogits:
@@ -113,10 +105,13 @@ class TestPrefixLogits:
         assert np.abs(a - b).max() > 1e-6
 
     def test_margin_floor_enforced(self):
-        for prefix in [(), (0,), (1, 3), (4, 4, 4)]:
-            logits = dynamics.prefix_logits(self.SPEC, prefix)
-            top_two = np.partition(logits, logits.size - 2)[-2:]
-            assert top_two[1] - top_two[0] >= self.SPEC.min_margin - 1e-12
+        # exactly: a sub-decisional scale just below min_margin must be below every gap
+        for logit_seed in range(300):
+            spec = dataclasses.replace(self.SPEC, logit_seed=logit_seed)
+            for prefix in [(), (0,), (1, 3), (4, 4, 4)]:
+                logits = dynamics.prefix_logits(spec, prefix)
+                top_two = np.partition(logits, logits.size - 2)[-2:]
+                assert top_two[1] - top_two[0] >= spec.min_margin
 
 
 class TestDiscreteChain:
@@ -127,6 +122,15 @@ class TestDiscreteChain:
     def test_sub_decisional_noise_never_diverges(self):
         spec = dynamics.DiscreteChainSpec(steps=6, n_options=5, noise_scale=0.2, logit_seed=1)
         assert dynamics.simulate_discrete_chain(spec, 5000, seed=0) == 0
+
+    @pytest.mark.parametrize("scale, min_margin", [(1.0, 1.0), (5.0, 1.0), (0.5, 0.25)])
+    def test_sub_decisional_scale_must_be_below_min_margin(self, scale, min_margin):
+        with pytest.raises(InvalidInputError, match="sub-decisional noise scale must be below min_margin"):
+            dynamics.DiscreteChainSpec(steps=2, n_options=3, noise_scale=scale, min_margin=min_margin)
+        # the bound is on sub-decisional noise only: a Gaussian sigma may exceed the margin
+        dynamics.DiscreteChainSpec(
+            steps=2, n_options=3, noise_scale=scale, sub_decisional_only=False, min_margin=min_margin
+        )
 
     def test_unconstrained_large_noise_diverges(self):
         spec = dynamics.DiscreteChainSpec(
@@ -158,21 +162,17 @@ class TestDiscreteChain:
 class TestStreamedDiscreteChain:
     LOGITS = np.array([0.5, 0.0, -0.3])
 
-    # a margin of 0.5 rejects about 1% of the rows at scale 0.15 and about 63% at scale 5
-    @pytest.mark.parametrize("scale", [0.15, 5.0])
-    @pytest.mark.parametrize("sub_decisional", [True, False])
+    # the top-two gap is 0.5: a sub-decisional scale must stay below it
+    @pytest.mark.parametrize(
+        "scale, sub_decisional", [(0.15, True), (0.45, True), (0.15, False), (5.0, False)]
+    )
     def test_counts_equal_the_one_shot_draw(self, scale, sub_decisional):
         count = 3 * cat_bulk.block_rows(3) + 17  # three full blocks and a ragged one
         streamed, fresh = rng_for(4, "group"), rng_for(4, "group")
-        sizes, redrawn = dynamics.noisy_argmax_counts(self.LOGITS, scale, streamed, count, sub_decisional)
-        if sub_decisional:
-            noise, expected_redrawn = one_shot_rejection(self.LOGITS, scale, fresh, count)
-            assert expected_redrawn > count // 200  # the redraw rounds ran
-        else:
-            noise, expected_redrawn = fresh.normal(0.0, scale, (count, 3)), 0
+        sizes = dynamics.noisy_argmax_counts(self.LOGITS, scale, streamed, count, sub_decisional)
+        noise = one_shot_noise(self.LOGITS, scale, fresh, count, sub_decisional)
         assert sizes.tolist() == np.bincount(np.argmax(self.LOGITS + noise, axis=1), minlength=3).tolist()
-        assert redrawn == expected_redrawn
-        # both consumed the same normals from the stream
+        # both consumed the same variates from the stream
         assert streamed.bit_generator.state == fresh.bit_generator.state
 
     @pytest.mark.parametrize(
@@ -180,8 +180,8 @@ class TestStreamedDiscreteChain:
         [
             (True, 4, 0.2, 50_000),
             (False, 4, 0.2, 50_000),
-            # about four in five rows move at every round: the redraw rounds stream too
-            (True, 5, 50.0, 20_000),
+            # the largest sub-decisional scale, at five options
+            (True, 5, 0.99, 20_000),
         ],
     )
     def test_memory_does_not_grow_with_trials(self, sub_decisional_only, options, scale, trials):
@@ -226,8 +226,45 @@ class TestMonteCarloGate:
         assert not check.passed
         assert check.detail == (
             "2/12 rows over the limit, worst L=1.2 d=8 M=6: |1.566602 - 1.439291| vs 3*2.46e-02 "
-            "(excess 5.340e-02); worst pull 5.17 sigma over 12 cells"
+            "(excess 5.340e-02); worst pull 5.17 sigma over 12 cells; "
+            "nominal false-alarm rate 0.27% per row, 3.2% over 12 rows"
         )
+
+
+LAW_GATE = "Monte Carlo error variance within 3 standard errors of the chi-squared law at every cell"
+
+
+UNIT_VARIANCE_LAWS = {
+    "laplace": lambda rng, shape: rng.laplace(0.0, math.sqrt(0.5), shape),
+    "rademacher": lambda rng, shape: 2.0 * rng.integers(0, 2, shape) - 1.0,
+}
+
+
+class TestLawGate:
+    def _failed(self):
+        result = EXPERIMENTS["error-accumulation"].runner(0, SMALL_ERROR_ACCUMULATION)
+        return {c.name: c.detail for c in result.checks if not c.passed}
+
+    def test_exact_kernel_passes(self):
+        assert self._failed() == {}
+
+    @pytest.mark.parametrize(
+        "law, detail",
+        [
+            ("laplace", "9/12 rows over the limit, worst L=1.2 d=8 M=6: |6.720384e-01 - 5.178896e-01| vs 3*3.06e-02 "
+             "(excess 6.223e-02); worst pull 25.61 sigma over 12 cells; "
+             "nominal false-alarm rate 0.27% per row, 3.2% over 12 rows"),
+            ("rademacher", "9/12 rows over the limit, worst L=1.2 d=8 M=6: |3.970389e-01 - 5.178896e-01| vs 3*3.06e-02 "
+             "(excess 2.893e-02); worst pull 16.90 sigma over 12 cells; "
+             "nominal false-alarm rate 0.27% per row, 3.2% over 12 rows"),
+        ],
+    )
+    def test_fails_on_another_unit_variance_law(self, monkeypatch, law, detail):
+        mutate_streams(monkeypatch, "standard_normal", UNIT_VARIANCE_LAWS[law])
+        failed = self._failed()
+        assert failed[LAW_GATE] == detail
+        if law == "laplace":  # the mean gate sees only E|E_M|^2, which any unit-variance law reproduces
+            assert list(failed) == [LAW_GATE]
 
 
 class TestClosedForm:

