@@ -295,7 +295,6 @@ def make_policy(
         maximum capped at ``1 - delta`` and the remainder renormalized
         proportionally, so the top probability never exceeds the cap.
     """
-    rng = rng_for(seed, "policy", kind)
     tables: list[np.ndarray | None] = []
     if kind == "concentrated":
         if kappa is None or minority_mass is None:
@@ -305,6 +304,7 @@ def make_policy(
             raise InvalidInputError("non_degenerate policy needs delta")
     elif kind != "uniform":
         raise InvalidInputError(f"unknown policy kind {kind!r}")
+    rng = None if kind == "uniform" else rng_for(seed, "policy", kind)  # a uniform policy draws nothing
 
     for v in range(dag.n_nodes):
         k = len(dag.successors[v])

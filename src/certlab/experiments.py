@@ -4,13 +4,14 @@ Every experiment is a pure function of (seed, params): it returns its data
 tables and a list of named pass/fail checks, and the CLI turns check
 failures into a nonzero exit code.  Every check over many rows is one
 ``ExperimentResult.gate``, recording how many rows exceed the limit and the
-worst row, so a NaN row fails it; ``strict_rise`` gives the rows of a
-"strictly increasing" check, and ``check`` records single comparisons and
-boolean facts.  Heavy sampling loops run as numpy row kernels; where a kernel
-shadows a scalar module operation, ``ExperimentResult.audit_rows``
-re-evaluates a random subsample through the public scalar op and gates the
-deviation, so the fast path cannot silently drift from the contract it is
-testing.
+worst row, so a NaN row fails it; every Monte Carlo comparison, one row or
+many, is one ``ExperimentResult.sigma_gate``, the gate of the 3-sigma rule;
+``strict_rise`` gives the rows of a "strictly increasing" check, and ``check``
+records single comparisons and boolean facts.  Heavy sampling loops run as
+numpy row kernels; where a kernel shadows a scalar module operation,
+``ExperimentResult.audit_rows`` re-evaluates a random subsample through the
+public scalar op and gates the deviation, so the fast path cannot silently
+drift from the contract it is testing.
 """
 
 from __future__ import annotations
@@ -34,6 +35,9 @@ from .seeding import derive_seed, rng_for
 # scalar recomputation.
 SPOT_SUBSAMPLE = 200
 SPOT_TOL = 1e-10
+# Chance that a standard normal lies more than 3 from 0: the nominal false-alarm
+# rate of one 3-sigma row.
+THREE_SIGMA_RATE = math.erfc(3.0 / math.sqrt(2.0))
 
 
 @dataclass
@@ -59,6 +63,22 @@ class ExperimentResult:
             worst = int(np.argmax(excess))  # the first NaN, if any
             text += f", worst {where(worst)} (excess {excess[worst]:.3e})"
         self.check(name, over == 0, f"{text}; {detail}" if detail else text)
+
+    def sigma_gate(self, name: str, observed, expected, stderr, where) -> None:
+        """The 3-sigma gate: row i passes when ``|observed[i] - expected[i]| <= 3 * stderr[i]``.
+
+        The detail adds the worst pull (0 where the stderr is 0) and the rule's nominal false-alarm rate."""
+        observed, expected, stderr = (np.asarray(a, dtype=np.float64) for a in (observed, expected, stderr))
+        diff = np.abs(observed - expected)
+        pulls = np.divide(diff, stderr, out=np.zeros_like(diff), where=stderr > 0)
+        rate = f"nominal false-alarm rate {THREE_SIGMA_RATE:.2%} per row"
+        if diff.size > 1:
+            rate += f", {1.0 - (1.0 - THREE_SIGMA_RATE) ** diff.size:.1%} over {diff.size} rows"
+        self.gate(
+            name, diff - 3.0 * stderr,
+            lambda i: f"{where(i)}: |{observed[i]:.6e} - {expected[i]:.6e}| vs 3*{stderr[i]:.2e}",
+            f"worst pull {np.max(pulls, initial=0.0):.2f} sigma; {rate}",
+        )
 
     def audit_rows(self, name: str, rows, bulk, scalar) -> None:
         """Spot audit: at every row i of ``rows``, gate the fast path's value
@@ -110,23 +130,12 @@ ORACLE_CAP = 10**7
 # fixed-size blocks, so no allocation fails on a huge trial count; this cap stops
 # the run before its first draw instead.
 DRAW_CAP = 10**10
-# Chance that a standard normal lies more than 3 from 0: the nominal false-alarm
-# rate of one 3-sigma row.
-THREE_SIGMA_RATE = math.erfc(3.0 / math.sqrt(2.0))
 
 
-def _cap_draws(draws: int, key: str = "trials") -> None:
-    """Refuse, before any draw, a run whose ``params.<key>`` would draw more than ``DRAW_CAP`` variates."""
+def _cap_draws(draws: int) -> None:
+    """Refuse, before any draw, a run whose ``params.trials`` would draw more than ``DRAW_CAP`` variates."""
     if draws > DRAW_CAP:
-        raise EnumerationTooLargeError(f"params.{key}: the run would draw {draws} variates, over the cap {DRAW_CAP}")
-
-
-def false_alarm_note(rows: int) -> str:
-    """The nominal false-alarm rate of a 3-sigma check over ``rows`` independent rows."""
-    text = f"nominal false-alarm rate {THREE_SIGMA_RATE:.2%} per row"
-    if rows > 1:
-        text += f", {1.0 - (1.0 - THREE_SIGMA_RATE) ** rows:.1%} over {rows} rows"
-    return text
+        raise EnumerationTooLargeError(f"params.trials: the run would draw {draws} variates, over the cap {DRAW_CAP}")
 
 
 def _compositions(units: int, slots: int, rows: int):
@@ -517,29 +526,22 @@ def run_error_accumulation(seed: int, params: dict, threads: int = 1) -> Experim
         ["L_F", "M", "d", "sigma_h", "closed_form", "mc_mean", "mc_stderr"],
         rows,
     )
-    pulls = [abs(mean - closed) / stderr if stderr > 0 else 0.0 for closed, mean, stderr in outcomes]
-    result.gate(
+    closed, means, stderrs = np.array(outcomes).T
+    labels = [f"L={lf} d={d} M={m}" for lf, d, m in cells]
+    result.sigma_gate(
         "Monte Carlo within 3 standard errors of the closed form at every cell",
-        [abs(mean - closed) - 3.0 * stderr for closed, mean, stderr in outcomes],
-        lambda i: f"L={rows[i][0]} d={rows[i][2]} M={rows[i][1]}: "
-        f"|{rows[i][5]:.6f} - {rows[i][4]:.6f}| vs 3*{rows[i][6]:.2e}",
-        f"worst pull {max(pulls, default=0.0):.2f} sigma over {len(cells)} cells; {false_alarm_note(len(cells))}",
+        means, closed, stderrs, lambda i: labels[i],
     )
     # the law: |E_M|^2 = s^2 chi^2_d with s^2 = closed / d, so its variance is
     # 2 d s^4, and the sample variance (trials * stderr^2) has standard error
     # s^4 sqrt((mu_4 - mu_2^2) / trials) = s^4 sqrt((8 d^2 + 48 d) / trials)
     trials = params["trials"]
-    laws = []  # (sample variance, its expectation, its standard error) per cell
-    for (_, d, _), (closed, _, stderr) in zip(cells, outcomes):
-        s4 = (closed / d) ** 2
-        laws.append((trials * stderr * stderr, 2 * d * s4, s4 * math.sqrt((8 * d * d + 48 * d) / trials)))
-    law_pulls = [abs(var - expected) / se if se > 0 else 0.0 for var, expected, se in laws]
-    result.gate(
+    dims = np.array([d for _, d, _ in cells])
+    s4 = (closed / dims) ** 2
+    result.sigma_gate(
         "Monte Carlo error variance within 3 standard errors of the chi-squared law at every cell",
-        [abs(var - expected) - 3.0 * se for var, expected, se in laws],
-        lambda i: f"L={rows[i][0]} d={rows[i][2]} M={rows[i][1]}: "
-        f"|{laws[i][0]:.6e} - {laws[i][1]:.6e}| vs 3*{laws[i][2]:.2e}",
-        f"worst pull {max(law_pulls, default=0.0):.2f} sigma over {len(cells)} cells; {false_alarm_note(len(cells))}",
+        trials * stderrs * stderrs, 2 * dims * s4, s4 * np.sqrt((8 * dims * dims + 48 * dims) / trials),
+        lambda i: labels[i],
     )
 
     reference = dynamics.LatentConfig(dim=8, steps=6, lipschitz=1.0, sigma_h=0.1)
@@ -632,14 +634,11 @@ def run_accuracy_sweep(seed: int, params: dict, threads: int = 1) -> ExperimentR
         seed=derive_seed(seed, "accuracy"),
     )
     result.tables["accuracy_sweep.csv"] = (["sigma", "analytic", "empirical", "std_error"], rows)
-    bands = [3.0 * math.sqrt(analytic * (1.0 - analytic) / params["trials"]) for _, analytic, _, _ in rows]
-    result.gate(
+    sigmas, analytic, empirical = np.array([r[:3] for r in rows]).T
+    result.sigma_gate(
         "empirical retention within binomial 3-sigma of the analytic curve everywhere",
-        [abs(empirical - analytic) - band for (_, analytic, empirical, _), band in zip(rows, bands)],
-        lambda i: f"sigma={rows[i][0]}: |{rows[i][2]:.5f} - {rows[i][1]:.5f}| vs {bands[i]:.5f}",
-        false_alarm_note(len(rows)),
+        empirical, analytic, np.sqrt(analytic * (1.0 - analytic) / params["trials"]), lambda i: f"sigma={sigmas[i]}",
     )
-    analytic = np.array([r[1] for r in rows])
     result.gate(
         "analytic curve is monotone non-increasing",
         analytic[1:] - analytic[:-1], lambda i: f"sigma={rows[i + 1][0]} after sigma={rows[i][0]}",
@@ -1123,7 +1122,7 @@ def run_dag_exploration(seed: int, params: dict, threads: int = 1) -> Experiment
         raise InvalidInputError("params.kappa_grid: need at least two strictly increasing values")
     custom = dag.parse_dag(read_text_file(params["graph_file"], InvalidInputError)) if params["graph_file"] else None
     trap = dag.trap_dag(params["depth"], params["branching"])
-    uniform_policy = dag.make_policy(trap, "uniform", seed=derive_seed(seed, "uniform"))
+    uniform_policy = dag.make_policy(trap, "uniform")
     uniform_exact = dag.enumerate_paths(trap, uniform_policy)
     closed = (1.0 / params["branching"]) ** params["depth"]
     result.check(
@@ -1177,15 +1176,13 @@ def run_dag_exploration(seed: int, params: dict, threads: int = 1) -> Experiment
     stats = dag.run_search(
         trap, uniform_policy, params["mc_trials"], params["depth"] + 1, derive_seed(seed, "mc")
     )
-    stderr = math.sqrt(uniform_exact * (1.0 - uniform_exact) / params["mc_trials"])
-    result.check(
+    result.sigma_gate(
         "Monte Carlo search matches the exact oracle within 3 standard errors",
-        abs(stats.success_rate - uniform_exact) <= 3.0 * stderr,
-        f"empirical {stats.success_rate:.5e}, exact {uniform_exact:.5e}, 3se {3 * stderr:.2e}; "
-        f"{false_alarm_note(1)}",
+        [stats.success_rate], [uniform_exact], [math.sqrt(uniform_exact * (1.0 - uniform_exact) / params["mc_trials"])],
+        lambda i: "uniform walker on the trap",
     )
     for name, graph in (("chain", dag.chain_dag(5)), ("diamond", dag.diamond_dag())):
-        policy = dag.make_policy(graph, "uniform", seed=seed)
+        policy = dag.make_policy(graph, "uniform")
         exact = dag.enumerate_paths(graph, policy)
         mc = dag.run_search(graph, policy, 2000, 10, derive_seed(seed, name))
         result.check(
@@ -1233,7 +1230,7 @@ def run_dag_exploration(seed: int, params: dict, threads: int = 1) -> Experiment
         np.subtract(nd_divs, half_bound + 1e-9), lambda i: f"draw {i}",
         f"max divergence {np.max(nd_divs):.4f}, ceiling {half_bound:.4f}",
     )
-    uniform_div = dag.exploration_divergence(binary, dag.make_policy(binary, "uniform", seed=seed))
+    uniform_div = dag.exploration_divergence(binary, dag.make_policy(binary, "uniform"))
     result.check("uniform policy has zero exploration divergence", uniform_div == 0.0)
 
     result.checks += capped_peak_bound_audit(
@@ -1256,7 +1253,7 @@ def run_dag_exploration(seed: int, params: dict, threads: int = 1) -> Experiment
     )
 
     if custom is not None:
-        policy = dag.make_policy(custom, "uniform", seed=derive_seed(seed, "custom"))
+        policy = dag.make_policy(custom, "uniform")
         exact = dag.enumerate_paths(custom, policy)
         mc = dag.run_search(
             custom, policy, params["graph_trials"], params["graph_max_steps"],
@@ -1267,10 +1264,11 @@ def run_dag_exploration(seed: int, params: dict, threads: int = 1) -> Experiment
             ["nodes", "trials", "exact_success", "empirical_success", "mean_path_length"],
             [(custom.n_nodes, mc.trials, exact, mc.success_rate, mc.mean_path_length)],
         )
-        result.check(
+        # a sure outcome's exact sum can round past 1, where the stderr is 0: the 1e-12 floor
+        # covers it, and 3 * (1e-12 / 3) == 1e-12 exactly
+        result.sigma_gate(
             "custom graph: sampled success matches the exact oracle",
-            abs(mc.success_rate - exact) <= max(3.0 * se, 1e-12),
-            f"empirical {mc.success_rate:.5f} vs exact {exact:.5f}; {false_alarm_note(1)}",
+            [mc.success_rate], [exact], [max(se, 1e-12 / 3)], lambda i: "uniform walker on the custom graph",
         )
     return result
 

@@ -1,5 +1,7 @@
-"""Shared test settings: hypothesis draws the same examples on every run."""
+"""Shared test settings and fixtures: hypothesis draws the same examples on every
+run, and ``mutate_streams`` swaps one Generator method of a module's streams."""
 
+import pytest
 from hypothesis import settings
 
 # derandomize: examples come from a fixed seed, not the clock; database=None:
@@ -7,3 +9,27 @@ from hypothesis import settings
 # limit, since a host's speed can drift twofold.  Each test keeps its own max_examples.
 settings.register_profile("certlab", derandomize=True, database=None, deadline=None)
 settings.load_profile("certlab")
+
+
+class MutantStream:
+    """``rng`` with its method ``method`` replaced by ``draw(rng, *args)``, every other method its own."""
+
+    def __init__(self, rng, method, draw):
+        self.rng, self.method, self.draw = rng, method, draw
+
+    def __getattr__(self, name):
+        if name == self.method:
+            return lambda *args: self.draw(self.rng, *args)
+        return getattr(self.rng, name)
+
+
+@pytest.fixture
+def mutate_streams(monkeypatch):
+    """``mutate_streams(module, method, draw)`` makes every stream that ``module``
+    opens through its ``rng_for`` a MutantStream: a sampling-law mutant."""
+
+    def mutate(module, method, draw):
+        streams = module.rng_for
+        monkeypatch.setattr(module, "rng_for", lambda *labels: MutantStream(streams(*labels), method, draw))
+
+    return mutate

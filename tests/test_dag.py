@@ -355,3 +355,46 @@ def test_nan_divergence_on_the_binary_graph_fails_the_delta_ceiling(monkeypatch)
     (check,) = [c for c in result.checks if c.name.startswith("capped-policy divergence on binary graphs")]
     assert not check.passed
     assert check.detail.startswith("1/30 rows over the limit, worst draw 1 ")
+
+
+SEARCH_GATE = "Monte Carlo search matches the exact oracle within 3 standard errors"
+CUSTOM_GATE = "custom graph: sampled success matches the exact oracle"
+
+
+class TestSearchGates:
+    """The trap search and the custom-graph search against the exact oracle, at 3 standard errors."""
+
+    def _gates(self, graph_file, **params):
+        params = {**default_params("dag-exploration"), "graph_file": str(graph_file), **params}
+        result = EXPERIMENTS["dag-exploration"].runner(0, params)
+        return {c.name: c for c in result.checks if c.name in (SEARCH_GATE, CUSTOM_GATE)}
+
+    def test_a_walker_leaning_to_the_first_successor_fails_both(self, mutate_streams):
+        graph_file = Path(__file__).resolve().parents[1] / "configs" / "custom_graph.txt"
+        assert all(check.passed for check in self._gates(graph_file).values())
+        # u ** 1.1 <= u: each draw leans to the first successor, the trap's continuing one
+        mutate_streams(dag, "random", lambda rng, size: rng.random(size) ** 1.1)
+        gates = self._gates(graph_file)
+        assert not gates[SEARCH_GATE].passed and not gates[CUSTOM_GATE].passed
+        assert gates[SEARCH_GATE].detail == (
+            "1/1 rows over the limit, worst uniform walker on the trap: |2.300000e-03 - 1.371742e-03| "
+            "vs 3*1.17e-04 (excess 5.771e-04); worst pull 7.93 sigma; nominal false-alarm rate 0.27% per row"
+        )
+        assert gates[CUSTOM_GATE].detail == (
+            "1/1 rows over the limit, worst uniform walker on the custom graph: |5.347500e-01 - 5.000000e-01| "
+            "vs 3*3.54e-03 (excess 2.414e-02); worst pull 9.83 sigma; nominal false-alarm rate 0.27% per row"
+        )
+
+    def test_a_sure_outcome_passes_on_the_floor(self, tmp_path):
+        # every path succeeds, but nine even branches sum to just over 1: the
+        # binomial stderr is 0, and only the 1e-12 floor covers the rounding
+        text = "start: 0\ntargets: 10\n0: 1,2,3,4,5,6,7,8,9\n" + "".join(f"{i}: 10\n" for i in range(1, 10)) + "10:\n"
+        fan = dag.parse_dag(text)
+        assert dag.enumerate_paths(fan, dag.make_policy(fan, "uniform")) == 1.0000000000000002
+        (tmp_path / "fan.txt").write_text(text)
+        check = self._gates(tmp_path / "fan.txt", mc_trials=1000, capped_samples=100, graph_trials=1000)[CUSTOM_GATE]
+        assert check.passed
+        assert check.detail == (
+            "0/1 rows over the limit, worst uniform walker on the custom graph: |1.000000e+00 - 1.000000e+00| "
+            "vs 3*3.33e-13 (excess -9.998e-13); worst pull 0.00 sigma; nominal false-alarm rate 0.27% per row"
+        )

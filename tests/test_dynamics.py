@@ -20,24 +20,6 @@ def one_shot_noise(l_star, scale, rng, count, sub_decisional):
     return rng.uniform(-scale / 2, scale / 2, shape) if sub_decisional else rng.normal(0.0, scale, shape)
 
 
-class MutantStream:
-    """``rng`` with its method ``method`` replaced by ``draw(rng, *args)``, every other method its own."""
-
-    def __init__(self, rng, method, draw):
-        self.rng, self.method, self.draw = rng, method, draw
-
-    def __getattr__(self, name):
-        if name == self.method:
-            return lambda *args: self.draw(self.rng, *args)
-        return getattr(self.rng, name)
-
-
-def mutate_streams(monkeypatch, method, draw):
-    """Make every stream that ``dynamics`` opens a MutantStream: a noise-law mutant."""
-    streams = dynamics.rng_for
-    monkeypatch.setattr(dynamics, "rng_for", lambda *labels: MutantStream(streams(*labels), method, draw))
-
-
 class TestNoisyArgmaxCounts:
     def test_zero_scale_keeps_every_row_at_the_argmax(self):
         sizes = dynamics.noisy_argmax_counts([3.0, 1.0, 0.0], 0.0, rng_for(0, "x"), 5)
@@ -81,10 +63,10 @@ class TestNoiseDiscreteGate:
             assert len(listed) == 1 and listed[0].passed
         assert result.all_passed
 
-    def test_tenfold_bounded_noise_fails_it(self, monkeypatch):
+    def test_tenfold_bounded_noise_fails_it(self, mutate_streams):
         # noise ten times the bound moves gaps by up to twice the margin, so
         # some trials leave the clean chain: the gate is a theorem that can fail
-        mutate_streams(monkeypatch, "uniform", lambda rng, low, high, size: 10.0 * rng.uniform(low, high, size))
+        mutate_streams(dynamics, "uniform", lambda rng, low, high, size: 10.0 * rng.uniform(low, high, size))
         result = EXPERIMENTS["noise-discrete"].runner(0, SMALL_NOISE_DISCRETE)
         failed = [check for check in result.checks if not check.passed]
         assert [check.name for check in failed] == [ZERO_DIVERGENCE]
@@ -225,8 +207,8 @@ class TestMonteCarloGate:
         check = self._gate()
         assert not check.passed
         assert check.detail == (
-            "2/12 rows over the limit, worst L=1.2 d=8 M=6: |1.566602 - 1.439291| vs 3*2.46e-02 "
-            "(excess 5.340e-02); worst pull 5.17 sigma over 12 cells; "
+            "2/12 rows over the limit, worst L=1.2 d=8 M=6: |1.566602e+00 - 1.439291e+00| vs 3*2.46e-02 "
+            "(excess 5.340e-02); worst pull 5.17 sigma; "
             "nominal false-alarm rate 0.27% per row, 3.2% over 12 rows"
         )
 
@@ -252,19 +234,40 @@ class TestLawGate:
         "law, detail",
         [
             ("laplace", "9/12 rows over the limit, worst L=1.2 d=8 M=6: |6.720384e-01 - 5.178896e-01| vs 3*3.06e-02 "
-             "(excess 6.223e-02); worst pull 25.61 sigma over 12 cells; "
+             "(excess 6.223e-02); worst pull 25.61 sigma; "
              "nominal false-alarm rate 0.27% per row, 3.2% over 12 rows"),
             ("rademacher", "9/12 rows over the limit, worst L=1.2 d=8 M=6: |3.970389e-01 - 5.178896e-01| vs 3*3.06e-02 "
-             "(excess 2.893e-02); worst pull 16.90 sigma over 12 cells; "
+             "(excess 2.893e-02); worst pull 16.90 sigma; "
              "nominal false-alarm rate 0.27% per row, 3.2% over 12 rows"),
         ],
     )
-    def test_fails_on_another_unit_variance_law(self, monkeypatch, law, detail):
-        mutate_streams(monkeypatch, "standard_normal", UNIT_VARIANCE_LAWS[law])
+    def test_fails_on_another_unit_variance_law(self, mutate_streams, law, detail):
+        mutate_streams(dynamics, "standard_normal", UNIT_VARIANCE_LAWS[law])
         failed = self._failed()
         assert failed[LAW_GATE] == detail
         if law == "laplace":  # the mean gate sees only E|E_M|^2, which any unit-variance law reproduces
             assert list(failed) == [LAW_GATE]
+
+
+BINOMIAL_GATE = "empirical retention within binomial 3-sigma of the analytic curve everywhere"
+
+
+class TestBinomialGate:
+    def _gate(self):
+        result = EXPERIMENTS["accuracy-sweep"].runner(0, default_params("accuracy-sweep"))
+        (check,) = [c for c in result.checks if c.name == BINOMIAL_GATE]
+        return check
+
+    def test_fails_when_the_noise_is_five_percent_wider(self, mutate_streams):
+        assert self._gate().passed
+        mutate_streams(dynamics, "normal", lambda rng, loc, scale, size: rng.normal(loc, 1.05 * scale, size))
+        check = self._gate()
+        assert not check.passed
+        assert check.detail == (
+            "5/10 rows over the limit, worst sigma=0.5: |8.271400e-01 - 8.413447e-01| vs 3*1.16e-03 "
+            "(excess 1.074e-02); worst pull 14.10 sigma; "
+            "nominal false-alarm rate 0.27% per row, 2.7% over 10 rows"
+        )
 
 
 class TestClosedForm:

@@ -224,6 +224,51 @@ class TestRowChecks:
         assert "worst row 1" in result.checks[1].detail
 
 
+class TestSigmaGate:
+    def _check(self, observed, expected, stderr):
+        result = ExperimentResult()
+        result.sigma_gate("g", observed, expected, stderr, lambda i: f"row {i}")
+        (check,) = result.checks
+        return check
+
+    def test_zero_stderr_passes_a_zero_difference(self):
+        check = self._check([0.5], [0.5], [0.0])
+        assert check.passed
+        assert check.detail == (
+            "0/1 rows over the limit, worst row 0: |5.000000e-01 - 5.000000e-01| vs 3*0.00e+00 "
+            "(excess 0.000e+00); worst pull 0.00 sigma; nominal false-alarm rate 0.27% per row"
+        )
+
+    def test_zero_stderr_fails_any_difference_and_reads_pull_zero(self):
+        check = self._check([0.5, 0.25], [0.5, 0.5], [0.0, 0.0])
+        assert not check.passed
+        assert check.detail == (
+            "1/2 rows over the limit, worst row 1: |2.500000e-01 - 5.000000e-01| vs 3*0.00e+00 "
+            "(excess 2.500e-01); worst pull 0.00 sigma; "
+            "nominal false-alarm rate 0.27% per row, 0.5% over 2 rows"
+        )
+
+    def test_a_nan_observation_fails(self):
+        check = self._check([0.5, float("nan"), 0.5], [0.5, 0.5, 0.5], [0.1, 0.1, 0.1])
+        assert not check.passed
+        assert check.detail.startswith("1/3 rows over the limit, worst row 1: |nan - 5.000000e-01| vs 3*1.00e-01")
+
+    def test_one_row_states_only_the_rate_per_row(self):
+        assert self._check([1.0], [0.0], [1.0]).detail.endswith(
+            "; worst pull 1.00 sigma; nominal false-alarm rate 0.27% per row"
+        )
+
+    def test_the_worst_pull_may_come_from_another_row(self):
+        # row 0 has the larger excess (1 - 0.6), row 1 the larger pull (0.1 / 0.001)
+        check = self._check([1.0, 0.1], [0.0, 0.0], [0.2, 0.001])
+        assert not check.passed
+        assert check.detail == (
+            "2/2 rows over the limit, worst row 0: |1.000000e+00 - 0.000000e+00| vs 3*2.00e-01 "
+            "(excess 4.000e-01); worst pull 100.00 sigma; "
+            "nominal false-alarm rate 0.27% per row, 0.5% over 2 rows"
+        )
+
+
 def _write_cfg(tmp_path: Path, text: str) -> str:
     path = tmp_path / "exp.cfg"
     path.write_text(text)
