@@ -83,60 +83,51 @@ def _threads(args) -> int:
 
 
 def cmd_run(args) -> int:
-    try:
-        threads = _threads(args)
-        raw = parse_config_text(read_text_file(args.config, ConfigError))
-        schema = EXPERIMENTS[raw.experiment].schema if raw.experiment in EXPERIMENTS else {}
-        config = build_config(
-            raw,
-            schema,
-            experiment_names=set(EXPERIMENTS),
-            seed_override=args.seed,
-            out_override=args.out,
-        )
-        manifest = _execute(config, threads)
-    except (OSError, CertlabError, MemoryError) as exc:
-        return _failure(exc)
+    threads = _threads(args)
+    raw = parse_config_text(read_text_file(args.config, ConfigError))
+    schema = EXPERIMENTS[raw.experiment].schema if raw.experiment in EXPERIMENTS else {}
+    config = build_config(
+        raw,
+        schema,
+        experiment_names=set(EXPERIMENTS),
+        seed_override=args.seed,
+        out_override=args.out,
+    )
+    manifest = _execute(config, threads)
     _summarize(manifest, sys.stdout)
     print(f"manifest: {Path(config.output_dir) / 'manifest.json'}")
     return EXIT_OK if manifest.all_passed else EXIT_CHECKS
 
 
 def cmd_report(args) -> int:
-    try:
-        manifest = load_manifest(Path(args.manifest))
-        base = Path(args.manifest).parent
-        if args.format == "md":
-            path = emit_markdown(manifest, base / "report.md")
-            print(f"report: {path}")
-        else:
-            for path in emit_svg_charts(manifest, base):
-                print(f"chart: {path}")
-    except (OSError, CertlabError) as exc:
-        return _failure(exc)
+    manifest = load_manifest(Path(args.manifest))
+    base = Path(args.manifest).parent
+    if args.format == "md":
+        path = emit_markdown(manifest, base / "report.md")
+        print(f"report: {path}")
+    else:
+        for path in emit_svg_charts(manifest, base):
+            print(f"chart: {path}")
     return EXIT_OK
 
 
 def cmd_verify_all(args) -> int:
     out_root = Path(args.out)
     all_ok = True
-    try:
-        threads = _threads(args)
-        seed = check_seed(args.seed, "--seed")
-        for name in sorted(EXPERIMENTS):
-            config = ExperimentConfig(
-                experiment=name,
-                seed=seed,
-                params=default_params(name),
-                output_dir=str(out_root / name),
-            )
-            manifest = _execute(config, threads)
-            emit_markdown(manifest, out_root / name / "report.md")
-            emit_svg_charts(manifest, out_root / name)
-            _summarize(manifest, sys.stdout)
-            all_ok &= manifest.all_passed
-    except (OSError, CertlabError, MemoryError) as exc:
-        return _failure(exc)
+    threads = _threads(args)
+    seed = check_seed(args.seed, "--seed")
+    for name in sorted(EXPERIMENTS):
+        config = ExperimentConfig(
+            experiment=name,
+            seed=seed,
+            params=default_params(name),
+            output_dir=str(out_root / name),
+        )
+        manifest = _execute(config, threads)
+        emit_markdown(manifest, out_root / name / "report.md")
+        emit_svg_charts(manifest, out_root / name)
+        _summarize(manifest, sys.stdout)
+        all_ok &= manifest.all_passed
     print("verify-all: " + ("ALL CHECKS PASSED" if all_ok else "CHECK FAILURES"))
     return EXIT_OK if all_ok else EXIT_CHECKS
 
@@ -167,7 +158,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, CertlabError, MemoryError) as exc:
+        return _failure(exc)
 
 
 if __name__ == "__main__":

@@ -5,9 +5,9 @@ node toward a target set; at each node a policy assigns a categorical
 distribution over that node's ordered successor list.  The module provides
 graph builders (chain, diamond, trap, layered random), policy constructors
 for three certainty regimes, a divergence-from-uniform metric, a Monte
-Carlo searcher, and an exact dynamic-programming oracle for the success
-probability, so every sampled statistic can be checked against a closed
-answer.
+Carlo searcher that walks each trial until a target or a dead end, and an
+exact dynamic-programming oracle for the success probability, so every
+sampled statistic can be checked against a closed answer.
 
 Graphs and policies are immutable after construction, and each block of
 search trials owns a seeded stream, so reruns give identical results.
@@ -139,20 +139,13 @@ def trap_dag(depth: int, branching: int) -> DecisionDag:
     """
     if depth < 1 or branching < 2:
         raise InvalidInputError(f"need depth >= 1 and branching >= 2, got {depth}, {branching}")
-    succ: list[tuple[int, ...]] = []
-    next_id = depth + 1  # ids 0..depth are the spine, traps allocated after
-    spine_succ: list[list[int]] = [[] for _ in range(depth + 1)]
-    trap_nodes = []
-    for level in range(depth):
-        options = [level + 1]
-        for _ in range(branching - 1):
-            options.append(next_id)
-            trap_nodes.append(next_id)
-            next_id += 1
-        spine_succ[level] = options
-    successors = [tuple(spine_succ[v]) for v in range(depth + 1)]
-    successors.extend(() for _ in trap_nodes)
-    return DecisionDag(successors=tuple(successors), start=0, targets=frozenset({depth}))
+    # ids 0..depth are the spine; spine level l's dead ends follow, level by level
+    dead = branching - 1
+    spine = tuple(
+        (level + 1, *range(depth + 1 + level * dead, depth + 1 + (level + 1) * dead)) for level in range(depth)
+    )
+    # the target and every dead end are childless
+    return DecisionDag(successors=spine + ((),) * (1 + depth * dead), start=0, targets=frozenset({depth}))
 
 
 def layered_dag(
@@ -385,10 +378,9 @@ def run_search(
     dag: DecisionDag,
     policy: ReasoningPolicy,
     trials: int,
-    max_steps: int,
     seed: int,
 ) -> TraversalStats:
-    """Monte Carlo traversal: sample successors until a target, dead end, or step cap.
+    """Monte Carlo traversal: sample successors until a target or a dead end.
 
     Trials walk in lockstep, ``SEARCH_BLOCK`` at a time; at each step block
     ``b`` draws one uniform per live trial, in trial order, from
@@ -397,8 +389,6 @@ def run_search(
     """
     if trials < 1:
         raise InvalidInputError(f"need trials >= 1, got {trials}")
-    if max_steps < 1:
-        raise InvalidInputError(f"need max_steps >= 1, got {max_steps}")
     is_target = np.zeros(dag.n_nodes, dtype=bool)
     is_target[sorted(dag.targets)] = True
     moves = np.array([bool(succ) for succ in dag.successors]) & ~is_target
@@ -412,7 +402,7 @@ def run_search(
     for block, first in enumerate(range(0, trials, SEARCH_BLOCK)):
         rng = rng_for(seed, "trial-block", block)
         node = np.full(min(SEARCH_BLOCK, trials - first), dag.start)
-        for _ in range(max_steps):
+        while True:  # the graph is acyclic, so every walk ends within its longest path
             moving = moves[node]
             if not moving.all():  # trials at a target or a dead end stop here
                 successes += int(is_target[node[~moving]].sum())
@@ -428,7 +418,6 @@ def run_search(
                 succ = successors[v]
                 pick = np.minimum(np.searchsorted(cumulative[v], u[rows], side="right"), succ.size - 1)
                 node[rows] = succ[pick]
-        successes += int(is_target[node].sum())
     return TraversalStats(
         trials=trials,
         successes=successes,

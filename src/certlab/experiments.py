@@ -1054,7 +1054,6 @@ DAG_SCHEMA = {
     "capped_options_max": ParamSpec("int", 16, minimum=2),
     "graph_file": ParamSpec("str", ""),  # optional custom graph (adjacency text)
     "graph_trials": ParamSpec("int", 20_000, minimum=1),
-    "graph_max_steps": ParamSpec("int", 64, minimum=1),
 }
 
 
@@ -1173,9 +1172,7 @@ def run_dag_exploration(seed: int, params: dict, threads: int = 1) -> Experiment
         f"medians {float(np.median(conc)):.3e} / {float(np.median(nd)):.3e} / {uniform_exact:.3e}",
     )
 
-    stats = dag.run_search(
-        trap, uniform_policy, params["mc_trials"], params["depth"] + 1, derive_seed(seed, "mc")
-    )
+    stats = dag.run_search(trap, uniform_policy, params["mc_trials"], derive_seed(seed, "mc"))
     result.sigma_gate(
         "Monte Carlo search matches the exact oracle within 3 standard errors",
         [stats.success_rate], [uniform_exact], [math.sqrt(uniform_exact * (1.0 - uniform_exact) / params["mc_trials"])],
@@ -1184,7 +1181,7 @@ def run_dag_exploration(seed: int, params: dict, threads: int = 1) -> Experiment
     for name, graph in (("chain", dag.chain_dag(5)), ("diamond", dag.diamond_dag())):
         policy = dag.make_policy(graph, "uniform")
         exact = dag.enumerate_paths(graph, policy)
-        mc = dag.run_search(graph, policy, 2000, 10, derive_seed(seed, name))
+        mc = dag.run_search(graph, policy, 2000, derive_seed(seed, name))
         result.check(
             f"single-outcome graph ({name}): exact and sampled success are 1",
             exact == 1.0 and mc.success_rate == 1.0,
@@ -1255,10 +1252,7 @@ def run_dag_exploration(seed: int, params: dict, threads: int = 1) -> Experiment
     if custom is not None:
         policy = dag.make_policy(custom, "uniform")
         exact = dag.enumerate_paths(custom, policy)
-        mc = dag.run_search(
-            custom, policy, params["graph_trials"], params["graph_max_steps"],
-            derive_seed(seed, "custom-mc"),
-        )
+        mc = dag.run_search(custom, policy, params["graph_trials"], derive_seed(seed, "custom-mc"))
         se = math.sqrt(max(exact * (1.0 - exact), 0.0) / params["graph_trials"])
         result.tables["custom_graph.csv"] = (
             ["nodes", "trials", "exact_success", "empirical_success", "mean_path_length"],

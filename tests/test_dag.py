@@ -175,7 +175,7 @@ class TestSearchAndOracle:
         chain = dag.chain_dag(5)
         policy = dag.make_policy(chain, "uniform", seed=0)
         assert dag.enumerate_paths(chain, policy) == 1.0
-        stats = dag.run_search(chain, policy, 500, 10, seed=1)
+        stats = dag.run_search(chain, policy, 500, seed=1)
         assert stats.success_rate == 1.0
         assert stats.mean_path_length == 5.0
 
@@ -183,7 +183,7 @@ class TestSearchAndOracle:
         diamond = dag.diamond_dag()
         policy = dag.make_policy(diamond, "uniform", seed=0)
         assert dag.enumerate_paths(diamond, policy) == 1.0
-        assert dag.run_search(diamond, policy, 500, 5, seed=1).success_rate == 1.0
+        assert dag.run_search(diamond, policy, 500, seed=1).success_rate == 1.0
 
     def test_trap_exact_probability(self):
         trap = dag.trap_dag(6, 3)
@@ -195,30 +195,31 @@ class TestSearchAndOracle:
         policy = dag.make_policy(trap, "non_degenerate", delta=0.3, seed=3)
         exact = dag.enumerate_paths(trap, policy)
         trials = 20_000
-        stats = dag.run_search(trap, policy, trials, 5, seed=4)
+        stats = dag.run_search(trap, policy, trials, seed=4)
         se = np.sqrt(exact * (1.0 - exact) / trials)
         assert abs(stats.success_rate - exact) <= 3.0 * se
 
     def test_run_search_is_deterministic(self):
         trap = dag.trap_dag(5, 3)
         policy = dag.make_policy(trap, "non_degenerate", delta=0.3, seed=7)
-        a = dag.run_search(trap, policy, 3000, 6, seed=42)
-        b = dag.run_search(trap, policy, 3000, 6, seed=42)
+        a = dag.run_search(trap, policy, 3000, seed=42)
+        b = dag.run_search(trap, policy, 3000, seed=42)
         assert a == b
 
     def test_stats_invariants(self):
         trap = dag.trap_dag(3, 3)
-        stats = dag.run_search(trap, dag.make_policy(trap, "uniform", seed=0), 1000, 4, seed=0)
+        stats = dag.run_search(trap, dag.make_policy(trap, "uniform", seed=0), 1000, seed=0)
         assert stats.successes <= stats.trials
         assert stats.success_rate == stats.successes / stats.trials
 
 
-def _scalar_search(graph, policy, trials, max_steps, seed):
+def _scalar_search(graph, policy, trials, seed):
     """Reference: each block's trials walked one step at a time by a scalar loop.
 
     Block ``b`` opens ``rng_for(seed, "trial-block", b)``; at each step the
     trials at a target or a dead end stop, the live ones draw one uniform
     each from one ``random`` call, and live trial ``j`` moves with ``u[j]``.
+    The block ends when no trial is live.
     """
     cumulative = {v: np.cumsum(policy.distribution(v)) for v in graph.decision_nodes()}
     successes = 0
@@ -226,7 +227,7 @@ def _scalar_search(graph, policy, trials, max_steps, seed):
     for block, first in enumerate(range(0, trials, dag.SEARCH_BLOCK)):
         rng = rng_for(seed, "trial-block", block)
         live = [graph.start] * min(dag.SEARCH_BLOCK, trials - first)
-        for _ in range(max_steps):
+        while True:
             done = [v for v in live if v in graph.targets or not graph.successors[v]]
             successes += sum(v in graph.targets for v in done)
             live = [v for v in live if v not in graph.targets and graph.successors[v]]
@@ -238,7 +239,6 @@ def _scalar_search(graph, policy, trials, max_steps, seed):
                 succ = graph.successors[v]
                 pick = min(int(np.searchsorted(cumulative[v], u[j], side="right")), len(succ) - 1)
                 live[j] = succ[pick]
-        successes += sum(v in graph.targets for v in live)
     return dag.TraversalStats(trials, successes, total_steps / trials, successes / trials)
 
 
@@ -247,39 +247,36 @@ def _custom_graph():
     return dag.parse_dag(text)
 
 
-# name -> (graph, policy kind, trials, max_steps); the "-capped" cases cut
-# walks off at the step cap, and node 1 of "target-with-out-edges" is a
-# target that still has a successor.
+# name -> (graph, policy kind, trials); node 1 of "target-with-out-edges"
+# is a target that still has a successor.
 _SEARCH_CASES = {
-    "trap": (dag.trap_dag(6, 3), "non_degenerate", 20_000, 7),
-    "chain": (dag.chain_dag(5), "uniform", 2000, 10),
-    "chain-capped": (dag.chain_dag(12), "uniform", 3000, 7),
-    "diamond": (dag.diamond_dag(), "non_degenerate", 2000, 5),
-    "layered": (dag.layered_dag(n_layers=6, width=5, max_out_degree=3, seed=4), "non_degenerate", 20_000, 8),
-    "layered-capped": (dag.layered_dag(n_layers=6, width=5, max_out_degree=3, seed=4), "uniform", 5000, 3),
-    "custom-file": (_custom_graph(), "non_degenerate", 20_000, 64),
+    "trap": (dag.trap_dag(6, 3), "non_degenerate", 20_000),
+    "chain": (dag.chain_dag(5), "uniform", 2000),
+    "diamond": (dag.diamond_dag(), "non_degenerate", 2000),
+    "layered": (dag.layered_dag(n_layers=6, width=5, max_out_degree=3, seed=4), "non_degenerate", 20_000),
+    "custom-file": (_custom_graph(), "non_degenerate", 20_000),
     "target-with-out-edges": (
         dag.DecisionDag(successors=((1, 2), (3,), (3,), ()), start=0, targets=frozenset({1, 3})),
-        "non_degenerate", 3000, 4,
+        "non_degenerate", 3000,
     ),
-    "partial-block": (dag.trap_dag(3, 4), "uniform", dag.SEARCH_BLOCK + 17, 4),
+    "partial-block": (dag.trap_dag(3, 4), "uniform", dag.SEARCH_BLOCK + 17),
 }
 
 
 class TestLockstepSearch:
     @pytest.mark.parametrize("case", sorted(_SEARCH_CASES))
     def test_stats_equal_the_scalar_loop(self, case):
-        graph, kind, trials, max_steps = _SEARCH_CASES[case]
+        graph, kind, trials = _SEARCH_CASES[case]
         policy = dag.make_policy(graph, kind, delta=0.3, seed=11)
-        expected = _scalar_search(graph, policy, trials, max_steps, seed=5)
-        assert dag.run_search(graph, policy, trials, max_steps, seed=5) == expected
+        expected = _scalar_search(graph, policy, trials, seed=5)
+        assert dag.run_search(graph, policy, trials, seed=5) == expected
 
     def test_cdf_ending_below_one_clamps_to_the_last_successor(self):
         graph = dag.trap_dag(3, 3)
         short = np.array([0.2, 0.2, 0.3])  # a draw in [0.7, 1) falls past the CDF
         policy = dag.ReasoningPolicy(tables=tuple(short if graph.successors[v] else None for v in range(graph.n_nodes)))
-        expected = _scalar_search(graph, policy, 5000, 4, seed=3)
-        assert dag.run_search(graph, policy, 5000, 4, seed=3) == expected
+        expected = _scalar_search(graph, policy, 5000, seed=3)
+        assert dag.run_search(graph, policy, 5000, seed=3) == expected
 
     @pytest.mark.parametrize("block", [1, 2, 3, 5, 64])
     def test_block_sizes_equal_the_scalar_loop(self, block, monkeypatch):
@@ -287,8 +284,8 @@ class TestLockstepSearch:
         graph = dag.trap_dag(4, 3)
         policy = dag.make_policy(graph, "non_degenerate", delta=0.3, seed=2)
         monkeypatch.setattr(dag, "SEARCH_BLOCK", block)
-        expected = _scalar_search(graph, policy, 50, 5, seed=9)
-        assert dag.run_search(graph, policy, 50, 5, seed=9) == expected
+        expected = _scalar_search(graph, policy, 50, seed=9)
+        assert dag.run_search(graph, policy, 50, seed=9) == expected
 
     # Roots at the word boundaries of a 64-bit seed.
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1])
@@ -296,8 +293,8 @@ class TestLockstepSearch:
         graph = dag.trap_dag(4, 3)
         policy = dag.make_policy(graph, "uniform", seed=0)
         monkeypatch.setattr(dag, "SEARCH_BLOCK", 7)
-        expected = _scalar_search(graph, policy, 30, 6, seed)
-        assert dag.run_search(graph, policy, 30, 6, seed) == expected
+        expected = _scalar_search(graph, policy, 30, seed)
+        assert dag.run_search(graph, policy, 30, seed) == expected
 
     @given(
         graph=st.one_of(
@@ -306,17 +303,16 @@ class TestLockstepSearch:
         ),
         kind=st.sampled_from(["uniform", "concentrated", "non_degenerate"]),
         trials=st.integers(1, 40),
-        max_steps=st.integers(1, 6),
         seed=st.integers(0, 2**64 - 1),
     )
     @settings(max_examples=100)
-    def test_small_blocks_equal_the_scalar_loop(self, graph, kind, trials, max_steps, seed):
+    def test_small_blocks_equal_the_scalar_loop(self, graph, kind, trials, seed):
         # blocks of 7 trials: several blocks and a ragged last one, cheaply
         policy = dag.make_policy(graph, kind, kappa=50.0, minority_mass=1.0, delta=0.3, seed=seed)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(dag, "SEARCH_BLOCK", 7)
-            expected = _scalar_search(graph, policy, trials, max_steps, seed)
-            assert dag.run_search(graph, policy, trials, max_steps, seed) == expected
+            expected = _scalar_search(graph, policy, trials, seed)
+            assert dag.run_search(graph, policy, trials, seed) == expected
 
 
 class TestDominantPlacement:

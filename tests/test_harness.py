@@ -279,6 +279,35 @@ def _write_cfg(tmp_path: Path, text: str) -> str:
 _MANIFEST_HEAD = b'{"experiment": "accuracy-sweep", "config_hash": "x", "seed": 7, '
 
 
+# (experiment, key, value): a count or list the key does not accept
+_BELOW_MINIMUM_CASES = [
+    ("dag-exploration", "capped_samples", 0),
+    ("divergence-asymptote", "concentration_draws", 0),
+    ("dag-exploration", "divergence_draws", 0),
+    ("dag-exploration", "policy_draws", 1),
+    ("curriculum", "tv_trials", 0),
+    ("divergence-asymptote", "sample_draws", 1),
+    ("cib-frontier", "corpus_size", 0),
+    ("cib-frontier", "n_latent", 0),
+    ("cib-frontier", "restarts", 0),
+    ("cib-frontier", "corpus_betas", "0.5, -1.0"),
+    ("cib-frontier", "frontier_betas", -0.25),
+    ("tradeoff-scan", "options_set", 1),
+    ("tradeoff-scan", "scan_options", "2, 1"),
+    ("tradeoff-scan", "oracle_resolution", 0),
+    ("divergence-asymptote", "kappas", 100.0),
+    ("dag-exploration", "capped_options_max", 1),
+    ("dag-exploration", "mc_trials", 0),
+    ("dag-exploration", "graph_trials", 0),
+    ("dag-exploration", "depth", 0),
+    ("dag-exploration", "branching", 1),
+    ("curriculum", "grad_checks", 0),
+    ("curriculum", "trials_per_n", 1),
+    ("curriculum", "iterations", 0),
+    ("accuracy-sweep", "dim", 0),
+]
+
+
 class TestCli:
     def test_run_reruns_byte_identical(self, tmp_path):
         cfg = _write_cfg(tmp_path, SMALL_ACCURACY_CFG)
@@ -315,41 +344,24 @@ class TestCli:
         assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "params.trails" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "experiment, key, value",
-        [
-            ("dag-exploration", "capped_samples", 0),
-            ("divergence-asymptote", "concentration_draws", 0),
-            ("dag-exploration", "divergence_draws", 0),
-            ("dag-exploration", "policy_draws", 1),
-            ("curriculum", "tv_trials", 0),
-            ("divergence-asymptote", "sample_draws", 1),
-            ("cib-frontier", "corpus_size", 0),
-            ("cib-frontier", "n_latent", 0),
-            ("cib-frontier", "restarts", 0),
-            ("cib-frontier", "corpus_betas", "0.5, -1.0"),
-            ("cib-frontier", "frontier_betas", -0.25),
-            ("tradeoff-scan", "options_set", 1),
-            ("tradeoff-scan", "scan_options", "2, 1"),
-            ("tradeoff-scan", "oracle_resolution", 0),
-            ("divergence-asymptote", "kappas", 100.0),
-            ("dag-exploration", "capped_options_max", 1),
-            ("dag-exploration", "mc_trials", 0),
-            ("dag-exploration", "graph_trials", 0),
-            ("dag-exploration", "graph_max_steps", 0),
-            ("dag-exploration", "depth", 0),
-            ("dag-exploration", "branching", 1),
-            ("curriculum", "grad_checks", 0),
-            ("curriculum", "trials_per_n", 1),
-            ("curriculum", "iterations", 0),
-            ("accuracy-sweep", "dim", 0),
-        ],
-    )
+    @pytest.mark.parametrize("experiment, key, value", _BELOW_MINIMUM_CASES)
     def test_count_below_minimum_exits_two_before_any_output(self, tmp_path, capsys, experiment, key, value):
         cfg = _write_cfg(tmp_path, f"[run]\nexperiment = {experiment}\nseed = 0\n[params]\n{key} = {value}\n")
         assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert f"params.{key}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_below_minimum_cases_cover_every_minimum(self):
+        # a case for a key the schema no longer has would pass on the unknown-key error
+        cases = {(experiment, key) for experiment, key, _ in _BELOW_MINIMUM_CASES}
+        assert all(key in EXPERIMENTS[experiment].schema for experiment, key in cases)
+        minimums = {
+            (experiment, key)
+            for experiment, definition in EXPERIMENTS.items()
+            for key, spec in definition.schema.items()
+            if spec.minimum is not None
+        }
+        assert minimums <= cases
 
     @pytest.mark.parametrize(
         "experiment, key, value, message, kernel",
@@ -414,6 +426,9 @@ class TestCli:
              "cat_bulk.certainty_panel"),
             ("error-accumulation", "sigma_h", "0.0", "params.sigma_h: must be positive",
              "dynamics.monte_carlo_error"),
+            # every walk runs to a target or a dead end: the key that capped its steps is gone
+            ("dag-exploration", "graph_max_steps", "64", "unknown parameter keys: params.graph_max_steps",
+             "dag.run_search"),
             # the map is the scalar L I: the key that picked a rotation map is gone
             ("error-accumulation", "transition", "rotation_scaling", "unknown parameter keys: params.transition",
              "dynamics.monte_carlo_error"),
@@ -502,7 +517,7 @@ class TestCli:
         assert err.startswith(f"ConfigError: {cfg}: not UTF-8 text (") and err.count("\n") == 1
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("command", ["run", "verify-all"])
+    @pytest.mark.parametrize("command", ["run", "verify-all", "report-md", "report-svg"])
     @pytest.mark.parametrize(
         "error, code",
         [
@@ -513,17 +528,24 @@ class TestCli:
         ],
     )
     def test_runtime_errors_map_to_one_exit_code(self, tmp_path, capsys, monkeypatch, command, error, code):
-        def failing(seed, params, threads=1):
+        def failing(*args, **kwargs):
             raise error
 
-        name = "accuracy-sweep"  # first in verify-all's order
-        monkeypatch.setitem(EXPERIMENTS, name, ExperimentDef(failing, EXPERIMENTS[name].schema))
-        out = str(tmp_path / "o")
-        argv = ["run", "--config", _write_cfg(tmp_path, SMALL_ACCURACY_CFG)] if command == "run" else [command]
-        assert cli.main(argv + ["--out", out]) == code
-        err = capsys.readouterr().err
+        if command.startswith("report-"):
+            # the renderers raise once a valid manifest has loaded
+            manifest = tmp_path / "manifest.json"
+            RunManifest(experiment="accuracy-sweep", config_hash="x", seed=7).save(manifest)
+            monkeypatch.setattr(cli, "emit_markdown", failing)
+            monkeypatch.setattr(cli, "emit_svg_charts", failing)
+            argv = ["report", "--manifest", str(manifest), "--format", command.removeprefix("report-")]
+        else:
+            name = "accuracy-sweep"  # first in verify-all's order
+            monkeypatch.setitem(EXPERIMENTS, name, ExperimentDef(failing, EXPERIMENTS[name].schema))
+            argv = ["run", "--config", _write_cfg(tmp_path, SMALL_ACCURACY_CFG)] if command == "run" else [command]
+            argv += ["--out", str(tmp_path / "o")]
+        assert cli.main(argv) == code
         prefix = {OSError: "i/o error", MemoryError: "out of memory"}.get(type(error), type(error).__name__)
-        assert f"{prefix}: {error}" in err
+        assert capsys.readouterr().err == f"{prefix}: {error}\n"
 
     def test_unallocatable_samples_exit_two_without_a_traceback(self, tmp_path, capsys):
         # four excess vectors of 10**13 // 6 * 6 float64 rows: 291 TiB, beyond the 128 TiB
@@ -818,6 +840,17 @@ class TestCustomGraph:
         listed = {Path(f["path"]).name for f in manifest.files}
         assert {"custom_graph.csv", "trap_graph.txt"} <= listed
         assert code in (0, 3)  # small-sample ordering checks may fluctuate
+
+    def test_long_chain_walks_to_its_target(self, tmp_path, capsys):
+        # 100 steps: every walk reaches the target, as the exact oracle says
+        graph_path = tmp_path / "chain.txt"
+        graph_path.write_text(dag.format_dag(dag.chain_dag(100)))
+        cfg = _write_cfg(
+            tmp_path, f"[run]\nexperiment = dag-exploration\nseed = 0\n[params]\ngraph_file = {graph_path}\n"
+        )
+        out = tmp_path / "o"
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+        assert (out / "custom_graph.csv").read_text().splitlines()[1] == "101,20000,1.0,1.0,100.0"
 
 
 class TestDefaults:
