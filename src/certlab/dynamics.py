@@ -292,15 +292,15 @@ def empirical_accuracy_sweep(
     sigma_grid,
     trials: int,
     seed: int,
-) -> tuple[list[tuple[float, float, float, float]], float]:
+) -> list[tuple[float, float, float, float]]:
     """Sample the retention rate of a concrete two-row readout under state noise.
 
-    Builds a readout whose row difference has entries +-1 (norm sqrt(dim))
-    and a clean logit gap of ``margin``; for each sigma draws isotropic
-    state noise, projects it onto the row difference, and counts draws
-    whose projected gap stays below the margin.  Returns the
-    ``(sigma, analytic, empirical, std_error)`` rows and the inferred noise
-    gain (``dim``, one projection step).
+    Builds a readout whose row difference has entries +-1 (norm sqrt(dim),
+    so the analytic curve's noise gain is dim) and a clean logit gap of
+    ``margin``; for each sigma draws isotropic state noise, projects it
+    onto the row difference, and counts draws whose projected gap stays
+    below the margin.  Returns the
+    ``(sigma, analytic, empirical, std_error)`` rows.
 
     Sigma ``idx`` draws its ``(trials, dim)`` noise from the stream
     ``rng_for(seed, "accuracy", idx)`` in consecutive blocks of
@@ -314,10 +314,9 @@ def empirical_accuracy_sweep(
     if dim < 1 or not (margin > 0):
         raise InvalidInputError("need dim >= 1 and margin > 0")
     row_diff = np.where(np.arange(dim) % 2 == 0, 1.0, -1.0)
-    noise_gain = float(row_diff @ row_diff)  # == dim
     rows = []
     block = block_rows(dim)
-    for idx, (sigma, expected) in enumerate(accuracy_curve(margin, noise_gain, sigma_grid)):
+    for idx, (sigma, expected) in enumerate(accuracy_curve(margin, float(dim), sigma_grid)):
         rng = rng_for(seed, "accuracy", idx)
         below = 0
         for start in range(0, trials, block):
@@ -326,4 +325,4 @@ def empirical_accuracy_sweep(
         retained = below / trials
         std_error = math.sqrt(max(retained * (1.0 - retained), 1e-12) / trials)
         rows.append((sigma, expected, retained, std_error))
-    return rows, noise_gain
+    return rows

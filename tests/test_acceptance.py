@@ -382,3 +382,15 @@ def test_battery_lists_every_check_by_name(battery):
     )
     assert len(list(battery.out.glob("*/manifest.json"))) == 8
     assert names == BATTERY_CHECKS
+
+
+def test_every_check_states_a_detail(battery):
+    manifests = sorted(battery.out.glob("*/manifest.json"))
+    assert len(manifests) == 8
+    silent = [
+        (manifest.parent.name, check["name"])
+        for manifest in manifests
+        for check in load_manifest(manifest).checks
+        if not check.get("detail")
+    ]
+    assert silent == []

@@ -433,10 +433,9 @@ class TestAccuracyCurve:
             dynamics.accuracy_curve(1.0, 0.0, (0.1,))
 
     def test_empirical_sweep_matches_curve(self):
-        rows, noise_gain = dynamics.empirical_accuracy_sweep(
+        rows = dynamics.empirical_accuracy_sweep(
             dim=16, margin=2.0, sigma_grid=(0.2, 0.5, 1.0, 2.0, 5.0), trials=30_000, seed=5
         )
-        assert noise_gain == 16.0
         assert [sigma for sigma, *_ in rows] == [0.2, 0.5, 1.0, 2.0, 5.0]
         for _, analytic, empirical, _ in rows:
             band = 3.0 * math.sqrt(analytic * (1.0 - analytic) / 30_000)
@@ -466,7 +465,7 @@ class TestStreamedAccuracySweep:
             monkeypatch.setattr(cat_bulk, "STACK_CELLS", stack_cells)
             assert dim > cat_bulk.STACK_CELLS
         sigma_grid = (0.3, 1.0, 4.0)
-        rows, _ = dynamics.empirical_accuracy_sweep(dim, 2.0, sigma_grid, trials, seed=11)
+        rows = dynamics.empirical_accuracy_sweep(dim, 2.0, sigma_grid, trials, seed=11)
         assert [empirical for _, _, empirical, _ in rows] == _one_shot_retention(dim, 2.0, sigma_grid, trials, 11)
 
     def test_memory_does_not_grow_with_trials(self):

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from certlab import cli, dag
 from certlab.config import (
@@ -269,6 +271,54 @@ class TestSigmaGate:
         )
 
 
+# float64 values from the subnormals to near the top of the range, both zeros and both infinities
+_ANY_FLOAT = st.one_of(
+    st.floats(allow_nan=False, width=64),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1e308]),
+)
+_TOLERANCE = st.one_of(st.floats(min_value=0.0, max_value=1.7976931348623157e308), st.sampled_from([0.0, 5e-324]))
+
+
+class TestWithin:
+    def _check(self, observed, expected, tol, where=None):
+        result = ExperimentResult()
+        result.within("w", observed, expected, tol, where)
+        (check,) = result.checks
+        return check
+
+    def test_zero_tolerance_passes_equal_values_and_both_zeros(self):
+        check = self._check([0.5, 0.0], [0.5, -0.0], 0.0)
+        assert check.passed
+        assert check.detail == "0/2 rows over the limit, worst |0.5 - 0.5| vs tol 0.0 (excess 0.000e+00)"
+
+    def test_zero_tolerance_fails_the_next_float(self):
+        check = self._check(np.nextafter(1.0, 2.0), 1.0, 0.0)
+        assert not check.passed
+        assert check.detail == "1/1 rows over the limit, worst |1.0000000000000002 - 1.0| vs tol 0.0 (excess 2.220e-16)"
+
+    def test_a_nan_row_fails(self):
+        check = self._check([0.5, float("nan")], 0.5, 1.0, lambda i: f"row {i}")
+        assert not check.passed
+        assert check.detail == "1/2 rows over the limit, worst row 1: |nan - 0.5| vs tol 1.0 (excess nan)"
+
+    def test_scalars_broadcast_and_where_names_the_worst_row(self):
+        check = self._check(2.0, [2.0, 2.5, 1.0, 2.1], [0.0, 1.0, 0.5, 0.5], lambda i: f"cell {i}")
+        assert not check.passed
+        assert check.detail == "1/4 rows over the limit, worst cell 2: |2.0 - 1.0| vs tol 0.5 (excess 5.000e-01)"
+
+    @given(
+        st.integers(min_value=1, max_value=6).flatmap(
+            lambda n: st.tuples(*(st.lists(d, min_size=n, max_size=n) for d in (_ANY_FLOAT, _ANY_FLOAT, _TOLERANCE)))
+        )
+    )
+    @settings(max_examples=300)
+    def test_verdict_is_the_plain_comparison(self, rows):
+        observed, expected, tol = rows
+        assert self._check(observed, expected, tol).passed is all(
+            abs(a - b) <= t for a, b, t in zip(observed, expected, tol)
+        )
+
+
 def _write_cfg(tmp_path: Path, text: str) -> str:
     path = tmp_path / "exp.cfg"
     path.write_text(text)
@@ -424,7 +474,21 @@ class TestCli:
             # below 1/B for every B: the scan would have no rows
             ("tradeoff-scan", "scan_grid", "0.1", "params.scan_grid: no value is at least 1/B",
              "cat_bulk.certainty_panel"),
-            ("error-accumulation", "sigma_h", "0.0", "params.sigma_h: must be positive",
+            # the closed form is 0 at zero noise, underflows to 0 at 1e-200, and its square overflows at 1e100
+            ("error-accumulation", "sigma_h", "0.0", "params.sigma_h: the closed form at L=0.8 d=1 M=1 is 0.0;",
+             "dynamics.monte_carlo_error"),
+            ("error-accumulation", "sigma_h", "1e-200", "params.sigma_h: the closed form at L=0.8 d=1 M=1 is 0.0;",
+             "dynamics.monte_carlo_error"),
+            ("error-accumulation", "sigma_h", "1e100", "params.sigma_h: the closed form at L=0.8 d=1 M=1 is 1e+200;",
+             "dynamics.monte_carlo_error"),
+            # a float power out of range (sigma_h ** 2, L ** 12) raised OverflowError: the closed form reads inf
+            ("error-accumulation", "sigma_h", "1e200", "params.sigma_h: the closed form at L=0.8 d=1 M=1 is inf;",
+             "dynamics.monte_carlo_error"),
+            ("error-accumulation", "lipschitz_values", "0.8, 1e100",
+             "params.sigma_h: the closed form at L=1e+100 d=1 M=6 is inf;", "dynamics.monte_carlo_error"),
+            # at one step every Lipschitz value gives the same closed form d sigma^2
+            ("error-accumulation", "steps_values", "1",
+             "params.steps_values: the Lipschitz ordering needs at least 2 steps, got 1",
              "dynamics.monte_carlo_error"),
             # every walk runs to a target or a dead end: the key that capped its steps is gone
             ("dag-exploration", "graph_max_steps", "64", "unknown parameter keys: params.graph_max_steps",
