@@ -42,6 +42,12 @@ SPOT_TOL = 1e-10
 THREE_SIGMA_RATE = math.erfc(3.0 / math.sqrt(2.0))
 
 
+def nominal_rate(rows: int) -> str:
+    """The false-alarm rate of a gate whose every row rejects with chance THREE_SIGMA_RATE, over ``rows`` rows."""
+    text = f"nominal false-alarm rate {THREE_SIGMA_RATE:.2%} per row"
+    return f"{text}, {1.0 - (1.0 - THREE_SIGMA_RATE) ** rows:.1%} over {rows} rows" if rows > 1 else text
+
+
 @dataclass
 class ExperimentResult:
     tables: dict[str, tuple[list[str], list[tuple]]] = field(default_factory=dict)
@@ -73,13 +79,10 @@ class ExperimentResult:
         observed, expected, stderr = (np.asarray(a, dtype=np.float64) for a in (observed, expected, stderr))
         diff = np.abs(observed - expected)
         pulls = np.divide(diff, stderr, out=np.zeros_like(diff), where=stderr > 0)
-        rate = f"nominal false-alarm rate {THREE_SIGMA_RATE:.2%} per row"
-        if diff.size > 1:
-            rate += f", {1.0 - (1.0 - THREE_SIGMA_RATE) ** diff.size:.1%} over {diff.size} rows"
         self.gate(
             name, diff - 3.0 * stderr,
             lambda i: f"{where(i)}: |{observed[i]:.6e} - {expected[i]:.6e}| vs 3*{stderr[i]:.2e}",
-            f"worst pull {np.max(pulls, initial=0.0):.2f} sigma; {rate}",
+            f"worst pull {np.max(pulls, initial=0.0):.2f} sigma; {nominal_rate(diff.size)}",
         )
 
     def within(self, name: str, observed, expected, tol, where=None) -> None:
@@ -302,11 +305,12 @@ def run_tradeoff_scan(seed: int, params: dict, threads: int = 1) -> ExperimentRe
 
 ASYMPTOTE_SCHEMA = {
     "kappas": ParamSpec("float_list", (1e2, 1e3, 1e4, 1e5, 1e6)),
-    "options": ParamSpec("int", 5),
-    "minority_mass": ParamSpec("float", 1.0),
     "sample_draws": ParamSpec("int", 2000, minimum=2),
     "concentration_draws": ParamSpec("int", 10_000, minimum=1),
 }
+# The option count B and minority mass of every Dirichlet family of the experiment.
+ASYMPTOTE_OPTIONS = 5
+ASYMPTOTE_MINORITY_MASS = 1.0
 
 
 def run_divergence_asymptote(seed: int, params: dict, threads: int = 1) -> ExperimentResult:
@@ -316,8 +320,7 @@ def run_divergence_asymptote(seed: int, params: dict, threads: int = 1) -> Exper
     log_k = [math.log(k) for k in params["kappas"]]
     if len(set(log_k)) < 2:  # the slopes divide by a difference of logs
         raise InvalidInputError("params.kappas: the slope checks need at least two distinct values")
-    b = params["options"]
-    c = params["minority_mass"]
+    b, c = ASYMPTOTE_OPTIONS, ASYMPTOTE_MINORITY_MASS
     # every family is built, and so validated, before the first draw
     specs = [cat.DirichletConcentration(kappa=kappa, n_options=b, minority_mass=c) for kappa in params["kappas"]]
     spec6 = cat.DirichletConcentration(kappa=1e6, n_options=b, minority_mass=c)
@@ -396,30 +399,30 @@ def run_divergence_asymptote(seed: int, params: dict, threads: int = 1) -> Exper
 
 NOISE_DISCRETE_SCHEMA = {
     "trials": ParamSpec("int", 100_000),
-    "steps_list": ParamSpec("int_list", (6, 4, 8, 6, 10)),
-    "options_list": ParamSpec("int_list", (5, 3, 2, 4, 6)),
-    "noise_over_margin": ParamSpec("float", 0.2),
-    "min_margin": ParamSpec("float", 1.0),
     "contrast_noise_over_margin": ParamSpec("float", 5.0),
 }
+# Spec i's chain: CHAIN_STEPS[i] steps over CHAIN_OPTIONS[i] options, logit margins
+# of at least MIN_MARGIN, and sub-decisional noise NOISE_OVER_MARGIN times it.
+CHAIN_STEPS = (6, 4, 8, 6, 10)
+CHAIN_OPTIONS = (5, 3, 2, 4, 6)
+NOISE_OVER_MARGIN = 0.2
+MIN_MARGIN = 1.0
 
 
 def run_noise_discrete(seed: int, params: dict, threads: int = 1) -> ExperimentResult:
     result = ExperimentResult()
-    if len(params["steps_list"]) != len(params["options_list"]):
-        raise InvalidInputError("steps_list and options_list must have equal length")
-    specs = list(zip(params["steps_list"], params["options_list"]))
+    specs = list(zip(CHAIN_STEPS, CHAIN_OPTIONS))
 
     def chain_spec(index, noise_over_margin, sub_decisional_only=True):
         steps, options = specs[index]
         return dynamics.DiscreteChainSpec(
-            steps=steps, n_options=options, noise_scale=noise_over_margin * params["min_margin"],
+            steps=steps, n_options=options, noise_scale=noise_over_margin * MIN_MARGIN,
             sub_decisional_only=sub_decisional_only, logit_seed=derive_seed(seed, "chain-spec", index),
-            min_margin=params["min_margin"],
+            min_margin=MIN_MARGIN,
         )
 
     # every chain spec is built, and so validated, before any simulation
-    chain_specs = [chain_spec(index, params["noise_over_margin"]) for index in range(len(specs))]
+    chain_specs = [chain_spec(index, NOISE_OVER_MARGIN) for index in range(len(specs))]
     zero_spec = chain_spec(0, 0.0)
     contrast = chain_spec(0, params["contrast_noise_over_margin"], sub_decisional_only=False)
     # one draw per option per step and trial; the cap counts the sub-decisional runs
@@ -490,8 +493,12 @@ ERROR_ACCUMULATION_SCHEMA = {
     "dims": ParamSpec("int_list", (1, 8, 64)),
     "steps_values": ParamSpec("int_list", (1, 6, 12)),
     "sigma_h": ParamSpec("float", 0.1),
-    "trials": ParamSpec("int", 100_000),
+    "trials": ParamSpec("int", 100_000, minimum=100),
 }
+# Headroom kept between the expected sum of fourth powers a Monte Carlo cell
+# accumulates and the float range: a realized sum 2**10 times its expectation
+# needs one chi-squared draw hundreds of times its mean, a chance below 1e-100.
+FOURTH_POWER_HEADROOM = 2.0**10
 
 
 def run_error_accumulation(seed: int, params: dict, threads: int = 1) -> ExperimentResult:
@@ -507,8 +514,11 @@ def run_error_accumulation(seed: int, params: dict, threads: int = 1) -> Experim
         for d in params["dims"]
         for m in params["steps_values"]
     ]
+    _cap_draws(params["trials"] * sum(d * m for _, d, m in cells))
     # every cell's config and closed form are built, and so validated, before any
-    # simulation; the gates divide by the closed form and the law gate squares it
+    # simulation; the gates divide by the closed form and the law gate squares it,
+    # and the Monte Carlo sums |E_M|^4, whose expectation over the trials is
+    # trials * closed^2 * (1 + 2/d) (the chi-squared law below)
     configs = [
         dynamics.LatentConfig(dim=d, steps=m, lipschitz=lf, sigma_h=params["sigma_h"]) for lf, d, m in cells
     ]
@@ -518,13 +528,14 @@ def run_error_accumulation(seed: int, params: dict, threads: int = 1) -> Experim
             value = dynamics.expected_error_closed_form(config)
         except OverflowError:  # a float power out of range: sigma_h ** 2 or L ** (2 M)
             value = math.inf
-        if not 0.0 < value * value < math.inf:
+        fourth = params["trials"] * value * value * (1.0 + 2.0 / d) * FOURTH_POWER_HEADROOM
+        if not (0.0 < value * value < math.inf and fourth < math.inf):
             raise InvalidInputError(
-                f"params.sigma_h: the closed form at L={lf} d={d} M={m} is {value!r}; "
-                "it and its square must be positive and finite"
+                f"params.sigma_h: the closed form at L={lf} d={d} M={m} is {value!r}; it, its square and "
+                f"{FOURTH_POWER_HEADROOM:g} times the expected fourth-power sum of {params['trials']} trials "
+                "must be positive and finite"
             )
         closed.append(value)
-    _cap_draws(params["trials"] * sum(d * m for _, d, m in cells))
 
     def run_cell(item):
         cell, config = item
@@ -615,6 +626,24 @@ def _simpson_normal_cdf(z: float) -> float:
     return float(h / 3.0 * (ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-2:2].sum()))
 
 
+def binomial_tail(k: int, n: int, p: float) -> float:
+    """The tail of X ~ Binomial(n, p) on k's side of the mean, P(X <= k) if k < n p, else P(X >= k);
+    the other tail is at least 1/2, as the median lies between floor(n p) and ceil(n p).
+
+    The ``math.lgamma`` terms shrink from k outward: the sum stops at the first that no longer changes it."""
+    if not 0.0 < p < 1.0:  # a sure outcome: X = n p
+        return float(k == n * p)
+    step = -1 if k < n * p else 1
+    log_p, log_q, log_n = math.log(p), math.log1p(-p), math.lgamma(n + 1)
+    tail = 0.0
+    for j in range(k, -1 if step < 0 else n + 1, step):
+        term = math.exp(log_n - math.lgamma(j + 1) - math.lgamma(n - j + 1) + j * log_p + (n - j) * log_q)
+        if tail + term == tail:
+            break
+        tail += term
+    return tail
+
+
 def _crossing_sigma(margin: float, gain: float, level: float) -> float:
     """Sigma where the analytic retention curve crosses ``level`` (interpolated)."""
     grid = np.geomspace(1e-3, 1e3, 4001)
@@ -647,9 +676,16 @@ def run_accuracy_sweep(seed: int, params: dict, threads: int = 1) -> ExperimentR
     )
     result.tables["accuracy_sweep.csv"] = (["sigma", "analytic", "empirical", "std_error"], rows)
     sigmas, analytic, empirical = np.array([r[:3] for r in rows]).T
-    result.sigma_gate(
+    # a row fails when its retained count lies in either exact binomial tail of mass under
+    # THREE_SIGMA_RATE / 2: the 3-sigma rate, free of the normal approximation that fails at n (1 - p) << 1
+    trials = params["trials"]
+    retained = [round(e * trials) for e in empirical]  # e is a count over trials: exact
+    tails = np.array([binomial_tail(k, trials, p) for k, p in zip(retained, analytic)])
+    result.gate(
         "empirical retention within binomial 3-sigma of the analytic curve everywhere",
-        empirical, analytic, np.sqrt(analytic * (1.0 - analytic) / params["trials"]), lambda i: f"sigma={sigmas[i]}",
+        THREE_SIGMA_RATE / 2 - tails,
+        lambda i: f"sigma={sigmas[i]}: {retained[i]}/{trials} retained at rate {analytic[i]:.6e}, tail {tails[i]:.3e}",
+        f"tail limit {THREE_SIGMA_RATE / 2:.3e}; {nominal_rate(len(tails))}",
     )
     result.gate(
         "analytic curve is monotone non-increasing",
@@ -680,19 +716,18 @@ def run_accuracy_sweep(seed: int, params: dict, threads: int = 1) -> ExperimentR
 # cib-frontier: bottleneck solver vs brute force, frontier geometry
 # ---------------------------------------------------------------------------
 
-CIB_SCHEMA = {
-    "problem_seed": ParamSpec("int", 7),
-    "corpus_size": ParamSpec("int", 20, minimum=1),
-    "corpus_betas": ParamSpec("float_list", (0.5, 1.0, 2.0, 5.0), minimum=0.0),
-    "n_latent": ParamSpec("int", 2, minimum=1),
-    "frontier_betas": ParamSpec(
-        "float_list", (0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 32.0, 1000.0), minimum=0.0
-    ),
-    "restarts": ParamSpec("int", 16, minimum=1),
-    "tol": ParamSpec("float", 1e-10),
-    "max_conditional": ParamSpec("float", 0.9),
-    "schedule_scale": ParamSpec("float", 1.0),
-}
+CIB_SCHEMA: dict[str, ParamSpec] = {}
+# The frontier's noisy problem (its seed, its conditional cap) and betas, the
+# corpus, every solve's restarts and tolerance, and the stage schedule's scale.
+CIB_PROBLEM_SEED = 7
+CIB_CORPUS_SIZE = 20
+CIB_CORPUS_BETAS = (0.5, 1.0, 2.0, 5.0)
+CIB_N_LATENT = 2
+CIB_FRONTIER_BETAS = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 32.0, 1000.0)
+CIB_RESTARTS = 16
+CIB_TOL = 1e-10
+CIB_MAX_CONDITIONAL = 0.9
+CIB_SCHEDULE_SCALE = 1.0
 
 
 def frontier_envelope(points) -> tuple[list[float], list[str]]:
@@ -713,29 +748,15 @@ def frontier_envelope(points) -> tuple[list[float], list[str]]:
 
 def run_cib_frontier(seed: int, params: dict, threads: int = 1) -> ExperimentResult:
     result = ExperimentResult()
-    # the brute-force oracle enumerates n_latent ** 3 encoders of each corpus
-    # problem (3 past symbols); an n_latent over its cap is rejected before any solve
-    encoders = params["n_latent"] ** 3
-    if encoders > cib.ENUMERATION_CAP:
-        raise EnumerationTooLargeError(
-            f"params.n_latent: the brute-force oracle would enumerate {encoders} "
-            f"deterministic encoders, over the cap {cib.ENUMERATION_CAP}"
-        )
-    # the stage schedule's spot values, computed first so that a bad scale is
-    # rejected before any solve
-    scale = params["schedule_scale"]
-    schedule = [cib.beta_schedule(k, 10, scale) for k in (0, 5, 9)]
-    noisy = cib.random_noisy_problem(
-        3, 3, 1, params["problem_seed"], max_conditional=params["max_conditional"]
-    )
+    noisy = cib.random_noisy_problem(3, 3, 1, CIB_PROBLEM_SEED, max_conditional=CIB_MAX_CONDITIONAL)
     result.tables["cib_problem.csv"] = (
         ["x", "s_past", "s_future", "prob"], cib.problem_to_rows(noisy)
     )
 
     # frontier with a lossless-capable latent alphabet
     pts = cib.information_frontier(
-        noisy, params["frontier_betas"], n_latent=noisy.n_past,
-        restarts=params["restarts"], seed=derive_seed(seed, "frontier"), tol=params["tol"],
+        noisy, CIB_FRONTIER_BETAS, n_latent=noisy.n_past, restarts=CIB_RESTARTS, seed=derive_seed(seed, "frontier"),
+        tol=CIB_TOL,
     )
     result.tables["cib_frontier.csv"] = (
         ["beta", "i_past", "i_future", "objective", "converged"],
@@ -774,15 +795,15 @@ def run_cib_frontier(seed: int, params: dict, threads: int = 1) -> ExperimentRes
     # solver vs deterministic brute force on a seeded corpus
     corpus_rows = []
     rises = []  # per solve, the objective's largest rise over one sweep, less the slack
-    for index in range(params["corpus_size"]):
+    for index in range(CIB_CORPUS_SIZE):
         contexts = 1 if index % 2 == 0 else 2
         problem = cib.random_problem(3, 3, contexts, derive_seed(seed, "corpus", index))
-        for beta in params["corpus_betas"]:
+        for beta in CIB_CORPUS_BETAS:
             solution = cib.solve_cib(
-                problem, beta, params["n_latent"], restarts=params["restarts"],
-                tol=params["tol"], seed=derive_seed(seed, "corpus-solve", index, str(beta)),
+                problem, beta, CIB_N_LATENT, restarts=CIB_RESTARTS, tol=CIB_TOL,
+                seed=derive_seed(seed, "corpus-solve", index, str(beta)),
             )
-            brute, _ = cib.brute_force_cib(problem, beta, params["n_latent"])
+            brute, _ = cib.brute_force_cib(problem, beta, CIB_N_LATENT)
             corpus_rows.append((index, contexts, beta, solution.point.objective, brute,
                                 solution.point.converged))
             trace = np.array(solution.objective_trace)
@@ -808,10 +829,7 @@ def run_cib_frontier(seed: int, params: dict, threads: int = 1) -> ExperimentRes
     # golden pin: brute-force minimum on the fixed grouped-future problem
     grouped = cib.grouped_future_problem()
     golden, golden_map = cib.brute_force_cib(grouped, 2.0, 2)
-    gold_solution = cib.solve_cib(
-        grouped, 2.0, 2, restarts=params["restarts"], tol=params["tol"],
-        seed=derive_seed(seed, "golden"),
-    )
+    gold_solution = cib.solve_cib(grouped, 2.0, 2, restarts=CIB_RESTARTS, tol=CIB_TOL, seed=derive_seed(seed, "golden"))
     result.tables["cib_golden.csv"] = (
         ["beta", "n_latent", "brute_objective", "solver_objective", "brute_map"],
         [(2.0, 2, golden, gold_solution.point.objective, "".join(map(str, golden_map)))],
@@ -823,21 +841,21 @@ def run_cib_frontier(seed: int, params: dict, threads: int = 1) -> ExperimentRes
     )
 
     # decoder non-degeneracy at finite beta on the capped-conditional problem
-    betas = params["corpus_betas"]
     tops = np.array([
         cib.max_decoder_probability(noisy, cib.solve_cib(
-            noisy, beta, 2, restarts=params["restarts"], tol=params["tol"],
-            seed=derive_seed(seed, "decoder", str(beta)),
+            noisy, beta, 2, restarts=CIB_RESTARTS, tol=CIB_TOL, seed=derive_seed(seed, "decoder", str(beta)),
         ).encoder)
-        for beta in betas
+        for beta in CIB_CORPUS_BETAS
     ])
     result.gate(
         "decoder stays non-degenerate at every finite beta",
-        np.maximum(tops - (1.0 - 1e-4), tops - (params["max_conditional"] + 1e-9)),
-        lambda i: f"beta={betas[i]}: {tops[i]:.6f}",
+        np.maximum(tops - (1.0 - 1e-4), tops - (CIB_MAX_CONDITIONAL + 1e-9)),
+        lambda i: f"beta={CIB_CORPUS_BETAS[i]}: {tops[i]:.6f}",
     )
 
     # stage schedule spot values, and the terminal stage, where the schedule diverges
+    scale = CIB_SCHEDULE_SCALE
+    schedule = [cib.beta_schedule(k, 10, scale) for k in (0, 5, 9)]
     try:
         terminal = repr(cib.beta_schedule(10, 10, scale))
     except InvalidInputError:
@@ -861,7 +879,6 @@ def run_cib_frontier(seed: int, params: dict, threads: int = 1) -> ExperimentRes
 
 CURRICULUM_SCHEMA = {
     "strong_theta": ParamSpec("float_list", (10.0, 0.0, 0.0)),
-    "rate_theta": ParamSpec("float_list", (2.0, 0.0, 0.0)),
     "n_grid": ParamSpec("int_list", (100, 1000, 10_000, 100_000)),
     "trials_per_n": ParamSpec("int", 50, minimum=2),
     "iterations": ParamSpec("int", 5000, minimum=1),
@@ -869,22 +886,23 @@ CURRICULUM_SCHEMA = {
     "grad_checks": ParamSpec("int", 100, minimum=1),
     "tv_trials": ParamSpec("int", 10, minimum=1),
 }
+# The expert weights behind the convergence sweep and the total-variation fits.
+RATE_THETA = (2.0, 0.0, 0.0)
 
 
 def run_curriculum(seed: int, params: dict, threads: int = 1) -> ExperimentResult:
     result = ExperimentResult()
     dim = curriculum.FEATURES.shape[1]
-    for key in ("strong_theta", "rate_theta"):
-        if len(params[key]) != dim:
-            raise InvalidInputError(f"params.{key}: need {dim} weights, got {len(params[key])}")
-        with np.errstate(over="ignore", invalid="ignore"):  # scores that overflow make a NaN softmax
-            probabilities = curriculum.state_distribution(params[key])
-        if not np.all(np.isfinite(probabilities)):
-            raise InvalidInputError(f"params.{key}: the state probabilities are not finite")
+    if len(params["strong_theta"]) != dim:
+        raise InvalidInputError(f"params.strong_theta: need {dim} weights, got {len(params['strong_theta'])}")
+    with np.errstate(over="ignore", invalid="ignore"):  # scores that overflow make a NaN softmax
+        probabilities = curriculum.state_distribution(params["strong_theta"])
+    if not np.all(np.isfinite(probabilities)):
+        raise InvalidInputError("params.strong_theta: the state probabilities are not finite")
     if params["step"] <= 0:
         raise InvalidInputError(f"params.step: must be positive, got {params['step']!r}")
     strong = np.asarray(params["strong_theta"])
-    rate_theta = np.asarray(params["rate_theta"])
+    rate_theta = np.asarray(RATE_THETA)
     expert_strong = curriculum.success_rate(strong)
 
     result.within(
@@ -1038,21 +1056,23 @@ def run_curriculum(seed: int, params: dict, threads: int = 1) -> ExperimentResul
 # ---------------------------------------------------------------------------
 
 DAG_SCHEMA = {
-    "depth": ParamSpec("int", 6, minimum=1),
-    "branching": ParamSpec("int", 3, minimum=2),
     "policy_draws": ParamSpec("int", 200, minimum=2),
-    "kappa": ParamSpec("float", 1e6),
-    "minority_mass": ParamSpec("float", 1.0),
-    "delta": ParamSpec("float", 0.3),
     "mc_trials": ParamSpec("int", 100_000, minimum=1),
     "kappa_grid": ParamSpec("float_list", (1e2, 1e3, 1e4, 1e5, 1e6)),
     "divergence_draws": ParamSpec("int", 30, minimum=1),
     "capped_samples": ParamSpec("int", 10_000, minimum=1),
-    "capped_deltas": ParamSpec("float_list", (0.1, 0.3, 0.5)),
-    "capped_options_max": ParamSpec("int", 16, minimum=2),
     "graph_file": ParamSpec("str", ""),  # optional custom graph (adjacency text)
     "graph_trials": ParamSpec("int", 20_000, minimum=1),
 }
+# The trap's shape, the concentrated policies' Dirichlet law, the capped policies'
+# cap 1 - DAG_DELTA, and the capped-peak audit's deltas and largest B.
+TRAP_DEPTH = 6
+TRAP_BRANCHING = 3
+DAG_KAPPA = 1e6
+DAG_MINORITY_MASS = 1.0
+DAG_DELTA = 0.3
+CAPPED_DELTAS = (0.1, 0.3, 0.5)
+CAPPED_OPTIONS_MAX = 16
 
 
 def capped_peak_bound_audit(seed: int, deltas, options_max: int, samples: int) -> ExperimentResult:
@@ -1095,47 +1115,29 @@ def capped_peak_bound_audit(seed: int, deltas, options_max: int, samples: int) -
 
 def run_dag_exploration(seed: int, params: dict, threads: int = 1) -> ExperimentResult:
     result = ExperimentResult()
-    # the trap is enumerated exactly, so its size is capped before it is built
-    trap_nodes = params["depth"] * params["branching"] + 1
-    if trap_nodes > dag.ENUMERATION_NODE_CAP:
-        raise EnumerationTooLargeError(
-            f"params.depth: a depth-{params['depth']} trap at branching {params['branching']} "
-            f"has {trap_nodes} nodes, over the {dag.ENUMERATION_NODE_CAP} cap"
-        )
-    # the binary-graph ceiling and the capped audit need the two-option
-    # worst-case bound at each delta, and every trap decision node draws from
-    # the Dirichlet family at out-degree `branching`; building these first, and
-    # parsing the custom graph, rejects a bad delta, kappa, minority mass or
-    # graph before any policy draw
-    cap_bound = cat.worst_case_latent_kl(params["delta"], 2)
-    for delta in params["capped_deltas"]:
-        cat.worst_case_latent_kl(delta, 2)
-    for kappa in (params["kappa"], *params["kappa_grid"]):
-        cat.DirichletConcentration(
-            kappa=kappa, n_options=params["branching"], minority_mass=params["minority_mass"]
-        )
+    # every trap decision node draws from the Dirichlet family at out-degree
+    # TRAP_BRANCHING; building it at each kappa of the grid first, and parsing
+    # the custom graph, rejects a bad kappa or graph before any policy draw
+    for kappa in params["kappa_grid"]:
+        cat.DirichletConcentration(kappa=kappa, n_options=TRAP_BRANCHING, minority_mass=DAG_MINORITY_MASS)
     grid = params["kappa_grid"]
     if len(grid) < 2 or any(b <= a for a, b in zip(grid, grid[1:])):
         raise InvalidInputError("params.kappa_grid: need at least two strictly increasing values")
     custom = dag.parse_dag(read_text_file(params["graph_file"], InvalidInputError)) if params["graph_file"] else None
-    trap = dag.trap_dag(params["depth"], params["branching"])
+    trap = dag.trap_dag(TRAP_DEPTH, TRAP_BRANCHING)
     uniform_policy = dag.make_policy(trap, "uniform")
     uniform_exact = dag.enumerate_paths(trap, uniform_policy)
     result.within(
         "uniform walker's exact trap success equals the closed form",
-        uniform_exact, (1.0 / params["branching"]) ** params["depth"], 1e-15,
+        uniform_exact, (1.0 / TRAP_BRANCHING) ** TRAP_DEPTH, 1e-15,
     )
 
     def draw_success(kind, index):
         if kind == "concentrated":
-            policy = dag.make_policy(
-                trap, "concentrated", kappa=params["kappa"], minority_mass=params["minority_mass"],
-                seed=derive_seed(seed, "conc", index),
-            )
+            policy = dag.make_policy(trap, "concentrated", kappa=DAG_KAPPA, minority_mass=DAG_MINORITY_MASS,
+                                     seed=derive_seed(seed, "conc", index))
         else:
-            policy = dag.make_policy(
-                trap, "non_degenerate", delta=params["delta"], seed=derive_seed(seed, "nd", index)
-            )
+            policy = dag.make_policy(trap, "non_degenerate", delta=DAG_DELTA, seed=derive_seed(seed, "nd", index))
         return dag.enumerate_paths(trap, policy)
 
     draws = params["policy_draws"]
@@ -1189,7 +1191,7 @@ def run_dag_exploration(seed: int, params: dict, threads: int = 1) -> Experiment
         vals = []
         for i in range(params["divergence_draws"]):
             policy = dag.make_policy(
-                trap, "concentrated", kappa=kappa, minority_mass=params["minority_mass"],
+                trap, "concentrated", kappa=kappa, minority_mass=DAG_MINORITY_MASS,
                 seed=derive_seed(seed, "kdiv", str(kappa), i),
             )
             vals.append(dag.exploration_divergence(trap, policy))
@@ -1204,18 +1206,17 @@ def run_dag_exploration(seed: int, params: dict, threads: int = 1) -> Experiment
     )
 
     binary = dag.layered_dag(n_layers=6, width=4, max_out_degree=2, seed=derive_seed(seed, "binary"))
-    delta = params["delta"]
-    half_bound = -0.5 * math.log(delta) - cap_bound.scan_constant
+    half_bound = -0.5 * math.log(DAG_DELTA) - cat.worst_case_latent_kl(DAG_DELTA, 2).scan_constant
     nd_divs = []
     peaks = []  # (draw, node, top probability) at every decision node with two or more options
     for i in range(params["divergence_draws"]):
-        policy = dag.make_policy(binary, "non_degenerate", delta=delta, seed=derive_seed(seed, "ndbin", i))
+        policy = dag.make_policy(binary, "non_degenerate", delta=DAG_DELTA, seed=derive_seed(seed, "ndbin", i))
         nd_divs.append(dag.exploration_divergence(binary, policy))
         dists = [(v, policy.distribution(v)) for v in binary.decision_nodes()]
         peaks += [(i, v, cat.symbolic_index(row)) for v, row in dists if row.size >= 2]
     result.gate(
         "capped policy respects the certainty cap at every node",
-        [top - (1.0 - delta + 1e-12) for _, _, top in peaks],
+        [top - (1.0 - DAG_DELTA + 1e-12) for _, _, top in peaks],
         lambda k: f"draw {peaks[k][0]} node {peaks[k][1]} (top {peaks[k][2]:.6f})",
     )
     result.gate(
@@ -1229,10 +1230,7 @@ def run_dag_exploration(seed: int, params: dict, threads: int = 1) -> Experiment
     )
 
     result.checks += capped_peak_bound_audit(
-        derive_seed(seed, "capped-audit"),
-        params["capped_deltas"],
-        params["capped_options_max"],
-        params["capped_samples"],
+        derive_seed(seed, "capped-audit"), CAPPED_DELTAS, CAPPED_OPTIONS_MAX, params["capped_samples"]
     ).checks
 
     # serialization interface: the trap graph is emitted in the line format

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from certlab import cat_bulk, cib
+from certlab import cat_bulk, cib, experiments
 from certlab.errors import EnumerationTooLargeError, InvalidInputError
 from certlab.experiments import frontier_envelope
+from certlab.seeding import derive_seed
 
 
 def two_by_two_problem():
@@ -509,3 +510,21 @@ class TestBlockedBruteForce:
         monkeypatch.setattr(cib, "dual_objective", refuse)
         _, mapping = cib.brute_force_cib(cib.grouped_future_problem(), 2.0, 2)
         assert mapping[0] == mapping[1] != mapping[2]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="alternating minimization from random restarts can stop above the deterministic minimum: "
+    "here no restart gets below the constant encoder's objective 0",
+)
+def test_solver_meets_the_brute_force_minimum_at_seed_5_problem_8():
+    # the battery's corpus solve at seed 5, problem 8 (one context), beta = 5, rebuilt
+    # from the library: the solver reaches 0.0 where brute force finds -0.0305
+    problem = cib.random_problem(3, 3, 1, derive_seed(5, "corpus", 8))
+    solution = cib.solve_cib(
+        problem, 5.0, experiments.CIB_N_LATENT, restarts=experiments.CIB_RESTARTS, tol=experiments.CIB_TOL,
+        seed=derive_seed(5, "corpus-solve", 8, "5.0"),
+    )
+    brute, _ = cib.brute_force_cib(problem, 5.0, experiments.CIB_N_LATENT)
+    assert solution.point.objective <= brute + 1e-8

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from certlab import categorical as cat
-from certlab import dag
+from certlab import dag, experiments
 from certlab.experiments import EXPERIMENTS, default_params
 from certlab.errors import (
     EnumerationTooLargeError,
@@ -16,7 +16,7 @@ from certlab.errors import (
     InvalidInputError,
     NoSuccessorsError,
 )
-from certlab.seeding import rng_for
+from certlab.seeding import derive_seed, rng_for
 
 
 class TestConstruction:
@@ -394,3 +394,26 @@ class TestSearchGates:
             "0/1 rows over the limit, worst uniform walker on the custom graph: |1.000000e+00 - 1.000000e+00| "
             "vs 3*3.33e-13 (excess -9.998e-13); worst pull 0.00 sigma; nominal false-alarm rate 0.27% per row"
         )
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="both policy families give each spine node expected mass exactly 1/B on its continuing successor, "
+    "so both means have expectation (1/B)^depth, the uniform success: the mean ordering is a coin flip",
+)
+def test_uniform_success_bounds_both_policy_means_at_seed_2():
+    # the battery's policy draws at seed 2, rebuilt from the library: the capped mean is
+    # 1.477e-03, above the uniform walker's 1.372e-03
+    trap = dag.trap_dag(experiments.TRAP_DEPTH, experiments.TRAP_BRANCHING)
+    uniform = dag.enumerate_paths(trap, dag.make_policy(trap, "uniform"))
+    draws = default_params("dag-exploration")["policy_draws"]
+    means = [
+        np.mean([dag.enumerate_paths(trap, dag.make_policy(trap, kind, seed=derive_seed(2, label, i), **law))
+                 for i in range(draws)])
+        for kind, label, law in (
+            ("concentrated", "conc", {"kappa": experiments.DAG_KAPPA, "minority_mass": experiments.DAG_MINORITY_MASS}),
+            ("non_degenerate", "nd", {"delta": experiments.DAG_DELTA}),
+        )
+    ]
+    assert uniform >= max(means)

@@ -9,7 +9,7 @@ import pytest
 
 from certlab import cat_bulk, dynamics
 from certlab.errors import InvalidInputError
-from certlab.experiments import EXPERIMENTS, default_params
+from certlab.experiments import EXPERIMENTS, binomial_tail, default_params
 from certlab.seeding import rng_for
 
 
@@ -253,10 +253,24 @@ BINOMIAL_GATE = "empirical retention within binomial 3-sigma of the analytic cur
 
 
 class TestBinomialGate:
-    def _gate(self):
-        result = EXPERIMENTS["accuracy-sweep"].runner(0, default_params("accuracy-sweep"))
+    def _gate(self, seed=0):
+        result = EXPERIMENTS["accuracy-sweep"].runner(seed, default_params("accuracy-sweep"))
         (check,) = [c for c in result.checks if c.name == BINOMIAL_GATE]
         return check
+
+    def test_one_miss_at_a_near_sure_rate_passes(self):
+        # at sigma = 0.1 the rate is Phi(5): 10**5 trials expect 0.029 misses, and
+        # seed 24 draws one, a 5.74-sigma pull under the normal approximation
+        check = self._gate(24)
+        assert check.passed
+        assert "worst sigma=0.1: 99999/100000 retained at rate 9.999997e-01, tail 2.826e-02" in check.detail
+
+    @pytest.mark.parametrize("n, p", [(10, 0.3), (25, 0.5), (40, 0.97), (7, 0.01), (6, 1.0)])
+    def test_binomial_tail_is_the_exact_sum(self, n, p):
+        terms = [math.comb(n, j) * p**j * (1.0 - p) ** (n - j) for j in range(n + 1)]
+        for k in range(n + 1):
+            expected = math.fsum(terms[: k + 1] if k < n * p else terms[k:])
+            assert abs(binomial_tail(k, n, p) - expected) <= 1e-13 * expected + 1e-300
 
     def test_fails_when_the_noise_is_five_percent_wider(self, mutate_streams):
         assert self._gate().passed
@@ -264,9 +278,8 @@ class TestBinomialGate:
         check = self._gate()
         assert not check.passed
         assert check.detail == (
-            "5/10 rows over the limit, worst sigma=0.5: |8.271400e-01 - 8.413447e-01| vs 3*1.16e-03 "
-            "(excess 1.074e-02); worst pull 14.10 sigma; "
-            "nominal false-alarm rate 0.27% per row, 2.7% over 10 rows"
+            "5/10 rows over the limit, worst sigma=0.3: 94270/100000 retained at rate 9.522096e-01, tail 6.521e-43 "
+            "(excess 1.350e-03); tail limit 1.350e-03; nominal false-alarm rate 0.27% per row, 2.7% over 10 rows"
         )
 
 

@@ -337,24 +337,31 @@ _BELOW_MINIMUM_CASES = [
     ("dag-exploration", "policy_draws", 1),
     ("curriculum", "tv_trials", 0),
     ("divergence-asymptote", "sample_draws", 1),
-    ("cib-frontier", "corpus_size", 0),
-    ("cib-frontier", "n_latent", 0),
-    ("cib-frontier", "restarts", 0),
-    ("cib-frontier", "corpus_betas", "0.5, -1.0"),
-    ("cib-frontier", "frontier_betas", -0.25),
     ("tradeoff-scan", "options_set", 1),
     ("tradeoff-scan", "scan_options", "2, 1"),
     ("tradeoff-scan", "oracle_resolution", 0),
     ("divergence-asymptote", "kappas", 100.0),
-    ("dag-exploration", "capped_options_max", 1),
     ("dag-exploration", "mc_trials", 0),
     ("dag-exploration", "graph_trials", 0),
-    ("dag-exploration", "depth", 0),
-    ("dag-exploration", "branching", 1),
     ("curriculum", "grad_checks", 0),
     ("curriculum", "trials_per_n", 1),
     ("curriculum", "iterations", 0),
     ("accuracy-sweep", "dim", 0),
+    ("error-accumulation", "trials", 99),
+]
+
+# (experiment, a kernel that must not run, keys): each key is a module constant of
+# certlab.experiments, so a config that sets it fails on an unknown key
+_CONSTANT_KEYS = [
+    ("divergence-asymptote", "categorical.dirichlet_sample", ("options", "minority_mass")),
+    ("noise-discrete", "dynamics.simulate_discrete_chain",
+     ("steps_list", "options_list", "noise_over_margin", "min_margin")),
+    ("cib-frontier", "cib.solve_cib",
+     ("problem_seed", "corpus_size", "corpus_betas", "n_latent", "frontier_betas", "restarts", "tol",
+      "max_conditional", "schedule_scale")),
+    ("curriculum", "curriculum.fit_rows", ("rate_theta",)),
+    ("dag-exploration", "dag.make_policy",
+     ("depth", "branching", "kappa", "minority_mass", "delta", "capped_deltas", "capped_options_max")),
 ]
 
 
@@ -420,31 +427,19 @@ class TestCli:
             ("curriculum", "n_grid", "100", "n grid must be increasing", "curriculum.fit_rows"),
             ("curriculum", "n_grid", "100, 100", "n grid must be increasing", "curriculum.fit_rows"),
             ("curriculum", "strong_theta", "10.0, 0.0", "params.strong_theta: need 3 weights", "curriculum.fit_rows"),
-            ("curriculum", "rate_theta", "2.0, 0.0, 0.0, 0.0", "params.rate_theta: need 3 weights",
-             "curriculum.fit_rows"),
             ("curriculum", "step", "0.0", "params.step: must be positive", "curriculum.fit_rows"),
             # finite weights whose scores overflow: the softmax is NaN
             ("curriculum", "strong_theta", "1e308, 1e308, 1e308",
              "params.strong_theta: the state probabilities are not finite", "curriculum.draw_counts"),
-            ("curriculum", "rate_theta", "1e308, 1e308, 1e308",
-             "params.rate_theta: the state probabilities are not finite", "curriculum.draw_counts"),
             ("error-accumulation", "lipschitz_values", "0.8, 1.0, -1.0", "lipschitz must be positive",
              "dynamics.monte_carlo_error"),
             ("noise-discrete", "contrast_noise_over_margin", "-1.0", "noise scale must be >= 0",
-             "dynamics.simulate_discrete_chain"),
-            # sub-decisional noise must stay below the margin: at or over it an argmax could move
-            ("noise-discrete", "noise_over_margin", "1.0", "sub-decisional noise scale must be below min_margin 1.0",
-             "dynamics.simulate_discrete_chain"),
-            ("noise-discrete", "noise_over_margin", "5.0", "sub-decisional noise scale must be below min_margin 1.0",
              "dynamics.simulate_discrete_chain"),
             # the bounded law needs no rejection sampler, so the key that sized its
             # acceptance check is unknown (spelled in two parts: no live code names it)
             ("noise-discrete", "acceptance" "_draws", "2000", "unknown parameter keys: params.acceptance" "_draws",
              "dynamics.simulate_discrete_chain"),
-            ("cib-frontier", "schedule_scale", "0.0", "scale must be positive", "cib.solve_cib"),
-            ("dag-exploration", "capped_deltas", "0.1, 0.3, 1.5", "delta must lie in (0,1)", "dag.make_policy"),
-            ("dag-exploration", "delta", "0.0", "delta must lie in (0,1)", "dag.make_policy"),
-            # every trap node draws from the Dirichlet family at out-degree `branching`
+            # every trap node draws from the Dirichlet family at out-degree 3
             ("dag-exploration", "kappa_grid", "100.0, 1.5", "kappa too small", "dag.make_policy"),
             # the divergence-growth gate compares neighbours of an increasing grid
             ("dag-exploration", "kappa_grid", "1e6, 1e2", "params.kappa_grid: need at least two strictly increasing",
@@ -455,10 +450,8 @@ class TestCli:
              "params.kappa_grid: need at least two strictly increasing", "dag.make_policy"),
             ("error-accumulation", "lipschitz_values", "0.8, 0.8",
              "params.lipschitz_values: the values must be distinct", "dynamics.monte_carlo_error"),
-            ("dag-exploration", "kappa", "1.5", "kappa too small", "dag.make_policy"),
-            ("dag-exploration", "minority_mass", "0.0", "minority mass must be positive", "dag.make_policy"),
             # a value may end in further `key = value` lines
-            ("divergence-asymptote", "kappas", "1.0, 10.0\noptions = 2\nminority_mass = 0.5",
+            ("divergence-asymptote", "kappas", "1.0, 10.0\nsample_draws = 20\nconcentration_draws = 100",
              "params.kappas: each kappa must exceed 1", "categorical.dirichlet_sample"),
             ("divergence-asymptote", "kappas", "100.0, 2.0", "kappa too small", "categorical.dirichlet_sample"),
             # two distinct kappas whose logs are equal: the slopes would divide by zero
@@ -486,6 +479,12 @@ class TestCli:
              "dynamics.monte_carlo_error"),
             ("error-accumulation", "lipschitz_values", "0.8, 1e100",
              "params.sigma_h: the closed form at L=1e+100 d=1 M=6 is inf;", "dynamics.monte_carlo_error"),
+            # the sums of fourth powers, trials * closed^2 * (1 + 2/d) in expectation, would overflow
+            ("error-accumulation", "sigma_h", "1e74\ndims = 64\nsteps_values = 2, 12\ntrials = 20000",
+             "params.sigma_h: the closed form at L=1.0 d=64 M=12 is 7.679999999999999e+150;",
+             "dynamics.monte_carlo_error"),
+            ("error-accumulation", "sigma_h", "1e75\ndims = 64\nsteps_values = 2, 12\ntrials = 1000",
+             "params.sigma_h: the closed form at L=0.8 d=64 M=2 is 1.0496e+152;", "dynamics.monte_carlo_error"),
             # at one step every Lipschitz value gives the same closed form d sigma^2
             ("error-accumulation", "steps_values", "1",
              "params.steps_values: the Lipschitz ordering needs at least 2 steps, got 1",
@@ -496,9 +495,6 @@ class TestCli:
             # the map is the scalar L I: the key that picked a rotation map is gone
             ("error-accumulation", "transition", "rotation_scaling", "unknown parameter keys: params.transition",
              "dynamics.monte_carlo_error"),
-            # 216 ** 3 encoders of a 3-symbol corpus problem: just over the brute-force cap
-            ("cib-frontier", "n_latent", "216", "params.n_latent: the brute-force oracle would enumerate 10077696",
-             "cib.solve_cib"),
             # at dim 16 the 0.75 crossing leaves the sigma grid above twice this margin, or below this one
             ("accuracy-sweep", "margin", "2000.0",
              "params.margin: the margin-doubling check needs the 0.75 crossing at margin 4000.0",
@@ -511,10 +507,10 @@ class TestCli:
              "experiments.rng_for"),
             ("tradeoff-scan", "samples", "5", "params.samples: need at least one row per B, 6 in all, got 5",
              "experiments.rng_for"),
-            # depth * branching + 1 nodes: one over the enumeration cap
-            ("dag-exploration", "depth", "500000\nbranching = 2",
-             "params.depth: a depth-500000 trap at branching 2 has 1000001 nodes, over the 1000000 cap",
-             "dag.trap_dag"),
+            *[
+                (experiment, key, "1", f"unknown parameter keys: params.{key}", kernel)
+                for experiment, kernel, keys in _CONSTANT_KEYS for key in keys
+            ],
         ],
     )
     def test_bad_param_exits_two_before_the_kernel(
@@ -534,8 +530,6 @@ class TestCli:
     @pytest.mark.parametrize(
         "experiment, key, value",
         [
-            ("dag-exploration", "kappa", "inf"),
-            ("dag-exploration", "delta", "nan"),
             ("dag-exploration", "kappa_grid", "100.0, -inf"),
             ("error-accumulation", "sigma_h", "NaN"),
             ("error-accumulation", "lipschitz_values", "0.8, 1e999"),
