@@ -55,6 +55,9 @@ SUM_TOL = 1e-12
 # Largest branching factor B' that ``worst_case_latent_kl`` scans.
 BRANCHING_SCAN = 10_000
 
+# Dirichlet parameter of each minority option of a ``DirichletConcentration``.
+MINORITY_MASS = 1.0
+
 
 def as_distribution(probs) -> np.ndarray:
     """Validate and return a probability vector as a float64 array.
@@ -202,22 +205,19 @@ class DirichletConcentration:
     """Concentrated Dirichlet family: one dominant option, even minority mass.
 
     kappa is the total concentration; each of the ``n_options - 1``
-    minority parameters equals ``minority_mass``, and the dominant
-    parameter is ``kappa - (n_options - 1) * minority_mass``, required
+    minority parameters equals ``MINORITY_MASS``, and the dominant
+    parameter is ``kappa - (n_options - 1) * MINORITY_MASS``, required
     positive.  The dominant index is fixed to 0 for determinism.
     """
 
     kappa: float
     n_options: int
-    minority_mass: float
 
     def __post_init__(self) -> None:
         if self.kappa <= 0:
             raise InvalidInputError(f"kappa must be positive, got {self.kappa!r}")
         if self.n_options < 2:
             raise InvalidInputError(f"need at least 2 options, got {self.n_options}")
-        if self.minority_mass <= 0:
-            raise InvalidInputError(f"minority mass must be positive, got {self.minority_mass!r}")
         if self.dominant_parameter <= 0:
             raise InvalidInputError(
                 "kappa too small: dominant parameter "
@@ -226,11 +226,11 @@ class DirichletConcentration:
 
     @property
     def dominant_parameter(self) -> float:
-        return self.kappa - (self.n_options - 1) * self.minority_mass
+        return self.kappa - (self.n_options - 1) * MINORITY_MASS
 
     @property
     def alphas(self) -> np.ndarray:
-        a = np.full(self.n_options, self.minority_mass, dtype=np.float64)
+        a = np.full(self.n_options, MINORITY_MASS, dtype=np.float64)
         a[0] = self.dominant_parameter
         return a
 
@@ -255,16 +255,17 @@ def dirichlet_sample(
 def cot_divergence_asymptote(params: DirichletConcentration) -> float:
     """Leading terms of D(uniform || mean) as concentration grows.
 
-    Returns ``(B-1)/B * log(kappa) - log B - (B-1) * log(c) / B``: the
-    divergence of the uniform explorer from a concentrated mean grows
-    logarithmically in kappa with slope (B-1)/B, i.e. without bound.
+    Returns ``(B-1)/B * log(kappa) - log B - (B-1) * log(c) / B`` with
+    ``c = MINORITY_MASS``: the divergence of the uniform explorer from a
+    concentrated mean grows logarithmically in kappa with slope (B-1)/B,
+    i.e. without bound.
     The dropped term is O(1/kappa).
     """
     b = params.n_options
     return (
         (b - 1) / b * math.log(params.kappa)
         - math.log(b)
-        - (b - 1) * math.log(params.minority_mass) / b
+        - (b - 1) * math.log(MINORITY_MASS) / b
     )
 
 

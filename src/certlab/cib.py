@@ -30,7 +30,7 @@ out monotone and concave if the solver is doing its job; the cib-frontier
 experiment gates that, not ``information_frontier``.
 
 ``beta_schedule`` exposes the stage-dependent trade-off weight
-``scale * k / (M - k)``: early stages pay nothing for compression, late
+``k / (M - k)``: early stages pay nothing for compression, late
 stages weight prediction heavily, diverging at the terminal stage.
 """
 
@@ -49,6 +49,12 @@ from .seeding import derive_seed, rng_for
 ENUMERATION_CAP = 10**7
 # Sweeps after which ``solve_cib`` stops the candidates that have not converged.
 MAX_SWEEPS = 10_000
+# Random restarts per solve, besides the constant encoder, and the objective change
+# below which a candidate counts as converged.
+RESTARTS = 16
+TOL = 1e-10
+# Largest conditional p(s_future | s_past, x) of a ``random_noisy_problem``.
+MAX_CONDITIONAL = 0.9
 SUM_TOL = 1e-12
 # Stand-in for log(0) in encoder updates: large enough to zero cells after
 # the exponential, finite so that 0 * log(0) products stay exactly 0.
@@ -230,13 +236,11 @@ def dual_objective(problem: CibProblem, encoder: Encoder, beta: float) -> float:
     return float(_objective_rows(*_one_table(problem, encoder), beta)[0])
 
 
-def beta_schedule(k: int, total_steps: int, scale: float = 1.0) -> float:
-    """Stage weight scale * k / (total_steps - k); diverges at the last stage."""
-    if scale <= 0:
-        raise InvalidInputError(f"scale must be positive, got {scale!r}")
+def beta_schedule(k: int, total_steps: int) -> float:
+    """Stage weight k / (total_steps - k); diverges at the last stage."""
     if not (0 <= k < total_steps):
         raise InvalidInputError(f"stage k must satisfy 0 <= k < {total_steps}, got {k}")
-    return scale * k / (total_steps - k)
+    return k / (total_steps - k)
 
 
 def max_decoder_probability(problem: CibProblem, encoder: Encoder) -> float:
@@ -303,21 +307,14 @@ class CibSolution:
     objective_trace: tuple[float, ...]  # winning candidate, one value per sweep
 
 
-def solve_cib(
-    problem: CibProblem,
-    beta: float,
-    n_latent: int,
-    restarts: int = 16,
-    tol: float = 1e-10,
-    seed: int = 0,
-) -> CibSolution:
+def solve_cib(problem: CibProblem, beta: float, n_latent: int, seed: int = 0) -> CibSolution:
     """Best-of-restarts alternating minimization of the dual objective.
 
     Candidate 0 is the constant encoder (objective exactly 0, a fixed
-    point); candidates 1..restarts start from rows drawn from a symmetric
+    point); candidates 1..RESTARTS start from rows drawn from a symmetric
     Dirichlet.  All candidates sweep in lockstep as one (R, S, H) stack; a
     candidate leaves the live set once its objective change drops below
-    ``tol``, and the rest stop after ``MAX_SWEEPS`` sweeps (non-convergence
+    ``TOL``, and the rest stop after ``MAX_SWEEPS`` sweeps (non-convergence
     is reported via the ``converged`` flag, not an error).  The winner is
     the lowest objective, ties broken toward the lower candidate index.
     """
@@ -325,14 +322,10 @@ def solve_cib(
         raise InvalidInputError(f"beta must be >= 0, got {beta!r}")
     if n_latent < 1:
         raise InvalidInputError(f"need n_latent >= 1, got {n_latent}")
-    if restarts < 1:
-        raise InvalidInputError(f"need restarts >= 1, got {restarts}")
-    if tol <= 0:
-        raise InvalidInputError(f"tol must be positive, got {tol!r}")
 
-    tables = np.empty((restarts + 1, problem.n_past, n_latent))
+    tables = np.empty((RESTARTS + 1, problem.n_past, n_latent))
     tables[0] = constant_encoder(problem.n_past, n_latent).table
-    for candidate in range(1, restarts + 1):
+    for candidate in range(1, RESTARTS + 1):
         rng = rng_for(seed, "cib-restart", candidate)
         tables[candidate] = rng.dirichlet(np.ones(n_latent), size=problem.n_past)
     # one moment pass per sweep: the live tables' moments score them and
@@ -341,15 +334,15 @@ def solve_cib(
     moments = _moments(contexts, tables)
     objective = _objective_rows(contexts, tables, moments, beta)
     history = [objective.copy()]  # per sweep, every candidate's objective (frozen once it stops)
-    iterations = np.zeros(restarts + 1, dtype=np.int64)
-    converged = np.zeros(restarts + 1, dtype=bool)
-    live = np.arange(restarts + 1)
+    iterations = np.zeros(RESTARTS + 1, dtype=np.int64)
+    converged = np.zeros(RESTARTS + 1, dtype=bool)
+    live = np.arange(RESTARTS + 1)
     live_tables = tables
     for sweep in range(1, MAX_SWEEPS + 1):
         live_tables = _encoder_sweep(contexts, live_tables, moments, beta)
         moments = _moments(contexts, live_tables)
         new_objective = _objective_rows(contexts, live_tables, moments, beta)
-        done = np.abs(new_objective - objective[live]) < tol
+        done = np.abs(new_objective - objective[live]) < TOL
         objective[live] = new_objective
         history.append(objective.copy())
         if np.logical_or.reduce(done):
@@ -416,14 +409,7 @@ def brute_force_cib(
 # ---------------------------------------------------------------------------
 
 
-def information_frontier(
-    problem: CibProblem,
-    beta_grid,
-    n_latent: int,
-    restarts: int = 16,
-    seed: int = 0,
-    tol: float = 1e-10,
-) -> list[InfoPlanePoint]:
+def information_frontier(problem: CibProblem, beta_grid, n_latent: int, seed: int = 0) -> list[InfoPlanePoint]:
     """Solve per beta; return the points sorted by (i_past, i_future)."""
     grid = [float(b) for b in beta_grid]
     if not grid or any(b < 0 for b in grid):
@@ -431,9 +417,7 @@ def information_frontier(
     if any(b2 <= b1 for b1, b2 in zip(grid, grid[1:])):
         raise InvalidInputError("beta grid must be strictly ascending")
     points = [
-        solve_cib(
-            problem, beta, n_latent, restarts=restarts, tol=tol, seed=derive_seed(seed, "frontier", idx)
-        ).point
+        solve_cib(problem, beta, n_latent, seed=derive_seed(seed, "frontier", idx)).point
         for idx, beta in enumerate(grid)
     ]
     return sorted(points, key=lambda pt: (pt.i_past, pt.i_future))
@@ -469,21 +453,15 @@ def random_problem(n_past: int, n_future: int, n_context: int, seed: int) -> Cib
     return CibProblem(joint=cells.reshape(n_context, n_past, n_future))
 
 
-def random_noisy_problem(
-    n_past: int,
-    n_future: int,
-    n_context: int,
-    seed: int,
-    max_conditional: float = 0.9,
-) -> CibProblem:
+def random_noisy_problem(n_past: int, n_future: int, n_context: int, seed: int) -> CibProblem:
     """Random joint whose conditionals p(s_future | s_past, x) are capped.
 
     Each conditional row is blended toward uniform just enough to keep its
-    maximum at or below ``max_conditional``, so no amount of encoding can
+    maximum at or below ``MAX_CONDITIONAL``, so no amount of encoding can
     produce a deterministic decoder on such a problem.
     """
-    if not (1.0 / n_future < max_conditional < 1.0):
-        raise InvalidInputError(f"cap must lie in (1/{n_future}, 1), got {max_conditional!r}")
+    if n_future * MAX_CONDITIONAL <= 1.0:
+        raise InvalidInputError(f"the cap {MAX_CONDITIONAL} must exceed 1/{n_future}")
     rng = rng_for(seed, "cib-noisy-problem")
     p_x = rng.dirichlet(np.ones(n_context))
     joint = np.empty((n_context, n_past, n_future))
@@ -493,8 +471,8 @@ def random_noisy_problem(
         for s in range(n_past):
             row = rng.dirichlet(np.ones(n_future))
             top = float(row.max())
-            if top > max_conditional:
-                blend = (max_conditional - uniform) / (top - uniform)
+            if top > MAX_CONDITIONAL:
+                blend = (MAX_CONDITIONAL - uniform) / (top - uniform)
                 row = uniform + blend * (row - uniform)
             joint[x, s] = p_x[x] * p_s[s] * row
     joint /= joint.sum()

@@ -32,6 +32,12 @@ from .seeding import rng_for
 ENUMERATION_NODE_CAP = 10**6
 # Trials per run_search block and stream; changing it changes every search result.
 SEARCH_BLOCK = 8192
+# Most block-steps (blocks times the longest walk) one run_search may take.  One
+# step of a full block took about 0.24 ms on a 2-core Xeon, so the cap bounds a
+# search near 24 s there.
+SEARCH_STEP_CAP = 10**5
+# A capped policy's top probability is at most 1 - CAP_DELTA.
+CAP_DELTA = 0.3
 
 
 @dataclass(frozen=True)
@@ -268,34 +274,23 @@ def uniform_prior(dag: DecisionDag, node: int) -> np.ndarray:
     return np.full(k, 1.0 / k)
 
 
-def make_policy(
-    dag: DecisionDag,
-    kind: str,
-    *,
-    kappa: float | None = None,
-    minority_mass: float | None = None,
-    delta: float | None = None,
-    seed: int = 0,
-) -> ReasoningPolicy:
+def make_policy(dag: DecisionDag, kind: str, *, kappa: float | None = None, seed: int = 0) -> ReasoningPolicy:
     """Construct a policy in one of three certainty regimes.
 
     kind:
       * ``uniform``: equals the uniform prior at every node.
       * ``concentrated``: each node's distribution is one draw from the
-        concentrated Dirichlet family (``kappa``, ``minority_mass``), its
-        dominant parameter placed on a successor chosen uniformly at random.
+        concentrated Dirichlet family at ``kappa``, its dominant parameter
+        placed on a successor chosen uniformly at random.
       * ``non_degenerate``: a uniform simplex draw per node, with the
-        maximum capped at ``1 - delta`` and the remainder renormalized
+        maximum capped at ``1 - CAP_DELTA`` and the remainder renormalized
         proportionally, so the top probability never exceeds the cap.
     """
     tables: list[np.ndarray | None] = []
     if kind == "concentrated":
-        if kappa is None or minority_mass is None:
-            raise InvalidInputError("concentrated policy needs kappa and minority_mass")
-    elif kind == "non_degenerate":
-        if delta is None:
-            raise InvalidInputError("non_degenerate policy needs delta")
-    elif kind != "uniform":
+        if kappa is None:
+            raise InvalidInputError("concentrated policy needs kappa")
+    elif kind not in ("uniform", "non_degenerate"):
         raise InvalidInputError(f"unknown policy kind {kind!r}")
     rng = None if kind == "uniform" else rng_for(seed, "policy", kind)  # a uniform policy draws nothing
 
@@ -308,9 +303,7 @@ def make_policy(
             tables.append(np.full(k, 1.0 / k))
             continue
         if kind == "concentrated":
-            params = cat.DirichletConcentration(
-                kappa=kappa, n_options=k, minority_mass=minority_mass
-            )
+            params = cat.DirichletConcentration(kappa=kappa, n_options=k)
             draw = cat.dirichlet_sample(params, rng)
             dominant = int(rng.integers(k))
             # draw[0] carries the dominant parameter; swap it into place
@@ -318,13 +311,7 @@ def make_policy(
             out[0], out[dominant] = out[dominant], out[0]
             tables.append(out)
         else:  # non_degenerate
-            cap = 1.0 - delta
-            if cap < 1.0 / k - 1e-15:
-                raise InvalidInputError(
-                    f"delta {delta!r} infeasible at node {v}: cap below 1/{k}"
-                )
-            raw = rng.dirichlet(np.ones(k))
-            tables.append(cap_distribution(raw, cap))
+            tables.append(cap_distribution(rng.dirichlet(np.ones(k)), 1.0 - CAP_DELTA))
     return ReasoningPolicy(tables=tuple(tables))
 
 
@@ -367,6 +354,33 @@ def exploration_divergence(dag: DecisionDag, policy: ReasoningPolicy) -> float:
     return float(np.mean(divergences))
 
 
+def longest_walk(dag: DecisionDag) -> int:
+    """Most steps a walk from the start can take: a walk ends at a target or a dead end.
+
+    One pass in reverse topological order, so each node's successors are done first.
+    """
+    steps = [0] * dag.n_nodes
+    for v in reversed(dag.topological_order):
+        if v not in dag.targets and dag.successors[v]:
+            steps[v] = 1 + max(steps[u] for u in dag.successors[v])
+    return steps[dag.start]
+
+
+def price_search(dag: DecisionDag, trials: int) -> None:
+    """Refuse a search of ``trials`` walks whose blocks times longest walk exceeds ``SEARCH_STEP_CAP``.
+
+    Each ``SEARCH_BLOCK`` of trials steps until its last walk ends, so the
+    product bounds the steps ``run_search`` takes whatever the draws.
+    """
+    blocks = -(-trials // SEARCH_BLOCK)
+    longest = longest_walk(dag)
+    if blocks * longest > SEARCH_STEP_CAP:
+        raise EnumerationTooLargeError(
+            f"{trials} trials make {blocks} blocks of walks up to {longest} steps: "
+            f"{blocks * longest} block-steps, over the cap {SEARCH_STEP_CAP}"
+        )
+
+
 class TraversalStats(NamedTuple):
     trials: int
     successes: int
@@ -386,9 +400,11 @@ def run_search(
     ``b`` draws one uniform per live trial, in trial order, from
     ``rng_for(seed, "trial-block", b)``.  The trials at one node invert that
     node's CDF together, exactly as a single trial's ``searchsorted`` would.
+    ``price_search`` refuses an oversized search before the first draw.
     """
     if trials < 1:
         raise InvalidInputError(f"need trials >= 1, got {trials}")
+    price_search(dag, trials)
     is_target = np.zeros(dag.n_nodes, dtype=bool)
     is_target[sorted(dag.targets)] = True
     moves = np.array([bool(succ) for succ in dag.successors]) & ~is_target

@@ -6,7 +6,7 @@ Two simulators and one analytic curve:
   deterministic function of the generated prefix.  Sub-decisional logit
   noise is drawn uniformly from ``[-scale/2, scale/2]`` per logit, so it moves
   every pairwise logit gap by at most ``scale``, and the spec requires
-  ``scale < min_margin``, the floor of every step's top-two gap.  No draw can
+  ``scale < MIN_MARGIN``, the floor of every step's top-two gap.  No draw can
   then move an argmax, so the perturbed chain never leaves the clean
   trajectory and the divergence count is zero by theorem, not by
   rejection.  Each prefix group is one call of ``noisy_argmax_counts``, the
@@ -46,6 +46,8 @@ from .errors import InvalidInputError
 from .seeding import rng_for
 
 MC_BLOCK = 8192
+# Floor of every discrete-chain step's top-two logit gap.
+MIN_MARGIN = 1.0
 
 # ---------------------------------------------------------------------------
 # Continuous latent chain
@@ -147,10 +149,10 @@ class DiscreteChainSpec:
     The clean logits at step ``k`` are a deterministic function of the
     generated prefix, realized as a seeded lookup keyed by the prefix
     bytes, with the top logit lifted where needed so every decision has
-    margin >= ``min_margin`` (hence a unique argmax).
+    margin >= ``MIN_MARGIN`` (hence a unique argmax).
 
     For a sub-decisional spec ``noise_scale`` bounds how far the noise moves
-    any logit gap, and it must lie below ``min_margin``, so no step's argmax
+    any logit gap, and it must lie below ``MIN_MARGIN``, so no step's argmax
     can move; for an unconstrained spec it is the Gaussian noise's sigma.
     """
 
@@ -159,7 +161,6 @@ class DiscreteChainSpec:
     noise_scale: float
     sub_decisional_only: bool = True
     logit_seed: int = 0
-    min_margin: float = 1.0
 
     def __post_init__(self) -> None:
         if self.steps < 1 or self.n_options < 2:
@@ -168,11 +169,9 @@ class DiscreteChainSpec:
             )
         if self.noise_scale < 0:
             raise InvalidInputError(f"noise scale must be >= 0, got {self.noise_scale!r}")
-        if not (self.min_margin > 0):
-            raise InvalidInputError(f"min_margin must be positive, got {self.min_margin!r}")
-        if self.sub_decisional_only and not (self.noise_scale < self.min_margin):
+        if self.sub_decisional_only and not (self.noise_scale < MIN_MARGIN):
             raise InvalidInputError(
-                f"sub-decisional noise scale must be below min_margin {self.min_margin!r}, got {self.noise_scale!r}"
+                f"sub-decisional noise scale must be below MIN_MARGIN {MIN_MARGIN!r}, got {self.noise_scale!r}"
             )
 
 
@@ -185,9 +184,9 @@ def prefix_logits(spec: DiscreteChainSpec, prefix: tuple[int, ...]) -> np.ndarra
     logits = rng.standard_normal(spec.n_options)
     top = int(np.argmax(logits))
     second = float(np.partition(logits, spec.n_options - 2)[-2])
-    if logits[top] - second < spec.min_margin:
-        logits[top] = second + spec.min_margin
-        while logits[top] - second < spec.min_margin:  # the sum rounded down
+    if logits[top] - second < MIN_MARGIN:
+        logits[top] = second + MIN_MARGIN
+        while logits[top] - second < MIN_MARGIN:  # the sum rounded down
             logits[top] = np.nextafter(logits[top], np.inf)
     return logits
 

@@ -308,9 +308,8 @@ ASYMPTOTE_SCHEMA = {
     "sample_draws": ParamSpec("int", 2000, minimum=2),
     "concentration_draws": ParamSpec("int", 10_000, minimum=1),
 }
-# The option count B and minority mass of every Dirichlet family of the experiment.
+# The option count B of every Dirichlet family of the experiment.
 ASYMPTOTE_OPTIONS = 5
-ASYMPTOTE_MINORITY_MASS = 1.0
 
 
 def run_divergence_asymptote(seed: int, params: dict, threads: int = 1) -> ExperimentResult:
@@ -320,10 +319,10 @@ def run_divergence_asymptote(seed: int, params: dict, threads: int = 1) -> Exper
     log_k = [math.log(k) for k in params["kappas"]]
     if len(set(log_k)) < 2:  # the slopes divide by a difference of logs
         raise InvalidInputError("params.kappas: the slope checks need at least two distinct values")
-    b, c = ASYMPTOTE_OPTIONS, ASYMPTOTE_MINORITY_MASS
+    b = ASYMPTOTE_OPTIONS
     # every family is built, and so validated, before the first draw
-    specs = [cat.DirichletConcentration(kappa=kappa, n_options=b, minority_mass=c) for kappa in params["kappas"]]
-    spec6 = cat.DirichletConcentration(kappa=1e6, n_options=b, minority_mass=c)
+    specs = [cat.DirichletConcentration(kappa=kappa, n_options=b) for kappa in params["kappas"]]
+    spec6 = cat.DirichletConcentration(kappa=1e6, n_options=b)
     uniform = np.full(b, 1.0 / b)
     rows = []
     samples = []
@@ -361,7 +360,7 @@ def run_divergence_asymptote(seed: int, params: dict, threads: int = 1) -> Exper
         cat.cot_divergence_asymptote(specs[high]) - cat.cot_divergence_asymptote(specs[low])
     ) / (log_k[high] - log_k[low])
     result.within("asymptote slope exactly (B-1)/B", asym_slope, (b - 1) / b, 1e-12)
-    two_opt = cat.DirichletConcentration(kappa=1000.0, n_options=2, minority_mass=1.0)
+    two_opt = cat.DirichletConcentration(kappa=1000.0, n_options=2)
     result.within(
         "two-option asymptote reduces to log(kappa)/2 - log 2",
         cat.cot_divergence_asymptote(two_opt), 0.5 * math.log(1000.0) - math.log(2.0), 1e-12,
@@ -402,11 +401,10 @@ NOISE_DISCRETE_SCHEMA = {
     "contrast_noise_over_margin": ParamSpec("float", 5.0),
 }
 # Spec i's chain: CHAIN_STEPS[i] steps over CHAIN_OPTIONS[i] options, logit margins
-# of at least MIN_MARGIN, and sub-decisional noise NOISE_OVER_MARGIN times it.
+# of at least dynamics.MIN_MARGIN, and sub-decisional noise NOISE_OVER_MARGIN times it.
 CHAIN_STEPS = (6, 4, 8, 6, 10)
 CHAIN_OPTIONS = (5, 3, 2, 4, 6)
 NOISE_OVER_MARGIN = 0.2
-MIN_MARGIN = 1.0
 
 
 def run_noise_discrete(seed: int, params: dict, threads: int = 1) -> ExperimentResult:
@@ -416,9 +414,8 @@ def run_noise_discrete(seed: int, params: dict, threads: int = 1) -> ExperimentR
     def chain_spec(index, noise_over_margin, sub_decisional_only=True):
         steps, options = specs[index]
         return dynamics.DiscreteChainSpec(
-            steps=steps, n_options=options, noise_scale=noise_over_margin * MIN_MARGIN,
+            steps=steps, n_options=options, noise_scale=noise_over_margin * dynamics.MIN_MARGIN,
             sub_decisional_only=sub_decisional_only, logit_seed=derive_seed(seed, "chain-spec", index),
-            min_margin=MIN_MARGIN,
         )
 
     # every chain spec is built, and so validated, before any simulation
@@ -717,17 +714,12 @@ def run_accuracy_sweep(seed: int, params: dict, threads: int = 1) -> ExperimentR
 # ---------------------------------------------------------------------------
 
 CIB_SCHEMA: dict[str, ParamSpec] = {}
-# The frontier's noisy problem (its seed, its conditional cap) and betas, the
-# corpus, every solve's restarts and tolerance, and the stage schedule's scale.
+# The frontier's noisy problem seed and betas, and the corpus.
 CIB_PROBLEM_SEED = 7
 CIB_CORPUS_SIZE = 20
 CIB_CORPUS_BETAS = (0.5, 1.0, 2.0, 5.0)
 CIB_N_LATENT = 2
 CIB_FRONTIER_BETAS = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 32.0, 1000.0)
-CIB_RESTARTS = 16
-CIB_TOL = 1e-10
-CIB_MAX_CONDITIONAL = 0.9
-CIB_SCHEDULE_SCALE = 1.0
 
 
 def frontier_envelope(points) -> tuple[list[float], list[str]]:
@@ -748,16 +740,13 @@ def frontier_envelope(points) -> tuple[list[float], list[str]]:
 
 def run_cib_frontier(seed: int, params: dict, threads: int = 1) -> ExperimentResult:
     result = ExperimentResult()
-    noisy = cib.random_noisy_problem(3, 3, 1, CIB_PROBLEM_SEED, max_conditional=CIB_MAX_CONDITIONAL)
+    noisy = cib.random_noisy_problem(3, 3, 1, CIB_PROBLEM_SEED)
     result.tables["cib_problem.csv"] = (
         ["x", "s_past", "s_future", "prob"], cib.problem_to_rows(noisy)
     )
 
     # frontier with a lossless-capable latent alphabet
-    pts = cib.information_frontier(
-        noisy, CIB_FRONTIER_BETAS, n_latent=noisy.n_past, restarts=CIB_RESTARTS, seed=derive_seed(seed, "frontier"),
-        tol=CIB_TOL,
-    )
+    pts = cib.information_frontier(noisy, CIB_FRONTIER_BETAS, n_latent=noisy.n_past, seed=derive_seed(seed, "frontier"))
     result.tables["cib_frontier.csv"] = (
         ["beta", "i_past", "i_future", "objective", "converged"],
         [(p.beta, p.i_past, p.i_future, p.objective, p.converged) for p in pts],
@@ -800,8 +789,7 @@ def run_cib_frontier(seed: int, params: dict, threads: int = 1) -> ExperimentRes
         problem = cib.random_problem(3, 3, contexts, derive_seed(seed, "corpus", index))
         for beta in CIB_CORPUS_BETAS:
             solution = cib.solve_cib(
-                problem, beta, CIB_N_LATENT, restarts=CIB_RESTARTS, tol=CIB_TOL,
-                seed=derive_seed(seed, "corpus-solve", index, str(beta)),
+                problem, beta, CIB_N_LATENT, seed=derive_seed(seed, "corpus-solve", index, str(beta))
             )
             brute, _ = cib.brute_force_cib(problem, beta, CIB_N_LATENT)
             corpus_rows.append((index, contexts, beta, solution.point.objective, brute,
@@ -829,7 +817,7 @@ def run_cib_frontier(seed: int, params: dict, threads: int = 1) -> ExperimentRes
     # golden pin: brute-force minimum on the fixed grouped-future problem
     grouped = cib.grouped_future_problem()
     golden, golden_map = cib.brute_force_cib(grouped, 2.0, 2)
-    gold_solution = cib.solve_cib(grouped, 2.0, 2, restarts=CIB_RESTARTS, tol=CIB_TOL, seed=derive_seed(seed, "golden"))
+    gold_solution = cib.solve_cib(grouped, 2.0, 2, seed=derive_seed(seed, "golden"))
     result.tables["cib_golden.csv"] = (
         ["beta", "n_latent", "brute_objective", "solver_objective", "brute_map"],
         [(2.0, 2, golden, gold_solution.point.objective, "".join(map(str, golden_map)))],
@@ -842,33 +830,32 @@ def run_cib_frontier(seed: int, params: dict, threads: int = 1) -> ExperimentRes
 
     # decoder non-degeneracy at finite beta on the capped-conditional problem
     tops = np.array([
-        cib.max_decoder_probability(noisy, cib.solve_cib(
-            noisy, beta, 2, restarts=CIB_RESTARTS, tol=CIB_TOL, seed=derive_seed(seed, "decoder", str(beta)),
-        ).encoder)
+        cib.max_decoder_probability(
+            noisy, cib.solve_cib(noisy, beta, 2, seed=derive_seed(seed, "decoder", str(beta))).encoder
+        )
         for beta in CIB_CORPUS_BETAS
     ])
     result.gate(
         "decoder stays non-degenerate at every finite beta",
-        np.maximum(tops - (1.0 - 1e-4), tops - (CIB_MAX_CONDITIONAL + 1e-9)),
+        np.maximum(tops - (1.0 - 1e-4), tops - (cib.MAX_CONDITIONAL + 1e-9)),
         lambda i: f"beta={CIB_CORPUS_BETAS[i]}: {tops[i]:.6f}",
     )
 
     # stage schedule spot values, and the terminal stage, where the schedule diverges
-    scale = CIB_SCHEDULE_SCALE
-    schedule = [cib.beta_schedule(k, 10, scale) for k in (0, 5, 9)]
+    schedule = [cib.beta_schedule(k, 10) for k in (0, 5, 9)]
     try:
-        terminal = repr(cib.beta_schedule(10, 10, scale))
+        terminal = repr(cib.beta_schedule(10, 10))
     except InvalidInputError:
         terminal = None
     result.check(
         "stage schedule: spot values and divergence at the terminal stage",
-        schedule[0] == 0.0 and abs(schedule[1] - scale) <= 1e-15 and abs(schedule[2] - 9.0 * scale) <= 1e-12
+        schedule[0] == 0.0 and abs(schedule[1] - 1.0) <= 1e-15 and abs(schedule[2] - 9.0) <= 1e-12
         and terminal is None,
-        f"stages 0, 5, 9 of 10 at scale {scale!r}: {schedule}; stage 10: {terminal or 'refused'}",
+        f"stages 0, 5, 9 of 10: {schedule}; stage 10: {terminal or 'refused'}",
     )
     result.gate(
         "stage schedule increases monotonically",
-        strict_rise([cib.beta_schedule(k, 12, scale) for k in range(12)]), lambda k: f"stage {k + 1} after stage {k}",
+        strict_rise([cib.beta_schedule(k, 12) for k in range(12)]), lambda k: f"stage {k + 1} after stage {k}",
     )
     return result
 
@@ -1064,28 +1051,27 @@ DAG_SCHEMA = {
     "graph_file": ParamSpec("str", ""),  # optional custom graph (adjacency text)
     "graph_trials": ParamSpec("int", 20_000, minimum=1),
 }
-# The trap's shape, the concentrated policies' Dirichlet law, the capped policies'
-# cap 1 - DAG_DELTA, and the capped-peak audit's deltas and largest B.
+# The trap's shape, the concentrated policies' kappa, and the capped-peak audit's
+# deltas and largest B.
 TRAP_DEPTH = 6
 TRAP_BRANCHING = 3
 DAG_KAPPA = 1e6
-DAG_MINORITY_MASS = 1.0
-DAG_DELTA = 0.3
 CAPPED_DELTAS = (0.1, 0.3, 0.5)
 CAPPED_OPTIONS_MAX = 16
 
 
-def capped_peak_bound_audit(seed: int, deltas, options_max: int, samples: int) -> ExperimentResult:
+def capped_peak_bound_audit(seed: int, samples: int) -> ExperimentResult:
     """Audit the worst-case chain on random capped-peak distributions.
 
-    For every (delta, B) pair draws ``samples`` even-remainder distributions
+    For every delta of ``CAPPED_DELTAS`` and every B up to
+    ``CAPPED_OPTIONS_MAX`` draws ``samples`` even-remainder distributions
     whose peak is a simplex draw's maximum capped at ``1 - delta``, measures
     D(uniform || p) with ``kl_rows``, and checks measured <= exact worst case
     <= simplified bound; a spot audit re-measures random rows through the
     public scalar ops.  Returns a result holding those two checks.
     """
     audit = ExperimentResult()
-    pairs = [(delta, b) for delta in deltas for b in range(2, options_max + 1)]
+    pairs = [(delta, b) for delta in CAPPED_DELTAS for b in range(2, CAPPED_OPTIONS_MAX + 1)]
     # the spot rows are picked up front so only they, not every row, are kept
     picks = spot_rows(rng_for(seed, "capped-spot"), len(pairs) * samples)
     spot = {}  # picked row -> (peak, B, measured divergence)
@@ -1113,18 +1099,30 @@ def capped_peak_bound_audit(seed: int, deltas, options_max: int, samples: int) -
     return audit
 
 
+def _price_search(graph, params: dict, key: str) -> None:
+    """Refuse, before any draw, a search whose ``params[key]`` trials ``dag.price_search`` refuses."""
+    try:
+        dag.price_search(graph, params[key])
+    except EnumerationTooLargeError as exc:
+        raise EnumerationTooLargeError(f"params.{key}: {exc}") from None
+
+
 def run_dag_exploration(seed: int, params: dict, threads: int = 1) -> ExperimentResult:
     result = ExperimentResult()
     # every trap decision node draws from the Dirichlet family at out-degree
-    # TRAP_BRANCHING; building it at each kappa of the grid first, and parsing
-    # the custom graph, rejects a bad kappa or graph before any policy draw
+    # TRAP_BRANCHING; building it at each kappa of the grid first, parsing the
+    # custom graph and pricing both searches reject a bad kappa, graph or trial
+    # count before any policy draw
     for kappa in params["kappa_grid"]:
-        cat.DirichletConcentration(kappa=kappa, n_options=TRAP_BRANCHING, minority_mass=DAG_MINORITY_MASS)
+        cat.DirichletConcentration(kappa=kappa, n_options=TRAP_BRANCHING)
     grid = params["kappa_grid"]
     if len(grid) < 2 or any(b <= a for a, b in zip(grid, grid[1:])):
         raise InvalidInputError("params.kappa_grid: need at least two strictly increasing values")
     custom = dag.parse_dag(read_text_file(params["graph_file"], InvalidInputError)) if params["graph_file"] else None
+    if custom is not None:
+        _price_search(custom, params, "graph_trials")
     trap = dag.trap_dag(TRAP_DEPTH, TRAP_BRANCHING)
+    _price_search(trap, params, "mc_trials")
     uniform_policy = dag.make_policy(trap, "uniform")
     uniform_exact = dag.enumerate_paths(trap, uniform_policy)
     result.within(
@@ -1134,10 +1132,9 @@ def run_dag_exploration(seed: int, params: dict, threads: int = 1) -> Experiment
 
     def draw_success(kind, index):
         if kind == "concentrated":
-            policy = dag.make_policy(trap, "concentrated", kappa=DAG_KAPPA, minority_mass=DAG_MINORITY_MASS,
-                                     seed=derive_seed(seed, "conc", index))
+            policy = dag.make_policy(trap, "concentrated", kappa=DAG_KAPPA, seed=derive_seed(seed, "conc", index))
         else:
-            policy = dag.make_policy(trap, "non_degenerate", delta=DAG_DELTA, seed=derive_seed(seed, "nd", index))
+            policy = dag.make_policy(trap, "non_degenerate", seed=derive_seed(seed, "nd", index))
         return dag.enumerate_paths(trap, policy)
 
     draws = params["policy_draws"]
@@ -1190,10 +1187,7 @@ def run_dag_exploration(seed: int, params: dict, threads: int = 1) -> Experiment
     for kappa in params["kappa_grid"]:
         vals = []
         for i in range(params["divergence_draws"]):
-            policy = dag.make_policy(
-                trap, "concentrated", kappa=kappa, minority_mass=DAG_MINORITY_MASS,
-                seed=derive_seed(seed, "kdiv", str(kappa), i),
-            )
+            policy = dag.make_policy(trap, "concentrated", kappa=kappa, seed=derive_seed(seed, "kdiv", str(kappa), i))
             vals.append(dag.exploration_divergence(trap, policy))
         divergence_means.append(float(np.mean(vals)))
         kappa_rows.append((kappa, divergence_means[-1]))
@@ -1206,17 +1200,17 @@ def run_dag_exploration(seed: int, params: dict, threads: int = 1) -> Experiment
     )
 
     binary = dag.layered_dag(n_layers=6, width=4, max_out_degree=2, seed=derive_seed(seed, "binary"))
-    half_bound = -0.5 * math.log(DAG_DELTA) - cat.worst_case_latent_kl(DAG_DELTA, 2).scan_constant
+    half_bound = -0.5 * math.log(dag.CAP_DELTA) - cat.worst_case_latent_kl(dag.CAP_DELTA, 2).scan_constant
     nd_divs = []
     peaks = []  # (draw, node, top probability) at every decision node with two or more options
     for i in range(params["divergence_draws"]):
-        policy = dag.make_policy(binary, "non_degenerate", delta=DAG_DELTA, seed=derive_seed(seed, "ndbin", i))
+        policy = dag.make_policy(binary, "non_degenerate", seed=derive_seed(seed, "ndbin", i))
         nd_divs.append(dag.exploration_divergence(binary, policy))
         dists = [(v, policy.distribution(v)) for v in binary.decision_nodes()]
         peaks += [(i, v, cat.symbolic_index(row)) for v, row in dists if row.size >= 2]
     result.gate(
         "capped policy respects the certainty cap at every node",
-        [top - (1.0 - DAG_DELTA + 1e-12) for _, _, top in peaks],
+        [top - (1.0 - dag.CAP_DELTA + 1e-12) for _, _, top in peaks],
         lambda k: f"draw {peaks[k][0]} node {peaks[k][1]} (top {peaks[k][2]:.6f})",
     )
     result.gate(
@@ -1229,9 +1223,7 @@ def run_dag_exploration(seed: int, params: dict, threads: int = 1) -> Experiment
         dag.exploration_divergence(binary, dag.make_policy(binary, "uniform")), 0.0, 0.0,
     )
 
-    result.checks += capped_peak_bound_audit(
-        derive_seed(seed, "capped-audit"), CAPPED_DELTAS, CAPPED_OPTIONS_MAX, params["capped_samples"]
-    ).checks
+    result.checks += capped_peak_bound_audit(derive_seed(seed, "capped-audit"), params["capped_samples"]).checks
 
     # serialization interface: the trap graph is emitted in the line format
     # and read back before use, so the round trip is always exercised

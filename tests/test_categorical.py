@@ -121,7 +121,7 @@ class TestEntropy:
 
     def test_concentrated_mean_matches_direct_oracle(self):
         # independent evaluation of -sum p log p on the explicit mean vector
-        spec = cat.DirichletConcentration(kappa=1e4, n_options=5, minority_mass=1.0)
+        spec = cat.DirichletConcentration(kappa=1e4, n_options=5)
         mean = cat.dirichlet_mean(spec)
         oracle = -(mean[0] * math.log(mean[0]) + 4.0 * mean[1] * math.log(mean[1]))
         assert abs(cat.entropy(mean) - oracle) <= 1e-15
@@ -145,7 +145,7 @@ class TestKlDivergence:
         assert abs(got - 0.5108256237659907) <= 1e-15
 
     def test_uniform_vs_concentrated_mean(self):
-        spec = cat.DirichletConcentration(kappa=1e4, n_options=5, minority_mass=1.0)
+        spec = cat.DirichletConcentration(kappa=1e4, n_options=5)
         mean = cat.dirichlet_mean(spec)
         # exact-sum oracle, written out longhand
         oracle = 0.2 * math.log(0.2 / mean[0]) + 4.0 * 0.2 * math.log(0.2 / mean[1])
@@ -266,29 +266,31 @@ class TestDivergenceFloors:
 
 
 class TestDirichletFamily:
-    def test_symmetric_mean(self):
-        spec = cat.DirichletConcentration(kappa=10.0, n_options=2, minority_mass=5.0)
+    def test_symmetric_mean(self, monkeypatch):
+        monkeypatch.setattr(cat, "MINORITY_MASS", 5.0)
+        spec = cat.DirichletConcentration(kappa=10.0, n_options=2)
         np.testing.assert_allclose(cat.dirichlet_mean(spec), [0.5, 0.5], atol=1e-15)
 
     def test_concentrated_mean(self):
-        spec = cat.DirichletConcentration(kappa=1e4, n_options=5, minority_mass=1.0)
+        spec = cat.DirichletConcentration(kappa=1e4, n_options=5)
         mean = cat.dirichlet_mean(spec)
         np.testing.assert_allclose(mean, [0.9996, 1e-4, 1e-4, 1e-4, 1e-4], atol=1e-15)
 
     def test_dominant_parameter_must_be_positive(self):
         with pytest.raises(InvalidInputError):
-            cat.DirichletConcentration(kappa=4.0, n_options=5, minority_mass=1.0)
+            cat.DirichletConcentration(kappa=4.0, n_options=5)
 
     def test_samples_concentrate(self):
-        spec = cat.DirichletConcentration(kappa=1e6, n_options=5, minority_mass=1.0)
+        spec = cat.DirichletConcentration(kappa=1e6, n_options=5)
         rng = np.random.default_rng(11)
         hits = sum(
             cat.symbolic_index(cat.dirichlet_sample(spec, rng)) > 0.999 for _ in range(500)
         )
         assert hits / 500 >= 0.99
 
-    def test_samples_are_distributions(self):
-        spec = cat.DirichletConcentration(kappa=50.0, n_options=4, minority_mass=2.0)
+    def test_samples_are_distributions(self, monkeypatch):
+        monkeypatch.setattr(cat, "MINORITY_MASS", 2.0)
+        spec = cat.DirichletConcentration(kappa=50.0, n_options=4)
         rng = np.random.default_rng(3)
         for _ in range(50):
             cat.as_distribution(cat.dirichlet_sample(spec, rng))
@@ -354,14 +356,15 @@ class TestRowKernels:
             cat_bulk.kl_rows(q, np.array([[0.5, 0.25, 0.25]]))
 
     def test_dirichlet_rows_equal_successive_draws(self):
-        spec = cat.DirichletConcentration(kappa=1e4, n_options=5, minority_mass=1.0)
+        spec = cat.DirichletConcentration(kappa=1e4, n_options=5)
         bulk = cat.dirichlet_sample(spec, np.random.default_rng(7), 300)
         rng = np.random.default_rng(7)
         assert np.array_equal(bulk, [cat.dirichlet_sample(spec, rng) for _ in range(300)])
 
-    def test_dirichlet_underflow_guard(self):
+    def test_dirichlet_underflow_guard(self, monkeypatch):
         # shape-1e-300 gamma variates underflow to zero
-        spec = cat.DirichletConcentration(kappa=2e-300, n_options=2, minority_mass=1e-300)
+        monkeypatch.setattr(cat, "MINORITY_MASS", 1e-300)
+        spec = cat.DirichletConcentration(kappa=2e-300, n_options=2)
         with pytest.raises(InvalidInputError):
             cat.dirichlet_sample(spec, np.random.default_rng(0))
         with pytest.raises(InvalidInputError):
@@ -505,19 +508,19 @@ class TestBlockedTradeoffPanel:
 
 class TestDivergenceAsymptote:
     def test_reference_value(self):
-        spec = cat.DirichletConcentration(kappa=1e4, n_options=5, minority_mass=1.0)
+        spec = cat.DirichletConcentration(kappa=1e4, n_options=5)
         expected = 0.8 * math.log(1e4) - math.log(5.0)
         assert abs(cat.cot_divergence_asymptote(spec) - expected) <= 1e-12
         assert abs(expected - 5.7588) <= 1e-3
 
     def test_matches_exact_divergence_to_order_one_over_kappa(self):
         for kappa in (1e2, 1e3, 1e4, 1e5, 1e6):
-            spec = cat.DirichletConcentration(kappa=kappa, n_options=5, minority_mass=1.0)
+            spec = cat.DirichletConcentration(kappa=kappa, n_options=5)
             exact = cat.kl_divergence(np.full(5, 0.2), cat.dirichlet_mean(spec))
             assert abs(exact - cat.cot_divergence_asymptote(spec)) <= 10.0 / kappa
 
     def test_two_option_reduction(self):
-        spec = cat.DirichletConcentration(kappa=777.0, n_options=2, minority_mass=1.0)
+        spec = cat.DirichletConcentration(kappa=777.0, n_options=2)
         assert abs(
             cat.cot_divergence_asymptote(spec) - (0.5 * math.log(777.0) - math.log(2.0))
         ) <= 1e-12
@@ -525,7 +528,7 @@ class TestDivergenceAsymptote:
     def test_slope_in_log_kappa_is_exact(self):
         def asym(kappa):
             return cat.cot_divergence_asymptote(
-                cat.DirichletConcentration(kappa=kappa, n_options=5, minority_mass=1.0)
+                cat.DirichletConcentration(kappa=kappa, n_options=5)
             )
 
         slope = (asym(1e6) - asym(1e2)) / (math.log(1e6) - math.log(1e2))

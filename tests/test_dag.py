@@ -117,9 +117,7 @@ class TestMakePolicy:
         hits = 0
         nodes = 0
         for i in range(40):
-            policy = dag.make_policy(
-                graph, "concentrated", kappa=1e6, minority_mass=1.0, seed=i
-            )
+            policy = dag.make_policy(graph, "concentrated", kappa=1e6, seed=i)
             for v in graph.decision_nodes():
                 nodes += 1
                 hits += cat.symbolic_index(policy.distribution(v)) > 0.999
@@ -128,26 +126,19 @@ class TestMakePolicy:
     def test_non_degenerate_cap_is_exact(self):
         graph = dag.trap_dag(6, 3)
         for i in range(20):
-            policy = dag.make_policy(graph, "non_degenerate", delta=0.3, seed=i)
+            policy = dag.make_policy(graph, "non_degenerate", seed=i)
             for v in graph.decision_nodes():
                 row = policy.distribution(v)
                 if row.size >= 2:
                     assert cat.symbolic_index(row) <= 0.7 + 1e-12
-
-    def test_infeasible_delta_rejected(self):
-        graph = dag.trap_dag(2, 3)
-        with pytest.raises(InvalidInputError, match="infeasible"):
-            dag.make_policy(graph, "non_degenerate", delta=0.9, seed=0)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(InvalidInputError, match="unknown policy kind"):
             dag.make_policy(dag.diamond_dag(), "greedy", seed=0)
 
     def test_missing_params_rejected(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="concentrated policy needs kappa"):
             dag.make_policy(dag.diamond_dag(), "concentrated", seed=0)
-        with pytest.raises(InvalidInputError):
-            dag.make_policy(dag.diamond_dag(), "non_degenerate", seed=0)
 
 
 class TestExplorationDivergence:
@@ -166,7 +157,7 @@ class TestExplorationDivergence:
         bound = cat.worst_case_latent_kl(0.3, 2)
         ceiling = -0.5 * np.log(0.3) - bound.scan_constant
         for i in range(10):
-            policy = dag.make_policy(graph, "non_degenerate", delta=0.3, seed=i)
+            policy = dag.make_policy(graph, "non_degenerate", seed=i)
             assert dag.exploration_divergence(graph, policy) <= ceiling + 1e-9
 
 
@@ -192,7 +183,7 @@ class TestSearchAndOracle:
 
     def test_monte_carlo_tracks_oracle(self):
         trap = dag.trap_dag(4, 3)
-        policy = dag.make_policy(trap, "non_degenerate", delta=0.3, seed=3)
+        policy = dag.make_policy(trap, "non_degenerate", seed=3)
         exact = dag.enumerate_paths(trap, policy)
         trials = 20_000
         stats = dag.run_search(trap, policy, trials, seed=4)
@@ -201,7 +192,7 @@ class TestSearchAndOracle:
 
     def test_run_search_is_deterministic(self):
         trap = dag.trap_dag(5, 3)
-        policy = dag.make_policy(trap, "non_degenerate", delta=0.3, seed=7)
+        policy = dag.make_policy(trap, "non_degenerate", seed=7)
         a = dag.run_search(trap, policy, 3000, seed=42)
         b = dag.run_search(trap, policy, 3000, seed=42)
         assert a == b
@@ -267,7 +258,7 @@ class TestLockstepSearch:
     @pytest.mark.parametrize("case", sorted(_SEARCH_CASES))
     def test_stats_equal_the_scalar_loop(self, case):
         graph, kind, trials = _SEARCH_CASES[case]
-        policy = dag.make_policy(graph, kind, delta=0.3, seed=11)
+        policy = dag.make_policy(graph, kind, seed=11)
         expected = _scalar_search(graph, policy, trials, seed=5)
         assert dag.run_search(graph, policy, trials, seed=5) == expected
 
@@ -282,7 +273,7 @@ class TestLockstepSearch:
     def test_block_sizes_equal_the_scalar_loop(self, block, monkeypatch):
         # block 1 gives every trial its own stream; 64 holds all 50 trials
         graph = dag.trap_dag(4, 3)
-        policy = dag.make_policy(graph, "non_degenerate", delta=0.3, seed=2)
+        policy = dag.make_policy(graph, "non_degenerate", seed=2)
         monkeypatch.setattr(dag, "SEARCH_BLOCK", block)
         expected = _scalar_search(graph, policy, 50, seed=9)
         assert dag.run_search(graph, policy, 50, seed=9) == expected
@@ -308,19 +299,57 @@ class TestLockstepSearch:
     @settings(max_examples=100)
     def test_small_blocks_equal_the_scalar_loop(self, graph, kind, trials, seed):
         # blocks of 7 trials: several blocks and a ragged last one, cheaply
-        policy = dag.make_policy(graph, kind, kappa=50.0, minority_mass=1.0, delta=0.3, seed=seed)
+        policy = dag.make_policy(graph, kind, kappa=50.0, seed=seed)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(dag, "SEARCH_BLOCK", 7)
             expected = _scalar_search(graph, policy, trials, seed)
             assert dag.run_search(graph, policy, trials, seed) == expected
 
 
+class TestSearchPrice:
+    def test_longest_walk_stops_at_a_target_or_a_dead_end(self):
+        assert dag.longest_walk(dag.chain_dag(100)) == 100
+        assert dag.longest_walk(dag.diamond_dag()) == 2
+        assert dag.longest_walk(dag.trap_dag(6, 3)) == 6
+        # node 1 is a target with a successor: the walk through it stops there, the other runs on
+        graph, _, _ = _SEARCH_CASES["target-with-out-edges"]
+        assert dag.longest_walk(graph) == 2
+        assert dag.longest_walk(dag.DecisionDag(successors=((1,), ()), start=0, targets=frozenset({0, 1}))) == 0
+
+    def test_run_search_refuses_over_the_cap_before_the_first_draw(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("run_search drew before it priced the search")
+
+        monkeypatch.setattr(dag, "SEARCH_STEP_CAP", 10)
+        chain = dag.chain_dag(5)
+        policy = dag.make_policy(chain, "uniform")
+        assert dag.run_search(chain, policy, 2 * dag.SEARCH_BLOCK, seed=0).success_rate == 1.0  # 10 block-steps
+        monkeypatch.setattr(dag, "rng_for", refuse)
+        with pytest.raises(EnumerationTooLargeError, match="3 blocks of walks up to 5 steps: 15 block-steps"):
+            dag.run_search(chain, policy, 2 * dag.SEARCH_BLOCK + 1, seed=0)
+        long_chain = dag.chain_dag(11)
+        with pytest.raises(EnumerationTooLargeError, match="1 trials make 1 blocks of walks up to 11 steps"):
+            dag.run_search(long_chain, dag.make_policy(long_chain, "uniform"), 1, seed=0)
+
+    def test_default_battery_searches_stay_far_under_the_cap(self):
+        params = default_params("dag-exploration")
+        searches = [
+            (dag.trap_dag(experiments.TRAP_DEPTH, experiments.TRAP_BRANCHING), params["mc_trials"]),
+            (dag.chain_dag(5), 2000),
+            (dag.diamond_dag(), 2000),
+            (_custom_graph(), params["graph_trials"]),
+        ]
+        for graph, trials in searches:
+            blocks = -(-trials // dag.SEARCH_BLOCK)
+            assert blocks * dag.longest_walk(graph) <= dag.SEARCH_STEP_CAP / 1000
+
+
 class TestDominantPlacement:
     def test_aligned_mean_policy_matches_product_bound_exactly(self):
         trap = dag.trap_dag(6, 3)
-        kappa, minority = 1e6, 1.0
+        kappa, minority = 1e6, cat.MINORITY_MASS
         mean_row = cat.dirichlet_mean(
-            cat.DirichletConcentration(kappa=kappa, n_options=3, minority_mass=minority)
+            cat.DirichletConcentration(kappa=kappa, n_options=3)
         )
         # the trap's continuing successor is first in every successor list
         policy = dag.ReasoningPolicy(tables=tuple(mean_row if succ else None for succ in trap.successors))
@@ -412,8 +441,8 @@ def test_uniform_success_bounds_both_policy_means_at_seed_2():
         np.mean([dag.enumerate_paths(trap, dag.make_policy(trap, kind, seed=derive_seed(2, label, i), **law))
                  for i in range(draws)])
         for kind, label, law in (
-            ("concentrated", "conc", {"kappa": experiments.DAG_KAPPA, "minority_mass": experiments.DAG_MINORITY_MASS}),
-            ("non_degenerate", "nd", {"delta": experiments.DAG_DELTA}),
+            ("concentrated", "conc", {"kappa": experiments.DAG_KAPPA}),
+            ("non_degenerate", "nd", {}),
         )
     ]
     assert uniform >= max(means)

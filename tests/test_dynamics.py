@@ -87,13 +87,13 @@ class TestPrefixLogits:
         assert np.abs(a - b).max() > 1e-6
 
     def test_margin_floor_enforced(self):
-        # exactly: a sub-decisional scale just below min_margin must be below every gap
+        # exactly: a sub-decisional scale just below MIN_MARGIN must be below every gap
         for logit_seed in range(300):
             spec = dataclasses.replace(self.SPEC, logit_seed=logit_seed)
             for prefix in [(), (0,), (1, 3), (4, 4, 4)]:
                 logits = dynamics.prefix_logits(spec, prefix)
                 top_two = np.partition(logits, logits.size - 2)[-2:]
-                assert top_two[1] - top_two[0] >= spec.min_margin
+                assert top_two[1] - top_two[0] >= dynamics.MIN_MARGIN
 
 
 class TestDiscreteChain:
@@ -106,13 +106,12 @@ class TestDiscreteChain:
         assert dynamics.simulate_discrete_chain(spec, 5000, seed=0) == 0
 
     @pytest.mark.parametrize("scale, min_margin", [(1.0, 1.0), (5.0, 1.0), (0.5, 0.25)])
-    def test_sub_decisional_scale_must_be_below_min_margin(self, scale, min_margin):
-        with pytest.raises(InvalidInputError, match="sub-decisional noise scale must be below min_margin"):
-            dynamics.DiscreteChainSpec(steps=2, n_options=3, noise_scale=scale, min_margin=min_margin)
+    def test_sub_decisional_scale_must_be_below_min_margin(self, monkeypatch, scale, min_margin):
+        monkeypatch.setattr(dynamics, "MIN_MARGIN", min_margin)
+        with pytest.raises(InvalidInputError, match="sub-decisional noise scale must be below MIN_MARGIN"):
+            dynamics.DiscreteChainSpec(steps=2, n_options=3, noise_scale=scale)
         # the bound is on sub-decisional noise only: a Gaussian sigma may exceed the margin
-        dynamics.DiscreteChainSpec(
-            steps=2, n_options=3, noise_scale=scale, sub_decisional_only=False, min_margin=min_margin
-        )
+        dynamics.DiscreteChainSpec(steps=2, n_options=3, noise_scale=scale, sub_decisional_only=False)
 
     def test_unconstrained_large_noise_diverges(self):
         spec = dynamics.DiscreteChainSpec(

@@ -3,6 +3,7 @@
 import hashlib
 import importlib
 import importlib.util
+import inspect
 import json
 import subprocess
 import sys
@@ -350,8 +351,12 @@ _BELOW_MINIMUM_CASES = [
     ("error-accumulation", "trials", 99),
 ]
 
-# (experiment, a kernel that must not run, keys): each key is a module constant of
-# certlab.experiments, so a config that sets it fails on an unknown key
+# (experiment, a kernel that must not run, keys): each key is a module constant, so a
+# config that sets it fails on an unknown key.  The module that uses a value owns it:
+# minority_mass is categorical.MINORITY_MASS, min_margin dynamics.MIN_MARGIN,
+# restarts, tol and max_conditional cib.RESTARTS, cib.TOL and cib.MAX_CONDITIONAL,
+# and delta dag.CAP_DELTA; schedule_scale is gone, as the schedule is k / (M - k);
+# every other key is a constant of certlab.experiments
 _CONSTANT_KEYS = [
     ("divergence-asymptote", "categorical.dirichlet_sample", ("options", "minority_mass")),
     ("noise-discrete", "dynamics.simulate_discrete_chain",
@@ -441,6 +446,9 @@ class TestCli:
              "dynamics.simulate_discrete_chain"),
             # every trap node draws from the Dirichlet family at out-degree 3
             ("dag-exploration", "kappa_grid", "100.0, 1.5", "kappa too small", "dag.make_policy"),
+            # 122,071 blocks of walks up to the trap's depth 6 are over the search cap
+            ("dag-exploration", "mc_trials", "1000000000",
+             "params.mc_trials: 1000000000 trials make 122071 blocks of walks up to 6 steps", "dag.make_policy"),
             # the divergence-growth gate compares neighbours of an increasing grid
             ("dag-exploration", "kappa_grid", "1e6, 1e2", "params.kappa_grid: need at least two strictly increasing",
              "dag.make_policy"),
@@ -899,6 +907,29 @@ class TestCustomGraph:
         assert {"custom_graph.csv", "trap_graph.txt"} <= listed
         assert code in (0, 3)  # small-sample ordering checks may fluctuate
 
+    def test_chain_over_the_search_cap_exits_two_before_any_output(self, tmp_path, capsys, monkeypatch):
+        # the default 20000 trials make 3 blocks, so one step more than a third of
+        # the cap puts the search over it
+        def refuse(*args, **kwargs):
+            raise AssertionError("dag-exploration computed before it priced the custom search")
+
+        length = dag.SEARCH_STEP_CAP // 3 + 1
+        graph_path = tmp_path / "chain.txt"
+        graph_path.write_text(dag.format_dag(dag.chain_dag(length)))
+        monkeypatch.setattr(dag, "make_policy", refuse)
+        monkeypatch.setattr(dag, "run_search", refuse)
+        cfg = _write_cfg(
+            tmp_path, f"[run]\nexperiment = dag-exploration\nseed = 0\n[params]\ngraph_file = {graph_path}\n"
+        )
+        started = time.perf_counter()
+        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert time.perf_counter() - started < 1.0
+        assert capsys.readouterr().err == (
+            f"EnumerationTooLargeError: params.graph_trials: 20000 trials make 3 blocks of walks up to {length} "
+            f"steps: {3 * length} block-steps, over the cap {dag.SEARCH_STEP_CAP}\n"
+        )
+        assert not (tmp_path / "o").exists()
+
     def test_long_chain_walks_to_its_target(self, tmp_path, capsys):
         # 100 steps: every walk reaches the target, as the exact oracle says
         graph_path = tmp_path / "chain.txt"
@@ -968,14 +999,36 @@ class TestBenchmarkContract:
         assert child.returncode == 0, child.stderr
         assert "setup_done" in json.loads((tmp_path / "RESULT.json").read_text())
 
-    def test_every_traced_function_resolves(self):
-        path = REPO_ROOT / "bench" / "tracer.py"
-        spec = importlib.util.spec_from_file_location("certlab_bench_tracer", path)
+    @staticmethod
+    def _tracer():
+        """bench/tracer.py, loaded read-only under a private name."""
+        spec = importlib.util.spec_from_file_location("certlab_bench_tracer", REPO_ROOT / "bench" / "tracer.py")
         tracer = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(tracer)
+        return tracer
+
+    def test_every_traced_function_resolves(self):
+        tracer = self._tracer()
         missing = [
             f"{module}.{name}"
             for module, name in tracer.TRACED
             if not callable(getattr(importlib.import_module(f"certlab.{module}"), name, None))
         ]
         assert not missing
+
+    def test_work_counters_find_the_parameters_they_read(self):
+        # the tracer reads run_search's and monte_carlo_error's trials and write_csv's
+        # path by name: a traced run dies on a parameter that a signature lost
+        tracer = self._tracer()
+
+        def function(module, name):
+            return getattr(importlib.import_module(f"certlab.{module}"), name)
+
+        for module, name, parameter in (
+            ("dag", "run_search", "trials"),
+            ("dynamics", "monte_carlo_error", "trials"),
+            ("manifest", "write_csv", "path"),
+        ):
+            assert parameter in inspect.signature(function(module, name)).parameters
+        for module, name in tracer.TRACED:
+            tracer._work_counter(module, name, function(module, name))
