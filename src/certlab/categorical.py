@@ -240,13 +240,11 @@ def dirichlet_mean(params: DirichletConcentration) -> np.ndarray:
     return params.alphas / params.kappa
 
 
-def dirichlet_sample(
-    params: DirichletConcentration, rng: np.random.Generator, n: int | None = None
-) -> np.ndarray:
-    """One draw via normalized Gamma variates (shape alpha_i, unit scale), or
-    with ``n`` an (n, B) matrix whose rows equal n successive single draws."""
-    gammas = rng.standard_gamma(params.alphas if n is None else np.tile(params.alphas, (n, 1)))
-    total = gammas.sum(axis=-1, keepdims=True)
+def dirichlet_sample(params: DirichletConcentration, rng: np.random.Generator, n: int) -> np.ndarray:
+    """An (n, B) matrix of draws via normalized Gamma variates (shape alpha_i,
+    unit scale); its rows equal n successive one-row draws."""
+    gammas = rng.standard_gamma(np.tile(params.alphas, (n, 1)))
+    total = gammas.sum(axis=1, keepdims=True)
     if np.any(total <= 0.0):  # only reachable through extreme underflow
         raise InvalidInputError("gamma draws underflowed to zero; kappa too extreme")
     return gammas / total

@@ -43,6 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cat_bulk import block_rows, masked_log_sums
+from .categorical import SUM_TOL
 from .errors import EnumerationTooLargeError, InvalidInputError
 from .seeding import derive_seed, rng_for
 
@@ -55,7 +56,6 @@ RESTARTS = 16
 TOL = 1e-10
 # Largest conditional p(s_future | s_past, x) of a ``random_noisy_problem``.
 MAX_CONDITIONAL = 0.9
-SUM_TOL = 1e-12
 # Stand-in for log(0) in encoder updates: large enough to zero cells after
 # the exponential, finite so that 0 * log(0) products stay exactly 0.
 LOG_FLOOR = -1e30

@@ -11,12 +11,14 @@ Config files are plain text with two sections::
     trials = 100000
 
 Parsing is strict: unknown sections, unknown keys, duplicate keys, and
-values that fail their declared type all raise ConfigError with the full
-key path.  A seed must be supplied (file or CLI); nothing in the harness
-has implicit randomness.  ``canonical_text`` renders a config in a unique
-normal form (fixed section order, sorted keys, round-trip float repr), so
-``parse -> canonicalize -> serialize -> parse`` is the identity and the
-config hash is well-defined.
+values that fail their type all raise ConfigError with the full key path.
+A parameter's type is its default's: ``5`` for a float key reads as 5.0,
+``5.0`` for an int key is refused, and a tuple default makes the key a
+comma-separated list of its items' type.  A seed must be supplied (file or
+CLI); nothing in the harness has implicit randomness.  ``canonical_text``
+renders a config in a unique normal form (fixed section order, sorted keys,
+round-trip float repr), so ``parse -> canonicalize -> serialize -> parse`` is
+the identity and the config hash is well-defined.
 """
 
 from __future__ import annotations
@@ -34,9 +36,12 @@ MAX_SEED = 2**64 - 1
 
 @dataclass(frozen=True)
 class ParamSpec:
-    """Declared type, default and smallest accepted value of one experiment parameter."""
+    """Default and smallest accepted value of one experiment parameter.
 
-    kind: str  # int | float | str | int_list | float_list
+    The default's type is the parameter's type: an int, float or str, or a
+    non-empty tuple of one of them, which parses a comma-separated list.
+    """
+
     default: object
     minimum: int | float | None = None  # checked on the value, or on each list item
 
@@ -116,30 +121,24 @@ def check_seed(seed: int, source: str) -> int:
     return seed
 
 
-def _parse_scalar(kind: str, key: str, text: str) -> object:
+def _parse_scalar(kind: type, key: str, text: str) -> object:
     try:
-        if kind == "int":
-            return int(text)
-        if kind == "float":
-            value = float(text)
-            if not math.isfinite(value):
-                raise ConfigError(f"params.{key}: must be finite, got {text!r}")
-            return value
-        if kind == "str":
-            return text
+        value = kind(text)
     except ValueError as exc:
-        raise ConfigError(f"params.{key}: cannot parse {text!r} as {kind}") from exc
-    raise ConfigError(f"params.{key}: unsupported kind {kind!r}")
+        raise ConfigError(f"params.{key}: cannot parse {text!r} as {kind.__name__}") from exc
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"params.{key}: must be finite, got {text!r}")
+    return value
 
 
 def parse_param(spec: ParamSpec, key: str, text: str) -> object:
-    if spec.kind.endswith("_list"):
-        base = spec.kind[: -len("_list")]
+    """``text`` parsed as ``spec.default``'s type, or as a list of its items' type."""
+    if isinstance(spec.default, tuple):
         items = [part.strip() for part in text.split(",") if part.strip()]
         if not items:
             raise ConfigError(f"params.{key}: list value must be non-empty")
-        return tuple(_parse_scalar(base, key, item) for item in items)
-    return _parse_scalar(spec.kind, key, text)
+        return tuple(_parse_scalar(type(spec.default[0]), key, item) for item in items)
+    return _parse_scalar(type(spec.default), key, text)
 
 
 def build_config(

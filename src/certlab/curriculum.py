@@ -96,6 +96,17 @@ def log_likelihood_grad(theta, counts: np.ndarray) -> np.ndarray:
     return empirical - expected
 
 
+def step_overflows(step: float) -> bool:
+    """Whether a fit at ``step`` can overflow the projection's squared norm.
+
+    Each gradient coordinate lies in [-1, 1], so before a projection every
+    ``|theta_i| <= PARAM_BOUND + step``, and the squared norm sums three such
+    squares.  Float products overflow to inf where ``**`` would raise.
+    """
+    reach = PARAM_BOUND + step
+    return not math.isfinite(3.0 * (reach * reach))
+
+
 def fit_rows(counts, iterations: int, step: float) -> tuple[np.ndarray, np.ndarray]:
     """Projected gradient ascent on the mean log-likelihood from theta = 0 for
     each row of a ``(k, 3)`` count matrix, all rows in lockstep.
@@ -113,6 +124,8 @@ def fit_rows(counts, iterations: int, step: float) -> tuple[np.ndarray, np.ndarr
         raise InvalidInputError(f"need iterations >= 1, got {iterations}")
     if step <= 0:
         raise InvalidInputError(f"step must be positive, got {step!r}")
+    if step_overflows(step):
+        raise InvalidInputError(f"step {step!r} overflows the projection's squared norm")
     # the loop's gradient is log_likelihood_grad with its constant empirical
     # term computed once: the same operations, so the same bits
     empirical = counts @ FEATURES / counts.sum(axis=-1, keepdims=True)

@@ -2,15 +2,19 @@
 
 Reasoning is modeled as traversal of a directed acyclic graph from a start
 node toward a target set; at each node a policy assigns a categorical
-distribution over that node's ordered successor list.  The module provides
-graph builders (chain, diamond, trap, layered random), policy constructors
-for three certainty regimes, a divergence-from-uniform metric, a Monte
-Carlo searcher that walks each trial until a target or a dead end, and an
-exact dynamic-programming oracle for the success probability, so every
-sampled statistic can be checked against a closed answer.
+distribution over that node's ordered successor list.  A policy is just its
+tuple of rows, one per node (None at a childless node), so ``policy[v]`` is
+node v's distribution and ``max(policy[v])`` its symbolic index.
 
-Graphs and policies are immutable after construction, and each block of
-search trials owns a seeded stream, so reruns give identical results.
+The module provides graph builders (chain, diamond, trap, layered random),
+policy constructors for three certainty regimes, a divergence-from-uniform
+metric, a Monte Carlo searcher that walks each trial until a target or a
+dead end, and an exact dynamic-programming oracle for the success
+probability, so every sampled statistic can be checked against a closed
+answer.
+
+Graphs are immutable after construction, and each block of search trials
+owns a seeded stream, so reruns give identical results.
 """
 
 from __future__ import annotations
@@ -21,12 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import categorical as cat
-from .errors import (
-    EnumerationTooLargeError,
-    InfiniteDivergenceError,
-    InvalidInputError,
-    NoSuccessorsError,
-)
+from .errors import EnumerationTooLargeError, InfiniteDivergenceError, InvalidInputError
 from .seeding import rng_for
 
 ENUMERATION_NODE_CAP = 10**6
@@ -253,32 +252,15 @@ def parse_dag(text: str) -> DecisionDag:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReasoningPolicy:
-    """Per-node successor distributions, aligned with each successor list."""
-
-    tables: tuple[np.ndarray | None, ...]  # None for childless nodes
-
-    def distribution(self, node: int) -> np.ndarray:
-        table = self.tables[node]
-        if table is None:
-            raise NoSuccessorsError(f"node {node} has no successors")
-        return table
+# A policy is one row per node: the distribution over ``successors[v]``, or None at a childless node.
+Policy = tuple[np.ndarray | None, ...]
 
 
-def uniform_prior(dag: DecisionDag, node: int) -> np.ndarray:
-    """The ideal explorer's distribution: 1/|successors| on each successor."""
-    k = len(dag.successors[node])
-    if k == 0:
-        raise NoSuccessorsError(f"node {node} has no successors")
-    return np.full(k, 1.0 / k)
-
-
-def make_policy(dag: DecisionDag, kind: str, *, kappa: float | None = None, seed: int = 0) -> ReasoningPolicy:
+def make_policy(dag: DecisionDag, kind: str, *, kappa: float | None = None, seed: int = 0) -> Policy:
     """Construct a policy in one of three certainty regimes.
 
     kind:
-      * ``uniform``: equals the uniform prior at every node.
+      * ``uniform``: 1/|successors| on each successor, the ideal explorer.
       * ``concentrated``: each node's distribution is one draw from the
         concentrated Dirichlet family at ``kappa``, its dominant parameter
         placed on a successor chosen uniformly at random.
@@ -286,7 +268,7 @@ def make_policy(dag: DecisionDag, kind: str, *, kappa: float | None = None, seed
         maximum capped at ``1 - CAP_DELTA`` and the remainder renormalized
         proportionally, so the top probability never exceeds the cap.
     """
-    tables: list[np.ndarray | None] = []
+    rows: list[np.ndarray | None] = []
     if kind == "concentrated":
         if kappa is None:
             raise InvalidInputError("concentrated policy needs kappa")
@@ -297,22 +279,21 @@ def make_policy(dag: DecisionDag, kind: str, *, kappa: float | None = None, seed
     for v in range(dag.n_nodes):
         k = len(dag.successors[v])
         if k == 0:
-            tables.append(None)
+            rows.append(None)
             continue
         if kind == "uniform" or k == 1:
-            tables.append(np.full(k, 1.0 / k))
+            rows.append(np.full(k, 1.0 / k))
             continue
         if kind == "concentrated":
             params = cat.DirichletConcentration(kappa=kappa, n_options=k)
-            draw = cat.dirichlet_sample(params, rng)
+            row = cat.dirichlet_sample(params, rng, 1)[0]
             dominant = int(rng.integers(k))
-            # draw[0] carries the dominant parameter; swap it into place
-            out = draw.copy()
-            out[0], out[dominant] = out[dominant], out[0]
-            tables.append(out)
+            # row[0] carries the dominant parameter; swap it into place
+            row[0], row[dominant] = row[dominant], row[0]
+            rows.append(row)
         else:  # non_degenerate
-            tables.append(cap_distribution(rng.dirichlet(np.ones(k)), 1.0 - CAP_DELTA))
-    return ReasoningPolicy(tables=tuple(tables))
+            rows.append(cap_distribution(rng.dirichlet(np.ones(k)), 1.0 - CAP_DELTA))
+    return tuple(rows)
 
 
 def cap_distribution(probs: np.ndarray, cap: float) -> np.ndarray:
@@ -332,7 +313,7 @@ def cap_distribution(probs: np.ndarray, cap: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def exploration_divergence(dag: DecisionDag, policy: ReasoningPolicy) -> float:
+def exploration_divergence(dag: DecisionDag, policy: Policy) -> float:
     """Mean divergence of the uniform prior from the policy across decision nodes.
 
     Per node this is D(uniform || policy); a policy that zeroes out a valid
@@ -343,12 +324,12 @@ def exploration_divergence(dag: DecisionDag, policy: ReasoningPolicy) -> float:
         raise InvalidInputError("graph has no decision nodes")
     divergences = []
     for v in nodes:
-        row = policy.distribution(v)
+        row = policy[v]
         if row.size == 1:  # forced moves carry no exploration signal
             divergences.append(0.0)
             continue
         try:
-            divergences.append(cat.kl_divergence(uniform_prior(dag, v), row))
+            divergences.append(cat.kl_divergence(np.full(row.size, 1.0 / row.size), row))
         except InfiniteDivergenceError as exc:
             raise InfiniteDivergenceError(f"node {v}: {exc}") from exc
     return float(np.mean(divergences))
@@ -390,7 +371,7 @@ class TraversalStats(NamedTuple):
 
 def run_search(
     dag: DecisionDag,
-    policy: ReasoningPolicy,
+    policy: Policy,
     trials: int,
     seed: int,
 ) -> TraversalStats:
@@ -409,9 +390,7 @@ def run_search(
     is_target[sorted(dag.targets)] = True
     moves = np.array([bool(succ) for succ in dag.successors]) & ~is_target
     # Inverse-CDF sampling against precomputed per-node cumulative tables.
-    cumulative = {
-        v: np.cumsum(policy.distribution(v)) for v in dag.decision_nodes()
-    }
+    cumulative = {v: np.cumsum(policy[v]) for v in dag.decision_nodes()}
     successors = {v: np.array(dag.successors[v]) for v in cumulative}
     successes = 0
     total_steps = 0
@@ -442,7 +421,7 @@ def run_search(
     )
 
 
-def enumerate_paths(dag: DecisionDag, policy: ReasoningPolicy) -> float:
+def enumerate_paths(dag: DecisionDag, policy: Policy) -> float:
     """Exact probability of reaching a target, by backward induction.
 
     Dynamic programming over the reverse topological order; linear in the
@@ -458,7 +437,7 @@ def enumerate_paths(dag: DecisionDag, policy: ReasoningPolicy) -> float:
         if v in dag.targets:
             reach[v] = 1.0
         elif dag.successors[v]:
-            row = policy.distribution(v)
+            row = policy[v]
             reach[v] = float(
                 sum(row[i] * reach[u] for i, u in enumerate(dag.successors[v]))
             )

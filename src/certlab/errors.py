@@ -23,10 +23,6 @@ class InfiniteDivergenceError(CertlabError):
     """
 
 
-class NoSuccessorsError(CertlabError):
-    """A terminal graph node was queried for a successor distribution."""
-
-
 class EnumerationTooLargeError(CertlabError):
     """A brute-force enumeration or a Monte Carlo run would exceed its size cap."""
 

@@ -140,11 +140,11 @@ def deterministic_map(fn, items, threads: int):
 # ---------------------------------------------------------------------------
 
 TRADEOFF_SCHEMA = {
-    "samples": ParamSpec("int", 100_000),
-    "options_set": ParamSpec("int_list", (2, 3, 4, 8, 16, 32), minimum=2),
-    "scan_options": ParamSpec("int_list", (2, 4), minimum=2),
-    "scan_grid": ParamSpec("float_list", (0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)),
-    "oracle_resolution": ParamSpec("int", 60, minimum=1),
+    "samples": ParamSpec(100_000),
+    "options_set": ParamSpec((2, 3, 4, 8, 16, 32), minimum=2),
+    "scan_options": ParamSpec((2, 4), minimum=2),
+    "scan_grid": ParamSpec((0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)),
+    "oracle_resolution": ParamSpec(60, minimum=1),
 }
 # Most cells (remainder compositions times B) the grid-search oracle may score for one B.
 ORACLE_CAP = 10**7
@@ -304,9 +304,9 @@ def run_tradeoff_scan(seed: int, params: dict, threads: int = 1) -> ExperimentRe
 # ---------------------------------------------------------------------------
 
 ASYMPTOTE_SCHEMA = {
-    "kappas": ParamSpec("float_list", (1e2, 1e3, 1e4, 1e5, 1e6)),
-    "sample_draws": ParamSpec("int", 2000, minimum=2),
-    "concentration_draws": ParamSpec("int", 10_000, minimum=1),
+    "kappas": ParamSpec((1e2, 1e3, 1e4, 1e5, 1e6)),
+    "sample_draws": ParamSpec(2000, minimum=2),
+    "concentration_draws": ParamSpec(10_000, minimum=1),
 }
 # The option count B of every Dirichlet family of the experiment.
 ASYMPTOTE_OPTIONS = 5
@@ -397,8 +397,8 @@ def run_divergence_asymptote(seed: int, params: dict, threads: int = 1) -> Exper
 # ---------------------------------------------------------------------------
 
 NOISE_DISCRETE_SCHEMA = {
-    "trials": ParamSpec("int", 100_000),
-    "contrast_noise_over_margin": ParamSpec("float", 5.0),
+    "trials": ParamSpec(100_000),
+    "contrast_noise_over_margin": ParamSpec(5.0),
 }
 # Spec i's chain: CHAIN_STEPS[i] steps over CHAIN_OPTIONS[i] options, logit margins
 # of at least dynamics.MIN_MARGIN, and sub-decisional noise NOISE_OVER_MARGIN times it.
@@ -422,6 +422,11 @@ def run_noise_discrete(seed: int, params: dict, threads: int = 1) -> ExperimentR
     chain_specs = [chain_spec(index, NOISE_OVER_MARGIN) for index in range(len(specs))]
     zero_spec = chain_spec(0, 0.0)
     contrast = chain_spec(0, params["contrast_noise_over_margin"], sub_decisional_only=False)
+    # zero noise cannot move an argmax, so the contrast check would fail by construction
+    if params["contrast_noise_over_margin"] <= 0:
+        raise InvalidInputError(
+            f"params.contrast_noise_over_margin: must be positive, got {params['contrast_noise_over_margin']!r}"
+        )
     # one draw per option per step and trial; the cap counts the sub-decisional runs
     _cap_draws(params["trials"] * sum(steps * options for steps, options in specs))
 
@@ -486,11 +491,11 @@ def run_noise_discrete(seed: int, params: dict, threads: int = 1) -> ExperimentR
 # ---------------------------------------------------------------------------
 
 ERROR_ACCUMULATION_SCHEMA = {
-    "lipschitz_values": ParamSpec("float_list", (0.8, 1.0, 1.2)),
-    "dims": ParamSpec("int_list", (1, 8, 64)),
-    "steps_values": ParamSpec("int_list", (1, 6, 12)),
-    "sigma_h": ParamSpec("float", 0.1),
-    "trials": ParamSpec("int", 100_000, minimum=100),
+    "lipschitz_values": ParamSpec((0.8, 1.0, 1.2)),
+    "dims": ParamSpec((1, 8, 64)),
+    "steps_values": ParamSpec((1, 6, 12)),
+    "sigma_h": ParamSpec(0.1),
+    "trials": ParamSpec(100_000, minimum=100),
 }
 # Headroom kept between the expected sum of fourth powers a Monte Carlo cell
 # accumulates and the float range: a realized sum 2**10 times its expectation
@@ -596,12 +601,10 @@ def run_error_accumulation(seed: int, params: dict, threads: int = 1) -> Experim
 # ---------------------------------------------------------------------------
 
 ACCURACY_SCHEMA = {
-    "dim": ParamSpec("int", 16, minimum=1),
-    "margin": ParamSpec("float", 2.0),
-    "sigma_grid": ParamSpec(
-        "float_list", (0.1, 0.17, 0.3, 0.5, 0.85, 1.4, 2.4, 4.0, 6.7, 11.0)
-    ),
-    "trials": ParamSpec("int", 100_000),
+    "dim": ParamSpec(16, minimum=1),
+    "margin": ParamSpec(2.0),
+    "sigma_grid": ParamSpec((0.1, 0.17, 0.3, 0.5, 0.85, 1.4, 2.4, 4.0, 6.7, 11.0)),
+    "trials": ParamSpec(100_000),
 }
 
 
@@ -865,13 +868,13 @@ def run_cib_frontier(seed: int, params: dict, threads: int = 1) -> ExperimentRes
 # ---------------------------------------------------------------------------
 
 CURRICULUM_SCHEMA = {
-    "strong_theta": ParamSpec("float_list", (10.0, 0.0, 0.0)),
-    "n_grid": ParamSpec("int_list", (100, 1000, 10_000, 100_000)),
-    "trials_per_n": ParamSpec("int", 50, minimum=2),
-    "iterations": ParamSpec("int", 5000, minimum=1),
-    "step": ParamSpec("float", 0.1),
-    "grad_checks": ParamSpec("int", 100, minimum=1),
-    "tv_trials": ParamSpec("int", 10, minimum=1),
+    "strong_theta": ParamSpec((10.0, 0.0, 0.0)),
+    "n_grid": ParamSpec((100, 1000, 10_000, 100_000)),
+    "trials_per_n": ParamSpec(50, minimum=2),
+    "iterations": ParamSpec(5000, minimum=1),
+    "step": ParamSpec(0.1),
+    "grad_checks": ParamSpec(100, minimum=1),
+    "tv_trials": ParamSpec(10, minimum=1),
 }
 # The expert weights behind the convergence sweep and the total-variation fits.
 RATE_THETA = (2.0, 0.0, 0.0)
@@ -888,6 +891,8 @@ def run_curriculum(seed: int, params: dict, threads: int = 1) -> ExperimentResul
         raise InvalidInputError("params.strong_theta: the state probabilities are not finite")
     if params["step"] <= 0:
         raise InvalidInputError(f"params.step: must be positive, got {params['step']!r}")
+    if curriculum.step_overflows(params["step"]):
+        raise InvalidInputError(f"params.step: {params['step']!r} overflows the projection's squared norm")
     strong = np.asarray(params["strong_theta"])
     rate_theta = np.asarray(RATE_THETA)
     expert_strong = curriculum.success_rate(strong)
@@ -1043,13 +1048,13 @@ def run_curriculum(seed: int, params: dict, threads: int = 1) -> ExperimentResul
 # ---------------------------------------------------------------------------
 
 DAG_SCHEMA = {
-    "policy_draws": ParamSpec("int", 200, minimum=2),
-    "mc_trials": ParamSpec("int", 100_000, minimum=1),
-    "kappa_grid": ParamSpec("float_list", (1e2, 1e3, 1e4, 1e5, 1e6)),
-    "divergence_draws": ParamSpec("int", 30, minimum=1),
-    "capped_samples": ParamSpec("int", 10_000, minimum=1),
-    "graph_file": ParamSpec("str", ""),  # optional custom graph (adjacency text)
-    "graph_trials": ParamSpec("int", 20_000, minimum=1),
+    "policy_draws": ParamSpec(200, minimum=2),
+    "mc_trials": ParamSpec(100_000, minimum=1),
+    "kappa_grid": ParamSpec((1e2, 1e3, 1e4, 1e5, 1e6)),
+    "divergence_draws": ParamSpec(30, minimum=1),
+    "capped_samples": ParamSpec(10_000, minimum=1),
+    "graph_file": ParamSpec(""),  # optional custom graph (adjacency text)
+    "graph_trials": ParamSpec(20_000, minimum=1),
 }
 # The trap's shape, the concentrated policies' kappa, and the capped-peak audit's
 # deltas and largest B.
@@ -1206,8 +1211,7 @@ def run_dag_exploration(seed: int, params: dict, threads: int = 1) -> Experiment
     for i in range(params["divergence_draws"]):
         policy = dag.make_policy(binary, "non_degenerate", seed=derive_seed(seed, "ndbin", i))
         nd_divs.append(dag.exploration_divergence(binary, policy))
-        dists = [(v, policy.distribution(v)) for v in binary.decision_nodes()]
-        peaks += [(i, v, cat.symbolic_index(row)) for v, row in dists if row.size >= 2]
+        peaks += [(i, v, cat.symbolic_index(policy[v])) for v in binary.decision_nodes() if policy[v].size >= 2]
     result.gate(
         "capped policy respects the certainty cap at every node",
         [top - (1.0 - dag.CAP_DELTA + 1e-12) for _, _, top in peaks],

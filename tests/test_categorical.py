@@ -283,17 +283,15 @@ class TestDirichletFamily:
     def test_samples_concentrate(self):
         spec = cat.DirichletConcentration(kappa=1e6, n_options=5)
         rng = np.random.default_rng(11)
-        hits = sum(
-            cat.symbolic_index(cat.dirichlet_sample(spec, rng)) > 0.999 for _ in range(500)
-        )
+        hits = sum(cat.symbolic_index(row) > 0.999 for row in cat.dirichlet_sample(spec, rng, 500))
         assert hits / 500 >= 0.99
 
     def test_samples_are_distributions(self, monkeypatch):
         monkeypatch.setattr(cat, "MINORITY_MASS", 2.0)
         spec = cat.DirichletConcentration(kappa=50.0, n_options=4)
         rng = np.random.default_rng(3)
-        for _ in range(50):
-            cat.as_distribution(cat.dirichlet_sample(spec, rng))
+        for row in cat.dirichlet_sample(spec, rng, 50):
+            cat.as_distribution(row)
 
 
 class TestRowKernels:
@@ -359,14 +357,23 @@ class TestRowKernels:
         spec = cat.DirichletConcentration(kappa=1e4, n_options=5)
         bulk = cat.dirichlet_sample(spec, np.random.default_rng(7), 300)
         rng = np.random.default_rng(7)
-        assert np.array_equal(bulk, [cat.dirichlet_sample(spec, rng) for _ in range(300)])
+        assert np.array_equal(bulk, [cat.dirichlet_sample(spec, rng, 1)[0] for _ in range(300)])
+
+    @pytest.mark.parametrize("kappa, options", [(1e2, 2), (1e6, 3), (50.0, 7)])
+    def test_one_row_draw_is_one_normalized_gamma_vector(self, kappa, options):
+        # make_policy takes row 0 of a one-row draw: the row and the stream
+        # position after it are those of one normalized standard_gamma vector
+        spec = cat.DirichletConcentration(kappa=kappa, n_options=options)
+        for seed in range(20):
+            rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+            gammas = reference.standard_gamma(spec.alphas)
+            assert np.array_equal(cat.dirichlet_sample(spec, rng, 1)[0], gammas / gammas.sum())
+            assert rng.integers(options) == reference.integers(options)
 
     def test_dirichlet_underflow_guard(self, monkeypatch):
         # shape-1e-300 gamma variates underflow to zero
         monkeypatch.setattr(cat, "MINORITY_MASS", 1e-300)
         spec = cat.DirichletConcentration(kappa=2e-300, n_options=2)
-        with pytest.raises(InvalidInputError):
-            cat.dirichlet_sample(spec, np.random.default_rng(0))
         with pytest.raises(InvalidInputError):
             cat.dirichlet_sample(spec, np.random.default_rng(0), 4)
 

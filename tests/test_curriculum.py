@@ -249,6 +249,17 @@ class TestFitRows:
                 assert [float(x).hex() for x in theta[row]] == [float(x).hex() for x in row_theta[0]]
                 assert float(grad_norm[row]).hex() == float(row_norm[0]).hex()
 
+    def test_step_whose_projection_can_overflow_is_refused(self):
+        # before a projection each |theta_i| <= PARAM_BOUND + step, so the squared
+        # norm is finite while 3 (PARAM_BOUND + step)^2 is; the filter makes any
+        # RuntimeWarning at 1e153 an error
+        counts = np.array([[0.0, 100.0, 0.0], [30.0, 40.0, 30.0]])
+        theta, _ = cur.fit_rows(counts, 5, 1e153)
+        assert np.all(np.linalg.norm(theta, axis=1) <= cur.PARAM_BOUND * (1.0 + 1e-12))
+        for step in (1e154, 1e160, 1e300, np.inf):
+            with pytest.raises(InvalidInputError, match="overflows the projection's squared norm"):
+                cur.fit_rows(counts, 5, step)
+
     @pytest.mark.parametrize("shape", [(3,), (2, 4), (0, 3), (1, 3, 1)])
     def test_count_matrix_must_be_k_by_3(self, shape):
         with pytest.raises(InvalidInputError):

@@ -10,12 +10,7 @@ from hypothesis import strategies as st
 from certlab import categorical as cat
 from certlab import dag, experiments
 from certlab.experiments import EXPERIMENTS, default_params
-from certlab.errors import (
-    EnumerationTooLargeError,
-    InfiniteDivergenceError,
-    InvalidInputError,
-    NoSuccessorsError,
-)
+from certlab.errors import EnumerationTooLargeError, InfiniteDivergenceError, InvalidInputError
 from certlab.seeding import derive_seed, rng_for
 
 
@@ -88,29 +83,33 @@ class TestSerialization:
             dag.parse_dag(f"start: 0\ntargets: 0\n{cap - 1}:\n")
 
 
-class TestUniformPrior:
-    def test_values(self):
-        graph = dag.diamond_dag()
-        np.testing.assert_allclose(dag.uniform_prior(graph, 0), [0.5, 0.5])
-        trap = dag.trap_dag(2, 5)
-        np.testing.assert_allclose(dag.uniform_prior(trap, 0), np.full(5, 0.2))
-
-    def test_terminal_raises(self):
-        with pytest.raises(NoSuccessorsError):
-            dag.uniform_prior(dag.diamond_dag(), 3)
-
-    def test_self_divergence_zero(self):
-        graph = dag.diamond_dag()
-        prior = dag.uniform_prior(graph, 0)
-        assert cat.kl_divergence(prior, prior) == 0.0
+_POLICY_GRAPHS = {
+    "trap": dag.trap_dag(4, 3),
+    "diamond": dag.diamond_dag(),
+    "layered": dag.layered_dag(n_layers=5, width=4, max_out_degree=3, seed=2),
+}
 
 
 class TestMakePolicy:
+    @pytest.mark.parametrize("kind", ["uniform", "concentrated", "non_degenerate"])
+    @pytest.mark.parametrize("name", sorted(_POLICY_GRAPHS))
+    def test_one_row_per_node_aligned_with_its_successors(self, name, kind):
+        graph = _POLICY_GRAPHS[name]
+        policy = dag.make_policy(graph, kind, kappa=1e3, seed=5)
+        assert len(policy) == graph.n_nodes
+        for v, succ in enumerate(graph.successors):
+            if not succ:
+                assert policy[v] is None
+                continue
+            assert policy[v].shape == (len(succ),)
+            assert abs(float(policy[v].sum()) - 1.0) <= 1e-12
+
     def test_uniform_kind_equals_prior(self):
         graph = dag.trap_dag(4, 3)
         policy = dag.make_policy(graph, "uniform", seed=0)
         for v in graph.decision_nodes():
-            np.testing.assert_allclose(policy.distribution(v), dag.uniform_prior(graph, v))
+            k = len(graph.successors[v])
+            assert np.array_equal(policy[v], np.full(k, 1.0 / k))
 
     def test_concentrated_has_high_certainty(self):
         graph = dag.trap_dag(6, 3)
@@ -120,7 +119,7 @@ class TestMakePolicy:
             policy = dag.make_policy(graph, "concentrated", kappa=1e6, seed=i)
             for v in graph.decision_nodes():
                 nodes += 1
-                hits += cat.symbolic_index(policy.distribution(v)) > 0.999
+                hits += cat.symbolic_index(policy[v]) > 0.999
         assert hits / nodes >= 0.99
 
     def test_non_degenerate_cap_is_exact(self):
@@ -128,7 +127,7 @@ class TestMakePolicy:
         for i in range(20):
             policy = dag.make_policy(graph, "non_degenerate", seed=i)
             for v in graph.decision_nodes():
-                row = policy.distribution(v)
+                row = policy[v]
                 if row.size >= 2:
                     assert cat.symbolic_index(row) <= 0.7 + 1e-12
 
@@ -148,7 +147,7 @@ class TestExplorationDivergence:
 
     def test_zero_mass_successor_raises_with_node(self):
         graph = dag.diamond_dag()
-        policy = dag.ReasoningPolicy(tables=(np.array([1.0, 0.0]), np.ones(1), np.ones(1), None))
+        policy = (np.array([1.0, 0.0]), np.ones(1), np.ones(1), None)
         with pytest.raises(InfiniteDivergenceError, match="node 0"):
             dag.exploration_divergence(graph, policy)
 
@@ -212,7 +211,7 @@ def _scalar_search(graph, policy, trials, seed):
     each from one ``random`` call, and live trial ``j`` moves with ``u[j]``.
     The block ends when no trial is live.
     """
-    cumulative = {v: np.cumsum(policy.distribution(v)) for v in graph.decision_nodes()}
+    cumulative = {v: np.cumsum(policy[v]) for v in graph.decision_nodes()}
     successes = 0
     total_steps = 0
     for block, first in enumerate(range(0, trials, dag.SEARCH_BLOCK)):
@@ -265,7 +264,7 @@ class TestLockstepSearch:
     def test_cdf_ending_below_one_clamps_to_the_last_successor(self):
         graph = dag.trap_dag(3, 3)
         short = np.array([0.2, 0.2, 0.3])  # a draw in [0.7, 1) falls past the CDF
-        policy = dag.ReasoningPolicy(tables=tuple(short if graph.successors[v] else None for v in range(graph.n_nodes)))
+        policy = tuple(short if succ else None for succ in graph.successors)
         expected = _scalar_search(graph, policy, 5000, seed=3)
         assert dag.run_search(graph, policy, 5000, seed=3) == expected
 
@@ -352,7 +351,7 @@ class TestDominantPlacement:
             cat.DirichletConcentration(kappa=kappa, n_options=3)
         )
         # the trap's continuing successor is first in every successor list
-        policy = dag.ReasoningPolicy(tables=tuple(mean_row if succ else None for succ in trap.successors))
+        policy = tuple(mean_row if succ else None for succ in trap.successors)
         bound = (1.0 - 2.0 * minority / kappa) ** 6
         assert abs(dag.enumerate_paths(trap, policy) - bound) <= 1e-15
 

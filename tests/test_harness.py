@@ -24,7 +24,7 @@ from certlab.config import (
     config_hash,
     parse_config_text,
 )
-from certlab.errors import ConfigError, NoSuccessorsError, ReportError
+from certlab.errors import ConfigError, InfiniteDivergenceError, ReportError
 from certlab.experiments import DRAW_CAP, EXPERIMENTS, ExperimentDef, ExperimentResult, default_params, strict_rise
 from certlab.manifest import RunManifest, load_manifest, read_csv, write_csv
 from certlab.report import emit_svg_charts
@@ -104,6 +104,19 @@ class TestConfigParsing:
         assert numbers["lipschitz_values"] == (0.5, 1.5)
         assert numbers["trials"] == 500
         assert params("dag-exploration", "graph_file = graphs/my dag.txt\n")["graph_file"] == "graphs/my dag.txt"
+        # a parameter's type is its default's: an int reads as a float on a float key
+        # (test_float_for_an_int_key_exits_two checks the reverse)
+        floats = params("accuracy-sweep", "margin = 5\nsigma_grid = 1, 2.5\n")
+        values = (floats["margin"], *floats["sigma_grid"])
+        assert [(x, type(x)) for x in values] == [(5.0, float), (1.0, float), (2.5, float)]
+
+    def test_every_default_has_a_parse_type(self):
+        # an int, float or str, or a non-empty tuple whose items share one of those types
+        for experiment, definition in EXPERIMENTS.items():
+            for key, spec in definition.schema.items():
+                items = spec.default if isinstance(spec.default, tuple) else (spec.default,)
+                kinds = {type(item) for item in items}
+                assert items and len(kinds) == 1 and kinds <= {int, float, str}, f"{experiment}: {key}"
 
     def test_bad_value_names_key(self):
         text = SMALL_ACCURACY_CFG + "margin = wide\n"
@@ -115,7 +128,7 @@ class TestConfigParsing:
             )
 
     def test_minimum_checked_on_every_list_item(self):
-        schema = {"sizes": ParamSpec("int_list", (2,), minimum=2)}
+        schema = {"sizes": ParamSpec((2,), minimum=2)}
         raw = parse_config_text("[run]\nexperiment = x\nseed = 0\n[params]\nsizes = 3, 1\n")
         with pytest.raises(ConfigError, match=r"params\.sizes: must be >= 2"):
             build_config(raw, schema, experiment_names={"x"})
@@ -406,6 +419,12 @@ class TestCli:
         assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "params.trails" in capsys.readouterr().err
 
+    def test_float_for_an_int_key_exits_two(self, tmp_path, capsys):
+        cfg = _write_cfg(tmp_path, "[run]\nexperiment = accuracy-sweep\nseed = 0\n[params]\ntrials = 5.0\n")
+        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "ConfigError: params.trials: cannot parse '5.0' as int\n"
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("experiment, key, value", _BELOW_MINIMUM_CASES)
     def test_count_below_minimum_exits_two_before_any_output(self, tmp_path, capsys, experiment, key, value):
         cfg = _write_cfg(tmp_path, f"[run]\nexperiment = {experiment}\nseed = 0\n[params]\n{key} = {value}\n")
@@ -433,6 +452,11 @@ class TestCli:
             ("curriculum", "n_grid", "100, 100", "n grid must be increasing", "curriculum.fit_rows"),
             ("curriculum", "strong_theta", "10.0, 0.0", "params.strong_theta: need 3 weights", "curriculum.fit_rows"),
             ("curriculum", "step", "0.0", "params.step: must be positive", "curriculum.fit_rows"),
+            # 3 (PARAM_BOUND + step)^2, the projection's largest squared norm, is not finite
+            ("curriculum", "step", "1e160\niterations = 5",
+             "params.step: 1e+160 overflows the projection's squared norm", "curriculum.sweep_counts"),
+            ("curriculum", "step", "1e300\niterations = 5",
+             "params.step: 1e+300 overflows the projection's squared norm", "curriculum.sweep_counts"),
             # finite weights whose scores overflow: the softmax is NaN
             ("curriculum", "strong_theta", "1e308, 1e308, 1e308",
              "params.strong_theta: the state probabilities are not finite", "curriculum.draw_counts"),
@@ -440,6 +464,9 @@ class TestCli:
              "dynamics.monte_carlo_error"),
             ("noise-discrete", "contrast_noise_over_margin", "-1.0", "noise scale must be >= 0",
              "dynamics.simulate_discrete_chain"),
+            # zero noise cannot move an argmax, so the contrast check would fail
+            ("noise-discrete", "contrast_noise_over_margin", "0.0",
+             "params.contrast_noise_over_margin: must be positive, got 0.0", "dynamics.simulate_discrete_chain"),
             # the bounded law needs no rejection sampler, so the key that sized its
             # acceptance check is unknown (spelled in two parts: no live code names it)
             ("noise-discrete", "acceptance" "_draws", "2000", "unknown parameter keys: params.acceptance" "_draws",
@@ -587,7 +614,7 @@ class TestCli:
     @pytest.mark.parametrize(
         "error, code",
         [
-            (NoSuccessorsError("node 3 has no successors"), 2),
+            (InfiniteDivergenceError("node 3: reference mass 0.5 on option 1 where p is zero"), 2),
             (OSError("disk full"), 4),
             (ReportError("bad table"), 4),
             (MemoryError("Unable to allocate 364. TiB"), 2),
