@@ -7,13 +7,16 @@ failures into a nonzero exit code.  Every check over many rows is one
 worst row, so a NaN row fails it; every Monte Carlo comparison, one row or
 many, is one ``ExperimentResult.sigma_gate``, the gate of the 3-sigma rule;
 every closed-form comparison ``|observed - expected| <= tol`` is one
-``ExperimentResult.within``; ``strict_rise`` gives the rows of a "strictly
-increasing" check, and ``check`` records one-sided thresholds, bands, orderings
-and structural facts.  Heavy sampling loops run as
-numpy row kernels; where a kernel shadows a scalar module operation,
-``ExperimentResult.audit_rows`` re-evaluates a random subsample through the
-public scalar op and gates the deviation, so the fast path cannot silently
-drift from the contract it is testing.
+``ExperimentResult.within``.  ``gate`` builds every check, so each reports its
+worst row and excess: ``x <= t`` is the row ``x - t`` and ``x >= t`` the row
+``t - x`` (for finite floats the rounded difference is <= 0 exactly when the
+comparison holds), a strict ``x < t`` is ``strict_rise([x, t])``, a compound
+``and`` is one row per clause, and a structural fact is one row, 0 when it
+holds and 1 when not.  Heavy sampling loops run as numpy row kernels; where
+a kernel shadows a scalar module operation, ``ExperimentResult.audit_rows``
+re-evaluates a random subsample through the public scalar op and gates the
+deviation, so the fast path cannot silently drift from the contract it is
+testing.
 """
 
 from __future__ import annotations
@@ -54,9 +57,6 @@ class ExperimentResult:
     texts: dict[str, str] = field(default_factory=dict)
     checks: list[Check] = field(default_factory=list)
 
-    def check(self, name: str, passed: bool, detail: str = "") -> None:
-        self.checks.append(Check(name=name, passed=bool(passed), detail=detail))
-
     def gate(self, name: str, excess, where, detail: str = "") -> None:
         """One check over many rows: row i passes when ``excess[i] <= 0``.
 
@@ -70,7 +70,7 @@ class ExperimentResult:
         if excess.size:
             worst = int(np.argmax(excess))  # the first NaN, if any
             text += f", worst {where(worst)} (excess {excess[worst]:.3e})"
-        self.check(name, over == 0, f"{text}; {detail}" if detail else text)
+        self.checks.append(Check(name=name, passed=over == 0, detail=f"{text}; {detail}" if detail else text))
 
     def sigma_gate(self, name: str, observed, expected, stderr, where) -> None:
         """The 3-sigma gate: row i passes when ``|observed[i] - expected[i]| <= 3 * stderr[i]``.
@@ -350,10 +350,9 @@ def run_divergence_asymptote(seed: int, params: dict, threads: int = 1) -> Exper
     )
     slope = float(np.polyfit(log_k, exact_values, 1)[0])
     lo, hi = (b - 1) / b * 0.98, (b - 1) / b * 1.02
-    result.check(
-        "divergence slope vs log kappa within 2% of (B-1)/B",
-        lo <= slope <= hi,
-        f"slope {slope:.6f}, band [{lo:.4f}, {hi:.4f}]",
+    result.gate(
+        "divergence slope vs log kappa within 2% of (B-1)/B", [lo - slope, slope - hi],
+        lambda i: f"slope {slope:.6f} vs band {('floor', 'ceiling')[i]} {(lo, hi)[i]:.4f}",
     )
     low, high = int(np.argmin(log_k)), int(np.argmax(log_k))  # two distinct values: a nonzero divisor
     asym_slope = (
@@ -373,10 +372,9 @@ def run_divergence_asymptote(seed: int, params: dict, threads: int = 1) -> Exper
     draws6 = cat.dirichlet_sample(spec6, rng_for(seed, "concentration"), params["concentration_draws"])
     tops = draws6.max(axis=1)
     freq = int(np.sum(tops > 0.999)) / params["concentration_draws"]
-    result.check(
+    result.gate(
         "concentration: top prob > 0.999 in at least 99% of draws at kappa = 1e6",
-        freq >= 0.99,
-        f"frequency {freq:.4f}",
+        [0.99 - freq], lambda i: f"frequency {freq:.4f}, floor 0.99",
     )
     all_draws, all_sampled = (np.concatenate(parts) for parts in zip(*samples))
     result.audit_rows(
@@ -397,7 +395,7 @@ def run_divergence_asymptote(seed: int, params: dict, threads: int = 1) -> Exper
 # ---------------------------------------------------------------------------
 
 NOISE_DISCRETE_SCHEMA = {
-    "trials": ParamSpec(100_000),
+    "trials": ParamSpec(100_000, minimum=1),
     "contrast_noise_over_margin": ParamSpec(5.0),
 }
 # Spec i's chain: CHAIN_STEPS[i] steps over CHAIN_OPTIONS[i] options, logit margins
@@ -455,10 +453,9 @@ def run_noise_discrete(seed: int, params: dict, threads: int = 1) -> ExperimentR
         (len(specs), contrast.steps, contrast.n_options, contrast.noise_scale,
          "unconstrained", contrast_trials, contrast_count)
     )
-    result.check(
+    result.gate(
         "unconstrained large noise does perturb the final token",
-        contrast_count > 0,
-        f"{contrast_count}/{contrast_trials} divergences",
+        strict_rise([0, contrast_count]), lambda i: f"{contrast_count}/{contrast_trials} divergences, need > 0",
     )
     result.tables["noise_discrete.csv"] = (
         ["spec", "steps", "options", "noise_scale", "mode", "trials", "divergences"],
@@ -478,10 +475,10 @@ def run_noise_discrete(seed: int, params: dict, threads: int = 1) -> ExperimentR
         return int(np.argmax(logits + shift))
 
     over, under = moved_argmax(gap * (1 + 1e-9)), moved_argmax(gap * (1 - 1e-9))
-    result.check(
+    result.within(
         "sub-decisional bound is tight: a gap change just over the margin flips the argmax",
-        over == runner_up and under == top,
-        f"top-two gap {gap:.6f} (tokens {top}, {runner_up}): argmax {over} just over, {under} just under",
+        [over, under], [runner_up, top], 0,
+        lambda i: f"top-two gap {gap:.6f}, argmax just {('over', 'under')[i]} it",
     )
     return result
 
@@ -492,8 +489,8 @@ def run_noise_discrete(seed: int, params: dict, threads: int = 1) -> ExperimentR
 
 ERROR_ACCUMULATION_SCHEMA = {
     "lipschitz_values": ParamSpec((0.8, 1.0, 1.2)),
-    "dims": ParamSpec((1, 8, 64)),
-    "steps_values": ParamSpec((1, 6, 12)),
+    "dims": ParamSpec((1, 8, 64), minimum=1),
+    "steps_values": ParamSpec((1, 6, 12), minimum=1),
     "sigma_h": ParamSpec(0.1),
     "trials": ParamSpec(100_000, minimum=100),
 }
@@ -604,7 +601,7 @@ ACCURACY_SCHEMA = {
     "dim": ParamSpec(16, minimum=1),
     "margin": ParamSpec(2.0),
     "sigma_grid": ParamSpec((0.1, 0.17, 0.3, 0.5, 0.85, 1.4, 2.4, 4.0, 6.7, 11.0)),
-    "trials": ParamSpec(100_000),
+    "trials": ParamSpec(100_000, minimum=1000),
 }
 
 
@@ -692,9 +689,9 @@ def run_accuracy_sweep(seed: int, params: dict, threads: int = 1) -> ExperimentR
         analytic[1:] - analytic[:-1], lambda i: f"sigma={rows[i + 1][0]} after sigma={rows[i][0]}",
     )
     limits = dict(dynamics.accuracy_curve(params["margin"], gain, (1e-6, 1e6)))
-    result.check(
-        "retention plateau at 1 as sigma -> 0", limits[1e-6] >= 1.0 - 1e-12,
-        f"retention {limits[1e-6]!r} at sigma 1e-06, floor 1 - 1e-12",
+    result.gate(
+        "retention plateau at 1 as sigma -> 0", [1.0 - 1e-12 - limits[1e-6]],
+        lambda i: f"retention {limits[1e-6]!r} at sigma 1e-06, floor 1 - 1e-12",
     )
     result.within("retention falls to the coin-flip 0.5 as sigma -> inf", limits[1e6], 0.5, 1e-3)
 
@@ -765,10 +762,9 @@ def run_cib_frontier(seed: int, params: dict, threads: int = 1) -> ExperimentRes
         "frontier saturates at the full predictive information", max(p.i_future for p in pts), predictive_ceiling, 1e-4,
     )
     beta0 = min(pts, key=lambda p: p.beta)
-    result.check(
+    result.gate(
         "beta = 0 collapses to a constant encoder (i_past ~ 0)",
-        beta0.i_past <= 1e-6,
-        f"i_past {beta0.i_past:.2e}",
+        [beta0.i_past - 1e-6], lambda i: f"beta={beta0.beta}: i_past {beta0.i_past:.2e}, ceiling 1e-06",
     )
     # a dominates b when a.i_past <= b.i_past - 1e-9 and a.i_future >= b.i_future + 1e-9;
     # the pair's row passes when either inequality fails, each kept strict by nextafter
@@ -825,10 +821,10 @@ def run_cib_frontier(seed: int, params: dict, threads: int = 1) -> ExperimentRes
         ["beta", "n_latent", "brute_objective", "solver_objective", "brute_map"],
         [(2.0, 2, golden, gold_solution.point.objective, "".join(map(str, golden_map)))],
     )
-    result.check(
+    result.gate(
         "reference problem: solver matches or beats the deterministic minimum",
-        gold_solution.point.objective <= golden + 1e-8,
-        f"solver {gold_solution.point.objective!r} vs brute {golden!r}",
+        [gold_solution.point.objective - (golden + 1e-8)],
+        lambda i: f"solver {gold_solution.point.objective!r} vs brute {golden!r} + 1e-08",
     )
 
     # decoder non-degeneracy at finite beta on the capped-conditional problem
@@ -845,16 +841,18 @@ def run_cib_frontier(seed: int, params: dict, threads: int = 1) -> ExperimentRes
     )
 
     # stage schedule spot values, and the terminal stage, where the schedule diverges
-    schedule = [cib.beta_schedule(k, 10) for k in (0, 5, 9)]
+    stages, spots, tols = (0, 5, 9), (0.0, 1.0, 9.0), (0.0, 1e-15, 1e-12)
+    schedule = [cib.beta_schedule(k, 10) for k in stages]
     try:
-        terminal = repr(cib.beta_schedule(10, 10))
+        cib.beta_schedule(10, 10)
+        refused = False
     except InvalidInputError:
-        terminal = None
-    result.check(
+        refused = True
+    result.gate(
         "stage schedule: spot values and divergence at the terminal stage",
-        schedule[0] == 0.0 and abs(schedule[1] - 1.0) <= 1e-15 and abs(schedule[2] - 9.0) <= 1e-12
-        and terminal is None,
-        f"stages 0, 5, 9 of 10: {schedule}; stage 10: {terminal or 'refused'}",
+        [*(np.abs(np.subtract(schedule, spots)) - tols), float(not refused)],
+        lambda i: f"stage {stages[i]} of 10: |{schedule[i]!r} - {spots[i]!r}| vs tol {tols[i]!r}" if i < 3
+        else "stage 10 refused",
     )
     result.gate(
         "stage schedule increases monotonically",
@@ -869,7 +867,7 @@ def run_cib_frontier(seed: int, params: dict, threads: int = 1) -> ExperimentRes
 
 CURRICULUM_SCHEMA = {
     "strong_theta": ParamSpec((10.0, 0.0, 0.0)),
-    "n_grid": ParamSpec((100, 1000, 10_000, 100_000)),
+    "n_grid": ParamSpec((100, 1000, 10_000, 100_000), minimum=1),
     "trials_per_n": ParamSpec(50, minimum=2),
     "iterations": ParamSpec(5000, minimum=1),
     "step": ParamSpec(0.1),
@@ -902,11 +900,11 @@ def run_curriculum(seed: int, params: dict, threads: int = 1) -> ExperimentResul
         curriculum.success_rate(np.array([10.0, 0.0, 0.0])), math.exp(10.0) / (math.exp(10.0) + 2.0), 1e-9,
     )
     shortcut_heavy = curriculum.success_rate(np.array([0.0, 10.0, 10.0]))
-    result.check(
+    closed_form = 1.0 / (1.0 + math.exp(20.0) + math.exp(10.0))
+    result.gate(
         "shortcut-dominated weights drive success toward zero",
-        abs(shortcut_heavy - 1.0 / (1.0 + math.exp(20.0) + math.exp(10.0))) <= 1e-18
-        and shortcut_heavy < 1e-8,
-        f"success {shortcut_heavy:.3e}",
+        [abs(shortcut_heavy - closed_form) - 1e-18, *strict_rise([shortcut_heavy, 1e-8])],
+        lambda i: f"success {shortcut_heavy:.3e} vs " + ("1/(1+e^20+e^10), tol 1e-18", "ceiling 1e-08")[i],
     )
 
     # one lockstep fit for every count vector of the experiment, stacked in
@@ -961,31 +959,27 @@ def run_curriculum(seed: int, params: dict, threads: int = 1) -> ExperimentResul
     result.tables["curriculum_sweep.csv"] = (
         ["n", "provenance", "mean_gap", "stddev", "slope_so_far"], rows
     )
-    result.check(
-        "curriculum log-log convergence slope within [-0.65, -0.35]",
-        -0.65 <= sweep.slope <= -0.35,
-        f"slope {sweep.slope:.4f}",
+    result.gate(
+        "curriculum log-log convergence slope within [-0.65, -0.35]", [-0.65 - sweep.slope, sweep.slope + 0.35],
+        lambda i: f"slope {sweep.slope:.4f} vs band {('floor -0.65', 'ceiling -0.35')[i]}",
     )
     final_gap = sweep.rows[-1].mean_gap
-    result.check(
+    result.gate(
         "curriculum gap at the largest sample size <= 0.01",
-        final_gap <= 0.01,
-        f"mean gap {final_gap:.5f} at n={sweep.rows[-1].n}",
+        [final_gap - 0.01], lambda i: f"mean gap {final_gap:.5f} at n={sweep.rows[-1].n}",
     )
     means = [r.mean_gap for r in sweep.rows]
     inversions = sum(b > a for a, b in zip(means, means[1:]))
     decades = math.log10(grid[-1] / grid[0])
-    result.check(
+    result.gate(
         "curriculum gap non-increasing (allowing one inversion per decade)",
-        inversions <= max(1, int(decades)),
-        f"{inversions} inversions over {decades:.1f} decades",
+        [inversions - max(1, int(decades))], lambda i: f"{inversions} inversions over {decades:.1f} decades",
     )
 
     strong_gap = float(gaps[-2])
-    result.check(
+    result.gate(
         "near-deterministic expert recovered within 0.005 at the largest n",
-        strong_gap <= 0.005,
-        f"gap {strong_gap:.2e}",
+        [strong_gap - 0.005], lambda i: f"gap {strong_gap:.2e}",
     )
 
     expert_dist = curriculum.state_distribution(rate_theta)
@@ -1033,10 +1027,12 @@ def run_curriculum(seed: int, params: dict, threads: int = 1) -> ExperimentResul
     scores = curriculum.FEATURES @ thetas[-1]
     spread = float(scores.max() - scores.min())
     sym_grad = float(grad_norms[-1])
-    result.check(
+    balanced = float(successes[-1])
+    result.gate(
         "perfectly balanced data fits to equal scores (1e-4) with tiny gradient",
-        spread <= 1e-4 and abs(float(successes[-1]) - 1.0 / 3.0) <= 1e-4 and sym_grad < 1e-8,
-        f"score spread {spread:.2e}, grad norm {sym_grad:.2e}",
+        [spread - 1e-4, abs(balanced - 1.0 / 3.0) - 1e-4, *strict_rise([sym_grad, 1e-8])],
+        lambda i: (f"score spread {spread:.2e}, ceiling 1e-04", f"success {balanced:.6f} vs 1/3, tol 1e-04",
+                   f"grad norm {sym_grad:.2e}, ceiling 1e-08")[i],
     )
 
     result.tables["curriculum_policies.csv"] = (["theta_0", "theta_1", "theta_2"], [tuple(t) for t in thetas])
@@ -1156,20 +1152,19 @@ def run_dag_exploration(seed: int, params: dict, threads: int = 1) -> Experiment
              float(nd.std(ddof=1) / math.sqrt(draws)), uniform_exact),
         ],
     )
-    result.check(
+    result.gate(
         "trap ordering: concentrated mean success < capped-certainty mean success",
-        conc_mean < nd_mean,
-        f"{conc_mean:.3e} vs {nd_mean:.3e}",
+        strict_rise([conc_mean, nd_mean]), lambda i: f"concentrated mean {conc_mean:.3e} vs capped {nd_mean:.3e}",
     )
-    result.check(
-        "trap ordering: uniform success >= both policy means",
-        uniform_exact >= conc_mean and uniform_exact >= nd_mean,
-        f"uniform {uniform_exact:.3e}, concentrated {conc_mean:.3e}, capped {nd_mean:.3e}",
+    regimes = ("concentrated", "capped", "uniform")
+    result.gate(
+        "trap ordering: uniform success >= both policy means", [conc_mean - uniform_exact, nd_mean - uniform_exact],
+        lambda i: f"{regimes[i]} mean {(conc_mean, nd_mean)[i]:.3e} vs uniform {uniform_exact:.3e}",
     )
-    result.check(
-        "trap medians separate the three regimes strictly",
-        float(np.median(conc)) < float(np.median(nd)) <= uniform_exact,
-        f"medians {float(np.median(conc)):.3e} / {float(np.median(nd)):.3e} / {uniform_exact:.3e}",
+    medians = (float(np.median(conc)), float(np.median(nd)), uniform_exact)
+    result.gate(
+        "trap medians separate the three regimes strictly", [*strict_rise(medians[:2]), medians[1] - medians[2]],
+        lambda i: f"{regimes[i]} median {medians[i]:.3e} vs {regimes[i + 1]} {medians[i + 1]:.3e}",
     )
 
     stats = dag.run_search(trap, uniform_policy, params["mc_trials"], derive_seed(seed, "mc"))
@@ -1234,13 +1229,11 @@ def run_dag_exploration(seed: int, params: dict, threads: int = 1) -> Experiment
     text = dag.format_dag(trap)
     result.texts["trap_graph.txt"] = text
     reparsed = dag.parse_dag(text)
-    result.check(
+    fields = ("successors", "start", "targets")
+    result.gate(
         "graph serialization round-trips the trap",
-        reparsed.successors == trap.successors
-        and reparsed.start == trap.start
-        and reparsed.targets == trap.targets,
-        f"{reparsed.n_nodes} of {trap.n_nodes} nodes, start {reparsed.start} of {trap.start} and "
-        f"{len(reparsed.targets)} of {len(trap.targets)} targets read back from {len(text.splitlines())} lines",
+        [float(getattr(reparsed, f) != getattr(trap, f)) for f in fields],
+        lambda i: f"{fields[i]} read back from {len(text.splitlines())} lines",
     )
 
     if custom is not None:

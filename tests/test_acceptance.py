@@ -18,6 +18,7 @@ the two runs' outputs byte for byte and with the pinned digests.
 import hashlib
 import json
 import math
+import re
 import time
 from datetime import datetime
 from pathlib import Path
@@ -392,3 +393,16 @@ def test_every_check_states_a_detail(battery):
         if not check.get("detail")
     ]
     assert silent == []
+
+
+def test_every_check_is_a_gate(battery):
+    # ExperimentResult.gate builds every check, so every detail opens with its row count
+    manifests = sorted(battery.out.glob("*/manifest.json"))
+    assert len(manifests) == 8
+    ungated = [
+        (manifest.parent.name, check["name"])
+        for manifest in manifests
+        for check in load_manifest(manifest).checks
+        if not re.match(r"\d+/\d+ rows over the limit", check.get("detail", ""))
+    ]
+    assert ungated == []

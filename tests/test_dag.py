@@ -1,5 +1,6 @@
 """Decision-DAG construction, policies, search, and the exact oracle."""
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -380,6 +381,34 @@ def test_nan_divergence_on_the_binary_graph_fails_the_delta_ceiling(monkeypatch)
     assert not check.passed
     assert check.detail.startswith("1/30 rows over the limit, worst draw 1 ")
 
+
+
+SMALL_DAG = {**default_params("dag-exploration"), "policy_draws": 2, "mc_trials": 1000, "divergence_draws": 2,
+             "capped_samples": 100}
+
+
+def test_uniform_policies_fail_both_strict_trap_orderings_on_the_tie(monkeypatch):
+    # every regime draws the uniform policy, so all three means and medians are equal:
+    # each strict ordering fails on its tied row, and "uniform >= both means" holds with equality
+    make_policy = dag.make_policy
+    monkeypatch.setattr(dag, "make_policy", lambda graph, kind, **law: make_policy(graph, "uniform"))
+    checks = {c.name: c for c in EXPERIMENTS["dag-exploration"].runner(0, SMALL_DAG).checks}
+    mean = checks["trap ordering: concentrated mean success < capped-certainty mean success"]
+    median = checks["trap medians separate the three regimes strictly"]
+    assert not mean.passed and mean.detail.startswith("1/1 rows over the limit, worst concentrated mean ")
+    assert not median.passed and median.detail.startswith("1/2 rows over the limit, worst concentrated median ")
+    assert checks["trap ordering: uniform success >= both policy means"].passed
+
+
+def test_a_parse_that_moves_the_start_fails_the_round_trip_on_its_start_row(monkeypatch):
+    parse_dag = dag.parse_dag
+    monkeypatch.setattr(dag, "parse_dag", lambda text: dataclasses.replace(parse_dag(text), start=1))
+    (check,) = [
+        c for c in EXPERIMENTS["dag-exploration"].runner(0, SMALL_DAG).checks
+        if c.name == "graph serialization round-trips the trap"
+    ]
+    assert not check.passed
+    assert check.detail == "1/3 rows over the limit, worst start read back from 21 lines (excess 1.000e+00)"
 
 SEARCH_GATE = "Monte Carlo search matches the exact oracle within 3 standard errors"
 CUSTOM_GATE = "custom graph: sampled success matches the exact oracle"

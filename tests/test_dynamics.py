@@ -72,6 +72,16 @@ class TestNoiseDiscreteGate:
         assert [check.name for check in failed] == [ZERO_DIVERGENCE]
         assert failed[0].detail == "5/5 rows over the limit, worst spec 4 (138 divergences) (excess 1.380e+02)"
 
+    def test_a_contrast_run_without_divergences_fails_the_perturbation_check(self, monkeypatch):
+        simulate = dynamics.simulate_discrete_chain
+        monkeypatch.setattr(
+            dynamics, "simulate_discrete_chain",
+            lambda spec, trials, seed: simulate(spec, trials, seed) if spec.sub_decisional_only else 0,
+        )
+        failed = [c for c in EXPERIMENTS["noise-discrete"].runner(0, SMALL_NOISE_DISCRETE).checks if not c.passed]
+        assert [c.name for c in failed] == ["unconstrained large noise does perturb the final token"]
+        assert failed[0].detail == "1/1 rows over the limit, worst 0/200 divergences, need > 0 (excess 4.941e-324)"
+
 
 class TestPrefixLogits:
     SPEC = dynamics.DiscreteChainSpec(steps=6, n_options=5, noise_scale=0.2, logit_seed=9)

@@ -362,6 +362,11 @@ _BELOW_MINIMUM_CASES = [
     ("curriculum", "iterations", 0),
     ("accuracy-sweep", "dim", 0),
     ("error-accumulation", "trials", 99),
+    ("accuracy-sweep", "trials", 999),
+    ("noise-discrete", "trials", 0),
+    ("error-accumulation", "dims", "0, 8"),
+    ("error-accumulation", "steps_values", "0, 6"),
+    ("curriculum", "n_grid", "0, 10"),
 ]
 
 # (experiment, a kernel that must not run, keys): each key is a module constant, so a
