@@ -166,15 +166,21 @@ class SweepResult(NamedTuple):
     slope: float
 
 
+def sweep_grid(n_grid) -> list[int]:
+    """The sweep's sample sizes as ints; a grid that is not strictly increasing over at least two points is refused."""
+    grid = [int(n) for n in n_grid]
+    if len(grid) < 2 or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise InvalidInputError("n grid must be increasing with >= 2 points")
+    return grid
+
+
 def sweep_counts(expert_theta, n_grid, trials_per_n: int, seed: int) -> np.ndarray:
     """The sweep's ``(len(n_grid) * trials_per_n, 3)`` count matrix, n-major.
 
     Trial (n, t) draws its counts from the stream (seed, "sweep", n, t).  The grid
-    and trial count are validated before any dataset is drawn.
+    (``sweep_grid``) and trial count are validated before any dataset is drawn.
     """
-    grid = [int(n) for n in n_grid]
-    if len(grid) < 2 or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise InvalidInputError("n grid must be increasing with >= 2 points")
+    grid = sweep_grid(n_grid)
     if trials_per_n < 2:
         raise InvalidInputError(f"need >= 2 trials per n, got {trials_per_n}")
     return np.array(

@@ -5,8 +5,9 @@ tables and a list of named pass/fail checks, and the CLI turns check
 failures into a nonzero exit code.  Every check over many rows is one
 ``ExperimentResult.gate``, recording how many rows exceed the limit and the
 worst row, so a NaN row fails it; every Monte Carlo comparison, one row or
-many, is one ``ExperimentResult.sigma_gate``, the gate of the 3-sigma rule;
-every closed-form comparison ``|observed - expected| <= tol`` is one
+many, is one ``ExperimentResult.sigma_gate``, the gate of the 3-sigma rule,
+or, for a count of successes, one ``ExperimentResult.binomial_gate`` on its
+exact tail; every closed-form comparison ``|observed - expected| <= tol`` is one
 ``ExperimentResult.within``.  ``gate`` builds every check, so each reports its
 worst row and excess: ``x <= t`` is the row ``x - t`` and ``x >= t`` the row
 ``t - x`` (for finite floats the rounded difference is <= 0 exactly when the
@@ -17,6 +18,12 @@ a kernel shadows a scalar module operation, ``ExperimentResult.audit_rows``
 re-evaluates a random subsample through the public scalar op and gates the
 deviation, so the fast path cannot silently drift from the contract it is
 testing.
+
+Each experiment's ``precheck(params)`` refuses bad params before its runner
+starts.  A precheck only parses, evaluates closed forms and prices work
+against caps: it draws nothing and runs no solver, and every refusal names
+the key it refuses.  A value that both need comes from one helper, so the
+runner may assume valid params.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,6 +57,24 @@ def nominal_rate(rows: int) -> str:
     """The false-alarm rate of a gate whose every row rejects with chance THREE_SIGMA_RATE, over ``rows`` rows."""
     text = f"nominal false-alarm rate {THREE_SIGMA_RATE:.2%} per row"
     return f"{text}, {1.0 - (1.0 - THREE_SIGMA_RATE) ** rows:.1%} over {rows} rows" if rows > 1 else text
+
+
+def binomial_tail(k: int, n: int, p: float) -> float:
+    """The tail of X ~ Binomial(n, p) on k's side of the mean, P(X <= k) if k < n p, else P(X >= k);
+    the other tail is at least 1/2, as the median lies between floor(n p) and ceil(n p).
+
+    The ``math.lgamma`` terms shrink from k outward: the sum stops at the first that no longer changes it."""
+    if not 0.0 < p < 1.0:  # a sure outcome: X = n p
+        return float(k == n * p)
+    step = -1 if k < n * p else 1
+    log_p, log_q, log_n = math.log(p), math.log1p(-p), math.lgamma(n + 1)
+    tail = 0.0
+    for j in range(k, -1 if step < 0 else n + 1, step):
+        term = math.exp(log_n - math.lgamma(j + 1) - math.lgamma(n - j + 1) + j * log_p + (n - j) * log_q)
+        if tail + term == tail:
+            break
+        tail += term
+    return tail
 
 
 @dataclass
@@ -83,6 +109,19 @@ class ExperimentResult:
             name, diff - 3.0 * stderr,
             lambda i: f"{where(i)}: |{observed[i]:.6e} - {expected[i]:.6e}| vs 3*{stderr[i]:.2e}",
             f"worst pull {np.max(pulls, initial=0.0):.2f} sigma; {nominal_rate(diff.size)}",
+        )
+
+    def binomial_gate(self, name: str, counts, trials: int, rates, where) -> None:
+        """The exact binomial gate: row i fails when ``counts[i]`` of ``trials`` lies in the tail of
+        Binomial(trials, rates[i]) on its side of the mean with mass under THREE_SIGMA_RATE / 2.
+
+        That is the 3-sigma rule's rate, free of the normal approximation that fails at
+        n (1 - p) << 1.  The detail adds the tail limit and the nominal false-alarm rate."""
+        tails = np.array([binomial_tail(k, trials, p) for k, p in zip(counts, rates)])
+        self.gate(
+            name, THREE_SIGMA_RATE / 2 - tails,
+            lambda i: f"{where(i)}: {counts[i]}/{trials} at rate {rates[i]:.6e}, tail {tails[i]:.3e}",
+            f"tail limit {THREE_SIGMA_RATE / 2:.3e}; {nominal_rate(len(tails))}",
         )
 
     def within(self, name: str, observed, expected, tol, where=None) -> None:
@@ -155,9 +194,19 @@ DRAW_CAP = 10**10
 
 
 def _cap_draws(draws: int) -> None:
-    """Refuse, before any draw, a run whose ``params.trials`` would draw more than ``DRAW_CAP`` variates."""
+    """Refuse a run whose ``params.trials`` would draw more than ``DRAW_CAP`` variates."""
     if draws > DRAW_CAP:
         raise EnumerationTooLargeError(f"params.trials: the run would draw {draws} variates, over the cap {DRAW_CAP}")
+
+
+@contextmanager
+def _keyed(key: str):
+    """Prefix ``params.<key>: `` to a refusal raised in the block, such as a library
+    call's own argument check, so that the refusal names the key it refuses."""
+    try:
+        yield
+    except (InvalidInputError, EnumerationTooLargeError) as exc:
+        raise type(exc)(f"params.{key}: {exc}") from None
 
 
 def _compositions(units: int, slots: int, rows: int):
@@ -201,8 +250,17 @@ def _scalar_certainty(logits: np.ndarray) -> tuple:
             cat.kl_divergence(uniform, p), cat.min_exploration_divergence(s, b))
 
 
-def run_tradeoff_scan(seed: int, params: dict, threads: int = 1) -> ExperimentResult:
-    result = ExperimentResult()
+def _scan_rows(params: dict) -> list[tuple[float, int, float]]:
+    """The scan's rows (s, B, certainty cost bound): each s of ``params.scan_grid`` at least 1/B,
+    for each B of ``params.scan_options``."""
+    with _keyed("scan_grid"):
+        return [
+            (float(s), b, cat.tradeoff_lower_bound(float(s), b))
+            for b in params["scan_options"] for s in params["scan_grid"] if s >= 1.0 / b
+        ]
+
+
+def precheck_tradeoff_scan(params: dict) -> None:
     resolution = params["oracle_resolution"]
     for b in sorted({4, *params["scan_options"]}):  # B = 4 for the oracle's spot check
         compositions = math.comb(resolution + b - 2, b - 2)
@@ -212,19 +270,20 @@ def run_tradeoff_scan(seed: int, params: dict, threads: int = 1) -> ExperimentRe
                 f"params.{key}: the oracle at B={b} would score {compositions} compositions "
                 f"of {resolution} units, {compositions * b} cells, over the cap {ORACLE_CAP}"
             )
-    # every scan row's bound is evaluated, and so validated, before any panel
-    scan = [
-        (float(s), b, cat.tradeoff_lower_bound(float(s), b))
-        for b in params["scan_options"] for s in params["scan_grid"] if s >= 1.0 / b
-    ]
-    if not scan:
+    if not _scan_rows(params):
         raise InvalidInputError("params.scan_grid: no value is at least 1/B for any B of params.scan_options")
+    if params["samples"] < len(params["options_set"]):
+        raise InvalidInputError(
+            f"params.samples: need at least one row per B, {len(params['options_set'])} in all, "
+            f"got {params['samples']}"
+        )
+
+
+def run_tradeoff_scan(seed: int, params: dict, threads: int = 1) -> ExperimentResult:
+    result = ExperimentResult()
+    resolution = params["oracle_resolution"]
     options_set = params["options_set"]
     per_b = params["samples"] // len(options_set)
-    if per_b < 1:
-        raise InvalidInputError(
-            f"params.samples: need at least one row per B, {len(options_set)} in all, got {params['samples']}"
-        )
 
     # per row, each floor's excess over its bound, filled block by block
     margin, reverse, forward, equality = np.empty((4, len(options_set) * per_b))
@@ -285,7 +344,7 @@ def run_tradeoff_scan(seed: int, params: dict, threads: int = 1) -> ExperimentRe
         [cat.tradeoff_lower_bound(s, b) for b, s in peaks], 1e-9, lambda i: f"B={peaks[i][0]} s={peaks[i][1]:.4f}",
     )
 
-    rows = [(s, int(b), bound, _simplex_slice_min_reverse_kl(s, b, resolution)) for s, b, bound in scan]
+    rows = [(s, int(b), bound, _simplex_slice_min_reverse_kl(s, b, resolution)) for s, b, bound in _scan_rows(params)]
     result.tables["tradeoff_scan.csv"] = (["i_s", "B", "bound", "empirical_min_kl"], rows)
     result.gate(
         "scan: bound <= grid-search minimum at every row",
@@ -312,16 +371,25 @@ ASYMPTOTE_SCHEMA = {
 ASYMPTOTE_OPTIONS = 5
 
 
-def run_divergence_asymptote(seed: int, params: dict, threads: int = 1) -> ExperimentResult:
-    result = ExperimentResult()
+def _asymptote_families(params: dict) -> list[cat.DirichletConcentration]:
+    """The concentrated Dirichlet family over ASYMPTOTE_OPTIONS options at each kappa of ``params.kappas``."""
+    with _keyed("kappas"):
+        return [cat.DirichletConcentration(kappa=kappa, n_options=ASYMPTOTE_OPTIONS) for kappa in params["kappas"]]
+
+
+def precheck_divergence_asymptote(params: dict) -> None:
     if min(params["kappas"]) <= 1.0:  # the checks divide by log kappa
         raise InvalidInputError(f"params.kappas: each kappa must exceed 1, got {min(params['kappas'])!r}")
-    log_k = [math.log(k) for k in params["kappas"]]
-    if len(set(log_k)) < 2:  # the slopes divide by a difference of logs
+    if len({math.log(k) for k in params["kappas"]}) < 2:  # the slopes divide by a difference of logs
         raise InvalidInputError("params.kappas: the slope checks need at least two distinct values")
+    _asymptote_families(params)
+
+
+def run_divergence_asymptote(seed: int, params: dict, threads: int = 1) -> ExperimentResult:
+    result = ExperimentResult()
+    log_k = [math.log(k) for k in params["kappas"]]
     b = ASYMPTOTE_OPTIONS
-    # every family is built, and so validated, before the first draw
-    specs = [cat.DirichletConcentration(kappa=kappa, n_options=b) for kappa in params["kappas"]]
+    specs = _asymptote_families(params)
     spec6 = cat.DirichletConcentration(kappa=1e6, n_options=b)
     uniform = np.full(b, 1.0 / b)
     rows = []
@@ -405,6 +473,16 @@ CHAIN_OPTIONS = (5, 3, 2, 4, 6)
 NOISE_OVER_MARGIN = 0.2
 
 
+def precheck_noise_discrete(params: dict) -> None:
+    # zero noise cannot move an argmax, so the contrast check would fail by construction
+    if params["contrast_noise_over_margin"] <= 0:
+        raise InvalidInputError(
+            f"params.contrast_noise_over_margin: must be positive, got {params['contrast_noise_over_margin']!r}"
+        )
+    # one draw per option per step and trial; the cap counts the sub-decisional runs
+    _cap_draws(params["trials"] * sum(steps * options for steps, options in zip(CHAIN_STEPS, CHAIN_OPTIONS)))
+
+
 def run_noise_discrete(seed: int, params: dict, threads: int = 1) -> ExperimentResult:
     result = ExperimentResult()
     specs = list(zip(CHAIN_STEPS, CHAIN_OPTIONS))
@@ -416,17 +494,9 @@ def run_noise_discrete(seed: int, params: dict, threads: int = 1) -> ExperimentR
             sub_decisional_only=sub_decisional_only, logit_seed=derive_seed(seed, "chain-spec", index),
         )
 
-    # every chain spec is built, and so validated, before any simulation
     chain_specs = [chain_spec(index, NOISE_OVER_MARGIN) for index in range(len(specs))]
     zero_spec = chain_spec(0, 0.0)
     contrast = chain_spec(0, params["contrast_noise_over_margin"], sub_decisional_only=False)
-    # zero noise cannot move an argmax, so the contrast check would fail by construction
-    if params["contrast_noise_over_margin"] <= 0:
-        raise InvalidInputError(
-            f"params.contrast_noise_over_margin: must be positive, got {params['contrast_noise_over_margin']!r}"
-        )
-    # one draw per option per step and trial; the cap counts the sub-decisional runs
-    _cap_draws(params["trials"] * sum(steps * options for steps, options in specs))
 
     def run_spec(item):
         index, spec = item
@@ -500,28 +570,34 @@ ERROR_ACCUMULATION_SCHEMA = {
 FOURTH_POWER_HEADROOM = 2.0**10
 
 
-def run_error_accumulation(seed: int, params: dict, threads: int = 1) -> ExperimentResult:
-    result = ExperimentResult()
-    longest = max(params["steps_values"])
-    if longest < 2:  # at one step every L gives d sigma^2: the ordering needs two
-        raise InvalidInputError(f"params.steps_values: the Lipschitz ordering needs at least 2 steps, got {longest}")
-    if len(set(params["lipschitz_values"])) < len(params["lipschitz_values"]):  # the ordering is strict
-        raise InvalidInputError("params.lipschitz_values: the values must be distinct")
+def _error_cells(params: dict) -> tuple[list[tuple], list[dynamics.LatentConfig]]:
+    """The Monte Carlo cells (L, d, M), L-major, and each cell's config."""
     cells = [
         (lf, d, m)
         for lf in params["lipschitz_values"]
         for d in params["dims"]
         for m in params["steps_values"]
     ]
+    with _keyed("sigma_h"):  # a config at L = 1 refuses only a bad sigma_h
+        dynamics.LatentConfig(dim=1, steps=1, lipschitz=1.0, sigma_h=params["sigma_h"])
+    with _keyed("lipschitz_values"):
+        configs = [
+            dynamics.LatentConfig(dim=d, steps=m, lipschitz=lf, sigma_h=params["sigma_h"]) for lf, d, m in cells
+        ]
+    return cells, configs
+
+
+def precheck_error_accumulation(params: dict) -> None:
+    longest = max(params["steps_values"])
+    if longest < 2:  # at one step every L gives d sigma^2: the ordering needs two
+        raise InvalidInputError(f"params.steps_values: the Lipschitz ordering needs at least 2 steps, got {longest}")
+    if len(set(params["lipschitz_values"])) < len(params["lipschitz_values"]):  # the ordering is strict
+        raise InvalidInputError("params.lipschitz_values: the values must be distinct")
+    cells, configs = _error_cells(params)
     _cap_draws(params["trials"] * sum(d * m for _, d, m in cells))
-    # every cell's config and closed form are built, and so validated, before any
-    # simulation; the gates divide by the closed form and the law gate squares it,
-    # and the Monte Carlo sums |E_M|^4, whose expectation over the trials is
-    # trials * closed^2 * (1 + 2/d) (the chi-squared law below)
-    configs = [
-        dynamics.LatentConfig(dim=d, steps=m, lipschitz=lf, sigma_h=params["sigma_h"]) for lf, d, m in cells
-    ]
-    closed = []
+    # the gates divide by the closed form and the law gate squares it, and the
+    # Monte Carlo sums |E_M|^4, whose expectation over the trials is
+    # trials * closed^2 * (1 + 2/d) (the chi-squared law of the runner)
     for (lf, d, m), config in zip(cells, configs):
         try:
             value = dynamics.expected_error_closed_form(config)
@@ -534,7 +610,13 @@ def run_error_accumulation(seed: int, params: dict, threads: int = 1) -> Experim
                 f"{FOURTH_POWER_HEADROOM:g} times the expected fourth-power sum of {params['trials']} trials "
                 "must be positive and finite"
             )
-        closed.append(value)
+
+
+def run_error_accumulation(seed: int, params: dict, threads: int = 1) -> ExperimentResult:
+    result = ExperimentResult()
+    longest = max(params["steps_values"])
+    cells, configs = _error_cells(params)
+    closed = [dynamics.expected_error_closed_form(config) for config in configs]
 
     def run_cell(item):
         cell, config = item
@@ -623,24 +705,6 @@ def _simpson_normal_cdf(z: float) -> float:
     return float(h / 3.0 * (ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-2:2].sum()))
 
 
-def binomial_tail(k: int, n: int, p: float) -> float:
-    """The tail of X ~ Binomial(n, p) on k's side of the mean, P(X <= k) if k < n p, else P(X >= k);
-    the other tail is at least 1/2, as the median lies between floor(n p) and ceil(n p).
-
-    The ``math.lgamma`` terms shrink from k outward: the sum stops at the first that no longer changes it."""
-    if not 0.0 < p < 1.0:  # a sure outcome: X = n p
-        return float(k == n * p)
-    step = -1 if k < n * p else 1
-    log_p, log_q, log_n = math.log(p), math.log1p(-p), math.lgamma(n + 1)
-    tail = 0.0
-    for j in range(k, -1 if step < 0 else n + 1, step):
-        term = math.exp(log_n - math.lgamma(j + 1) - math.lgamma(n - j + 1) + j * log_p + (n - j) * log_q)
-        if tail + term == tail:
-            break
-        tail += term
-    return tail
-
-
 def _crossing_sigma(margin: float, gain: float, level: float) -> float:
     """Sigma where the analytic retention curve crosses ``level`` (interpolated)."""
     grid = np.geomspace(1e-3, 1e3, 4001)
@@ -648,7 +712,7 @@ def _crossing_sigma(margin: float, gain: float, level: float) -> float:
     idx = int(np.argmax(curve < level))
     if idx == 0:
         raise InvalidInputError(
-            f"params.margin: the margin-doubling check needs the {level} crossing at margin {margin!r}, "
+            f"the margin-doubling check needs the {level} crossing at margin {margin!r}, "
             f"which lies off the sigma grid [{grid[0]:g}, {grid[-1]:g}]"
         )
     x0, x1 = grid[idx - 1], grid[idx]
@@ -656,14 +720,25 @@ def _crossing_sigma(margin: float, gain: float, level: float) -> float:
     return float(x0 + (level - y0) * (x1 - x0) / (y1 - y0))
 
 
+def _crossing_ratio(params: dict) -> float:
+    """The 0.75 retention crossing at twice ``params.margin`` over the one at it; the
+    readout's noise gain is exactly dim."""
+    gain = float(params["dim"])
+    with _keyed("margin"):
+        crossing = _crossing_sigma(params["margin"], gain, 0.75)
+        return _crossing_sigma(2.0 * params["margin"], gain, 0.75) / crossing
+
+
+def precheck_accuracy_sweep(params: dict) -> None:
+    _crossing_ratio(params)
+    with _keyed("sigma_grid"):
+        dynamics.accuracy_curve(params["margin"], float(params["dim"]), params["sigma_grid"])
+    _cap_draws(params["trials"] * params["dim"] * len(params["sigma_grid"]))
+
+
 def run_accuracy_sweep(seed: int, params: dict, threads: int = 1) -> ExperimentResult:
     result = ExperimentResult()
-    # both crossings are found before the sweep, so a margin whose crossing lies
-    # off the grid is rejected first; the readout's noise gain is exactly dim
     gain = float(params["dim"])
-    crossing = _crossing_sigma(params["margin"], gain, 0.75)
-    ratio = _crossing_sigma(2.0 * params["margin"], gain, 0.75) / crossing
-    _cap_draws(params["trials"] * params["dim"] * len(params["sigma_grid"]))
     rows = dynamics.empirical_accuracy_sweep(
         dim=params["dim"],
         margin=params["margin"],
@@ -673,16 +748,11 @@ def run_accuracy_sweep(seed: int, params: dict, threads: int = 1) -> ExperimentR
     )
     result.tables["accuracy_sweep.csv"] = (["sigma", "analytic", "empirical", "std_error"], rows)
     sigmas, analytic, empirical = np.array([r[:3] for r in rows]).T
-    # a row fails when its retained count lies in either exact binomial tail of mass under
-    # THREE_SIGMA_RATE / 2: the 3-sigma rate, free of the normal approximation that fails at n (1 - p) << 1
     trials = params["trials"]
-    retained = [round(e * trials) for e in empirical]  # e is a count over trials: exact
-    tails = np.array([binomial_tail(k, trials, p) for k, p in zip(retained, analytic)])
-    result.gate(
+    result.binomial_gate(
         "empirical retention within binomial 3-sigma of the analytic curve everywhere",
-        THREE_SIGMA_RATE / 2 - tails,
-        lambda i: f"sigma={sigmas[i]}: {retained[i]}/{trials} retained at rate {analytic[i]:.6e}, tail {tails[i]:.3e}",
-        f"tail limit {THREE_SIGMA_RATE / 2:.3e}; {nominal_rate(len(tails))}",
+        [round(e * trials) for e in empirical], trials, analytic,  # e is a count over trials: exact
+        lambda i: f"sigma={sigmas[i]}",
     )
     result.gate(
         "analytic curve is monotone non-increasing",
@@ -705,7 +775,9 @@ def run_accuracy_sweep(seed: int, params: dict, threads: int = 1) -> ExperimentR
         "normal CDF matches quadrature to 1e-9 on a z grid",
         [dynamics.normal_cdf(z) for z in zs], [_simpson_normal_cdf(z) for z in zs], 1e-9, lambda i: f"z={zs[i]}",
     )
-    result.within("doubling the margin doubles the three-quarter retention crossing", ratio, 2.0, 0.02)
+    result.within(
+        "doubling the margin doubles the three-quarter retention crossing", _crossing_ratio(params), 2.0, 0.02,
+    )
     return result
 
 
@@ -736,6 +808,10 @@ def frontier_envelope(points) -> tuple[list[float], list[str]]:
         excess.append(right - (left + 1e-6))
         where.append(f"convex kink at beta={b.beta} (i_past {b.i_past:.9f})")
     return excess, where
+
+
+def precheck_cib_frontier(params: dict) -> None:
+    """cib-frontier has no params: every input is a module constant."""
 
 
 def run_cib_frontier(seed: int, params: dict, threads: int = 1) -> ExperimentResult:
@@ -878,8 +954,7 @@ CURRICULUM_SCHEMA = {
 RATE_THETA = (2.0, 0.0, 0.0)
 
 
-def run_curriculum(seed: int, params: dict, threads: int = 1) -> ExperimentResult:
-    result = ExperimentResult()
+def precheck_curriculum(params: dict) -> None:
     dim = curriculum.FEATURES.shape[1]
     if len(params["strong_theta"]) != dim:
         raise InvalidInputError(f"params.strong_theta: need {dim} weights, got {len(params['strong_theta'])}")
@@ -891,6 +966,12 @@ def run_curriculum(seed: int, params: dict, threads: int = 1) -> ExperimentResul
         raise InvalidInputError(f"params.step: must be positive, got {params['step']!r}")
     if curriculum.step_overflows(params["step"]):
         raise InvalidInputError(f"params.step: {params['step']!r} overflows the projection's squared norm")
+    with _keyed("n_grid"):
+        curriculum.sweep_grid(params["n_grid"])
+
+
+def run_curriculum(seed: int, params: dict, threads: int = 1) -> ExperimentResult:
+    result = ExperimentResult()
     strong = np.asarray(params["strong_theta"])
     rate_theta = np.asarray(RATE_THETA)
     expert_strong = curriculum.success_rate(strong)
@@ -911,8 +992,7 @@ def run_curriculum(seed: int, params: dict, threads: int = 1) -> ExperimentResul
     # three blocks: the policy rows (the all-shortcut biased counts per n, the
     # strong-expert counts and the balanced counts; they are
     # curriculum_policies.csv), the convergence-sweep rows and the
-    # total-variation rows.  The sweep's counts are drawn first, because they
-    # validate the grid.
+    # total-variation rows.
     grid = params["n_grid"]
     sweep_data = curriculum.sweep_counts(
         rate_theta, grid, params["trials_per_n"], seed=derive_seed(seed, "sweep")
@@ -1101,29 +1181,39 @@ def capped_peak_bound_audit(seed: int, samples: int) -> ExperimentResult:
 
 
 def _price_search(graph, params: dict, key: str) -> None:
-    """Refuse, before any draw, a search whose ``params[key]`` trials ``dag.price_search`` refuses."""
-    try:
+    """Refuse a search whose ``params[key]`` trials ``dag.price_search`` refuses."""
+    with _keyed(key):
         dag.price_search(graph, params[key])
-    except EnumerationTooLargeError as exc:
-        raise EnumerationTooLargeError(f"params.{key}: {exc}") from None
+
+
+def _custom_graph(params: dict):
+    """The graph of ``params.graph_file``, priced for ``params.graph_trials`` walks, or None when unset.
+
+    The runner reads the file again, so the price holds for the graph it walks."""
+    if not params["graph_file"]:
+        return None
+    with _keyed("graph_file"):
+        graph = dag.parse_dag(read_text_file(params["graph_file"], InvalidInputError))
+    _price_search(graph, params, "graph_trials")
+    return graph
+
+
+def precheck_dag_exploration(params: dict) -> None:
+    # every trap decision node draws from the Dirichlet family at out-degree TRAP_BRANCHING
+    with _keyed("kappa_grid"):
+        for kappa in params["kappa_grid"]:
+            cat.DirichletConcentration(kappa=kappa, n_options=TRAP_BRANCHING)
+    grid = params["kappa_grid"]
+    if len(grid) < 2 or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise InvalidInputError("params.kappa_grid: need at least two strictly increasing values")
+    _custom_graph(params)
+    _price_search(dag.trap_dag(TRAP_DEPTH, TRAP_BRANCHING), params, "mc_trials")
 
 
 def run_dag_exploration(seed: int, params: dict, threads: int = 1) -> ExperimentResult:
     result = ExperimentResult()
-    # every trap decision node draws from the Dirichlet family at out-degree
-    # TRAP_BRANCHING; building it at each kappa of the grid first, parsing the
-    # custom graph and pricing both searches reject a bad kappa, graph or trial
-    # count before any policy draw
-    for kappa in params["kappa_grid"]:
-        cat.DirichletConcentration(kappa=kappa, n_options=TRAP_BRANCHING)
-    grid = params["kappa_grid"]
-    if len(grid) < 2 or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise InvalidInputError("params.kappa_grid: need at least two strictly increasing values")
-    custom = dag.parse_dag(read_text_file(params["graph_file"], InvalidInputError)) if params["graph_file"] else None
-    if custom is not None:
-        _price_search(custom, params, "graph_trials")
+    custom = _custom_graph(params)
     trap = dag.trap_dag(TRAP_DEPTH, TRAP_BRANCHING)
-    _price_search(trap, params, "mc_trials")
     uniform_policy = dag.make_policy(trap, "uniform")
     uniform_exact = dag.enumerate_paths(trap, uniform_policy)
     result.within(
@@ -1168,10 +1258,9 @@ def run_dag_exploration(seed: int, params: dict, threads: int = 1) -> Experiment
     )
 
     stats = dag.run_search(trap, uniform_policy, params["mc_trials"], derive_seed(seed, "mc"))
-    result.sigma_gate(
+    result.binomial_gate(
         "Monte Carlo search matches the exact oracle within 3 standard errors",
-        [stats.success_rate], [uniform_exact], [math.sqrt(uniform_exact * (1.0 - uniform_exact) / params["mc_trials"])],
-        lambda i: "uniform walker on the trap",
+        [stats.successes], params["mc_trials"], [uniform_exact], lambda i: "uniform walker on the trap",
     )
     for name, graph in (("chain", dag.chain_dag(5)), ("diamond", dag.diamond_dag())):
         policy = dag.make_policy(graph, "uniform")
@@ -1240,16 +1329,15 @@ def run_dag_exploration(seed: int, params: dict, threads: int = 1) -> Experiment
         policy = dag.make_policy(custom, "uniform")
         exact = dag.enumerate_paths(custom, policy)
         mc = dag.run_search(custom, policy, params["graph_trials"], derive_seed(seed, "custom-mc"))
-        se = math.sqrt(max(exact * (1.0 - exact), 0.0) / params["graph_trials"])
         result.tables["custom_graph.csv"] = (
             ["nodes", "trials", "exact_success", "empirical_success", "mean_path_length"],
             [(custom.n_nodes, mc.trials, exact, mc.success_rate, mc.mean_path_length)],
         )
-        # a sure outcome's exact sum can round past 1, where the stderr is 0: the 1e-12 floor
-        # covers it, and 3 * (1e-12 / 3) == 1e-12 exactly
-        result.sigma_gate(
+        # a sure outcome's exact sum can round past 1: clipped, it is the sure rate 1
+        result.binomial_gate(
             "custom graph: sampled success matches the exact oracle",
-            [mc.success_rate], [exact], [max(se, 1e-12 / 3)], lambda i: "uniform walker on the custom graph",
+            [mc.successes], params["graph_trials"], [float(np.clip(exact, 0.0, 1.0))],
+            lambda i: "uniform walker on the custom graph",
         )
     return result
 
@@ -1261,19 +1349,22 @@ def run_dag_exploration(seed: int, params: dict, threads: int = 1) -> Experiment
 
 @dataclass(frozen=True)
 class ExperimentDef:
+    """An experiment: ``precheck(params)`` refuses bad params, then ``runner(seed, params, threads)`` runs."""
+
     runner: object
     schema: dict[str, ParamSpec]
+    precheck: object
 
 
 EXPERIMENTS: dict[str, ExperimentDef] = {
-    "tradeoff-scan": ExperimentDef(run_tradeoff_scan, TRADEOFF_SCHEMA),
-    "divergence-asymptote": ExperimentDef(run_divergence_asymptote, ASYMPTOTE_SCHEMA),
-    "noise-discrete": ExperimentDef(run_noise_discrete, NOISE_DISCRETE_SCHEMA),
-    "error-accumulation": ExperimentDef(run_error_accumulation, ERROR_ACCUMULATION_SCHEMA),
-    "accuracy-sweep": ExperimentDef(run_accuracy_sweep, ACCURACY_SCHEMA),
-    "cib-frontier": ExperimentDef(run_cib_frontier, CIB_SCHEMA),
-    "curriculum": ExperimentDef(run_curriculum, CURRICULUM_SCHEMA),
-    "dag-exploration": ExperimentDef(run_dag_exploration, DAG_SCHEMA),
+    "tradeoff-scan": ExperimentDef(run_tradeoff_scan, TRADEOFF_SCHEMA, precheck_tradeoff_scan),
+    "divergence-asymptote": ExperimentDef(run_divergence_asymptote, ASYMPTOTE_SCHEMA, precheck_divergence_asymptote),
+    "noise-discrete": ExperimentDef(run_noise_discrete, NOISE_DISCRETE_SCHEMA, precheck_noise_discrete),
+    "error-accumulation": ExperimentDef(run_error_accumulation, ERROR_ACCUMULATION_SCHEMA, precheck_error_accumulation),
+    "accuracy-sweep": ExperimentDef(run_accuracy_sweep, ACCURACY_SCHEMA, precheck_accuracy_sweep),
+    "cib-frontier": ExperimentDef(run_cib_frontier, CIB_SCHEMA, precheck_cib_frontier),
+    "curriculum": ExperimentDef(run_curriculum, CURRICULUM_SCHEMA, precheck_curriculum),
+    "dag-exploration": ExperimentDef(run_dag_exploration, DAG_SCHEMA, precheck_dag_exploration),
 }
 
 

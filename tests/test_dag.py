@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from certlab import categorical as cat
 from certlab import dag, experiments
-from certlab.experiments import EXPERIMENTS, default_params
+from certlab.experiments import EXPERIMENTS, binomial_tail, default_params
 from certlab.errors import EnumerationTooLargeError, InfiniteDivergenceError, InvalidInputError
 from certlab.seeding import derive_seed, rng_for
 
@@ -415,7 +415,7 @@ CUSTOM_GATE = "custom graph: sampled success matches the exact oracle"
 
 
 class TestSearchGates:
-    """The trap search and the custom-graph search against the exact oracle, at 3 standard errors."""
+    """The trap search and the custom-graph search against the exact oracle, on the exact binomial tail."""
 
     def _gates(self, graph_file, **params):
         params = {**default_params("dag-exploration"), "graph_file": str(graph_file), **params}
@@ -430,26 +430,27 @@ class TestSearchGates:
         gates = self._gates(graph_file)
         assert not gates[SEARCH_GATE].passed and not gates[CUSTOM_GATE].passed
         assert gates[SEARCH_GATE].detail == (
-            "1/1 rows over the limit, worst uniform walker on the trap: |2.300000e-03 - 1.371742e-03| "
-            "vs 3*1.17e-04 (excess 5.771e-04); worst pull 7.93 sigma; nominal false-alarm rate 0.27% per row"
+            "1/1 rows over the limit, worst uniform walker on the trap: 230/100000 at rate 1.371742e-03, "
+            "tail 3.003e-13 (excess 1.350e-03); tail limit 1.350e-03; nominal false-alarm rate 0.27% per row"
         )
         assert gates[CUSTOM_GATE].detail == (
-            "1/1 rows over the limit, worst uniform walker on the custom graph: |5.347500e-01 - 5.000000e-01| "
-            "vs 3*3.54e-03 (excess 2.414e-02); worst pull 9.83 sigma; nominal false-alarm rate 0.27% per row"
+            "1/1 rows over the limit, worst uniform walker on the custom graph: 10695/20000 at rate 5.000000e-01, "
+            "tail 4.366e-23 (excess 1.350e-03); tail limit 1.350e-03; nominal false-alarm rate 0.27% per row"
         )
 
-    def test_a_sure_outcome_passes_on_the_floor(self, tmp_path):
-        # every path succeeds, but nine even branches sum to just over 1: the
-        # binomial stderr is 0, and only the 1e-12 floor covers the rounding
+    def test_a_sure_outcome_passes_once_clipped(self, tmp_path):
+        # every path succeeds, but nine even branches sum to just over 1: at that
+        # rate no count is sure, so the gate clips the rate to 1 first
         text = "start: 0\ntargets: 10\n0: 1,2,3,4,5,6,7,8,9\n" + "".join(f"{i}: 10\n" for i in range(1, 10)) + "10:\n"
         fan = dag.parse_dag(text)
-        assert dag.enumerate_paths(fan, dag.make_policy(fan, "uniform")) == 1.0000000000000002
+        exact = dag.enumerate_paths(fan, dag.make_policy(fan, "uniform"))
+        assert exact == 1.0000000000000002 and binomial_tail(1000, 1000, exact) == 0.0
         (tmp_path / "fan.txt").write_text(text)
         check = self._gates(tmp_path / "fan.txt", mc_trials=1000, capped_samples=100, graph_trials=1000)[CUSTOM_GATE]
         assert check.passed
         assert check.detail == (
-            "0/1 rows over the limit, worst uniform walker on the custom graph: |1.000000e+00 - 1.000000e+00| "
-            "vs 3*3.33e-13 (excess -9.998e-13); worst pull 0.00 sigma; nominal false-alarm rate 0.27% per row"
+            "0/1 rows over the limit, worst uniform walker on the custom graph: 1000/1000 at rate 1.000000e+00, "
+            "tail 1.000e+00 (excess -9.987e-01); tail limit 1.350e-03; nominal false-alarm rate 0.27% per row"
         )
 
 

@@ -272,7 +272,7 @@ class TestBinomialGate:
         # seed 24 draws one, a 5.74-sigma pull under the normal approximation
         check = self._gate(24)
         assert check.passed
-        assert "worst sigma=0.1: 99999/100000 retained at rate 9.999997e-01, tail 2.826e-02" in check.detail
+        assert "worst sigma=0.1: 99999/100000 at rate 9.999997e-01, tail 2.826e-02" in check.detail
 
     @pytest.mark.parametrize("n, p", [(10, 0.3), (25, 0.5), (40, 0.97), (7, 0.01), (6, 1.0)])
     def test_binomial_tail_is_the_exact_sum(self, n, p):
@@ -287,7 +287,7 @@ class TestBinomialGate:
         check = self._gate()
         assert not check.passed
         assert check.detail == (
-            "5/10 rows over the limit, worst sigma=0.3: 94270/100000 retained at rate 9.522096e-01, tail 6.521e-43 "
+            "5/10 rows over the limit, worst sigma=0.3: 94270/100000 at rate 9.522096e-01, tail 6.521e-43 "
             "(excess 1.350e-03); tail limit 1.350e-03; nominal false-alarm rate 0.27% per row, 2.7% over 10 rows"
         )
 

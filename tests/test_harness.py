@@ -1,10 +1,13 @@
 """Config parsing, CSV determinism, CLI exit codes, reports."""
 
+import ast
+import dataclasses
 import hashlib
 import importlib
 import importlib.util
 import inspect
 import json
+import re
 import subprocess
 import sys
 import time
@@ -15,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from certlab import cli, dag
+from certlab import cli, dag, experiments
 from certlab.config import (
     ExperimentConfig,
     ParamSpec,
@@ -24,8 +27,8 @@ from certlab.config import (
     config_hash,
     parse_config_text,
 )
-from certlab.errors import ConfigError, InfiniteDivergenceError, ReportError
-from certlab.experiments import DRAW_CAP, EXPERIMENTS, ExperimentDef, ExperimentResult, default_params, strict_rise
+from certlab.errors import CertlabError, ConfigError, InfiniteDivergenceError, ReportError
+from certlab.experiments import DRAW_CAP, EXPERIMENTS, ExperimentResult, default_params, strict_rise
 from certlab.manifest import RunManifest, load_manifest, read_csv, write_csv
 from certlab.report import emit_svg_charts
 from certlab.seeding import derive_seed, rng_for
@@ -369,23 +372,124 @@ _BELOW_MINIMUM_CASES = [
     ("curriculum", "n_grid", "0, 10"),
 ]
 
-# (experiment, a kernel that must not run, keys): each key is a module constant, so a
-# config that sets it fails on an unknown key.  The module that uses a value owns it:
-# minority_mass is categorical.MINORITY_MASS, min_margin dynamics.MIN_MARGIN,
-# restarts, tol and max_conditional cib.RESTARTS, cib.TOL and cib.MAX_CONDITIONAL,
-# and delta dag.CAP_DELTA; schedule_scale is gone, as the schedule is k / (M - k);
-# every other key is a constant of certlab.experiments
+# (experiment, keys): each key is a module constant, so a config that sets it fails
+# on an unknown key.  The module that uses a value owns it: minority_mass is
+# categorical.MINORITY_MASS, min_margin dynamics.MIN_MARGIN, restarts, tol and
+# max_conditional cib.RESTARTS, cib.TOL and cib.MAX_CONDITIONAL, and delta
+# dag.CAP_DELTA; schedule_scale is gone, as the schedule is k / (M - k); every
+# other key is a constant of certlab.experiments
 _CONSTANT_KEYS = [
-    ("divergence-asymptote", "categorical.dirichlet_sample", ("options", "minority_mass")),
-    ("noise-discrete", "dynamics.simulate_discrete_chain",
-     ("steps_list", "options_list", "noise_over_margin", "min_margin")),
-    ("cib-frontier", "cib.solve_cib",
+    ("divergence-asymptote", ("options", "minority_mass")),
+    ("noise-discrete", ("steps_list", "options_list", "noise_over_margin", "min_margin")),
+    ("cib-frontier",
      ("problem_seed", "corpus_size", "corpus_betas", "n_latent", "frontier_betas", "restarts", "tol",
       "max_conditional", "schedule_scale")),
-    ("curriculum", "curriculum.fit_rows", ("rate_theta",)),
-    ("dag-exploration", "dag.make_policy",
+    ("curriculum", ("rate_theta",)),
+    ("dag-exploration",
      ("depth", "branching", "kappa", "minority_mass", "delta", "capped_deltas", "capped_options_max")),
 ]
+
+# (experiment, key, value, message): a param that the config accepts or refuses
+# and that exits 2 with the message
+_BAD_PARAM_CASES = [
+    ("curriculum", "n_grid", "1000, 100", "params.n_grid: n grid must be increasing"),
+    ("curriculum", "n_grid", "100", "params.n_grid: n grid must be increasing"),
+    ("curriculum", "n_grid", "100, 100", "params.n_grid: n grid must be increasing"),
+    ("curriculum", "strong_theta", "10.0, 0.0", "params.strong_theta: need 3 weights"),
+    ("curriculum", "step", "0.0", "params.step: must be positive"),
+    # 3 (PARAM_BOUND + step)^2, the projection's largest squared norm, is not finite
+    ("curriculum", "step", "1e160\niterations = 5", "params.step: 1e+160 overflows the projection's squared norm"),
+    ("curriculum", "step", "1e300\niterations = 5", "params.step: 1e+300 overflows the projection's squared norm"),
+    # finite weights whose scores overflow: the softmax is NaN
+    ("curriculum", "strong_theta", "1e308, 1e308, 1e308",
+     "params.strong_theta: the state probabilities are not finite"),
+    ("error-accumulation", "lipschitz_values", "0.8, 1.0, -1.0", "params.lipschitz_values: lipschitz must be positive"),
+    ("error-accumulation", "sigma_h", "-0.1", "params.sigma_h: sigma_h must be >= 0, got -0.1"),
+    # zero noise cannot move an argmax, so the contrast check would fail
+    ("noise-discrete", "contrast_noise_over_margin", "-1.0",
+     "params.contrast_noise_over_margin: must be positive, got -1.0"),
+    ("noise-discrete", "contrast_noise_over_margin", "0.0",
+     "params.contrast_noise_over_margin: must be positive, got 0.0"),
+    # the bounded law needs no rejection sampler, so the key that sized its
+    # acceptance check is unknown (spelled in two parts: no live code names it)
+    ("noise-discrete", "acceptance" "_draws", "2000", "unknown parameter keys: params.acceptance" "_draws"),
+    # every trap node draws from the Dirichlet family at out-degree 3
+    ("dag-exploration", "kappa_grid", "100.0, 1.5", "params.kappa_grid: kappa too small"),
+    ("dag-exploration", "kappa_grid", "-5.0, 100.0", "params.kappa_grid: kappa must be positive, got -5.0"),
+    # 122,071 blocks of walks up to the trap's depth 6 are over the search cap
+    ("dag-exploration", "mc_trials", "1000000000",
+     "params.mc_trials: 1000000000 trials make 122071 blocks of walks up to 6 steps"),
+    # the divergence-growth gate compares neighbours of an increasing grid
+    ("dag-exploration", "kappa_grid", "1e6, 1e2", "params.kappa_grid: need at least two strictly increasing"),
+    ("dag-exploration", "kappa_grid", "100.0", "params.kappa_grid: need at least two strictly increasing"),
+    ("dag-exploration", "kappa_grid", "100.0, 100.0", "params.kappa_grid: need at least two strictly increasing"),
+    ("error-accumulation", "lipschitz_values", "0.8, 0.8", "params.lipschitz_values: the values must be distinct"),
+    # a value may end in further `key = value` lines
+    ("divergence-asymptote", "kappas", "1.0, 10.0\nsample_draws = 20\nconcentration_draws = 100",
+     "params.kappas: each kappa must exceed 1"),
+    ("divergence-asymptote", "kappas", "100.0, 2.0", "params.kappas: kappa too small"),
+    # two distinct kappas whose logs are equal: the slopes would divide by zero
+    ("divergence-asymptote", "kappas", "1e6, 1000000.0000000002", "params.kappas: the slope checks need"),
+    ("tradeoff-scan", "scan_options", "2, 16", "params.scan_options: the oracle at B=16"),
+    # 999,999 compositions of 1,000,000 cells each: about 10**12 cells
+    ("tradeoff-scan", "scan_options", "2, 1000000\noracle_resolution = 1",
+     "params.scan_options: the oracle at B=1000000"),
+    ("tradeoff-scan", "scan_grid", "0.5, 1.5", "params.scan_grid: top probability must lie in [1/B, 1)"),
+    # below 1/B for every B: the scan would have no rows
+    ("tradeoff-scan", "scan_grid", "0.1", "params.scan_grid: no value is at least 1/B"),
+    # the closed form is 0 at zero noise, underflows to 0 at 1e-200, and its square overflows at 1e100
+    ("error-accumulation", "sigma_h", "0.0", "params.sigma_h: the closed form at L=0.8 d=1 M=1 is 0.0;"),
+    ("error-accumulation", "sigma_h", "1e-200", "params.sigma_h: the closed form at L=0.8 d=1 M=1 is 0.0;"),
+    ("error-accumulation", "sigma_h", "1e100", "params.sigma_h: the closed form at L=0.8 d=1 M=1 is 1e+200;"),
+    # a float power out of range (sigma_h ** 2, L ** 12) raised OverflowError: the closed form reads inf
+    ("error-accumulation", "sigma_h", "1e200", "params.sigma_h: the closed form at L=0.8 d=1 M=1 is inf;"),
+    ("error-accumulation", "lipschitz_values", "0.8, 1e100",
+     "params.sigma_h: the closed form at L=1e+100 d=1 M=6 is inf;"),
+    # the sums of fourth powers, trials * closed^2 * (1 + 2/d) in expectation, would overflow
+    ("error-accumulation", "sigma_h", "1e74\ndims = 64\nsteps_values = 2, 12\ntrials = 20000",
+     "params.sigma_h: the closed form at L=1.0 d=64 M=12 is 7.679999999999999e+150;"),
+    ("error-accumulation", "sigma_h", "1e75\ndims = 64\nsteps_values = 2, 12\ntrials = 1000",
+     "params.sigma_h: the closed form at L=0.8 d=64 M=2 is 1.0496e+152;"),
+    # at one step every Lipschitz value gives the same closed form d sigma^2
+    ("error-accumulation", "steps_values", "1",
+     "params.steps_values: the Lipschitz ordering needs at least 2 steps, got 1"),
+    # every walk runs to a target or a dead end: the key that capped its steps is gone
+    ("dag-exploration", "graph_max_steps", "64", "unknown parameter keys: params.graph_max_steps"),
+    # the map is the scalar L I: the key that picked a rotation map is gone
+    ("error-accumulation", "transition", "rotation_scaling", "unknown parameter keys: params.transition"),
+    # at dim 16 the 0.75 crossing leaves the sigma grid above twice this margin, or below this one
+    ("accuracy-sweep", "margin", "2000.0",
+     "params.margin: the margin-doubling check needs the 0.75 crossing at margin 4000.0"),
+    ("accuracy-sweep", "margin", "1e-5",
+     "params.margin: the margin-doubling check needs the 0.75 crossing at margin 1e-05"),
+    ("accuracy-sweep", "margin", "-1.0", "params.margin: margin and noise_gain must be positive"),
+    ("accuracy-sweep", "sigma_grid", "0.5, 0.1", "params.sigma_grid: sigma grid must be strictly increasing"),
+    # fewer samples than options_set's 6 values: no row for some B
+    ("tradeoff-scan", "samples", "-5", "params.samples: need at least one row per B, 6 in all, got -5"),
+    ("tradeoff-scan", "samples", "5", "params.samples: need at least one row per B, 6 in all, got 5"),
+]
+
+# (experiment, key, value): trials whose run would draw over DRAW_CAP variates
+_DRAW_CAP_CASES = [
+    ("noise-discrete", "trials", 10**12),
+    ("error-accumulation", "trials", 10**12),
+    ("accuracy-sweep", "trials", 10**12),
+]
+
+
+def _config_text(experiment: str, key: str, value) -> str:
+    return f"[run]\nexperiment = {experiment}\nseed = 0\n[params]\n{key} = {value}\n"
+
+
+@pytest.fixture
+def refuse_runners(monkeypatch):
+    """Make every experiment's runner raise, so a refusal must come before any runner starts."""
+
+    def refuse(seed, params, threads=1):
+        raise AssertionError("an experiment ran before its params and options were checked")
+
+    for name, definition in list(EXPERIMENTS.items()):
+        monkeypatch.setitem(EXPERIMENTS, name, dataclasses.replace(definition, runner=refuse))
 
 
 class TestCli:
@@ -424,15 +528,17 @@ class TestCli:
         assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "params.trails" in capsys.readouterr().err
 
-    def test_float_for_an_int_key_exits_two(self, tmp_path, capsys):
+    def test_float_for_an_int_key_exits_two(self, tmp_path, capsys, refuse_runners):
         cfg = _write_cfg(tmp_path, "[run]\nexperiment = accuracy-sweep\nseed = 0\n[params]\ntrials = 5.0\n")
         assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == "ConfigError: params.trials: cannot parse '5.0' as int\n"
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("experiment, key, value", _BELOW_MINIMUM_CASES)
-    def test_count_below_minimum_exits_two_before_any_output(self, tmp_path, capsys, experiment, key, value):
-        cfg = _write_cfg(tmp_path, f"[run]\nexperiment = {experiment}\nseed = 0\n[params]\n{key} = {value}\n")
+    def test_count_below_minimum_exits_two_before_any_output(
+        self, tmp_path, capsys, refuse_runners, experiment, key, value
+    ):
+        cfg = _write_cfg(tmp_path, _config_text(experiment, key, value))
         assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert f"params.{key}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
@@ -450,118 +556,19 @@ class TestCli:
         assert minimums <= cases
 
     @pytest.mark.parametrize(
-        "experiment, key, value, message, kernel",
+        "experiment, key, value, message",
         [
-            ("curriculum", "n_grid", "1000, 100", "n grid must be increasing", "curriculum.fit_rows"),
-            ("curriculum", "n_grid", "100", "n grid must be increasing", "curriculum.fit_rows"),
-            ("curriculum", "n_grid", "100, 100", "n grid must be increasing", "curriculum.fit_rows"),
-            ("curriculum", "strong_theta", "10.0, 0.0", "params.strong_theta: need 3 weights", "curriculum.fit_rows"),
-            ("curriculum", "step", "0.0", "params.step: must be positive", "curriculum.fit_rows"),
-            # 3 (PARAM_BOUND + step)^2, the projection's largest squared norm, is not finite
-            ("curriculum", "step", "1e160\niterations = 5",
-             "params.step: 1e+160 overflows the projection's squared norm", "curriculum.sweep_counts"),
-            ("curriculum", "step", "1e300\niterations = 5",
-             "params.step: 1e+300 overflows the projection's squared norm", "curriculum.sweep_counts"),
-            # finite weights whose scores overflow: the softmax is NaN
-            ("curriculum", "strong_theta", "1e308, 1e308, 1e308",
-             "params.strong_theta: the state probabilities are not finite", "curriculum.draw_counts"),
-            ("error-accumulation", "lipschitz_values", "0.8, 1.0, -1.0", "lipschitz must be positive",
-             "dynamics.monte_carlo_error"),
-            ("noise-discrete", "contrast_noise_over_margin", "-1.0", "noise scale must be >= 0",
-             "dynamics.simulate_discrete_chain"),
-            # zero noise cannot move an argmax, so the contrast check would fail
-            ("noise-discrete", "contrast_noise_over_margin", "0.0",
-             "params.contrast_noise_over_margin: must be positive, got 0.0", "dynamics.simulate_discrete_chain"),
-            # the bounded law needs no rejection sampler, so the key that sized its
-            # acceptance check is unknown (spelled in two parts: no live code names it)
-            ("noise-discrete", "acceptance" "_draws", "2000", "unknown parameter keys: params.acceptance" "_draws",
-             "dynamics.simulate_discrete_chain"),
-            # every trap node draws from the Dirichlet family at out-degree 3
-            ("dag-exploration", "kappa_grid", "100.0, 1.5", "kappa too small", "dag.make_policy"),
-            # 122,071 blocks of walks up to the trap's depth 6 are over the search cap
-            ("dag-exploration", "mc_trials", "1000000000",
-             "params.mc_trials: 1000000000 trials make 122071 blocks of walks up to 6 steps", "dag.make_policy"),
-            # the divergence-growth gate compares neighbours of an increasing grid
-            ("dag-exploration", "kappa_grid", "1e6, 1e2", "params.kappa_grid: need at least two strictly increasing",
-             "dag.make_policy"),
-            ("dag-exploration", "kappa_grid", "100.0", "params.kappa_grid: need at least two strictly increasing",
-             "dag.make_policy"),
-            ("dag-exploration", "kappa_grid", "100.0, 100.0",
-             "params.kappa_grid: need at least two strictly increasing", "dag.make_policy"),
-            ("error-accumulation", "lipschitz_values", "0.8, 0.8",
-             "params.lipschitz_values: the values must be distinct", "dynamics.monte_carlo_error"),
-            # a value may end in further `key = value` lines
-            ("divergence-asymptote", "kappas", "1.0, 10.0\nsample_draws = 20\nconcentration_draws = 100",
-             "params.kappas: each kappa must exceed 1", "categorical.dirichlet_sample"),
-            ("divergence-asymptote", "kappas", "100.0, 2.0", "kappa too small", "categorical.dirichlet_sample"),
-            # two distinct kappas whose logs are equal: the slopes would divide by zero
-            ("divergence-asymptote", "kappas", "1e6, 1000000.0000000002", "params.kappas: the slope checks need",
-             "categorical.dirichlet_sample"),
-            ("tradeoff-scan", "scan_options", "2, 16", "params.scan_options: the oracle at B=16",
-             "cat_bulk.certainty_panel"),
-            # 999,999 compositions of 1,000,000 cells each: about 10**12 cells
-            ("tradeoff-scan", "scan_options", "2, 1000000\noracle_resolution = 1",
-             "params.scan_options: the oracle at B=1000000", "cat_bulk.certainty_panel"),
-            ("tradeoff-scan", "scan_grid", "0.5, 1.5", "top probability must lie in [1/B, 1)",
-             "cat_bulk.certainty_panel"),
-            # below 1/B for every B: the scan would have no rows
-            ("tradeoff-scan", "scan_grid", "0.1", "params.scan_grid: no value is at least 1/B",
-             "cat_bulk.certainty_panel"),
-            # the closed form is 0 at zero noise, underflows to 0 at 1e-200, and its square overflows at 1e100
-            ("error-accumulation", "sigma_h", "0.0", "params.sigma_h: the closed form at L=0.8 d=1 M=1 is 0.0;",
-             "dynamics.monte_carlo_error"),
-            ("error-accumulation", "sigma_h", "1e-200", "params.sigma_h: the closed form at L=0.8 d=1 M=1 is 0.0;",
-             "dynamics.monte_carlo_error"),
-            ("error-accumulation", "sigma_h", "1e100", "params.sigma_h: the closed form at L=0.8 d=1 M=1 is 1e+200;",
-             "dynamics.monte_carlo_error"),
-            # a float power out of range (sigma_h ** 2, L ** 12) raised OverflowError: the closed form reads inf
-            ("error-accumulation", "sigma_h", "1e200", "params.sigma_h: the closed form at L=0.8 d=1 M=1 is inf;",
-             "dynamics.monte_carlo_error"),
-            ("error-accumulation", "lipschitz_values", "0.8, 1e100",
-             "params.sigma_h: the closed form at L=1e+100 d=1 M=6 is inf;", "dynamics.monte_carlo_error"),
-            # the sums of fourth powers, trials * closed^2 * (1 + 2/d) in expectation, would overflow
-            ("error-accumulation", "sigma_h", "1e74\ndims = 64\nsteps_values = 2, 12\ntrials = 20000",
-             "params.sigma_h: the closed form at L=1.0 d=64 M=12 is 7.679999999999999e+150;",
-             "dynamics.monte_carlo_error"),
-            ("error-accumulation", "sigma_h", "1e75\ndims = 64\nsteps_values = 2, 12\ntrials = 1000",
-             "params.sigma_h: the closed form at L=0.8 d=64 M=2 is 1.0496e+152;", "dynamics.monte_carlo_error"),
-            # at one step every Lipschitz value gives the same closed form d sigma^2
-            ("error-accumulation", "steps_values", "1",
-             "params.steps_values: the Lipschitz ordering needs at least 2 steps, got 1",
-             "dynamics.monte_carlo_error"),
-            # every walk runs to a target or a dead end: the key that capped its steps is gone
-            ("dag-exploration", "graph_max_steps", "64", "unknown parameter keys: params.graph_max_steps",
-             "dag.run_search"),
-            # the map is the scalar L I: the key that picked a rotation map is gone
-            ("error-accumulation", "transition", "rotation_scaling", "unknown parameter keys: params.transition",
-             "dynamics.monte_carlo_error"),
-            # at dim 16 the 0.75 crossing leaves the sigma grid above twice this margin, or below this one
-            ("accuracy-sweep", "margin", "2000.0",
-             "params.margin: the margin-doubling check needs the 0.75 crossing at margin 4000.0",
-             "dynamics.empirical_accuracy_sweep"),
-            ("accuracy-sweep", "margin", "1e-5",
-             "params.margin: the margin-doubling check needs the 0.75 crossing at margin 1e-05",
-             "dynamics.empirical_accuracy_sweep"),
-            # fewer samples than options_set's 6 values: no row for some B, so no draw at all
-            ("tradeoff-scan", "samples", "-5", "params.samples: need at least one row per B, 6 in all, got -5",
-             "experiments.rng_for"),
-            ("tradeoff-scan", "samples", "5", "params.samples: need at least one row per B, 6 in all, got 5",
-             "experiments.rng_for"),
+            *_BAD_PARAM_CASES,
             *[
-                (experiment, key, "1", f"unknown parameter keys: params.{key}", kernel)
-                for experiment, kernel, keys in _CONSTANT_KEYS for key in keys
+                (experiment, key, "1", f"unknown parameter keys: params.{key}")
+                for experiment, keys in _CONSTANT_KEYS for key in keys
             ],
         ],
     )
-    def test_bad_param_exits_two_before_the_kernel(
-        self, tmp_path, capsys, monkeypatch, experiment, key, value, message, kernel
+    def test_bad_param_exits_two_before_the_runner(
+        self, tmp_path, capsys, refuse_runners, experiment, key, value, message
     ):
-        def refuse(*args, **kwargs):
-            raise AssertionError(f"{kernel} ran before the params were validated")
-
-        module, name = kernel.split(".")
-        monkeypatch.setattr(importlib.import_module(f"certlab.{module}"), name, refuse)
-        cfg = _write_cfg(tmp_path, f"[run]\nexperiment = {experiment}\nseed = 0\n[params]\n{key} = {value}\n")
+        cfg = _write_cfg(tmp_path, _config_text(experiment, key, value))
         assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert message in err and err.count("\n") == 1
@@ -575,8 +582,10 @@ class TestCli:
             ("error-accumulation", "lipschitz_values", "0.8, 1e999"),
         ],
     )
-    def test_non_finite_float_exits_two_before_any_output(self, tmp_path, capsys, experiment, key, value):
-        cfg = _write_cfg(tmp_path, f"[run]\nexperiment = {experiment}\nseed = 0\n[params]\n{key} = {value}\n")
+    def test_non_finite_float_exits_two_before_any_output(
+        self, tmp_path, capsys, refuse_runners, experiment, key, value
+    ):
+        cfg = _write_cfg(tmp_path, _config_text(experiment, key, value))
         assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert f"params.{key}: must be finite" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
@@ -584,30 +593,31 @@ class TestCli:
     @pytest.mark.parametrize(
         "graph, message",
         [
-            (b"start: x\ntargets: 1\n0: 1\n1:\n", "InvalidInputError: line 1"),
+            (b"start: x\ntargets: 1\n0: 1\n1:\n", "InvalidInputError: params.graph_file: line 1"),
             # one node over the enumeration cap
             (b"start: 0\ntargets: 0\n1000000:\n",
-             "EnumerationTooLargeError: node id 1000000 makes 1000001 nodes, over the 1000000 cap"),
-            (b"start: 0\ntargets: 1\n0: 1\n1:\n\xff\n", "InvalidInputError: {path}: not UTF-8 text ("),
+             "EnumerationTooLargeError: params.graph_file: node id 1000000 makes 1000001 nodes, over the 1000000 cap"),
+            (b"start: 0\ntargets: 1\n0: 1\n1:\n\xff\n",
+             "InvalidInputError: params.graph_file: {path}: not UTF-8 text ("),
         ],
         ids=["malformed", "over-the-node-cap", "not-utf8"],
     )
-    def test_bad_graph_file_exits_two_before_any_graph_is_built(self, tmp_path, capsys, monkeypatch, graph, message):
+    def test_bad_graph_file_exits_two_before_any_graph_is_built(
+        self, tmp_path, capsys, monkeypatch, refuse_runners, graph, message
+    ):
         def refuse(*args, **kwargs):
             raise AssertionError("a graph was built before the graph file was checked")
 
         monkeypatch.setattr(dag, "DecisionDag", refuse)
         graph_path = tmp_path / "graph.txt"
         graph_path.write_bytes(graph)
-        cfg = _write_cfg(
-            tmp_path, f"[run]\nexperiment = dag-exploration\nseed = 0\n[params]\ngraph_file = {graph_path}\n"
-        )
+        cfg = _write_cfg(tmp_path, _config_text("dag-exploration", "graph_file", graph_path))
         assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(message.format(path=graph_path)) and err.count("\n") == 1
         assert not (tmp_path / "o").exists()
 
-    def test_non_utf8_config_exits_two_naming_the_file(self, tmp_path, capsys):
+    def test_non_utf8_config_exits_two_naming_the_file(self, tmp_path, capsys, refuse_runners):
         cfg = tmp_path / "bad.cfg"
         cfg.write_bytes(SMALL_ACCURACY_CFG.encode() + b"\xff\n")
         assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
@@ -638,7 +648,7 @@ class TestCli:
             argv = ["report", "--manifest", str(manifest), "--format", command.removeprefix("report-")]
         else:
             name = "accuracy-sweep"  # first in verify-all's order
-            monkeypatch.setitem(EXPERIMENTS, name, ExperimentDef(failing, EXPERIMENTS[name].schema))
+            monkeypatch.setitem(EXPERIMENTS, name, dataclasses.replace(EXPERIMENTS[name], runner=failing))
             argv = ["run", "--config", _write_cfg(tmp_path, SMALL_ACCURACY_CFG)] if command == "run" else [command]
             argv += ["--out", str(tmp_path / "o")]
         assert cli.main(argv) == code
@@ -653,18 +663,11 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("out of memory: Unable to allocate") and err.count("\n") == 1
 
-    @pytest.mark.parametrize(
-        "experiment, key, value",
-        [
-            ("noise-discrete", "trials", 10**12),
-            ("error-accumulation", "trials", 10**12),
-            ("accuracy-sweep", "trials", 10**12),
-        ],
-    )
-    def test_huge_trials_exit_two_at_the_draw_cap(self, tmp_path, capsys, experiment, key, value):
+    @pytest.mark.parametrize("experiment, key, value", _DRAW_CAP_CASES)
+    def test_huge_trials_exit_two_at_the_draw_cap(self, tmp_path, capsys, refuse_runners, experiment, key, value):
         # the streamed kernels allocate a fixed amount at any trial count, so
         # without the cap these runs would draw for days instead of failing
-        cfg = _write_cfg(tmp_path, f"[run]\nexperiment = {experiment}\nseed = 0\n[params]\n{key} = {value}\n")
+        cfg = _write_cfg(tmp_path, _config_text(experiment, key, value))
         started = time.perf_counter()
         assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert time.perf_counter() - started < 1.0
@@ -799,17 +802,62 @@ class TestCli:
         ],
     )
     def test_bad_seed_or_threads_exits_two_before_any_run(
-        self, tmp_path, capsys, monkeypatch, command, option, value, message
+        self, tmp_path, capsys, refuse_runners, command, option, value, message
     ):
-        def refuse(seed, params, threads=1):
-            raise AssertionError("an experiment ran before the options were checked")
-
-        for name, definition in list(EXPERIMENTS.items()):
-            monkeypatch.setitem(EXPERIMENTS, name, ExperimentDef(refuse, definition.schema))
         argv = ["run", "--config", _write_cfg(tmp_path, SMALL_ACCURACY_CFG)] if command == "run" else [command]
         assert cli.main(argv + ["--out", str(tmp_path / "o"), option, value]) == 2
         assert capsys.readouterr().err == f"ConfigError: {message}\n"
         assert not (tmp_path / "o").exists()
+
+
+class TestPrecheck:
+    def test_refusals_stay_out_of_the_runners(self):
+        # a runner may assume valid params: it raises nothing and prices nothing,
+        # and every experiment declares the precheck that refuses its params
+        tree = ast.parse(Path(experiments.__file__).read_text())
+        runners = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name.startswith("run_")]
+        assert len(runners) == len(EXPERIMENTS)
+        for runner in runners:
+            for node in ast.walk(runner):
+                assert not isinstance(node, ast.Raise), f"{runner.name} raises at line {node.lineno}"
+                called = node.func.id if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) else None
+                assert called not in ("_cap_draws", "_price_search"), f"{runner.name} calls {called}"
+        (registry,) = [
+            node.value for node in tree.body
+            if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == "EXPERIMENTS"
+        ]
+        assert len(registry.values) == len(EXPERIMENTS)
+        for entry in registry.values:
+            assert len(entry.args) == 3 or "precheck" in {keyword.arg for keyword in entry.keywords}
+
+    def test_prechecks_open_no_stream(self, monkeypatch):
+        # every precheck, at the defaults and at each refused param, with every
+        # certlab binding of rng_for made to raise
+        def refuse(*labels):
+            raise AssertionError(f"a precheck opened the stream {labels}")
+
+        patched = {
+            name for name, module in sys.modules.items() if name.startswith("certlab.") and hasattr(module, "rng_for")
+        }
+        assert {"certlab.experiments", "certlab.curriculum", "certlab.dag", "certlab.dynamics"} <= patched
+        for name in patched:
+            monkeypatch.setattr(sys.modules[name], "rng_for", refuse)
+        for name, definition in EXPERIMENTS.items():
+            definition.precheck(default_params(name))
+        refused = 0
+        cases = [*_BAD_PARAM_CASES, *[(*case, "over the cap") for case in _DRAW_CAP_CASES]]
+        for experiment, key, value, message in cases:
+            try:
+                config = build_config(
+                    parse_config_text(_config_text(experiment, key, value)), EXPERIMENTS[experiment].schema,
+                    experiment_names=set(EXPERIMENTS),
+                )
+            except ConfigError:  # refused by the config, before any precheck
+                continue
+            with pytest.raises(CertlabError, match=re.escape(message)):
+                EXPERIMENTS[experiment].precheck(config.params)
+            refused += 1
+        assert refused == len(cases) - 3  # three unknown keys
 
 
 # experiment -> (CSV name, header, rows): small tables in each experiment's
@@ -884,7 +932,7 @@ class TestCharts:
         for name, (filename, header, rows) in CHART_FIXTURES.items():
             result = ExperimentResult(tables={filename: (header, rows)})
             stub = lambda seed, params, threads=1, result=result: result  # noqa: E731
-            monkeypatch.setitem(EXPERIMENTS, name, ExperimentDef(stub, EXPERIMENTS[name].schema))
+            monkeypatch.setitem(EXPERIMENTS, name, dataclasses.replace(EXPERIMENTS[name], runner=stub))
         assert cli.main(["verify-all", "--out", str(tmp_path)]) == 0
         assert all((tmp_path / name / "report.md").exists() for name in EXPERIMENTS)
         charts = {p.parent.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.rglob("*.svg")}
@@ -939,20 +987,13 @@ class TestCustomGraph:
         assert {"custom_graph.csv", "trap_graph.txt"} <= listed
         assert code in (0, 3)  # small-sample ordering checks may fluctuate
 
-    def test_chain_over_the_search_cap_exits_two_before_any_output(self, tmp_path, capsys, monkeypatch):
+    def test_chain_over_the_search_cap_exits_two_before_any_output(self, tmp_path, capsys, refuse_runners):
         # the default 20000 trials make 3 blocks, so one step more than a third of
         # the cap puts the search over it
-        def refuse(*args, **kwargs):
-            raise AssertionError("dag-exploration computed before it priced the custom search")
-
         length = dag.SEARCH_STEP_CAP // 3 + 1
         graph_path = tmp_path / "chain.txt"
         graph_path.write_text(dag.format_dag(dag.chain_dag(length)))
-        monkeypatch.setattr(dag, "make_policy", refuse)
-        monkeypatch.setattr(dag, "run_search", refuse)
-        cfg = _write_cfg(
-            tmp_path, f"[run]\nexperiment = dag-exploration\nseed = 0\n[params]\ngraph_file = {graph_path}\n"
-        )
+        cfg = _write_cfg(tmp_path, _config_text("dag-exploration", "graph_file", graph_path))
         started = time.perf_counter()
         assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert time.perf_counter() - started < 1.0
