@@ -87,8 +87,19 @@ def _threads(args) -> int:
     return args.threads or 1
 
 
+def _out(args) -> str | None:
+    """The --out path; one that is not UTF-8 text (a byte such as 0xff) is a ConfigError."""
+    if args.out is not None:
+        try:
+            args.out.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ConfigError(f"--out: not UTF-8 text ({exc})") from None
+    return args.out
+
+
 def cmd_run(args) -> int:
     threads = _threads(args)
+    out = _out(args)
     raw = parse_config_text(read_text_file(args.config, ConfigError))
     schema = EXPERIMENTS[raw.experiment].schema if raw.experiment in EXPERIMENTS else {}
     config = build_config(
@@ -96,7 +107,7 @@ def cmd_run(args) -> int:
         schema,
         experiment_names=set(EXPERIMENTS),
         seed_override=args.seed,
-        out_override=args.out,
+        out_override=out,
     )
     manifest = _execute(config, threads)
     _summarize(manifest, sys.stdout)
@@ -117,7 +128,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
-    out_root = Path(args.out)
+    out_root = Path(_out(args))
     all_ok = True
     threads = _threads(args)
     seed = check_seed(args.seed, "--seed")

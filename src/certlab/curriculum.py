@@ -96,17 +96,6 @@ def log_likelihood_grad(theta, counts: np.ndarray) -> np.ndarray:
     return empirical - expected
 
 
-def step_overflows(step: float) -> bool:
-    """Whether a fit at ``step`` can overflow the projection's squared norm.
-
-    Each gradient coordinate lies in [-1, 1], so before a projection every
-    ``|theta_i| <= PARAM_BOUND + step``, and the squared norm sums three such
-    squares.  Float products overflow to inf where ``**`` would raise.
-    """
-    reach = PARAM_BOUND + step
-    return not math.isfinite(3.0 * (reach * reach))
-
-
 def fit_rows(counts, iterations: int, step: float) -> tuple[np.ndarray, np.ndarray]:
     """Projected gradient ascent on the mean log-likelihood from theta = 0 for
     each row of a ``(k, 3)`` count matrix, all rows in lockstep.
@@ -124,7 +113,10 @@ def fit_rows(counts, iterations: int, step: float) -> tuple[np.ndarray, np.ndarr
         raise InvalidInputError(f"need iterations >= 1, got {iterations}")
     if step <= 0:
         raise InvalidInputError(f"step must be positive, got {step!r}")
-    if step_overflows(step):
+    # each gradient coordinate lies in [-1, 1], so before a projection every |theta_i| is
+    # at most PARAM_BOUND + step, and the squared norm sums three such squares
+    reach = PARAM_BOUND + step
+    if not math.isfinite(3.0 * (reach * reach)):  # a float product overflows to inf where ** would raise
         raise InvalidInputError(f"step {step!r} overflows the projection's squared norm")
     # the loop's gradient is log_likelihood_grad with its constant empirical
     # term computed once: the same operations, so the same bits
@@ -166,21 +158,15 @@ class SweepResult(NamedTuple):
     slope: float
 
 
-def sweep_grid(n_grid) -> list[int]:
-    """The sweep's sample sizes as ints; a grid that is not strictly increasing over at least two points is refused."""
-    grid = [int(n) for n in n_grid]
-    if len(grid) < 2 or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise InvalidInputError("n grid must be increasing with >= 2 points")
-    return grid
-
-
 def sweep_counts(expert_theta, n_grid, trials_per_n: int, seed: int) -> np.ndarray:
     """The sweep's ``(len(n_grid) * trials_per_n, 3)`` count matrix, n-major.
 
     Trial (n, t) draws its counts from the stream (seed, "sweep", n, t).  The grid
-    (``sweep_grid``) and trial count are validated before any dataset is drawn.
+    and trial count are validated before any dataset is drawn.
     """
-    grid = sweep_grid(n_grid)
+    grid = [int(n) for n in n_grid]
+    if len(grid) < 2 or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise InvalidInputError("n grid must be increasing with >= 2 points")
     if trials_per_n < 2:
         raise InvalidInputError(f"need >= 2 trials per n, got {trials_per_n}")
     return np.array(

@@ -23,7 +23,9 @@ Each experiment's ``precheck(params)`` refuses bad params before its runner
 starts.  A precheck only parses, evaluates closed forms and prices work
 against caps: it draws nothing and runs no solver, and every refusal names
 the key it refuses.  A value that both need comes from one helper, so the
-runner may assume valid params.
+runner may assume valid params.  An input that no caller varies is a module
+constant beside its experiment's schema; divergence-asymptote, cib-frontier
+and curriculum have no params, and share ``precheck_no_params``.
 """
 
 from __future__ import annotations
@@ -181,22 +183,25 @@ def deterministic_map(fn, items, threads: int):
 TRADEOFF_SCHEMA = {
     "samples": ParamSpec(100_000),
     "options_set": ParamSpec((2, 3, 4, 8, 16, 32), minimum=2),
-    "scan_options": ParamSpec((2, 4), minimum=2),
-    "scan_grid": ParamSpec((0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)),
-    "oracle_resolution": ParamSpec(60, minimum=1),
 }
-# Most cells (remainder compositions times B) the grid-search oracle may score for one B.
-ORACLE_CAP = 10**7
+# The oracle scan: a row for each top probability of SCAN_GRID at least 1/B, for each
+# B of SCAN_OPTIONS, each scored over compositions of ORACLE_RESOLUTION units.
+SCAN_OPTIONS = (2, 4)
+SCAN_GRID = (0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+ORACLE_RESOLUTION = 60
 # Most noise variates a Monte Carlo runner may plan to draw.  Its kernels stream
 # fixed-size blocks, so no allocation fails on a huge trial count; this cap stops
 # the run before its first draw instead.
 DRAW_CAP = 10**10
+# Most bytes tradeoff-scan's four float64 excess vectors (32 bytes a row) may hold:
+# its gates read every row, so the vectors grow with ``samples``.
+EXCESS_BYTES_CAP = 2**30
 
 
-def _cap_draws(draws: int) -> None:
-    """Refuse a run whose ``params.trials`` would draw more than ``DRAW_CAP`` variates."""
+def _cap_draws(key: str, draws: int) -> None:
+    """Refuse a run whose ``params[key]`` would draw more than ``DRAW_CAP`` variates."""
     if draws > DRAW_CAP:
-        raise EnumerationTooLargeError(f"params.trials: the run would draw {draws} variates, over the cap {DRAW_CAP}")
+        raise EnumerationTooLargeError(f"params.{key}: the run would draw {draws} variates, over the cap {DRAW_CAP}")
 
 
 @contextmanager
@@ -250,38 +255,23 @@ def _scalar_certainty(logits: np.ndarray) -> tuple:
             cat.kl_divergence(uniform, p), cat.min_exploration_divergence(s, b))
 
 
-def _scan_rows(params: dict) -> list[tuple[float, int, float]]:
-    """The scan's rows (s, B, certainty cost bound): each s of ``params.scan_grid`` at least 1/B,
-    for each B of ``params.scan_options``."""
-    with _keyed("scan_grid"):
-        return [
-            (float(s), b, cat.tradeoff_lower_bound(float(s), b))
-            for b in params["scan_options"] for s in params["scan_grid"] if s >= 1.0 / b
-        ]
-
-
 def precheck_tradeoff_scan(params: dict) -> None:
-    resolution = params["oracle_resolution"]
-    for b in sorted({4, *params["scan_options"]}):  # B = 4 for the oracle's spot check
-        compositions = math.comb(resolution + b - 2, b - 2)
-        if compositions * b > ORACLE_CAP:
-            key = "scan_options" if b in params["scan_options"] else "oracle_resolution"
-            raise EnumerationTooLargeError(
-                f"params.{key}: the oracle at B={b} would score {compositions} compositions "
-                f"of {resolution} units, {compositions * b} cells, over the cap {ORACLE_CAP}"
-            )
-    if not _scan_rows(params):
-        raise InvalidInputError("params.scan_grid: no value is at least 1/B for any B of params.scan_options")
-    if params["samples"] < len(params["options_set"]):
+    options_set, samples = params["options_set"], params["samples"]
+    if samples < len(options_set):
         raise InvalidInputError(
-            f"params.samples: need at least one row per B, {len(params['options_set'])} in all, "
-            f"got {params['samples']}"
+            f"params.samples: need at least one row per B, {len(options_set)} in all, got {samples}"
+        )
+    per_b = samples // len(options_set)
+    _cap_draws("samples", per_b * sum(options_set))  # a row at B draws B normals
+    excess_bytes = 32 * per_b * len(options_set)
+    if excess_bytes > EXCESS_BYTES_CAP:
+        raise EnumerationTooLargeError(
+            f"params.samples: the four excess vectors would hold {excess_bytes} bytes, over the cap {EXCESS_BYTES_CAP}"
         )
 
 
 def run_tradeoff_scan(seed: int, params: dict, threads: int = 1) -> ExperimentResult:
     result = ExperimentResult()
-    resolution = params["oracle_resolution"]
     options_set = params["options_set"]
     per_b = params["samples"] // len(options_set)
 
@@ -344,7 +334,10 @@ def run_tradeoff_scan(seed: int, params: dict, threads: int = 1) -> ExperimentRe
         [cat.tradeoff_lower_bound(s, b) for b, s in peaks], 1e-9, lambda i: f"B={peaks[i][0]} s={peaks[i][1]:.4f}",
     )
 
-    rows = [(s, int(b), bound, _simplex_slice_min_reverse_kl(s, b, resolution)) for s, b, bound in _scan_rows(params)]
+    rows = [
+        (s, b, cat.tradeoff_lower_bound(s, b), _simplex_slice_min_reverse_kl(s, b, ORACLE_RESOLUTION))
+        for b in SCAN_OPTIONS for s in SCAN_GRID if s >= 1.0 / b
+    ]
     result.tables["tradeoff_scan.csv"] = (["i_s", "B", "bound", "empirical_min_kl"], rows)
     result.gate(
         "scan: bound <= grid-search minimum at every row",
@@ -353,7 +346,7 @@ def run_tradeoff_scan(seed: int, params: dict, threads: int = 1) -> ExperimentRe
     )
     result.within(
         "grid-search oracle reproduces the s=0.7, B=4 minimum ~ 0.4458",
-        _simplex_slice_min_reverse_kl(0.7, 4, resolution), 0.4458463724645642, 1e-3,
+        _simplex_slice_min_reverse_kl(0.7, 4, ORACLE_RESOLUTION), 0.4458463724645642, 1e-3,
     )
     return result
 
@@ -362,45 +355,30 @@ def run_tradeoff_scan(seed: int, params: dict, threads: int = 1) -> ExperimentRe
 # divergence-asymptote: concentration makes the explorer's divergence grow
 # ---------------------------------------------------------------------------
 
-ASYMPTOTE_SCHEMA = {
-    "kappas": ParamSpec((1e2, 1e3, 1e4, 1e5, 1e6)),
-    "sample_draws": ParamSpec(2000, minimum=2),
-    "concentration_draws": ParamSpec(10_000, minimum=1),
-}
-# The option count B of every Dirichlet family of the experiment.
+# The option count B of every Dirichlet family of the experiment, its kappas, and the
+# draws per kappa and at kappa = 1e6.
 ASYMPTOTE_OPTIONS = 5
-
-
-def _asymptote_families(params: dict) -> list[cat.DirichletConcentration]:
-    """The concentrated Dirichlet family over ASYMPTOTE_OPTIONS options at each kappa of ``params.kappas``."""
-    with _keyed("kappas"):
-        return [cat.DirichletConcentration(kappa=kappa, n_options=ASYMPTOTE_OPTIONS) for kappa in params["kappas"]]
-
-
-def precheck_divergence_asymptote(params: dict) -> None:
-    if min(params["kappas"]) <= 1.0:  # the checks divide by log kappa
-        raise InvalidInputError(f"params.kappas: each kappa must exceed 1, got {min(params['kappas'])!r}")
-    if len({math.log(k) for k in params["kappas"]}) < 2:  # the slopes divide by a difference of logs
-        raise InvalidInputError("params.kappas: the slope checks need at least two distinct values")
-    _asymptote_families(params)
+ASYMPTOTE_KAPPAS = (1e2, 1e3, 1e4, 1e5, 1e6)
+SAMPLE_DRAWS = 2000
+CONCENTRATION_DRAWS = 10_000
 
 
 def run_divergence_asymptote(seed: int, params: dict, threads: int = 1) -> ExperimentResult:
     result = ExperimentResult()
-    log_k = [math.log(k) for k in params["kappas"]]
+    log_k = [math.log(k) for k in ASYMPTOTE_KAPPAS]
     b = ASYMPTOTE_OPTIONS
-    specs = _asymptote_families(params)
+    specs = [cat.DirichletConcentration(kappa=kappa, n_options=b) for kappa in ASYMPTOTE_KAPPAS]
     spec6 = cat.DirichletConcentration(kappa=1e6, n_options=b)
     uniform = np.full(b, 1.0 / b)
     rows = []
     samples = []
     exact_values = []
     entropy_scalings = []
-    for idx, (kappa, spec) in enumerate(zip(params["kappas"], specs)):
+    for idx, (kappa, spec) in enumerate(zip(ASYMPTOTE_KAPPAS, specs)):
         mean = cat.dirichlet_mean(spec)
         exact = cat.kl_divergence(uniform, mean)
         asym = cat.cot_divergence_asymptote(spec)
-        draws = cat.dirichlet_sample(spec, rng_for(seed, "asymptote-draws", idx), params["sample_draws"])
+        draws = cat.dirichlet_sample(spec, rng_for(seed, "asymptote-draws", idx), SAMPLE_DRAWS)
         sampled = cat_bulk.kl_rows(uniform, draws)
         samples.append((draws, sampled))
         rows.append(
@@ -414,7 +392,7 @@ def run_divergence_asymptote(seed: int, params: dict, threads: int = 1) -> Exper
     )
     result.within(
         "asymptote error within 10/kappa at every kappa", exact_values, [r[2] for r in rows],
-        [10.0 / kappa for kappa in params["kappas"]], lambda i: f"kappa={rows[i][0]}",
+        [10.0 / kappa for kappa in ASYMPTOTE_KAPPAS], lambda i: f"kappa={rows[i][0]}",
     )
     slope = float(np.polyfit(log_k, exact_values, 1)[0])
     lo, hi = (b - 1) / b * 0.98, (b - 1) / b * 1.02
@@ -422,10 +400,9 @@ def run_divergence_asymptote(seed: int, params: dict, threads: int = 1) -> Exper
         "divergence slope vs log kappa within 2% of (B-1)/B", [lo - slope, slope - hi],
         lambda i: f"slope {slope:.6f} vs band {('floor', 'ceiling')[i]} {(lo, hi)[i]:.4f}",
     )
-    low, high = int(np.argmin(log_k)), int(np.argmax(log_k))  # two distinct values: a nonzero divisor
     asym_slope = (
-        cat.cot_divergence_asymptote(specs[high]) - cat.cot_divergence_asymptote(specs[low])
-    ) / (log_k[high] - log_k[low])
+        cat.cot_divergence_asymptote(specs[-1]) - cat.cot_divergence_asymptote(specs[0])
+    ) / (log_k[-1] - log_k[0])
     result.within("asymptote slope exactly (B-1)/B", asym_slope, (b - 1) / b, 1e-12)
     two_opt = cat.DirichletConcentration(kappa=1000.0, n_options=2)
     result.within(
@@ -437,9 +414,9 @@ def run_divergence_asymptote(seed: int, params: dict, threads: int = 1) -> Exper
         np.subtract(entropy_scalings, 5.0),
         lambda i: f"kappa={rows[i][0]} (scaling {entropy_scalings[i]:.4f})",
     )
-    draws6 = cat.dirichlet_sample(spec6, rng_for(seed, "concentration"), params["concentration_draws"])
+    draws6 = cat.dirichlet_sample(spec6, rng_for(seed, "concentration"), CONCENTRATION_DRAWS)
     tops = draws6.max(axis=1)
-    freq = int(np.sum(tops > 0.999)) / params["concentration_draws"]
+    freq = int(np.sum(tops > 0.999)) / CONCENTRATION_DRAWS
     result.gate(
         "concentration: top prob > 0.999 in at least 99% of draws at kappa = 1e6",
         [0.99 - freq], lambda i: f"frequency {freq:.4f}, floor 0.99",
@@ -464,23 +441,19 @@ def run_divergence_asymptote(seed: int, params: dict, threads: int = 1) -> Exper
 
 NOISE_DISCRETE_SCHEMA = {
     "trials": ParamSpec(100_000, minimum=1),
-    "contrast_noise_over_margin": ParamSpec(5.0),
 }
 # Spec i's chain: CHAIN_STEPS[i] steps over CHAIN_OPTIONS[i] options, logit margins
-# of at least dynamics.MIN_MARGIN, and sub-decisional noise NOISE_OVER_MARGIN times it.
+# of at least dynamics.MIN_MARGIN, and sub-decisional noise NOISE_OVER_MARGIN times it;
+# the unconstrained contrast runs spec 0 at CONTRAST_NOISE_OVER_MARGIN times it.
 CHAIN_STEPS = (6, 4, 8, 6, 10)
 CHAIN_OPTIONS = (5, 3, 2, 4, 6)
 NOISE_OVER_MARGIN = 0.2
+CONTRAST_NOISE_OVER_MARGIN = 5.0
 
 
 def precheck_noise_discrete(params: dict) -> None:
-    # zero noise cannot move an argmax, so the contrast check would fail by construction
-    if params["contrast_noise_over_margin"] <= 0:
-        raise InvalidInputError(
-            f"params.contrast_noise_over_margin: must be positive, got {params['contrast_noise_over_margin']!r}"
-        )
     # one draw per option per step and trial; the cap counts the sub-decisional runs
-    _cap_draws(params["trials"] * sum(steps * options for steps, options in zip(CHAIN_STEPS, CHAIN_OPTIONS)))
+    _cap_draws("trials", params["trials"] * sum(steps * options for steps, options in zip(CHAIN_STEPS, CHAIN_OPTIONS)))
 
 
 def run_noise_discrete(seed: int, params: dict, threads: int = 1) -> ExperimentResult:
@@ -496,7 +469,7 @@ def run_noise_discrete(seed: int, params: dict, threads: int = 1) -> ExperimentR
 
     chain_specs = [chain_spec(index, NOISE_OVER_MARGIN) for index in range(len(specs))]
     zero_spec = chain_spec(0, 0.0)
-    contrast = chain_spec(0, params["contrast_noise_over_margin"], sub_decisional_only=False)
+    contrast = chain_spec(0, CONTRAST_NOISE_OVER_MARGIN, sub_decisional_only=False)
 
     def run_spec(item):
         index, spec = item
@@ -594,7 +567,7 @@ def precheck_error_accumulation(params: dict) -> None:
     if len(set(params["lipschitz_values"])) < len(params["lipschitz_values"]):  # the ordering is strict
         raise InvalidInputError("params.lipschitz_values: the values must be distinct")
     cells, configs = _error_cells(params)
-    _cap_draws(params["trials"] * sum(d * m for _, d, m in cells))
+    _cap_draws("trials", params["trials"] * sum(d * m for _, d, m in cells))
     # the gates divide by the closed form and the law gate squares it, and the
     # Monte Carlo sums |E_M|^4, whose expectation over the trials is
     # trials * closed^2 * (1 + 2/d) (the chi-squared law of the runner)
@@ -681,10 +654,11 @@ def run_error_accumulation(seed: int, params: dict, threads: int = 1) -> Experim
 
 ACCURACY_SCHEMA = {
     "dim": ParamSpec(16, minimum=1),
-    "margin": ParamSpec(2.0),
-    "sigma_grid": ParamSpec((0.1, 0.17, 0.3, 0.5, 0.85, 1.4, 2.4, 4.0, 6.7, 11.0)),
     "trials": ParamSpec(100_000, minimum=1000),
 }
+# The readout's clean logit gap, and the noise scales the sweep samples.
+ACCURACY_MARGIN = 2.0
+SIGMA_GRID = (0.1, 0.17, 0.3, 0.5, 0.85, 1.4, 2.4, 4.0, 6.7, 11.0)
 
 
 # The quadrature oracle's lower limit and its (even) number of Simpson intervals.
@@ -706,34 +680,20 @@ def _simpson_normal_cdf(z: float) -> float:
 
 
 def _crossing_sigma(margin: float, gain: float, level: float) -> float:
-    """Sigma where the analytic retention curve crosses ``level`` (interpolated)."""
+    """Sigma where the analytic retention curve crosses ``level`` (interpolated).
+
+    At level 0.75 the crossing is margin / (0.6745 sqrt(gain)); for every dim that
+    the draw cap accepts (at most 10**6) it lies inside the grid."""
     grid = np.geomspace(1e-3, 1e3, 4001)
     curve = np.array([retention for _, retention in dynamics.accuracy_curve(margin, gain, grid)])
     idx = int(np.argmax(curve < level))
-    if idx == 0:
-        raise InvalidInputError(
-            f"the margin-doubling check needs the {level} crossing at margin {margin!r}, "
-            f"which lies off the sigma grid [{grid[0]:g}, {grid[-1]:g}]"
-        )
     x0, x1 = grid[idx - 1], grid[idx]
     y0, y1 = curve[idx - 1], curve[idx]
     return float(x0 + (level - y0) * (x1 - x0) / (y1 - y0))
 
 
-def _crossing_ratio(params: dict) -> float:
-    """The 0.75 retention crossing at twice ``params.margin`` over the one at it; the
-    readout's noise gain is exactly dim."""
-    gain = float(params["dim"])
-    with _keyed("margin"):
-        crossing = _crossing_sigma(params["margin"], gain, 0.75)
-        return _crossing_sigma(2.0 * params["margin"], gain, 0.75) / crossing
-
-
 def precheck_accuracy_sweep(params: dict) -> None:
-    _crossing_ratio(params)
-    with _keyed("sigma_grid"):
-        dynamics.accuracy_curve(params["margin"], float(params["dim"]), params["sigma_grid"])
-    _cap_draws(params["trials"] * params["dim"] * len(params["sigma_grid"]))
+    _cap_draws("trials", params["trials"] * params["dim"] * len(SIGMA_GRID))
 
 
 def run_accuracy_sweep(seed: int, params: dict, threads: int = 1) -> ExperimentResult:
@@ -741,8 +701,8 @@ def run_accuracy_sweep(seed: int, params: dict, threads: int = 1) -> ExperimentR
     gain = float(params["dim"])
     rows = dynamics.empirical_accuracy_sweep(
         dim=params["dim"],
-        margin=params["margin"],
-        sigma_grid=params["sigma_grid"],
+        margin=ACCURACY_MARGIN,
+        sigma_grid=SIGMA_GRID,
         trials=params["trials"],
         seed=derive_seed(seed, "accuracy"),
     )
@@ -758,7 +718,7 @@ def run_accuracy_sweep(seed: int, params: dict, threads: int = 1) -> ExperimentR
         "analytic curve is monotone non-increasing",
         analytic[1:] - analytic[:-1], lambda i: f"sigma={rows[i + 1][0]} after sigma={rows[i][0]}",
     )
-    limits = dict(dynamics.accuracy_curve(params["margin"], gain, (1e-6, 1e6)))
+    limits = dict(dynamics.accuracy_curve(ACCURACY_MARGIN, gain, (1e-6, 1e6)))
     result.gate(
         "retention plateau at 1 as sigma -> 0", [1.0 - 1e-12 - limits[1e-6]],
         lambda i: f"retention {limits[1e-6]!r} at sigma 1e-06, floor 1 - 1e-12",
@@ -776,7 +736,8 @@ def run_accuracy_sweep(seed: int, params: dict, threads: int = 1) -> ExperimentR
         [dynamics.normal_cdf(z) for z in zs], [_simpson_normal_cdf(z) for z in zs], 1e-9, lambda i: f"z={zs[i]}",
     )
     result.within(
-        "doubling the margin doubles the three-quarter retention crossing", _crossing_ratio(params), 2.0, 0.02,
+        "doubling the margin doubles the three-quarter retention crossing",
+        _crossing_sigma(2.0 * ACCURACY_MARGIN, gain, 0.75) / _crossing_sigma(ACCURACY_MARGIN, gain, 0.75), 2.0, 0.02,
     )
     return result
 
@@ -785,7 +746,6 @@ def run_accuracy_sweep(seed: int, params: dict, threads: int = 1) -> ExperimentR
 # cib-frontier: bottleneck solver vs brute force, frontier geometry
 # ---------------------------------------------------------------------------
 
-CIB_SCHEMA: dict[str, ParamSpec] = {}
 # The frontier's noisy problem seed and betas, and the corpus.
 CIB_PROBLEM_SEED = 7
 CIB_CORPUS_SIZE = 20
@@ -808,10 +768,6 @@ def frontier_envelope(points) -> tuple[list[float], list[str]]:
         excess.append(right - (left + 1e-6))
         where.append(f"convex kink at beta={b.beta} (i_past {b.i_past:.9f})")
     return excess, where
-
-
-def precheck_cib_frontier(params: dict) -> None:
-    """cib-frontier has no params: every input is a module constant."""
 
 
 def run_cib_frontier(seed: int, params: dict, threads: int = 1) -> ExperimentResult:
@@ -941,38 +897,22 @@ def run_cib_frontier(seed: int, params: dict, threads: int = 1) -> ExperimentRes
 # curriculum: biased data caps success; expert-sampled data converges
 # ---------------------------------------------------------------------------
 
-CURRICULUM_SCHEMA = {
-    "strong_theta": ParamSpec((10.0, 0.0, 0.0)),
-    "n_grid": ParamSpec((100, 1000, 10_000, 100_000), minimum=1),
-    "trials_per_n": ParamSpec(50, minimum=2),
-    "iterations": ParamSpec(5000, minimum=1),
-    "step": ParamSpec(0.1),
-    "grad_checks": ParamSpec(100, minimum=1),
-    "tv_trials": ParamSpec(10, minimum=1),
-}
-# The expert weights behind the convergence sweep and the total-variation fits.
+# The expert weights behind the strong-expert fit, and those behind the convergence
+# sweep and the total-variation fits; the sweep's sample sizes and trials per size;
+# every fit's iterations and step; the gradient checks; the total-variation fits per size.
+STRONG_THETA = (10.0, 0.0, 0.0)
 RATE_THETA = (2.0, 0.0, 0.0)
-
-
-def precheck_curriculum(params: dict) -> None:
-    dim = curriculum.FEATURES.shape[1]
-    if len(params["strong_theta"]) != dim:
-        raise InvalidInputError(f"params.strong_theta: need {dim} weights, got {len(params['strong_theta'])}")
-    with np.errstate(over="ignore", invalid="ignore"):  # scores that overflow make a NaN softmax
-        probabilities = curriculum.state_distribution(params["strong_theta"])
-    if not np.all(np.isfinite(probabilities)):
-        raise InvalidInputError("params.strong_theta: the state probabilities are not finite")
-    if params["step"] <= 0:
-        raise InvalidInputError(f"params.step: must be positive, got {params['step']!r}")
-    if curriculum.step_overflows(params["step"]):
-        raise InvalidInputError(f"params.step: {params['step']!r} overflows the projection's squared norm")
-    with _keyed("n_grid"):
-        curriculum.sweep_grid(params["n_grid"])
+N_GRID = (100, 1000, 10_000, 100_000)
+TRIALS_PER_N = 50
+FIT_ITERATIONS = 5000
+FIT_STEP = 0.1
+GRAD_CHECKS = 100
+TV_TRIALS = 10
 
 
 def run_curriculum(seed: int, params: dict, threads: int = 1) -> ExperimentResult:
     result = ExperimentResult()
-    strong = np.asarray(params["strong_theta"])
+    strong = np.asarray(STRONG_THETA)
     rate_theta = np.asarray(RATE_THETA)
     expert_strong = curriculum.success_rate(strong)
 
@@ -993,10 +933,8 @@ def run_curriculum(seed: int, params: dict, threads: int = 1) -> ExperimentResul
     # strong-expert counts and the balanced counts; they are
     # curriculum_policies.csv), the convergence-sweep rows and the
     # total-variation rows.
-    grid = params["n_grid"]
-    sweep_data = curriculum.sweep_counts(
-        rate_theta, grid, params["trials_per_n"], seed=derive_seed(seed, "sweep")
-    )
+    grid = N_GRID
+    sweep_data = curriculum.sweep_counts(rate_theta, grid, TRIALS_PER_N, seed=derive_seed(seed, "sweep"))
     policy_counts = [[0.0, float(n), 0.0] for n in grid]
     policy_counts += [
         curriculum.draw_counts(strong, grid[-1], derive_seed(seed, "strong")),
@@ -1005,10 +943,10 @@ def run_curriculum(seed: int, params: dict, threads: int = 1) -> ExperimentResul
     tv_counts = [
         curriculum.draw_counts(rate_theta, n, derive_seed(seed, "tv", n, t))
         for n in grid
-        for t in range(params["tv_trials"])
+        for t in range(TV_TRIALS)
     ]
     all_thetas, all_grad_norms = curriculum.fit_rows(
-        np.vstack([policy_counts, sweep_data, tv_counts]), params["iterations"], params["step"]
+        np.vstack([policy_counts, sweep_data, tv_counts]), FIT_ITERATIONS, FIT_STEP
     )
     policies, sweep_end = len(policy_counts), len(policy_counts) + len(sweep_data)
     thetas, grad_norms = all_thetas[:policies], all_grad_norms[:policies]
@@ -1074,7 +1012,7 @@ def run_curriculum(seed: int, params: dict, threads: int = 1) -> ExperimentResul
 
     rng = rng_for(seed, "grad-check")
     rel = []
-    for _ in range(params["grad_checks"]):
+    for _ in range(GRAD_CHECKS):
         theta = rng.uniform(-5.0, 5.0, 3)
         counts = rng.integers(1, 50, 3).astype(np.float64)
         grad = curriculum.log_likelihood_grad(theta, counts)
@@ -1126,17 +1064,17 @@ def run_curriculum(seed: int, params: dict, threads: int = 1) -> ExperimentResul
 DAG_SCHEMA = {
     "policy_draws": ParamSpec(200, minimum=2),
     "mc_trials": ParamSpec(100_000, minimum=1),
-    "kappa_grid": ParamSpec((1e2, 1e3, 1e4, 1e5, 1e6)),
     "divergence_draws": ParamSpec(30, minimum=1),
     "capped_samples": ParamSpec(10_000, minimum=1),
     "graph_file": ParamSpec(""),  # optional custom graph (adjacency text)
     "graph_trials": ParamSpec(20_000, minimum=1),
 }
-# The trap's shape, the concentrated policies' kappa, and the capped-peak audit's
-# deltas and largest B.
+# The trap's shape, the concentrated policies' kappa, the kappas of the divergence
+# growth gate, and the capped-peak audit's deltas and largest B.
 TRAP_DEPTH = 6
 TRAP_BRANCHING = 3
 DAG_KAPPA = 1e6
+DAG_KAPPA_GRID = (1e2, 1e3, 1e4, 1e5, 1e6)
 CAPPED_DELTAS = (0.1, 0.3, 0.5)
 CAPPED_OPTIONS_MAX = 16
 
@@ -1199,13 +1137,6 @@ def _custom_graph(params: dict):
 
 
 def precheck_dag_exploration(params: dict) -> None:
-    # every trap decision node draws from the Dirichlet family at out-degree TRAP_BRANCHING
-    with _keyed("kappa_grid"):
-        for kappa in params["kappa_grid"]:
-            cat.DirichletConcentration(kappa=kappa, n_options=TRAP_BRANCHING)
-    grid = params["kappa_grid"]
-    if len(grid) < 2 or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise InvalidInputError("params.kappa_grid: need at least two strictly increasing values")
     _custom_graph(params)
     _price_search(dag.trap_dag(TRAP_DEPTH, TRAP_BRANCHING), params, "mc_trials")
 
@@ -1273,7 +1204,7 @@ def run_dag_exploration(seed: int, params: dict, threads: int = 1) -> Experiment
 
     kappa_rows = []
     divergence_means = []
-    for kappa in params["kappa_grid"]:
+    for kappa in DAG_KAPPA_GRID:
         vals = []
         for i in range(params["divergence_draws"]):
             policy = dag.make_policy(trap, "concentrated", kappa=kappa, seed=derive_seed(seed, "kdiv", str(kappa), i))
@@ -1356,14 +1287,18 @@ class ExperimentDef:
     precheck: object
 
 
+def precheck_no_params(params: dict) -> None:
+    """The precheck of an experiment without params: every input is a module constant."""
+
+
 EXPERIMENTS: dict[str, ExperimentDef] = {
     "tradeoff-scan": ExperimentDef(run_tradeoff_scan, TRADEOFF_SCHEMA, precheck_tradeoff_scan),
-    "divergence-asymptote": ExperimentDef(run_divergence_asymptote, ASYMPTOTE_SCHEMA, precheck_divergence_asymptote),
+    "divergence-asymptote": ExperimentDef(run_divergence_asymptote, {}, precheck_no_params),
     "noise-discrete": ExperimentDef(run_noise_discrete, NOISE_DISCRETE_SCHEMA, precheck_noise_discrete),
     "error-accumulation": ExperimentDef(run_error_accumulation, ERROR_ACCUMULATION_SCHEMA, precheck_error_accumulation),
     "accuracy-sweep": ExperimentDef(run_accuracy_sweep, ACCURACY_SCHEMA, precheck_accuracy_sweep),
-    "cib-frontier": ExperimentDef(run_cib_frontier, CIB_SCHEMA, precheck_cib_frontier),
-    "curriculum": ExperimentDef(run_curriculum, CURRICULUM_SCHEMA, precheck_curriculum),
+    "cib-frontier": ExperimentDef(run_cib_frontier, {}, precheck_no_params),
+    "curriculum": ExperimentDef(run_curriculum, {}, precheck_no_params),
     "dag-exploration": ExperimentDef(run_dag_exploration, DAG_SCHEMA, precheck_dag_exploration),
 }
 

@@ -123,8 +123,11 @@ def load_manifest(path: Path) -> RunManifest:
     if not path.exists():
         raise ReportError(f"missing manifest: {path}")
     try:
-        manifest = RunManifest(**json.loads(path.read_text(encoding="utf-8")))
-    except (ValueError, TypeError) as exc:
+        fields = json.loads(path.read_text(encoding="utf-8"))
+        # a lone surrogate escape such as "\udcff" is no text a report can write
+        json.dumps(fields, ensure_ascii=False).encode("utf-8")
+        manifest = RunManifest(**fields)
+    except (ValueError, TypeError) as exc:  # UnicodeError is a ValueError
         raise ReportError(f"malformed manifest {path}: {exc}") from exc
     if not isinstance(manifest.experiment, str):
         raise ReportError(f"malformed manifest {path}: experiment is not a string")

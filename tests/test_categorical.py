@@ -1,6 +1,7 @@
 """Distribution machinery: divergences, certainty bounds, Dirichlet family."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -279,6 +280,20 @@ class TestDirichletFamily:
     def test_dominant_parameter_must_be_positive(self):
         with pytest.raises(InvalidInputError):
             cat.DirichletConcentration(kappa=4.0, n_options=5)
+
+    @pytest.mark.parametrize(
+        "kappa, n_options, message",
+        [
+            (-5.0, 3, "kappa must be positive, got -5.0"),
+            (0.0, 3, "kappa must be positive, got 0.0"),
+            (100.0, 1, "need at least 2 options, got 1"),
+            # the dominant parameter 2 - 2 * MINORITY_MASS is exactly zero
+            (2.0, 3, "kappa too small: dominant parameter 0.0 must be positive"),
+        ],
+    )
+    def test_family_parameters_are_checked(self, kappa, n_options, message):
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            cat.DirichletConcentration(kappa=kappa, n_options=n_options)
 
     def test_samples_concentrate(self):
         spec = cat.DirichletConcentration(kappa=1e6, n_options=5)

@@ -1,6 +1,7 @@
 """Three-state toy world: shortcut bias vs expert-sampled convergence."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from certlab import curriculum as cur
+from certlab import experiments
 from certlab.errors import InvalidInputError
 from certlab.experiments import EXPERIMENTS, default_params
 from certlab.seeding import derive_seed, rng_for
@@ -265,6 +267,19 @@ class TestFitRows:
         with pytest.raises(InvalidInputError):
             cur.fit_rows(np.ones(shape), 1, 0.1)
 
+    @pytest.mark.parametrize(
+        "iterations, step, message",
+        [
+            (0, 0.1, "need iterations >= 1, got 0"),
+            (-3, 0.1, "need iterations >= 1, got -3"),
+            (5, 0.0, "step must be positive, got 0.0"),
+            (5, -0.1, "step must be positive, got -0.1"),
+        ],
+    )
+    def test_iterations_and_step_are_checked(self, iterations, step, message):
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            cur.fit_rows(np.array([[30.0, 40.0, 30.0]]), iterations, step)
+
 
 class TestSweep:
     def test_total_variation(self):
@@ -305,6 +320,24 @@ class TestSweep:
         with pytest.raises(InvalidInputError):
             cur.sweep_counts(np.zeros(3), (100, 50), trials_per_n=5, seed=0)
 
+    @pytest.mark.parametrize(
+        "n_grid, trials_per_n, message",
+        [
+            ((), 5, "n grid must be increasing with >= 2 points"),
+            ((100,), 5, "n grid must be increasing with >= 2 points"),
+            ((100, 100), 5, "n grid must be increasing with >= 2 points"),
+            ((1000, 100), 5, "n grid must be increasing with >= 2 points"),
+            ((100, 1000), 1, "need >= 2 trials per n, got 1"),
+        ],
+    )
+    def test_grid_is_refused_before_any_dataset_is_drawn(self, monkeypatch, n_grid, trials_per_n, message):
+        def refuse(*args):
+            raise AssertionError("a dataset was drawn before the grid was checked")
+
+        monkeypatch.setattr(cur, "draw_counts", refuse)
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            cur.sweep_counts(np.zeros(3), n_grid, trials_per_n=trials_per_n, seed=0)
+
 
 def test_run_curriculum_fits_every_dataset_in_one_call(monkeypatch):
     shapes = []
@@ -321,12 +354,11 @@ def test_run_curriculum_fits_every_dataset_in_one_call(monkeypatch):
     assert result.all_passed
 
 
-def test_closed_form_check_does_not_depend_on_strong_theta():
+def test_closed_form_check_does_not_depend_on_strong_theta(monkeypatch):
     # the closed form is pinned at theta = (10, 0, 0); another expert only moves the gaps
-    params = {
-        **default_params("curriculum"), "strong_theta": (9.0, 0.0, 0.0), "n_grid": (100, 1000),
-        "trials_per_n": 2, "iterations": 200, "grad_checks": 1, "tv_trials": 1,
-    }
-    result = EXPERIMENTS["curriculum"].runner(0, params)
+    for name, value in (("STRONG_THETA", (9.0, 0.0, 0.0)), ("N_GRID", (100, 1000)), ("TRIALS_PER_N", 2),
+                        ("FIT_ITERATIONS", 200), ("GRAD_CHECKS", 1), ("TV_TRIALS", 1)):
+        monkeypatch.setattr(experiments, name, value)
+    result = EXPERIMENTS["curriculum"].runner(0, default_params("curriculum"))
     [check] = [c for c in result.checks if c.name == "expert success reproduces exp(10)/(exp(10)+2) to 1e-9"]
     assert check.passed, check.detail

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from certlab import cli, dag, experiments
+from certlab import cli, dag, dynamics, experiments
 from certlab.config import (
     ExperimentConfig,
     ParamSpec,
@@ -27,8 +27,8 @@ from certlab.config import (
     config_hash,
     parse_config_text,
 )
-from certlab.errors import CertlabError, ConfigError, InfiniteDivergenceError, ReportError
-from certlab.experiments import DRAW_CAP, EXPERIMENTS, ExperimentResult, default_params, strict_rise
+from certlab.errors import CertlabError, ConfigError, EnumerationTooLargeError, InfiniteDivergenceError, ReportError
+from certlab.experiments import DRAW_CAP, EXCESS_BYTES_CAP, EXPERIMENTS, ExperimentResult, default_params, strict_rise
 from certlab.manifest import RunManifest, load_manifest, read_csv, write_csv
 from certlab.report import emit_svg_charts
 from certlab.seeding import derive_seed, rng_for
@@ -109,8 +109,8 @@ class TestConfigParsing:
         assert params("dag-exploration", "graph_file = graphs/my dag.txt\n")["graph_file"] == "graphs/my dag.txt"
         # a parameter's type is its default's: an int reads as a float on a float key
         # (test_float_for_an_int_key_exits_two checks the reverse)
-        floats = params("accuracy-sweep", "margin = 5\nsigma_grid = 1, 2.5\n")
-        values = (floats["margin"], *floats["sigma_grid"])
+        floats = params("error-accumulation", "sigma_h = 5\nlipschitz_values = 1, 2.5\n")
+        values = (floats["sigma_h"], *floats["lipschitz_values"])
         assert [(x, type(x)) for x in values] == [(5.0, float), (1.0, float), (2.5, float)]
 
     def test_every_default_has_a_parse_type(self):
@@ -122,11 +122,11 @@ class TestConfigParsing:
                 assert items and len(kinds) == 1 and kinds <= {int, float, str}, f"{experiment}: {key}"
 
     def test_bad_value_names_key(self):
-        text = SMALL_ACCURACY_CFG + "margin = wide\n"
-        with pytest.raises(ConfigError, match=r"params\.margin"):
+        text = _config_text("error-accumulation", "sigma_h", "wide")
+        with pytest.raises(ConfigError, match=r"params\.sigma_h"):
             build_config(
                 parse_config_text(text),
-                EXPERIMENTS["accuracy-sweep"].schema,
+                EXPERIMENTS["error-accumulation"].schema,
                 experiment_names=set(EXPERIMENTS),
             )
 
@@ -349,27 +349,17 @@ _MANIFEST_HEAD = b'{"experiment": "accuracy-sweep", "config_hash": "x", "seed": 
 # (experiment, key, value): a count or list the key does not accept
 _BELOW_MINIMUM_CASES = [
     ("dag-exploration", "capped_samples", 0),
-    ("divergence-asymptote", "concentration_draws", 0),
     ("dag-exploration", "divergence_draws", 0),
     ("dag-exploration", "policy_draws", 1),
-    ("curriculum", "tv_trials", 0),
-    ("divergence-asymptote", "sample_draws", 1),
     ("tradeoff-scan", "options_set", 1),
-    ("tradeoff-scan", "scan_options", "2, 1"),
-    ("tradeoff-scan", "oracle_resolution", 0),
-    ("divergence-asymptote", "kappas", 100.0),
     ("dag-exploration", "mc_trials", 0),
     ("dag-exploration", "graph_trials", 0),
-    ("curriculum", "grad_checks", 0),
-    ("curriculum", "trials_per_n", 1),
-    ("curriculum", "iterations", 0),
     ("accuracy-sweep", "dim", 0),
     ("error-accumulation", "trials", 99),
     ("accuracy-sweep", "trials", 999),
     ("noise-discrete", "trials", 0),
     ("error-accumulation", "dims", "0, 8"),
     ("error-accumulation", "steps_values", "0, 6"),
-    ("curriculum", "n_grid", "0, 10"),
 ]
 
 # (experiment, keys): each key is a module constant, so a config that sets it fails
@@ -379,64 +369,33 @@ _BELOW_MINIMUM_CASES = [
 # dag.CAP_DELTA; schedule_scale is gone, as the schedule is k / (M - k); every
 # other key is a constant of certlab.experiments
 _CONSTANT_KEYS = [
-    ("divergence-asymptote", ("options", "minority_mass")),
-    ("noise-discrete", ("steps_list", "options_list", "noise_over_margin", "min_margin")),
+    ("tradeoff-scan", ("scan_options", "scan_grid", "oracle_resolution")),
+    ("divergence-asymptote", ("options", "minority_mass", "kappas", "sample_draws", "concentration_draws")),
+    ("noise-discrete",
+     ("steps_list", "options_list", "noise_over_margin", "min_margin", "contrast_noise_over_margin")),
+    ("accuracy-sweep", ("margin", "sigma_grid")),
     ("cib-frontier",
      ("problem_seed", "corpus_size", "corpus_betas", "n_latent", "frontier_betas", "restarts", "tol",
       "max_conditional", "schedule_scale")),
-    ("curriculum", ("rate_theta",)),
+    ("curriculum",
+     ("rate_theta", "strong_theta", "n_grid", "trials_per_n", "iterations", "step", "grad_checks", "tv_trials")),
     ("dag-exploration",
-     ("depth", "branching", "kappa", "minority_mass", "delta", "capped_deltas", "capped_options_max")),
+     ("depth", "branching", "kappa", "minority_mass", "delta", "capped_deltas", "capped_options_max",
+      "kappa_grid")),
 ]
 
 # (experiment, key, value, message): a param that the config accepts or refuses
 # and that exits 2 with the message
 _BAD_PARAM_CASES = [
-    ("curriculum", "n_grid", "1000, 100", "params.n_grid: n grid must be increasing"),
-    ("curriculum", "n_grid", "100", "params.n_grid: n grid must be increasing"),
-    ("curriculum", "n_grid", "100, 100", "params.n_grid: n grid must be increasing"),
-    ("curriculum", "strong_theta", "10.0, 0.0", "params.strong_theta: need 3 weights"),
-    ("curriculum", "step", "0.0", "params.step: must be positive"),
-    # 3 (PARAM_BOUND + step)^2, the projection's largest squared norm, is not finite
-    ("curriculum", "step", "1e160\niterations = 5", "params.step: 1e+160 overflows the projection's squared norm"),
-    ("curriculum", "step", "1e300\niterations = 5", "params.step: 1e+300 overflows the projection's squared norm"),
-    # finite weights whose scores overflow: the softmax is NaN
-    ("curriculum", "strong_theta", "1e308, 1e308, 1e308",
-     "params.strong_theta: the state probabilities are not finite"),
     ("error-accumulation", "lipschitz_values", "0.8, 1.0, -1.0", "params.lipschitz_values: lipschitz must be positive"),
     ("error-accumulation", "sigma_h", "-0.1", "params.sigma_h: sigma_h must be >= 0, got -0.1"),
-    # zero noise cannot move an argmax, so the contrast check would fail
-    ("noise-discrete", "contrast_noise_over_margin", "-1.0",
-     "params.contrast_noise_over_margin: must be positive, got -1.0"),
-    ("noise-discrete", "contrast_noise_over_margin", "0.0",
-     "params.contrast_noise_over_margin: must be positive, got 0.0"),
     # the bounded law needs no rejection sampler, so the key that sized its
     # acceptance check is unknown (spelled in two parts: no live code names it)
     ("noise-discrete", "acceptance" "_draws", "2000", "unknown parameter keys: params.acceptance" "_draws"),
-    # every trap node draws from the Dirichlet family at out-degree 3
-    ("dag-exploration", "kappa_grid", "100.0, 1.5", "params.kappa_grid: kappa too small"),
-    ("dag-exploration", "kappa_grid", "-5.0, 100.0", "params.kappa_grid: kappa must be positive, got -5.0"),
     # 122,071 blocks of walks up to the trap's depth 6 are over the search cap
     ("dag-exploration", "mc_trials", "1000000000",
      "params.mc_trials: 1000000000 trials make 122071 blocks of walks up to 6 steps"),
-    # the divergence-growth gate compares neighbours of an increasing grid
-    ("dag-exploration", "kappa_grid", "1e6, 1e2", "params.kappa_grid: need at least two strictly increasing"),
-    ("dag-exploration", "kappa_grid", "100.0", "params.kappa_grid: need at least two strictly increasing"),
-    ("dag-exploration", "kappa_grid", "100.0, 100.0", "params.kappa_grid: need at least two strictly increasing"),
     ("error-accumulation", "lipschitz_values", "0.8, 0.8", "params.lipschitz_values: the values must be distinct"),
-    # a value may end in further `key = value` lines
-    ("divergence-asymptote", "kappas", "1.0, 10.0\nsample_draws = 20\nconcentration_draws = 100",
-     "params.kappas: each kappa must exceed 1"),
-    ("divergence-asymptote", "kappas", "100.0, 2.0", "params.kappas: kappa too small"),
-    # two distinct kappas whose logs are equal: the slopes would divide by zero
-    ("divergence-asymptote", "kappas", "1e6, 1000000.0000000002", "params.kappas: the slope checks need"),
-    ("tradeoff-scan", "scan_options", "2, 16", "params.scan_options: the oracle at B=16"),
-    # 999,999 compositions of 1,000,000 cells each: about 10**12 cells
-    ("tradeoff-scan", "scan_options", "2, 1000000\noracle_resolution = 1",
-     "params.scan_options: the oracle at B=1000000"),
-    ("tradeoff-scan", "scan_grid", "0.5, 1.5", "params.scan_grid: top probability must lie in [1/B, 1)"),
-    # below 1/B for every B: the scan would have no rows
-    ("tradeoff-scan", "scan_grid", "0.1", "params.scan_grid: no value is at least 1/B"),
     # the closed form is 0 at zero noise, underflows to 0 at 1e-200, and its square overflows at 1e100
     ("error-accumulation", "sigma_h", "0.0", "params.sigma_h: the closed form at L=0.8 d=1 M=1 is 0.0;"),
     ("error-accumulation", "sigma_h", "1e-200", "params.sigma_h: the closed form at L=0.8 d=1 M=1 is 0.0;"),
@@ -445,7 +404,8 @@ _BAD_PARAM_CASES = [
     ("error-accumulation", "sigma_h", "1e200", "params.sigma_h: the closed form at L=0.8 d=1 M=1 is inf;"),
     ("error-accumulation", "lipschitz_values", "0.8, 1e100",
      "params.sigma_h: the closed form at L=1e+100 d=1 M=6 is inf;"),
-    # the sums of fourth powers, trials * closed^2 * (1 + 2/d) in expectation, would overflow
+    # a value may end in further `key = value` lines; the sums of fourth powers,
+    # trials * closed^2 * (1 + 2/d) in expectation, would overflow
     ("error-accumulation", "sigma_h", "1e74\ndims = 64\nsteps_values = 2, 12\ntrials = 20000",
      "params.sigma_h: the closed form at L=1.0 d=64 M=12 is 7.679999999999999e+150;"),
     ("error-accumulation", "sigma_h", "1e75\ndims = 64\nsteps_values = 2, 12\ntrials = 1000",
@@ -457,13 +417,6 @@ _BAD_PARAM_CASES = [
     ("dag-exploration", "graph_max_steps", "64", "unknown parameter keys: params.graph_max_steps"),
     # the map is the scalar L I: the key that picked a rotation map is gone
     ("error-accumulation", "transition", "rotation_scaling", "unknown parameter keys: params.transition"),
-    # at dim 16 the 0.75 crossing leaves the sigma grid above twice this margin, or below this one
-    ("accuracy-sweep", "margin", "2000.0",
-     "params.margin: the margin-doubling check needs the 0.75 crossing at margin 4000.0"),
-    ("accuracy-sweep", "margin", "1e-5",
-     "params.margin: the margin-doubling check needs the 0.75 crossing at margin 1e-05"),
-    ("accuracy-sweep", "margin", "-1.0", "params.margin: margin and noise_gain must be positive"),
-    ("accuracy-sweep", "sigma_grid", "0.5, 0.1", "params.sigma_grid: sigma grid must be strictly increasing"),
     # fewer samples than options_set's 6 values: no row for some B
     ("tradeoff-scan", "samples", "-5", "params.samples: need at least one row per B, 6 in all, got -5"),
     ("tradeoff-scan", "samples", "5", "params.samples: need at least one row per B, 6 in all, got 5"),
@@ -474,6 +427,14 @@ _DRAW_CAP_CASES = [
     ("noise-discrete", "trials", 10**12),
     ("error-accumulation", "trials", 10**12),
     ("accuracy-sweep", "trials", 10**12),
+]
+
+# (samples, message): a tradeoff-scan whose 6 default option counts, 65 options in all,
+# would fill its excess vectors (32 bytes a row) past EXCESS_BYTES_CAP, or draw past DRAW_CAP
+_SAMPLES_CAP_CASES = [
+    (10**8, f"params.samples: the four excess vectors would hold 3199999872 bytes, over the cap {EXCESS_BYTES_CAP}"),
+    (10**9, f"params.samples: the run would draw 10833333290 variates, over the cap {DRAW_CAP}"),
+    (10**13, f"params.samples: the run would draw 108333333333290 variates, over the cap {DRAW_CAP}"),
 ]
 
 
@@ -577,7 +538,6 @@ class TestCli:
     @pytest.mark.parametrize(
         "experiment, key, value",
         [
-            ("dag-exploration", "kappa_grid", "100.0, -inf"),
             ("error-accumulation", "sigma_h", "NaN"),
             ("error-accumulation", "lipschitz_values", "0.8, 1e999"),
         ],
@@ -655,13 +615,16 @@ class TestCli:
         prefix = {OSError: "i/o error", MemoryError: "out of memory"}.get(type(error), type(error).__name__)
         assert capsys.readouterr().err == f"{prefix}: {error}\n"
 
-    def test_unallocatable_samples_exit_two_without_a_traceback(self, tmp_path, capsys):
-        # four excess vectors of 10**13 // 6 * 6 float64 rows: 291 TiB, beyond the 128 TiB
-        # x86-64 user address space, so the allocation is refused at once and nothing is touched
-        cfg = _write_cfg(tmp_path, "[run]\nexperiment = tradeoff-scan\nseed = 0\n[params]\nsamples = 10000000000000\n")
+    @pytest.mark.parametrize("samples, message", _SAMPLES_CAP_CASES, ids=["bytes-1e8", "draws-1e9", "draws-1e13"])
+    def test_unallocatable_samples_exit_two_without_a_traceback(
+        self, tmp_path, capsys, refuse_runners, samples, message
+    ):
+        cfg = _write_cfg(tmp_path, _config_text("tradeoff-scan", "samples", samples))
+        started = time.perf_counter()
         assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("out of memory: Unable to allocate") and err.count("\n") == 1
+        assert time.perf_counter() - started < 1.0
+        assert capsys.readouterr().err == f"EnumerationTooLargeError: {message}\n"
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("experiment, key, value", _DRAW_CAP_CASES)
     def test_huge_trials_exit_two_at_the_draw_cap(self, tmp_path, capsys, refuse_runners, experiment, key, value):
@@ -684,37 +647,14 @@ class TestCli:
         assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "ConfigError: run.experiment is required" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "params",
-        [
-            "scan_grid = 0.99999999999",  # no scan row at s = 0.7, B = 4: the oracle spot stands alone
-            "scan_options = 2, 1200\noracle_resolution = 1",  # 1,199 compositions of 1,200 cells each
-        ],
-    )
-    def test_tradeoff_scan_edge_inputs_exit_zero(self, tmp_path, params):
-        cfg = _write_cfg(
-            tmp_path, f"[run]\nexperiment = tradeoff-scan\nseed = 0\n[params]\nsamples = 1000\n{params}\n"
-        )
-        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-
-    def test_asymptote_kappas_out_of_order_exit_without_a_traceback(self, tmp_path):
-        # the exact-slope check divides by the log range of the smallest and largest kappa
-        cfg = _write_cfg(
-            tmp_path,
-            "[run]\nexperiment = divergence-asymptote\nseed = 0\n"
-            "[params]\nkappas = 100.0, 1000.0, 100.0\nsample_draws = 20\nconcentration_draws = 100\n",
-        )
-        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) in (0, 3)
-
-    def test_failed_check_exits_three(self, tmp_path):
-        # an unconstrained-noise contrast at a vanishing scale never flips a
-        # token, so its "perturbs the final token" check honestly fails
-        cfg = _write_cfg(
-            tmp_path,
-            "[run]\nexperiment = noise-discrete\nseed = 0\n"
-            "[params]\ntrials = 2000\ncontrast_noise_over_margin = 1e-9\n",
-        )
+    def test_failed_check_exits_three(self, tmp_path, monkeypatch):
+        # a chain simulator that never flips a token fails only the unconstrained
+        # contrast's "perturbs the final token" check
+        monkeypatch.setattr(dynamics, "simulate_discrete_chain", lambda *args: 0)
+        cfg = _write_cfg(tmp_path, _config_text("noise-discrete", "trials", 2000))
         assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        failed = [c["name"] for c in load_manifest(tmp_path / "o" / "manifest.json").checks if not c["passed"]]
+        assert failed == ["unconstrained large noise does perturb the final token"]
 
     def test_report_markdown_and_svg(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path, SMALL_ACCURACY_CFG)
@@ -766,6 +706,12 @@ class TestCli:
             ("manifest.json", _MANIFEST_HEAD + b'"checks": [{"name": "c", "passed": true, "detail": 5}], "files": []}'),
             ("manifest.json", _MANIFEST_HEAD + b'"files": [], "checks": "abc"}'),
             ("manifest.json", b'{"experiment": ["accuracy-sweep"], "config_hash": "x", "seed": 7}'),
+            # a lone surrogate escape is no UTF-8 text, so no report can write it
+            ("manifest.json", _MANIFEST_HEAD + b'"files": [], "checks": [{"name": "\\udcff", "passed": true}]}'),
+            ("manifest.json", _MANIFEST_HEAD + b'"files": [], "checks": [{"name": "c", "passed": true, "detail": "\\udcff"}]}'),
+            ("manifest.json", _MANIFEST_HEAD + b'"started_at": "\\udcff", "files": [], "checks": []}'),
+            ("manifest.json", b'{"experiment": "\\udcff", "config_hash": "x", "seed": 7, "files": [], "checks": []}'),
+            ("manifest.json", b'{"experiment": "accuracy-sweep", "config_hash": "\\udcff", "seed": 7, "files": [], "checks": []}'),
         ],
     )
     def test_malformed_report_input_is_report_error(self, tmp_path, capsys, filename, text):
@@ -809,8 +755,62 @@ class TestCli:
         assert capsys.readouterr().err == f"ConfigError: {message}\n"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["run", "verify-all"])
+    def test_out_that_is_not_utf8_exits_two_before_any_precheck(self, tmp_path, capsys, monkeypatch, command):
+        # a path argument holding the byte 0xff reaches argv as the lone surrogate U+DCFF
+        def refuse(*args, **kwargs):
+            raise AssertionError("an experiment was prechecked or run before --out was checked")
+
+        for name, definition in list(EXPERIMENTS.items()):
+            monkeypatch.setitem(EXPERIMENTS, name, dataclasses.replace(definition, runner=refuse, precheck=refuse))
+        argv = ["run", "--config", _write_cfg(tmp_path, SMALL_ACCURACY_CFG)] if command == "run" else [command]
+        assert cli.main(argv + ["--out", str(tmp_path / "o\udcff")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ConfigError: --out: not UTF-8 text (") and err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == (["exp.cfg"] if command == "run" else [])
+
 
 class TestPrecheck:
+    def test_tradeoff_samples_are_priced_at_the_byte_cap(self):
+        # the largest samples whose excess vectors fit EXCESS_BYTES_CAP passes; one more row per B does not
+        params = default_params("tradeoff-scan")
+        n_b = len(params["options_set"])
+        largest = EXCESS_BYTES_CAP // (32 * n_b) * n_b + n_b - 1
+        precheck = EXPERIMENTS["tradeoff-scan"].precheck
+        precheck({**params, "samples": largest})
+        with pytest.raises(EnumerationTooLargeError, match=r"^params\.samples: the four excess vectors would hold "):
+            precheck({**params, "samples": largest + 1})
+
+    def test_every_key_named_in_experiments_is_in_its_schema(self):
+        # a key read as params["..."], or named to _keyed, _cap_draws or _price_search, by an
+        # experiment's runner or precheck or a module function they call, is in its schema;
+        # so is the key of every refusal message in _BAD_PARAM_CASES (unknown-key rows aside)
+        tree = ast.parse(Path(experiments.__file__).read_text())
+        functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+        key_arg = {"_keyed": 0, "_cap_draws": 0, "_price_search": 2}  # the argument that names the key
+
+        def named_keys(name, seen):
+            seen.add(name)
+            for node in ast.walk(functions[name]):
+                if isinstance(node, ast.Subscript) and getattr(node.value, "id", None) == "params":
+                    if isinstance(node.slice, ast.Constant):
+                        yield node.slice.value
+                elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                    called = node.func.id
+                    key = node.args[key_arg[called]] if called in key_arg else None
+                    if isinstance(key, ast.Constant):
+                        yield key.value
+                    if called in functions and called not in seen:
+                        yield from named_keys(called, seen)
+
+        for name, definition in EXPERIMENTS.items():
+            for phase in (definition.runner, definition.precheck):
+                keys = set(named_keys(phase.__name__, set()))
+                assert keys <= set(definition.schema), f"{name}: {phase.__name__} names {keys - set(definition.schema)}"
+        for experiment, key, value, message in _BAD_PARAM_CASES:
+            named = re.match(r"params\.(\w+):", message)
+            assert named is None or named[1] in EXPERIMENTS[experiment].schema, f"{experiment}: {message}"
+
     def test_refusals_stay_out_of_the_runners(self):
         # a runner may assume valid params: it raises nothing and prices nothing,
         # and every experiment declares the precheck that refuses its params
@@ -845,7 +845,10 @@ class TestPrecheck:
         for name, definition in EXPERIMENTS.items():
             definition.precheck(default_params(name))
         refused = 0
-        cases = [*_BAD_PARAM_CASES, *[(*case, "over the cap") for case in _DRAW_CAP_CASES]]
+        cases = [
+            *_BAD_PARAM_CASES, *[(*case, "over the cap") for case in _DRAW_CAP_CASES],
+            *[("tradeoff-scan", "samples", *case) for case in _SAMPLES_CAP_CASES],
+        ]
         for experiment, key, value, message in cases:
             try:
                 config = build_config(
@@ -974,7 +977,7 @@ class TestCustomGraph:
             f"graph_file = {graph_path}\n"
             "graph_trials = 2000\n"
             "policy_draws = 30\nmc_trials = 4000\ndivergence_draws = 4\n"
-            "capped_samples = 300\nkappa_grid = 100.0, 10000.0\n",
+            "capped_samples = 300\n",
         )
         out = tmp_path / "o"
         code = cli.main(["run", "--config", cfg, "--out", str(out)])
@@ -1023,12 +1026,12 @@ class TestDefaults:
 
     def test_config_dataclass_round_trip_via_text(self):
         config = ExperimentConfig(
-            experiment="curriculum", seed=123, params=default_params("curriculum"),
+            experiment="error-accumulation", seed=123, params=default_params("error-accumulation"),
             output_dir="out",
         )
         raw = parse_config_text(canonical_text(config))
         rebuilt = build_config(
-            raw, EXPERIMENTS["curriculum"].schema, experiment_names=set(EXPERIMENTS)
+            raw, EXPERIMENTS["error-accumulation"].schema, experiment_names=set(EXPERIMENTS)
         )
         assert canonical_text(rebuilt) == canonical_text(config)
 
