@@ -157,7 +157,7 @@ def _top_and_options(top_prob: float, n_options: int) -> tuple[float, int]:
     b = int(n_options)
     if b < 2:
         raise InvalidInputError(f"need at least 2 options, got {b}")
-    if s >= 1.0 or s < 1.0 / b - 1e-15:
+    if not (1.0 / b - 1e-15 <= s < 1.0):
         raise InvalidInputError(
             f"top probability must lie in [1/B, 1) = [{1.0 / b}, 1), got {s!r}"
         )

@@ -24,10 +24,10 @@ hot paths call ufunc ``reduce`` directly, which on these tiny arrays costs
 less than the ndarray methods that wrap it.  The updates are those of
 Tishby, Pereira & Bialek, "The information bottleneck method" (1999).
 ``brute_force_cib`` scores every deterministic encoder, in one-hot stacks,
-as an independent check, and ``information_frontier`` sweeps ``beta`` to
-trace the achievable (I_past, I_future) envelope.  The envelope must come
-out monotone and concave if the solver is doing its job; the cib-frontier
-experiment gates that, not ``information_frontier``.
+as an independent check, and ``information_frontier`` sweeps ``beta`` over
+``FRONTIER_BETAS`` to trace the achievable (I_past, I_future) envelope.  The
+envelope must come out monotone and concave if the solver is doing its job;
+the cib-frontier experiment gates that, not ``information_frontier``.
 
 ``beta_schedule`` exposes the stage-dependent trade-off weight
 ``k / (M - k)``: early stages pay nothing for compression, late
@@ -54,6 +54,8 @@ MAX_SWEEPS = 10_000
 # below which a candidate counts as converged.
 RESTARTS = 16
 TOL = 1e-10
+# The betas that ``information_frontier`` solves at.
+FRONTIER_BETAS = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 32.0, 1000.0)
 # Largest conditional p(s_future | s_past, x) of a ``random_noisy_problem``.
 MAX_CONDITIONAL = 0.9
 # Stand-in for log(0) in encoder updates: large enough to zero cells after
@@ -409,16 +411,12 @@ def brute_force_cib(
 # ---------------------------------------------------------------------------
 
 
-def information_frontier(problem: CibProblem, beta_grid, n_latent: int, seed: int = 0) -> list[InfoPlanePoint]:
-    """Solve per beta; return the points sorted by (i_past, i_future)."""
-    grid = [float(b) for b in beta_grid]
-    if not grid or any(b < 0 for b in grid):
-        raise InvalidInputError("beta grid must be non-empty and non-negative")
-    if any(b2 <= b1 for b1, b2 in zip(grid, grid[1:])):
-        raise InvalidInputError("beta grid must be strictly ascending")
+def information_frontier(problem: CibProblem, seed: int = 0) -> list[InfoPlanePoint]:
+    """Solve at each beta of ``FRONTIER_BETAS`` with a latent alphabet as large as the
+    past's, so the encoder can be lossless; return the points sorted by (i_past, i_future)."""
     points = [
-        solve_cib(problem, beta, n_latent, seed=derive_seed(seed, "frontier", idx)).point
-        for idx, beta in enumerate(grid)
+        solve_cib(problem, beta, problem.n_past, seed=derive_seed(seed, "frontier", idx)).point
+        for idx, beta in enumerate(FRONTIER_BETAS)
     ]
     return sorted(points, key=lambda pt: (pt.i_past, pt.i_future))
 

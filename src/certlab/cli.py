@@ -43,7 +43,6 @@ def _execute(config: ExperimentConfig, threads: int) -> RunManifest:
     )
     result = definition.runner(config.seed, config.params, threads)
     out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     for filename, (header, rows) in sorted(result.tables.items()):
         path = out_dir / filename
         digest = write_csv(path, header, rows)
@@ -87,19 +86,17 @@ def _threads(args) -> int:
     return args.threads or 1
 
 
-def _out(args) -> str | None:
-    """The --out path; one that is not UTF-8 text (a byte such as 0xff) is a ConfigError."""
-    if args.out is not None:
-        try:
-            args.out.encode("utf-8")
-        except UnicodeEncodeError as exc:
-            raise ConfigError(f"--out: not UTF-8 text ({exc})") from None
-    return args.out
+def _check_out_dir(out_dir: str, source: str) -> None:
+    """Refuse an output directory whose absolute path, the one the manifest records, is not
+    UTF-8 text: a byte such as 0xff, in the path or in the working directory, is a ConfigError."""
+    try:
+        str(Path(out_dir).resolve()).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ConfigError(f"{source}: not UTF-8 text ({exc})") from None
 
 
 def cmd_run(args) -> int:
     threads = _threads(args)
-    out = _out(args)
     raw = parse_config_text(read_text_file(args.config, ConfigError))
     schema = EXPERIMENTS[raw.experiment].schema if raw.experiment in EXPERIMENTS else {}
     config = build_config(
@@ -107,8 +104,9 @@ def cmd_run(args) -> int:
         schema,
         experiment_names=set(EXPERIMENTS),
         seed_override=args.seed,
-        out_override=out,
+        out_override=args.out,
     )
+    _check_out_dir(config.output_dir, "--out" if args.out is not None else "run.output_dir")
     manifest = _execute(config, threads)
     _summarize(manifest, sys.stdout)
     print(f"manifest: {Path(config.output_dir) / 'manifest.json'}")
@@ -128,7 +126,8 @@ def cmd_report(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
-    out_root = Path(_out(args))
+    _check_out_dir(args.out, "--out")
+    out_root = Path(args.out)
     all_ok = True
     threads = _threads(args)
     seed = check_seed(args.seed, "--seed")

@@ -48,6 +48,12 @@ FEATURES.setflags(write=False)
 # radius of the weight ball that fits are projected onto: it bounds the drift
 # of a fit whose optimum lies at infinity, as with biased data
 PARAM_BOUND = 50.0
+# every fit's iterations and step
+FIT_ITERATIONS = 5000
+FIT_STEP = 0.1
+# the convergence sweep's sample sizes and trials per size
+N_GRID = (100, 1000, 10_000, 100_000)
+TRIALS_PER_N = 50
 
 
 def state_distribution(theta) -> np.ndarray:
@@ -96,9 +102,10 @@ def log_likelihood_grad(theta, counts: np.ndarray) -> np.ndarray:
     return empirical - expected
 
 
-def fit_rows(counts, iterations: int, step: float) -> tuple[np.ndarray, np.ndarray]:
+def fit_rows(counts) -> tuple[np.ndarray, np.ndarray]:
     """Projected gradient ascent on the mean log-likelihood from theta = 0 for
-    each row of a ``(k, 3)`` count matrix, all rows in lockstep.
+    each row of a ``(k, 3)`` count matrix, all rows in lockstep: ``FIT_ITERATIONS``
+    steps of size ``FIT_STEP``.
 
     After every step each row is projected back onto the ball
     ``|theta| <= PARAM_BOUND``; with interior optima (all states observed)
@@ -109,21 +116,12 @@ def fit_rows(counts, iterations: int, step: float) -> tuple[np.ndarray, np.ndarr
     counts = np.asarray(counts, dtype=np.float64)
     if counts.ndim != 2 or counts.shape[0] < 1 or counts.shape[1] != 3:
         raise InvalidInputError(f"need a (k >= 1, 3) count matrix, got shape {counts.shape}")
-    if iterations < 1:
-        raise InvalidInputError(f"need iterations >= 1, got {iterations}")
-    if step <= 0:
-        raise InvalidInputError(f"step must be positive, got {step!r}")
-    # each gradient coordinate lies in [-1, 1], so before a projection every |theta_i| is
-    # at most PARAM_BOUND + step, and the squared norm sums three such squares
-    reach = PARAM_BOUND + step
-    if not math.isfinite(3.0 * (reach * reach)):  # a float product overflows to inf where ** would raise
-        raise InvalidInputError(f"step {step!r} overflows the projection's squared norm")
     # the loop's gradient is log_likelihood_grad with its constant empirical
     # term computed once: the same operations, so the same bits
     empirical = counts @ FEATURES / counts.sum(axis=-1, keepdims=True)
     theta = np.zeros(counts.shape)
-    for _ in range(iterations):
-        theta = theta + step * (empirical - state_distribution(theta) @ FEATURES)
+    for _ in range(FIT_ITERATIONS):
+        theta = theta + FIT_STEP * (empirical - state_distribution(theta) @ FEATURES)
         squares = theta * theta  # np.linalg.norm's arithmetic, summed as state_distribution sums
         norm = np.sqrt((squares[:, 0] + squares[:, 1]) + squares[:, 2])
         over = norm > PARAM_BOUND
@@ -134,9 +132,9 @@ def fit_rows(counts, iterations: int, step: float) -> tuple[np.ndarray, np.ndarr
     return theta, grad_norm
 
 
-def mle_fit(counts, iterations: int = 5000, step: float = 0.1) -> tuple[np.ndarray, float]:
+def mle_fit(counts) -> tuple[np.ndarray, float]:
     """Fit one count vector: the first row of ``fit_rows``, as the weights and the final gradient norm."""
-    theta, grad_norm = fit_rows(np.asarray(counts)[None, :], iterations, step)
+    theta, grad_norm = fit_rows(np.asarray(counts)[None, :])
     return theta[0], float(grad_norm[0])
 
 
@@ -158,27 +156,21 @@ class SweepResult(NamedTuple):
     slope: float
 
 
-def sweep_counts(expert_theta, n_grid, trials_per_n: int, seed: int) -> np.ndarray:
-    """The sweep's ``(len(n_grid) * trials_per_n, 3)`` count matrix, n-major.
+def sweep_counts(expert_theta, seed: int) -> np.ndarray:
+    """The sweep's ``(len(N_GRID) * TRIALS_PER_N, 3)`` count matrix, n-major.
 
-    Trial (n, t) draws its counts from the stream (seed, "sweep", n, t).  The grid
-    and trial count are validated before any dataset is drawn.
+    Trial (n, t) draws its counts from the stream (seed, "sweep", n, t).
     """
-    grid = [int(n) for n in n_grid]
-    if len(grid) < 2 or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise InvalidInputError("n grid must be increasing with >= 2 points")
-    if trials_per_n < 2:
-        raise InvalidInputError(f"need >= 2 trials per n, got {trials_per_n}")
     return np.array(
         [
             draw_counts(expert_theta, n, derive_seed(seed, "sweep", n, trial))
-            for n in grid
-            for trial in range(trials_per_n)
+            for n in N_GRID
+            for trial in range(TRIALS_PER_N)
         ]
     )
 
 
-def summarize_sweep(expert_theta, n_grid, theta: np.ndarray) -> SweepResult:
+def summarize_sweep(expert_theta, theta: np.ndarray) -> SweepResult:
     """Mean |fitted success - expert success| per sample size, with log-log slope.
 
     ``theta`` holds the fitted weights of ``sweep_counts``'s rows, n-major.
@@ -186,13 +178,12 @@ def summarize_sweep(expert_theta, n_grid, theta: np.ndarray) -> SweepResult:
     and variance come from correctly rounded sums, the same in any trial
     order, rather than from sums whose last bits depend on that order.
     """
-    grid = [int(n) for n in n_grid]
     expert_success = success_rate(np.asarray(expert_theta, dtype=np.float64))
     all_gaps = np.abs(state_distribution(theta)[:, EXPERT] - expert_success)
     rows: list[SweepRow] = []
     log_n: list[float] = []
     log_gap: list[float] = []
-    for n, gaps in zip(grid, all_gaps.reshape(len(grid), -1).tolist()):
+    for n, gaps in zip(N_GRID, all_gaps.reshape(len(N_GRID), -1).tolist()):
         mean_gap = math.fsum(gaps) / len(gaps)
         var = math.fsum((g - mean_gap) ** 2 for g in gaps) / (len(gaps) - 1)
         log_n.append(math.log(n))

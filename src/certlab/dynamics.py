@@ -48,6 +48,9 @@ from .seeding import rng_for
 MC_BLOCK = 8192
 # Floor of every discrete-chain step's top-two logit gap.
 MIN_MARGIN = 1.0
+# The accuracy sweep's clean logit gap, and the noise scales it samples.
+ACCURACY_MARGIN = 2.0
+SIGMA_GRID = (0.1, 0.17, 0.3, 0.5, 0.85, 1.4, 2.4, 4.0, 6.7, 11.0)
 
 # ---------------------------------------------------------------------------
 # Continuous latent chain
@@ -285,20 +288,14 @@ def accuracy_curve(margin: float, noise_gain: float, sigma_grid) -> list[tuple[f
     return [(s, normal_cdf(margin / (root_gain * s))) for s in grid]
 
 
-def empirical_accuracy_sweep(
-    dim: int,
-    margin: float,
-    sigma_grid,
-    trials: int,
-    seed: int,
-) -> list[tuple[float, float, float, float]]:
+def empirical_accuracy_sweep(dim: int, trials: int, seed: int) -> list[tuple[float, float, float, float]]:
     """Sample the retention rate of a concrete two-row readout under state noise.
 
     Builds a readout whose row difference has entries +-1 (norm sqrt(dim),
     so the analytic curve's noise gain is dim) and a clean logit gap of
-    ``margin``; for each sigma draws isotropic state noise, projects it
-    onto the row difference, and counts draws whose projected gap stays
-    below the margin.  Returns the
+    ``ACCURACY_MARGIN``; for each sigma of ``SIGMA_GRID`` draws isotropic state
+    noise, projects it onto the row difference, and counts draws whose
+    projected gap stays below the margin.  Returns the
     ``(sigma, analytic, empirical, std_error)`` rows.
 
     Sigma ``idx`` draws its ``(trials, dim)`` noise from the stream
@@ -310,17 +307,17 @@ def empirical_accuracy_sweep(
     """
     if trials < 1000:
         raise InvalidInputError(f"need at least 1000 trials, got {trials}")
-    if dim < 1 or not (margin > 0):
-        raise InvalidInputError("need dim >= 1 and margin > 0")
+    if dim < 1:
+        raise InvalidInputError(f"need dim >= 1, got {dim}")
     row_diff = np.where(np.arange(dim) % 2 == 0, 1.0, -1.0)
     rows = []
     block = block_rows(dim)
-    for idx, (sigma, expected) in enumerate(accuracy_curve(margin, float(dim), sigma_grid)):
+    for idx, (sigma, expected) in enumerate(accuracy_curve(ACCURACY_MARGIN, float(dim), SIGMA_GRID)):
         rng = rng_for(seed, "accuracy", idx)
         below = 0
         for start in range(0, trials, block):
             projected = rng.normal(0.0, sigma, (min(block, trials - start), dim)) @ row_diff
-            below += int(np.count_nonzero(projected < margin))
+            below += int(np.count_nonzero(projected < ACCURACY_MARGIN))
         retained = below / trials
         std_error = math.sqrt(max(retained * (1.0 - retained), 1e-12) / trials)
         rows.append((sigma, expected, retained, std_error))

@@ -24,8 +24,11 @@ starts.  A precheck only parses, evaluates closed forms and prices work
 against caps: it draws nothing and runs no solver, and every refusal names
 the key it refuses.  A value that both need comes from one helper, so the
 runner may assume valid params.  An input that no caller varies is a module
-constant beside its experiment's schema; divergence-asymptote, cib-frontier
-and curriculum have no params, and share ``precheck_no_params``.
+constant: beside its experiment's schema, or, where a library function reads
+it (curriculum's sweep grid and fit settings, the accuracy sweep's margin and
+sigma grid, the frontier's betas), beside that function's other constants;
+divergence-asymptote, cib-frontier and curriculum have no params, and share
+``precheck_no_params``.
 """
 
 from __future__ import annotations
@@ -656,10 +659,6 @@ ACCURACY_SCHEMA = {
     "dim": ParamSpec(16, minimum=1),
     "trials": ParamSpec(100_000, minimum=1000),
 }
-# The readout's clean logit gap, and the noise scales the sweep samples.
-ACCURACY_MARGIN = 2.0
-SIGMA_GRID = (0.1, 0.17, 0.3, 0.5, 0.85, 1.4, 2.4, 4.0, 6.7, 11.0)
-
 
 # The quadrature oracle's lower limit and its (even) number of Simpson intervals.
 SIMPSON_LOWER = -10.0
@@ -693,18 +692,14 @@ def _crossing_sigma(margin: float, gain: float, level: float) -> float:
 
 
 def precheck_accuracy_sweep(params: dict) -> None:
-    _cap_draws("trials", params["trials"] * params["dim"] * len(SIGMA_GRID))
+    _cap_draws("trials", params["trials"] * params["dim"] * len(dynamics.SIGMA_GRID))
 
 
 def run_accuracy_sweep(seed: int, params: dict, threads: int = 1) -> ExperimentResult:
     result = ExperimentResult()
-    gain = float(params["dim"])
+    gain, margin = float(params["dim"]), dynamics.ACCURACY_MARGIN
     rows = dynamics.empirical_accuracy_sweep(
-        dim=params["dim"],
-        margin=ACCURACY_MARGIN,
-        sigma_grid=SIGMA_GRID,
-        trials=params["trials"],
-        seed=derive_seed(seed, "accuracy"),
+        dim=params["dim"], trials=params["trials"], seed=derive_seed(seed, "accuracy")
     )
     result.tables["accuracy_sweep.csv"] = (["sigma", "analytic", "empirical", "std_error"], rows)
     sigmas, analytic, empirical = np.array([r[:3] for r in rows]).T
@@ -718,7 +713,7 @@ def run_accuracy_sweep(seed: int, params: dict, threads: int = 1) -> ExperimentR
         "analytic curve is monotone non-increasing",
         analytic[1:] - analytic[:-1], lambda i: f"sigma={rows[i + 1][0]} after sigma={rows[i][0]}",
     )
-    limits = dict(dynamics.accuracy_curve(ACCURACY_MARGIN, gain, (1e-6, 1e6)))
+    limits = dict(dynamics.accuracy_curve(margin, gain, (1e-6, 1e6)))
     result.gate(
         "retention plateau at 1 as sigma -> 0", [1.0 - 1e-12 - limits[1e-6]],
         lambda i: f"retention {limits[1e-6]!r} at sigma 1e-06, floor 1 - 1e-12",
@@ -737,7 +732,7 @@ def run_accuracy_sweep(seed: int, params: dict, threads: int = 1) -> ExperimentR
     )
     result.within(
         "doubling the margin doubles the three-quarter retention crossing",
-        _crossing_sigma(2.0 * ACCURACY_MARGIN, gain, 0.75) / _crossing_sigma(ACCURACY_MARGIN, gain, 0.75), 2.0, 0.02,
+        _crossing_sigma(2.0 * margin, gain, 0.75) / _crossing_sigma(margin, gain, 0.75), 2.0, 0.02,
     )
     return result
 
@@ -746,12 +741,11 @@ def run_accuracy_sweep(seed: int, params: dict, threads: int = 1) -> ExperimentR
 # cib-frontier: bottleneck solver vs brute force, frontier geometry
 # ---------------------------------------------------------------------------
 
-# The frontier's noisy problem seed and betas, and the corpus.
+# The frontier's noisy problem seed, and the corpus; the frontier's betas are cib's.
 CIB_PROBLEM_SEED = 7
 CIB_CORPUS_SIZE = 20
 CIB_CORPUS_BETAS = (0.5, 1.0, 2.0, 5.0)
 CIB_N_LATENT = 2
-CIB_FRONTIER_BETAS = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 32.0, 1000.0)
 
 
 def frontier_envelope(points) -> tuple[list[float], list[str]]:
@@ -778,7 +772,7 @@ def run_cib_frontier(seed: int, params: dict, threads: int = 1) -> ExperimentRes
     )
 
     # frontier with a lossless-capable latent alphabet
-    pts = cib.information_frontier(noisy, CIB_FRONTIER_BETAS, n_latent=noisy.n_past, seed=derive_seed(seed, "frontier"))
+    pts = cib.information_frontier(noisy, seed=derive_seed(seed, "frontier"))
     result.tables["cib_frontier.csv"] = (
         ["beta", "i_past", "i_future", "objective", "converged"],
         [(p.beta, p.i_past, p.i_future, p.objective, p.converged) for p in pts],
@@ -898,14 +892,10 @@ def run_cib_frontier(seed: int, params: dict, threads: int = 1) -> ExperimentRes
 # ---------------------------------------------------------------------------
 
 # The expert weights behind the strong-expert fit, and those behind the convergence
-# sweep and the total-variation fits; the sweep's sample sizes and trials per size;
-# every fit's iterations and step; the gradient checks; the total-variation fits per size.
+# sweep and the total-variation fits; the gradient checks; the total-variation fits
+# per size.  The sweep's grid and every fit's settings are curriculum's constants.
 STRONG_THETA = (10.0, 0.0, 0.0)
 RATE_THETA = (2.0, 0.0, 0.0)
-N_GRID = (100, 1000, 10_000, 100_000)
-TRIALS_PER_N = 50
-FIT_ITERATIONS = 5000
-FIT_STEP = 0.1
 GRAD_CHECKS = 100
 TV_TRIALS = 10
 
@@ -933,8 +923,8 @@ def run_curriculum(seed: int, params: dict, threads: int = 1) -> ExperimentResul
     # strong-expert counts and the balanced counts; they are
     # curriculum_policies.csv), the convergence-sweep rows and the
     # total-variation rows.
-    grid = N_GRID
-    sweep_data = curriculum.sweep_counts(rate_theta, grid, TRIALS_PER_N, seed=derive_seed(seed, "sweep"))
+    grid = curriculum.N_GRID
+    sweep_data = curriculum.sweep_counts(rate_theta, seed=derive_seed(seed, "sweep"))
     policy_counts = [[0.0, float(n), 0.0] for n in grid]
     policy_counts += [
         curriculum.draw_counts(strong, grid[-1], derive_seed(seed, "strong")),
@@ -945,9 +935,7 @@ def run_curriculum(seed: int, params: dict, threads: int = 1) -> ExperimentResul
         for n in grid
         for t in range(TV_TRIALS)
     ]
-    all_thetas, all_grad_norms = curriculum.fit_rows(
-        np.vstack([policy_counts, sweep_data, tv_counts]), FIT_ITERATIONS, FIT_STEP
-    )
+    all_thetas, all_grad_norms = curriculum.fit_rows(np.vstack([policy_counts, sweep_data, tv_counts]))
     policies, sweep_end = len(policy_counts), len(policy_counts) + len(sweep_data)
     thetas, grad_norms = all_thetas[:policies], all_grad_norms[:policies]
     successes = curriculum.state_distribution(thetas)[:, curriculum.EXPERT]
@@ -971,7 +959,7 @@ def run_curriculum(seed: int, params: dict, threads: int = 1) -> ExperimentResul
         np.polyfit([math.log(n) for n in grid], log_gaps, 1)[0], 0.0, 0.01, lambda i: "log-log slope",
     )
 
-    sweep = curriculum.summarize_sweep(rate_theta, grid, all_thetas[policies:sweep_end])
+    sweep = curriculum.summarize_sweep(rate_theta, all_thetas[policies:sweep_end])
     rows = [(n, "biased", gap, 0.0, 0.0) for n, gap in zip(grid, gaps[biased].tolist())]
     rows.extend(sweep.rows)
     result.tables["curriculum_sweep.csv"] = (

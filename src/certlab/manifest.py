@@ -51,7 +51,8 @@ def write_csv(path: Path, header: list[str], rows) -> str:
 
 
 def write_text_file(path: Path, text: str) -> str:
-    """Write a plain-text artifact and return its sha256 hex digest."""
+    """Write a plain-text artifact as UTF-8, creating its directory, and return its sha256 hex digest.
+    Every file certlab writes goes through here."""
     data = text.encode("utf-8")
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_bytes(data)
@@ -108,8 +109,7 @@ class RunManifest:
         return all(c["passed"] for c in self.checks)
 
     def save(self, path: Path) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
+        write_text_file(path, json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
 
 
 # What a report reads of each manifest entry: (field, type, value when absent; None if required).

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ReportError
-from .manifest import RunManifest, read_csv
+from .manifest import RunManifest, read_csv, write_text_file
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
@@ -49,7 +49,7 @@ def emit_markdown(manifest: RunManifest, out_path: Path) -> Path:
         if not path.exists():
             raise ReportError(f"manifest references a missing file: {path}")
         lines.append(f"- `{entry['path']}` (sha256 `{entry['sha256'][:16]}...`)")
-    out_path.write_text("\n".join(lines) + "\n")
+    write_text_file(out_path, "\n".join(lines) + "\n")
     return out_path
 
 
@@ -122,7 +122,7 @@ def _svg_line_chart(
             f'font-size="11" fill="{color}">{label}</text>'
         )
     parts.append("</svg>")
-    out_path.write_text("\n".join(parts) + "\n")
+    write_text_file(out_path, "\n".join(parts) + "\n")
     return out_path
 
 
@@ -184,7 +184,6 @@ CHARTS = {
 
 def emit_svg_charts(manifest: RunManifest, out_dir: Path) -> list[Path]:
     """The line chart of ``manifest``'s experiment, per its ``CHARTS`` entry."""
-    out_dir.mkdir(parents=True, exist_ok=True)
     chart = CHARTS.get(manifest.experiment)
     if chart is None:
         return []

@@ -237,6 +237,10 @@ class TestDivergenceFloors:
             cat.tradeoff_lower_bound(1.0, 4)
         with pytest.raises(InvalidInputError):
             cat.min_exploration_divergence(0.1, 4)
+        # every comparison with NaN is false, so only a test of membership refuses it
+        for floor in (cat.tradeoff_lower_bound, cat.min_exploration_divergence):
+            with pytest.raises(InvalidInputError, match=re.escape("top probability must lie in [1/B, 1)")):
+                floor(float("nan"), 4)
 
     def test_floors_are_attained_by_even_remainders(self):
         for b in (2, 3, 4, 8, 16):

@@ -210,7 +210,8 @@ class TestFrontier:
     def test_small_frontier_is_clean(self, monkeypatch):
         monkeypatch.setattr(cib, "RESTARTS", 8)
         problem = cib.random_noisy_problem(3, 3, 1, seed=7)
-        points = cib.information_frontier(problem, (0.0, 0.5, 2.0, 50.0), n_latent=3, seed=0)
+        monkeypatch.setattr(cib, "FRONTIER_BETAS", (0.0, 0.5, 2.0, 50.0))
+        points = cib.information_frontier(problem, seed=0)
         excess, _ = frontier_envelope(points)
         assert len(excess) == 3 + 2 and max(excess) <= 0.0
         past = [p.i_past for p in points]
@@ -223,13 +224,6 @@ class TestFrontier:
         excess, where = frontier_envelope([point(0.0, 0.0), point(0.2, 0.1), point(0.4, 0.05), point(0.6, 0.5)])
         over = [label for e, label in zip(excess, where) if e > 0.0]
         assert over == ["i_future drop between beta=0.2 and beta=0.4", "convex kink at beta=0.4 (i_past 0.400000000)"]
-
-    def test_grid_validation(self):
-        problem = two_by_two_problem()
-        with pytest.raises(InvalidInputError):
-            cib.information_frontier(problem, (1.0, 0.5), n_latent=2)
-        with pytest.raises(InvalidInputError):
-            cib.information_frontier(problem, (), n_latent=2)
 
 
 class TestSerialization:

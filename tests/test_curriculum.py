@@ -1,7 +1,6 @@
 """Three-state toy world: shortcut bias vs expert-sampled convergence."""
 
 import math
-import re
 
 import numpy as np
 import pytest
@@ -112,10 +111,11 @@ class TestMleFit:
         theta, _ = cur.mle_fit(cur.draw_counts(expert, 100_000, 3))
         assert abs(cur.success_rate(theta) - cur.success_rate(expert)) <= 0.005
 
-    def test_is_the_first_row_of_fit_rows(self):
+    def test_is_the_first_row_of_fit_rows(self, monkeypatch):
+        _fit_settings(monkeypatch, 300, 0.2)
         counts = cur.draw_counts(np.array([2.0, 0.0, 0.0]), 500, 8)
-        theta, grad_norm = cur.mle_fit(counts, iterations=300, step=0.2)
-        rows_theta, rows_norm = cur.fit_rows(counts[None, :], 300, 0.2)
+        theta, grad_norm = cur.mle_fit(counts)
+        rows_theta, rows_norm = cur.fit_rows(counts[None, :])
         np.testing.assert_array_equal(theta, rows_theta[0])
         assert grad_norm == rows_norm[0]
 
@@ -138,8 +138,15 @@ class TestMleFit:
 
     def test_projection_keeps_iterates_in_ball(self, monkeypatch):
         monkeypatch.setattr(cur, "PARAM_BOUND", 3.0)
-        theta, _ = cur.mle_fit(np.array([0.0, 10.0, 0.0]), iterations=200, step=5.0)
+        _fit_settings(monkeypatch, 200, 5.0)
+        theta, _ = cur.mle_fit(np.array([0.0, 10.0, 0.0]))
         assert np.linalg.norm(theta) <= 3.0 + 1e-9
+
+
+def _fit_settings(patch, iterations, step):
+    """Set every fit's iterations and step for the rest of the test."""
+    patch.setattr(cur, "FIT_ITERATIONS", iterations)
+    patch.setattr(cur, "FIT_STEP", step)
 
 
 def _reference_fit(counts, iterations, step, param_bound):
@@ -185,7 +192,8 @@ class TestFitRows:
     )
     def test_rows_equal_the_scalar_loop(self, monkeypatch, counts, iterations, step, param_bound):
         monkeypatch.setattr(cur, "PARAM_BOUND", param_bound)
-        theta, grad_norm = cur.fit_rows(counts, iterations, step)
+        _fit_settings(monkeypatch, iterations, step)
+        theta, grad_norm = cur.fit_rows(counts)
         for row, c in enumerate(counts):
             ref_theta, ref_norm = _reference_fit(c, iterations, step, param_bound)
             np.testing.assert_array_equal(theta[row], ref_theta)
@@ -193,13 +201,14 @@ class TestFitRows:
         if param_bound == 3.0:
             assert abs(np.linalg.norm(theta[0]) - 3.0) <= 1e-12  # the projection was active
 
-    def test_projection_sums_the_squares_as_linalg_norm_does(self):
+    def test_projection_sums_the_squares_as_linalg_norm_does(self, monkeypatch):
         # one large step from theta = 0 throws every row outside the ball, so
         # each row is scaled by PARAM_BOUND / norm: that norm must be
         # np.linalg.norm's, ((t0*t0 + t1*t1) + t2*t2), to the last bit
         counts = np.random.default_rng(0).integers(1, 1000, (400, 3)).astype(np.float64)
         step = 1e6
-        theta, _ = cur.fit_rows(counts, 1, step)
+        _fit_settings(monkeypatch, 1, step)
+        theta, _ = cur.fit_rows(counts)
         start = np.zeros(counts.shape)
         empirical = counts @ cur.FEATURES / counts.sum(axis=-1, keepdims=True)
         raw = start + step * (empirical - cur.state_distribution(start) @ cur.FEATURES)
@@ -219,10 +228,10 @@ class TestFitRows:
             _counts(np.array([2.0, 0.0, 0.0]), (100, 100, 1000, 10_000), 5),
             _counts(np.zeros(3), (10, 30), 9),
         ]
-        theta, grad_norm = cur.fit_rows(np.vstack(groups), 5000, 0.1)
+        theta, grad_norm = cur.fit_rows(np.vstack(groups))
         start = 0
         for group in groups:
-            group_theta, group_norm = cur.fit_rows(group, 5000, 0.1)
+            group_theta, group_norm = cur.fit_rows(group)
             rows = slice(start, start + len(group))
             np.testing.assert_array_equal(theta[rows], group_theta)
             np.testing.assert_array_equal(grad_norm[rows], group_norm)
@@ -245,40 +254,23 @@ class TestFitRows:
     def test_rows_equal_one_row_calls_bit_for_bit(self, counts, iterations, step, param_bound):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(cur, "PARAM_BOUND", param_bound)
-            theta, grad_norm = cur.fit_rows(np.array(counts, dtype=np.float64), iterations, step)
+            _fit_settings(patch, iterations, step)
+            theta, grad_norm = cur.fit_rows(np.array(counts, dtype=np.float64))
             for row, c in enumerate(counts):
-                row_theta, row_norm = cur.fit_rows(np.array([c], dtype=np.float64), iterations, step)
+                row_theta, row_norm = cur.fit_rows(np.array([c], dtype=np.float64))
                 assert [float(x).hex() for x in theta[row]] == [float(x).hex() for x in row_theta[0]]
                 assert float(grad_norm[row]).hex() == float(row_norm[0]).hex()
-
-    def test_step_whose_projection_can_overflow_is_refused(self):
-        # before a projection each |theta_i| <= PARAM_BOUND + step, so the squared
-        # norm is finite while 3 (PARAM_BOUND + step)^2 is; the filter makes any
-        # RuntimeWarning at 1e153 an error
-        counts = np.array([[0.0, 100.0, 0.0], [30.0, 40.0, 30.0]])
-        theta, _ = cur.fit_rows(counts, 5, 1e153)
-        assert np.all(np.linalg.norm(theta, axis=1) <= cur.PARAM_BOUND * (1.0 + 1e-12))
-        for step in (1e154, 1e160, 1e300, np.inf):
-            with pytest.raises(InvalidInputError, match="overflows the projection's squared norm"):
-                cur.fit_rows(counts, 5, step)
 
     @pytest.mark.parametrize("shape", [(3,), (2, 4), (0, 3), (1, 3, 1)])
     def test_count_matrix_must_be_k_by_3(self, shape):
         with pytest.raises(InvalidInputError):
-            cur.fit_rows(np.ones(shape), 1, 0.1)
+            cur.fit_rows(np.ones(shape))
 
-    @pytest.mark.parametrize(
-        "iterations, step, message",
-        [
-            (0, 0.1, "need iterations >= 1, got 0"),
-            (-3, 0.1, "need iterations >= 1, got -3"),
-            (5, 0.0, "step must be positive, got 0.0"),
-            (5, -0.1, "step must be positive, got -0.1"),
-        ],
-    )
-    def test_iterations_and_step_are_checked(self, iterations, step, message):
-        with pytest.raises(InvalidInputError, match=re.escape(message)):
-            cur.fit_rows(np.array([[30.0, 40.0, 30.0]]), iterations, step)
+
+def _sweep_grid(patch, n_grid, trials_per_n):
+    """Set the sweep's sample sizes and trials per size for the rest of the test."""
+    patch.setattr(cur, "N_GRID", n_grid)
+    patch.setattr(cur, "TRIALS_PER_N", trials_per_n)
 
 
 class TestSweep:
@@ -289,54 +281,33 @@ class TestSweep:
             cur.total_variation([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0]], [0.5, 0.5, 0.0]), [0.5, 0.0]
         )
 
-    def test_curriculum_sweep_shrinks(self):
-        theta, grid = np.array([2.0, 0.0, 0.0]), (100, 10_000)
-        counts = cur.sweep_counts(theta, grid, trials_per_n=6, seed=0)
-        fitted, _ = cur.fit_rows(counts, 5000, 0.1)
-        result = cur.summarize_sweep(theta, grid, fitted)
+    def test_curriculum_sweep_shrinks(self, monkeypatch):
+        theta = np.array([2.0, 0.0, 0.0])
+        _sweep_grid(monkeypatch, (100, 10_000), 6)
+        counts = cur.sweep_counts(theta, seed=0)
+        fitted, _ = cur.fit_rows(counts)
+        result = cur.summarize_sweep(theta, fitted)
         assert [(row.n, row.provenance) for row in result.rows] == [(100, "curriculum"), (10_000, "curriculum")]
         assert result.rows[0].mean_gap > result.rows[-1].mean_gap
         assert result.slope < 0.0
 
     def test_biased_fits_ignore_n(self):
-        theta, _ = cur.fit_rows(_biased((100, 1000)), 5000, 0.1)
+        theta, _ = cur.fit_rows(_biased((100, 1000)))
         np.testing.assert_array_equal(theta[0], theta[1])
 
-    def test_sweep_counts_are_n_major(self):
-        counts = cur.sweep_counts(np.array([2.0, 0.0, 0.0]), (100, 1000), trials_per_n=4, seed=3)
+    def test_sweep_counts_are_n_major(self, monkeypatch):
+        _sweep_grid(monkeypatch, (100, 1000), 4)
+        counts = cur.sweep_counts(np.array([2.0, 0.0, 0.0]), seed=3)
         np.testing.assert_array_equal(counts.sum(axis=1), [100] * 4 + [1000] * 4)
 
-    def test_sweep_rows_are_draw_counts_on_their_streams(self):
+    def test_sweep_rows_are_draw_counts_on_their_streams(self, monkeypatch):
         theta, grid, trials, seed = np.array([2.0, 0.0, 0.0]), (100, 1000), 3, 11
-        counts = cur.sweep_counts(theta, grid, trials_per_n=trials, seed=seed)
+        _sweep_grid(monkeypatch, grid, trials)
+        counts = cur.sweep_counts(theta, seed=seed)
         for i, n in enumerate(grid):
             for t in range(trials):
                 expected = cur.draw_counts(theta, n, derive_seed(seed, "sweep", n, t))
                 np.testing.assert_array_equal(counts[i * trials + t], expected)
-
-    def test_grid_validation(self):
-        with pytest.raises(InvalidInputError):
-            cur.sweep_counts(np.zeros(3), (100,), trials_per_n=5, seed=0)
-        with pytest.raises(InvalidInputError):
-            cur.sweep_counts(np.zeros(3), (100, 50), trials_per_n=5, seed=0)
-
-    @pytest.mark.parametrize(
-        "n_grid, trials_per_n, message",
-        [
-            ((), 5, "n grid must be increasing with >= 2 points"),
-            ((100,), 5, "n grid must be increasing with >= 2 points"),
-            ((100, 100), 5, "n grid must be increasing with >= 2 points"),
-            ((1000, 100), 5, "n grid must be increasing with >= 2 points"),
-            ((100, 1000), 1, "need >= 2 trials per n, got 1"),
-        ],
-    )
-    def test_grid_is_refused_before_any_dataset_is_drawn(self, monkeypatch, n_grid, trials_per_n, message):
-        def refuse(*args):
-            raise AssertionError("a dataset was drawn before the grid was checked")
-
-        monkeypatch.setattr(cur, "draw_counts", refuse)
-        with pytest.raises(InvalidInputError, match=re.escape(message)):
-            cur.sweep_counts(np.zeros(3), n_grid, trials_per_n=trials_per_n, seed=0)
 
 
 def test_run_curriculum_fits_every_dataset_in_one_call(monkeypatch):
@@ -356,9 +327,11 @@ def test_run_curriculum_fits_every_dataset_in_one_call(monkeypatch):
 
 def test_closed_form_check_does_not_depend_on_strong_theta(monkeypatch):
     # the closed form is pinned at theta = (10, 0, 0); another expert only moves the gaps
-    for name, value in (("STRONG_THETA", (9.0, 0.0, 0.0)), ("N_GRID", (100, 1000)), ("TRIALS_PER_N", 2),
-                        ("FIT_ITERATIONS", 200), ("GRAD_CHECKS", 1), ("TV_TRIALS", 1)):
-        monkeypatch.setattr(experiments, name, value)
+    for module, name, value in (
+        (experiments, "STRONG_THETA", (9.0, 0.0, 0.0)), (cur, "N_GRID", (100, 1000)), (cur, "TRIALS_PER_N", 2),
+        (cur, "FIT_ITERATIONS", 200), (experiments, "GRAD_CHECKS", 1), (experiments, "TV_TRIALS", 1),
+    ):
+        monkeypatch.setattr(module, name, value)
     result = EXPERIMENTS["curriculum"].runner(0, default_params("curriculum"))
     [check] = [c for c in result.checks if c.name == "expert success reproduces exp(10)/(exp(10)+2) to 1e-9"]
     assert check.passed, check.detail

@@ -454,10 +454,9 @@ class TestAccuracyCurve:
         with pytest.raises(InvalidInputError, match="must be positive"):
             dynamics.accuracy_curve(1.0, 0.0, (0.1,))
 
-    def test_empirical_sweep_matches_curve(self):
-        rows = dynamics.empirical_accuracy_sweep(
-            dim=16, margin=2.0, sigma_grid=(0.2, 0.5, 1.0, 2.0, 5.0), trials=30_000, seed=5
-        )
+    def test_empirical_sweep_matches_curve(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "SIGMA_GRID", (0.2, 0.5, 1.0, 2.0, 5.0))
+        rows = dynamics.empirical_accuracy_sweep(dim=16, trials=30_000, seed=5)
         assert [sigma for sigma, *_ in rows] == [0.2, 0.5, 1.0, 2.0, 5.0]
         for _, analytic, empirical, _ in rows:
             band = 3.0 * math.sqrt(analytic * (1.0 - analytic) / 30_000)
@@ -487,14 +486,18 @@ class TestStreamedAccuracySweep:
             monkeypatch.setattr(cat_bulk, "STACK_CELLS", stack_cells)
             assert dim > cat_bulk.STACK_CELLS
         sigma_grid = (0.3, 1.0, 4.0)
-        rows = dynamics.empirical_accuracy_sweep(dim, 2.0, sigma_grid, trials, seed=11)
-        assert [empirical for _, _, empirical, _ in rows] == _one_shot_retention(dim, 2.0, sigma_grid, trials, 11)
+        monkeypatch.setattr(dynamics, "SIGMA_GRID", sigma_grid)
+        rows = dynamics.empirical_accuracy_sweep(dim, trials, seed=11)
+        one_shot = _one_shot_retention(dim, dynamics.ACCURACY_MARGIN, sigma_grid, trials, 11)
+        assert [empirical for _, _, empirical, _ in rows] == one_shot
 
-    def test_memory_does_not_grow_with_trials(self):
+    def test_memory_does_not_grow_with_trials(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "SIGMA_GRID", (1.0,))
+
         def traced_peak(trials):
             tracemalloc.start()
             try:
-                dynamics.empirical_accuracy_sweep(16, 2.0, (1.0,), trials, seed=2)
+                dynamics.empirical_accuracy_sweep(16, trials, seed=2)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

@@ -7,6 +7,7 @@ import importlib
 import importlib.util
 import inspect
 import json
+import os
 import re
 import subprocess
 import sys
@@ -201,6 +202,17 @@ class TestCsv:
         write_csv(tmp_path / "n.csv", ["a", "b", "c"], rows)
         assert (tmp_path / "n.csv").read_text().splitlines()[1] == "0.25,7,true"
 
+    def test_writes_stay_in_the_manifest_module(self):
+        # manifest.write_text_file is the one write path (UTF-8, directory made once):
+        # no other module writes or opens a file itself
+        for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+            if path.name == "manifest.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+                    assert name not in ("write_text", "write_bytes", "open"), f"{path.name}:{node.lineno} calls {name}"
+
 
 class TestRowChecks:
     def test_gate_counts_rows_over_the_limit_and_names_the_worst(self):
@@ -364,8 +376,11 @@ _BELOW_MINIMUM_CASES = [
 
 # (experiment, keys): each key is a module constant, so a config that sets it fails
 # on an unknown key.  The module that uses a value owns it: minority_mass is
-# categorical.MINORITY_MASS, min_margin dynamics.MIN_MARGIN, restarts, tol and
-# max_conditional cib.RESTARTS, cib.TOL and cib.MAX_CONDITIONAL, and delta
+# categorical.MINORITY_MASS; min_margin, margin and sigma_grid are
+# dynamics.MIN_MARGIN, ACCURACY_MARGIN and SIGMA_GRID; frontier_betas, restarts,
+# tol and max_conditional are cib.FRONTIER_BETAS, RESTARTS, TOL and
+# MAX_CONDITIONAL; n_grid, trials_per_n, iterations and step are
+# curriculum.N_GRID, TRIALS_PER_N, FIT_ITERATIONS and FIT_STEP; delta is
 # dag.CAP_DELTA; schedule_scale is gone, as the schedule is k / (M - k); every
 # other key is a constant of certlab.experiments
 _CONSTANT_KEYS = [
@@ -768,6 +783,34 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("ConfigError: --out: not UTF-8 text (") and err.count("\n") == 1
         assert [p.name for p in tmp_path.iterdir()] == (["exp.cfg"] if command == "run" else [])
+
+    @pytest.mark.parametrize(
+        "command, out, source",
+        [
+            ("run", ["--out", "o"], "--out"),
+            ("run", [], "run.output_dir"),  # the default output directory, out
+            ("verify-all", ["--out", "o"], "--out"),
+        ],
+    )
+    def test_working_directory_that_is_not_utf8_exits_two_before_any_precheck(
+        self, tmp_path, capsys, monkeypatch, command, out, source
+    ):
+        # a relative output directory under a working directory named with the byte 0xff
+        # resolves to an absolute path holding the lone surrogate U+DCFF, which the
+        # manifest would record
+        def refuse(*args, **kwargs):
+            raise AssertionError("an experiment was prechecked or run before the output directory was checked")
+
+        for name, definition in list(EXPERIMENTS.items()):
+            monkeypatch.setitem(EXPERIMENTS, name, dataclasses.replace(definition, runner=refuse, precheck=refuse))
+        argv = ["run", "--config", _write_cfg(tmp_path, SMALL_ACCURACY_CFG)] if command == "run" else [command]
+        cwd = bytes(tmp_path) + b"/cwd\xff"
+        os.mkdir(cwd)
+        monkeypatch.chdir(cwd)
+        assert cli.main(argv + out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"ConfigError: {source}: not UTF-8 text (") and err.count("\n") == 1
+        assert os.listdir(cwd) == []
 
 
 class TestPrecheck:
