@@ -1079,7 +1079,48 @@ class TestDefaults:
         assert canonical_text(rebuilt) == canonical_text(config)
 
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
+class TestKernelSettings:
+    # each kernel has one production caller, which always passed the same values:
+    # they are module constants of the kernel's module, not parameters
+    @pytest.mark.parametrize(
+        "module, name, parameters",
+        [
+            ("curriculum", "fit_rows", ["counts"]),
+            ("curriculum", "mle_fit", ["counts"]),
+            ("curriculum", "sweep_counts", ["expert_theta", "seed"]),
+            ("curriculum", "summarize_sweep", ["expert_theta", "theta"]),
+            ("dynamics", "empirical_accuracy_sweep", ["dim", "trials", "seed"]),
+            ("cib", "information_frontier", ["problem", "seed"]),
+        ],
+    )
+    def test_kernel_takes_no_setting(self, module, name, parameters):
+        function = getattr(importlib.import_module(f"certlab.{module}"), name)
+        assert list(inspect.signature(function).parameters) == parameters
+
+    @pytest.mark.parametrize(
+        "owner, name",
+        [
+            ("curriculum", "FIT_ITERATIONS"),
+            ("curriculum", "FIT_STEP"),
+            ("curriculum", "N_GRID"),
+            ("curriculum", "TRIALS_PER_N"),
+            ("dynamics", "ACCURACY_MARGIN"),
+            ("dynamics", "SIGMA_GRID"),
+            ("cib", "FRONTIER_BETAS"),
+        ],
+    )
+    def test_setting_is_assigned_in_its_kernels_module_only(self, owner, name):
+        assigners = set()
+        for path in Path(experiments.__file__).parent.glob("*.py"):
+            for node in ast.parse(path.read_text()).body:
+                targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+                # experiments.py spelled the frontier's grid CIB_FRONTIER_BETAS
+                if {getattr(target, "id", None) for target in targets} & {name, f"CIB_{name}"}:
+                    assigners.add(path.stem)
+        assert assigners == {owner}
+
+
+REPO_ROOT =Path(__file__).resolve().parents[1]
 EXAMPLE_CONFIGS = sorted((REPO_ROOT / "configs").glob("*.cfg"))
 
 
