@@ -1,8 +1,8 @@
 """Row-vectorized certainty computations for large sampling panels.
 
 Mirrors the scalar operations in ``categorical`` over matrices of logit or
-probability rows.  The experiment harness re-checks random rows against the
-scalar ops, so this fast path is continuously audited rather than trusted.
+probability rows.  The scalar ops stay the reference: the test suite checks
+every row it draws of ``certainty_panel`` and ``kl_rows`` against them.
 ``masked_log_sums`` sums masked ``w * log(num / den)`` rows, each bit for bit as
 its one-row ``np.sum``, for ``kl_rows``, the bottleneck CMI and the grid-search
 oracle.  ``block_rows`` is the one block policy: every blocked oracle walks

@@ -103,14 +103,16 @@ def monte_carlo_error(config: LatentConfig, trials: int, seed: int) -> tuple[flo
     with independent derived streams merged in block order.  Every block
     reuses one ``(min(MC_BLOCK, trials), dim)`` state buffer; each step's
     ``(size, dim)`` draw is taken in consecutive chunks of
-    ``block_rows(dim)`` rows, which are the rows of one draw in order, so
-    memory stays fixed whatever ``trials`` is.
+    ``block_rows(dim)`` rows, which are the rows of one draw in order, into
+    one reused chunk buffer that also holds each chunk's squares, so memory
+    stays fixed whatever ``trials`` is and no chunk allocates.
     """
     if trials < 100:
         raise InvalidInputError(f"need at least 100 trials, got {trials}")
     state = np.empty((min(MC_BLOCK, trials), config.dim))
     final_sq = np.empty(len(state))
     chunk = block_rows(config.dim)
+    buffer = np.empty((min(chunk, len(state)), config.dim))
     sums: list[float] = []
     sq_sums: list[float] = []
     done = 0
@@ -121,14 +123,18 @@ def monte_carlo_error(config: LatentConfig, trials: int, seed: int) -> tuple[flo
         err = state[:size]
         err.fill(0.0)
         for _ in range(config.steps):
-            err *= config.lipschitz
             for start in range(0, size, chunk):
                 rows = err[start:start + chunk]
-                rows += config.sigma_h * rng.standard_normal(rows.shape)
+                noise = buffer[:len(rows)]
+                rng.standard_normal(out=noise)
+                noise *= config.sigma_h
+                rows *= config.lipschitz
+                rows += noise
         block_sq = final_sq[:size]
         for start in range(0, size, chunk):
             rows = err[start:start + chunk]
-            block_sq[start:start + chunk] = np.sum(rows * rows, axis=1)
+            squares = np.multiply(rows, rows, out=buffer[:len(rows)])
+            block_sq[start:start + chunk] = np.sum(squares, axis=1)
         sums.append(float(block_sq.sum()))
         sq_sums.append(float(np.sum(block_sq * block_sq)))
         done += size

@@ -19,8 +19,15 @@ class MutantStream:
 
     def __getattr__(self, name):
         if name == self.method:
-            return lambda *args: self.draw(self.rng, *args)
+            return self._mutant
         return getattr(self.rng, name)
+
+    def _mutant(self, *args, out=None):
+        """The mutant draw; given ``out``, one draw of ``out``'s shape fills it."""
+        if out is None:
+            return self.draw(self.rng, *args)
+        out[...] = self.draw(self.rng, out.shape)
+        return out
 
 
 @pytest.fixture

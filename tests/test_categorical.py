@@ -14,11 +14,9 @@ from certlab.errors import InfiniteDivergenceError, InvalidInputError
 from certlab.experiments import (
     ExperimentResult,
     _compositions,
-    _scalar_certainty,
     _simplex_slice_min_reverse_kl,
     default_params,
     run_tradeoff_scan,
-    spot_rows,
 )
 from certlab.seeding import rng_for
 
@@ -305,6 +303,12 @@ class TestDirichletFamily:
         hits = sum(cat.symbolic_index(row) > 0.999 for row in cat.dirichlet_sample(spec, rng, 500))
         assert hits / 500 >= 0.99
 
+    def test_concentrated_top_probabilities_are_the_symbolic_index(self):
+        # divergence-asymptote reads each draw's top probability as its row maximum
+        spec = cat.DirichletConcentration(kappa=1e6, n_options=5)
+        draws = cat.dirichlet_sample(spec, np.random.default_rng(6), 2000)
+        assert draws.max(axis=1).tolist() == [cat.symbolic_index(row) for row in draws]
+
     def test_samples_are_distributions(self, monkeypatch):
         monkeypatch.setattr(cat, "MINORITY_MASS", 2.0)
         spec = cat.DirichletConcentration(kappa=50.0, n_options=4)
@@ -465,10 +469,6 @@ def _one_shot_tradeoff_checks(seed, options_set, per_b):
     for b in options_set:
         logits = rng_for(seed, "tradeoff-sample", b).standard_normal((per_b, b))
         panel = cat_bulk.certainty_panel(logits)
-        result.audit_rows(
-            f"scalar-vs-vectorized consistency at B={b}", spot_rows(rng_for(seed, "tradeoff-spot", b), per_b),
-            lambda i: [field[i] for field in panel], lambda i: _scalar_certainty(logits[i]),
-        )
         excess.append((
             panel.stability_bound - 1e-9 - panel.margin,
             panel.tradeoff_bound - 1e-9 - panel.reverse_kl,
@@ -486,6 +486,38 @@ def _one_shot_tradeoff_checks(seed, options_set, per_b):
     result.gate("exploration floor: D(uniform||p) >= even-remainder bound on the same sample", forward, where)
     result.gate("two-option equality: margin == stability floor exactly", equality[two], lambda i: where(two[i]))
     return result.checks
+
+
+def _scalar_certainty(logits: np.ndarray) -> tuple:
+    """One ``certainty_panel`` row recomputed through the scalar ops, in field order."""
+    b = logits.size
+    p = cat.softmax(logits)
+    s = cat.symbolic_index(p)
+    uniform = np.full(b, 1.0 / b)
+    return (s, cat.logit_margin(logits), cat.stability_lower_bound(s),
+            cat.kl_divergence(p, uniform), cat.tradeoff_lower_bound(s, b),
+            cat.kl_divergence(uniform, p), cat.min_exploration_divergence(s, b))
+
+
+@st.composite
+def logit_panels(draw):
+    """A (rows, B) logit matrix, B from 2 to 32, of logits in [-7, 7]."""
+    b = draw(st.integers(2, 32))
+    rows = draw(st.lists(logits_strategy(min_size=b, max_size=b, span=7.0), min_size=1, max_size=8))
+    return np.array(rows)
+
+
+class TestCertaintyPanel:
+    # the largest deviation allowed between a panel value and its scalar recomputation
+    SCALAR_TOL = 1e-10
+
+    @given(logit_panels())
+    @settings(max_examples=300)
+    def test_every_field_of_every_row_matches_the_scalar_ops(self, logits):
+        panel = cat_bulk.certainty_panel(logits)
+        for i, row in enumerate(logits):
+            bulk = [float(field[i]) for field in panel]
+            assert np.max(np.abs(np.subtract(bulk, _scalar_certainty(row)))) <= self.SCALAR_TOL, (row, bulk)
 
 
 class TestBlockRows:

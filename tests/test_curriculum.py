@@ -122,9 +122,9 @@ class TestMleFit:
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(4)
         h = 1e-5
-        for _ in range(25):
+        for _ in range(100):
             theta = rng.uniform(-5, 5, 3)
-            counts = rng.integers(1, 40, 3).astype(float)
+            counts = rng.integers(1, 50, 3).astype(float)
             grad = cur.log_likelihood_grad(theta, counts)
             numeric = np.zeros(3)
             for i in range(3):
@@ -329,7 +329,7 @@ def test_closed_form_check_does_not_depend_on_strong_theta(monkeypatch):
     # the closed form is pinned at theta = (10, 0, 0); another expert only moves the gaps
     for module, name, value in (
         (experiments, "STRONG_THETA", (9.0, 0.0, 0.0)), (cur, "N_GRID", (100, 1000)), (cur, "TRIALS_PER_N", 2),
-        (cur, "FIT_ITERATIONS", 200), (experiments, "GRAD_CHECKS", 1), (experiments, "TV_TRIALS", 1),
+        (cur, "FIT_ITERATIONS", 200), (experiments, "TV_TRIALS", 1),
     ):
         monkeypatch.setattr(module, name, value)
     result = EXPERIMENTS["curriculum"].runner(0, default_params("curriculum"))

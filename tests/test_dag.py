@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from certlab import cat_bulk
 from certlab import categorical as cat
 from certlab import dag, experiments
 from certlab.experiments import EXPERIMENTS, binomial_tail, default_params
@@ -39,13 +40,24 @@ class TestConstruction:
         assert trap.targets == {6}
 
 
+BATTERY_TRAP = dag.trap_dag(experiments.TRAP_DEPTH, experiments.TRAP_BRANCHING)
+
+
 class TestSerialization:
+    @staticmethod
+    def _misread_fields(graph):
+        """The fields of ``graph`` that parsing its line format does not read back."""
+        parsed = dag.parse_dag(dag.format_dag(graph))
+        return [name for name in ("successors", "start", "targets") if getattr(parsed, name) != getattr(graph, name)]
+
     def test_round_trip(self):
-        for graph in (dag.chain_dag(4), dag.diamond_dag(), dag.trap_dag(3, 3)):
-            parsed = dag.parse_dag(dag.format_dag(graph))
-            assert parsed.successors == graph.successors
-            assert parsed.start == graph.start
-            assert parsed.targets == graph.targets
+        for graph in (dag.chain_dag(4), dag.diamond_dag(), dag.trap_dag(3, 3), BATTERY_TRAP):
+            assert self._misread_fields(graph) == []
+
+    def test_a_parse_that_moves_the_start_breaks_the_trap_round_trip(self, monkeypatch):
+        parse_dag = dag.parse_dag
+        monkeypatch.setattr(dag, "parse_dag", lambda text: dataclasses.replace(parse_dag(text), start=1))
+        assert self._misread_fields(BATTERY_TRAP) == ["start"]
 
     def test_missing_header_rejected(self):
         with pytest.raises(InvalidInputError, match="header"):
@@ -400,15 +412,23 @@ def test_uniform_policies_fail_both_strict_trap_orderings_on_the_tie(monkeypatch
     assert checks["trap ordering: uniform success >= both policy means"].passed
 
 
-def test_a_parse_that_moves_the_start_fails_the_round_trip_on_its_start_row(monkeypatch):
-    parse_dag = dag.parse_dag
-    monkeypatch.setattr(dag, "parse_dag", lambda text: dataclasses.replace(parse_dag(text), start=1))
-    (check,) = [
-        c for c in EXPERIMENTS["dag-exploration"].runner(0, SMALL_DAG).checks
-        if c.name == "graph serialization round-trips the trap"
-    ]
-    assert not check.passed
-    assert check.detail == "1/3 rows over the limit, worst start read back from 21 lines (excess 1.000e+00)"
+def test_capped_peak_divergences_match_kl_divergence_at_every_row(monkeypatch):
+    # every row the capped-peak audit measures with kl_rows is the peaked
+    # distribution of its own peak, at the scalar divergence from uniform
+    calls = []
+    kl_rows = cat_bulk.kl_rows
+
+    def recording(q, rows):
+        calls.append((q, rows.copy(), kl_rows(q, rows)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(cat_bulk, "kl_rows", recording)
+    audit = experiments.capped_peak_bound_audit(derive_seed(0, "capped-audit"), 200)
+    assert audit.all_passed and len(calls) == len(experiments.CAPPED_DELTAS) * (experiments.CAPPED_OPTIONS_MAX - 1)
+    for q, rows, measured in calls:
+        assert q.tolist() == [1.0 / len(q)] * len(q)
+        scalar = [cat.kl_divergence(q, cat.peaked_distribution(row[0], len(q))) for row in rows]
+        assert np.max(np.abs(measured - scalar)) <= 1e-10
 
 SEARCH_GATE = "Monte Carlo search matches the exact oracle within 3 standard errors"
 CUSTOM_GATE = "custom graph: sampled success matches the exact oracle"

@@ -391,12 +391,44 @@ def _reference_monte_carlo_error(config, trials, seed):
     return mean, math.sqrt(variance / trials)
 
 
+def _allocating_monte_carlo_error(config, trials, seed):
+    """The error Monte Carlo that allocates each chunk's draw, its scaled copy and its squares."""
+    state = np.empty((min(dynamics.MC_BLOCK, trials), config.dim))
+    final_sq = np.empty(len(state))
+    chunk = cat_bulk.block_rows(config.dim)
+    sums, sq_sums = [], []
+    done = 0
+    block_index = 0
+    while done < trials:
+        size = min(dynamics.MC_BLOCK, trials - done)
+        rng = rng_for(seed, "mc-block", block_index)
+        err = state[:size]
+        err.fill(0.0)
+        for _ in range(config.steps):
+            err *= config.lipschitz
+            for start in range(0, size, chunk):
+                rows = err[start:start + chunk]
+                rows += config.sigma_h * rng.standard_normal(rows.shape)
+        block_sq = final_sq[:size]
+        for start in range(0, size, chunk):
+            rows = err[start:start + chunk]
+            block_sq[start:start + chunk] = np.sum(rows * rows, axis=1)
+        sums.append(float(block_sq.sum()))
+        sq_sums.append(float(np.sum(block_sq * block_sq)))
+        done += size
+        block_index += 1
+    mean = math.fsum(sums) / trials
+    variance = max(0.0, (math.fsum(sq_sums) - trials * mean * mean) / (trials - 1))
+    return mean, math.sqrt(variance / trials)
+
+
 class TestStreamedMonteCarloError:
+    @pytest.mark.parametrize("reference", [_reference_monte_carlo_error, _allocating_monte_carlo_error])
     @pytest.mark.parametrize("trials", [100, 8193, 20_000])  # one short block, a one-row block, a ragged block
     @pytest.mark.parametrize("dim", [1, 3, 64, 200])  # 200 rows a chunk fall short of MC_BLOCK, one does not
-    def test_equals_the_reference_bit_for_bit(self, trials, dim):
+    def test_equals_the_reference_bit_for_bit(self, trials, dim, reference):
         config = dynamics.LatentConfig(dim=dim, steps=3, lipschitz=1.1, sigma_h=0.3)
-        assert dynamics.monte_carlo_error(config, trials, seed=6) == _reference_monte_carlo_error(config, trials, 6)
+        assert dynamics.monte_carlo_error(config, trials, seed=6) == reference(config, trials, 6)
 
     @pytest.mark.parametrize("trials", [100, 8193, 20_000])
     @pytest.mark.parametrize("dim", [1, 3, 64, 200])
@@ -424,7 +456,27 @@ class TestStreamedMonteCarloError:
         assert peak <= dynamics.MC_BLOCK * config.dim * 8 + 2**20
 
 
+# The quadrature oracle's lower limit and its (even) number of Simpson intervals.
+SIMPSON_LOWER = -10.0
+SIMPSON_INTERVALS = 20_000
+
+
+def _simpson_normal_cdf(z):
+    """Composite-Simpson integral of the standard normal density from SIMPSON_LOWER up to z:
+    a quadrature oracle independent of the erf-based ``normal_cdf``."""
+    if z <= SIMPSON_LOWER:
+        return 0.0
+    xs = np.linspace(SIMPSON_LOWER, z, SIMPSON_INTERVALS + 1)
+    ys = np.exp(-xs * xs / 2.0) / math.sqrt(2.0 * math.pi)
+    h = (z - SIMPSON_LOWER) / SIMPSON_INTERVALS
+    return float(h / 3.0 * (ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-2:2].sum()))
+
+
 class TestAccuracyCurve:
+    @pytest.mark.parametrize("z", [-2.0, -0.5, 0.0, 0.5, 1.0, 2.0, 4.0])
+    def test_normal_cdf_matches_the_quadrature_oracle(self, z):
+        assert abs(dynamics.normal_cdf(z) - _simpson_normal_cdf(z)) <= 1e-9
+
     def test_normal_cdf_reference_points(self):
         assert dynamics.normal_cdf(0.0) == 0.5
         assert abs(dynamics.normal_cdf(1.0) - 0.8413447460685429) <= 1e-12

@@ -246,14 +246,6 @@ class TestRowChecks:
         assert excess.size == rows
         assert result.checks[0].passed is passed
 
-    def test_audit_rows_gates_the_scalar_deviation(self):
-        result = ExperimentResult()
-        bulk = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-        result.audit_rows("exact", [0, 2], lambda i: bulk[i], lambda i: tuple(bulk[i]))
-        result.audit_rows("drift", [0, 1], lambda i: bulk[i], lambda i: bulk[i] + (1e-6 if i == 1 else 0.0))
-        assert [c.passed for c in result.checks] == [True, False]
-        assert "worst row 1" in result.checks[1].detail
-
 
 class TestSigmaGate:
     def _check(self, observed, expected, stderr):
@@ -417,8 +409,16 @@ _BAD_PARAM_CASES = [
     ("error-accumulation", "sigma_h", "1e100", "params.sigma_h: the closed form at L=0.8 d=1 M=1 is 1e+200;"),
     # a float power out of range (sigma_h ** 2, L ** 12) raised OverflowError: the closed form reads inf
     ("error-accumulation", "sigma_h", "1e200", "params.sigma_h: the closed form at L=0.8 d=1 M=1 is inf;"),
+    # a cell that fits the float range at L = 1 names L, whose power breaks it: L ** 12
+    # overflows at 1e30 and 1e100, L * L at 1e300 (inf / inf reads nan), and at 1e20 the square does
     ("error-accumulation", "lipschitz_values", "0.8, 1e100",
-     "params.sigma_h: the closed form at L=1e+100 d=1 M=6 is inf;"),
+     "params.lipschitz_values: the closed form at L=1e+100 d=1 M=6 is inf;"),
+    ("error-accumulation", "lipschitz_values", "1e30, 1.0\ntrials = 100",
+     "params.lipschitz_values: the closed form at L=1e+30 d=1 M=6 is inf;"),
+    ("error-accumulation", "lipschitz_values", "1e300, 1.0\ntrials = 100",
+     "params.lipschitz_values: the closed form at L=1e+300 d=1 M=1 is nan;"),
+    ("error-accumulation", "lipschitz_values", "0.8, 1e20",
+     "params.lipschitz_values: the closed form at L=1e+20 d=1 M=6 is 1.0000000000000003e+198;"),
     # a value may end in further `key = value` lines; the sums of fourth powers,
     # trials * closed^2 * (1 + 2/d) in expectation, would overflow
     ("error-accumulation", "sigma_h", "1e74\ndims = 64\nsteps_values = 2, 12\ntrials = 20000",
