@@ -421,7 +421,6 @@ def run_noise_discrete(seed: int, params: dict, threads: int = 1) -> ExperimentR
         )
 
     chain_specs = [chain_spec(index, NOISE_OVER_MARGIN) for index in range(len(specs))]
-    zero_spec = chain_spec(0, 0.0)
     contrast = chain_spec(0, CONTRAST_NOISE_OVER_MARGIN, sub_decisional_only=False)
 
     def run_spec(item):
@@ -437,9 +436,6 @@ def run_noise_discrete(seed: int, params: dict, threads: int = 1) -> ExperimentR
         "sub-decisional noise: zero final-token divergences across all specs",
         np.asarray(counts, dtype=np.float64), lambda i: f"spec {i} ({counts[i]} divergences)",
     )
-
-    zero_count = dynamics.simulate_discrete_chain(zero_spec, 1000, derive_seed(seed, "chain-zero"))
-    result.within("zero noise: zero divergences", zero_count, 0, 0)
 
     contrast_trials = min(params["trials"], 20_000)
     contrast_count = dynamics.simulate_discrete_chain(
@@ -513,12 +509,17 @@ def _error_cells(params: dict) -> tuple[list[tuple], list[dynamics.LatentConfig]
     return cells, configs
 
 
+def _final_closed_forms(params: dict) -> tuple[list[float], list[float]]:
+    """The sorted Lipschitz values and each one's closed form at d = 8 and the longest M: the ordering check's rows."""
+    lipschitz, steps = sorted(params["lipschitz_values"]), max(params["steps_values"])
+    configs = [dynamics.LatentConfig(dim=8, steps=steps, lipschitz=lf, sigma_h=params["sigma_h"]) for lf in lipschitz]
+    return lipschitz, [dynamics.expected_error_closed_form(config) for config in configs]
+
+
 def precheck_error_accumulation(params: dict) -> None:
     longest = max(params["steps_values"])
     if longest < 2:  # at one step every L gives d sigma^2: the ordering needs two
         raise InvalidInputError(f"params.steps_values: the Lipschitz ordering needs at least 2 steps, got {longest}")
-    if len(set(params["lipschitz_values"])) < len(params["lipschitz_values"]):  # the ordering is strict
-        raise InvalidInputError("params.lipschitz_values: the values must be distinct")
     cells, configs = _error_cells(params)
     _cap_draws("trials", params["trials"] * sum(d * m for _, d, m in cells))
 
@@ -545,10 +546,20 @@ def precheck_error_accumulation(params: dict) -> None:
                 "must be positive and finite"
             )
 
+    # the ordering check reads no sample: its closed forms must strictly rise, so equal
+    # values and values that the L = 1 branch rounds together are refused here
+    lipschitz, final = _final_closed_forms(params)
+    tied = np.flatnonzero(strict_rise(final) > 0)
+    if tied.size:
+        i = int(tied[0])
+        raise InvalidInputError(
+            f"params.lipschitz_values: L={lipschitz[i]!r} and L={lipschitz[i + 1]!r} give the final closed forms "
+            f"{final[i]!r} and {final[i + 1]!r} at d=8 M={longest}; the Lipschitz ordering needs them to strictly rise"
+        )
+
 
 def run_error_accumulation(seed: int, params: dict, threads: int = 1) -> ExperimentResult:
     result = ExperimentResult()
-    longest = max(params["steps_values"])
     cells, configs = _error_cells(params)
     closed = [dynamics.expected_error_closed_form(config) for config in configs]
 
@@ -593,13 +604,7 @@ def run_error_accumulation(seed: int, params: dict, threads: int = 1) -> Experim
         "contractive chain error approaches the geometric limit",
         dynamics.expected_error_closed_form(geometric), 8 * 0.1**2 / (1 - 0.8**2), 1e-9,
     )
-    lipschitz = sorted(params["lipschitz_values"])
-    final_cf = [
-        dynamics.expected_error_closed_form(
-            dynamics.LatentConfig(dim=8, steps=longest, lipschitz=lf, sigma_h=params["sigma_h"])
-        )
-        for lf in lipschitz
-    ]
+    lipschitz, final_cf = _final_closed_forms(params)
     result.gate(
         "final error ordering follows the Lipschitz constant",
         strict_rise(final_cf),
@@ -795,25 +800,6 @@ def run_cib_frontier(seed: int, params: dict, threads: int = 1) -> ExperimentRes
         np.maximum(tops - (1.0 - 1e-4), tops - (cib.MAX_CONDITIONAL + 1e-9)),
         lambda i: f"beta={CIB_CORPUS_BETAS[i]}: {tops[i]:.6f}",
     )
-
-    # stage schedule spot values, and the terminal stage, where the schedule diverges
-    stages, spots, tols = (0, 5, 9), (0.0, 1.0, 9.0), (0.0, 1e-15, 1e-12)
-    schedule = [cib.beta_schedule(k, 10) for k in stages]
-    try:
-        cib.beta_schedule(10, 10)
-        refused = False
-    except InvalidInputError:
-        refused = True
-    result.gate(
-        "stage schedule: spot values and divergence at the terminal stage",
-        [*(np.abs(np.subtract(schedule, spots)) - tols), float(not refused)],
-        lambda i: f"stage {stages[i]} of 10: |{schedule[i]!r} - {spots[i]!r}| vs tol {tols[i]!r}" if i < 3
-        else "stage 10 refused",
-    )
-    result.gate(
-        "stage schedule increases monotonically",
-        strict_rise([cib.beta_schedule(k, 12) for k in range(12)]), lambda k: f"stage {k + 1} after stage {k}",
-    )
     return result
 
 
@@ -834,18 +820,6 @@ def run_curriculum(seed: int, params: dict, threads: int = 1) -> ExperimentResul
     strong = np.asarray(STRONG_THETA)
     rate_theta = np.asarray(RATE_THETA)
     expert_strong = curriculum.success_rate(strong)
-
-    result.within(
-        "expert success reproduces exp(10)/(exp(10)+2) to 1e-9",
-        curriculum.success_rate(np.array([10.0, 0.0, 0.0])), math.exp(10.0) / (math.exp(10.0) + 2.0), 1e-9,
-    )
-    shortcut_heavy = curriculum.success_rate(np.array([0.0, 10.0, 10.0]))
-    closed_form = 1.0 / (1.0 + math.exp(20.0) + math.exp(10.0))
-    result.gate(
-        "shortcut-dominated weights drive success toward zero",
-        [abs(shortcut_heavy - closed_form) - 1e-18, *strict_rise([shortcut_heavy, 1e-8])],
-        lambda i: f"success {shortcut_heavy:.3e} vs " + ("1/(1+e^20+e^10), tol 1e-18", "ceiling 1e-08")[i],
-    )
 
     # one lockstep fit for every count vector of the experiment, stacked in
     # three blocks: the policy rows (the all-shortcut biased counts per n, the
@@ -927,17 +901,6 @@ def run_curriculum(seed: int, params: dict, threads: int = 1) -> ExperimentResul
         lambda i: f"n={grid[i]} (mean TV {mean_tvs[i]:.4f}, bound {tv_bounds[i]:.4f})",
     )
 
-    rng = rng_for(seed, "score-shift")
-    plain, shifted = [], []
-    for _ in range(20):
-        theta = rng.uniform(-5.0, 5.0, 3)
-        c = float(rng.uniform(-3.0, 3.0))
-        plain.append(curriculum.success_rate(theta))
-        shifted.append(curriculum.success_rate(theta + c * np.array([1.0, 1.0, 0.0])))  # c more on every score
-    result.within(
-        "success rate invariant under a common score shift", shifted, plain, 1e-12, lambda i: f"draw {i}",
-    )
-
     scores = curriculum.FEATURES @ thetas[-1]
     spread = float(scores.max() - scores.min())
     sym_grad = float(grad_norms[-1])
@@ -982,21 +945,27 @@ def capped_peak_bound_audit(seed: int, samples: int) -> ExperimentResult:
     ``CAPPED_OPTIONS_MAX`` draws ``samples`` even-remainder distributions
     whose peak is a simplex draw's maximum capped at ``1 - delta``, measures
     D(uniform || p) with ``kl_rows``, and checks measured <= exact worst case
-    <= simplified bound.  Returns a result holding that one check.
+    <= simplified bound.  Each (delta, B) stream is drawn in blocks of
+    ``block_rows(B)`` rows, the rows of one whole draw in order, so memory
+    stays fixed whatever ``samples`` is.  Returns a result holding that one check.
     """
     audit = ExperimentResult()
     pairs = [(delta, b) for delta in CAPPED_DELTAS for b in range(2, CAPPED_OPTIONS_MAX + 1)]
     excess = []  # per pair, the largest measured excess, then the chain's excess
     for delta, b in pairs:
         bound = cat.worst_case_latent_kl(delta, b)
-        p = rng_for(seed, "capped", str(delta), b).dirichlet(np.ones(b), size=samples)
-        s = np.maximum(np.minimum(p.max(axis=1), 1.0 - delta), 1.0 / b)
-        s[0] = 1.0 - delta  # include the cap itself so the extreme is always exercised
-        p[:] = ((1.0 - s) / (b - 1))[:, None]  # overwrite the draws with peaked_distribution rows
-        p[:, 0] = s
-        p /= p.sum(axis=1, keepdims=True)
-        kl = cat_bulk.kl_rows(np.full(b, 1.0 / b), p)
-        excess += [np.max(kl - (bound.exact + 1e-9)), bound.exact - (bound.simplified_bound + 1e-12)]
+        rng, block, measured = rng_for(seed, "capped", str(delta), b), cat_bulk.block_rows(b), -np.inf
+        for start in range(0, samples, block):
+            p = rng.dirichlet(np.ones(b), size=min(block, samples - start))
+            s = np.maximum(np.minimum(p.max(axis=1), 1.0 - delta), 1.0 / b)
+            if start == 0:
+                s[0] = 1.0 - delta  # include the cap itself so the extreme is always exercised
+            p[:] = ((1.0 - s) / (b - 1))[:, None]  # overwrite the draws with peaked_distribution rows
+            p[:, 0] = s
+            p /= p.sum(axis=1, keepdims=True)
+            kl = cat_bulk.kl_rows(np.full(b, 1.0 / b), p)
+            measured = np.maximum(measured, np.max(kl - (bound.exact + 1e-9)))  # a NaN row stays NaN
+        excess += [measured, bound.exact - (bound.simplified_bound + 1e-12)]
     audit.gate(
         "capped-peak sample: measured divergence <= exact worst case <= simplified bound",
         excess, lambda i: f"delta={pairs[i // 2][0]} B={pairs[i // 2][1]} {('measured', 'chain')[i % 2]}",
@@ -1025,6 +994,8 @@ def _custom_graph(params: dict):
 def precheck_dag_exploration(params: dict) -> None:
     _custom_graph(params)
     _price_search(dag.trap_dag(TRAP_DEPTH, TRAP_BRANCHING), params, "mc_trials")
+    # the audit draws B variates a sample for every delta and every B
+    _cap_draws("capped_samples", params["capped_samples"] * len(CAPPED_DELTAS) * sum(range(2, CAPPED_OPTIONS_MAX + 1)))
 
 
 def run_dag_exploration(seed: int, params: dict, threads: int = 1) -> ExperimentResult:
@@ -1079,14 +1050,6 @@ def run_dag_exploration(seed: int, params: dict, threads: int = 1) -> Experiment
         "Monte Carlo search matches the exact oracle within 3 standard errors",
         [stats.successes], params["mc_trials"], [uniform_exact], lambda i: "uniform walker on the trap",
     )
-    for name, graph in (("chain", dag.chain_dag(5)), ("diamond", dag.diamond_dag())):
-        policy = dag.make_policy(graph, "uniform")
-        exact = dag.enumerate_paths(graph, policy)
-        mc = dag.run_search(graph, policy, 2000, derive_seed(seed, name))
-        result.within(
-            f"single-outcome graph ({name}): exact and sampled success are 1",
-            [exact, mc.success_rate], 1.0, 0.0, lambda i: ("exact", "sampled")[i],
-        )
 
     kappa_rows = []
     divergence_means = []
@@ -1122,10 +1085,6 @@ def run_dag_exploration(seed: int, params: dict, threads: int = 1) -> Experiment
         "capped-policy divergence on binary graphs stays under the delta ceiling",
         np.subtract(nd_divs, half_bound + 1e-9), lambda i: f"draw {i}",
         f"max divergence {np.max(nd_divs):.4f}, ceiling {half_bound:.4f}",
-    )
-    result.within(
-        "uniform policy has zero exploration divergence",
-        dag.exploration_divergence(binary, dag.make_policy(binary, "uniform")), 0.0, 0.0,
     )
 
     result.checks += capped_peak_bound_audit(derive_seed(seed, "capped-audit"), params["capped_samples"]).checks

@@ -304,31 +304,23 @@ BATTERY_CHECKS = [
     ('cib-frontier', 'objective non-increasing across solver sweeps (1e-9 slack)'),
     ('cib-frontier', 'reference problem: solver matches or beats the deterministic minimum'),
     ('cib-frontier', 'solver never beaten by any deterministic encoder (within 1e-8)'),
-    ('cib-frontier', 'stage schedule increases monotonically'),
-    ('cib-frontier', 'stage schedule: spot values and divergence at the terminal stage'),
     ('curriculum', 'biased data: success <= 0.01 and expert gap > 0.98 at every sample size'),
     ('curriculum', "biased fits push the shortcut score far above the expert's"),
     ('curriculum', 'biased gap shows no decay with dataset size'),
     ('curriculum', 'curriculum gap at the largest sample size <= 0.01'),
     ('curriculum', 'curriculum gap non-increasing (allowing one inversion per decade)'),
     ('curriculum', 'curriculum log-log convergence slope within [-0.65, -0.35]'),
-    ('curriculum', 'expert success reproduces exp(10)/(exp(10)+2) to 1e-9'),
     ('curriculum', 'fitted-vs-expert total variation within 3*sqrt(log n / n)'),
     ('curriculum', 'near-deterministic expert recovered within 0.005 at the largest n'),
     ('curriculum', 'perfectly balanced data fits to equal scores (1e-4) with tiny gradient'),
-    ('curriculum', 'shortcut-dominated weights drive success toward zero'),
-    ('curriculum', 'success rate invariant under a common score shift'),
     ('dag-exploration', 'Monte Carlo search matches the exact oracle within 3 standard errors'),
     ('dag-exploration', 'capped policy respects the certainty cap at every node'),
     ('dag-exploration', 'capped-peak sample: measured divergence <= exact worst case <= simplified bound'),
     ('dag-exploration', 'capped-policy divergence on binary graphs stays under the delta ceiling'),
     ('dag-exploration', 'exploration divergence grows with concentration'),
-    ('dag-exploration', 'single-outcome graph (chain): exact and sampled success are 1'),
-    ('dag-exploration', 'single-outcome graph (diamond): exact and sampled success are 1'),
     ('dag-exploration', 'trap medians separate the three regimes strictly'),
     ('dag-exploration', 'trap ordering: concentrated mean success < capped-certainty mean success'),
     ('dag-exploration', 'trap ordering: uniform success >= both policy means'),
-    ('dag-exploration', 'uniform policy has zero exploration divergence'),
     ('dag-exploration', "uniform walker's exact trap success equals the closed form"),
     ('divergence-asymptote', 'asymptote error within 10/kappa at every kappa'),
     ('divergence-asymptote', 'asymptote slope exactly (B-1)/B'),
@@ -344,7 +336,6 @@ BATTERY_CHECKS = [
     ('noise-discrete', 'sub-decisional bound is tight: a gap change just over the margin flips the argmax'),
     ('noise-discrete', 'sub-decisional noise: zero final-token divergences across all specs'),
     ('noise-discrete', 'unconstrained large noise does perturb the final token'),
-    ('noise-discrete', 'zero noise: zero divergences'),
     ('tradeoff-scan', 'both floors vanish at the uniform point s = 1/B'),
     ('tradeoff-scan', 'certainty cost floor attained by even-remainder distributions'),
     ('tradeoff-scan', 'certainty cost floor: D(p||uniform) >= tradeoff bound on the same sample'),

@@ -107,16 +107,13 @@ class TestBetaSchedule:
         with pytest.raises(InvalidInputError):
             cib.beta_schedule(-1, 10)
 
-    def test_a_schedule_that_accepts_the_terminal_stage_fails_on_its_refusal_row(self, monkeypatch):
+    def test_a_schedule_that_accepts_the_terminal_stage_fails_the_rejection_test(self, monkeypatch):
         schedule = cib.beta_schedule
         monkeypatch.setattr(cib, "beta_schedule", lambda k, total: math.inf if k == total else schedule(k, total))
-        monkeypatch.setattr(experiments, "CIB_CORPUS_SIZE", 1)
-        (check,) = [
-            c for c in experiments.run_cib_frontier(0, {}).checks
-            if c.name == "stage schedule: spot values and divergence at the terminal stage"
-        ]
-        assert not check.passed
-        assert check.detail == "1/4 rows over the limit, worst stage 10 refused (excess 1.000e+00)"
+        self.test_spot_values()
+        self.test_monotone_in_stage()
+        with pytest.raises(pytest.fail.Exception, match="DID NOT RAISE"):
+            self.test_terminal_stage_rejected()
 
 
 class TestSolver:

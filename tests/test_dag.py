@@ -157,6 +157,10 @@ class TestExplorationDivergence:
     def test_uniform_policy_is_zero(self):
         graph = dag.trap_dag(5, 3)
         assert dag.exploration_divergence(graph, dag.make_policy(graph, "uniform", seed=0)) == 0.0
+        # dag-exploration's binary graphs, at seeds 0-3
+        for seed in range(4):
+            binary = dag.layered_dag(n_layers=6, width=4, max_out_degree=2, seed=derive_seed(seed, "binary"))
+            assert dag.exploration_divergence(binary, dag.make_policy(binary, "uniform")) == 0.0
 
     def test_zero_mass_successor_raises_with_node(self):
         graph = dag.diamond_dag()
@@ -178,7 +182,7 @@ class TestSearchAndOracle:
         chain = dag.chain_dag(5)
         policy = dag.make_policy(chain, "uniform", seed=0)
         assert dag.enumerate_paths(chain, policy) == 1.0
-        stats = dag.run_search(chain, policy, 500, seed=1)
+        stats = dag.run_search(chain, policy, 2000, seed=1)
         assert stats.success_rate == 1.0
         assert stats.mean_path_length == 5.0
 
@@ -186,7 +190,7 @@ class TestSearchAndOracle:
         diamond = dag.diamond_dag()
         policy = dag.make_policy(diamond, "uniform", seed=0)
         assert dag.enumerate_paths(diamond, policy) == 1.0
-        assert dag.run_search(diamond, policy, 500, seed=1).success_rate == 1.0
+        assert dag.run_search(diamond, policy, 2000, seed=1).success_rate == 1.0
 
     def test_trap_exact_probability(self):
         trap = dag.trap_dag(6, 3)
@@ -429,6 +433,42 @@ def test_capped_peak_divergences_match_kl_divergence_at_every_row(monkeypatch):
         assert q.tolist() == [1.0 / len(q)] * len(q)
         scalar = [cat.kl_divergence(q, cat.peaked_distribution(row[0], len(q))) for row in rows]
         assert np.max(np.abs(measured - scalar)) <= 1e-10
+
+
+def _one_call_capped_audit(seed, samples):
+    """The capped-peak audit drawing each (delta, B) pair in one ``dirichlet`` call:
+    its check, and each pair's measured divergences."""
+    audit, excess, measured = experiments.ExperimentResult(), [], []
+    pairs = [(delta, b) for delta in experiments.CAPPED_DELTAS for b in range(2, experiments.CAPPED_OPTIONS_MAX + 1)]
+    for delta, b in pairs:
+        bound = cat.worst_case_latent_kl(delta, b)
+        p = rng_for(seed, "capped", str(delta), b).dirichlet(np.ones(b), size=samples)
+        s = np.maximum(np.minimum(p.max(axis=1), 1.0 - delta), 1.0 / b)
+        s[0] = 1.0 - delta
+        p[:] = ((1.0 - s) / (b - 1))[:, None]
+        p[:, 0] = s
+        p /= p.sum(axis=1, keepdims=True)
+        measured.append(cat_bulk.kl_rows(np.full(b, 1.0 / b), p))
+        excess += [np.max(measured[-1] - (bound.exact + 1e-9)), bound.exact - (bound.simplified_bound + 1e-12)]
+    audit.gate(
+        "capped-peak sample: measured divergence <= exact worst case <= simplified bound",
+        excess, lambda i: f"delta={pairs[i // 2][0]} B={pairs[i // 2][1]} {('measured', 'chain')[i % 2]}",
+    )
+    return audit.checks, measured
+
+
+def test_streamed_capped_audit_matches_the_one_call_audit(monkeypatch):
+    # 9,001 samples: two blocks from B = 8 up, and no B's block divides it
+    samples, seed = 9001, derive_seed(0, "capped-audit")
+    assert all(samples % cat_bulk.block_rows(b) for b in range(2, experiments.CAPPED_OPTIONS_MAX + 1))
+    checks, measured = _one_call_capped_audit(seed, samples)
+    blocks = []
+    kl_rows = cat_bulk.kl_rows
+    monkeypatch.setattr(cat_bulk, "kl_rows", lambda q, rows: blocks.append(kl_rows(q, rows)) or blocks[-1])
+    streamed = experiments.capped_peak_bound_audit(seed, samples).checks
+    assert streamed == checks and len(blocks) > len(measured)
+    # the blocks, in order, hold every pair's divergences bit for bit
+    assert np.array_equal(np.concatenate(blocks), np.concatenate(measured))
 
 SEARCH_GATE = "Monte Carlo search matches the exact oracle within 3 standard errors"
 CUSTOM_GATE = "custom graph: sampled success matches the exact oracle"

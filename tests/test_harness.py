@@ -402,7 +402,17 @@ _BAD_PARAM_CASES = [
     # 122,071 blocks of walks up to the trap's depth 6 are over the search cap
     ("dag-exploration", "mc_trials", "1000000000",
      "params.mc_trials: 1000000000 trials make 122071 blocks of walks up to 6 steps"),
-    ("error-accumulation", "lipschitz_values", "0.8, 0.8", "params.lipschitz_values: the values must be distinct"),
+    # the ordering check's final closed forms (d = 8, the longest M) must strictly rise:
+    # equal values tie, and so do values within 1e-9 of 1, where the closed form takes its L = 1 branch
+    ("error-accumulation", "lipschitz_values", "0.8, 0.8",
+     "params.lipschitz_values: L=0.8 and L=0.8 give the final closed forms 0.22117280744825132 and "
+     "0.22117280744825132 at d=8 M=12; the Lipschitz ordering needs them to strictly rise"),
+    ("error-accumulation", "lipschitz_values", "1.0, 1.0000000001",
+     "params.lipschitz_values: L=1.0 and L=1.0000000001 give the final closed forms 0.9600000000000002 and "
+     "0.9600000000000002 at d=8 M=12"),
+    ("error-accumulation", "lipschitz_values", "0.99999999995, 1.0",
+     "params.lipschitz_values: L=0.99999999995 and L=1.0 give the final closed forms 0.9600000000000002 and "
+     "0.9600000000000002 at d=8 M=12"),
     # the closed form is 0 at zero noise, underflows to 0 at 1e-200, and its square overflows at 1e100
     ("error-accumulation", "sigma_h", "0.0", "params.sigma_h: the closed form at L=0.8 d=1 M=1 is 0.0;"),
     ("error-accumulation", "sigma_h", "1e-200", "params.sigma_h: the closed form at L=0.8 d=1 M=1 is 0.0;"),
@@ -442,6 +452,7 @@ _DRAW_CAP_CASES = [
     ("noise-discrete", "trials", 10**12),
     ("error-accumulation", "trials", 10**12),
     ("accuracy-sweep", "trials", 10**12),
+    ("dag-exploration", "capped_samples", 10**12),  # 405 variates a sample: 3 deltas, B = 2..16
 ]
 
 # (samples, message): a tradeoff-scan whose 6 default option counts, 65 options in all,
@@ -1140,6 +1151,14 @@ class TestExampleConfigs:
         )
         graph = dag.parse_dag((REPO_ROOT / config.params["graph_file"]).read_text())
         assert graph.n_nodes > 0 and graph.targets
+
+    # the two configs that run in about a second; error_accumulation.cfg takes about 9 s and exits 3 at
+    # its seed 42, where its chi-squared variance gate fails at L=0.8 d=1 M=6
+    @pytest.mark.parametrize("name", ["dag_custom.cfg", "cib_frontier.cfg"])
+    def test_fast_config_runs_from_the_repo_root(self, tmp_path, monkeypatch, capsys, name):
+        monkeypatch.chdir(REPO_ROOT)
+        assert cli.main(["run", "--config", f"configs/{name}", "--out", str(tmp_path / "o")]) == 0, capsys.readouterr()
+        assert (tmp_path / "o" / "manifest.json").is_file()
 
 
 class TestBenchmarkContract:
