@@ -11,9 +11,8 @@ its candidates, and every streamed Monte Carlo loop its rows, in blocks of
 statistic reduces one row, so a block's rows hold the bits they would have in
 one whole-panel call, and the panel temporaries no longer grow with the
 sample count.  tradeoff-scan still keeps four excess vectors of
-``samples`` floats (3.2 MB at the defaults) on purpose: its gates read every
-row, and its precheck refuses a ``samples`` whose vectors would pass
-``experiments.EXCESS_BYTES_CAP``, before any allocation or draw.
+``experiments.TRADEOFF_SAMPLES`` floats (3.2 MB) on purpose: its gates read
+every row.
 """
 
 from __future__ import annotations

@@ -6,7 +6,8 @@
 
 verify-all runs every experiment at its defaults and writes each one's
 report.md and chart next to its manifest, as report does.
-Each experiment's precheck refuses bad params, with exit 2, before it runs.
+Every experiment's inputs are module constants except dag-exploration's
+graph_file, which its precheck refuses, with exit 2, before it runs.
 Exit codes: 0 all checks passed, 2 configuration, out-of-memory or other certlab error,
 3 check failure, 4 I/O or report error.  --threads sets the worker threads of
 the experiments that parallelize; outputs are byte-identical at any thread count.
@@ -20,7 +21,7 @@ from pathlib import Path
 
 from .config import ExperimentConfig, build_config, check_seed, config_hash, parse_config_text
 from .errors import CertlabError, ConfigError, ReportError
-from .experiments import EXPERIMENTS, default_params
+from .experiments import EXPERIMENTS
 from .manifest import RunManifest, load_manifest, read_text_file, write_csv, write_text_file
 from .report import emit_markdown, emit_svg_charts
 
@@ -68,7 +69,7 @@ def _summarize(manifest: RunManifest, stream) -> None:
 
 def _failure(exc: Exception) -> int:
     """Report an error that stops a command: 4 for I/O or a ReportError, 2 for other
-    CertlabErrors and for a MemoryError (parameters whose arrays cannot be allocated)."""
+    CertlabErrors and for a MemoryError (arrays that cannot be allocated)."""
     if isinstance(exc, OSError):
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -135,7 +136,7 @@ def cmd_verify_all(args) -> int:
         config = ExperimentConfig(
             experiment=name,
             seed=seed,
-            params=default_params(name),
+            params=dict(EXPERIMENTS[name].schema),
             output_dir=str(out_root / name),
         )
         manifest = _execute(config, threads)

@@ -3,28 +3,26 @@
 Config files are plain text with two sections::
 
     [run]
-    experiment = error-accumulation
+    experiment = dag-exploration
     seed = 42
     output_dir = out        # optional; CLI --out overrides
 
     [params]
-    trials = 100000
+    graph_file = configs/custom_graph.txt
 
-Parsing is strict: unknown sections, unknown keys, duplicate keys, and
-values that fail their type all raise ConfigError with the full key path.
-A parameter's type is its default's: ``5`` for a float key reads as 5.0,
-``5.0`` for an int key is refused, and a tuple default makes the key a
-comma-separated list of its items' type.  A seed must be supplied (file or
-CLI); nothing in the harness has implicit randomness.  ``canonical_text``
-renders a config in a unique normal form (fixed section order, sorted keys,
-round-trip float repr), so ``parse -> canonicalize -> serialize -> parse`` is
+Parsing is strict: unknown sections, unknown keys and duplicate keys raise
+ConfigError with the full key path.  An experiment's schema maps each of its
+params to its default; every param is a string, kept as written, and
+dag-exploration's ``graph_file`` is the only one.  A seed must be supplied
+(file or CLI); nothing in the harness has implicit randomness.
+``canonical_text`` renders a config in a unique normal form (fixed section
+order, sorted keys), so ``parse -> canonicalize -> serialize -> parse`` is
 the identity and the config hash is well-defined.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -32,18 +30,6 @@ from .errors import ConfigError
 _RUN_KEYS = {"experiment", "seed", "output_dir"}
 _SECTIONS = ("run", "params")
 MAX_SEED = 2**64 - 1
-
-
-@dataclass(frozen=True)
-class ParamSpec:
-    """Default and smallest accepted value of one experiment parameter.
-
-    The default's type is the parameter's type: an int, float or str, or a
-    non-empty tuple of one of them, which parses a comma-separated list.
-    """
-
-    default: object
-    minimum: int | float | None = None  # checked on the value, or on each list item
 
 
 @dataclass(frozen=True)
@@ -58,11 +44,11 @@ class RawConfig:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated configuration: typed params, required seed."""
+    """Validated configuration: every param set, required seed."""
 
     experiment: str
     seed: int
-    params: dict[str, object] = field(default_factory=dict)
+    params: dict[str, str] = field(default_factory=dict)
     output_dir: str = "out"
 
 
@@ -121,35 +107,15 @@ def check_seed(seed: int, source: str) -> int:
     return seed
 
 
-def _parse_scalar(kind: type, key: str, text: str) -> object:
-    try:
-        value = kind(text)
-    except ValueError as exc:
-        raise ConfigError(f"params.{key}: cannot parse {text!r} as {kind.__name__}") from exc
-    if kind is float and not math.isfinite(value):
-        raise ConfigError(f"params.{key}: must be finite, got {text!r}")
-    return value
-
-
-def parse_param(spec: ParamSpec, key: str, text: str) -> object:
-    """``text`` parsed as ``spec.default``'s type, or as a list of its items' type."""
-    if isinstance(spec.default, tuple):
-        items = [part.strip() for part in text.split(",") if part.strip()]
-        if not items:
-            raise ConfigError(f"params.{key}: list value must be non-empty")
-        return tuple(_parse_scalar(type(spec.default[0]), key, item) for item in items)
-    return _parse_scalar(type(spec.default), key, text)
-
-
 def build_config(
     raw: RawConfig,
-    schema: dict[str, ParamSpec],
+    schema: dict[str, str],
     *,
     experiment_names,
     seed_override: int | None = None,
     out_override: str | None = None,
 ) -> ExperimentConfig:
-    """Validate a raw config against its experiment's parameter schema."""
+    """Validate a raw config against its experiment's schema: each param's default."""
     if raw.experiment is None:
         raise ConfigError("run.experiment is required")
     if raw.experiment not in experiment_names:
@@ -165,30 +131,11 @@ def build_config(
         raise ConfigError(
             "unknown parameter keys: " + ", ".join("params." + k for k in sorted(unknown))
         )
-    params = {key: spec.default for key, spec in schema.items()}
-    for key, text in raw.raw_params.items():
-        spec = schema[key]
-        value = params[key] = parse_param(spec, key, text)
-        items = value if isinstance(value, tuple) else (value,)
-        if spec.minimum is not None and not all(item >= spec.minimum for item in items):
-            raise ConfigError(f"params.{key}: must be >= {spec.minimum}, got {render_value(value)}")
+    params = {**schema, **raw.raw_params}
     output_dir = out_override if out_override is not None else (raw.output_dir or "out")
     return ExperimentConfig(
         experiment=raw.experiment, seed=int(seed), params=params, output_dir=output_dir
     )
-
-
-def render_value(value: object) -> str:
-    """Canonical text for one typed parameter value."""
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, str):
-        return value
-    if isinstance(value, tuple):
-        return ",".join(render_value(v) for v in value)
-    raise ConfigError(f"cannot render value of type {type(value).__name__}")
 
 
 def canonical_text(config: ExperimentConfig) -> str:
@@ -202,7 +149,7 @@ def canonical_text(config: ExperimentConfig) -> str:
         "[params]",
     ]
     for key in sorted(config.params):
-        lines.append(f"{key} = {render_value(config.params[key])}")
+        lines.append(f"{key} = {config.params[key]}")
     return "\n".join(lines) + "\n"
 
 

@@ -18,16 +18,15 @@ checks test the paper's claims against closed forms, oracles and Monte Carlo
 runs, never a kernel against the scalar op it shadows: the test suite holds
 those comparisons, over every row it draws.
 
-Each experiment's ``precheck(params)`` refuses bad params before its runner
-starts.  A precheck only parses, evaluates closed forms and prices work
-against caps: it draws nothing and runs no solver, and every refusal names
-the key it refuses.  A value that both need comes from one helper, so the
-runner may assume valid params.  An input that no caller varies is a module
-constant: beside its experiment's schema, or, where a library function reads
-it (curriculum's sweep grid and fit settings, the accuracy sweep's margin and
-sigma grid, the frontier's betas), beside that function's other constants;
-divergence-asymptote, cib-frontier and curriculum have no params, and share
-``precheck_no_params``.
+Every input of an experiment is a module constant: beside its experiment's
+other constants here, or, where a library function reads it (curriculum's
+sweep grid and fit settings, the accuracy sweep's margin and sigma grid, the
+frontier's betas), beside that function's other constants.  The runners read
+them at call time, so a small test run patches them.  The one param is
+dag-exploration's ``graph_file``, a path to user input: its
+``precheck(params)`` parses that graph and prices its search before the
+runner starts, draws nothing and names ``params.graph_file`` in every
+refusal.  The other experiments share ``precheck_no_params``.
 """
 
 from __future__ import annotations
@@ -35,15 +34,13 @@ from __future__ import annotations
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import cat_bulk
 from . import categorical as cat
 from . import cib, curriculum, dag, dynamics
-from .config import ParamSpec
 from .errors import EnumerationTooLargeError, InvalidInputError
 from .manifest import Check, read_text_file
 from .seeding import derive_seed, rng_for
@@ -166,38 +163,14 @@ def deterministic_map(fn, items, threads: int):
 # tradeoff-scan: certainty bounds on random softmax distributions
 # ---------------------------------------------------------------------------
 
-TRADEOFF_SCHEMA = {
-    "samples": ParamSpec(100_000),
-    "options_set": ParamSpec((2, 3, 4, 8, 16, 32), minimum=2),
-}
+# Random softmax rows: TRADEOFF_SAMPLES in all, split evenly over the B of OPTIONS_SET.
+TRADEOFF_SAMPLES = 100_000
+OPTIONS_SET = (2, 3, 4, 8, 16, 32)
 # The oracle scan: a row for each top probability of SCAN_GRID at least 1/B, for each
 # B of SCAN_OPTIONS, each scored over compositions of ORACLE_RESOLUTION units.
 SCAN_OPTIONS = (2, 4)
 SCAN_GRID = (0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 ORACLE_RESOLUTION = 60
-# Most noise variates a Monte Carlo runner may plan to draw.  Its kernels stream
-# fixed-size blocks, so no allocation fails on a huge trial count; this cap stops
-# the run before its first draw instead.
-DRAW_CAP = 10**10
-# Most bytes tradeoff-scan's four float64 excess vectors (32 bytes a row) may hold:
-# its gates read every row, so the vectors grow with ``samples``.
-EXCESS_BYTES_CAP = 2**30
-
-
-def _cap_draws(key: str, draws: int) -> None:
-    """Refuse a run whose ``params[key]`` would draw more than ``DRAW_CAP`` variates."""
-    if draws > DRAW_CAP:
-        raise EnumerationTooLargeError(f"params.{key}: the run would draw {draws} variates, over the cap {DRAW_CAP}")
-
-
-@contextmanager
-def _keyed(key: str):
-    """Prefix ``params.<key>: `` to a refusal raised in the block, such as a library
-    call's own argument check, so that the refusal names the key it refuses."""
-    try:
-        yield
-    except (InvalidInputError, EnumerationTooLargeError) as exc:
-        raise type(exc)(f"params.{key}: {exc}") from None
 
 
 def _compositions(units: int, slots: int, rows: int):
@@ -230,29 +203,13 @@ def _simplex_slice_min_reverse_kl(top: float, n_options: int, resolution: int) -
     return best
 
 
-def precheck_tradeoff_scan(params: dict) -> None:
-    options_set, samples = params["options_set"], params["samples"]
-    if samples < len(options_set):
-        raise InvalidInputError(
-            f"params.samples: need at least one row per B, {len(options_set)} in all, got {samples}"
-        )
-    per_b = samples // len(options_set)
-    _cap_draws("samples", per_b * sum(options_set))  # a row at B draws B normals
-    excess_bytes = 32 * per_b * len(options_set)
-    if excess_bytes > EXCESS_BYTES_CAP:
-        raise EnumerationTooLargeError(
-            f"params.samples: the four excess vectors would hold {excess_bytes} bytes, over the cap {EXCESS_BYTES_CAP}"
-        )
-
-
 def run_tradeoff_scan(seed: int, params: dict, threads: int = 1) -> ExperimentResult:
     result = ExperimentResult()
-    options_set = params["options_set"]
-    per_b = params["samples"] // len(options_set)
+    per_b = TRADEOFF_SAMPLES // len(OPTIONS_SET)
 
     # per row, each floor's excess over its bound, filled block by block
-    margin, reverse, forward, equality = np.empty((4, len(options_set) * per_b))
-    for k, b in enumerate(options_set):
+    margin, reverse, forward, equality = np.empty((4, len(OPTIONS_SET) * per_b))
+    for k, b in enumerate(OPTIONS_SET):
         rng = rng_for(seed, "tradeoff-sample", b)
         block = cat_bulk.block_rows(b)
         for start in range(0, per_b, block):
@@ -263,10 +220,10 @@ def run_tradeoff_scan(seed: int, params: dict, threads: int = 1) -> ExperimentRe
             reverse[rows] = panel.tradeoff_bound - 1e-9 - panel.reverse_kl
             forward[rows] = panel.forward_bound - 1e-9 - panel.forward_kl
             equality[rows] = np.abs(panel.margin - panel.stability_bound) - 1e-12
-    two = np.flatnonzero(np.repeat(np.asarray(options_set) == 2, per_b))  # the B=2 rows
+    two = np.flatnonzero(np.repeat(np.asarray(OPTIONS_SET) == 2, per_b))  # the B=2 rows
 
     def where(i):
-        return f"B={options_set[i // per_b]} row {i % per_b}"
+        return f"B={OPTIONS_SET[i // per_b]} row {i % per_b}"
 
     result.gate("stability floor: margin >= log(s/(1-s)) on random softmax sample", margin, where)
     result.gate("certainty cost floor: D(p||uniform) >= tradeoff bound on the same sample", reverse, where)
@@ -392,21 +349,16 @@ def run_divergence_asymptote(seed: int, params: dict, threads: int = 1) -> Exper
 # noise-discrete: argmax reset makes sub-decisional noise harmless
 # ---------------------------------------------------------------------------
 
-NOISE_DISCRETE_SCHEMA = {
-    "trials": ParamSpec(100_000, minimum=1),
-}
 # Spec i's chain: CHAIN_STEPS[i] steps over CHAIN_OPTIONS[i] options, logit margins
 # of at least dynamics.MIN_MARGIN, and sub-decisional noise NOISE_OVER_MARGIN times it;
-# the unconstrained contrast runs spec 0 at CONTRAST_NOISE_OVER_MARGIN times it.
+# the unconstrained contrast runs spec 0 at CONTRAST_NOISE_OVER_MARGIN times it.  Each
+# sub-decisional spec runs DISCRETE_TRIALS trials, the contrast CONTRAST_TRIALS.
+DISCRETE_TRIALS = 100_000
+CONTRAST_TRIALS = 20_000
 CHAIN_STEPS = (6, 4, 8, 6, 10)
 CHAIN_OPTIONS = (5, 3, 2, 4, 6)
 NOISE_OVER_MARGIN = 0.2
 CONTRAST_NOISE_OVER_MARGIN = 5.0
-
-
-def precheck_noise_discrete(params: dict) -> None:
-    # one draw per option per step and trial; the cap counts the sub-decisional runs
-    _cap_draws("trials", params["trials"] * sum(steps * options for steps, options in zip(CHAIN_STEPS, CHAIN_OPTIONS)))
 
 
 def run_noise_discrete(seed: int, params: dict, threads: int = 1) -> ExperimentResult:
@@ -425,11 +377,11 @@ def run_noise_discrete(seed: int, params: dict, threads: int = 1) -> ExperimentR
 
     def run_spec(item):
         index, spec = item
-        return dynamics.simulate_discrete_chain(spec, params["trials"], derive_seed(seed, "chain-run", index))
+        return dynamics.simulate_discrete_chain(spec, DISCRETE_TRIALS, derive_seed(seed, "chain-run", index))
 
     counts = deterministic_map(run_spec, list(enumerate(chain_specs)), threads)
     rows = [
-        (index, spec.steps, spec.n_options, spec.noise_scale, "sub_decisional", params["trials"], divergences)
+        (index, spec.steps, spec.n_options, spec.noise_scale, "sub_decisional", DISCRETE_TRIALS, divergences)
         for index, (spec, divergences) in enumerate(zip(chain_specs, counts))
     ]
     result.gate(
@@ -437,17 +389,16 @@ def run_noise_discrete(seed: int, params: dict, threads: int = 1) -> ExperimentR
         np.asarray(counts, dtype=np.float64), lambda i: f"spec {i} ({counts[i]} divergences)",
     )
 
-    contrast_trials = min(params["trials"], 20_000)
     contrast_count = dynamics.simulate_discrete_chain(
-        contrast, contrast_trials, derive_seed(seed, "chain-contrast")
+        contrast, CONTRAST_TRIALS, derive_seed(seed, "chain-contrast")
     )
     rows.append(
         (len(specs), contrast.steps, contrast.n_options, contrast.noise_scale,
-         "unconstrained", contrast_trials, contrast_count)
+         "unconstrained", CONTRAST_TRIALS, contrast_count)
     )
     result.gate(
         "unconstrained large noise does perturb the final token",
-        strict_rise([0, contrast_count]), lambda i: f"{contrast_count}/{contrast_trials} divergences, need > 0",
+        strict_rise([0, contrast_count]), lambda i: f"{contrast_count}/{CONTRAST_TRIALS} divergences, need > 0",
     )
     result.tables["noise_discrete.csv"] = (
         ["spec", "steps", "options", "noise_scale", "mode", "trials", "divergences"],
@@ -479,98 +430,28 @@ def run_noise_discrete(seed: int, params: dict, threads: int = 1) -> ExperimentR
 # error-accumulation: continuous chains compound noise geometrically
 # ---------------------------------------------------------------------------
 
-ERROR_ACCUMULATION_SCHEMA = {
-    "lipschitz_values": ParamSpec((0.8, 1.0, 1.2)),
-    "dims": ParamSpec((1, 8, 64), minimum=1),
-    "steps_values": ParamSpec((1, 6, 12), minimum=1),
-    "sigma_h": ParamSpec(0.1),
-    "trials": ParamSpec(100_000, minimum=100),
-}
-# Headroom kept between the expected sum of fourth powers a Monte Carlo cell
-# accumulates and the float range: a realized sum 2**10 times its expectation
-# needs one chi-squared draw hundreds of times its mean, a chance below 1e-100.
-FOURTH_POWER_HEADROOM = 2.0**10
-
-
-def _error_cells(params: dict) -> tuple[list[tuple], list[dynamics.LatentConfig]]:
-    """The Monte Carlo cells (L, d, M), L-major, and each cell's config."""
-    cells = [
-        (lf, d, m)
-        for lf in params["lipschitz_values"]
-        for d in params["dims"]
-        for m in params["steps_values"]
-    ]
-    with _keyed("sigma_h"):  # a config at L = 1 refuses only a bad sigma_h
-        dynamics.LatentConfig(dim=1, steps=1, lipschitz=1.0, sigma_h=params["sigma_h"])
-    with _keyed("lipschitz_values"):
-        configs = [
-            dynamics.LatentConfig(dim=d, steps=m, lipschitz=lf, sigma_h=params["sigma_h"]) for lf, d, m in cells
-        ]
-    return cells, configs
-
-
-def _final_closed_forms(params: dict) -> tuple[list[float], list[float]]:
-    """The sorted Lipschitz values and each one's closed form at d = 8 and the longest M: the ordering check's rows."""
-    lipschitz, steps = sorted(params["lipschitz_values"]), max(params["steps_values"])
-    configs = [dynamics.LatentConfig(dim=8, steps=steps, lipschitz=lf, sigma_h=params["sigma_h"]) for lf in lipschitz]
-    return lipschitz, [dynamics.expected_error_closed_form(config) for config in configs]
-
-
-def precheck_error_accumulation(params: dict) -> None:
-    longest = max(params["steps_values"])
-    if longest < 2:  # at one step every L gives d sigma^2: the ordering needs two
-        raise InvalidInputError(f"params.steps_values: the Lipschitz ordering needs at least 2 steps, got {longest}")
-    cells, configs = _error_cells(params)
-    _cap_draws("trials", params["trials"] * sum(d * m for _, d, m in cells))
-
-    # the gates divide by the closed form and the law gate squares it, and the
-    # Monte Carlo sums |E_M|^4, whose expectation over the trials is
-    # trials * closed^2 * (1 + 2/d) (the chi-squared law of the runner)
-    def closed_form(config):
-        """The closed form, and whether it, its square and the headroom over the fourth-power sum are in range."""
-        try:
-            value = dynamics.expected_error_closed_form(config)
-        except OverflowError:  # a float power out of range: sigma_h ** 2 or L ** (2 M)
-            value = math.inf
-        fourth = params["trials"] * value * value * (1.0 + 2.0 / config.dim) * FOURTH_POWER_HEADROOM
-        return value, 0.0 < value * value < math.inf and fourth < math.inf
-
-    for (lf, d, m), config in zip(cells, configs):
-        value, fits = closed_form(config)
-        if not fits:
-            # sigma_h is at fault if the cell fails at L = 1 too, and L if only its power breaks the range
-            key = "lipschitz_values" if closed_form(replace(config, lipschitz=1.0))[1] else "sigma_h"
-            raise InvalidInputError(
-                f"params.{key}: the closed form at L={lf} d={d} M={m} is {value!r}; it, its square and "
-                f"{FOURTH_POWER_HEADROOM:g} times the expected fourth-power sum of {params['trials']} trials "
-                "must be positive and finite"
-            )
-
-    # the ordering check reads no sample: its closed forms must strictly rise, so equal
-    # values and values that the L = 1 branch rounds together are refused here
-    lipschitz, final = _final_closed_forms(params)
-    tied = np.flatnonzero(strict_rise(final) > 0)
-    if tied.size:
-        i = int(tied[0])
-        raise InvalidInputError(
-            f"params.lipschitz_values: L={lipschitz[i]!r} and L={lipschitz[i + 1]!r} give the final closed forms "
-            f"{final[i]!r} and {final[i + 1]!r} at d=8 M={longest}; the Lipschitz ordering needs them to strictly rise"
-        )
+# The Monte Carlo cells: every (L, d, M) of LIPSCHITZ_VALUES x DIMS x STEPS_VALUES, L-major,
+# each at noise SIGMA_H over ERROR_TRIALS trials.
+LIPSCHITZ_VALUES = (0.8, 1.0, 1.2)
+DIMS = (1, 8, 64)
+STEPS_VALUES = (1, 6, 12)
+SIGMA_H = 0.1
+ERROR_TRIALS = 100_000
 
 
 def run_error_accumulation(seed: int, params: dict, threads: int = 1) -> ExperimentResult:
     result = ExperimentResult()
-    cells, configs = _error_cells(params)
+    cells = [(lf, d, m) for lf in LIPSCHITZ_VALUES for d in DIMS for m in STEPS_VALUES]
+    configs = [dynamics.LatentConfig(dim=d, steps=m, lipschitz=lf, sigma_h=SIGMA_H) for lf, d, m in cells]
     closed = [dynamics.expected_error_closed_form(config) for config in configs]
+    trials = ERROR_TRIALS
 
     def run_cell(item):
         cell, config = item
-        return dynamics.monte_carlo_error(
-            config, params["trials"], derive_seed(seed, "mc-cell", *[str(x) for x in cell])
-        )
+        return dynamics.monte_carlo_error(config, trials, derive_seed(seed, "mc-cell", *[str(x) for x in cell]))
 
     outcomes = deterministic_map(run_cell, list(zip(cells, configs)), threads)
-    rows = [(lf, m, d, params["sigma_h"], c, *outcome) for (lf, d, m), c, outcome in zip(cells, closed, outcomes)]
+    rows = [(lf, m, d, SIGMA_H, c, *outcome) for (lf, d, m), c, outcome in zip(cells, closed, outcomes)]
     result.tables["error_accumulation.csv"] = (
         ["L_F", "M", "d", "sigma_h", "closed_form", "mc_mean", "mc_stderr"],
         rows,
@@ -585,7 +466,6 @@ def run_error_accumulation(seed: int, params: dict, threads: int = 1) -> Experim
     # the law: |E_M|^2 = s^2 chi^2_d with s^2 = closed / d, so its variance is
     # 2 d s^4, and the sample variance (trials * stderr^2) has standard error
     # s^4 sqrt((mu_4 - mu_2^2) / trials) = s^4 sqrt((8 d^2 + 48 d) / trials)
-    trials = params["trials"]
     dims = np.array([d for _, d, _ in cells])
     s4 = (closed / dims) ** 2
     result.sigma_gate(
@@ -604,7 +484,14 @@ def run_error_accumulation(seed: int, params: dict, threads: int = 1) -> Experim
         "contractive chain error approaches the geometric limit",
         dynamics.expected_error_closed_form(geometric), 8 * 0.1**2 / (1 - 0.8**2), 1e-9,
     )
-    lipschitz, final_cf = _final_closed_forms(params)
+    # at d = 8 and the longest M, sorted by L
+    lipschitz = sorted(LIPSCHITZ_VALUES)
+    final_cf = [
+        dynamics.expected_error_closed_form(
+            dynamics.LatentConfig(dim=8, steps=max(STEPS_VALUES), lipschitz=lf, sigma_h=SIGMA_H)
+        )
+        for lf in lipschitz
+    ]
     result.gate(
         "final error ordering follows the Lipschitz constant",
         strict_rise(final_cf),
@@ -618,17 +505,16 @@ def run_error_accumulation(seed: int, params: dict, threads: int = 1) -> Experim
 # accuracy-sweep: retention probability decays along the normal CDF
 # ---------------------------------------------------------------------------
 
-ACCURACY_SCHEMA = {
-    "dim": ParamSpec(16, minimum=1),
-    "trials": ParamSpec(100_000, minimum=1000),
-}
+# The chain's dimension, the gain of its retention curve, and the trials at each sigma.
+ACCURACY_DIM = 16
+ACCURACY_TRIALS = 100_000
 
 
 def _crossing_sigma(margin: float, gain: float, level: float) -> float:
     """Sigma where the analytic retention curve crosses ``level`` (interpolated).
 
-    At level 0.75 the crossing is margin / (0.6745 sqrt(gain)); for every dim that
-    the draw cap accepts (at most 10**6) it lies inside the grid."""
+    At level 0.75 the crossing is margin / (0.6745 sqrt(gain)), inside the grid for
+    any gain up to 10**6."""
     grid = np.geomspace(1e-3, 1e3, 4001)
     curve = np.array([retention for _, retention in dynamics.accuracy_curve(margin, gain, grid)])
     idx = int(np.argmax(curve < level))
@@ -637,19 +523,12 @@ def _crossing_sigma(margin: float, gain: float, level: float) -> float:
     return float(x0 + (level - y0) * (x1 - x0) / (y1 - y0))
 
 
-def precheck_accuracy_sweep(params: dict) -> None:
-    _cap_draws("trials", params["trials"] * params["dim"] * len(dynamics.SIGMA_GRID))
-
-
 def run_accuracy_sweep(seed: int, params: dict, threads: int = 1) -> ExperimentResult:
     result = ExperimentResult()
-    gain, margin = float(params["dim"]), dynamics.ACCURACY_MARGIN
-    rows = dynamics.empirical_accuracy_sweep(
-        dim=params["dim"], trials=params["trials"], seed=derive_seed(seed, "accuracy")
-    )
+    gain, margin, trials = float(ACCURACY_DIM), dynamics.ACCURACY_MARGIN, ACCURACY_TRIALS
+    rows = dynamics.empirical_accuracy_sweep(dim=ACCURACY_DIM, trials=trials, seed=derive_seed(seed, "accuracy"))
     result.tables["accuracy_sweep.csv"] = (["sigma", "analytic", "empirical", "std_error"], rows)
     sigmas, analytic, empirical = np.array([r[:3] for r in rows]).T
-    trials = params["trials"]
     result.binomial_gate(
         "empirical retention within binomial 3-sigma of the analytic curve everywhere",
         [round(e * trials) for e in empirical], trials, analytic,  # e is a count over trials: exact
@@ -920,14 +799,15 @@ def run_curriculum(seed: int, params: dict, threads: int = 1) -> ExperimentResul
 # dag-exploration: the trap-graph analog of the exploration gap
 # ---------------------------------------------------------------------------
 
-DAG_SCHEMA = {
-    "policy_draws": ParamSpec(200, minimum=2),
-    "mc_trials": ParamSpec(100_000, minimum=1),
-    "divergence_draws": ParamSpec(30, minimum=1),
-    "capped_samples": ParamSpec(10_000, minimum=1),
-    "graph_file": ParamSpec(""),  # optional custom graph (adjacency text)
-    "graph_trials": ParamSpec(20_000, minimum=1),
-}
+# The one param: an optional custom graph (adjacency text), searched by GRAPH_TRIALS walks.
+DAG_SCHEMA = {"graph_file": ""}
+GRAPH_TRIALS = 20_000
+# The policies drawn per family for the trap ordering, the trap search's walks, the
+# policies drawn per kappa and for the binary graphs, and the capped-peak audit's samples.
+POLICY_DRAWS = 200
+MC_TRIALS = 100_000
+DIVERGENCE_DRAWS = 30
+CAPPED_SAMPLES = 10_000
 # The trap's shape, the concentrated policies' kappa, the kappas of the divergence
 # growth gate, and the capped-peak audit's deltas and largest B.
 TRAP_DEPTH = 6
@@ -973,29 +853,23 @@ def capped_peak_bound_audit(seed: int, samples: int) -> ExperimentResult:
     return audit
 
 
-def _price_search(graph, params: dict, key: str) -> None:
-    """Refuse a search whose ``params[key]`` trials ``dag.price_search`` refuses."""
-    with _keyed(key):
-        dag.price_search(graph, params[key])
-
-
 def _custom_graph(params: dict):
-    """The graph of ``params.graph_file``, priced for ``params.graph_trials`` walks, or None when unset.
+    """The graph of ``params.graph_file``, priced for ``GRAPH_TRIALS`` walks, or None when unset.
 
-    The runner reads the file again, so the price holds for the graph it walks."""
+    The runner reads the file again, so the price holds for the graph it walks.  A
+    refusal of the file, its graph or its search names the key."""
     if not params["graph_file"]:
         return None
-    with _keyed("graph_file"):
+    try:
         graph = dag.parse_dag(read_text_file(params["graph_file"], InvalidInputError))
-    _price_search(graph, params, "graph_trials")
+        dag.price_search(graph, GRAPH_TRIALS)
+    except (InvalidInputError, EnumerationTooLargeError) as exc:
+        raise type(exc)(f"params.graph_file: {exc}") from None
     return graph
 
 
 def precheck_dag_exploration(params: dict) -> None:
     _custom_graph(params)
-    _price_search(dag.trap_dag(TRAP_DEPTH, TRAP_BRANCHING), params, "mc_trials")
-    # the audit draws B variates a sample for every delta and every B
-    _cap_draws("capped_samples", params["capped_samples"] * len(CAPPED_DELTAS) * sum(range(2, CAPPED_OPTIONS_MAX + 1)))
 
 
 def run_dag_exploration(seed: int, params: dict, threads: int = 1) -> ExperimentResult:
@@ -1016,7 +890,7 @@ def run_dag_exploration(seed: int, params: dict, threads: int = 1) -> Experiment
             policy = dag.make_policy(trap, "non_degenerate", seed=derive_seed(seed, "nd", index))
         return dag.enumerate_paths(trap, policy)
 
-    draws = params["policy_draws"]
+    draws = POLICY_DRAWS
     conc = np.array([draw_success("concentrated", i) for i in range(draws)])
     nd = np.array([draw_success("non_degenerate", i) for i in range(draws)])
     conc_mean, nd_mean = float(conc.mean()), float(nd.mean())
@@ -1045,17 +919,17 @@ def run_dag_exploration(seed: int, params: dict, threads: int = 1) -> Experiment
         lambda i: f"{regimes[i]} median {medians[i]:.3e} vs {regimes[i + 1]} {medians[i + 1]:.3e}",
     )
 
-    stats = dag.run_search(trap, uniform_policy, params["mc_trials"], derive_seed(seed, "mc"))
+    stats = dag.run_search(trap, uniform_policy, MC_TRIALS, derive_seed(seed, "mc"))
     result.binomial_gate(
         "Monte Carlo search matches the exact oracle within 3 standard errors",
-        [stats.successes], params["mc_trials"], [uniform_exact], lambda i: "uniform walker on the trap",
+        [stats.successes], MC_TRIALS, [uniform_exact], lambda i: "uniform walker on the trap",
     )
 
     kappa_rows = []
     divergence_means = []
     for kappa in DAG_KAPPA_GRID:
         vals = []
-        for i in range(params["divergence_draws"]):
+        for i in range(DIVERGENCE_DRAWS):
             policy = dag.make_policy(trap, "concentrated", kappa=kappa, seed=derive_seed(seed, "kdiv", str(kappa), i))
             vals.append(dag.exploration_divergence(trap, policy))
         divergence_means.append(float(np.mean(vals)))
@@ -1072,7 +946,7 @@ def run_dag_exploration(seed: int, params: dict, threads: int = 1) -> Experiment
     half_bound = -0.5 * math.log(dag.CAP_DELTA) - cat.worst_case_latent_kl(dag.CAP_DELTA, 2).scan_constant
     nd_divs = []
     peaks = []  # (draw, node, top probability) at every decision node with two or more options
-    for i in range(params["divergence_draws"]):
+    for i in range(DIVERGENCE_DRAWS):
         policy = dag.make_policy(binary, "non_degenerate", seed=derive_seed(seed, "ndbin", i))
         nd_divs.append(dag.exploration_divergence(binary, policy))
         peaks += [(i, v, cat.symbolic_index(policy[v])) for v in binary.decision_nodes() if policy[v].size >= 2]
@@ -1087,14 +961,14 @@ def run_dag_exploration(seed: int, params: dict, threads: int = 1) -> Experiment
         f"max divergence {np.max(nd_divs):.4f}, ceiling {half_bound:.4f}",
     )
 
-    result.checks += capped_peak_bound_audit(derive_seed(seed, "capped-audit"), params["capped_samples"]).checks
+    result.checks += capped_peak_bound_audit(derive_seed(seed, "capped-audit"), CAPPED_SAMPLES).checks
 
     result.texts["trap_graph.txt"] = dag.format_dag(trap)
 
     if custom is not None:
         policy = dag.make_policy(custom, "uniform")
         exact = dag.enumerate_paths(custom, policy)
-        mc = dag.run_search(custom, policy, params["graph_trials"], derive_seed(seed, "custom-mc"))
+        mc = dag.run_search(custom, policy, GRAPH_TRIALS, derive_seed(seed, "custom-mc"))
         result.tables["custom_graph.csv"] = (
             ["nodes", "trials", "exact_success", "empirical_success", "mean_path_length"],
             [(custom.n_nodes, mc.trials, exact, mc.success_rate, mc.mean_path_length)],
@@ -1102,7 +976,7 @@ def run_dag_exploration(seed: int, params: dict, threads: int = 1) -> Experiment
         # a sure outcome's exact sum can round past 1: clipped, it is the sure rate 1
         result.binomial_gate(
             "custom graph: sampled success matches the exact oracle",
-            [mc.successes], params["graph_trials"], [float(np.clip(exact, 0.0, 1.0))],
+            [mc.successes], GRAPH_TRIALS, [float(np.clip(exact, 0.0, 1.0))],
             lambda i: "uniform walker on the custom graph",
         )
     return result
@@ -1115,10 +989,12 @@ def run_dag_exploration(seed: int, params: dict, threads: int = 1) -> Experiment
 
 @dataclass(frozen=True)
 class ExperimentDef:
-    """An experiment: ``precheck(params)`` refuses bad params, then ``runner(seed, params, threads)`` runs."""
+    """An experiment: ``precheck(params)`` refuses bad params, then ``runner(seed, params, threads)`` runs.
+
+    ``schema`` maps each param to its default."""
 
     runner: object
-    schema: dict[str, ParamSpec]
+    schema: dict[str, str]
     precheck: object
 
 
@@ -1127,17 +1003,12 @@ def precheck_no_params(params: dict) -> None:
 
 
 EXPERIMENTS: dict[str, ExperimentDef] = {
-    "tradeoff-scan": ExperimentDef(run_tradeoff_scan, TRADEOFF_SCHEMA, precheck_tradeoff_scan),
+    "tradeoff-scan": ExperimentDef(run_tradeoff_scan, {}, precheck_no_params),
     "divergence-asymptote": ExperimentDef(run_divergence_asymptote, {}, precheck_no_params),
-    "noise-discrete": ExperimentDef(run_noise_discrete, NOISE_DISCRETE_SCHEMA, precheck_noise_discrete),
-    "error-accumulation": ExperimentDef(run_error_accumulation, ERROR_ACCUMULATION_SCHEMA, precheck_error_accumulation),
-    "accuracy-sweep": ExperimentDef(run_accuracy_sweep, ACCURACY_SCHEMA, precheck_accuracy_sweep),
+    "noise-discrete": ExperimentDef(run_noise_discrete, {}, precheck_no_params),
+    "error-accumulation": ExperimentDef(run_error_accumulation, {}, precheck_no_params),
+    "accuracy-sweep": ExperimentDef(run_accuracy_sweep, {}, precheck_no_params),
     "cib-frontier": ExperimentDef(run_cib_frontier, {}, precheck_no_params),
     "curriculum": ExperimentDef(run_curriculum, {}, precheck_no_params),
     "dag-exploration": ExperimentDef(run_dag_exploration, DAG_SCHEMA, precheck_dag_exploration),
 }
-
-
-def default_params(name: str) -> dict:
-    return {key: spec.default for key, spec in EXPERIMENTS[name].schema.items()}
-

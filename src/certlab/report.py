@@ -4,11 +4,13 @@ SVG output is generated directly (header, axes, tick marks, polylines) so
 the artifact has zero rendering dependencies.  Each experiment's chart is
 one ``CHARTS`` entry, drawn from the CSV its manifest references by header
 column names; a missing file or column, or a CSV without data rows, is a
-ReportError naming it.
+ReportError naming it.  So is a charted cell that is not a finite number, or
+not positive on a log axis, named by its file, column and row.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -61,8 +63,6 @@ def _svg_line_chart(
     out_path: Path,
     log_x: bool = False,
 ) -> Path:
-    import math
-
     width, height = 640, 400
     left, right, top, bottom = 70, 20, 40, 50
     plot_w, plot_h = width - left - right, height - top - bottom
@@ -134,7 +134,8 @@ class Chart:
     it is drawn once per distinct value of that column, the label formatted
     with the value.  ``middle`` keeps only the rows at the middle distinct
     value of that column, and the title is formatted with that value.
-    Every line is drawn in ascending x.
+    Every line is drawn in ascending x.  Every charted cell is a number,
+    except the group's when ``text_group`` is set.
     """
 
     csv: str
@@ -146,6 +147,7 @@ class Chart:
     group: str | None = None
     middle: str | None = None
     log_x: bool = False
+    text_group: bool = False
 
 
 # noise-discrete has no sweep-shaped table, so it has no chart
@@ -161,7 +163,7 @@ CHARTS = {
     ),
     "curriculum": Chart(
         "curriculum_sweep.csv", "n", (("{}", "mean_gap"),),
-        "Expert gap vs sample size", "n", "mean gap", group="provenance", log_x=True,
+        "Expert gap vs sample size", "n", "mean gap", group="provenance", log_x=True, text_group=True,
     ),
     "cib-frontier": Chart(
         "cib_frontier.csv", "i_past", (("frontier", "i_future"),),
@@ -196,7 +198,15 @@ def emit_svg_charts(manifest: RunManifest, out_dir: Path) -> list[Path]:
         raise ReportError(f"{path} has no column {', '.join(sorted(missing))}")
     if not cells:
         raise ReportError(f"{path} has no data rows to chart")
-    rows = [{name: _maybe_float(cell) for name, cell in zip(header, row)} for row in cells]
+    numeric = {chart.x, chart.middle, *(y for _, y in chart.series)}
+    if not chart.text_group:
+        numeric.add(chart.group)
+    numeric.discard(None)
+    rows = [
+        {name: _number(path, name, index, cell, name == chart.x and chart.log_x) if name in numeric else cell
+         for name, cell in zip(header, row)}
+        for index, row in enumerate(cells, start=1)
+    ]
     pick = None
     if chart.middle is not None:
         values = sorted({r[chart.middle] for r in rows})
@@ -214,8 +224,13 @@ def emit_svg_charts(manifest: RunManifest, out_dir: Path) -> list[Path]:
     return [_svg_line_chart(series, title, chart.x_label, chart.y_label, out_path, chart.log_x)]
 
 
-def _maybe_float(cell: str):
+def _number(path: Path, column: str, row: int, cell: str, positive: bool) -> float:
+    """A charted cell as a float: a finite number, positive on a log axis, or a ReportError naming it."""
     try:
-        return float(cell)
+        value = float(cell)
     except ValueError:
-        return cell
+        value = math.nan
+    if not math.isfinite(value) or (positive and value <= 0.0):
+        kind = "a positive finite number, as the log axis needs" if positive else "a finite number"
+        raise ReportError(f"{path}: column {column}, row {row}: {cell!r} is not {kind}")
+    return value

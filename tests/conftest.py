@@ -1,8 +1,11 @@
 """Shared test settings and fixtures: hypothesis draws the same examples on every
-run, and ``mutate_streams`` swaps one Generator method of a module's streams."""
+run, ``small_constants`` shrinks an experiment's constants for a small run, and
+``mutate_streams`` swaps one Generator method of a module's streams."""
 
 import pytest
 from hypothesis import settings
+
+from certlab import experiments
 
 # derandomize: examples come from a fixed seed, not the clock; database=None:
 # no examples replayed from an earlier run; deadline=None: no per-example time
@@ -40,3 +43,15 @@ def mutate_streams(monkeypatch):
         monkeypatch.setattr(module, "rng_for", lambda *labels: MutantStream(streams(*labels), method, draw))
 
     return mutate
+
+
+@pytest.fixture
+def small_constants(monkeypatch):
+    """``small_constants(NAME=value, ...)`` sets each named constant of ``certlab.experiments``
+    for one test; the runners read them at call time.  An unknown name raises."""
+
+    def shrink(**constants):
+        for name, value in constants.items():
+            monkeypatch.setattr(experiments, name, value)
+
+    return shrink

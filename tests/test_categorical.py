@@ -15,7 +15,6 @@ from certlab.experiments import (
     ExperimentResult,
     _compositions,
     _simplex_slice_min_reverse_kl,
-    default_params,
     run_tradeoff_scan,
 )
 from certlab.seeding import rng_for
@@ -536,7 +535,7 @@ class TestBlockRows:
 
 
 class TestBlockedTradeoffPanel:
-    def test_blocks_equal_one_panel_over_the_whole_draw(self, monkeypatch):
+    def test_blocks_equal_one_panel_over_the_whole_draw(self, monkeypatch, small_constants):
         block = cat_bulk.STACK_CELLS // 32  # 2,048 rows of B = 32
         per_b = 2 * block + 517  # two full blocks and a ragged one
         options_set = (2, 32)  # B = 2 for the equality gate, in one block
@@ -549,8 +548,8 @@ class TestBlockedTradeoffPanel:
             return panel
 
         monkeypatch.setattr(cat_bulk, "certainty_panel", recording)
-        params = {**default_params("tradeoff-scan"), "samples": len(options_set) * per_b, "options_set": options_set}
-        checks = run_tradeoff_scan(3, params).checks
+        small_constants(TRADEOFF_SAMPLES=len(options_set) * per_b, OPTIONS_SET=options_set)
+        checks = run_tradeoff_scan(3, {}).checks
         monkeypatch.undo()
 
         assert [len(logits) for logits, _ in panels[32]] == [block, block, 517]

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from certlab import curriculum as cur
 from certlab.errors import InvalidInputError
-from certlab.experiments import EXPERIMENTS, default_params
+from certlab.experiments import EXPERIMENTS
 from certlab.seeding import derive_seed, rng_for
 
 
@@ -325,7 +325,7 @@ def test_run_curriculum_fits_every_dataset_in_one_call(monkeypatch):
         return fit_rows(counts, *args, **kwargs)
 
     monkeypatch.setattr(cur, "fit_rows", counting)
-    result = EXPERIMENTS["curriculum"].runner(0, default_params("curriculum"))
+    result = EXPERIMENTS["curriculum"].runner(0, {})
     # 4 biased + strong + balanced, 4 x 50 sweep trials, 4 x 10 TV trials
     assert shapes == [(246, 3)]
     assert result.all_passed

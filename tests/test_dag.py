@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from certlab import cat_bulk
 from certlab import categorical as cat
 from certlab import dag, experiments
-from certlab.experiments import EXPERIMENTS, binomial_tail, default_params
+from certlab.experiments import EXPERIMENTS, binomial_tail
 from certlab.errors import EnumerationTooLargeError, InfiniteDivergenceError, InvalidInputError
 from certlab.seeding import derive_seed, rng_for
 
@@ -348,12 +348,11 @@ class TestSearchPrice:
             dag.run_search(long_chain, dag.make_policy(long_chain, "uniform"), 1, seed=0)
 
     def test_default_battery_searches_stay_far_under_the_cap(self):
-        params = default_params("dag-exploration")
         searches = [
-            (dag.trap_dag(experiments.TRAP_DEPTH, experiments.TRAP_BRANCHING), params["mc_trials"]),
+            (dag.trap_dag(experiments.TRAP_DEPTH, experiments.TRAP_BRANCHING), experiments.MC_TRIALS),
             (dag.chain_dag(5), 2000),
             (dag.diamond_dag(), 2000),
-            (_custom_graph(), params["graph_trials"]),
+            (_custom_graph(), experiments.GRAPH_TRIALS),
         ]
         for graph, trials in searches:
             blocks = -(-trials // dag.SEARCH_BLOCK)
@@ -373,7 +372,7 @@ class TestDominantPlacement:
         assert abs(dag.enumerate_paths(trap, policy) - bound) <= 1e-15
 
 
-def test_nan_divergence_on_the_binary_graph_fails_the_delta_ceiling(monkeypatch):
+def test_nan_divergence_on_the_binary_graph_fails_the_delta_ceiling(monkeypatch, small_constants):
     # a NaN that is not the first row must still fail the gate
     layered, divergence = dag.layered_dag, dag.exploration_divergence
     binary, calls = [], []
@@ -391,24 +390,20 @@ def test_nan_divergence_on_the_binary_graph_fails_the_delta_ceiling(monkeypatch)
 
     monkeypatch.setattr(dag, "layered_dag", record_layered)
     monkeypatch.setattr(dag, "exploration_divergence", nan_on_second_binary_draw)
-    params = {**default_params("dag-exploration"), "mc_trials": 1000, "capped_samples": 100}
-    result = EXPERIMENTS["dag-exploration"].runner(0, params)
+    small_constants(MC_TRIALS=1000, CAPPED_SAMPLES=100)
+    result = EXPERIMENTS["dag-exploration"].runner(0, {"graph_file": ""})
     (check,) = [c for c in result.checks if c.name.startswith("capped-policy divergence on binary graphs")]
     assert not check.passed
     assert check.detail.startswith("1/30 rows over the limit, worst draw 1 ")
 
 
-
-SMALL_DAG = {**default_params("dag-exploration"), "policy_draws": 2, "mc_trials": 1000, "divergence_draws": 2,
-             "capped_samples": 100}
-
-
-def test_uniform_policies_fail_both_strict_trap_orderings_on_the_tie(monkeypatch):
+def test_uniform_policies_fail_both_strict_trap_orderings_on_the_tie(monkeypatch, small_constants):
     # every regime draws the uniform policy, so all three means and medians are equal:
     # each strict ordering fails on its tied row, and "uniform >= both means" holds with equality
     make_policy = dag.make_policy
     monkeypatch.setattr(dag, "make_policy", lambda graph, kind, **law: make_policy(graph, "uniform"))
-    checks = {c.name: c for c in EXPERIMENTS["dag-exploration"].runner(0, SMALL_DAG).checks}
+    small_constants(POLICY_DRAWS=2, MC_TRIALS=1000, DIVERGENCE_DRAWS=2, CAPPED_SAMPLES=100)
+    checks = {c.name: c for c in EXPERIMENTS["dag-exploration"].runner(0, {"graph_file": ""}).checks}
     mean = checks["trap ordering: concentrated mean success < capped-certainty mean success"]
     median = checks["trap medians separate the three regimes strictly"]
     assert not mean.passed and mean.detail.startswith("1/1 rows over the limit, worst concentrated mean ")
@@ -477,9 +472,8 @@ CUSTOM_GATE = "custom graph: sampled success matches the exact oracle"
 class TestSearchGates:
     """The trap search and the custom-graph search against the exact oracle, on the exact binomial tail."""
 
-    def _gates(self, graph_file, **params):
-        params = {**default_params("dag-exploration"), "graph_file": str(graph_file), **params}
-        result = EXPERIMENTS["dag-exploration"].runner(0, params)
+    def _gates(self, graph_file):
+        result = EXPERIMENTS["dag-exploration"].runner(0, {"graph_file": str(graph_file)})
         return {c.name: c for c in result.checks if c.name in (SEARCH_GATE, CUSTOM_GATE)}
 
     def test_a_walker_leaning_to_the_first_successor_fails_both(self, mutate_streams):
@@ -498,7 +492,7 @@ class TestSearchGates:
             "tail 4.366e-23 (excess 1.350e-03); tail limit 1.350e-03; nominal false-alarm rate 0.27% per row"
         )
 
-    def test_a_sure_outcome_passes_once_clipped(self, tmp_path):
+    def test_a_sure_outcome_passes_once_clipped(self, tmp_path, small_constants):
         # every path succeeds, but nine even branches sum to just over 1: at that
         # rate no count is sure, so the gate clips the rate to 1 first
         text = "start: 0\ntargets: 10\n0: 1,2,3,4,5,6,7,8,9\n" + "".join(f"{i}: 10\n" for i in range(1, 10)) + "10:\n"
@@ -506,7 +500,8 @@ class TestSearchGates:
         exact = dag.enumerate_paths(fan, dag.make_policy(fan, "uniform"))
         assert exact == 1.0000000000000002 and binomial_tail(1000, 1000, exact) == 0.0
         (tmp_path / "fan.txt").write_text(text)
-        check = self._gates(tmp_path / "fan.txt", mc_trials=1000, capped_samples=100, graph_trials=1000)[CUSTOM_GATE]
+        small_constants(MC_TRIALS=1000, CAPPED_SAMPLES=100, GRAPH_TRIALS=1000)
+        check = self._gates(tmp_path / "fan.txt")[CUSTOM_GATE]
         assert check.passed
         assert check.detail == (
             "0/1 rows over the limit, worst uniform walker on the custom graph: 1000/1000 at rate 1.000000e+00, "
@@ -525,7 +520,7 @@ def test_uniform_success_bounds_both_policy_means_at_seed_2():
     # 1.477e-03, above the uniform walker's 1.372e-03
     trap = dag.trap_dag(experiments.TRAP_DEPTH, experiments.TRAP_BRANCHING)
     uniform = dag.enumerate_paths(trap, dag.make_policy(trap, "uniform"))
-    draws = default_params("dag-exploration")["policy_draws"]
+    draws = experiments.POLICY_DRAWS
     means = [
         np.mean([dag.enumerate_paths(trap, dag.make_policy(trap, kind, seed=derive_seed(2, label, i), **law))
                  for i in range(draws)])

@@ -9,7 +9,7 @@ import pytest
 
 from certlab import cat_bulk, dynamics
 from certlab.errors import InvalidInputError
-from certlab.experiments import EXPERIMENTS, binomial_tail, default_params
+from certlab.experiments import EXPERIMENTS, binomial_tail
 from certlab.seeding import rng_for
 
 
@@ -52,12 +52,15 @@ class TestNoisyArgmaxCounts:
 
 ZERO_DIVERGENCE = "sub-decisional noise: zero final-token divergences across all specs"
 TIGHTNESS = "sub-decisional bound is tight: a gap change just over the margin flips the argmax"
-SMALL_NOISE_DISCRETE = {**default_params("noise-discrete"), "trials": 200}
 
 
 class TestNoiseDiscreteGate:
+    @pytest.fixture(autouse=True)
+    def _small_run(self, small_constants):
+        small_constants(DISCRETE_TRIALS=200, CONTRAST_TRIALS=200)
+
     def test_listed_once_and_passing(self):
-        result = EXPERIMENTS["noise-discrete"].runner(0, SMALL_NOISE_DISCRETE)
+        result = EXPERIMENTS["noise-discrete"].runner(0, {})
         for name in (ZERO_DIVERGENCE, TIGHTNESS):
             listed = [check for check in result.checks if check.name == name]
             assert len(listed) == 1 and listed[0].passed
@@ -67,7 +70,7 @@ class TestNoiseDiscreteGate:
         # noise ten times the bound moves gaps by up to twice the margin, so
         # some trials leave the clean chain: the gate is a theorem that can fail
         mutate_streams(dynamics, "uniform", lambda rng, low, high, size: 10.0 * rng.uniform(low, high, size))
-        result = EXPERIMENTS["noise-discrete"].runner(0, SMALL_NOISE_DISCRETE)
+        result = EXPERIMENTS["noise-discrete"].runner(0, {})
         failed = [check for check in result.checks if not check.passed]
         assert [check.name for check in failed] == [ZERO_DIVERGENCE]
         assert failed[0].detail == "5/5 rows over the limit, worst spec 4 (138 divergences) (excess 1.380e+02)"
@@ -78,7 +81,7 @@ class TestNoiseDiscreteGate:
             dynamics, "simulate_discrete_chain",
             lambda spec, trials, seed: simulate(spec, trials, seed) if spec.sub_decisional_only else 0,
         )
-        failed = [c for c in EXPERIMENTS["noise-discrete"].runner(0, SMALL_NOISE_DISCRETE).checks if not c.passed]
+        failed = [c for c in EXPERIMENTS["noise-discrete"].runner(0, {}).checks if not c.passed]
         assert [c.name for c in failed] == ["unconstrained large noise does perturb the final token"]
         assert failed[0].detail == "1/1 rows over the limit, worst 0/200 divergences, need > 0 (excess 4.941e-324)"
 
@@ -194,14 +197,15 @@ class TestStreamedDiscreteChain:
 
 
 MONTE_CARLO_GATE = "Monte Carlo within 3 standard errors of the closed form at every cell"
-SMALL_ERROR_ACCUMULATION = {
-    **default_params("error-accumulation"), "dims": (1, 8), "steps_values": (1, 6), "trials": 1000
-}
 
 
 class TestMonteCarloGate:
+    @pytest.fixture(autouse=True)
+    def _small_run(self, small_constants):
+        small_constants(DIMS=(1, 8), STEPS_VALUES=(1, 6), ERROR_TRIALS=1000)
+
     def _gate(self):
-        result = EXPERIMENTS["error-accumulation"].runner(0, SMALL_ERROR_ACCUMULATION)
+        result = EXPERIMENTS["error-accumulation"].runner(0, {})
         (check,) = [c for c in result.checks if c.name == MONTE_CARLO_GATE]
         return check
 
@@ -232,8 +236,12 @@ UNIT_VARIANCE_LAWS = {
 
 
 class TestLawGate:
+    @pytest.fixture(autouse=True)
+    def _small_run(self, small_constants):
+        small_constants(DIMS=(1, 8), STEPS_VALUES=(1, 6), ERROR_TRIALS=1000)
+
     def _failed(self):
-        result = EXPERIMENTS["error-accumulation"].runner(0, SMALL_ERROR_ACCUMULATION)
+        result = EXPERIMENTS["error-accumulation"].runner(0, {})
         return {c.name: c.detail for c in result.checks if not c.passed}
 
     def test_exact_kernel_passes(self):
@@ -263,7 +271,7 @@ BINOMIAL_GATE = "empirical retention within binomial 3-sigma of the analytic cur
 
 class TestBinomialGate:
     def _gate(self, seed=0):
-        result = EXPERIMENTS["accuracy-sweep"].runner(seed, default_params("accuracy-sweep"))
+        result = EXPERIMENTS["accuracy-sweep"].runner(seed, {})
         (check,) = [c for c in result.checks if c.name == BINOMIAL_GATE]
         return check
 

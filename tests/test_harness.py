@@ -22,32 +22,35 @@ from hypothesis import strategies as st
 from certlab import cli, dag, dynamics, experiments
 from certlab.config import (
     ExperimentConfig,
-    ParamSpec,
     build_config,
     canonical_text,
     config_hash,
     parse_config_text,
 )
-from certlab.errors import CertlabError, ConfigError, EnumerationTooLargeError, InfiniteDivergenceError, ReportError
-from certlab.experiments import DRAW_CAP, EXCESS_BYTES_CAP, EXPERIMENTS, ExperimentResult, default_params, strict_rise
+from certlab.errors import ConfigError, EnumerationTooLargeError, InfiniteDivergenceError, ReportError
+from certlab.experiments import EXPERIMENTS, ExperimentResult, strict_rise
 from certlab.manifest import RunManifest, load_manifest, read_csv, write_csv
 from certlab.report import emit_svg_charts
 from certlab.seeding import derive_seed, rng_for
 
-SMALL_ACCURACY_CFG = """
+ACCURACY_CFG = """
 [run]
 experiment = accuracy-sweep
 seed = 7
 
 [params]
-trials = 5000
-dim = 8
 """
+
+
+@pytest.fixture
+def small_accuracy(small_constants):
+    """ACCURACY_CFG's run at 5,000 trials of dimension 8."""
+    small_constants(ACCURACY_TRIALS=5000, ACCURACY_DIM=8)
 
 
 class TestConfigParsing:
     def test_round_trip_is_identity(self):
-        raw = parse_config_text(SMALL_ACCURACY_CFG)
+        raw = parse_config_text(ACCURACY_CFG)
         config = build_config(
             raw, EXPERIMENTS["accuracy-sweep"].schema, experiment_names=set(EXPERIMENTS)
         )
@@ -61,7 +64,7 @@ class TestConfigParsing:
         assert config_hash(config2) == config_hash(config)
 
     def test_unknown_param_rejected_with_path(self):
-        text = SMALL_ACCURACY_CFG + "trails = 10\n"
+        text = ACCURACY_CFG + "trails = 10\n"
         with pytest.raises(ConfigError, match=r"params\.trails"):
             build_config(
                 parse_config_text(text),
@@ -97,45 +100,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="unknown experiment"):
             build_config(raw, {}, experiment_names=set(EXPERIMENTS))
 
-    def test_typed_values(self):
-        def params(experiment, lines):
-            text = f"[run]\nexperiment = {experiment}\nseed = 1\n[params]\n{lines}"
-            return build_config(
-                parse_config_text(text), EXPERIMENTS[experiment].schema, experiment_names=set(EXPERIMENTS)
-            ).params
-
-        numbers = params("error-accumulation", "lipschitz_values = 0.5, 1.5\ntrials = 500\n")
-        assert numbers["lipschitz_values"] == (0.5, 1.5)
-        assert numbers["trials"] == 500
-        assert params("dag-exploration", "graph_file = graphs/my dag.txt\n")["graph_file"] == "graphs/my dag.txt"
-        # a parameter's type is its default's: an int reads as a float on a float key
-        # (test_float_for_an_int_key_exits_two checks the reverse)
-        floats = params("error-accumulation", "sigma_h = 5\nlipschitz_values = 1, 2.5\n")
-        values = (floats["sigma_h"], *floats["lipschitz_values"])
-        assert [(x, type(x)) for x in values] == [(5.0, float), (1.0, float), (2.5, float)]
-
-    def test_every_default_has_a_parse_type(self):
-        # an int, float or str, or a non-empty tuple whose items share one of those types
-        for experiment, definition in EXPERIMENTS.items():
-            for key, spec in definition.schema.items():
-                items = spec.default if isinstance(spec.default, tuple) else (spec.default,)
-                kinds = {type(item) for item in items}
-                assert items and len(kinds) == 1 and kinds <= {int, float, str}, f"{experiment}: {key}"
-
-    def test_bad_value_names_key(self):
-        text = _config_text("error-accumulation", "sigma_h", "wide")
-        with pytest.raises(ConfigError, match=r"params\.sigma_h"):
-            build_config(
-                parse_config_text(text),
-                EXPERIMENTS["error-accumulation"].schema,
-                experiment_names=set(EXPERIMENTS),
-            )
-
-    def test_minimum_checked_on_every_list_item(self):
-        schema = {"sizes": ParamSpec((2,), minimum=2)}
-        raw = parse_config_text("[run]\nexperiment = x\nseed = 0\n[params]\nsizes = 3, 1\n")
-        with pytest.raises(ConfigError, match=r"params\.sizes: must be >= 2"):
-            build_config(raw, schema, experiment_names={"x"})
+    def test_graph_file_is_kept_as_written(self):
+        text = "[run]\nexperiment = dag-exploration\nseed = 1\n[params]\ngraph_file = graphs/my dag.txt\n"
+        config = build_config(
+            parse_config_text(text), EXPERIMENTS["dag-exploration"].schema, experiment_names=set(EXPERIMENTS)
+        )
+        assert config.params == {"graph_file": "graphs/my dag.txt"}
 
 
 class TestSeeding:
@@ -348,26 +318,11 @@ def _write_cfg(tmp_path: Path, text: str) -> str:
 
 # A manifest's scalar fields, before the list fields the malformed-report cases vary.
 _MANIFEST_HEAD = b'{"experiment": "accuracy-sweep", "config_hash": "x", "seed": 7, '
+_ASYMPTOTE_HEADER = b"kappa,exact_kl,asymptote,abs_diff,sampled_mean,sampled_std\n"
 
-
-# (experiment, key, value): a count or list the key does not accept
-_BELOW_MINIMUM_CASES = [
-    ("dag-exploration", "capped_samples", 0),
-    ("dag-exploration", "divergence_draws", 0),
-    ("dag-exploration", "policy_draws", 1),
-    ("tradeoff-scan", "options_set", 1),
-    ("dag-exploration", "mc_trials", 0),
-    ("dag-exploration", "graph_trials", 0),
-    ("accuracy-sweep", "dim", 0),
-    ("error-accumulation", "trials", 99),
-    ("accuracy-sweep", "trials", 999),
-    ("noise-discrete", "trials", 0),
-    ("error-accumulation", "dims", "0, 8"),
-    ("error-accumulation", "steps_values", "0, 6"),
-]
 
 # (experiment, keys): each key is a module constant, so a config that sets it fails
-# on an unknown key.  The module that uses a value owns it: minority_mass is
+# on an unknown key; graph_file is the one key left.  The module that uses a value owns it: minority_mass is
 # categorical.MINORITY_MASS; min_margin, margin and sigma_grid are
 # dynamics.MIN_MARGIN, ACCURACY_MARGIN and SIGMA_GRID; frontier_betas, restarts,
 # tol and max_conditional are cib.FRONTIER_BETAS, RESTARTS, TOL and
@@ -376,91 +331,31 @@ _BELOW_MINIMUM_CASES = [
 # dag.CAP_DELTA; schedule_scale is gone, as the schedule is k / (M - k); every
 # other key is a constant of certlab.experiments
 _CONSTANT_KEYS = [
-    ("tradeoff-scan", ("scan_options", "scan_grid", "oracle_resolution")),
+    ("tradeoff-scan", ("samples", "options_set", "scan_options", "scan_grid", "oracle_resolution")),
     ("divergence-asymptote", ("options", "minority_mass", "kappas", "sample_draws", "concentration_draws")),
     ("noise-discrete",
-     ("steps_list", "options_list", "noise_over_margin", "min_margin", "contrast_noise_over_margin")),
-    ("accuracy-sweep", ("margin", "sigma_grid")),
+     ("trials", "steps_list", "options_list", "noise_over_margin", "min_margin", "contrast_noise_over_margin")),
+    ("error-accumulation", ("lipschitz_values", "dims", "steps_values", "sigma_h", "trials")),
+    ("accuracy-sweep", ("dim", "trials", "margin", "sigma_grid")),
     ("cib-frontier",
      ("problem_seed", "corpus_size", "corpus_betas", "n_latent", "frontier_betas", "restarts", "tol",
       "max_conditional", "schedule_scale")),
     ("curriculum",
      ("rate_theta", "strong_theta", "n_grid", "trials_per_n", "iterations", "step", "grad_checks", "tv_trials")),
     ("dag-exploration",
-     ("depth", "branching", "kappa", "minority_mass", "delta", "capped_deltas", "capped_options_max",
-      "kappa_grid")),
+     ("policy_draws", "mc_trials", "divergence_draws", "capped_samples", "graph_trials", "depth", "branching",
+      "kappa", "minority_mass", "delta", "capped_deltas", "capped_options_max", "kappa_grid")),
 ]
 
-# (experiment, key, value, message): a param that the config accepts or refuses
-# and that exits 2 with the message
+# (experiment, key, value, message): a key that no code reads any more, and that exits 2 as unknown
 _BAD_PARAM_CASES = [
-    ("error-accumulation", "lipschitz_values", "0.8, 1.0, -1.0", "params.lipschitz_values: lipschitz must be positive"),
-    ("error-accumulation", "sigma_h", "-0.1", "params.sigma_h: sigma_h must be >= 0, got -0.1"),
     # the bounded law needs no rejection sampler, so the key that sized its
     # acceptance check is unknown (spelled in two parts: no live code names it)
     ("noise-discrete", "acceptance" "_draws", "2000", "unknown parameter keys: params.acceptance" "_draws"),
-    # 122,071 blocks of walks up to the trap's depth 6 are over the search cap
-    ("dag-exploration", "mc_trials", "1000000000",
-     "params.mc_trials: 1000000000 trials make 122071 blocks of walks up to 6 steps"),
-    # the ordering check's final closed forms (d = 8, the longest M) must strictly rise:
-    # equal values tie, and so do values within 1e-9 of 1, where the closed form takes its L = 1 branch
-    ("error-accumulation", "lipschitz_values", "0.8, 0.8",
-     "params.lipschitz_values: L=0.8 and L=0.8 give the final closed forms 0.22117280744825132 and "
-     "0.22117280744825132 at d=8 M=12; the Lipschitz ordering needs them to strictly rise"),
-    ("error-accumulation", "lipschitz_values", "1.0, 1.0000000001",
-     "params.lipschitz_values: L=1.0 and L=1.0000000001 give the final closed forms 0.9600000000000002 and "
-     "0.9600000000000002 at d=8 M=12"),
-    ("error-accumulation", "lipschitz_values", "0.99999999995, 1.0",
-     "params.lipschitz_values: L=0.99999999995 and L=1.0 give the final closed forms 0.9600000000000002 and "
-     "0.9600000000000002 at d=8 M=12"),
-    # the closed form is 0 at zero noise, underflows to 0 at 1e-200, and its square overflows at 1e100
-    ("error-accumulation", "sigma_h", "0.0", "params.sigma_h: the closed form at L=0.8 d=1 M=1 is 0.0;"),
-    ("error-accumulation", "sigma_h", "1e-200", "params.sigma_h: the closed form at L=0.8 d=1 M=1 is 0.0;"),
-    ("error-accumulation", "sigma_h", "1e100", "params.sigma_h: the closed form at L=0.8 d=1 M=1 is 1e+200;"),
-    # a float power out of range (sigma_h ** 2, L ** 12) raised OverflowError: the closed form reads inf
-    ("error-accumulation", "sigma_h", "1e200", "params.sigma_h: the closed form at L=0.8 d=1 M=1 is inf;"),
-    # a cell that fits the float range at L = 1 names L, whose power breaks it: L ** 12
-    # overflows at 1e30 and 1e100, L * L at 1e300 (inf / inf reads nan), and at 1e20 the square does
-    ("error-accumulation", "lipschitz_values", "0.8, 1e100",
-     "params.lipschitz_values: the closed form at L=1e+100 d=1 M=6 is inf;"),
-    ("error-accumulation", "lipschitz_values", "1e30, 1.0\ntrials = 100",
-     "params.lipschitz_values: the closed form at L=1e+30 d=1 M=6 is inf;"),
-    ("error-accumulation", "lipschitz_values", "1e300, 1.0\ntrials = 100",
-     "params.lipschitz_values: the closed form at L=1e+300 d=1 M=1 is nan;"),
-    ("error-accumulation", "lipschitz_values", "0.8, 1e20",
-     "params.lipschitz_values: the closed form at L=1e+20 d=1 M=6 is 1.0000000000000003e+198;"),
-    # a value may end in further `key = value` lines; the sums of fourth powers,
-    # trials * closed^2 * (1 + 2/d) in expectation, would overflow
-    ("error-accumulation", "sigma_h", "1e74\ndims = 64\nsteps_values = 2, 12\ntrials = 20000",
-     "params.sigma_h: the closed form at L=1.0 d=64 M=12 is 7.679999999999999e+150;"),
-    ("error-accumulation", "sigma_h", "1e75\ndims = 64\nsteps_values = 2, 12\ntrials = 1000",
-     "params.sigma_h: the closed form at L=0.8 d=64 M=2 is 1.0496e+152;"),
-    # at one step every Lipschitz value gives the same closed form d sigma^2
-    ("error-accumulation", "steps_values", "1",
-     "params.steps_values: the Lipschitz ordering needs at least 2 steps, got 1"),
     # every walk runs to a target or a dead end: the key that capped its steps is gone
     ("dag-exploration", "graph_max_steps", "64", "unknown parameter keys: params.graph_max_steps"),
     # the map is the scalar L I: the key that picked a rotation map is gone
     ("error-accumulation", "transition", "rotation_scaling", "unknown parameter keys: params.transition"),
-    # fewer samples than options_set's 6 values: no row for some B
-    ("tradeoff-scan", "samples", "-5", "params.samples: need at least one row per B, 6 in all, got -5"),
-    ("tradeoff-scan", "samples", "5", "params.samples: need at least one row per B, 6 in all, got 5"),
-]
-
-# (experiment, key, value): trials whose run would draw over DRAW_CAP variates
-_DRAW_CAP_CASES = [
-    ("noise-discrete", "trials", 10**12),
-    ("error-accumulation", "trials", 10**12),
-    ("accuracy-sweep", "trials", 10**12),
-    ("dag-exploration", "capped_samples", 10**12),  # 405 variates a sample: 3 deltas, B = 2..16
-]
-
-# (samples, message): a tradeoff-scan whose 6 default option counts, 65 options in all,
-# would fill its excess vectors (32 bytes a row) past EXCESS_BYTES_CAP, or draw past DRAW_CAP
-_SAMPLES_CAP_CASES = [
-    (10**8, f"params.samples: the four excess vectors would hold 3199999872 bytes, over the cap {EXCESS_BYTES_CAP}"),
-    (10**9, f"params.samples: the run would draw 10833333290 variates, over the cap {DRAW_CAP}"),
-    (10**13, f"params.samples: the run would draw 108333333333290 variates, over the cap {DRAW_CAP}"),
 ]
 
 
@@ -480,8 +375,8 @@ def refuse_runners(monkeypatch):
 
 
 class TestCli:
-    def test_run_reruns_byte_identical(self, tmp_path):
-        cfg = _write_cfg(tmp_path, SMALL_ACCURACY_CFG)
+    def test_run_reruns_byte_identical(self, tmp_path, small_accuracy):
+        cfg = _write_cfg(tmp_path, ACCURACY_CFG)
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
         assert cli.main(["run", "--config", cfg, "--out", str(out1)]) == 0
         assert cli.main(["run", "--config", cfg, "--out", str(out2)]) == 0
@@ -493,12 +388,9 @@ class TestCli:
         assert "accuracy_sweep.csv" in listed
         assert manifest.all_passed
 
-    def test_thread_count_does_not_change_output(self, tmp_path):
-        cfg = _write_cfg(
-            tmp_path,
-            "[run]\nexperiment = error-accumulation\nseed = 3\n"
-            "[params]\ntrials = 2000\ndims = 1, 4\nsteps_values = 1, 3\n",
-        )
+    def test_thread_count_does_not_change_output(self, tmp_path, small_constants):
+        small_constants(ERROR_TRIALS=2000, DIMS=(1, 4), STEPS_VALUES=(1, 3))
+        cfg = _write_cfg(tmp_path, "[run]\nexperiment = error-accumulation\nseed = 3\n")
         out1, out2 = tmp_path / "t1", tmp_path / "t2"
         assert cli.main(["run", "--config", cfg, "--out", str(out1), "--threads", "1"]) == 0
         assert cli.main(["run", "--config", cfg, "--out", str(out2), "--threads", "4"]) == 0
@@ -511,36 +403,9 @@ class TestCli:
         assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
     def test_bad_param_is_config_error_with_path(self, tmp_path, capsys):
-        cfg = _write_cfg(tmp_path, SMALL_ACCURACY_CFG + "trails = 10\n")
+        cfg = _write_cfg(tmp_path, ACCURACY_CFG + "trails = 10\n")
         assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "params.trails" in capsys.readouterr().err
-
-    def test_float_for_an_int_key_exits_two(self, tmp_path, capsys, refuse_runners):
-        cfg = _write_cfg(tmp_path, "[run]\nexperiment = accuracy-sweep\nseed = 0\n[params]\ntrials = 5.0\n")
-        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        assert capsys.readouterr().err == "ConfigError: params.trials: cannot parse '5.0' as int\n"
-        assert not (tmp_path / "o").exists()
-
-    @pytest.mark.parametrize("experiment, key, value", _BELOW_MINIMUM_CASES)
-    def test_count_below_minimum_exits_two_before_any_output(
-        self, tmp_path, capsys, refuse_runners, experiment, key, value
-    ):
-        cfg = _write_cfg(tmp_path, _config_text(experiment, key, value))
-        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        assert f"params.{key}" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
-
-    def test_below_minimum_cases_cover_every_minimum(self):
-        # a case for a key the schema no longer has would pass on the unknown-key error
-        cases = {(experiment, key) for experiment, key, _ in _BELOW_MINIMUM_CASES}
-        assert all(key in EXPERIMENTS[experiment].schema for experiment, key in cases)
-        minimums = {
-            (experiment, key)
-            for experiment, definition in EXPERIMENTS.items()
-            for key, spec in definition.schema.items()
-            if spec.minimum is not None
-        }
-        assert minimums <= cases
 
     @pytest.mark.parametrize(
         "experiment, key, value, message",
@@ -559,21 +424,6 @@ class TestCli:
         assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert message in err and err.count("\n") == 1
-        assert not (tmp_path / "o").exists()
-
-    @pytest.mark.parametrize(
-        "experiment, key, value",
-        [
-            ("error-accumulation", "sigma_h", "NaN"),
-            ("error-accumulation", "lipschitz_values", "0.8, 1e999"),
-        ],
-    )
-    def test_non_finite_float_exits_two_before_any_output(
-        self, tmp_path, capsys, refuse_runners, experiment, key, value
-    ):
-        cfg = _write_cfg(tmp_path, _config_text(experiment, key, value))
-        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        assert f"params.{key}: must be finite" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
@@ -605,7 +455,7 @@ class TestCli:
 
     def test_non_utf8_config_exits_two_naming_the_file(self, tmp_path, capsys, refuse_runners):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_bytes(SMALL_ACCURACY_CFG.encode() + b"\xff\n")
+        cfg.write_bytes(ACCURACY_CFG.encode() + b"\xff\n")
         assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"ConfigError: {cfg}: not UTF-8 text (") and err.count("\n") == 1
@@ -635,35 +485,11 @@ class TestCli:
         else:
             name = "accuracy-sweep"  # first in verify-all's order
             monkeypatch.setitem(EXPERIMENTS, name, dataclasses.replace(EXPERIMENTS[name], runner=failing))
-            argv = ["run", "--config", _write_cfg(tmp_path, SMALL_ACCURACY_CFG)] if command == "run" else [command]
+            argv = ["run", "--config", _write_cfg(tmp_path, ACCURACY_CFG)] if command == "run" else [command]
             argv += ["--out", str(tmp_path / "o")]
         assert cli.main(argv) == code
         prefix = {OSError: "i/o error", MemoryError: "out of memory"}.get(type(error), type(error).__name__)
         assert capsys.readouterr().err == f"{prefix}: {error}\n"
-
-    @pytest.mark.parametrize("samples, message", _SAMPLES_CAP_CASES, ids=["bytes-1e8", "draws-1e9", "draws-1e13"])
-    def test_unallocatable_samples_exit_two_without_a_traceback(
-        self, tmp_path, capsys, refuse_runners, samples, message
-    ):
-        cfg = _write_cfg(tmp_path, _config_text("tradeoff-scan", "samples", samples))
-        started = time.perf_counter()
-        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        assert time.perf_counter() - started < 1.0
-        assert capsys.readouterr().err == f"EnumerationTooLargeError: {message}\n"
-        assert not (tmp_path / "o").exists()
-
-    @pytest.mark.parametrize("experiment, key, value", _DRAW_CAP_CASES)
-    def test_huge_trials_exit_two_at_the_draw_cap(self, tmp_path, capsys, refuse_runners, experiment, key, value):
-        # the streamed kernels allocate a fixed amount at any trial count, so
-        # without the cap these runs would draw for days instead of failing
-        cfg = _write_cfg(tmp_path, _config_text(experiment, key, value))
-        started = time.perf_counter()
-        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        assert time.perf_counter() - started < 1.0
-        err = capsys.readouterr().err
-        assert err.startswith(f"EnumerationTooLargeError: params.{key}: the run would draw ")
-        assert err.endswith(f"variates, over the cap {DRAW_CAP}\n") and err.count("\n") == 1
-        assert not (tmp_path / "o").exists()
 
     def test_missing_config_is_io_error(self, tmp_path):
         assert cli.main(["run", "--config", str(tmp_path / "nope.cfg")]) == 4
@@ -677,13 +503,13 @@ class TestCli:
         # a chain simulator that never flips a token fails only the unconstrained
         # contrast's "perturbs the final token" check
         monkeypatch.setattr(dynamics, "simulate_discrete_chain", lambda *args: 0)
-        cfg = _write_cfg(tmp_path, _config_text("noise-discrete", "trials", 2000))
+        cfg = _write_cfg(tmp_path, "[run]\nexperiment = noise-discrete\nseed = 0\n")
         assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
         failed = [c["name"] for c in load_manifest(tmp_path / "o" / "manifest.json").checks if not c["passed"]]
         assert failed == ["unconstrained large noise does perturb the final token"]
 
-    def test_report_markdown_and_svg(self, tmp_path, capsys):
-        cfg = _write_cfg(tmp_path, SMALL_ACCURACY_CFG)
+    def test_report_markdown_and_svg(self, tmp_path, capsys, small_accuracy):
+        cfg = _write_cfg(tmp_path, ACCURACY_CFG)
         out = tmp_path / "o"
         assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
         capsys.readouterr()
@@ -694,8 +520,8 @@ class TestCli:
         svg = (out / "accuracy_sweep.svg").read_text()
         assert svg.count("<polyline") == 2  # analytic + empirical series
 
-    def test_report_from_another_directory(self, tmp_path, capsys, monkeypatch):
-        cfg = _write_cfg(tmp_path, SMALL_ACCURACY_CFG)
+    def test_report_from_another_directory(self, tmp_path, capsys, monkeypatch, small_accuracy):
+        cfg = _write_cfg(tmp_path, ACCURACY_CFG)
         run_dir, report_dir = tmp_path / "a", tmp_path / "b"
         run_dir.mkdir()
         report_dir.mkdir()
@@ -707,8 +533,8 @@ class TestCli:
         assert cli.main(["report", "--manifest", manifest, "--format", "svg"]) == 0
         assert (run_dir / "runs" / "a" / "accuracy_sweep.svg").exists()
 
-    def test_report_missing_csv_is_io_error(self, tmp_path):
-        cfg = _write_cfg(tmp_path, SMALL_ACCURACY_CFG)
+    def test_report_missing_csv_is_io_error(self, tmp_path, small_accuracy):
+        cfg = _write_cfg(tmp_path, ACCURACY_CFG)
         out = tmp_path / "o"
         assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
         (out / "accuracy_sweep.csv").unlink()
@@ -738,10 +564,15 @@ class TestCli:
             ("manifest.json", _MANIFEST_HEAD + b'"started_at": "\\udcff", "files": [], "checks": []}'),
             ("manifest.json", b'{"experiment": "\\udcff", "config_hash": "x", "seed": 7, "files": [], "checks": []}'),
             ("manifest.json", b'{"experiment": "accuracy-sweep", "config_hash": "\\udcff", "seed": 7, "files": [], "checks": []}'),
+            # a charted cell that is text, zero on the log axis, or not finite, on a divergence-asymptote run
+            ("divergence_asymptote.csv", _ASYMPTOTE_HEADER + b"100.0,abc,4.0,0.1,4.0,0.1\n1000.0,5.5,5.5,0.0,5.5,0.1\n"),
+            ("divergence_asymptote.csv", _ASYMPTOTE_HEADER + b"0.0,4.0,4.0,0.0,4.0,0.1\n1000.0,5.5,5.5,0.0,5.5,0.1\n"),
+            ("divergence_asymptote.csv", _ASYMPTOTE_HEADER + b"100.0,nan,4.0,0.1,4.0,0.1\n1000.0,5.5,5.5,0.0,5.5,0.1\n"),
         ],
     )
-    def test_malformed_report_input_is_report_error(self, tmp_path, capsys, filename, text):
-        cfg = _write_cfg(tmp_path, SMALL_ACCURACY_CFG)
+    def test_malformed_report_input_is_report_error(self, tmp_path, capsys, small_accuracy, filename, text):
+        experiment = "divergence-asymptote" if filename == "divergence_asymptote.csv" else "accuracy-sweep"
+        cfg = _write_cfg(tmp_path, f"[run]\nexperiment = {experiment}\nseed = 7\n")
         out = tmp_path / "o"
         assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
         (out / filename).write_bytes(text)
@@ -752,9 +583,11 @@ class TestCli:
             err = capsys.readouterr().err
             assert err.startswith("ReportError: ") and err.count("\n") == 1
             assert str((out / filename).resolve()) in err  # the error names the file
+            if experiment == "divergence-asymptote":  # and a bad cell's column and row
+                assert re.search(r": column (kappa|exact_kl), row 1: ", err)
 
-    def test_seed_override_changes_hash(self, tmp_path):
-        cfg = _write_cfg(tmp_path, SMALL_ACCURACY_CFG)
+    def test_seed_override_changes_hash(self, tmp_path, small_accuracy):
+        cfg = _write_cfg(tmp_path, ACCURACY_CFG)
         out1, out2 = tmp_path / "s1", tmp_path / "s2"
         assert cli.main(["run", "--config", cfg, "--out", str(out1)]) == 0
         assert cli.main(["run", "--config", cfg, "--out", str(out2), "--seed", "8"]) == 0
@@ -776,7 +609,7 @@ class TestCli:
     def test_bad_seed_or_threads_exits_two_before_any_run(
         self, tmp_path, capsys, refuse_runners, command, option, value, message
     ):
-        argv = ["run", "--config", _write_cfg(tmp_path, SMALL_ACCURACY_CFG)] if command == "run" else [command]
+        argv = ["run", "--config", _write_cfg(tmp_path, ACCURACY_CFG)] if command == "run" else [command]
         assert cli.main(argv + ["--out", str(tmp_path / "o"), option, value]) == 2
         assert capsys.readouterr().err == f"ConfigError: {message}\n"
         assert not (tmp_path / "o").exists()
@@ -789,7 +622,7 @@ class TestCli:
 
         for name, definition in list(EXPERIMENTS.items()):
             monkeypatch.setitem(EXPERIMENTS, name, dataclasses.replace(definition, runner=refuse, precheck=refuse))
-        argv = ["run", "--config", _write_cfg(tmp_path, SMALL_ACCURACY_CFG)] if command == "run" else [command]
+        argv = ["run", "--config", _write_cfg(tmp_path, ACCURACY_CFG)] if command == "run" else [command]
         assert cli.main(argv + ["--out", str(tmp_path / "o\udcff")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("ConfigError: --out: not UTF-8 text (") and err.count("\n") == 1
@@ -814,7 +647,7 @@ class TestCli:
 
         for name, definition in list(EXPERIMENTS.items()):
             monkeypatch.setitem(EXPERIMENTS, name, dataclasses.replace(definition, runner=refuse, precheck=refuse))
-        argv = ["run", "--config", _write_cfg(tmp_path, SMALL_ACCURACY_CFG)] if command == "run" else [command]
+        argv = ["run", "--config", _write_cfg(tmp_path, ACCURACY_CFG)] if command == "run" else [command]
         cwd = bytes(tmp_path) + b"/cwd\xff"
         os.mkdir(cwd)
         monkeypatch.chdir(cwd)
@@ -825,23 +658,13 @@ class TestCli:
 
 
 class TestPrecheck:
-    def test_tradeoff_samples_are_priced_at_the_byte_cap(self):
-        # the largest samples whose excess vectors fit EXCESS_BYTES_CAP passes; one more row per B does not
-        params = default_params("tradeoff-scan")
-        n_b = len(params["options_set"])
-        largest = EXCESS_BYTES_CAP // (32 * n_b) * n_b + n_b - 1
-        precheck = EXPERIMENTS["tradeoff-scan"].precheck
-        precheck({**params, "samples": largest})
-        with pytest.raises(EnumerationTooLargeError, match=r"^params\.samples: the four excess vectors would hold "):
-            precheck({**params, "samples": largest + 1})
-
     def test_every_key_named_in_experiments_is_in_its_schema(self):
-        # a key read as params["..."], or named to _keyed, _cap_draws or _price_search, by an
-        # experiment's runner or precheck or a module function they call, is in its schema;
-        # so is the key of every refusal message in _BAD_PARAM_CASES (unknown-key rows aside)
-        tree = ast.parse(Path(experiments.__file__).read_text())
+        # a key read as params["..."] by an experiment's runner or precheck or a module
+        # function they call is in its schema; so is the key of every refusal message,
+        # in experiments.py and in _BAD_PARAM_CASES (unknown-key rows aside)
+        source = Path(experiments.__file__).read_text()
+        tree = ast.parse(source)
         functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-        key_arg = {"_keyed": 0, "_cap_draws": 0, "_price_search": 2}  # the argument that names the key
 
         def named_keys(name, seen):
             seen.add(name)
@@ -849,33 +672,27 @@ class TestPrecheck:
                 if isinstance(node, ast.Subscript) and getattr(node.value, "id", None) == "params":
                     if isinstance(node.slice, ast.Constant):
                         yield node.slice.value
-                elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-                    called = node.func.id
-                    key = node.args[key_arg[called]] if called in key_arg else None
-                    if isinstance(key, ast.Constant):
-                        yield key.value
-                    if called in functions and called not in seen:
-                        yield from named_keys(called, seen)
+                elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in functions.keys() - seen:
+                    yield from named_keys(node.func.id, seen)
 
         for name, definition in EXPERIMENTS.items():
             for phase in (definition.runner, definition.precheck):
                 keys = set(named_keys(phase.__name__, set()))
                 assert keys <= set(definition.schema), f"{name}: {phase.__name__} names {keys - set(definition.schema)}"
+        assert set(re.findall(r"params\.(\w+):", source)) == {"graph_file"}
         for experiment, key, value, message in _BAD_PARAM_CASES:
             named = re.match(r"params\.(\w+):", message)
             assert named is None or named[1] in EXPERIMENTS[experiment].schema, f"{experiment}: {message}"
 
     def test_refusals_stay_out_of_the_runners(self):
-        # a runner may assume valid params: it raises nothing and prices nothing,
-        # and every experiment declares the precheck that refuses its params
+        # a runner may assume valid params: it raises nothing, and every experiment
+        # declares the precheck that refuses its params
         tree = ast.parse(Path(experiments.__file__).read_text())
         runners = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name.startswith("run_")]
         assert len(runners) == len(EXPERIMENTS)
         for runner in runners:
             for node in ast.walk(runner):
                 assert not isinstance(node, ast.Raise), f"{runner.name} raises at line {node.lineno}"
-                called = node.func.id if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) else None
-                assert called not in ("_cap_draws", "_price_search"), f"{runner.name} calls {called}"
         (registry,) = [
             node.value for node in tree.body
             if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == "EXPERIMENTS"
@@ -884,9 +701,10 @@ class TestPrecheck:
         for entry in registry.values:
             assert len(entry.args) == 3 or "precheck" in {keyword.arg for keyword in entry.keywords}
 
-    def test_prechecks_open_no_stream(self, monkeypatch):
-        # every precheck, at the defaults and at each refused param, with every
-        # certlab binding of rng_for made to raise
+    def test_prechecks_open_no_stream(self, tmp_path, monkeypatch):
+        # every precheck at its defaults, and dag-exploration's on a custom graph it
+        # accepts and on one over the search cap, with every certlab binding of
+        # rng_for made to raise
         def refuse(*labels):
             raise AssertionError(f"a precheck opened the stream {labels}")
 
@@ -896,25 +714,14 @@ class TestPrecheck:
         assert {"certlab.experiments", "certlab.curriculum", "certlab.dag", "certlab.dynamics"} <= patched
         for name in patched:
             monkeypatch.setattr(sys.modules[name], "rng_for", refuse)
-        for name, definition in EXPERIMENTS.items():
-            definition.precheck(default_params(name))
-        refused = 0
-        cases = [
-            *_BAD_PARAM_CASES, *[(*case, "over the cap") for case in _DRAW_CAP_CASES],
-            *[("tradeoff-scan", "samples", *case) for case in _SAMPLES_CAP_CASES],
-        ]
-        for experiment, key, value, message in cases:
-            try:
-                config = build_config(
-                    parse_config_text(_config_text(experiment, key, value)), EXPERIMENTS[experiment].schema,
-                    experiment_names=set(EXPERIMENTS),
-                )
-            except ConfigError:  # refused by the config, before any precheck
-                continue
-            with pytest.raises(CertlabError, match=re.escape(message)):
-                EXPERIMENTS[experiment].precheck(config.params)
-            refused += 1
-        assert refused == len(cases) - 3  # three unknown keys
+        for definition in EXPERIMENTS.values():
+            definition.precheck(dict(definition.schema))
+        precheck = EXPERIMENTS["dag-exploration"].precheck
+        precheck({"graph_file": str(REPO_ROOT / "configs" / "custom_graph.txt")})
+        chain = tmp_path / "chain.txt"
+        chain.write_text(dag.format_dag(dag.chain_dag(dag.SEARCH_STEP_CAP // 3 + 1)))
+        with pytest.raises(EnumerationTooLargeError, match=r"^params\.graph_file: 20000 trials make 3 blocks"):
+            precheck({"graph_file": str(chain)})
 
 
 # experiment -> (CSV name, header, rows): small tables in each experiment's
@@ -985,6 +792,16 @@ class TestCharts:
         digests = [hashlib.sha256(p.read_bytes()).hexdigest() for p in emit_svg_charts(manifest, tmp_path)]
         assert digests == ([CHART_SHA256[experiment]] if experiment in CHART_SHA256 else [])
 
+    @pytest.mark.parametrize("column, cell", [("L_F", "nan"), ("d", "abc")], ids=["group", "middle"])
+    def test_bad_group_or_middle_cell_is_report_error(self, tmp_path, column, cell):
+        filename, header, rows = CHART_FIXTURES["error-accumulation"]
+        at = header.index(column)
+        rows = [(*row[:at], cell, *row[at + 1:]) if i == 1 else row for i, row in enumerate(rows)]
+        manifest = RunManifest(experiment="error-accumulation", config_hash="0" * 64, seed=0)
+        manifest.add_file(tmp_path / filename, write_csv(tmp_path / filename, header, rows))
+        with pytest.raises(ReportError, match=f": column {column}, row 2: '{cell}' is not a finite number$"):
+            emit_svg_charts(manifest, tmp_path)
+
     def test_verify_all_writes_every_report(self, tmp_path, capsys, monkeypatch):
         for name, (filename, header, rows) in CHART_FIXTURES.items():
             result = ExperimentResult(tables={filename: (header, rows)})
@@ -998,12 +815,9 @@ class TestCharts:
 
 
 class TestErrorAccumulationChartData:
-    def test_final_values_ordered_by_lipschitz(self, tmp_path):
-        cfg = _write_cfg(
-            tmp_path,
-            "[run]\nexperiment = error-accumulation\nseed = 5\n"
-            "[params]\ntrials = 4000\ndims = 8\nsteps_values = 1, 6, 12\n",
-        )
+    def test_final_values_ordered_by_lipschitz(self, tmp_path, small_constants):
+        small_constants(ERROR_TRIALS=4000, DIMS=(8,))
+        cfg = _write_cfg(tmp_path, "[run]\nexperiment = error-accumulation\nseed = 5\n")
         out = tmp_path / "o"
         assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
         _, rows = read_csv(out / "error_accumulation.csv")
@@ -1020,18 +834,13 @@ class TestErrorAccumulationChartData:
 
 
 class TestCustomGraph:
-    def test_graph_file_param_round_trips_through_the_cli(self, tmp_path):
+    def test_graph_file_param_round_trips_through_the_cli(self, tmp_path, small_constants):
         graph_text = "start: 0\ntargets: 3\n0: 1,2\n1: 3\n2: 3\n3:\n"
         graph_path = tmp_path / "graph.txt"
         graph_path.write_text(graph_text)
+        small_constants(GRAPH_TRIALS=2000, POLICY_DRAWS=30, MC_TRIALS=4000, DIVERGENCE_DRAWS=4, CAPPED_SAMPLES=300)
         cfg = _write_cfg(
-            tmp_path,
-            "[run]\nexperiment = dag-exploration\nseed = 1\n"
-            "[params]\n"
-            f"graph_file = {graph_path}\n"
-            "graph_trials = 2000\n"
-            "policy_draws = 30\nmc_trials = 4000\ndivergence_draws = 4\n"
-            "capped_samples = 300\n",
+            tmp_path, f"[run]\nexperiment = dag-exploration\nseed = 1\n[params]\ngraph_file = {graph_path}\n"
         )
         out = tmp_path / "o"
         code = cli.main(["run", "--config", cfg, "--out", str(out)])
@@ -1055,7 +864,7 @@ class TestCustomGraph:
         assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert time.perf_counter() - started < 1.0
         assert capsys.readouterr().err == (
-            f"EnumerationTooLargeError: params.graph_trials: 20000 trials make 3 blocks of walks up to {length} "
+            f"EnumerationTooLargeError: params.graph_file: 20000 trials make 3 blocks of walks up to {length} "
             f"steps: {3 * length} block-steps, over the cap {dag.SEARCH_STEP_CAP}\n"
         )
         assert not (tmp_path / "o").exists()
@@ -1073,19 +882,18 @@ class TestCustomGraph:
 
 
 class TestDefaults:
-    def test_every_experiment_has_complete_defaults(self):
-        for name, definition in EXPERIMENTS.items():
-            params = default_params(name)
-            assert set(params) == set(definition.schema)
+    def test_graph_file_is_the_only_param(self):
+        # every other input is a module constant (_CONSTANT_KEYS)
+        schemas = {name: definition.schema for name, definition in EXPERIMENTS.items() if definition.schema}
+        assert schemas == {"dag-exploration": {"graph_file": ""}}
 
     def test_config_dataclass_round_trip_via_text(self):
         config = ExperimentConfig(
-            experiment="error-accumulation", seed=123, params=default_params("error-accumulation"),
-            output_dir="out",
+            experiment="dag-exploration", seed=123, params={"graph_file": "graphs/my dag.txt"}, output_dir="out",
         )
         raw = parse_config_text(canonical_text(config))
         rebuilt = build_config(
-            raw, EXPERIMENTS["error-accumulation"].schema, experiment_names=set(EXPERIMENTS)
+            raw, EXPERIMENTS["dag-exploration"].schema, experiment_names=set(EXPERIMENTS)
         )
         assert canonical_text(rebuilt) == canonical_text(config)
 
