@@ -802,6 +802,37 @@ class TestCharts:
         with pytest.raises(ReportError, match=f": column {column}, row 2: '{cell}' is not a finite number$"):
             emit_svg_charts(manifest, tmp_path)
 
+    @pytest.mark.parametrize(
+        "experiment, column, cell, kind",
+        [
+            ("divergence-asymptote", "kappa", "-100.0", "a positive finite number, as the log axis needs"),
+            ("divergence-asymptote", "kappa", "inf", "a positive finite number, as the log axis needs"),
+            ("divergence-asymptote", "asymptote", "-inf", "a finite number"),
+            ("accuracy-sweep", "empirical", "", "a finite number"),
+            ("tradeoff-scan", "B", "two", "a finite number"),
+        ],
+        ids=["negative-log-x", "infinite-log-x", "infinite-y", "empty-y", "text-group"],
+    )
+    def test_bad_charted_cell_is_report_error(self, tmp_path, experiment, column, cell, kind):
+        filename, header, rows = CHART_FIXTURES[experiment]
+        at = header.index(column)
+        rows = [(*row[:at], cell, *row[at + 1:]) if i == 1 else row for i, row in enumerate(rows)]
+        manifest = RunManifest(experiment=experiment, config_hash="0" * 64, seed=0)
+        manifest.add_file(tmp_path / filename, write_csv(tmp_path / filename, header, rows))
+        with pytest.raises(ReportError) as caught:
+            emit_svg_charts(manifest, tmp_path)
+        assert str(caught.value) == f"{tmp_path / filename}: column {column}, row 2: {cell!r} is not {kind}"
+        assert not list(tmp_path.glob("*.svg"))
+
+    def test_negative_cells_off_the_log_axis_are_charted(self, tmp_path):
+        # only the log axis needs positive cells: a negative x and y on linear axes draw
+        filename, header, rows = CHART_FIXTURES["cib-frontier"]
+        rows = [(-0.4, -0.3, *row[2:]) if i == 1 else row for i, row in enumerate(rows)]
+        manifest = RunManifest(experiment="cib-frontier", config_hash="0" * 64, seed=0)
+        manifest.add_file(tmp_path / filename, write_csv(tmp_path / filename, header, rows))
+        (chart,) = emit_svg_charts(manifest, tmp_path)
+        assert "nan" not in chart.read_text().lower()
+
     def test_verify_all_writes_every_report(self, tmp_path, capsys, monkeypatch):
         for name, (filename, header, rows) in CHART_FIXTURES.items():
             result = ExperimentResult(tables={filename: (header, rows)})
@@ -869,6 +900,17 @@ class TestCustomGraph:
         )
         assert not (tmp_path / "o").exists()
 
+    def test_search_is_priced_at_the_graph_trials_read_at_call_time(self, tmp_path, small_constants):
+        # the chain that 3 blocks of walks put over the cap fits when GRAPH_TRIALS makes one block
+        length = dag.SEARCH_STEP_CAP // 3 + 1
+        graph_path = tmp_path / "chain.txt"
+        graph_path.write_text(dag.format_dag(dag.chain_dag(length)))
+        precheck = EXPERIMENTS["dag-exploration"].precheck
+        with pytest.raises(EnumerationTooLargeError, match="^params.graph_file: 20000 trials make 3 blocks"):
+            precheck({"graph_file": str(graph_path)})
+        small_constants(GRAPH_TRIALS=dag.SEARCH_BLOCK)
+        precheck({"graph_file": str(graph_path)})
+
     def test_long_chain_walks_to_its_target(self, tmp_path, capsys):
         # 100 steps: every walk reaches the target, as the exact oracle says
         graph_path = tmp_path / "chain.txt"
@@ -881,11 +923,79 @@ class TestCustomGraph:
         assert (out / "custom_graph.csv").read_text().splitlines()[1] == "101,20000,1.0,1.0,100.0"
 
 
+# each constant that replaced a schema key (and noise-discrete's inline contrast count), at the
+# value that key defaulted to
+_FORMER_DEFAULTS = {
+    "TRADEOFF_SAMPLES": 100_000, "OPTIONS_SET": (2, 3, 4, 8, 16, 32),
+    "DISCRETE_TRIALS": 100_000, "CONTRAST_TRIALS": 20_000,
+    "LIPSCHITZ_VALUES": (0.8, 1.0, 1.2), "DIMS": (1, 8, 64), "STEPS_VALUES": (1, 6, 12), "SIGMA_H": 0.1,
+    "ERROR_TRIALS": 100_000,
+    "ACCURACY_DIM": 16, "ACCURACY_TRIALS": 100_000,
+    "POLICY_DRAWS": 200, "MC_TRIALS": 100_000, "DIVERGENCE_DRAWS": 30, "CAPPED_SAMPLES": 10_000,
+    "GRAPH_TRIALS": 20_000,
+}
+
+
+def _types(value):
+    """``value``'s type, or a tuple's type with its items' types."""
+    return (tuple, [type(item) for item in value]) if isinstance(value, tuple) else type(value)
+
+
+def _accuracy_rows_at(dim, trials):
+    return dynamics.empirical_accuracy_sweep(dim=dim, trials=trials, seed=derive_seed(3, "accuracy"))
+
+
+# experiment: (small constants, a table of its seed-3 run, what that table shows of them)
+_CALL_TIME_CASES = {
+    "tradeoff-scan": (
+        dict(TRADEOFF_SAMPLES=40, OPTIONS_SET=(2, 4), SCAN_OPTIONS=(4,), SCAN_GRID=(0.5, 0.9), ORACLE_RESOLUTION=6),
+        "tradeoff_scan.csv", lambda header, rows: [row[:2] for row in rows] == [(0.5, 4), (0.9, 4)],
+    ),
+    "noise-discrete": (
+        dict(DISCRETE_TRIALS=30, CONTRAST_TRIALS=20),
+        "noise_discrete.csv", lambda header, rows: [row[5] for row in rows] == [30] * 5 + [20],
+    ),
+    "error-accumulation": (
+        dict(LIPSCHITZ_VALUES=(0.9, 1.1), DIMS=(2,), STEPS_VALUES=(1, 3), SIGMA_H=0.25, ERROR_TRIALS=200),
+        "error_accumulation.csv",
+        lambda header, rows: [row[:4] for row in rows] == [(lf, m, 2, 0.25) for lf in (0.9, 1.1) for m in (1, 3)],
+    ),
+    "accuracy-sweep": (
+        dict(ACCURACY_DIM=4, ACCURACY_TRIALS=1000),
+        "accuracy_sweep.csv", lambda header, rows: rows == _accuracy_rows_at(4, 1000) != _accuracy_rows_at(8, 1000),
+    ),
+    "dag-exploration": (
+        dict(POLICY_DRAWS=3, MC_TRIALS=500, DIVERGENCE_DRAWS=2, CAPPED_SAMPLES=20),
+        "dag_exploration.csv", lambda header, rows: [row[1] for row in rows] == [1, 3, 3],
+    ),
+}
+
+
 class TestDefaults:
     def test_graph_file_is_the_only_param(self):
         # every other input is a module constant (_CONSTANT_KEYS)
         schemas = {name: definition.schema for name, definition in EXPERIMENTS.items() if definition.schema}
         assert schemas == {"dag-exploration": {"graph_file": ""}}
+
+    @pytest.mark.parametrize("name, value", list(_FORMER_DEFAULTS.items()), ids=list(_FORMER_DEFAULTS))
+    def test_constant_holds_the_former_default_with_its_type(self, name, value):
+        # a CSV cell renders by type (1.0 is not 1), so a constant keeps its value's exact type too
+        constant = getattr(experiments, name)
+        assert constant == value
+        assert _types(constant) == _types(value)
+
+    def test_small_constants_refuses_an_unknown_name(self, small_constants):
+        with pytest.raises(AttributeError):
+            small_constants(DISCRETE_TRAILS=10)
+        assert not hasattr(experiments, "DISCRETE_TRAILS")
+
+    @pytest.mark.parametrize("experiment", sorted(_CALL_TIME_CASES))
+    def test_runner_reads_its_constants_at_call_time(self, small_constants, experiment):
+        constants, table, expected = _CALL_TIME_CASES[experiment]
+        small_constants(**constants)
+        definition = EXPERIMENTS[experiment]
+        header, rows = definition.runner(3, dict(definition.schema)).tables[table]
+        assert expected(header, rows)
 
     def test_config_dataclass_round_trip_via_text(self):
         config = ExperimentConfig(
