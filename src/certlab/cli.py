@@ -7,7 +7,7 @@
 verify-all runs every experiment at its defaults and writes each one's
 report.md and chart next to its manifest, as report does.
 Every experiment's inputs are module constants except dag-exploration's
-graph_file, which its precheck refuses, with exit 2, before it runs.
+graph_file, which its precheck refuses, with exit 2, or reads for the runner to walk.
 Exit codes: 0 all checks passed, 2 configuration, out-of-memory or other certlab error,
 3 check failure, 4 I/O or report error.  --threads sets the worker threads of
 the experiments that parallelize; outputs are byte-identical at any thread count.
@@ -32,17 +32,17 @@ EXIT_IO = 4
 
 
 def _execute(config: ExperimentConfig, threads: int) -> RunManifest:
-    """Precheck the params, then run the experiment and write its outputs: a refused
-    param raises before the runner starts and before the output directory exists."""
+    """Precheck the params, then run the experiment on the checked params and write its outputs:
+    a refused param raises before the runner starts and before the output directory exists."""
     definition = EXPERIMENTS[config.experiment]
-    definition.precheck(config.params)
+    params = definition.precheck(config.params)
     manifest = RunManifest(
         experiment=config.experiment,
         config_hash=config_hash(config),
         seed=config.seed,
         started_at=RunManifest.timestamp(),
     )
-    result = definition.runner(config.seed, config.params, threads)
+    result = definition.runner(config.seed, params, threads)
     out_dir = Path(config.output_dir)
     for filename, (header, rows) in sorted(result.tables.items()):
         path = out_dir / filename

@@ -10,6 +10,8 @@ Config files are plain text with two sections::
     [params]
     graph_file = configs/custom_graph.txt
 
+A comment starts with a ``#`` at the start of a line or after whitespace, so a
+``#`` inside a value (``output_dir = runs/#3``) is part of it.
 Parsing is strict: unknown sections, unknown keys and duplicate keys raise
 ConfigError with the full key path.  An experiment's schema maps each of its
 params to its default; every param is a string, kept as written, and
@@ -23,11 +25,13 @@ the identity and the config hash is well-defined.
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
 
 _RUN_KEYS = {"experiment", "seed", "output_dir"}
+_COMMENT = re.compile(r"(?:^|\s)#")
 _SECTIONS = ("run", "params")
 MAX_SEED = 2**64 - 1
 
@@ -58,7 +62,7 @@ def parse_config_text(text: str) -> RawConfig:
     run: dict[str, str] = {}
     params: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.split(raw, 1)[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):

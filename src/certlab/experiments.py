@@ -24,9 +24,10 @@ sweep grid and fit settings, the accuracy sweep's margin and sigma grid, the
 frontier's betas), beside that function's other constants.  The runners read
 them at call time, so a small test run patches them.  The one param is
 dag-exploration's ``graph_file``, a path to user input: its
-``precheck(params)`` parses that graph and prices its search before the
-runner starts, draws nothing and names ``params.graph_file`` in every
-refusal.  The other experiments share ``precheck_no_params``.
+``precheck(params)`` parses that graph, prices its search and returns it for
+the runner to walk, so the runner sees only a graph it accepted; it draws
+nothing and names ``params.graph_file`` in every refusal.  The other
+experiments share ``precheck_no_params``, which returns its params.
 """
 
 from __future__ import annotations
@@ -853,28 +854,23 @@ def capped_peak_bound_audit(seed: int, samples: int) -> ExperimentResult:
     return audit
 
 
-def _custom_graph(params: dict):
-    """The graph of ``params.graph_file``, priced for ``GRAPH_TRIALS`` walks, or None when unset.
-
-    The runner reads the file again, so the price holds for the graph it walks.  A
+def _custom_graph(params: dict) -> dict:
+    """dag-exploration's precheck: ``graph_file`` as its file's graph, priced for ``GRAPH_TRIALS``
+    walks, or None when unset; the runner walks that graph and never opens the file.  A
     refusal of the file, its graph or its search names the key."""
     if not params["graph_file"]:
-        return None
+        return {"graph_file": None}
     try:
         graph = dag.parse_dag(read_text_file(params["graph_file"], InvalidInputError))
         dag.price_search(graph, GRAPH_TRIALS)
     except (InvalidInputError, EnumerationTooLargeError) as exc:
         raise type(exc)(f"params.graph_file: {exc}") from None
-    return graph
-
-
-def precheck_dag_exploration(params: dict) -> None:
-    _custom_graph(params)
+    return {"graph_file": graph}
 
 
 def run_dag_exploration(seed: int, params: dict, threads: int = 1) -> ExperimentResult:
     result = ExperimentResult()
-    custom = _custom_graph(params)
+    custom = params["graph_file"]
     trap = dag.trap_dag(TRAP_DEPTH, TRAP_BRANCHING)
     uniform_policy = dag.make_policy(trap, "uniform")
     uniform_exact = dag.enumerate_paths(trap, uniform_policy)
@@ -989,17 +985,17 @@ def run_dag_exploration(seed: int, params: dict, threads: int = 1) -> Experiment
 
 @dataclass(frozen=True)
 class ExperimentDef:
-    """An experiment: ``precheck(params)`` refuses bad params, then ``runner(seed, params, threads)`` runs.
-
-    ``schema`` maps each param to its default."""
+    """An experiment: ``precheck(params)`` refuses bad params or returns them checked for
+    ``runner(seed, checked, threads)``.  ``schema`` maps each param to its default."""
 
     runner: object
     schema: dict[str, str]
     precheck: object
 
 
-def precheck_no_params(params: dict) -> None:
+def precheck_no_params(params: dict) -> dict:
     """The precheck of an experiment without params: every input is a module constant."""
+    return params
 
 
 EXPERIMENTS: dict[str, ExperimentDef] = {
@@ -1010,5 +1006,5 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
     "accuracy-sweep": ExperimentDef(run_accuracy_sweep, {}, precheck_no_params),
     "cib-frontier": ExperimentDef(run_cib_frontier, {}, precheck_no_params),
     "curriculum": ExperimentDef(run_curriculum, {}, precheck_no_params),
-    "dag-exploration": ExperimentDef(run_dag_exploration, DAG_SCHEMA, precheck_dag_exploration),
+    "dag-exploration": ExperimentDef(run_dag_exploration, DAG_SCHEMA, _custom_graph),
 }

@@ -1,7 +1,9 @@
 """Reports from run manifests: markdown check tables and SVG line charts.
 
 SVG output is generated directly (header, axes, tick marks, polylines) so
-the artifact has zero rendering dependencies.  Each experiment's chart is
+the artifact has zero rendering dependencies; its text nodes escape ``&``,
+``<`` and ``>``.  A markdown check row escapes ``|`` and puts line breaks
+as spaces, in the check's name and detail alike.  Each experiment's chart is
 one ``CHARTS`` entry, drawn from the CSV its manifest references by header
 column names; a missing file or column, or a CSV without data rows, is a
 ReportError naming it.  So is a charted cell that is not a finite number, or
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from html import escape
 from pathlib import Path
 
 from .errors import ReportError
@@ -37,8 +40,7 @@ def emit_markdown(manifest: RunManifest, out_path: Path) -> Path:
     ]
     for check in manifest.checks:
         status = "pass" if check["passed"] else "FAIL"
-        detail = check.get("detail", "").replace("|", "\\|")
-        lines.append(f"| {check['name']} | {status} | {detail} |")
+        lines.append(f"| {_cell(check['name'])} | {status} | {_cell(check.get('detail', ''))} |")
     failures = [c for c in manifest.checks if not c["passed"]]
     lines.append("")
     if failures:
@@ -53,6 +55,11 @@ def emit_markdown(manifest: RunManifest, out_path: Path) -> Path:
         lines.append(f"- `{entry['path']}` (sha256 `{entry['sha256'][:16]}...`)")
     write_text_file(out_path, "\n".join(lines) + "\n")
     return out_path
+
+
+def _cell(text: str) -> str:
+    """``text`` as one markdown table cell: ``|`` escaped, each line break a space."""
+    return " ".join(text.replace("|", "\\|").splitlines())
 
 
 def _svg_line_chart(
@@ -70,6 +77,7 @@ def _svg_line_chart(
     def xform(x: float) -> float:
         return math.log10(x) if log_x else x
 
+    title, x_label, y_label = (escape(text, quote=False) for text in (title, x_label, y_label))
     xs_all = [xform(x) for _, xs, _ in series for x in xs]
     ys_all = [y for _, _, ys in series for y in ys]
     x_min, x_max = min(xs_all), max(xs_all)
@@ -119,7 +127,7 @@ def _svg_line_chart(
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>')
         parts.append(
             f'<text x="{left + plot_w - 4}" y="{top + 14 + 14 * idx}" text-anchor="end" '
-            f'font-size="11" fill="{color}">{label}</text>'
+            f'font-size="11" fill="{color}">{escape(label, quote=False)}</text>'
         )
     parts.append("</svg>")
     write_text_file(out_path, "\n".join(parts) + "\n")

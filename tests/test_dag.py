@@ -391,7 +391,7 @@ def test_nan_divergence_on_the_binary_graph_fails_the_delta_ceiling(monkeypatch,
     monkeypatch.setattr(dag, "layered_dag", record_layered)
     monkeypatch.setattr(dag, "exploration_divergence", nan_on_second_binary_draw)
     small_constants(MC_TRIALS=1000, CAPPED_SAMPLES=100)
-    result = EXPERIMENTS["dag-exploration"].runner(0, {"graph_file": ""})
+    result = EXPERIMENTS["dag-exploration"].runner(0, {"graph_file": None})
     (check,) = [c for c in result.checks if c.name.startswith("capped-policy divergence on binary graphs")]
     assert not check.passed
     assert check.detail.startswith("1/30 rows over the limit, worst draw 1 ")
@@ -403,7 +403,7 @@ def test_uniform_policies_fail_both_strict_trap_orderings_on_the_tie(monkeypatch
     make_policy = dag.make_policy
     monkeypatch.setattr(dag, "make_policy", lambda graph, kind, **law: make_policy(graph, "uniform"))
     small_constants(POLICY_DRAWS=2, MC_TRIALS=1000, DIVERGENCE_DRAWS=2, CAPPED_SAMPLES=100)
-    checks = {c.name: c for c in EXPERIMENTS["dag-exploration"].runner(0, {"graph_file": ""}).checks}
+    checks = {c.name: c for c in EXPERIMENTS["dag-exploration"].runner(0, {"graph_file": None}).checks}
     mean = checks["trap ordering: concentrated mean success < capped-certainty mean success"]
     median = checks["trap medians separate the three regimes strictly"]
     assert not mean.passed and mean.detail.startswith("1/1 rows over the limit, worst concentrated mean ")
@@ -473,7 +473,8 @@ class TestSearchGates:
     """The trap search and the custom-graph search against the exact oracle, on the exact binomial tail."""
 
     def _gates(self, graph_file):
-        result = EXPERIMENTS["dag-exploration"].runner(0, {"graph_file": str(graph_file)})
+        definition = EXPERIMENTS["dag-exploration"]
+        result = definition.runner(0, definition.precheck({"graph_file": str(graph_file)}))
         return {c.name: c for c in result.checks if c.name in (SEARCH_GATE, CUSTOM_GATE)}
 
     def test_a_walker_leaning_to_the_first_successor_fails_both(self, mutate_streams):

@@ -13,6 +13,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from xml.dom import minidom
 
 import numpy as np
 import pytest
@@ -29,8 +30,8 @@ from certlab.config import (
 )
 from certlab.errors import ConfigError, EnumerationTooLargeError, InfiniteDivergenceError, ReportError
 from certlab.experiments import EXPERIMENTS, ExperimentResult, strict_rise
-from certlab.manifest import RunManifest, load_manifest, read_csv, write_csv
-from certlab.report import emit_svg_charts
+from certlab.manifest import Check, RunManifest, load_manifest, read_csv, write_csv
+from certlab.report import emit_markdown, emit_svg_charts
 from certlab.seeding import derive_seed, rng_for
 
 ACCURACY_CFG = """
@@ -106,6 +107,38 @@ class TestConfigParsing:
             parse_config_text(text), EXPERIMENTS["dag-exploration"].schema, experiment_names=set(EXPERIMENTS)
         )
         assert config.params == {"graph_file": "graphs/my dag.txt"}
+
+    @pytest.mark.parametrize(
+        "line, value",
+        [("output_dir = runs/#3", "runs/#3"), ("output_dir = out  # CLI --out overrides", "out"),
+         ("output_dir = out\t# after a tab", "out"), ("# output_dir = elsewhere", None)],
+        ids=["in-value", "inline", "after-tab", "whole-line"],
+    )
+    def test_a_comment_starts_at_a_hash_after_whitespace_only(self, line, value):
+        assert parse_config_text(f"[run]\n{line}\n").output_dir == value
+
+    def test_a_run_writes_into_an_output_dir_holding_a_hash(self, tmp_path, monkeypatch, small_accuracy):
+        monkeypatch.chdir(tmp_path)
+        cfg = _write_cfg(tmp_path, ACCURACY_CFG.replace("[params]", "output_dir = runs/#3\n[params]"))
+        assert cli.main(["run", "--config", cfg]) == 0
+        assert sorted(path.name for path in (tmp_path / "runs").iterdir()) == ["#3"]
+        assert (tmp_path / "runs" / "#3" / "manifest.json").is_file()
+
+    def test_a_graph_file_holding_a_hash_is_the_file_read(self, tmp_path, monkeypatch):
+        (tmp_path / "graphs").mkdir()
+        (tmp_path / "graphs" / "#1.txt").write_text("start: 0\ntargets: 1\n0: 1\n1:\n")
+        monkeypatch.chdir(tmp_path)
+        text = "[run]\nexperiment = dag-exploration\nseed = 1\n[params]\ngraph_file = graphs/#1.txt\n"
+        definition = EXPERIMENTS["dag-exploration"]
+        config = build_config(parse_config_text(text), definition.schema, experiment_names=set(EXPERIMENTS))
+        assert config.params == {"graph_file": "graphs/#1.txt"}
+        assert definition.precheck(config.params)["graph_file"].n_nodes == 2
+
+    def test_a_hash_in_a_value_round_trips_through_canonical_text(self):
+        config = ExperimentConfig(experiment="curriculum", seed=0, output_dir="out#2")
+        raw = parse_config_text(canonical_text(config))
+        assert raw.output_dir == "out#2"
+        assert canonical_text(build_config(raw, {}, experiment_names=set(EXPERIMENTS))) == canonical_text(config)
 
 
 class TestSeeding:
@@ -701,6 +734,27 @@ class TestPrecheck:
         for entry in registry.values:
             assert len(entry.args) == 3 or "precheck" in {keyword.arg for keyword in entry.keywords}
 
+    def test_each_precheck_returns_the_params_its_runner_reads(self):
+        # precheck_no_params hands its params on unchanged; dag-exploration's turns an unset
+        # graph_file into no graph
+        for name, definition in EXPERIMENTS.items():
+            params = dict(definition.schema)
+            expected = {"graph_file": None} if name == "dag-exploration" else params
+            assert definition.precheck(params) == expected
+
+    def test_the_runner_receives_what_its_precheck_returned(self, tmp_path, monkeypatch):
+        checked, received = {"checked": True}, []
+
+        def runner(seed, params, threads=1):
+            received.append(params)
+            return ExperimentResult()
+
+        definition = dataclasses.replace(EXPERIMENTS["curriculum"], runner=runner, precheck=lambda params: checked)
+        monkeypatch.setitem(EXPERIMENTS, "curriculum", definition)
+        cfg = _write_cfg(tmp_path, "[run]\nexperiment = curriculum\nseed = 0\n")
+        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert len(received) == 1 and received[0] is checked
+
     def test_prechecks_open_no_stream(self, tmp_path, monkeypatch):
         # every precheck at its defaults, and dag-exploration's on a custom graph it
         # accepts and on one over the search cap, with every certlab binding of
@@ -845,6 +899,25 @@ class TestCharts:
         assert capsys.readouterr().out.splitlines()[-1] == "verify-all: ALL CHECKS PASSED"
 
 
+class TestReportText:
+    def test_chart_text_from_a_csv_is_escaped(self, tmp_path):
+        # a curriculum chart labels each line with its provenance cell
+        filename, header, rows = CHART_FIXTURES["curriculum"]
+        rows = [(n, "R&D <x>" if provenance == "curriculum" else provenance, *rest) for n, provenance, *rest in rows]
+        manifest = RunManifest(experiment="curriculum", config_hash="0" * 64, seed=0)
+        manifest.add_file(tmp_path / filename, write_csv(tmp_path / filename, header, rows))
+        (chart,) = emit_svg_charts(manifest, tmp_path)
+        texts = [node.firstChild.data for node in minidom.parse(str(chart)).getElementsByTagName("text")]
+        assert "R&D <x>" in texts and "biased" in texts
+
+    def test_each_check_is_one_markdown_row_of_three_cells(self, tmp_path):
+        manifest = RunManifest(experiment="curriculum", config_hash="0" * 64, seed=0)
+        manifest.add_checks([Check("gap | bound", True, "ok"), Check("two\nlines", False, "a | b\r\nc")])
+        report = emit_markdown(manifest, tmp_path / "report.md").read_text().splitlines()
+        rows = report[report.index("|---|---|---|") + 1:][:2]
+        assert rows == ["| gap \\| bound | pass | ok |", "| two lines | FAIL | a \\| b c |"]
+
+
 class TestErrorAccumulationChartData:
     def test_final_values_ordered_by_lipschitz(self, tmp_path, small_constants):
         small_constants(ERROR_TRIALS=4000, DIMS=(8,))
@@ -910,6 +983,27 @@ class TestCustomGraph:
             precheck({"graph_file": str(graph_path)})
         small_constants(GRAPH_TRIALS=dag.SEARCH_BLOCK)
         precheck({"graph_file": str(graph_path)})
+
+    def test_example_config_reads_its_graph_once(self, tmp_path, monkeypatch, capsys):
+        reads = []
+        read_text_file = experiments.read_text_file
+        monkeypatch.setattr(
+            experiments, "read_text_file", lambda path, error: reads.append(path) or read_text_file(path, error)
+        )
+        monkeypatch.chdir(REPO_ROOT)
+        assert cli.main(["run", "--config", "configs/dag_custom.cfg", "--out", str(tmp_path / "o")]) == 0
+        assert reads == ["configs/custom_graph.txt"]
+        assert (tmp_path / "o" / "custom_graph.csv").is_file()
+
+    def test_runner_walks_the_checked_graph_after_its_file_is_gone(self, tmp_path, small_constants):
+        graph_path = tmp_path / "graph.txt"
+        graph_path.write_text("start: 0\ntargets: 3\n0: 1,2\n1: 3\n2: 3\n3:\n")
+        small_constants(GRAPH_TRIALS=2000, POLICY_DRAWS=3, MC_TRIALS=500, DIVERGENCE_DRAWS=2, CAPPED_SAMPLES=20)
+        definition = EXPERIMENTS["dag-exploration"]
+        checked = definition.precheck({"graph_file": str(graph_path)})
+        graph_path.unlink()
+        header, rows = definition.runner(0, checked).tables["custom_graph.csv"]
+        assert rows == [(4, 2000, 1.0, 1.0, 2.0)]
 
     def test_long_chain_walks_to_its_target(self, tmp_path, capsys):
         # 100 steps: every walk reaches the target, as the exact oracle says
@@ -994,7 +1088,7 @@ class TestDefaults:
         constants, table, expected = _CALL_TIME_CASES[experiment]
         small_constants(**constants)
         definition = EXPERIMENTS[experiment]
-        header, rows = definition.runner(3, dict(definition.schema)).tables[table]
+        header, rows = definition.runner(3, definition.precheck(dict(definition.schema))).tables[table]
         assert expected(header, rows)
 
     def test_config_dataclass_round_trip_via_text(self):
@@ -1129,3 +1223,37 @@ class TestBenchmarkContract:
             assert parameter in inspect.signature(function(module, name)).parameters
         for module, name in tracer.TRACED:
             tracer._work_counter(module, name, function(module, name))
+
+
+# the public module-level functions and classes of src/certlab that nothing in src/certlab
+# references, besides the TRACED names of bench/tracer.py, each with why it stays
+_UNREFERENCED = {
+    "categorical.softmax": "scalar reference: the categorical tests build their distributions with it",
+    "categorical.logit_margin": "scalar reference: the tests check the stability bound against it",
+    "curriculum.log_likelihood": "scalar reference: the curriculum tests check log_likelihood_grad against it",
+    "dag.chain_dag": "test graph: the search-cap and long-walk tests build chains with it",
+    "dag.diamond_dag": "test graph: the dag oracle tests walk it",
+    "cib.beta_schedule": "library API that README documents as the stage schedule",
+}
+
+
+class TestReferences:
+    def test_every_public_definition_is_referenced_in_the_package(self):
+        # by an AST name or attribute anywhere in src/certlab, not by a docstring or an import
+        package = Path(experiments.__file__).parent
+        trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+        defined = {
+            f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+        }
+        referenced = {
+            node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))
+        }
+        tracer = ast.parse((REPO_ROOT / "bench" / "tracer.py").read_text())
+        (traced,) = [
+            ast.literal_eval(node.value) for node in tracer.body
+            if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["TRACED"]
+        ]
+        unreferenced = {name for name in defined if name.split(".")[1] not in referenced}
+        assert unreferenced - {f"{module}.{name}" for module, name in traced} == set(_UNREFERENCED)
